@@ -229,6 +229,10 @@ def ideal_main(argv=None):
     p_ver.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
     try:
+        # verify-main must check at least one degree, or its PASS says nothing
+        least_degree = {"hilbert": 0, "verify-main": 1}.get(args.command)
+        if least_degree is not None and args.max_degree < least_degree:
+            raise ValidationError(f"--max-degree must be at least {least_degree}, got {args.max_degree}")
         if args.command in ("generators", "hilbert") or not getattr(args, "all_triples", False):
             if not (args.alpha and args.beta and args.gamma):
                 raise ValidationError("--alpha, --beta and --gamma are required without --all-triples")

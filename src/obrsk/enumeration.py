@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 
 from .arrays import SkewPair, TwoRowArray, validate_skew_pair
+from .errors import NotSemistandard
 from .tableaux import (
     NotchedBitableau,
     NotchedTableau,
@@ -87,7 +88,7 @@ def enumerate_even_bitableaux(max_entry, max_boxes):
                 try:
                     if validate_skew_symmetric(b):
                         out.append(b)
-                except Exception:
+                except NotSemistandard:
                     continue
     return out
 

@@ -166,8 +166,12 @@ def chain_pair(chain, d):
     return u1, u2
 
 
+@lru_cache(maxsize=None)
 def chain_image(chain, d):
-    """The bitableau image of the canonical skew pair of (C, C^#)."""
+    """The bitableau image of the canonical skew pair of (C, C^#).
+
+    Memoised: chain is a tuple of roots sorted by position, so there is one
+    entry per chain of roots of I(d), however many triples ask for it."""
     u1, u2 = chain_pair(chain, d)
     return obrsk(psi_inv(u1, u2))
 

@@ -10,11 +10,13 @@ by multichains through the interval) complement the ideal slice exactly.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import comb
+from operator import add
 
 from .errors import ColumnNotInBeta, DimensionMismatch, OddSize, VerificationError
 from .grassmannian import Region, enumerate_id, id_leq, is_quotient_monomial, region_of
@@ -188,40 +190,69 @@ def monomials_of_degree(nvars, m):
     return out
 
 
-def _rref(rows):
-    """In-place reduced row echelon form over the rationals.
-    Returns the list of pivot column indices."""
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot_row is None:
+def _top_reduce(row, basis):
+    """Subtract pivot rows of basis from row until its leading column has no
+    pivot; returns the remainder as a sparse row, empty when row reduces to
+    zero.  The input row is not changed."""
+    if not row or row[0][0] not in basis:
+        return row
+    acc = dict(row)
+    todo = [c for c, _ in row]  # sorted, hence already a heap
+    while todo:
+        col = heapq.heappop(todo)
+        x = acc.pop(col)
+        if not x:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    del rows[r:]
+        pivot_row = basis.get(col)
+        if pivot_row is None:
+            acc[col] = x
+            return sorted((c, v) for c, v in acc.items() if v)
+        for c, y in pivot_row[1:]:
+            old = acc.get(c)
+            if old is None:
+                acc[c] = -x * y
+                heapq.heappush(todo, c)
+            else:
+                acc[c] = old - x * y
+    return []
+
+
+def _rref(rows):
+    """Sparse echelon form over the rationals.
+
+    Each row is a list of (column, Fraction) pairs, Fractions nonzero and
+    columns ascending, so row[0] is its leading term.  Every row is
+    top-reduced against the pivot rows found so far, keyed by pivot column;
+    a nonzero remainder is normalised to leading coefficient 1 and becomes
+    the pivot row of its leading column.  A row whose leading column has no
+    pivot yet costs one lookup, so rows already in echelon form pass
+    straight through.  rows is replaced by the pivot rows in column order;
+    returns the sorted pivot columns."""
+    basis = {}
+    for row in rows:
+        row = _top_reduce(row, basis)
+        if not row:
+            continue
+        lead = row[0][1]
+        if lead != 1:
+            inv = Fraction(1) / lead
+            row = [(c, x * inv) for c, x in row]
+        basis[row[0][0]] = row
+    pivots = sorted(basis)
+    rows[:] = [basis[c] for c in pivots]
     return pivots
 
 
 class DegreeSlice:
-    """The degree-m piece of the ideal, row reduced against the monomial
-    basis sorted greatest first."""
+    """The degree-m piece of the ideal in echelon form by sparse exact
+    rational elimination, against the monomial basis sorted greatest first
+    (column 0 is the greatest monomial)."""
 
     def __init__(self, gens, m, order):
         self.order = order
         self.m = m
         self.monos = sorted(monomials_of_degree(order.nvars, m), key=order.mono_key, reverse=True)
-        self.col = {mono: i for i, mono in enumerate(self.monos)}
+        self.col = col = {mono: i for i, mono in enumerate(self.monos)}
         rows = []
         for _, g in gens:
             if g.is_zero:
@@ -229,11 +260,10 @@ class DegreeSlice:
             dg = g.degree()
             if dg > m:
                 continue
+            # multiplying by a monomial keeps the order of g's terms, so
+            # each row comes out sorted by column
             for mult in monomials_of_degree(order.nvars, m - dg):
-                vec = [Fraction(0)] * len(self.monos)
-                for mono, coeff in g.terms:
-                    vec[self.col[tuple(x + y for x, y in zip(mono, mult))]] += coeff
-                rows.append(vec)
+                rows.append([(col[tuple(map(add, mono, mult))], coeff) for mono, coeff in g.terms])
         self.rows = rows
         self.pivots = _rref(self.rows)
 
@@ -249,17 +279,15 @@ class DegreeSlice:
         return {self.monos[j] for j in self.pivots}
 
     def vector_of(self, poly):
-        vec = [Fraction(0)] * len(self.monos)
-        for mono, coeff in poly.terms:
+        """The sparse row of a degree-m polynomial."""
+        for mono, _ in poly.terms:
             if sum(mono) != self.m:
                 raise DimensionMismatch(f"monomial of degree {sum(mono)} in a degree-{self.m} slice")
-            vec[self.col[mono]] += coeff
-        return vec
+        return sorted((self.col[mono], coeff) for mono, coeff in poly.terms)
 
     def rank_with(self, polys):
         """Rank of the slice extended by the given degree-m polynomials."""
-        rows = [list(r) for r in self.rows] + [self.vector_of(p) for p in polys]
-        return len(_rref(rows))
+        return len(_rref(list(self.rows) + [self.vector_of(p) for p in polys]))
 
 
 def initial_monomials_degree(gens, m, order):
@@ -315,10 +343,18 @@ def standard_monomials(alpha, beta, gamma, m):
     return out
 
 
-def standard_poly(thetas, beta, order):
+def standard_poly(thetas, beta, order, pfaffians=None):
+    """The product of f(theta) over a multichain.  pfaffians maps theta to
+    f(theta) over this beta and order; it is read and filled, so a caller
+    multiplying many multichains builds each f(theta) once."""
+    if pfaffians is None:
+        pfaffians = {}
     prod = SparsePoly.constant(order, 1)
     for theta in thetas:
-        prod = prod * pfaffian_generator(theta, beta, order)
+        f = pfaffians.get(theta)
+        if f is None:
+            f = pfaffians[theta] = pfaffian_generator(theta, beta, order)
+        prod = prod * f
     return prod
 
 
@@ -360,13 +396,14 @@ def verify_main_theorem(alpha, beta, gamma, max_degree, order=None):
     if order is None:
         order = TermOrder(beta)
     gens = generators(alpha, beta, gamma, order)
+    pfaffians = {}  # f(theta) of the standard monomials, shared by all degrees
     report = VerifyReport(alpha, beta, gamma)
     for m in range(1, max_degree + 1):
         slice_m = DegreeSlice(gens, m, order)
         initial = slice_m.initial_monomials()
         chains = chains_monomials_degree(alpha, beta, gamma, m, order)
         std = standard_monomials(alpha, beta, gamma, m)
-        std_polys = [standard_poly(thetas, beta, order) for thetas in std]
+        std_polys = [standard_poly(thetas, beta, order, pfaffians) for thetas in std]
         counts = len(std) == slice_m.total - slice_m.dim and len(initial) == slice_m.dim
         independent = slice_m.rank_with(std_polys) == slice_m.dim + len(std)
         report.degrees.append(

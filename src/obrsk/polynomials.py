@@ -228,12 +228,6 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
-    def mul_mono(self, mono):
-        return SparsePoly(
-            self.order,
-            tuple((tuple(x + y for x, y in zip(m, mono)), c) for m, c in self.terms),
-        )
-
     def __str__(self):
         if self.is_zero:
             return "0"

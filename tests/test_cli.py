@@ -158,6 +158,22 @@ def test_ideal_requires_ordered_triple(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-main", "--d", "2", "--alpha", "1,2", "--beta", "3,4", "--gamma", "3,4", "--max-degree", "0"],
+        ["verify-main", "--d", "2", "--all-triples", "--max-degree", "0"],
+        ["hilbert", "--d", "2", "--alpha", "1,2", "--beta", "3,4", "--gamma", "3,4", "--max-degree", "-3"],
+    ],
+)
+def test_ideal_rejects_max_degree_below_range(capsys, argv):
+    # a vacuous PASS or an empty table would hide that nothing was checked
+    assert ideal_main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-degree" in captured.err
+
+
 def test_fixture_replay(capsys):
     assert fixture_main(["replay"]) == EXIT_OK
     out = capsys.readouterr().out
