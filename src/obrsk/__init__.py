@@ -10,14 +10,12 @@ degree.
 
 from .multisets import Cmp, FormalDiff, count_le, diff_compare, is_chain, multiset_minus, plane_compare
 from .tableaux import (
-    GridSpec,
     NotchedBitableau,
     NotchedTableau,
     SignKind,
     bitableau_bounded_by,
     classify_sign,
     iota,
-    is_on_grid,
     up_down,
     validate_row_strict,
     validate_semistandard,
@@ -32,7 +30,6 @@ from .correspondence import (
     obrsk_inverse,
     obrsk_negative,
     obrsk_negative_steps,
-    pair_bounded_by,
     reverse_step,
     robrsk,
 )
@@ -42,6 +39,7 @@ from .grassmannian import (
     Region,
     chain_in_chains_set,
     chain_pair,
+    defining_chains,
     enumerate_extended_chains,
     enumerate_id,
     hash_reflect,

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidPair, LengthMismatch, VanishingColumn
-from .multisets import plane_multiset
+from .multisets import duality_conflict, plane_multiset
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,16 @@ class SkewPair:
             object.__setattr__(self, "pi2", TwoRowArray(*self.pi2))
         if self.pi1.width != self.pi2.width:
             raise LengthMismatch(f"pi1 width {self.pi1.width} != pi2 width {self.pi2.width}")
+
+    @classmethod
+    def from_columns(cls, cols1, cols2):
+        """The pair whose arrays have the given (top, bottom) columns, in
+        order: (b, a) for pi1 and (c, d) for pi2."""
+
+        def array(cols):
+            return TwoRowArray(tuple(x for x, _ in cols), tuple(y for _, y in cols))
+
+        return cls(array(cols1), array(cols2))
 
     @property
     def width(self):
@@ -117,15 +127,13 @@ def validate_skew_pair(p):
         pairs.append((b[i], d[j]))
         pairs.append((c[i], a[j]))
         pairs.append((d[i], b[j]))
-    pairs.sort()
-    for (v1, d1), (v2, d2) in zip(pairs, pairs[1:]):
+    conflict = duality_conflict(pairs)
+    if conflict:
+        (v1, d1), (v2, d2) = conflict
         if v1 == v2:
-            if d1 != d2:
-                violations.append(f"duality maps value {v1} to both {d1} and {d2}")
-                break
-        elif d1 <= d2:
+            violations.append(f"duality maps value {v1} to both {d1} and {d2}")
+        else:
             violations.append(f"duality not decreasing: {v1} -> {d1}, {v2} -> {d2}")
-            break
     for i in range(t):
         j = t - 1 - i
         if a[i] < b[i] and not d[j] < c[j]:
@@ -162,10 +170,7 @@ def psi_inv(u1, u2):
         raise LengthMismatch(f"|U1| = {len(u1)} != |U2| = {len(u2)}")
     cols1 = sorted(((b, a) for a, b in u1), key=lambda col: (-col[0], -col[1]))
     cols2 = sorted(((c, d) for d, c in u2), key=lambda col: (-col[1], -col[0]))
-    return SkewPair(
-        TwoRowArray(tuple(b for b, _ in cols1), tuple(a for _, a in cols1)),
-        TwoRowArray(tuple(c for c, _ in cols2), tuple(d for _, d in cols2)),
-    )
+    return SkewPair.from_columns(cols1, cols2)
 
 
 def L_involution(p):
@@ -174,10 +179,7 @@ def L_involution(p):
     and positive pairs and is an involution."""
     cols1 = sorted(zip(p.a, p.b), key=lambda col: (-col[0], -col[1]))
     cols2 = sorted(zip(p.d, p.c), key=lambda col: (-col[1], -col[0]))
-    return SkewPair(
-        TwoRowArray(tuple(x for x, _ in cols1), tuple(y for _, y in cols1)),
-        TwoRowArray(tuple(x for x, _ in cols2), tuple(y for _, y in cols2)),
-    )
+    return SkewPair.from_columns(cols1, cols2)
 
 
 def split_parts(p):
@@ -199,10 +201,9 @@ def split_parts(p):
     if len(neg1) != len(neg2):
         raise InvalidPair("negative columns of pi1 and pi2 do not match up")
 
+    cols1, cols2 = p.pi1.columns(), p.pi2.columns()
+
     def take(indices1, indices2):
-        return SkewPair(
-            TwoRowArray(tuple(p.b[i] for i in indices1), tuple(p.a[i] for i in indices1)),
-            TwoRowArray(tuple(p.c[j] for j in indices2), tuple(p.d[j] for j in indices2)),
-        )
+        return SkewPair.from_columns([cols1[i] for i in indices1], [cols2[j] for j in indices2])
 
     return take(neg1, neg2), take(pos1, pos2)

@@ -39,6 +39,11 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_FAILED = 3
 
+# The largest --d accepted.  I(d) has 2^(d-1) elements and listing the
+# triples for --all-triples takes time growing like 8^d: about 1 s for the
+# 183,040 triples at d = 8, and each further d multiplies both by 7 to 8.
+MAX_D = 8
+
 
 # -- JSON shapes -------------------------------------------------------------
 
@@ -50,11 +55,21 @@ def pair_to_json(p):
     }
 
 
+def _positive_row(row):
+    """A JSON list of entries as a tuple; every entry must be an integer >= 1
+    (JSON true and false are not integers here)."""
+    row = tuple(row)
+    for x in row:
+        if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+            raise ValidationError(f"entries must be positive integers, got {x!r}")
+    return row
+
+
 def pair_from_json(doc):
     try:
         return SkewPair(
-            TwoRowArray(tuple(doc["pi1"]["b"]), tuple(doc["pi1"]["a"])),
-            TwoRowArray(tuple(doc["pi2"]["c"]), tuple(doc["pi2"]["d"])),
+            TwoRowArray(_positive_row(doc["pi1"]["b"]), _positive_row(doc["pi1"]["a"])),
+            TwoRowArray(_positive_row(doc["pi2"]["c"]), _positive_row(doc["pi2"]["d"])),
         )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed pair document: {exc}")
@@ -66,7 +81,10 @@ def bitableau_to_json(b):
 
 def bitableau_from_json(doc):
     try:
-        return NotchedBitableau(NotchedTableau(doc["P"]), NotchedTableau(doc["Q"]))
+        return NotchedBitableau(
+            NotchedTableau(tuple(_positive_row(r) for r in doc["P"])),
+            NotchedTableau(tuple(_positive_row(r) for r in doc["Q"])),
+        )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed bitableau document: {exc}")
 
@@ -79,6 +97,25 @@ def _read_doc(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read input: {exc}")
+
+
+def _check_d(d):
+    if not 1 <= d <= MAX_D:
+        raise ValidationError(f"--d must be in 1..{MAX_D}, got {d}")
+
+
+def _exit_code(command, args):
+    """Run command(args) and return its exit code; a ValidationError gives
+    EXIT_INVALID and any other ObrskError EXIT_FAILED, with the message on
+    stderr."""
+    try:
+        return command(args)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except ObrskError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_FAILED
 
 
 def _parse_id(text, d):
@@ -111,33 +148,29 @@ def obrsk_main(argv=None):
     p_apply.add_argument("--trace", action="store_true", help="emit every intermediate bitableau")
     p_invert = sub.add_parser("invert", help="map a bitableau back to its skew pair")
     p_invert.add_argument("--input", default=None, help="JSON bitableau file (default stdin)")
-    args = parser.parse_args(argv)
-    try:
-        if args.command == "apply":
-            pair = pair_from_json(_read_doc(args.input))
-            out = bitableau_to_json(obrsk(pair))
-            if args.trace:
-                if not is_negative_pair(pair):
-                    raise ValidationError("--trace is only available for negative pairs")
-                trace = []
-                for i, bit in enumerate(obrsk_negative_steps(pair), start=1):
-                    trace.append(
-                        {
-                            f"P^({i})": [list(r) for r in bit.P.rows],
-                            f"Q^({i})": [list(r) for r in bit.Q.rows],
-                        }
-                    )
-                out["trace"] = trace
-            print(json.dumps(out, indent=2))
-        else:
-            bit = bitableau_from_json(_read_doc(args.input))
-            print(json.dumps(pair_to_json(obrsk_inverse(bit)), indent=2))
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ObrskError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+    return _exit_code(_obrsk_command, parser.parse_args(argv))
+
+
+def _obrsk_command(args):
+    if args.command == "apply":
+        pair = pair_from_json(_read_doc(args.input))
+        out = bitableau_to_json(obrsk(pair))
+        if args.trace:
+            if not is_negative_pair(pair):
+                raise ValidationError("--trace is only available for negative pairs")
+            trace = []
+            for i, bit in enumerate(obrsk_negative_steps(pair), start=1):
+                trace.append(
+                    {
+                        f"P^({i})": [list(r) for r in bit.P.rows],
+                        f"Q^({i})": [list(r) for r in bit.Q.rows],
+                    }
+                )
+            out["trace"] = trace
+        print(json.dumps(out, indent=2))
+    else:
+        bit = bitableau_from_json(_read_doc(args.input))
+        print(json.dumps(pair_to_json(obrsk_inverse(bit)), indent=2))
     return EXIT_OK
 
 
@@ -155,36 +188,33 @@ def og_main(argv=None):
     p_w.add_argument("--beta", required=True)
     p_w.add_argument("--chain", required=True, help="points like '1,3 2,5'")
     p_w.add_argument("--sign", choices=["minus", "plus"], required=True)
-    args = parser.parse_args(argv)
-    try:
-        beta = _parse_id(args.beta, args.d)
-        if args.command == "chains":
-            roots = roots_of(beta)
-            doc = {
-                "beta": list(beta.entries),
-                "roots": [list(p) for p in roots],
-                "chains": [],
-            }
-            for chain in enumerate_extended_chains(roots):
-                neg, pos = split_chain(chain, beta)
-                entry = {"points": [list(p) for p in chain]}
-                if neg:
-                    entry["w_minus"] = list(w_of_chain(neg, beta, ChainSign.MINUS).entries)
-                if pos:
-                    entry["w_plus"] = list(w_of_chain(pos, beta, ChainSign.PLUS).entries)
-                doc["chains"].append(entry)
-            print(json.dumps(doc, indent=2))
-        else:
-            chain = _parse_chain(args.chain)
-            sign = ChainSign.MINUS if args.sign == "minus" else ChainSign.PLUS
-            w = w_of_chain(chain, beta, sign)
-            print(",".join(str(x) for x in w.entries))
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ObrskError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+    return _exit_code(_og_command, parser.parse_args(argv))
+
+
+def _og_command(args):
+    _check_d(args.d)
+    beta = _parse_id(args.beta, args.d)
+    if args.command == "chains":
+        roots = roots_of(beta)
+        doc = {
+            "beta": list(beta.entries),
+            "roots": [list(p) for p in roots],
+            "chains": [],
+        }
+        for chain in enumerate_extended_chains(roots):
+            neg, pos = split_chain(chain, beta)
+            entry = {"points": [list(p) for p in chain]}
+            if neg:
+                entry["w_minus"] = list(w_of_chain(neg, beta, ChainSign.MINUS).entries)
+            if pos:
+                entry["w_plus"] = list(w_of_chain(pos, beta, ChainSign.PLUS).entries)
+            doc["chains"].append(entry)
+        print(json.dumps(doc, indent=2))
+    else:
+        chain = _parse_chain(args.chain)
+        sign = ChainSign.MINUS if args.sign == "minus" else ChainSign.PLUS
+        w = w_of_chain(chain, beta, sign)
+        print(",".join(str(x) for x in w.entries))
     return EXIT_OK
 
 
@@ -227,61 +257,58 @@ def ideal_main(argv=None):
     p_ver.add_argument("--all-triples", action="store_true")
     p_ver.add_argument("--max-degree", type=int, default=3)
     p_ver.add_argument("--jobs", type=int, default=1)
-    args = parser.parse_args(argv)
-    try:
-        # verify-main must check at least one degree, or its PASS says nothing
-        least_degree = {"hilbert": 0, "verify-main": 1}.get(args.command)
-        if least_degree is not None and args.max_degree < least_degree:
-            raise ValidationError(f"--max-degree must be at least {least_degree}, got {args.max_degree}")
-        if args.command in ("generators", "hilbert") or not getattr(args, "all_triples", False):
-            if not (args.alpha and args.beta and args.gamma):
-                raise ValidationError("--alpha, --beta and --gamma are required without --all-triples")
-            alpha = _parse_id(args.alpha, args.d)
-            beta = _parse_id(args.beta, args.d)
-            gamma = _parse_id(args.gamma, args.d)
-            if not (id_leq(alpha, beta) and id_leq(beta, gamma)):
-                raise ValidationError("need alpha <= beta <= gamma")
-        if args.command == "generators":
-            order = TermOrder(beta)
-            for theta, poly in generators(alpha, beta, gamma, order):
-                print(f"f({theta}) = {poly}")
-            return EXIT_OK
-        if args.command == "hilbert":
-            for m, total, dim, quot in hilbert_counts(alpha, beta, gamma, args.max_degree):
-                print(f"degree {m}: total {total}, ideal {dim}, quotient {quot}")
-            return EXIT_OK
-        # verify-main
-        if args.all_triples:
-            elements = enumerate_id(args.d)
-            jobs = [
-                (args.d, a.entries, b.entries, g.entries, args.max_degree)
-                for b in elements
-                for a in elements
-                if id_leq(a, b)
-                for g in elements
-                if id_leq(b, g)
-            ]
-        else:
-            jobs = [(args.d, alpha.entries, beta.entries, gamma.entries, args.max_degree)]
-        if args.jobs > 1:
-            with Pool(args.jobs) as pool:
-                results = pool.map(_verify_triple, jobs)
-        else:
-            results = [_verify_triple(job) for job in jobs]
-        all_ok = True
-        for passed, header, lines in results:
-            print(f"{'PASS' if passed else 'FAIL'} {header}")
-            for line in lines:
-                print(line)
-            all_ok = all_ok and passed
-        print(f"{'PASS' if all_ok else 'FAIL'}: {len(results)} triple(s) checked")
-        return EXIT_OK if all_ok else EXIT_FAILED
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ObrskError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+    return _exit_code(_ideal_command, parser.parse_args(argv))
+
+
+def _ideal_command(args):
+    _check_d(args.d)
+    # verify-main must check at least one degree, or its PASS says nothing
+    least_degree = {"hilbert": 0, "verify-main": 1}.get(args.command)
+    if least_degree is not None and args.max_degree < least_degree:
+        raise ValidationError(f"--max-degree must be at least {least_degree}, got {args.max_degree}")
+    if args.command in ("generators", "hilbert") or not getattr(args, "all_triples", False):
+        if not (args.alpha and args.beta and args.gamma):
+            raise ValidationError("--alpha, --beta and --gamma are required without --all-triples")
+        alpha = _parse_id(args.alpha, args.d)
+        beta = _parse_id(args.beta, args.d)
+        gamma = _parse_id(args.gamma, args.d)
+        if not (id_leq(alpha, beta) and id_leq(beta, gamma)):
+            raise ValidationError("need alpha <= beta <= gamma")
+    if args.command == "generators":
+        order = TermOrder(beta)
+        for theta, poly in generators(alpha, beta, gamma, order):
+            print(f"f({theta}) = {poly}")
+        return EXIT_OK
+    if args.command == "hilbert":
+        for m, total, dim, quot in hilbert_counts(alpha, beta, gamma, args.max_degree):
+            print(f"degree {m}: total {total}, ideal {dim}, quotient {quot}")
+        return EXIT_OK
+    # verify-main
+    if args.all_triples:
+        elements = enumerate_id(args.d)
+        jobs = [
+            (args.d, a.entries, b.entries, g.entries, args.max_degree)
+            for b in elements
+            for a in elements
+            if id_leq(a, b)
+            for g in elements
+            if id_leq(b, g)
+        ]
+    else:
+        jobs = [(args.d, alpha.entries, beta.entries, gamma.entries, args.max_degree)]
+    if args.jobs > 1:
+        with Pool(args.jobs) as pool:
+            results = pool.map(_verify_triple, jobs)
+    else:
+        results = [_verify_triple(job) for job in jobs]
+    all_ok = True
+    for passed, header, lines in results:
+        print(f"{'PASS' if passed else 'FAIL'} {header}")
+        for line in lines:
+            print(line)
+        all_ok = all_ok and passed
+    print(f"{'PASS' if all_ok else 'FAIL'}: {len(results)} triple(s) checked")
+    return EXIT_OK if all_ok else EXIT_FAILED
 
 
 # -- fixture -----------------------------------------------------------------

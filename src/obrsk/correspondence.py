@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .arrays import (
     EMPTY_PAIR,
     SkewPair,
-    TwoRowArray,
     is_negative_pair,
     psi,
     psi_inv,
@@ -29,7 +28,7 @@ from .arrays import (
     L_involution,
 )
 from .errors import BoundViolation, EmptyBitableau, InvalidPair, NotNegative, PathShapeMismatch
-from .multisets import Cmp, is_chain, plane_compare
+from .multisets import is_chain
 from .tableaux import (
     EMPTY_BITABLEAU,
     NotchedBitableau,
@@ -196,10 +195,7 @@ def robrsk(bit, check=True):
         cols1.append((b, a))
         cols2.append((c, d))
     cols1.reverse()
-    return SkewPair(
-        TwoRowArray(tuple(b for b, _ in cols1), tuple(a for _, a in cols1)),
-        TwoRowArray(tuple(c for c, _ in cols2), tuple(d for _, d in cols2)),
-    )
+    return SkewPair.from_columns(cols1, cols2)
 
 
 def obrsk(p, check=True):
@@ -275,10 +271,7 @@ def dual_chain_pairs(u1, u2):
             sub2[m - 1 - i] = cols2[t - 1 - i_min]
         if not ok:
             continue
-        cand = SkewPair(
-            TwoRowArray(tuple(b for b, _ in sub1), tuple(a for _, a in sub1)),
-            TwoRowArray(tuple(c for c, _ in sub2), tuple(d for _, d in sub2)),
-        )
+        cand = SkewPair.from_columns(sub1, sub2)
         if not validate_skew_pair(cand):
             out.append(cand)
     return out
@@ -296,16 +289,3 @@ def pair_up_down_sets(u1, u2):
             downs.append(down_of(iota(obrsk_negative(L_involution(pos), check=False))))
     return ups, downs
 
-
-def pair_bounded_by(p, t, w):
-    """True iff every dual pair of chains inside psi(p) satisfies
-    T <= up(image of negative part) and down(image of positive part) <= W."""
-    u1, u2 = psi(p)
-    ups, downs = pair_up_down_sets(u1, u2)
-    for up in ups:
-        if plane_compare(t, up) not in (Cmp.LESS, Cmp.EQUAL):
-            return False
-    for down in downs:
-        if plane_compare(down, w) not in (Cmp.LESS, Cmp.EQUAL):
-            return False
-    return True

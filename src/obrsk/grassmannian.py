@@ -9,6 +9,13 @@ beta and c inside beta.  Writing x* = 2d+1-x, a grid position is on the
 diagonal when r = c*, below it when r > c*, and otherwise it is a root:
 positive when r > c and negative when r < c.  The reflection
 (r, c) -> (c*, r*) exchanges roots and below-diagonal positions.
+
+A triple alpha <= beta <= gamma declares some chains of roots bad: those
+whose negative part maps to a w with alpha not <= w, or whose positive part
+maps to a w with w not <= gamma.  defining_chains decides this once per chain
+of roots per triple, and checks each decision against the boundedness of the
+chain's image by the bound pair (T, W); a root monomial lies in the chain
+ideal exactly when its support contains a bad chain.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .errors import (
     VerificationError,
 )
 from .multisets import Cmp, is_chain, plane_compare, plane_multiset
-from .tableaux import bitableau_bounded_by, down_of, up_of
+from .tableaux import down_of, up_of
 
 
 @dataclass(frozen=True)
@@ -238,52 +245,62 @@ def chain_in_chains_set(chain, alpha, beta, gamma):
     return False
 
 
-def _quotient_by_chains(u, alpha, beta, gamma):
-    for chain in enumerate_extended_chains(u):
-        if chain_in_chains_set(chain, alpha, beta, gamma):
-            return False
+def _chain_within_bounds(chain, beta, t, w):
+    """The boundedness test of one chain against the bound pair (T, W):
+    T <= up of the image of its negative part, and down of the image of its
+    positive part <= W."""
+    neg, pos = split_chain(chain, beta)
+    if neg and plane_compare(t, up_of(chain_image(neg, beta.d))) not in (Cmp.LESS, Cmp.EQUAL):
+        return False
+    if pos and plane_compare(down_of(chain_image(pos, beta.d)), w) not in (Cmp.LESS, Cmp.EQUAL):
+        return False
     return True
 
 
-def _quotient_by_bounds(u, alpha, beta, gamma):
+@lru_cache(maxsize=1)
+def defining_chains(alpha, beta, gamma):
+    """The chains of roots of beta in the defining set of the triple, as
+    frozensets, together with the set of roots of beta.
+
+    Each chain of roots is decided twice, by chain_in_chains_set and by the
+    boundedness test against (T, W); the two must agree.  A monomial lies in
+    the chain ideal when its support contains one of these chains, and every
+    chain inside a support of roots is a chain of roots, so agreement here
+    is agreement on every monomial.  One entry is kept: callers ask about
+    the monomials of one triple in a row."""
     t, w = t_w_bounds(alpha, beta, gamma)
-    for chain in enumerate_extended_chains(u):
-        neg, pos = split_chain(chain, beta)
-        if neg:
-            up = up_of(chain_image(neg, beta.d))
-            if plane_compare(t, up) not in (Cmp.LESS, Cmp.EQUAL):
-                return False
-        if pos:
-            down = down_of(chain_image(pos, beta.d))
-            if plane_compare(down, w) not in (Cmp.LESS, Cmp.EQUAL):
-                return False
-    return True
+    roots = roots_of(beta)
+    bad = []
+    for chain in enumerate_extended_chains(roots):
+        in_set = chain_in_chains_set(chain, alpha, beta, gamma)
+        if in_set == _chain_within_bounds(chain, beta, t, w):
+            raise VerificationError(
+                f"chain-membership routes disagree on {list(chain)} for "
+                f"({alpha.entries}, {beta.entries}, {gamma.entries})"
+            )
+        if in_set:
+            bad.append(frozenset(chain))
+    return tuple(bad), frozenset(roots)
 
 
 def is_quotient_monomial(u, alpha, beta, gamma):
-    """True iff the root multiset u supports no chain of the defining set.
-
-    Computed twice: directly through w_of_chain comparisons, and through the
-    boundedness test against (T, W).  The two routes must agree.
-    """
-    via_chains = _quotient_by_chains(set(u), alpha, beta, gamma)
-    via_bounds = _quotient_by_bounds(set(u), alpha, beta, gamma)
-    if via_chains != via_bounds:
-        raise VerificationError(
-            f"quotient-monomial routes disagree on {sorted(set(u))} for "
-            f"({alpha.entries}, {beta.entries}, {gamma.entries})"
-        )
-    return via_chains
+    """True iff the support of the root multiset u contains no chain of the
+    defining set of the triple."""
+    bad, roots = defining_chains(alpha, beta, gamma)
+    support = set(u)
+    if not support <= roots:
+        raise MixedSigns(f"{min(support - roots)} is not a root of the grid of {beta}")
+    return not any(chain <= support for chain in bad)
 
 
 __all__ = [
     "ChainSign",
     "IdElement",
     "Region",
-    "bitableau_bounded_by",
     "chain_image",
     "chain_in_chains_set",
     "chain_pair",
+    "defining_chains",
     "enumerate_extended_chains",
     "enumerate_id",
     "hash_reflect",

@@ -84,6 +84,17 @@ def is_chain(points):
     return True
 
 
+def duality_conflict(pairs):
+    """The first two (value, dual value) pairs, in sorted order, that keep
+    value -> dual value from being a well-defined strictly decreasing map;
+    None when it is one."""
+    pairs = sorted(pairs)
+    for (v1, d1), (v2, d2) in zip(pairs, pairs[1:]):
+        if (v1 == v2 and d1 != d2) or (v1 != v2 and d1 <= d2):
+            return (v1, d1), (v2, d2)
+    return None
+
+
 @dataclass(frozen=True)
 class FormalDiff:
     """A formal difference plus - (N \\ minus-complement); minus must be a set."""

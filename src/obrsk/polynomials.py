@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .errors import ContextMismatch, VerificationError
-from .grassmannian import Region, region_of
+from .grassmannian import roots_of
 from .multisets import Cmp
 
 
@@ -38,12 +38,7 @@ class TermOrder:
     def __init__(self, beta):
         self.beta = beta
         self.d = beta.d
-        roots = []
-        for r in beta.complement:
-            for c in beta.entries:
-                reg = region_of(beta, r, c)
-                if reg in (Region.ROOT_NEG, Region.ROOT_POS):
-                    roots.append((r, c))
+        roots = roots_of(beta)
         self._positive = {p for p in roots if p[0] > p[1]}
         self.variables = tuple(sorted(roots, key=self._sort_key()))
         self.index = {v: i for i, v in enumerate(self.variables)}

@@ -13,7 +13,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import BadBounds, NotSemistandard, NotSkewSymmetric, ShapeMismatch
-from .multisets import Cmp, FormalDiff, diff_compare, plane_compare, plane_multiset, proj1, proj2
+from .multisets import (
+    Cmp,
+    FormalDiff,
+    diff_compare,
+    duality_conflict,
+    plane_compare,
+    plane_multiset,
+    proj1,
+    proj2,
+)
 
 
 @dataclass(frozen=True)
@@ -128,14 +137,7 @@ def validate_skew_symmetric(b):
         raise NotSemistandard("skew-symmetry is only defined for semistandard bitableaux")
     if any(k % 2 for k in b.shape):
         return False
-    pairs = sorted(_duality_pairs(b))
-    for (v1, d1), (v2, d2) in zip(pairs, pairs[1:]):
-        if v1 == v2:
-            if d1 != d2:
-                return False
-        elif d1 <= d2:  # v1 < v2 must force d1 > d2
-            return False
-    return True
+    return duality_conflict(_duality_pairs(b)) is None
 
 
 class SignKind(Enum):
@@ -269,36 +271,4 @@ def bitableau_bounded_by(b, t, w):
         return False
     if plane_compare(down, w) not in (Cmp.LESS, Cmp.EQUAL):
         return False
-    return True
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """The ambient 2d x 2d grid attached to a d-subset beta of {1, ..., 2d}."""
-
-    d: int
-    beta: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta", tuple(sorted(self.beta)))
-
-    @property
-    def complement(self):
-        bset = set(self.beta)
-        return tuple(x for x in range(1, 2 * self.d + 1) if x not in bset)
-
-
-def is_on_grid(b, grid):
-    """P entries avoid beta, Q entries lie in beta, and dual entries reflect:
-    each entry plus its dual equals 2d + 1."""
-    bset = set(grid.beta)
-    full = 2 * grid.d + 1
-    for prow, qrow in zip(b.P.rows, b.Q.rows):
-        k = len(prow)
-        if any(p in bset or not (1 <= p <= 2 * grid.d) for p in prow):
-            return False
-        if any(q not in bset for q in qrow):
-            return False
-        if any(prow[j] + qrow[k - 1 - j] != full for j in range(k)):
-            return False
     return True

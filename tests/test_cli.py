@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obrsk.cli import (
     EXIT_INVALID,
     EXIT_OK,
+    MAX_D,
     bitableau_from_json,
     bitableau_to_json,
     fixture_main,
@@ -74,6 +78,72 @@ def test_apply_invalid_input(tmp_path, capsys):
     path.write_text(json.dumps({"pi1": {"b": [1]}}))
     assert obrsk_main(["apply", "--input", str(path)]) == EXIT_INVALID
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("apply", {"pi1": {"b": [3], "a": [1]}, "pi2": {"c": [4.5], "d": [2]}}),
+        ("apply", {"pi1": {"b": [3], "a": [4.5]}, "pi2": {"c": [4], "d": [2]}}),
+        ("apply", {"pi1": {"b": [3], "a": [-3]}, "pi2": {"c": [4], "d": [2]}}),
+        ("apply", {"pi1": {"b": [3], "a": [True]}, "pi2": {"c": [4], "d": [2]}}),
+        ("apply", {"pi1": {"b": [3], "a": ["x"]}, "pi2": {"c": [4], "d": [2]}}),
+        ("invert", {"P": [[1, 2.5]], "Q": [[3, 4]]}),
+    ],
+)
+def test_rejects_entries_that_are_not_positive_integers(tmp_path, capsys, command, doc):
+    path = write_json(tmp_path, "doc.json", doc)
+    assert obrsk_main([command, "--input", path]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "positive integers" in captured.err
+
+
+json_scalars = st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=2)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=10,
+)
+rows = st.lists(st.integers(1, 9), max_size=4) | st.lists(json_scalars, max_size=3) | json_values
+# equal widths and strictly increasing rows get past the shape checks into
+# the correspondence itself
+equal_width_rows = st.integers(0, 4).flatmap(
+    lambda t: st.lists(st.lists(st.integers(1, 9), min_size=t, max_size=t), min_size=4, max_size=4)
+)
+
+
+def strict_tableau(shape):
+    return st.tuples(*(st.sets(st.integers(1, 9), min_size=k, max_size=k).map(sorted) for k in shape))
+
+
+strict_bitableaux = st.lists(st.sampled_from([2, 4]), max_size=2).flatmap(
+    lambda shape: st.fixed_dictionaries({"P": strict_tableau(shape), "Q": strict_tableau(shape)})
+)
+json_docs = (
+    json_values
+    | st.fixed_dictionaries(
+        {
+            "pi1": st.fixed_dictionaries({"b": rows, "a": rows}),
+            "pi2": st.fixed_dictionaries({"c": rows, "d": rows}),
+        }
+    )
+    | equal_width_rows.map(lambda r: {"pi1": {"b": r[0], "a": r[1]}, "pi2": {"c": r[2], "d": r[3]}})
+    | st.fixed_dictionaries({"P": st.lists(rows, max_size=3), "Q": st.lists(rows, max_size=3)})
+    | strict_bitableaux
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(["apply", "invert"]), doc=json_docs)
+def test_obrsk_exit_codes_on_random_json(tmp_path_factory, command, doc):
+    # any JSON document either maps or is refused as invalid input; an
+    # exception escaping obrsk_main fails the test
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = obrsk_main([command, "--input", str(path)])
+    assert code in (EXIT_OK, EXIT_INVALID)
 
 
 def test_invert_vanishing_is_invalid(tmp_path, capsys):
@@ -172,6 +242,23 @@ def test_ideal_rejects_max_degree_below_range(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--max-degree" in captured.err
+
+
+@pytest.mark.parametrize("d", [0, MAX_D + 1])
+@pytest.mark.parametrize(
+    "main, argv",
+    [
+        (ideal_main, ["verify-main", "--all-triples"]),
+        (ideal_main, ["hilbert", "--alpha", "1", "--beta", "1", "--gamma", "1"]),
+        (og_main, ["chains", "--beta", "1"]),
+    ],
+)
+def test_rejects_d_outside_range(capsys, main, argv, d):
+    # d = 0 would pass vacuously; a large d would list 8^d triples first
+    assert main(argv + ["--d", str(d)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--d" in captured.err
 
 
 def test_fixture_replay(capsys):

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from obrsk.errors import BoundsNotComparable, MixedSigns, NotInId
+import obrsk.grassmannian as grassmannian
+from obrsk.errors import BoundsNotComparable, MixedSigns, NotInId, VerificationError
 from obrsk.grassmannian import (
     ChainSign,
     IdElement,
@@ -10,6 +11,7 @@ from obrsk.grassmannian import (
     chain_image,
     chain_in_chains_set,
     chain_pair,
+    defining_chains,
     enumerate_extended_chains,
     enumerate_id,
     hash_reflect,
@@ -172,8 +174,8 @@ def test_is_quotient_monomial_d2():
 
 
 def test_quotient_routes_agree_d3():
-    # both computation routes inside is_quotient_monomial must agree; the
-    # call itself raises if they ever disagree
+    # defining_chains decides every chain of roots by both routes and raises
+    # if they ever disagree
     for beta in enumerate_id(3):
         roots = roots_of(beta)
         elements = enumerate_id(3)
@@ -186,3 +188,67 @@ def test_quotient_routes_agree_d3():
                 for k in range(0, 3):
                     for u in itertools.combinations_with_replacement(roots, k):
                         is_quotient_monomial(u, alpha, beta, gamma)
+
+
+def ordered_triples(d):
+    elements = enumerate_id(d)
+    for beta in elements:
+        for alpha in elements:
+            if not id_leq(alpha, beta):
+                continue
+            for gamma in elements:
+                if id_leq(beta, gamma):
+                    yield alpha, beta, gamma
+
+
+def reference_is_quotient_monomial(u, alpha, beta, gamma):
+    # the definition itself, one chain of the support at a time: no chain
+    # inside the support of u is in the defining set
+    return not any(
+        chain_in_chains_set(chain, alpha, beta, gamma) for chain in enumerate_extended_chains(set(u))
+    )
+
+
+def test_is_quotient_monomial_matches_reference_d4():
+    for d in (1, 2, 3, 4):
+        for alpha, beta, gamma in ordered_triples(d):
+            roots = roots_of(beta)
+            for k in range(4):
+                for u in itertools.combinations_with_replacement(roots, k):
+                    assert is_quotient_monomial(u, alpha, beta, gamma) == reference_is_quotient_monomial(
+                        u, alpha, beta, gamma
+                    )
+
+
+def test_defining_chains_d2():
+    alpha, beta = ide((1, 2), 2), ide((3, 4), 2)
+    assert defining_chains(alpha, beta, beta) == ((), frozenset({(1, 3)}))
+    assert defining_chains(beta, beta, beta) == ((frozenset({(1, 3)}),), frozenset({(1, 3)}))
+    with pytest.raises(BoundsNotComparable):
+        defining_chains(beta, alpha, beta)
+
+
+@pytest.fixture
+def fresh_defining_chains():
+    defining_chains.cache_clear()
+    yield
+    defining_chains.cache_clear()
+
+
+def test_defining_chains_routes_disagree(monkeypatch, fresh_defining_chains):
+    # flip the chain-membership route: every chain of roots now disagrees
+    # with the boundedness route
+    original = grassmannian.chain_in_chains_set
+    monkeypatch.setattr(grassmannian, "chain_in_chains_set", lambda *args: not original(*args))
+    alpha, beta, gamma = ide((1, 2, 3), 3), ide((1, 4, 5), 3), ide((3, 5, 6), 3)
+    with pytest.raises(VerificationError, match="disagree"):
+        defining_chains(alpha, beta, gamma)
+    with pytest.raises(VerificationError):
+        is_quotient_monomial((), alpha, beta, gamma)
+
+
+def test_is_quotient_monomial_rejects_non_roots():
+    alpha, beta = ide((1, 2), 2), ide((3, 4), 2)
+    for point in ((2, 3), (3, 3), (1, 1)):  # diagonal, row in beta, column outside beta
+        with pytest.raises(MixedSigns):
+            is_quotient_monomial(((1, 3), point), alpha, beta, beta)

@@ -5,14 +5,12 @@ import pytest
 from obrsk.errors import BadBounds, NotSemistandard, NotSkewSymmetric, ShapeMismatch
 from obrsk.tableaux import (
     EMPTY_BITABLEAU,
-    GridSpec,
     NotchedBitableau,
     NotchedTableau,
     SignKind,
     bitableau_bounded_by,
     classify_sign,
     iota,
-    is_on_grid,
     up_down,
     validate_row_strict,
     validate_semistandard,
@@ -154,10 +152,3 @@ def test_bounded_by_bad_bounds(worked_bitableau):
     with pytest.raises(BadBounds):
         bitableau_bounded_by(worked_bitableau, ((3, 5),), ((5, 9),))
 
-
-def test_is_on_grid():
-    grid = GridSpec(2, (3, 4))
-    assert is_on_grid(bt([[1, 2]], [[3, 4]]), grid)
-    assert not is_on_grid(bt([[1, 3]], [[3, 4]]), grid)  # 3 is in beta
-    assert not is_on_grid(bt([[1, 2]], [[4, 3]]), grid)  # duals must reflect to 5
-    assert is_on_grid(EMPTY_BITABLEAU, grid)
