@@ -10,9 +10,9 @@ Run:  python3 demos/demo_verify_main.py
 
 from obrsk import (
     IdElement,
-    TermOrder,
     generators,
     hilbert_counts,
+    term_order,
     verify_main_theorem,
 )
 
@@ -22,23 +22,22 @@ def main():
     alpha = IdElement((1, 2, 5, 6), d)
     beta = IdElement((2, 4, 6, 8), d)
     gamma = IdElement((3, 4, 7, 8), d)
-    order = TermOrder(beta)
 
     print(f"alpha = {alpha.entries}, beta = {beta.entries}, gamma = {gamma.entries}")
-    print("variables, greatest first:", list(order.variables))
+    print("variables, greatest first:", list(term_order(beta).variables))
     print()
 
     print("generators (theta outside the interval):")
-    for theta, poly in generators(alpha, beta, gamma, order):
+    for theta, poly in generators(alpha, beta, gamma):
         print(f"  f{theta.entries} = {poly}")
     print()
 
     print("dimension counts:")
-    for m, total, dim, quot in hilbert_counts(alpha, beta, gamma, 4, order):
+    for m, total, dim, quot in hilbert_counts(alpha, beta, gamma, 4):
         print(f"  degree {m}: total {total}, ideal {dim}, quotient {quot}")
     print()
 
-    report = verify_main_theorem(alpha, beta, gamma, 4, order)
+    report = verify_main_theorem(alpha, beta, gamma, 4)
     for r in report.degrees:
         status = "ok" if r.passed else "MISMATCH"
         print(

@@ -8,6 +8,8 @@ generators whose leading terms are certified against chain monomials degree by
 degree.
 """
 
+from types import ModuleType as _ModuleType
+
 from .multisets import Cmp, FormalDiff, count_le, diff_compare, is_chain, multiset_minus, plane_compare
 from .tableaux import (
     NotchedBitableau,
@@ -51,11 +53,10 @@ from .grassmannian import (
     t_w_bounds,
     w_of_chain,
 )
-from .polynomials import SparsePoly, TermOrder
+from .polynomials import SparsePoly, TermOrder, term_order
 from .ideal import (
     generators,
     hilbert_counts,
-    initial_monomials_degree,
     chains_monomials_degree,
     patch_entry,
     pfaffian_generator,
@@ -63,4 +64,6 @@ from .ideal import (
     verify_main_theorem,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

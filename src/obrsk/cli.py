@@ -31,7 +31,6 @@ from .grassmannian import (
     w_of_chain,
 )
 from .ideal import generators, hilbert_counts, verify_main_theorem
-from .polynomials import TermOrder
 from .tableaux import NotchedBitableau, NotchedTableau
 from . import fixture
 
@@ -43,6 +42,10 @@ EXIT_FAILED = 3
 # triples for --all-triples takes time growing like 8^d: about 1 s for the
 # 183,040 triples at d = 8, and each further d multiplies both by 7 to 8.
 MAX_D = 8
+
+# The largest --jobs accepted: each worker is a full interpreter of about
+# 20 MiB before it checks anything, so 16 of them hold about 320 MiB.
+MAX_JOBS = 16
 
 
 # -- JSON shapes -------------------------------------------------------------
@@ -213,6 +216,10 @@ def _og_command(args):
     else:
         chain = _parse_chain(args.chain)
         sign = ChainSign.MINUS if args.sign == "minus" else ChainSign.PLUS
+        neg, pos = split_chain(chain, beta)  # MixedSigns for a point that is not a root
+        wrong, kind = (pos, "positive") if sign is ChainSign.MINUS else (neg, "negative")
+        if wrong:
+            raise ValidationError(f"--sign {args.sign}, but {wrong[0]} is a {kind} root")
         w = w_of_chain(chain, beta, sign)
         print(",".join(str(x) for x in w.entries))
     return EXIT_OK
@@ -266,6 +273,8 @@ def _ideal_command(args):
     least_degree = {"hilbert": 0, "verify-main": 1}.get(args.command)
     if least_degree is not None and args.max_degree < least_degree:
         raise ValidationError(f"--max-degree must be at least {least_degree}, got {args.max_degree}")
+    if args.command == "verify-main" and not 1 <= args.jobs <= MAX_JOBS:
+        raise ValidationError(f"--jobs must be in 1..{MAX_JOBS}, got {args.jobs}")
     if args.command in ("generators", "hilbert") or not getattr(args, "all_triples", False):
         if not (args.alpha and args.beta and args.gamma):
             raise ValidationError("--alpha, --beta and --gamma are required without --all-triples")
@@ -275,8 +284,7 @@ def _ideal_command(args):
         if not (id_leq(alpha, beta) and id_leq(beta, gamma)):
             raise ValidationError("need alpha <= beta <= gamma")
     if args.command == "generators":
-        order = TermOrder(beta)
-        for theta, poly in generators(alpha, beta, gamma, order):
+        for theta, poly in generators(alpha, beta, gamma):
             print(f"f({theta}) = {poly}")
         return EXIT_OK
     if args.command == "hilbert":

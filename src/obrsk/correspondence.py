@@ -198,17 +198,16 @@ def robrsk(bit, check=True):
     return SkewPair.from_columns(cols1, cols2)
 
 
-def obrsk(p, check=True):
+def obrsk(p):
     """The correspondence on an arbitrary valid skew pair.
 
     The negative part maps directly; the positive part maps through the two
     involutions (iota after the correspondence after L); the image stacks the
     negative block on top of the positive block.
     """
-    if check:
-        violations = validate_skew_pair(p)
-        if violations:
-            raise InvalidPair("; ".join(violations))
+    violations = validate_skew_pair(p)
+    if violations:
+        raise InvalidPair("; ".join(violations))
     neg, pos = split_parts(p)
     neg_bit = obrsk_negative(neg, check=False)
     if pos.width:

@@ -22,7 +22,7 @@ import bisect
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ContainmentViolation, MinusNotSet
+from .errors import ContainmentViolation, MinusNotSet, ValidationError
 
 
 class Cmp(Enum):
@@ -37,7 +37,7 @@ def nat_multiset(entries):
     out = tuple(sorted(entries))
     for e in out:
         if not isinstance(e, int) or e < 1:
-            raise ValueError(f"multiset entries must be positive integers, got {e!r}")
+            raise ValidationError(f"multiset entries must be positive integers, got {e!r}")
     return out
 
 
@@ -46,7 +46,7 @@ def plane_multiset(points):
     out = tuple(sorted((int(x), int(y)) for x, y in points))
     for x, y in out:
         if x < 1 or y < 1:
-            raise ValueError(f"plane multiset entries must be positive, got {(x, y)}")
+            raise ValidationError(f"plane multiset entries must be positive, got {(x, y)}")
     return out
 
 

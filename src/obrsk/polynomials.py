@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key, lru_cache
 from itertools import permutations
 
 from .errors import ContextMismatch, VerificationError
@@ -39,8 +40,9 @@ class TermOrder:
         self.beta = beta
         self.d = beta.d
         roots = roots_of(beta)
-        self._positive = {p for p in roots if p[0] > p[1]}
-        self.variables = tuple(sorted(roots, key=self._sort_key()))
+        # the roots are distinct, so no two compare equal
+        greatest_first = cmp_to_key(lambda mu, nu: -1 if self.var_greater(mu, nu) else 1)
+        self.variables = tuple(sorted(roots, key=greatest_first))
         self.index = {v: i for i, v in enumerate(self.variables)}
         self.nvars = len(self.variables)
         self._verify_total_order(roots)
@@ -77,20 +79,6 @@ class TermOrder:
             # creates cycles, e.g. X23 > X51 > X81 > X23 for (1,3,4,6,9).
             return r1 < c2
         return not self.var_greater(nu, mu)
-
-    def _sort_key(self):
-        order = self
-
-        class _Key:
-            __slots__ = ("v",)
-
-            def __init__(self, v):
-                self.v = v
-
-            def __lt__(self, other):
-                return order.var_greater(self.v, other.v)  # greatest first
-
-        return _Key
 
     def _verify_total_order(self, roots):
         n = len(roots)
@@ -138,6 +126,16 @@ class TermOrder:
             elif e > 1:
                 parts.append(f"X{v[0]},{v[1]}^{e}")
         return "*".join(parts) if parts else "1"
+
+
+@lru_cache(maxsize=None)
+def term_order(beta):
+    """The term order of beta.
+
+    There is one instance per beta, so polynomials built for the same beta
+    can be combined (SparsePoly._check compares orders by identity).  The
+    cache holds at most |I(d)| = 2^(d-1) orders per d."""
+    return TermOrder(beta)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obrsk import cli
 from obrsk.cli import (
     EXIT_INVALID,
     EXIT_OK,
     MAX_D,
+    MAX_JOBS,
     bitableau_from_json,
     bitableau_to_json,
     fixture_main,
@@ -21,6 +23,7 @@ from obrsk.cli import (
     pair_to_json,
 )
 from obrsk.fixture import FIXTURE_BITABLEAU, FIXTURE_PAIR
+from obrsk.grassmannian import enumerate_id, roots_of
 
 
 def run_json(capsys, main, argv):
@@ -173,6 +176,45 @@ def test_og_wchain_positive(capsys):
     assert capsys.readouterr().out.strip() == "2,4,6"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--d", "2", "--beta", "3,4", "--chain", "1,2", "--sign", "minus"], "not a root"),
+        (["--d", "2", "--beta", "3,4", "--chain", "9,9", "--sign", "minus"], "not a root"),
+        (["--d", "2", "--beta", "3,4", "--chain", "1,3", "--sign", "plus"], "negative root"),
+        (["--d", "3", "--beta", "1,2,3", "--chain", "4,1", "--sign", "minus"], "positive root"),
+    ],
+)
+def test_og_wchain_rejects_chains_outside_the_sign(capsys, argv, message):
+    assert og_main(["wchain", *argv]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@st.composite
+def wchain_argv(draw):
+    d = draw(st.integers(1, 3))
+    beta = draw(st.sampled_from(enumerate_id(d)))
+    near = st.tuples(st.integers(-1, 2 * d + 1), st.integers(-1, 2 * d + 1))
+    roots = roots_of(beta)
+    point = st.sampled_from(roots) | near if roots else near
+    points = st.lists(point, max_size=4).map(lambda pts: " ".join(f"{r},{c}" for r, c in pts))
+    chain = draw(points | st.text("0123456789,; -x", max_size=8))
+    sign = draw(st.sampled_from(["minus", "plus"]))
+    return ["wchain", "--d", str(d), "--beta", ",".join(map(str, beta.entries)), f"--chain={chain}", "--sign", sign]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=wchain_argv())
+def test_og_wchain_exit_codes_on_random_chains(argv):
+    # any chain text either gives its element of I(d) or is refused as
+    # invalid input; an exception escaping og_main fails the test
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = og_main(argv)
+    assert code in (EXIT_OK, EXIT_INVALID)
+
+
 def test_og_invalid_beta(capsys):
     assert og_main(["chains", "--d", "2", "--beta", "1,4"]) == EXIT_INVALID
     assert og_main(["chains", "--d", "2", "--beta", "x"]) == EXIT_INVALID
@@ -242,6 +284,19 @@ def test_ideal_rejects_max_degree_below_range(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--max-degree" in captured.err
+
+
+@pytest.mark.parametrize("jobs", [0, -1, MAX_JOBS + 1])
+def test_verify_main_rejects_jobs_outside_range(capsys, monkeypatch, jobs):
+    # were the check missing, no pool of processes may start from this test
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(cli, "Pool", no_pool)
+    assert ideal_main(["verify-main", "--d", "2", "--all-triples", "--jobs", str(jobs)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--jobs" in captured.err
 
 
 @pytest.mark.parametrize("d", [0, MAX_D + 1])

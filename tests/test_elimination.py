@@ -17,7 +17,7 @@ from obrsk.ideal import (  # noqa: E402
     standard_monomials,
     standard_poly,
 )
-from obrsk.polynomials import SparsePoly, TermOrder  # noqa: E402
+from obrsk.polynomials import SparsePoly, term_order  # noqa: E402
 
 
 def ide(entries, d):
@@ -107,8 +107,8 @@ def dense_slice(gens, m, order):
 def test_initial_monomials_match_sympy_d4(triple):
     alpha, beta, gamma = (ide(t, 4) for t in triple)
     assert id_leq(alpha, beta) and id_leq(beta, gamma)
-    order = TermOrder(beta)
-    gens = generators(alpha, beta, gamma, order)
+    order = term_order(beta)
+    gens = generators(alpha, beta, gamma)
     for m in (1, 2, 3):
         dense, monos = dense_slice(gens, m, order)
         pivots = sympy_matrix(dense, len(monos)).rref()[1] if dense else ()
@@ -117,10 +117,10 @@ def test_initial_monomials_match_sympy_d4(triple):
 
 def test_rank_with_leaves_the_slice_unchanged():
     alpha, beta, gamma = (ide(t, 4) for t in D4_TRIPLES[3])
-    order = TermOrder(beta)
-    gens = generators(alpha, beta, gamma, order)
+    order = term_order(beta)
+    gens = generators(alpha, beta, gamma)
     s = DegreeSlice(gens, 2, order)
-    std = [standard_poly(thetas, beta, order) for thetas in standard_monomials(alpha, beta, gamma, 2)]
+    std = [standard_poly(thetas, beta) for thetas in standard_monomials(alpha, beta, gamma, 2)]
     dim, rows, row_ids = s.dim, [list(r) for r in s.rows], [id(r) for r in s.rows]
     assert std and s.dim
     first = s.rank_with(std)

@@ -12,7 +12,6 @@ from obrsk.ideal import (
     determinant,
     generators,
     hilbert_counts,
-    initial_monomials_degree,
     monomials_of_degree,
     patch_entry,
     pfaffian,
@@ -22,7 +21,7 @@ from obrsk.ideal import (
     standard_poly,
     verify_main_theorem,
 )
-from obrsk.polynomials import SparsePoly, TermOrder
+from obrsk.polynomials import SparsePoly, TermOrder, term_order
 
 
 def ide(entries, d):
@@ -73,26 +72,23 @@ def test_patch_entry_rejects_bad_indices():
 
 def test_pfaffian_generator_d2():
     beta = ide((3, 4), 2)
-    order = TermOrder(beta)
-    assert str(pfaffian_generator(ide((1, 2), 2), beta, order)) == "X1,3"
-    assert str(pfaffian_generator(beta, beta, order)) == "1"
+    assert str(pfaffian_generator(ide((1, 2), 2), beta)) == "X1,3"
+    assert str(pfaffian_generator(beta, beta)) == "1"
 
 
 def test_pfaffian_generator_d3():
     beta = ide((1, 2, 3), 3)
-    order = TermOrder(beta)
     expected = {(1, 4, 5): "X4,2", (2, 4, 6): "X4,1", (3, 5, 6): "X5,1"}
     for entries, s in expected.items():
-        assert str(pfaffian_generator(ide(entries, 3), beta, order)) == s
+        assert str(pfaffian_generator(ide(entries, 3), beta)) == s
 
 
 def test_pfaffian_generator_d4_degree_two():
     beta = ide((2, 4, 6, 8), 4)
-    order = TermOrder(beta)
-    f = pfaffian_generator(ide((5, 6, 7, 8), 4), beta, order)
+    f = pfaffian_generator(ide((5, 6, 7, 8), 4), beta)
     assert str(f) == "X5,2"
     theta = ide((1, 3, 5, 7), 4)
-    g = pfaffian_generator(theta, beta, order)
+    g = pfaffian_generator(theta, beta)
     assert g.is_homogeneous() and g.degree() == 2 == beta_degree(theta, beta)
 
 
@@ -127,9 +123,8 @@ def test_pfaffian_rejects_odd_size():
 def test_generators_are_homogeneous_of_beta_degree():
     for d in (2, 3):
         for beta in enumerate_id(d):
-            order = TermOrder(beta)
             for theta in enumerate_id(d):
-                f = pfaffian_generator(theta, beta, order)
+                f = pfaffian_generator(theta, beta)
                 assert f.is_homogeneous()
                 if not f.is_zero:
                     assert f.degree() == beta_degree(theta, beta)
@@ -155,11 +150,10 @@ def test_monomials_of_degree():
 
 def test_initial_equals_chains_d2_point():
     beta = ide((3, 4), 2)
-    order = TermOrder(beta)
-    gens = generators(beta, beta, beta, order)
+    gens = generators(beta, beta, beta)
     for m in (1, 2, 3):
-        assert initial_monomials_degree(gens, m, order) == chains_monomials_degree(
-            beta, beta, beta, m, order
+        assert DegreeSlice(gens, m, term_order(beta)).initial_monomials() == chains_monomials_degree(
+            beta, beta, beta, m
         )
 
 
@@ -173,7 +167,7 @@ def test_standard_monomials_full_interval_d2():
     alpha, beta = ide((1, 2), 2), ide((3, 4), 2)
     chains = standard_monomials(alpha, beta, beta, 2)
     assert chains == [(alpha, alpha)]
-    assert standard_poly(chains[0], beta, TermOrder(beta)).degree() == 2
+    assert standard_poly(chains[0], beta).degree() == 2
 
 
 def test_verify_main_theorem_d2():
@@ -195,6 +189,26 @@ def test_verify_main_theorem_d3_interval():
     assert report.passed
 
 
+def test_reports_do_not_depend_on_which_triple_of_a_beta_runs_first():
+    # the term order and the Pfaffians are cached per beta and shared by
+    # every triple with that beta
+    beta = ide((1, 2, 5, 6), 4)
+    elements = enumerate_id(4)
+    triples = [(a, g) for a in elements if id_leq(a, beta) for g in elements if id_leq(beta, g)]
+    assert len(triples) > 1
+
+    def reports(pairs):
+        term_order.cache_clear()
+        pfaffian_generator.cache_clear()
+        return {(a, g): verify_main_theorem(a, beta, g, 3) for a, g in pairs}
+
+    forward = reports(triples)
+    assert forward == reports(triples[::-1])
+    assert all(r.passed for r in forward.values())
+    alpha, gamma = triples[0]
+    assert all(f.order is term_order(beta) for _, f in generators(alpha, beta, gamma))
+
+
 def test_hilbert_counts_point_case():
     beta = ide((3, 4), 2)
     counts = hilbert_counts(beta, beta, beta, 3)
@@ -211,9 +225,8 @@ def test_hilbert_counts_full_interval_d2():
 
 def test_degree_slice_shape():
     beta = ide((1, 2, 3), 3)
-    order = TermOrder(beta)
-    gens = generators(beta, beta, beta, order)
-    s = DegreeSlice(gens, 2, order)
+    gens = generators(beta, beta, beta)
+    s = DegreeSlice(gens, 2, term_order(beta))
     assert s.total == len(s.monos)
     assert s.dim <= s.total
     assert len(s.initial_monomials()) == s.dim
