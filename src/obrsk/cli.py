@@ -112,6 +112,10 @@ def _exit_code(command, args):
     EXIT_INVALID and any other ObrskError EXIT_FAILED, with the message on
     stderr."""
     try:
+        for name, value in vars(args).items():
+            # argparse turns "--opt=--" into an empty list; no option takes one
+            if isinstance(value, list):
+                raise ValidationError(f"--{name.replace('_', '-')} needs a value, got {value!r}")
         return command(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,6 +2,11 @@
 
 These drive the property suites: enumerate every valid object with entries
 up to a cap, then check bijectivity, involutions and boundedness exhaustively.
+
+The enumeration is constructive.  It builds only candidates that already meet
+the conditions it can decide one column or one row at a time, in the order a
+plain generate-and-filter over sorted column (or row) tuples would visit them,
+and runs the full validator on every object it builds before returning it.
 """
 
 from __future__ import annotations
@@ -9,7 +14,8 @@ from __future__ import annotations
 import itertools
 
 from .arrays import SkewPair, TwoRowArray, validate_skew_pair
-from .errors import NotSemistandard
+from .errors import ValidationError
+from .multisets import Cmp, FormalDiff, diff_compare, duality_conflict
 from .tableaux import (
     NotchedBitableau,
     NotchedTableau,
@@ -17,50 +23,71 @@ from .tableaux import (
     classify_sign,
     is_negative_plane_set,
     is_positive_plane_set,
+    row_sign,
     validate_skew_symmetric,
 )
 
 
-def _sorted_column_choices(columns, t):
-    """Weakly decreasing t-tuples of columns; matches the canonical orders."""
-    return itertools.combinations_with_replacement(sorted(columns, reverse=True), t)
+def _dual_column_fits(col1, col2):
+    """Whether pi2 column col2 = (c, d) may sit opposite pi1 column
+    col1 = (b, a): conditions (iii) a < d, (iv) b < c and (vi) sign
+    coherence, the conditions of a skew pair that involve one column and
+    its dual alone."""
+    b, a = col1
+    c, d = col2
+    return a < d and b < c and not (a < b and d >= c) and not (a > b and d <= c)
 
 
-def enumerate_skew_pairs(max_entry, max_width, predicate=None):
-    """All valid skew pairs of width 1..max_width with entries <= max_entry.
+def enumerate_skew_pairs(max_entry, max_width, pi1_column):
+    """All valid skew pairs of width 1..max_width with entries <= max_entry
+    whose pi1 columns (b, a) all satisfy pi1_column.
 
-    Column orders are canonical by construction, so validity is a filter on
-    the remaining conditions.  An optional predicate prunes further.
+    Column orders are canonical by construction: the pi1 columns (b, a) and
+    the pi2 columns (d, c) are weakly decreasing tuples, visited from the
+    greatest.  Each pi2 column is drawn only from those that fit its dual
+    pi1 column, and kept only while the duality map (v) over the columns so
+    far has no conflict.  validate_skew_pair is the final check on every
+    pair built.
     """
-    columns = [(x, y) for x in range(1, max_entry + 1) for y in range(1, max_entry + 1)]
+    values = range(max_entry, 0, -1)
+    columns = [(x, y) for x in values for y in values]  # greatest first
+    pi1_columns = [col for col in columns if pi1_column(col)]
+    # pi2 columns, as (d, c), that may sit opposite each pi1 column
+    fitting = {
+        col1: [(d, c) for d, c in columns if _dual_column_fits(col1, (c, d))] for col1 in pi1_columns
+    }
+
+    def complete(cols1, pi1, cols2, pairs):
+        # pi2 column j is dual to pi1 column t-1-j
+        j = len(cols2)
+        if j == len(cols1):
+            pi2 = TwoRowArray(tuple(c for _, c in cols2), tuple(d for d, _ in cols2))
+            p = SkewPair(pi1, pi2)
+            if not validate_skew_pair(p):
+                yield p
+            return
+        b, a = cols1[-1 - j]
+        for d, c in fitting[b, a]:
+            if j and (d, c) > cols2[-1]:
+                continue
+            new_pairs = pairs + [(a, c), (b, d), (c, a), (d, b)]
+            if duality_conflict(new_pairs) is None:
+                yield from complete(cols1, pi1, cols2 + [(d, c)], new_pairs)
+
     out = []
     for t in range(1, max_width + 1):
-        for cols1 in _sorted_column_choices(columns, t):
+        for cols1 in itertools.combinations_with_replacement(pi1_columns, t):
             pi1 = TwoRowArray(tuple(b for b, _ in cols1), tuple(a for _, a in cols1))
-            for cols2 in _sorted_column_choices(columns, t):
-                pi2 = TwoRowArray(tuple(c for _, c in cols2), tuple(d for d, _ in cols2))
-                p = SkewPair(pi1, pi2)
-                if predicate is not None and not predicate(p):
-                    continue
-                if not validate_skew_pair(p):
-                    out.append(p)
+            out.extend(complete(cols1, pi1, [], []))
     return out
 
 
 def enumerate_negative_pairs(max_entry, max_width):
-    return enumerate_skew_pairs(
-        max_entry,
-        max_width,
-        predicate=lambda p: all(a < b for a, b in zip(p.a, p.b)),
-    )
+    return enumerate_skew_pairs(max_entry, max_width, lambda col: col[1] < col[0])
 
 
 def enumerate_nonvanishing_pairs(max_entry, max_width):
-    return enumerate_skew_pairs(
-        max_entry,
-        max_width,
-        predicate=lambda p: all(a != b for a, b in zip(p.a, p.b)),
-    )
+    return enumerate_skew_pairs(max_entry, max_width, lambda col: col[1] != col[0])
 
 
 def even_shapes(max_boxes):
@@ -76,25 +103,81 @@ def even_shapes(max_boxes):
     return shapes
 
 
+def _row_duality_pairs(prow, qrow):
+    """(value, dual value) for each entry of a row pair: P[j] ~ Q[k-1-j]."""
+    k = len(prow)
+    return [pair for j in range(k) for pair in ((prow[j], qrow[k - 1 - j]), (qrow[j], prow[k - 1 - j]))]
+
+
+def _row_pairs(max_entry, k, signs):
+    """P row -> the Q rows that can sit beside it, in lexicographic order:
+    both strictly increasing with entries <= max_entry, row_sign in signs
+    and the in-row duality map consistent.  P rows with no such Q row are
+    left out."""
+    rows = list(itertools.combinations(range(1, max_entry + 1), k))
+    table = {}
+    for prow in rows:
+        fits = []
+        for qrow in rows:
+            if row_sign(prow, qrow) in signs and duality_conflict(_row_duality_pairs(prow, qrow)) is None:
+                fits.append(qrow)
+        if fits:
+            table[prow] = fits
+    return table
+
+
+def _bitableaux(max_entry, max_boxes, signs):
+    """Skew-symmetric bitableaux with even rows, <= max_boxes boxes, entries
+    <= max_entry and every row_sign in signs, in the order of a product over
+    all P rows and then all Q rows of each shape.
+
+    P rows come from those with some fitting Q row.  Each Q row is drawn from
+    the rows that fit its P row, and kept only while the duality map over all
+    rows so far has no conflict and the row differences stay weakly
+    increasing.  validate_skew_symmetric is the final check on every
+    bitableau built.
+    """
+    tables = {k: _row_pairs(max_entry, k, signs) for k in range(2, max_boxes + 1, 2)}
+
+    def complete(prows, qrows, last_diff, pairs):
+        i = len(qrows)
+        if i == len(prows):
+            b = NotchedBitableau(NotchedTableau(prows), NotchedTableau(qrows))
+            if validate_skew_symmetric(b):
+                yield b
+            return
+        for qrow in tables[len(prows[i])][prows[i]]:
+            new_pairs = pairs + _row_duality_pairs(prows[i], qrow)
+            if duality_conflict(new_pairs) is not None:
+                continue
+            diff = FormalDiff(prows[i], qrow)
+            if i and diff_compare(last_diff, diff) not in (Cmp.LESS, Cmp.EQUAL):
+                continue
+            yield from complete(prows, qrows + (qrow,), diff, new_pairs)
+
+    for shape in even_shapes(max_boxes):
+        for prows in itertools.product(*(tables[k] for k in shape)):
+            yield from complete(prows, (), None, [])
+
+
 def enumerate_even_bitableaux(max_entry, max_boxes):
     """All skew-symmetric bitableaux with even rows, <= max_boxes boxes and
     entries <= max_entry."""
-    out = []
-    for shape in even_shapes(max_boxes):
-        row_choices = [list(itertools.combinations(range(1, max_entry + 1), k)) for k in shape]
-        for prows in itertools.product(*row_choices):
-            for qrows in itertools.product(*row_choices):
-                b = NotchedBitableau(NotchedTableau(prows), NotchedTableau(qrows))
-                try:
-                    if validate_skew_symmetric(b):
-                        out.append(b)
-                except NotSemistandard:
-                    continue
-    return out
+    return list(_bitableaux(max_entry, max_boxes, {-1, 0, +1}))
+
+
+# The row signs a bitableau of each kind can have.
+_KIND_ROW_SIGNS = {
+    SignKind.NEGATIVE: {-1},
+    SignKind.POSITIVE: {+1},
+    SignKind.NONVANISHING: {-1, +1},
+    SignKind.VANISHING: {-1, 0, +1},
+}
 
 
 def enumerate_bitableaux_of_kind(max_entry, max_boxes, kinds):
-    return [b for b in enumerate_even_bitableaux(max_entry, max_boxes) if classify_sign(b).kind in kinds]
+    signs = set().union(*(_KIND_ROW_SIGNS[kind] for kind in kinds))
+    return [b for b in _bitableaux(max_entry, max_boxes, signs) if classify_sign(b).kind in kinds]
 
 
 def enumerate_negative_bitableaux(max_entry, max_boxes):
@@ -111,6 +194,8 @@ def enumerate_bound_sets(max_entry, max_points, sign):
     """All negative (sign=-1) or positive (sign=+1) plane sets with at most
     max_points points, entries <= max_entry and duplicate free projections.
     Includes the empty set."""
+    if sign not in (-1, +1):
+        raise ValidationError(f"sign must be -1 or +1, got {sign!r}")
     good = is_negative_plane_set if sign < 0 else is_positive_plane_set
     points = [
         (x, y)

@@ -192,6 +192,24 @@ def test_og_wchain_rejects_chains_outside_the_sign(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "main, argv, option",
+    [
+        (obrsk_main, ["apply", "--input=--"], "--input"),
+        (og_main, ["chains", "--d", "2", "--beta=--"], "--beta"),
+        (og_main, ["wchain", "--d", "2", "--beta", "3,4", "--chain=--", "--sign", "minus"], "--chain"),
+        (og_main, ["wchain", "--d", "2", "--beta", "3,4", "--chain", "1,3", "--sign=--"], "--sign"),
+        (ideal_main, ["verify-main", "--d", "2", "--alpha=--", "--beta", "3,4", "--gamma", "3,4"], "--alpha"),
+    ],
+)
+def test_option_given_as_double_dash_is_refused(capsys, main, argv, option):
+    # argparse parses "--opt=--" to an empty list instead of a string
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{option} needs a value" in captured.err
+
+
 @st.composite
 def wchain_argv(draw):
     d = draw(st.integers(1, 3))

@@ -1,8 +1,10 @@
+import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from obrsk.arrays import SkewPair, TwoRowArray, psi
+from obrsk.arrays import SkewPair, TwoRowArray, psi, validate_skew_pair
 from obrsk.correspondence import (
     bounded_insert,
     dual_insert,
@@ -14,7 +16,12 @@ from obrsk.correspondence import (
     reverse_step,
     robrsk,
 )
-from obrsk.enumeration import enumerate_negative_pairs, enumerate_nonvanishing_pairs
+from obrsk.enumeration import (
+    enumerate_negative_bitableaux,
+    enumerate_negative_pairs,
+    enumerate_nonvanishing_bitableaux,
+    enumerate_nonvanishing_pairs,
+)
 from obrsk.errors import BoundViolation, EmptyBitableau, NotNegative
 from obrsk.tableaux import (
     EMPTY_BITABLEAU,
@@ -143,8 +150,6 @@ def test_obrsk_single_positive_column():
 def test_negative_bijection_exhaustive():
     # entries <= 5, width <= 2: outputs validate, round-trip, and the
     # per-degree counts of the two independently enumerated sides agree
-    from obrsk.enumeration import enumerate_negative_bitableaux
-
     pairs = enumerate_negative_pairs(5, 2)
     bitableaux = enumerate_negative_bitableaux(5, 4)
     images = set()
@@ -163,6 +168,79 @@ def test_nonvanishing_roundtrip_exhaustive():
         image = obrsk(p)
         assert image.degree == p.degree
         assert obrsk_inverse(image) == p
+
+
+def test_negative_bijection_exhaustive_entries_8():
+    # entries <= 8, width <= 2: a bijection onto the enumerated codomain
+    t0 = time.perf_counter()
+    pairs = enumerate_negative_pairs(8, 2)
+    bitableaux = enumerate_negative_bitableaux(8, 4)
+    images = set()
+    for p in pairs:
+        image = obrsk(p)
+        assert validate_skew_symmetric(image)
+        assert classify_sign(image).kind is SignKind.NEGATIVE
+        assert image.degree == p.degree
+        assert robrsk(image) == p
+        images.add(image)
+    assert len(pairs) == len(bitableaux) == 1138
+    assert Counter(p.degree for p in pairs) == Counter(b.degree for b in bitableaux) == {2: 196, 4: 942}
+    assert images == set(bitableaux)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 30, f"negative bijection at entries <= 8 took {elapsed:.2f}s"
+
+
+def test_nonvanishing_bijection_exhaustive_entries_7():
+    # entries <= 7, width <= 2: every nonvanishing pair round-trips and the
+    # images are exactly the enumerated nonvanishing bitableaux
+    t0 = time.perf_counter()
+    pairs = enumerate_nonvanishing_pairs(7, 2)
+    bitableaux = enumerate_nonvanishing_bitableaux(7, 4)
+    images = set()
+    for p in pairs:
+        image = obrsk(p)
+        assert validate_skew_symmetric(image)
+        assert classify_sign(image).kind is not SignKind.VANISHING
+        assert image.degree == p.degree
+        assert obrsk_inverse(image) == p
+        images.add(image)
+    assert len(pairs) == len(bitableaux)
+    assert images == set(bitableaux)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 30, f"nonvanishing bijection at entries <= 7 took {elapsed:.2f}s"
+
+
+@st.composite
+def valid_pairs(draw):
+    """A valid negative or nonvanishing pair with entries <= 12 and width
+    <= 4.  The duality map (v) of a valid pair is the strictly decreasing
+    involution of the set S of its values, S[i] <-> S[n-1-i]; so each pi2
+    column is the image of its dual pi1 column (b, a), namely (c, d) =
+    (S[n-1-i], S[n-1-k]) for a = S[i], b = S[k], and (iii), (iv) reduce to
+    i + k < n - 1.  Every valid pair arises this way."""
+    values = sorted(draw(st.sets(st.integers(1, 12), min_size=3, max_size=12)))
+    n = len(values)
+    negative = draw(st.booleans())
+    positions = [
+        (k, i) for k in range(n) for i in range(n) if i + k < n - 1 and (i < k if negative else i != k)
+    ]
+    width = draw(st.integers(1, 4))
+    chosen = draw(st.lists(st.sampled_from(positions), min_size=width, max_size=width))
+    cols1 = sorted(((values[k], values[i]) for k, i in chosen), reverse=True)
+    dual = dict(zip(values, reversed(values)))
+    cols2 = [(dual[a], dual[b]) for b, a in reversed(cols1)]
+    return SkewPair.from_columns(cols1, cols2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_pairs())
+def test_roundtrip_on_random_valid_pairs(p):
+    assert validate_skew_pair(p) == []
+    image = obrsk(p)
+    assert image.degree == p.degree
+    assert validate_skew_symmetric(image)
+    assert classify_sign(image).kind is not SignKind.VANISHING
+    assert obrsk_inverse(image) == p
 
 
 def test_degree_preserved(worked_pair):
