@@ -104,29 +104,47 @@ def _is_lexicographic(arr):
     return all(x >= y for x, y in zip(cols, cols[1:]))
 
 
+def dual_column_violations(col1, col2, i, j):
+    """The violations of (iii), (iv) and (vi) by pi1 column i + 1,
+    col1 = (b, a), and its dual pi2 column j + 1, col2 = (c, d): the
+    conditions that involve one column and its dual alone."""
+    b, a = col1
+    c, d = col2
+    violations = []
+    if not a < d:
+        violations.append(f"a_{i + 1} = {a} not < d_{j + 1} = {d}")
+    if not b < c:
+        violations.append(f"b_{i + 1} = {b} not < c_{j + 1} = {c}")
+    if a < b and not d < c:
+        violations.append(f"column {i + 1} negative but dual column {j + 1} not")
+    if a > b and not d > c:
+        violations.append(f"column {i + 1} positive but dual column {j + 1} not")
+    return violations
+
+
+def column_duality_pairs(col1, col2):
+    """(value, dual value) for pi1 column col1 = (b, a) and its dual pi2
+    column col2 = (c, d), as condition (v) pairs them: a ~ c, b ~ d and back."""
+    b, a = col1
+    c, d = col2
+    return [(a, c), (b, d), (c, a), (d, b)]
+
+
 def validate_skew_pair(p):
     """Return a list of human-readable violations; empty means valid."""
     t = p.width
-    a, b, c, d = p.a, p.b, p.c, p.d
+    cols1, cols2 = p.pi1.columns(), p.pi2.columns()
     violations = []
     if not _is_lexicographic(p.pi1):
         violations.append("pi1 is not lexicographic")
-    if not _is_lexicographic(TwoRowArray(d, c)):
+    if not _is_lexicographic(TwoRowArray(p.d, p.c)):
         violations.append("transpose of pi2 is not lexicographic")
-    for i in range(t):
-        j = t - 1 - i
-        if not a[i] < d[j]:
-            violations.append(f"a_{i + 1} = {a[i]} not < d_{j + 1} = {d[j]}")
-        if not b[i] < c[j]:
-            violations.append(f"b_{i + 1} = {b[i]} not < c_{j + 1} = {c[j]}")
-    # (v): value -> dual value must be a strictly decreasing map
     pairs = []
     for i in range(t):
         j = t - 1 - i
-        pairs.append((a[i], c[j]))
-        pairs.append((b[i], d[j]))
-        pairs.append((c[i], a[j]))
-        pairs.append((d[i], b[j]))
+        violations.extend(dual_column_violations(cols1[i], cols2[j], i, j))
+        pairs.extend(column_duality_pairs(cols1[i], cols2[j]))
+    # (v): value -> dual value must be a strictly decreasing map
     conflict = duality_conflict(pairs)
     if conflict:
         (v1, d1), (v2, d2) = conflict
@@ -134,12 +152,6 @@ def validate_skew_pair(p):
             violations.append(f"duality maps value {v1} to both {d1} and {d2}")
         else:
             violations.append(f"duality not decreasing: {v1} -> {d1}, {v2} -> {d2}")
-    for i in range(t):
-        j = t - 1 - i
-        if a[i] < b[i] and not d[j] < c[j]:
-            violations.append(f"column {i + 1} negative but dual column {j + 1} not")
-        if a[i] > b[i] and not d[j] > c[j]:
-            violations.append(f"column {i + 1} positive but dual column {j + 1} not")
     return violations
 
 
@@ -177,9 +189,8 @@ def L_involution(p):
     """Swap the rows of each array, then restore the canonical column orders
     (pi1 lexicographic, transpose of pi2 lexicographic).  Exchanges negative
     and positive pairs and is an involution."""
-    cols1 = sorted(zip(p.a, p.b), key=lambda col: (-col[0], -col[1]))
-    cols2 = sorted(zip(p.d, p.c), key=lambda col: (-col[1], -col[0]))
-    return SkewPair.from_columns(cols1, cols2)
+    u1, u2 = psi(p)
+    return psi_inv(tuple((b, a) for a, b in u1), tuple((c, d) for d, c in u2))
 
 
 def split_parts(p):

@@ -30,7 +30,7 @@ from .grassmannian import (
     split_chain,
     w_of_chain,
 )
-from .ideal import generators, hilbert_counts, verify_main_theorem
+from .ideal import generators, hilbert_counts, slice_size, verify_main_theorem
 from .tableaux import NotchedBitableau, NotchedTableau
 from . import fixture
 
@@ -42,6 +42,13 @@ EXIT_FAILED = 3
 # triples for --all-triples takes time growing like 8^d: about 1 s for the
 # 183,040 triples at d = 8, and each further d multiplies both by 7 to 8.
 MAX_D = 8
+
+# The largest degree slice accepted, in monomials: --max-degree m asks for
+# slice_size(len(roots_of(beta)), m) of them.  One x86-64 core with
+# Python 3.11 checks the d = 5 triple 1,2,3,4,5 <= 1,2,3,4,5 <= 2,3,4,6,10 up
+# to m = 9, whose last slice has 48,620 monomials, in 3.5 s at a peak of
+# 89 MiB; time and memory grow a little faster than the slice.
+MAX_SLICE_MONOMIALS = 50_000
 
 # The largest --jobs accepted: each worker is a full interpreter of about
 # 20 MiB before it checks anything, so 16 of them hold about 320 MiB.
@@ -279,7 +286,8 @@ def _ideal_command(args):
         raise ValidationError(f"--max-degree must be at least {least_degree}, got {args.max_degree}")
     if args.command == "verify-main" and not 1 <= args.jobs <= MAX_JOBS:
         raise ValidationError(f"--jobs must be in 1..{MAX_JOBS}, got {args.jobs}")
-    if args.command in ("generators", "hilbert") or not getattr(args, "all_triples", False):
+    all_triples = getattr(args, "all_triples", False)  # verify-main only
+    if not all_triples:
         if not (args.alpha and args.beta and args.gamma):
             raise ValidationError("--alpha, --beta and --gamma are required without --all-triples")
         alpha = _parse_id(args.alpha, args.d)
@@ -291,12 +299,19 @@ def _ideal_command(args):
         for theta, poly in generators(alpha, beta, gamma):
             print(f"f({theta}) = {poly}")
         return EXIT_OK
+    # refuse before any slice is built
+    betas = enumerate_id(args.d) if all_triples else [beta]
+    largest = max(slice_size(len(roots_of(b)), args.max_degree) for b in betas)
+    if largest > MAX_SLICE_MONOMIALS:
+        raise ValidationError(
+            f"--max-degree {args.max_degree} needs a slice of {largest} monomials, more than {MAX_SLICE_MONOMIALS}"
+        )
     if args.command == "hilbert":
         for m, total, dim, quot in hilbert_counts(alpha, beta, gamma, args.max_degree):
             print(f"degree {m}: total {total}, ideal {dim}, quotient {quot}")
         return EXIT_OK
     # verify-main
-    if args.all_triples:
+    if all_triples:
         elements = enumerate_id(args.d)
         jobs = [
             (args.d, a.entries, b.entries, g.entries, args.max_degree)

@@ -18,7 +18,6 @@ import bisect
 from dataclasses import dataclass
 
 from .arrays import (
-    EMPTY_PAIR,
     SkewPair,
     is_negative_pair,
     psi,
@@ -35,9 +34,8 @@ from .tableaux import (
     NotchedTableau,
     SignKind,
     classify_sign,
-    down_of,
     iota,
-    up_of,
+    up_down,
 )
 
 
@@ -51,10 +49,6 @@ class InsertionPath:
     @property
     def terminal_row(self):
         return self.steps[-1][0]
-
-    @property
-    def terminal_position(self):
-        return self.steps[-1][1]
 
 
 def bounded_insert(p, a, b):
@@ -122,10 +116,15 @@ def forward_step(bit, a, b, c, d):
     return NotchedBitableau(NotchedTableau(prows), NotchedTableau(qrows))
 
 
-def obrsk_negative(p, check=True):
+def obrsk_negative(p):
     """Apply the correspondence to a negative skew pair."""
-    if check and not is_negative_pair(p):
+    if not is_negative_pair(p):
         raise NotNegative(f"not a negative skew pair: {validate_skew_pair(p) or 'has a non-negative column'}")
+    return _negative_image(p)
+
+
+def _negative_image(p):
+    """obrsk_negative without the check that p is negative."""
     bit = EMPTY_BITABLEAU
     for bit in obrsk_negative_steps(p):
         pass
@@ -182,12 +181,16 @@ def reverse_step(bit):
     return NotchedBitableau(NotchedTableau(prows), NotchedTableau(qrows)), a, b, c, d
 
 
-def robrsk(bit, check=True):
+def robrsk(bit):
     """Invert the correspondence on a negative skew-symmetric bitableau."""
-    if check:
-        cls = classify_sign(bit)
-        if not bit.is_empty and cls.kind is not SignKind.NEGATIVE:
-            raise NotNegative(f"bitableau is {cls.kind.value}, not negative")
+    cls = classify_sign(bit)
+    if not bit.is_empty and cls.kind is not SignKind.NEGATIVE:
+        raise NotNegative(f"bitableau is {cls.kind.value}, not negative")
+    return _negative_preimage(bit)
+
+
+def _negative_preimage(bit):
+    """robrsk without the check that bit is negative."""
     cols1 = []  # (b, a), collected last column first
     cols2 = []  # (c, d), collected first column first
     while not bit.is_empty:
@@ -209,11 +212,8 @@ def obrsk(p):
     if violations:
         raise InvalidPair("; ".join(violations))
     neg, pos = split_parts(p)
-    neg_bit = obrsk_negative(neg, check=False)
-    if pos.width:
-        pos_bit = iota(obrsk_negative(L_involution(pos), check=False))
-    else:
-        pos_bit = EMPTY_BITABLEAU
+    neg_bit = _negative_image(neg)
+    pos_bit = iota(_negative_image(L_involution(pos)))
     return NotchedBitableau(
         NotchedTableau(neg_bit.P.rows + pos_bit.P.rows),
         NotchedTableau(neg_bit.Q.rows + pos_bit.Q.rows),
@@ -225,14 +225,10 @@ def obrsk_inverse(bit):
     cls = classify_sign(bit)
     if cls.kind is SignKind.VANISHING:
         raise NotNegative("only nonvanishing bitableaux are in the image")
-    neg_pair = robrsk(cls.negative_part, check=False)
-    if cls.positive_part.is_empty:
-        pos_pair = EMPTY_PAIR
-    else:
-        pos_pair = L_involution(robrsk(iota(cls.positive_part), check=False))
-    u1 = psi(neg_pair)[0] + psi(pos_pair)[0]
-    u2 = psi(neg_pair)[1] + psi(pos_pair)[1]
-    return psi_inv(tuple(sorted(u1)), tuple(sorted(u2)))
+    neg_pair = _negative_preimage(cls.negative_part)
+    pos_pair = L_involution(_negative_preimage(iota(cls.positive_part)))
+    (neg1, neg2), (pos1, pos2) = psi(neg_pair), psi(pos_pair)
+    return psi_inv(neg1 + pos1, neg2 + pos2)
 
 
 # -- boundedness of pairs ----------------------------------------------------
@@ -249,7 +245,7 @@ def dual_chain_pairs(u1, u2):
     """
     full = psi_inv(u1, u2)
     t = full.width
-    cols1 = full.pi1.columns()  # (b, a)
+    cols1 = full.pi1.columns()  # (b, a), in canonical order
     cols2 = full.pi2.columns()  # (c, d)
     support = sorted(set(u1))
     out = []
@@ -257,20 +253,9 @@ def dual_chain_pairs(u1, u2):
         c1 = [support[i] for i in range(len(support)) if mask >> i & 1]
         if not is_chain(c1):
             continue
-        sub1 = sorted(((b, a) for a, b in c1), key=lambda col: (-col[0], -col[1]))
-        m = len(sub1)
-        sub2 = [None] * m
-        ok = True
-        for i, col in enumerate(sub1):
-            try:
-                i_min = cols1.index(col)
-            except ValueError:
-                ok = False
-                break
-            sub2[m - 1 - i] = cols2[t - 1 - i_min]
-        if not ok:
-            continue
-        cand = SkewPair.from_columns(sub1, sub2)
+        # the first pi1 column holding each point, in canonical order
+        first = sorted(cols1.index((b, a)) for a, b in c1)
+        cand = SkewPair.from_columns([cols1[i] for i in first], [cols2[t - 1 - i] for i in reversed(first)])
         if not validate_skew_pair(cand):
             out.append(cand)
     return out
@@ -278,13 +263,16 @@ def dual_chain_pairs(u1, u2):
 
 def pair_up_down_sets(u1, u2):
     """For each dual pair of chains in (U1, U2): the up set of the image of
-    its negative part and the down set of the image of its positive part."""
+    its negative part and the down set of the image of its positive part.
+    The image stacks the negative block on the positive one, so these are
+    the up and down sets of the whole image."""
     ups, downs = [], []
     for cand in dual_chain_pairs(u1, u2):
         neg, pos = split_parts(cand)
+        up, down = up_down(obrsk(cand))
         if neg.width:
-            ups.append(up_of(obrsk_negative(neg, check=False)))
+            ups.append(up)
         if pos.width:
-            downs.append(down_of(iota(obrsk_negative(L_involution(pos), check=False))))
+            downs.append(down)
     return ups, downs
 

@@ -7,35 +7,27 @@ The enumeration is constructive.  It builds only candidates that already meet
 the conditions it can decide one column or one row at a time, in the order a
 plain generate-and-filter over sorted column (or row) tuples would visit them,
 and runs the full validator on every object it builds before returning it.
+Those conditions are the validators' own: dual_column_violations and
+column_duality_pairs for a column and its dual, row_sign and
+row_duality_pairs for a row pair.  A kind of bitableau is chosen by the row
+signs it allows.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .arrays import SkewPair, TwoRowArray, validate_skew_pair
+from .arrays import SkewPair, TwoRowArray, column_duality_pairs, dual_column_violations, validate_skew_pair
 from .errors import ValidationError
 from .multisets import Cmp, FormalDiff, diff_compare, duality_conflict
 from .tableaux import (
     NotchedBitableau,
     NotchedTableau,
-    SignKind,
-    classify_sign,
-    is_negative_plane_set,
-    is_positive_plane_set,
+    is_signed_plane_set,
+    row_duality_pairs,
     row_sign,
     validate_skew_symmetric,
 )
-
-
-def _dual_column_fits(col1, col2):
-    """Whether pi2 column col2 = (c, d) may sit opposite pi1 column
-    col1 = (b, a): conditions (iii) a < d, (iv) b < c and (vi) sign
-    coherence, the conditions of a skew pair that involve one column and
-    its dual alone."""
-    b, a = col1
-    c, d = col2
-    return a < d and b < c and not (a < b and d >= c) and not (a > b and d <= c)
 
 
 def enumerate_skew_pairs(max_entry, max_width, pi1_column):
@@ -52,9 +44,11 @@ def enumerate_skew_pairs(max_entry, max_width, pi1_column):
     values = range(max_entry, 0, -1)
     columns = [(x, y) for x in values for y in values]  # greatest first
     pi1_columns = [col for col in columns if pi1_column(col)]
-    # pi2 columns, as (d, c), that may sit opposite each pi1 column
+    # pi2 columns, as (d, c), that may sit opposite each pi1 column (the
+    # positions 0, 0 only label messages, and only their absence counts)
     fitting = {
-        col1: [(d, c) for d, c in columns if _dual_column_fits(col1, (c, d))] for col1 in pi1_columns
+        col1: [(d, c) for d, c in columns if not dual_column_violations(col1, (c, d), 0, 0)]
+        for col1 in pi1_columns
     }
 
     def complete(cols1, pi1, cols2, pairs):
@@ -70,7 +64,7 @@ def enumerate_skew_pairs(max_entry, max_width, pi1_column):
         for d, c in fitting[b, a]:
             if j and (d, c) > cols2[-1]:
                 continue
-            new_pairs = pairs + [(a, c), (b, d), (c, a), (d, b)]
+            new_pairs = pairs + column_duality_pairs((b, a), (c, d))
             if duality_conflict(new_pairs) is None:
                 yield from complete(cols1, pi1, cols2 + [(d, c)], new_pairs)
 
@@ -103,12 +97,6 @@ def even_shapes(max_boxes):
     return shapes
 
 
-def _row_duality_pairs(prow, qrow):
-    """(value, dual value) for each entry of a row pair: P[j] ~ Q[k-1-j]."""
-    k = len(prow)
-    return [pair for j in range(k) for pair in ((prow[j], qrow[k - 1 - j]), (qrow[j], prow[k - 1 - j]))]
-
-
 def _row_pairs(max_entry, k, signs):
     """P row -> the Q rows that can sit beside it, in lexicographic order:
     both strictly increasing with entries <= max_entry, row_sign in signs
@@ -119,7 +107,7 @@ def _row_pairs(max_entry, k, signs):
     for prow in rows:
         fits = []
         for qrow in rows:
-            if row_sign(prow, qrow) in signs and duality_conflict(_row_duality_pairs(prow, qrow)) is None:
+            if row_sign(prow, qrow) in signs and duality_conflict(row_duality_pairs(prow, qrow)) is None:
                 fits.append(qrow)
         if fits:
             table[prow] = fits
@@ -147,7 +135,7 @@ def _bitableaux(max_entry, max_boxes, signs):
                 yield b
             return
         for qrow in tables[len(prows[i])][prows[i]]:
-            new_pairs = pairs + _row_duality_pairs(prows[i], qrow)
+            new_pairs = pairs + row_duality_pairs(prows[i], qrow)
             if duality_conflict(new_pairs) is not None:
                 continue
             diff = FormalDiff(prows[i], qrow)
@@ -166,28 +154,15 @@ def enumerate_even_bitableaux(max_entry, max_boxes):
     return list(_bitableaux(max_entry, max_boxes, {-1, 0, +1}))
 
 
-# The row signs a bitableau of each kind can have.
-_KIND_ROW_SIGNS = {
-    SignKind.NEGATIVE: {-1},
-    SignKind.POSITIVE: {+1},
-    SignKind.NONVANISHING: {-1, +1},
-    SignKind.VANISHING: {-1, 0, +1},
-}
-
-
-def enumerate_bitableaux_of_kind(max_entry, max_boxes, kinds):
-    signs = set().union(*(_KIND_ROW_SIGNS[kind] for kind in kinds))
-    return [b for b in _bitableaux(max_entry, max_boxes, signs) if classify_sign(b).kind in kinds]
-
-
 def enumerate_negative_bitableaux(max_entry, max_boxes):
-    return enumerate_bitableaux_of_kind(max_entry, max_boxes, {SignKind.NEGATIVE})
+    """The negative ones among them: every row negative."""
+    return list(_bitableaux(max_entry, max_boxes, {-1}))
 
 
 def enumerate_nonvanishing_bitableaux(max_entry, max_boxes):
-    return enumerate_bitableaux_of_kind(
-        max_entry, max_boxes, {SignKind.NEGATIVE, SignKind.POSITIVE, SignKind.NONVANISHING}
-    )
+    """The nonvanishing ones: every row has a sign.  Semistandard order puts
+    the negative rows above the positive ones."""
+    return list(_bitableaux(max_entry, max_boxes, {-1, +1}))
 
 
 def enumerate_bound_sets(max_entry, max_points, sign):
@@ -196,16 +171,15 @@ def enumerate_bound_sets(max_entry, max_points, sign):
     Includes the empty set."""
     if sign not in (-1, +1):
         raise ValidationError(f"sign must be -1 or +1, got {sign!r}")
-    good = is_negative_plane_set if sign < 0 else is_positive_plane_set
     points = [
         (x, y)
         for x in range(1, max_entry + 1)
         for y in range(1, max_entry + 1)
-        if (x < y if sign < 0 else x > y)
+        if is_signed_plane_set([(x, y)], sign)
     ]
     out = [()]
     for k in range(1, max_points + 1):
         for combo in itertools.combinations(points, k):
-            if good(combo):
+            if is_signed_plane_set(combo, sign):
                 out.append(tuple(sorted(combo)))
     return out

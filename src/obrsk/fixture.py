@@ -40,7 +40,7 @@ FIXTURE_STEPS = (
 FIXTURE_BITABLEAU = FIXTURE_STEPS[-1]
 
 
-def replay(verbose=False, report=print):
+def replay(verbose=False):
     """Re-run the worked example.  Returns True iff every intermediate and the
     round trip through the inverse map match the frozen values exactly."""
     ok = True
@@ -50,17 +50,17 @@ def replay(verbose=False, report=print):
         ok = ok and match
         if verbose or not match:
             status = "ok" if match else "MISMATCH"
-            report(f"step {i}: {status}")
-            report(f"  P^({i}) = {list(bit.P.rows)}")
-            report(f"  Q^({i}) = {list(bit.Q.rows)}")
+            print(f"step {i}: {status}")
+            print(f"  P^({i}) = {list(bit.P.rows)}")
+            print(f"  Q^({i}) = {list(bit.Q.rows)}")
             if not match:
-                report(f"  expected P^({i}) = {list(expected.P.rows)}")
-                report(f"  expected Q^({i}) = {list(expected.Q.rows)}")
+                print(f"  expected P^({i}) = {list(expected.P.rows)}")
+                print(f"  expected Q^({i}) = {list(expected.Q.rows)}")
     back = robrsk(FIXTURE_BITABLEAU)
     match = back == FIXTURE_PAIR
     ok = ok and match
     if verbose or not match:
-        report(f"inverse round trip: {'ok' if match else 'MISMATCH'}")
+        print(f"inverse round trip: {'ok' if match else 'MISMATCH'}")
         if not match:
-            report(f"  recovered {back}")
+            print(f"  recovered {back}")
     return ok

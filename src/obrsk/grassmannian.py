@@ -36,7 +36,7 @@ from .errors import (
     VerificationError,
 )
 from .multisets import Cmp, is_chain, plane_compare, plane_multiset
-from .tableaux import down_of, up_of
+from .tableaux import down_of, is_signed_plane_set, up_of
 
 
 @dataclass(frozen=True)
@@ -227,9 +227,9 @@ def t_w_bounds(alpha, beta, gamma):
     aset, bset, gset = set(alpha.entries), set(beta.entries), set(gamma.entries)
     t = plane_multiset(zip(sorted(aset - bset), sorted(bset - aset)))
     w = plane_multiset(zip(sorted(gset - bset), sorted(bset - gset)))
-    if any(x >= y for x, y in t):
+    if not is_signed_plane_set(t, -1):
         raise SignAssertionFailure(f"T = {t} is not negative")
-    if any(x <= y for x, y in w):
+    if not is_signed_plane_set(w, +1):
         raise SignAssertionFailure(f"W = {w} is not positive")
     return t, w
 

@@ -177,6 +177,11 @@ def generators(alpha, beta, gamma):
 # -- exact linear algebra on degree slices -----------------------------------
 
 
+def slice_size(nvars, m):
+    """The number of monomials of degree m in nvars variables."""
+    return comb(nvars + m - 1, m) if nvars else (1 if m == 0 else 0)
+
+
 def monomials_of_degree(nvars, m):
     """All exponent tuples of total degree m."""
     if nvars == 0:
@@ -276,7 +281,7 @@ class DegreeSlice:
 
     @property
     def total(self):
-        return comb(self.order.nvars + self.m - 1, self.m) if self.order.nvars else (1 if self.m == 0 else 0)
+        return slice_size(self.order.nvars, self.m)
 
     def initial_monomials(self):
         return {self.monos[j] for j in self.pivots}

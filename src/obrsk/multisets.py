@@ -124,21 +124,19 @@ EMPTY_DIFF = FormalDiff((), ())
 def diff_compare(d1, d2):
     """Compare two formal differences in the counting order.
 
-    Counts are checked for z up to the largest entry of either operand; beyond
-    that the counting functions are z + tail_offset, so tails finish the job.
+    The z terms cancel in count1(z) - count2(z), so the difference of the
+    counts changes only where z is an entry of either operand.  Comparing at
+    the distinct entries therefore settles every z: below the least entry the
+    difference is 0, and from the greatest entry on it is the difference of
+    the tail offsets.
     """
-    zmax = max((*d1.plus, *d1.minus, *d2.plus, *d2.minus), default=0)
     le = ge = True  # le: d1 <= d2 so far (counts of d1 dominate)
-    for z in range(1, zmax + 1):
+    for z in sorted({*d1.plus, *d1.minus, *d2.plus, *d2.minus}):
         c1, c2 = d1.count(z), d2.count(z)
         if c1 < c2:
             le = False
         elif c1 > c2:
             ge = False
-    if d1.tail_offset > d2.tail_offset:
-        le = False
-    elif d1.tail_offset < d2.tail_offset:
-        ge = False
     if le and ge:
         return Cmp.EQUAL
     if le:

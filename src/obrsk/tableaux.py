@@ -98,36 +98,22 @@ def row_diffs(b):
     return [FormalDiff(p, q) for p, q in zip(b.P.rows, b.Q.rows)]
 
 
-def validate_semistandard(b, b_bound=None):
-    """Both sides row-strict and the row differences weakly increasing.
-
-    With b_bound given, additionally every P entry < b_bound <= every Q entry.
-    """
+def validate_semistandard(b):
+    """Both sides row-strict and the row differences weakly increasing."""
     if not (validate_row_strict(b.P) and validate_row_strict(b.Q)):
         return False
     diffs = row_diffs(b)
     for d1, d2 in zip(diffs, diffs[1:]):
         if diff_compare(d1, d2) not in (Cmp.LESS, Cmp.EQUAL):
             return False
-    if b_bound is not None and not b.is_empty:
-        if max(b.P.entries()) >= b_bound or b_bound > min(b.Q.entries()):
-            return False
     return True
 
 
-def _duality_pairs(b):
-    """(value, dual value) for every entry of both tableaux.
-
-    The dual of P[i][j] is Q[i][k-1-j] where k is the row length, and
-    symmetrically for Q entries.
-    """
-    pairs = []
-    for prow, qrow in zip(b.P.rows, b.Q.rows):
-        k = len(prow)
-        for j in range(k):
-            pairs.append((prow[j], qrow[k - 1 - j]))
-            pairs.append((qrow[j], prow[k - 1 - j]))
-    return pairs
+def row_duality_pairs(prow, qrow):
+    """(value, dual value) for every entry of a row pair of length k: the
+    dual of P[j] is Q[k-1-j], and symmetrically for Q entries."""
+    k = len(prow)
+    return [pair for j in range(k) for pair in ((prow[j], qrow[k - 1 - j]), (qrow[j], prow[k - 1 - j]))]
 
 
 def validate_skew_symmetric(b):
@@ -137,7 +123,8 @@ def validate_skew_symmetric(b):
         raise NotSemistandard("skew-symmetry is only defined for semistandard bitableaux")
     if any(k % 2 for k in b.shape):
         return False
-    return duality_conflict(_duality_pairs(b)) is None
+    pairs = [pair for prow, qrow in zip(b.P.rows, b.Q.rows) for pair in row_duality_pairs(prow, qrow)]
+    return duality_conflict(pairs) is None
 
 
 class SignKind(Enum):
@@ -232,18 +219,11 @@ def down_of(b):
     return up_down(b)[1]
 
 
-def is_negative_plane_set(points):
-    """Every point strictly below the diagonal (x < y), projections duplicate free."""
+def is_signed_plane_set(points, sign):
+    """Every point strictly below the diagonal (x < y) for sign -1, strictly
+    above it (x > y) for sign +1, and both projections duplicate free."""
     return (
-        all(x < y for x, y in points)
-        and len(set(proj1(points))) == len(points)
-        and len(set(proj2(points))) == len(points)
-    )
-
-
-def is_positive_plane_set(points):
-    return (
-        all(x > y for x, y in points)
+        all(sign * (x - y) > 0 for x, y in points)
         and len(set(proj1(points))) == len(points)
         and len(set(proj2(points))) == len(points)
     )
@@ -258,17 +238,12 @@ def bitableau_bounded_by(b, t, w):
     """
     t = plane_multiset(t)
     w = plane_multiset(w)
-    if not is_negative_plane_set(t):
+    if not is_signed_plane_set(t, -1):
         raise BadBounds(f"T = {t} is not a negative plane set")
-    if not is_positive_plane_set(w):
+    if not is_signed_plane_set(w, +1):
         raise BadBounds(f"W = {w} is not a positive plane set")
     cls = classify_sign(b)
     if cls.kind is SignKind.VANISHING:
         raise NotSkewSymmetric("boundedness is only defined on nonvanishing bitableaux")
-    up = up_of(cls.negative_part) if not cls.negative_part.is_empty else ()
-    down = down_of(cls.positive_part) if not cls.positive_part.is_empty else ()
-    if plane_compare(t, up) not in (Cmp.LESS, Cmp.EQUAL):
-        return False
-    if plane_compare(down, w) not in (Cmp.LESS, Cmp.EQUAL):
-        return False
-    return True
+    up, down = up_of(cls.negative_part), down_of(cls.positive_part)
+    return plane_compare(t, up) in (Cmp.LESS, Cmp.EQUAL) and plane_compare(down, w) in (Cmp.LESS, Cmp.EQUAL)

@@ -44,6 +44,28 @@ def test_fixture_perturbations_are_invalid(worked_pair):
     assert any("lexicographic" in v for v in validate_skew_pair(bad))
 
 
+@pytest.mark.parametrize(
+    "row, i, value, messages",
+    [
+        # (iii) a_1 < d_5 fails
+        ("a", 0, 13, {"a_1 = 13 not < d_5 = 12", "duality not decreasing: 12 -> 17, 13 -> 25"}),
+        # (iv) b_1 < c_5 fails
+        ("b", 0, 30, {"b_1 = 30 not < c_5 = 25", "duality maps value 12 to both 17 and 30"}),
+        # (v) alone: 4 is paired with both c_1 and c_5
+        ("c", 0, 24, {"duality maps value 4 to both 24 and 25"}),
+        # (vi) a positive column opposite a negative dual column
+        ("a", 4, 10, {"duality maps value 10 to both 19 and 25", "column 5 positive but dual column 1 not"}),
+        # (vi) a negative column opposite a positive dual column
+        ("c", 0, 19, {"duality maps value 4 to both 19 and 25", "column 5 negative but dual column 1 not"}),
+    ],
+)
+def test_violation_messages_per_condition(worked_pair, row, i, value, messages):
+    rows = {name: list(getattr(worked_pair, name)) for name in "abcd"}
+    rows[row][i] = value
+    bad = SkewPair(TwoRowArray(rows["b"], rows["a"]), TwoRowArray(rows["c"], rows["d"]))
+    assert set(validate_skew_pair(bad)) == messages
+
+
 def test_psi_fixture(worked_pair):
     u1, u2 = psi(worked_pair)
     assert u1 == ((3, 14), (3, 17), (4, 9), (4, 17), (7, 10))

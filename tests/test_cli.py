@@ -7,12 +7,13 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from obrsk import cli
+from obrsk import cli, ideal
 from obrsk.cli import (
     EXIT_INVALID,
     EXIT_OK,
     MAX_D,
     MAX_JOBS,
+    MAX_SLICE_MONOMIALS,
     bitableau_from_json,
     bitableau_to_json,
     fixture_main,
@@ -302,6 +303,31 @@ def test_ideal_rejects_max_degree_below_range(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--max-degree" in captured.err
+
+
+D5_TRIPLE = ["--d", "5", "--alpha", "1,2,3,4,5", "--beta", "1,2,3,4,5", "--gamma", "2,3,4,6,10"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # beta has 10 roots: degree 10 asks for C(19, 10) = 92,378 monomials
+        ["verify-main", *D5_TRIPLE, "--max-degree", "10"],
+        ["hilbert", *D5_TRIPLE, "--max-degree", "30"],
+        ["verify-main", "--d", "5", "--all-triples", "--max-degree", "30"],
+        ["verify-main", "--d", "8", "--all-triples", "--max-degree", "5"],
+    ],
+)
+def test_ideal_rejects_max_degree_above_the_slice_cap(capsys, monkeypatch, argv):
+    # were the check missing, no degree slice may be built from this test
+    def no_slice(*args, **kwargs):
+        raise AssertionError("a degree slice was built")
+
+    monkeypatch.setattr(ideal, "DegreeSlice", no_slice)
+    assert ideal_main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-degree" in captured.err and str(MAX_SLICE_MONOMIALS) in captured.err
 
 
 @pytest.mark.parametrize("jobs", [0, -1, MAX_JOBS + 1])

@@ -98,6 +98,34 @@ def test_diff_compare_antisymmetric(p1, m1, p2, m2):
     assert backward is flipped.get(forward, forward)
 
 
+def reference_diff_compare(d1, d2):
+    """The counting order straight from its definition: every z up to the
+    greatest entry, then the tails."""
+    zmax = max((*d1.plus, *d1.minus, *d2.plus, *d2.minus), default=0)
+    counts = [(d1.count(z), d2.count(z)) for z in range(1, zmax + 1)]
+    counts.append((d1.tail_offset, d2.tail_offset))
+    le = all(c1 >= c2 for c1, c2 in counts)
+    ge = all(c1 <= c2 for c1, c2 in counts)
+    return {(True, True): Cmp.EQUAL, (True, False): Cmp.LESS, (False, True): Cmp.GREATER}.get(
+        (le, ge), Cmp.INCOMPARABLE
+    )
+
+
+@given(small_multisets, small_sets, small_multisets, small_sets)
+def test_diff_compare_equals_the_definition(p1, m1, p2, m2):
+    d1, d2 = FormalDiff(p1, m1), FormalDiff(p2, m2)
+    assert diff_compare(d1, d2) is reference_diff_compare(d1, d2)
+
+
+def test_diff_compare_at_huge_entries():
+    # walking every z up to 10^12 would take days
+    big = 10**12
+    assert diff_compare(FormalDiff((1, big), (big + 1,)), FormalDiff((big,), ())) is Cmp.LESS
+    assert diff_compare(FormalDiff((big,), ()), FormalDiff((1, big), (big + 1,))) is Cmp.GREATER
+    assert diff_compare(FormalDiff((2, big), ()), FormalDiff((1, big + 1), ())) is Cmp.INCOMPARABLE
+    assert diff_compare(FormalDiff((big,), (big,)), EMPTY_DIFF) is Cmp.EQUAL
+
+
 @given(small_multisets, small_multisets)
 def test_multiset_minus_roundtrip(a, b):
     joined = nat_multiset(a + b)

@@ -41,12 +41,6 @@ def test_semistandard_empty():
     assert validate_semistandard(EMPTY_BITABLEAU)
 
 
-def test_semistandard_bound():
-    assert not validate_semistandard(bt([[5]], [[3]]), b_bound=4)
-    assert validate_semistandard(bt([[1, 3]], [[4, 5]]), b_bound=4)
-    assert not validate_semistandard(bt([[1, 3]], [[4, 5]]), b_bound=5)
-
-
 def test_semistandard_row_order_matters():
     # single rows in the wrong vertical order are not semistandard
     good = bt([[1, 2], [3, 4]], [[5, 6], [5, 6]])
