@@ -12,10 +12,11 @@ positive when r > c and negative when r < c.  The reflection
 
 A triple alpha <= beta <= gamma declares some chains of roots bad: those
 whose negative part maps to a w with alpha not <= w, or whose positive part
-maps to a w with w not <= gamma.  defining_chains decides this once per chain
-of roots per triple, and checks each decision against the boundedness of the
-chain's image by the bound pair (T, W); a root monomial lies in the chain
-ideal exactly when its support contains a bad chain.
+maps to a w with w not <= gamma.  A chain is thus bad exactly when one of its
+two sign-pure parts is.  defining_chains decides each sign-pure chain of
+roots once per triple, checks each decision against the boundedness of the
+chain's image by the bound pair (T, W), and keeps the minimal bad chains; a
+root monomial lies in the chain ideal exactly when its support contains one.
 """
 
 from __future__ import annotations
@@ -146,7 +147,8 @@ class ChainSign(Enum):
 
 
 def split_chain(chain, v):
-    """Partition a chain of roots into its negative and positive parts."""
+    """Partition a chain, or any sequence, of roots into its negative and
+    positive parts."""
     neg, pos = [], []
     for p in chain:
         reg = region_of(v, *p)
@@ -259,33 +261,41 @@ def _chain_within_bounds(chain, beta, t, w):
 
 @lru_cache(maxsize=1)
 def defining_chains(alpha, beta, gamma):
-    """The chains of roots of beta in the defining set of the triple, as
-    frozensets, together with the set of roots of beta.
+    """The minimal bad chains of roots of the triple, as frozensets, together
+    with the set of roots of beta.
 
-    Each chain of roots is decided twice, by chain_in_chains_set and by the
-    boundedness test against (T, W); the two must agree.  A monomial lies in
-    the chain ideal when its support contains one of these chains, and every
-    chain inside a support of roots is a chain of roots, so agreement here
-    is agreement on every monomial.  One entry is kept: callers ask about
-    the monomials of one triple in a row."""
+    Every sign-pure chain of roots is decided twice, by chain_in_chains_set
+    and by the boundedness test against (T, W); the two must agree.  Both
+    routes split a mixed chain by split_chain and call it bad exactly when
+    one of its parts is, so agreement on the sign-pure chains is agreement on
+    every chain.  A monomial lies in the chain ideal when its support
+    contains a bad chain, hence when it contains a minimal one, and these
+    minimal bad chains, all sign-pure, are the minimal generators of the
+    chain ideal.  One entry is kept: callers ask about the monomials of one
+    triple in a row."""
     t, w = t_w_bounds(alpha, beta, gamma)
     roots = roots_of(beta)
     bad = []
-    for chain in enumerate_extended_chains(roots):
-        in_set = chain_in_chains_set(chain, alpha, beta, gamma)
-        if in_set == _chain_within_bounds(chain, beta, t, w):
-            raise VerificationError(
-                f"chain-membership routes disagree on {list(chain)} for "
-                f"({alpha.entries}, {beta.entries}, {gamma.entries})"
-            )
-        if in_set:
-            bad.append(frozenset(chain))
-    return tuple(bad), frozenset(roots)
+    for part in split_chain(roots, beta):  # the negative roots, then the positive
+        for chain in enumerate_extended_chains(part):
+            in_set = chain_in_chains_set(chain, alpha, beta, gamma)
+            if in_set == _chain_within_bounds(chain, beta, t, w):
+                raise VerificationError(
+                    f"chain-membership routes disagree on {list(chain)} for "
+                    f"({alpha.entries}, {beta.entries}, {gamma.entries})"
+                )
+            if in_set:
+                bad.append(frozenset(chain))
+    minimal = []
+    for chain in sorted(bad, key=len):
+        if not any(kept <= chain for kept in minimal):
+            minimal.append(chain)
+    return tuple(minimal), frozenset(roots)
 
 
 def is_quotient_monomial(u, alpha, beta, gamma):
-    """True iff the support of the root multiset u contains no chain of the
-    defining set of the triple."""
+    """True iff the support of u, an iterable of roots (repeats allowed),
+    contains no bad chain of the triple."""
     bad, roots = defining_chains(alpha, beta, gamma)
     support = set(u)
     if not support <= roots:

@@ -3,18 +3,21 @@
 Fix a triple alpha <= beta <= gamma in I(d).  The ideal is generated by the
 Pfaffians f(theta) over all theta in I(d) failing alpha <= theta or
 theta <= gamma.  The main check confirms, degree by degree, that the leading
-monomials of the ideal are exactly the root monomials covering a chain of the
-defining set, and that the standard monomials (products of Pfaffians indexed
+monomials of the ideal are exactly the root monomials covering a bad chain
+of the triple, and that the standard monomials (products of Pfaffians indexed
 by multichains through the interval) complement the ideal slice exactly.
 
 The term order and every f(theta) depend on beta alone, so they are derived
-from beta and shared by every triple with that beta.
+from beta and shared by every triple with that beta.  Every f(theta), and
+every product of them, has integer coefficients; rationals appear only in
+elimination, where _rref normalises a pivot row.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -182,10 +185,12 @@ def slice_size(nvars, m):
     return comb(nvars + m - 1, m) if nvars else (1 if m == 0 else 0)
 
 
+@lru_cache(maxsize=None)
 def monomials_of_degree(nvars, m):
-    """All exponent tuples of total degree m."""
+    """All exponent tuples of total degree m.  Memoised: every beta of I(d)
+    has d(d-1)/2 roots, so there is one entry per degree and d."""
     if nvars == 0:
-        return [()] if m == 0 else []
+        return ((),) if m == 0 else ()
     out = []
     for cuts in itertools.combinations(range(m + nvars - 1), nvars - 1):
         prev = -1
@@ -195,7 +200,7 @@ def monomials_of_degree(nvars, m):
             prev = cut
         exps.append(m + nvars - 2 - prev)
         out.append(tuple(exps))
-    return out
+    return tuple(out)
 
 
 def _top_reduce(row, basis):
@@ -228,11 +233,13 @@ def _top_reduce(row, basis):
 def _rref(rows):
     """Sparse echelon form over the rationals.
 
-    Each row is a list of (column, Fraction) pairs, Fractions nonzero and
-    columns ascending, so row[0] is its leading term.  Every row is
-    top-reduced against the pivot rows found so far, keyed by pivot column;
-    a nonzero remainder is normalised to leading coefficient 1 and becomes
-    the pivot row of its leading column.  A row whose leading column has no
+    Each row is a list of (column, coefficient) pairs, coefficients nonzero
+    ints or Fractions and columns ascending, so row[0] is its leading term.
+    Every row is top-reduced against the pivot rows found so far, keyed by
+    pivot column; a nonzero remainder is normalised to leading coefficient 1
+    and becomes the pivot row of its leading column.  This is the one place
+    a Fraction can arise from integer rows: a leading -1 is removed by
+    negation, so those rows stay integer.  A row whose leading column has no
     pivot yet costs one lookup, so rows already in echelon form pass
     straight through.  rows is replaced by the pivot rows in column order;
     returns the sorted pivot columns."""
@@ -242,7 +249,9 @@ def _rref(rows):
         if not row:
             continue
         lead = row[0][1]
-        if lead != 1:
+        if lead == -1:
+            row = [(c, -x) for c, x in row]
+        elif lead != 1:
             inv = Fraction(1) / lead
             row = [(c, x * inv) for c, x in row]
         basis[row[0][0]] = row
@@ -299,50 +308,62 @@ class DegreeSlice:
 
 
 def chains_monomials_degree(alpha, beta, gamma, m):
-    """Degree-m root monomials whose support contains a chain of the defining
-    set; the combinatorial prediction for the initial monomials."""
-    order = term_order(beta)
+    """Degree-m root monomials whose support contains a bad chain of the
+    triple; the combinatorial prediction for the initial monomials."""
+    variables = term_order(beta).variables
     out = set()
-    for mono in monomials_of_degree(order.nvars, m):
-        u = order.vars_of_mono(mono)
-        if not is_quotient_monomial(u, alpha, beta, gamma):
+    for mono in monomials_of_degree(len(variables), m):
+        support = [v for v, e in zip(variables, mono) if e]
+        if not is_quotient_monomial(support, alpha, beta, gamma):
             out.add(mono)
     return out
+
+
+def _multichain_levels(alpha, beta, gamma):
+    """Yields the lists of standard_monomials of degree 0, 1, 2, ... without
+    end.  A multichain of degree m is one of degree m - beta_degree(theta)
+    ending at or below theta, or the empty one with alpha <= theta, extended
+    by theta; so each degree is built from the last few, which are all that
+    is kept, and no recursion grows with m."""
+    candidates = [
+        (theta, beta_degree(theta, beta))
+        for theta in enumerate_id(beta.d)
+        if theta.entries != beta.entries
+        and (id_leq(theta, beta) or id_leq(beta, theta))
+        and id_leq(theta, gamma)
+    ]
+    level = [()]
+    lower = deque(maxlen=max((deg for _, deg in candidates), default=1))
+    while True:
+        yield level
+        lower.append(level)  # lower[-k]: the level k below the next one
+        level = [
+            prefix + (theta,)
+            for theta, deg in candidates
+            if deg <= len(lower)
+            for prefix in lower[-deg]
+            if id_leq(prefix[-1] if prefix else alpha, theta)
+        ]
 
 
 def standard_monomials(alpha, beta, gamma, m):
     """Multichains theta_1 <= ... <= theta_r through the interval: every
     theta_i comparable to and distinct from beta, alpha <= theta_1,
     theta_r <= gamma, with beta-degrees summing to m."""
-    if m == 0:
-        return [()]
-    candidates = [
-        theta
-        for theta in enumerate_id(beta.d)
-        if theta.entries != beta.entries
-        and (id_leq(theta, beta) or id_leq(beta, theta))
-        and id_leq(theta, gamma)
-    ]
-    out = []
+    return next(itertools.islice(_multichain_levels(alpha, beta, gamma), m, None))
 
-    def extend(prefix, remaining):
-        last = prefix[-1] if prefix else None
-        for theta in candidates:
-            if last is not None and not id_leq(last, theta):
-                continue
-            if last is None and not id_leq(alpha, theta):
-                continue
-            deg = beta_degree(theta, beta)
-            if deg == 0 or deg > remaining:
-                continue
-            chain = prefix + [theta]
-            if deg == remaining:
-                out.append(tuple(chain))
-            else:
-                extend(chain, remaining - deg)
 
-    extend([], m)
-    return out
+def standard_products(alpha, beta, gamma):
+    """Yields, for m = 0, 1, 2, ... without end, the degree-m standard
+    monomials and their products of f(theta).  Each product is its prefix's
+    product times f of its last theta, and the prefix, of lower degree, has
+    been built already; the products live in a dict local to the generator."""
+    products = {(): SparsePoly.constant(term_order(beta), 1)}
+    for level in _multichain_levels(alpha, beta, gamma):
+        for thetas in level:
+            if thetas:
+                products[thetas] = products[thetas[:-1]] * pfaffian_generator(thetas[-1], beta)
+        yield level, [products[thetas] for thetas in level]
 
 
 def standard_poly(thetas, beta):
@@ -391,12 +412,11 @@ def verify_main_theorem(alpha, beta, gamma, max_degree):
     order = term_order(beta)
     gens = generators(alpha, beta, gamma)
     report = VerifyReport(alpha, beta, gamma)
-    for m in range(1, max_degree + 1):
+    standard = itertools.islice(standard_products(alpha, beta, gamma), 1, None)
+    for m, (std, std_polys) in zip(range(1, max_degree + 1), standard):
         slice_m = DegreeSlice(gens, m, order)
         initial = slice_m.initial_monomials()
         chains = chains_monomials_degree(alpha, beta, gamma, m)
-        std = standard_monomials(alpha, beta, gamma, m)
-        std_polys = [standard_poly(thetas, beta) for thetas in std]
         counts = len(std) == slice_m.total - slice_m.dim and len(initial) == slice_m.dim
         independent = slice_m.rank_with(std_polys) == slice_m.dim + len(std)
         report.degrees.append(

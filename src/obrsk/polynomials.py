@@ -19,6 +19,11 @@ when the order is built.
 Monomials are exponent tuples over the variables sorted greatest first, and
 monomials are compared by total degree, then lexicographically variable by
 variable from the greatest down.
+
+Coefficients are exact: Python ints stay ints, so every Pfaffian and every
+product of Pfaffians has integer coefficients, and anything else (a float, a
+Fraction) is kept as a Fraction.  Rationals proper arise only in the
+elimination of the ideal layer.
 """
 
 from __future__ import annotations
@@ -111,13 +116,6 @@ class TermOrder:
             exps[self.index[p]] += 1
         return tuple(exps)
 
-    def vars_of_mono(self, mono):
-        """Multiset of roots of an exponent tuple, sorted by position."""
-        out = []
-        for v, e in zip(self.variables, mono):
-            out.extend([v] * e)
-        return tuple(sorted(out))
-
     def format_mono(self, mono):
         parts = []
         for v, e in zip(self.variables, mono):
@@ -138,18 +136,24 @@ def term_order(beta):
     return TermOrder(beta)
 
 
+def _exact(c):
+    """c as an exact coefficient: an int stays an int, anything else becomes
+    a Fraction (a float the Fraction of its exact binary value)."""
+    return c if isinstance(c, int) else Fraction(c)
+
+
 @dataclass(frozen=True)
 class SparsePoly:
-    """A polynomial as a map from exponent tuples to rational coefficients."""
+    """A polynomial as a map from exponent tuples to exact coefficients."""
 
     order: TermOrder
-    terms: tuple  # sorted tuple of (mono, Fraction), greatest monomial first
+    terms: tuple  # sorted tuple of (mono, int or Fraction), greatest monomial first
 
     @classmethod
     def from_dict(cls, order, d):
         terms = tuple(
             sorted(
-                ((m, Fraction(c)) for m, c in d.items() if c != 0),
+                ((m, _exact(c)) for m, c in d.items() if c != 0),
                 key=lambda t: order.mono_key(t[0]),
                 reverse=True,
             )
@@ -164,13 +168,13 @@ class SparsePoly:
     def constant(cls, order, c):
         if c == 0:
             return cls.zero(order)
-        return cls(order, (((0,) * order.nvars, Fraction(c)),))
+        return cls(order, (((0,) * order.nvars, _exact(c)),))
 
     @classmethod
     def variable(cls, order, root, coeff=1):
         mono = [0] * order.nvars
         mono[order.index[root]] = 1
-        return cls.from_dict(order, {tuple(mono): Fraction(coeff)})
+        return cls.from_dict(order, {tuple(mono): coeff})
 
     @property
     def is_zero(self):
@@ -197,7 +201,7 @@ class SparsePoly:
         self._check(other)
         d = dict(self.terms)
         for m, c in other.terms:
-            d[m] = d.get(m, Fraction(0)) + c
+            d[m] = d.get(m, 0) + c
         return SparsePoly.from_dict(self.order, d)
 
     def __neg__(self):
@@ -216,7 +220,7 @@ class SparsePoly:
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 m = tuple(x + y for x, y in zip(m1, m2))
-                d[m] = d.get(m, Fraction(0)) + c1 * c2
+                d[m] = d.get(m, 0) + c1 * c2
         return SparsePoly.from_dict(self.order, d)
 
     __rmul__ = __mul__

@@ -75,6 +75,20 @@ def test_rref_leaves_echelon_rows_unchanged(matrix):
     assert rows == echelon
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.just(0), st.integers(-3, 3)), min_size=6, max_size=6), max_size=7))
+def test_rref_on_integer_rows_matches_fraction_rows(dense):
+    # products of Pfaffians reach elimination with int coefficients; they
+    # must reduce exactly as the same rows given as Fractions
+    int_rows = [[(j, x) for j, x in enumerate(row) if x] for row in dense]
+    fraction_rows = [[(j, Fraction(x)) for j, x in row] for row in int_rows]
+    assert _rref(int_rows) == _rref(fraction_rows)
+    # equal pivot rows, value by value: the same echelon form, so the same
+    # row space
+    assert int_rows == fraction_rows
+    assert all(row[0][1] == 1 for row in int_rows)
+
+
 # triples of I(4), the first being one whose Pfaffians are not a Groebner
 # basis (an extra leading monomial in degree 2)
 D4_TRIPLES = [

@@ -252,3 +252,32 @@ def test_is_quotient_monomial_rejects_non_roots():
     for point in ((2, 3), (3, 3), (1, 1)):  # diagonal, row in beta, column outside beta
         with pytest.raises(MixedSigns):
             is_quotient_monomial(((1, 3), point), alpha, beta, beta)
+
+
+def test_defining_chains_are_sign_pure_and_minimal():
+    for d in (2, 3, 4):
+        for alpha, beta, gamma in ordered_triples(d):
+            bad, _ = defining_chains(alpha, beta, gamma)
+            for chain in bad:
+                neg, pos = split_chain(tuple(chain), beta)
+                assert not neg or not pos, sorted(chain)
+            for c1, c2 in itertools.permutations(bad, 2):
+                assert not c1 <= c2, (sorted(c1), sorted(c2))
+
+
+def test_defining_chains_generate_the_chain_ideal_d4():
+    # reference: every chain of roots, mixed ones included, decided one at a
+    # time; a set of roots contains a returned chain exactly when it
+    # contains one of these bad chains
+    for d in (2, 3, 4):
+        for alpha, beta, gamma in ordered_triples(d):
+            roots = roots_of(beta)
+            reference = [
+                frozenset(chain)
+                for chain in enumerate_extended_chains(roots)
+                if chain_in_chains_set(chain, alpha, beta, gamma)
+            ]
+            bad, _ = defining_chains(alpha, beta, gamma)
+            for k in range(len(roots) + 1):
+                for support in map(frozenset, itertools.combinations(roots, k)):
+                    assert any(c <= support for c in bad) == any(c <= support for c in reference)

@@ -19,6 +19,7 @@ from obrsk.ideal import (
     pfaffian_matrix,
     standard_monomials,
     standard_poly,
+    standard_products,
     verify_main_theorem,
 )
 from obrsk.polynomials import SparsePoly, TermOrder, term_order
@@ -168,6 +169,38 @@ def test_standard_monomials_full_interval_d2():
     chains = standard_monomials(alpha, beta, beta, 2)
     assert chains == [(alpha, alpha)]
     assert standard_poly(chains[0], beta).degree() == 2
+
+
+def test_standard_monomials_deep_degree():
+    # multichains are built degree by degree, so depth does not grow with m
+    beta, gamma = ide((1, 2), 2), ide((3, 4), 2)
+    assert len(standard_monomials(beta, beta, gamma, 5000)) == 1
+
+
+def test_prefix_products_equal_standard_poly_d4():
+    beta = ide((1, 2, 5, 6), 4)
+    elements = enumerate_id(4)
+    triples = [(a, g) for a in elements if id_leq(a, beta) for g in elements if id_leq(beta, g)]
+    assert len(triples) == 14
+    for alpha, gamma in triples:
+        for m, (level, products) in zip(range(5), standard_products(alpha, beta, gamma)):
+            assert level == standard_monomials(alpha, beta, gamma, m)
+            assert products == [standard_poly(thetas, beta) for thetas in level]
+
+
+def test_pfaffians_and_their_products_have_integer_coefficients():
+    for d in (2, 3, 4):
+        for beta in enumerate_id(d):
+            for theta in enumerate_id(d):
+                f = pfaffian_generator(theta, beta)
+                assert all(type(c) is int for _, c in f.terms), (theta.entries, beta.entries)
+    # the main check's products on every d = 4 triple, degrees <= 3
+    elements = enumerate_id(4)
+    triples = [(a, b, g) for b in elements for a in elements if id_leq(a, b) for g in elements if id_leq(b, g)]
+    assert len(triples) == 112
+    for alpha, beta, gamma in triples:
+        for _, products in itertools.islice(standard_products(alpha, beta, gamma), 4):
+            assert all(type(c) is int for p in products for _, c in p.terms)
 
 
 def test_verify_main_theorem_d2():

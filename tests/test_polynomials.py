@@ -56,11 +56,6 @@ def test_mono_compare(o5):
     assert o5.mono_compare(m1, m1) is Cmp.EQUAL
 
 
-def test_mono_vars_roundtrip(o5):
-    points = ((2, 3), (2, 3), (5, 1))
-    assert o5.vars_of_mono(o5.mono_of_vars(points)) == points
-
-
 def test_format_mono(o5):
     assert o5.format_mono((0,) * o5.nvars) == "1"
     mono = o5.mono_of_vars([(2, 1), (2, 1)])
@@ -78,6 +73,22 @@ def test_poly_arithmetic(o5):
     assert p.leading_monomial() == o5.mono_of_vars([(2, 1), (2, 1)])
     assert (p * 0).is_zero
     assert (Fraction(1, 2) * p + Fraction(1, 2) * p - p).is_zero
+
+
+def test_coefficients_stay_exact(o5):
+    # ints stay ints, so products of Pfaffians never build a Fraction
+    x = SparsePoly.variable(o5, (2, 1), -2)
+    assert type(SparsePoly.constant(o5, 3).terms[0][1]) is int
+    assert all(type(c) is int for _, c in (x * x - x * 3).terms)
+    # a float never survives as a float: it becomes its exact Fraction
+    mono = x.leading_monomial()
+    for p, exact in (
+        (SparsePoly.constant(o5, 0.5), Fraction(1, 2)),
+        (SparsePoly.variable(o5, (2, 1), 0.1), Fraction(0.1)),
+        (SparsePoly.from_dict(o5, {mono: 1.25}), Fraction(5, 4)),
+    ):
+        ((_, c),) = p.terms
+        assert type(c) is Fraction and c == exact
 
 
 def test_poly_str(o5):
