@@ -13,10 +13,13 @@ positive when r > c and negative when r < c.  The reflection
 A triple alpha <= beta <= gamma declares some chains of roots bad: those
 whose negative part maps to a w with alpha not <= w, or whose positive part
 maps to a w with w not <= gamma.  A chain is thus bad exactly when one of its
-two sign-pure parts is.  defining_chains decides each sign-pure chain of
-roots once per triple, checks each decision against the boundedness of the
-chain's image by the bound pair (T, W), and keeps the minimal bad chains; a
-root monomial lies in the chain ideal exactly when its support contains one.
+two sign-pure parts is, and a negative chain's badness depends on the half
+(alpha, beta) alone, a positive chain's on (beta, gamma) alone.
+defining_chains decides each sign-pure chain of roots once per half, not once
+per triple, checks each decision against the boundedness of the chain's image
+by T (negative half) or W (positive half), and keeps the minimal bad chains;
+a root monomial lies in the chain ideal exactly when its support contains
+one.  The halves are memoised, at most 2 |I(d)|^2 of them per d.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import (
     SignAssertionFailure,
     VerificationError,
 )
-from .multisets import Cmp, is_chain, plane_compare, plane_multiset
+from .multisets import Cmp, diff_compare, is_chain, plane_diff, plane_multiset
 from .tableaux import down_of, is_signed_plane_set, up_of
 
 
@@ -111,8 +114,10 @@ def hash_reflect(point, d):
     return (full - c, full - r)
 
 
+@lru_cache(maxsize=None)
 def roots_of(v):
-    """All roots of the grid of v, sorted by (row, column)."""
+    """All roots of the grid of v, sorted by (row, column).  Memoised: one
+    entry per element of I(d)."""
     out = []
     for r in v.complement:
         for c in v.entries:
@@ -186,6 +191,14 @@ def chain_image(chain, d):
 
 
 @lru_cache(maxsize=None)
+def _image_operand(chain, d, sign):
+    """The counting-order operand of the up set (sign MINUS) or the down set
+    (sign PLUS) of the chain's image.  Memoised like chain_image."""
+    image = chain_image(chain, d)
+    return plane_diff(up_of(image) if sign is ChainSign.MINUS else down_of(image))
+
+
+@lru_cache(maxsize=None)
 def _w_of_chain_cached(chain, beta, sign):
     bit = chain_image(chain, beta.d)
     pairs = up_of(bit) if sign is ChainSign.MINUS else down_of(bit)
@@ -215,6 +228,26 @@ def w_of_chain(chain, beta, sign):
     return _w_of_chain_cached(tuple(sorted(chain)), beta, sign)
 
 
+def _half_bound(bound, beta, sign):
+    """T (sign MINUS, bound alpha) or W (sign PLUS, bound gamma): the i-th
+    smallest element of bound - beta paired with the i-th smallest of
+    beta - bound.  T must be a negative plane set and W a positive one."""
+    vset, bset = set(bound.entries), set(beta.entries)
+    points = plane_multiset(zip(sorted(vset - bset), sorted(bset - vset)))
+    if sign is ChainSign.MINUS and not is_signed_plane_set(points, -1):
+        raise SignAssertionFailure(f"T = {points} is not negative")
+    if sign is ChainSign.PLUS and not is_signed_plane_set(points, +1):
+        raise SignAssertionFailure(f"W = {points} is not positive")
+    return points
+
+
+def _check_triple(alpha, beta, gamma):
+    if not (id_leq(alpha, beta) and id_leq(beta, gamma)):
+        raise BoundsNotComparable(
+            f"need alpha <= beta <= gamma, got {alpha.entries}, {beta.entries}, {gamma.entries}"
+        )
+
+
 def t_w_bounds(alpha, beta, gamma):
     """The bound pair (T, W) of the triple alpha <= beta <= gamma.
 
@@ -222,18 +255,8 @@ def t_w_bounds(alpha, beta, gamma):
     of beta - alpha (a negative plane set); W does the same with gamma and is
     positive.
     """
-    if not (id_leq(alpha, beta) and id_leq(beta, gamma)):
-        raise BoundsNotComparable(
-            f"need alpha <= beta <= gamma, got {alpha.entries}, {beta.entries}, {gamma.entries}"
-        )
-    aset, bset, gset = set(alpha.entries), set(beta.entries), set(gamma.entries)
-    t = plane_multiset(zip(sorted(aset - bset), sorted(bset - aset)))
-    w = plane_multiset(zip(sorted(gset - bset), sorted(bset - gset)))
-    if not is_signed_plane_set(t, -1):
-        raise SignAssertionFailure(f"T = {t} is not negative")
-    if not is_signed_plane_set(w, +1):
-        raise SignAssertionFailure(f"W = {w} is not positive")
-    return t, w
+    _check_triple(alpha, beta, gamma)
+    return _half_bound(alpha, beta, ChainSign.MINUS), _half_bound(gamma, beta, ChainSign.PLUS)
 
 
 def chain_in_chains_set(chain, alpha, beta, gamma):
@@ -247,16 +270,38 @@ def chain_in_chains_set(chain, alpha, beta, gamma):
     return False
 
 
-def _chain_within_bounds(chain, beta, t, w):
-    """The boundedness test of one chain against the bound pair (T, W):
-    T <= up of the image of its negative part, and down of the image of its
-    positive part <= W."""
-    neg, pos = split_chain(chain, beta)
-    if neg and plane_compare(t, up_of(chain_image(neg, beta.d))) not in (Cmp.LESS, Cmp.EQUAL):
-        return False
-    if pos and plane_compare(down_of(chain_image(pos, beta.d)), w) not in (Cmp.LESS, Cmp.EQUAL):
-        return False
-    return True
+@lru_cache(maxsize=None)
+def _minimal_bad_chains(bound, beta, sign):
+    """The inclusion-minimal bad chains among the chains of roots of beta of
+    one sign, as frozensets: the negative half of a triple (bound alpha) or
+    its positive half (bound gamma).
+
+    Every chain of the sign is decided by both routes: chain_in_chains_set,
+    with beta standing in for the bound of the other sign, which a sign-pure
+    chain never reads; and boundedness of the chain's image, T <= up for a
+    negative chain and down <= W for a positive one.  The two must agree.
+    Memoised: a half is decided once, however many triples share it, so the
+    cache holds at most 2 |I(d)|^2 entries per d."""
+    minus = sign is ChainSign.MINUS
+    limit = plane_diff(_half_bound(bound, beta, sign))
+    alpha, gamma = (bound, beta) if minus else (beta, bound)
+    bad = []
+    for chain in enumerate_extended_chains(split_chain(roots_of(beta), beta)[0 if minus else 1]):
+        in_set = chain_in_chains_set(chain, alpha, beta, gamma)
+        image = _image_operand(chain, beta.d, sign)
+        within = diff_compare(limit, image) if minus else diff_compare(image, limit)
+        if in_set == (within in (Cmp.LESS, Cmp.EQUAL)):
+            raise VerificationError(
+                f"chain-membership routes disagree on {list(chain)} for the {sign.value} half "
+                f"({bound.entries}, {beta.entries})"
+            )
+        if in_set:
+            bad.append(frozenset(chain))
+    minimal = []
+    for chain in sorted(bad, key=len):
+        if not any(kept <= chain for kept in minimal):
+            minimal.append(chain)
+    return tuple(minimal)
 
 
 @lru_cache(maxsize=1)
@@ -264,33 +309,18 @@ def defining_chains(alpha, beta, gamma):
     """The minimal bad chains of roots of the triple, as frozensets, together
     with the set of roots of beta.
 
-    Every sign-pure chain of roots is decided twice, by chain_in_chains_set
-    and by the boundedness test against (T, W); the two must agree.  Both
-    routes split a mixed chain by split_chain and call it bad exactly when
-    one of its parts is, so agreement on the sign-pure chains is agreement on
-    every chain.  A monomial lies in the chain ideal when its support
-    contains a bad chain, hence when it contains a minimal one, and these
-    minimal bad chains, all sign-pure, are the minimal generators of the
-    chain ideal.  One entry is kept: callers ask about the monomials of one
-    triple in a row."""
-    t, w = t_w_bounds(alpha, beta, gamma)
-    roots = roots_of(beta)
-    bad = []
-    for part in split_chain(roots, beta):  # the negative roots, then the positive
-        for chain in enumerate_extended_chains(part):
-            in_set = chain_in_chains_set(chain, alpha, beta, gamma)
-            if in_set == _chain_within_bounds(chain, beta, t, w):
-                raise VerificationError(
-                    f"chain-membership routes disagree on {list(chain)} for "
-                    f"({alpha.entries}, {beta.entries}, {gamma.entries})"
-                )
-            if in_set:
-                bad.append(frozenset(chain))
-    minimal = []
-    for chain in sorted(bad, key=len):
-        if not any(kept <= chain for kept in minimal):
-            minimal.append(chain)
-    return tuple(minimal), frozenset(roots)
+    A chain is bad exactly when its negative part is bad for alpha or its
+    positive part is bad for gamma, so the minimal bad chains are sign pure
+    and are those of the two halves, (alpha, beta) and (beta, gamma), joined:
+    a negative chain never contains a positive one.  Each half decides each
+    of its chains by two routes that must agree (_minimal_bad_chains), once
+    per half, not once per triple.  A monomial lies in the chain ideal when
+    its support contains a bad chain, hence when it contains a minimal one,
+    and these are the minimal generators of the chain ideal.  One entry is
+    kept: callers ask about the monomials of one triple in a row."""
+    _check_triple(alpha, beta, gamma)
+    bad = _minimal_bad_chains(alpha, beta, ChainSign.MINUS) + _minimal_bad_chains(gamma, beta, ChainSign.PLUS)
+    return bad, frozenset(roots_of(beta))
 
 
 def is_quotient_monomial(u, alpha, beta, gamma):

@@ -26,7 +26,9 @@ from math import comb
 from operator import add
 
 from .errors import ColumnNotInBeta, DimensionMismatch, OddSize, VerificationError
-from .grassmannian import Region, enumerate_id, id_leq, is_quotient_monomial, region_of
+from .grassmannian import Region, defining_chains, enumerate_id, id_leq, region_of
+# perfbench/tracing.py patches ideal.is_quotient_monomial, so the name stays importable here
+from .grassmannian import is_quotient_monomial  # noqa: F401
 from .polynomials import SparsePoly, term_order
 
 
@@ -307,16 +309,29 @@ class DegreeSlice:
         return len(_rref(list(self.rows) + [self.vector_of(p) for p in polys]))
 
 
+@lru_cache(maxsize=None)
+def _support_masks(nvars, m):
+    """The support of each monomial of monomials_of_degree(nvars, m), in the
+    same order, as a bitmask: bit i is set when variable i occurs.  Memoised
+    like monomials_of_degree."""
+    return tuple(sum(1 << i for i, e in enumerate(mono) if e) for mono in monomials_of_degree(nvars, m))
+
+
 def chains_monomials_degree(alpha, beta, gamma, m):
     """Degree-m root monomials whose support contains a bad chain of the
-    triple; the combinatorial prediction for the initial monomials."""
-    variables = term_order(beta).variables
-    out = set()
-    for mono in monomials_of_degree(len(variables), m):
-        support = [v for v, e in zip(variables, mono) if e]
-        if not is_quotient_monomial(support, alpha, beta, gamma):
-            out.add(mono)
-    return out
+    triple; the combinatorial prediction for the initial monomials.
+
+    The minimal bad chains of defining_chains, decided once per half of the
+    triple, become bitmasks over the variable indices of term_order(beta); a
+    monomial is kept when its support mask covers one of them."""
+    order = term_order(beta)
+    bad, _ = defining_chains(alpha, beta, gamma)
+    masks = [sum(1 << order.index[v] for v in chain) for chain in bad]
+    return {
+        mono
+        for mono, support in zip(monomials_of_degree(order.nvars, m), _support_masks(order.nvars, m))
+        if any(support & mask == mask for mask in masks)
+    }
 
 
 def _multichain_levels(alpha, beta, gamma):

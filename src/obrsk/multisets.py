@@ -42,12 +42,16 @@ def nat_multiset(entries):
 
 
 def plane_multiset(points):
-    """Normalize an iterable of (x, y) pairs into a sorted tuple of tuples."""
-    out = tuple(sorted((int(x), int(y)) for x, y in points))
+    """Normalize an iterable of (x, y) pairs into a sorted tuple of tuples.
+
+    Every entry must be an int >= 1; a bool, a float or any other number is
+    refused, not converted."""
+    out = [(x, y) for x, y in points]
     for x, y in out:
-        if x < 1 or y < 1:
-            raise ValidationError(f"plane multiset entries must be positive, got {(x, y)}")
-    return out
+        if type(x) is not int or type(y) is not int or x < 1 or y < 1:
+            raise ValidationError(f"plane multiset entries must be positive integers, got {(x, y)!r}")
+    out.sort()
+    return tuple(out)
 
 
 def count_le(entries, z):
@@ -146,12 +150,15 @@ def diff_compare(d1, d2):
     return Cmp.INCOMPARABLE
 
 
+def plane_diff(points):
+    """The formal difference proj1 - proj2 by which a plane multiset is
+    compared; raises MinusNotSet when the second projection has a repeat."""
+    return FormalDiff(proj1(points), proj2(points))
+
+
 def plane_compare(s, t):
     """Compare plane multisets by proj1 - proj2 in the counting order.
 
     Raises MinusNotSet when either second projection has a repeat.
     """
-    return diff_compare(
-        FormalDiff(proj1(s), proj2(s)),
-        FormalDiff(proj1(t), proj2(t)),
-    )
+    return diff_compare(plane_diff(s), plane_diff(t))

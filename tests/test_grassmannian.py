@@ -23,7 +23,8 @@ from obrsk.grassmannian import (
     t_w_bounds,
     w_of_chain,
 )
-from obrsk.multisets import FormalDiff, Cmp, diff_compare
+from obrsk.multisets import FormalDiff, Cmp, diff_compare, plane_compare
+from obrsk.tableaux import down_of, up_of
 
 
 def ide(entries, d):
@@ -228,11 +229,19 @@ def test_defining_chains_d2():
         defining_chains(beta, alpha, beta)
 
 
+def clear_chain_caches():
+    defining_chains.cache_clear()
+    grassmannian._minimal_bad_chains.cache_clear()
+    grassmannian._image_operand.cache_clear()
+    grassmannian._w_of_chain_cached.cache_clear()
+    chain_image.cache_clear()
+
+
 @pytest.fixture
 def fresh_defining_chains():
-    defining_chains.cache_clear()
+    clear_chain_caches()
     yield
-    defining_chains.cache_clear()
+    clear_chain_caches()
 
 
 def test_defining_chains_routes_disagree(monkeypatch, fresh_defining_chains):
@@ -281,3 +290,36 @@ def test_defining_chains_generate_the_chain_ideal_d4():
             for k in range(len(roots) + 1):
                 for support in map(frozenset, itertools.combinations(roots, k)):
                     assert any(c <= support for c in bad) == any(c <= support for c in reference)
+
+
+def reference_defining_chains(alpha, beta, gamma):
+    # one triple at a time: every sign-pure chain of roots decided by the
+    # membership route and by boundedness against (T, W), which must agree;
+    # the minimal bad chains kept
+    t, w = t_w_bounds(alpha, beta, gamma)
+    bad = []
+    for negative, part in zip((True, False), split_chain(roots_of(beta), beta)):
+        for chain in enumerate_extended_chains(part):
+            image = chain_image(chain, beta.d)
+            if negative:
+                within = plane_compare(t, up_of(image)) in (Cmp.LESS, Cmp.EQUAL)
+            else:
+                within = plane_compare(down_of(image), w) in (Cmp.LESS, Cmp.EQUAL)
+            in_set = chain_in_chains_set(chain, alpha, beta, gamma)
+            assert in_set != within, (chain, alpha, beta, gamma)
+            if in_set:
+                bad.append(frozenset(chain))
+    return {c for c in bad if not any(other < c for other in bad)}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_defining_chains_match_per_triple_reference(reverse, fresh_defining_chains):
+    # the halves are shared by every triple with the same (alpha, beta) or
+    # (beta, gamma); visiting the triples in either order with cold caches
+    # gives each triple its own answer
+    triples = [t for d in (1, 2, 3, 4) for t in ordered_triples(d)]
+    for alpha, beta, gamma in reversed(triples) if reverse else triples:
+        bad, roots = defining_chains(alpha, beta, gamma)
+        assert len(set(bad)) == len(bad)
+        assert set(bad) == reference_defining_chains(alpha, beta, gamma)
+        assert roots == frozenset(roots_of(beta))

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
+import obrsk.grassmannian as grassmannian
 from obrsk.errors import ColumnNotInBeta, DimensionMismatch, OddSize
-from obrsk.grassmannian import IdElement, enumerate_id, id_leq
+from obrsk.grassmannian import IdElement, enumerate_id, id_leq, is_quotient_monomial
 from obrsk.ideal import (
     DegreeSlice,
     EntryKind,
@@ -158,6 +159,30 @@ def test_initial_equals_chains_d2_point():
         )
 
 
+def test_chains_monomials_degree_matches_per_monomial_reference():
+    # the reference tests each monomial's support on its own, as a list of
+    # roots, through the package's single-support predicate
+    for d in (1, 2, 3, 4):
+        elements = enumerate_id(d)
+        for beta in elements:
+            variables = term_order(beta).variables
+            for alpha in elements:
+                if not id_leq(alpha, beta):
+                    continue
+                for gamma in elements:
+                    if not id_leq(beta, gamma):
+                        continue
+                    for m in range(5):
+                        reference = {
+                            mono
+                            for mono in monomials_of_degree(len(variables), m)
+                            if not is_quotient_monomial(
+                                [v for v, e in zip(variables, mono) if e], alpha, beta, gamma
+                            )
+                        }
+                        assert chains_monomials_degree(alpha, beta, gamma, m) == reference
+
+
 def test_standard_monomials_point_case():
     beta = ide((3, 4), 2)
     assert standard_monomials(beta, beta, beta, 1) == []
@@ -223,8 +248,8 @@ def test_verify_main_theorem_d3_interval():
 
 
 def test_reports_do_not_depend_on_which_triple_of_a_beta_runs_first():
-    # the term order and the Pfaffians are cached per beta and shared by
-    # every triple with that beta
+    # the term order and the Pfaffians are cached per beta, and the minimal
+    # bad chains per half of the triple; all are shared by other triples
     beta = ide((1, 2, 5, 6), 4)
     elements = enumerate_id(4)
     triples = [(a, g) for a in elements if id_leq(a, beta) for g in elements if id_leq(beta, g)]
@@ -233,6 +258,9 @@ def test_reports_do_not_depend_on_which_triple_of_a_beta_runs_first():
     def reports(pairs):
         term_order.cache_clear()
         pfaffian_generator.cache_clear()
+        grassmannian.defining_chains.cache_clear()
+        grassmannian._minimal_bad_chains.cache_clear()
+        grassmannian._image_operand.cache_clear()
         return {(a, g): verify_main_theorem(a, beta, g, 3) for a, g in pairs}
 
     forward = reports(triples)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from obrsk.errors import ContainmentViolation, MinusNotSet
+from obrsk.errors import ContainmentViolation, MinusNotSet, ValidationError
 from obrsk.multisets import (
     Cmp,
     EMPTY_DIFF,
@@ -12,6 +12,7 @@ from obrsk.multisets import (
     multiset_minus,
     nat_multiset,
     plane_compare,
+    plane_multiset,
 )
 
 
@@ -69,6 +70,30 @@ def test_plane_compare():
     assert plane_compare(((1, 4),), ((1, 4),)) is Cmp.EQUAL
     with pytest.raises(MinusNotSet):
         plane_compare(((1, 4), (2, 4)), ())
+
+
+def test_plane_multiset_sorts_pairs():
+    assert plane_multiset([[3, 1], (1, 4), (1, 2)]) == ((1, 2), (1, 4), (3, 1))
+    assert plane_multiset([]) == ()
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(2.7, 3)],
+        [(2, 3.0)],
+        [(True, 3)],
+        [(3, False)],
+        [(0, 1)],
+        [(1, -2)],
+        [("1", 2)],
+        [(1, 2), (None, 1)],
+    ],
+)
+def test_plane_multiset_refuses_non_positive_integers(points):
+    # refused, never truncated or converted: (2.7, 3) is not (2, 3)
+    with pytest.raises(ValidationError):
+        plane_multiset(points)
 
 
 def test_is_chain():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from obrsk.errors import BadBounds, NotSemistandard, NotSkewSymmetric, ShapeMismatch
+from obrsk.errors import BadBounds, NotSemistandard, NotSkewSymmetric, ShapeMismatch, ValidationError
 from obrsk.tableaux import (
     EMPTY_BITABLEAU,
     NotchedBitableau,
@@ -145,4 +145,6 @@ def test_bounded_by_bad_bounds(worked_bitableau):
         bitableau_bounded_by(worked_bitableau, ((5, 3),), ((9, 5),))
     with pytest.raises(BadBounds):
         bitableau_bounded_by(worked_bitableau, ((3, 5),), ((5, 9),))
+    with pytest.raises(ValidationError):
+        bitableau_bounded_by(worked_bitableau, ((1.9, 3.5),), ())
 
