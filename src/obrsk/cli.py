@@ -46,12 +46,17 @@ MAX_D = 8
 # The largest degree slice accepted, in monomials: --max-degree m asks for
 # slice_size(len(roots_of(beta)), m) of them.  One x86-64 core with
 # Python 3.11 checks the d = 5 triple 1,2,3,4,5 <= 1,2,3,4,5 <= 2,3,4,6,10 up
-# to m = 9, whose last slice has 48,620 monomials, in 3.5 s at a peak of
-# 89 MiB; time and memory grow a little faster than the slice.
+# to m = 9, whose last slice has 48,620 monomials, in 2.1 s at a peak of
+# 98 MiB; time and memory grow a little faster than the slice.  The products
+# of Pfaffians (per beta) and the slice columns (per degree) are memoised
+# for every later triple, so --all-triples holds more than one triple's
+# worth: its peak is 29 MiB at d = 5, m <= 4 and 41 MiB at d = 6, m <= 3,
+# against 20 and 26 MiB when every triple rebuilt them.
 MAX_SLICE_MONOMIALS = 50_000
 
 # The largest --jobs accepted: each worker is a full interpreter of about
-# 20 MiB before it checks anything, so 16 of them hold about 320 MiB.
+# 20 MiB before it checks anything, so 16 of them hold about 320 MiB, and
+# each keeps its own memos of the triples it is handed.
 MAX_JOBS = 16
 
 

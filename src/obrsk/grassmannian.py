@@ -28,6 +28,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import le
 
 from .arrays import psi_inv
 from .correspondence import obrsk
@@ -82,7 +83,7 @@ def enumerate_id(d):
 
 def id_leq(v, w):
     """Entrywise order on sorted entry lists."""
-    return all(x <= y for x, y in zip(v.entries, w.entries))
+    return all(map(le, v.entries, w.entries))
 
 
 class Region(Enum):

@@ -7,10 +7,12 @@ monomials of the ideal are exactly the root monomials covering a bad chain
 of the triple, and that the standard monomials (products of Pfaffians indexed
 by multichains through the interval) complement the ideal slice exactly.
 
-The term order and every f(theta) depend on beta alone, so they are derived
-from beta and shared by every triple with that beta.  Every f(theta), and
-every product of them, has integer coefficients; rationals appear only in
-elimination, where _rref normalises a pivot row.
+The term order, every f(theta) and every product of them over a multichain
+depend on beta alone, so they are derived from beta and shared by every
+triple with that beta.  The columns of a degree slice depend only on the
+number of variables and the degree, and are shared likewise.  Every
+f(theta), and every product of them, has integer coefficients; rationals
+appear only in elimination, where _rref normalises a pivot row.
 """
 
 from __future__ import annotations
@@ -270,19 +272,11 @@ class DegreeSlice:
     def __init__(self, gens, m, order):
         self.order = order
         self.m = m
-        self.monos = sorted(monomials_of_degree(order.nvars, m), key=order.mono_key, reverse=True)
-        self.col = col = {mono: i for i, mono in enumerate(self.monos)}
+        self.monos, self.col = _slice_columns(order.nvars, m)
         rows = []
         for _, g in gens:
-            if g.is_zero:
-                continue
-            dg = g.degree()
-            if dg > m:
-                continue
-            # multiplying by a monomial keeps the order of g's terms, so
-            # each row comes out sorted by column
-            for mult in monomials_of_degree(order.nvars, m - dg):
-                rows.append([(col[tuple(map(add, mono, mult))], coeff) for mono, coeff in g.terms])
+            if not g.is_zero and g.degree() <= m:
+                rows.extend(_generator_rows(g, m))
         self.rows = rows
         self.pivots = _rref(self.rows)
 
@@ -315,6 +309,38 @@ def _support_masks(nvars, m):
     same order, as a bitmask: bit i is set when variable i occurs.  Memoised
     like monomials_of_degree."""
     return tuple(sum(1 << i for i, e in enumerate(mono) if e) for mono in monomials_of_degree(nvars, m))
+
+
+@lru_cache(maxsize=None)
+def _slice_columns(nvars, m):
+    """The monomials of degree m sorted greatest first, and the map from
+    each to its column.  Within one degree TermOrder.mono_key compares the
+    exponent tuples alone, so one entry per (nvars, m) serves every beta
+    and every triple."""
+    monos = tuple(sorted(monomials_of_degree(nvars, m), reverse=True))
+    return monos, {mono: i for i, mono in enumerate(monos)}
+
+
+@lru_cache(maxsize=None)
+def _shifted_columns(mono, m):
+    """The column in the degree-m slice of mono times each multiplier of
+    monomials_of_degree(len(mono), m - deg(mono)), in that order.  Memoised
+    per (monomial, m): every Pfaffian with that term shares it, whatever its
+    beta."""
+    nvars = len(mono)
+    col = _slice_columns(nvars, m)[1]
+    return tuple(col[tuple(map(add, mono, mult))] for mult in monomials_of_degree(nvars, m - sum(mono)))
+
+
+def _generator_rows(g, m):
+    """The sparse rows of the homogeneous polynomial g in the degree-m
+    slice: row k is g times the k-th monomial of degree m - deg(g), read off
+    each term's shifted columns and zipped with the coefficients.
+    Multiplying by a monomial keeps the order of g's terms, so each row
+    comes out sorted by column."""
+    coeffs = [c for _, c in g.terms]
+    shifted = [_shifted_columns(mono, m) for mono, _ in g.terms]
+    return [list(zip(cols, coeffs)) for cols in zip(*shifted)]
 
 
 def chains_monomials_degree(alpha, beta, gamma, m):
@@ -368,17 +394,24 @@ def standard_monomials(alpha, beta, gamma, m):
     return next(itertools.islice(_multichain_levels(alpha, beta, gamma), m, None))
 
 
+@lru_cache(maxsize=None)
+def _standard_product(thetas, beta):
+    """The product of f(theta) over the multichain thetas: its prefix's
+    product times f of its last theta.  Memoised per (multichain, beta), so
+    every triple of a beta shares the products of their common multichains;
+    standard_products asks for the prefix, of lower degree, first, so the
+    recursion is one call deep."""
+    if not thetas:
+        return SparsePoly.constant(term_order(beta), 1)
+    return _standard_product(thetas[:-1], beta) * pfaffian_generator(thetas[-1], beta)
+
+
 def standard_products(alpha, beta, gamma):
     """Yields, for m = 0, 1, 2, ... without end, the degree-m standard
-    monomials and their products of f(theta).  Each product is its prefix's
-    product times f of its last theta, and the prefix, of lower degree, has
-    been built already; the products live in a dict local to the generator."""
-    products = {(): SparsePoly.constant(term_order(beta), 1)}
+    monomials and their products of f(theta), taken from the memo of
+    _standard_product keyed by (multichain, beta)."""
     for level in _multichain_levels(alpha, beta, gamma):
-        for thetas in level:
-            if thetas:
-                products[thetas] = products[thetas[:-1]] * pfaffian_generator(thetas[-1], beta)
-        yield level, [products[thetas] for thetas in level]
+        yield level, [_standard_product(thetas, beta) for thetas in level]
 
 
 def standard_poly(thetas, beta):

@@ -33,12 +33,16 @@ class Cmp(Enum):
 
 
 def nat_multiset(entries):
-    """Normalize an iterable of positive integers into a sorted tuple."""
-    out = tuple(sorted(entries))
+    """Normalize an iterable of positive integers into a sorted tuple.
+
+    Every entry must be an int >= 1; a bool, a float or any other number is
+    refused, not converted, as in plane_multiset."""
+    out = list(entries)
     for e in out:
-        if not isinstance(e, int) or e < 1:
+        if type(e) is not int or e < 1:
             raise ValidationError(f"multiset entries must be positive integers, got {e!r}")
-    return out
+    out.sort()
+    return tuple(out)
 
 
 def plane_multiset(points):

@@ -137,9 +137,12 @@ def term_order(beta):
 
 
 def _exact(c):
-    """c as an exact coefficient: an int stays an int, anything else becomes
-    a Fraction (a float the Fraction of its exact binary value)."""
-    return c if isinstance(c, int) else Fraction(c)
+    """c as an exact coefficient: an int stays an int, a bool (or another
+    int subclass) becomes a plain int, and anything else becomes a Fraction
+    (a float the Fraction of its exact binary value)."""
+    if type(c) is int:
+        return c
+    return int(c) if isinstance(c, int) else Fraction(c)
 
 
 @dataclass(frozen=True)

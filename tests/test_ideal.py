@@ -1,8 +1,12 @@
+import importlib
 import itertools
+import pkgutil
 
 import pytest
 
+import obrsk
 import obrsk.grassmannian as grassmannian
+import obrsk.ideal as ideal
 from obrsk.errors import ColumnNotInBeta, DimensionMismatch, OddSize
 from obrsk.grassmannian import IdElement, enumerate_id, id_leq, is_quotient_monomial
 from obrsk.ideal import (
@@ -247,27 +251,89 @@ def test_verify_main_theorem_d3_interval():
     assert report.passed
 
 
-def test_reports_do_not_depend_on_which_triple_of_a_beta_runs_first():
-    # the term order and the Pfaffians are cached per beta, and the minimal
-    # bad chains per half of the triple; all are shared by other triples
-    beta = ide((1, 2, 5, 6), 4)
-    elements = enumerate_id(4)
-    triples = [(a, g) for a in elements if id_leq(a, beta) for g in elements if id_leq(beta, g)]
-    assert len(triples) > 1
+def package_caches():
+    """Every lru_cache on the modules of the package."""
+    caches = set()
+    for info in pkgutil.iter_modules(obrsk.__path__):
+        module = importlib.import_module(f"obrsk.{info.name}")
+        caches.update(v for v in vars(module).values() if callable(getattr(v, "cache_clear", None)))
+    return caches
 
-    def reports(pairs):
-        term_order.cache_clear()
-        pfaffian_generator.cache_clear()
-        grassmannian.defining_chains.cache_clear()
-        grassmannian._minimal_bad_chains.cache_clear()
-        grassmannian._image_operand.cache_clear()
-        return {(a, g): verify_main_theorem(a, beta, g, 3) for a, g in pairs}
+
+def clear_package_caches():
+    for cache in package_caches():
+        cache.cache_clear()
+
+
+def test_package_caches_include_the_shared_memos():
+    assert {
+        term_order,
+        pfaffian_generator,
+        ideal._standard_product,
+        ideal._slice_columns,
+        ideal._shifted_columns,
+        grassmannian._minimal_bad_chains,
+    } <= package_caches()
+
+
+def test_reports_do_not_depend_on_which_triple_of_a_beta_runs_first():
+    # the term order, the Pfaffians and their products are cached per beta,
+    # the minimal bad chains per half of the triple and the slice columns
+    # per degree; all are shared by other triples.  The triples of two betas
+    # with the same number of variables run interleaved, so a memo keyed
+    # without beta would hand one beta's polynomials to the other.
+    elements = enumerate_id(4)
+    by_beta = {
+        b: [(a, b, g) for a in elements if id_leq(a, b) for g in elements if id_leq(b, g)] for b in elements
+    }
+    first, second = sorted(by_beta.values(), key=len)[-2:]
+    assert len(first) > 1 and len(second) > 1
+    triples = [t for pair in itertools.zip_longest(first, second) for t in pair if t is not None]
+
+    def reports(order):
+        clear_package_caches()
+        return {t: verify_main_theorem(*t, 3) for t in order}
 
     forward = reports(triples)
     assert forward == reports(triples[::-1])
     assert all(r.passed for r in forward.values())
-    alpha, gamma = triples[0]
+    # and each triple alone, from cold caches
+    for t in (first[-1], second[-1]):
+        assert reports([t])[t] == forward[t]
+    alpha, beta, gamma = triples[0]
     assert all(f.order is term_order(beta) for _, f in generators(alpha, beta, gamma))
+
+
+def test_generator_rows_equal_products_by_monomials_d4():
+    # an independent route to each row: g times x^mult by SparsePoly
+    # multiplication, mapped to columns of the slice sorted by mono_key
+    for beta in enumerate_id(4):
+        order = term_order(beta)
+        for m in (1, 2, 3):
+            monos = sorted(monomials_of_degree(order.nvars, m), key=order.mono_key, reverse=True)
+            col = {mono: i for i, mono in enumerate(monos)}
+            for theta in enumerate_id(4):
+                g = pfaffian_generator(theta, beta)
+                if g.degree() > m:
+                    continue
+                mults = monomials_of_degree(order.nvars, m - g.degree())
+                rows = ideal._generator_rows(g, m)
+                assert len(rows) == len(mults)
+                for row, mult in zip(rows, mults):
+                    product = g * SparsePoly.from_dict(order, {mult: 1})
+                    assert row == sorted((col[mono], c) for mono, c in product.terms), (beta, theta, m, mult)
+
+
+def test_slice_columns_are_one_entry_per_degree_after_all_d4_triples():
+    clear_package_caches()
+    elements = enumerate_id(4)
+    triples = [(a, b, g) for b in elements for a in elements if id_leq(a, b) for g in elements if id_leq(b, g)]
+    assert len(triples) == 112
+    assert all(verify_main_theorem(a, b, g, 3).passed for a, b, g in triples)
+    # every beta of I(4) has 6 roots, and the check builds degrees 1..3
+    assert {len(grassmannian.roots_of(b)) for b in elements} == {6}
+    info = ideal._slice_columns.cache_info()
+    assert (info.currsize, info.misses) == (3, 3)
 
 
 def test_hilbert_counts_point_case():

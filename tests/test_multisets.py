@@ -96,6 +96,20 @@ def test_plane_multiset_refuses_non_positive_integers(points):
         plane_multiset(points)
 
 
+@pytest.mark.parametrize("entries", [[True, 2], [False], [2.0], [0], [-1], ["1", 2], [1, None]])
+def test_nat_multiset_refuses_non_positive_integers(entries):
+    # a bool is an int to isinstance, but never a multiset entry
+    with pytest.raises(ValidationError):
+        nat_multiset(entries)
+
+
+def test_formal_diff_refuses_bool_entries():
+    with pytest.raises(ValidationError):
+        FormalDiff((True,), ())
+    with pytest.raises(ValidationError):
+        FormalDiff((1,), (True,))
+
+
 def test_is_chain():
     assert is_chain(())
     assert is_chain(((1, 6), (2, 5), (4, 2)))

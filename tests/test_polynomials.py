@@ -80,6 +80,14 @@ def test_coefficients_stay_exact(o5):
     x = SparsePoly.variable(o5, (2, 1), -2)
     assert type(SparsePoly.constant(o5, 3).terms[0][1]) is int
     assert all(type(c) is int for _, c in (x * x - x * 3).terms)
+    # a bool is stored as the plain int it stands for
+    for p in (
+        SparsePoly.constant(o5, True),
+        SparsePoly.variable(o5, (2, 1), True),
+        SparsePoly.from_dict(o5, {x.leading_monomial(): True}),
+    ):
+        ((_, c),) = p.terms
+        assert type(c) is int and c == 1
     # a float never survives as a float: it becomes its exact Fraction
     mono = x.leading_monomial()
     for p, exact in (
