@@ -54,6 +54,14 @@ MAX_D = 8
 # against 20 and 26 MiB when every triple rebuilt them.
 MAX_SLICE_MONOMIALS = 50_000
 
+# The largest --max-degree accepted.  Where beta has one root or none every
+# slice has at most one monomial, so MAX_SLICE_MONOMIALS never binds, but
+# the multichains and their products (kept per beta) still grow with the
+# degree.  On the core above, at m = 2,000, verify-main --d 2 --all-triples
+# takes 1.8 s at a peak of 52 MiB, and the d = 1 runs and hilbert 0.2 s at
+# 19 MiB; at m = 4,000 the d = 2 run takes 7.8 s at 149 MiB.
+MAX_DEGREE = 2_000
+
 # The largest --jobs accepted: each worker is a full interpreter of about
 # 20 MiB before it checks anything, so 16 of them hold about 320 MiB, and
 # each keeps its own memos of the triples it is handed.
@@ -245,10 +253,7 @@ def _og_command(args):
 
 
 def _verify_triple(job):
-    d, a_entries, b_entries, g_entries, max_degree = job
-    alpha = IdElement(a_entries, d)
-    beta = IdElement(b_entries, d)
-    gamma = IdElement(g_entries, d)
+    alpha, beta, gamma, max_degree = job
     report = verify_main_theorem(alpha, beta, gamma, max_degree)
     lines = []
     for r in report.degrees:
@@ -287,8 +292,8 @@ def _ideal_command(args):
     _check_d(args.d)
     # verify-main must check at least one degree, or its PASS says nothing
     least_degree = {"hilbert": 0, "verify-main": 1}.get(args.command)
-    if least_degree is not None and args.max_degree < least_degree:
-        raise ValidationError(f"--max-degree must be at least {least_degree}, got {args.max_degree}")
+    if least_degree is not None and not least_degree <= args.max_degree <= MAX_DEGREE:
+        raise ValidationError(f"--max-degree must be in {least_degree}..{MAX_DEGREE}, got {args.max_degree}")
     if args.command == "verify-main" and not 1 <= args.jobs <= MAX_JOBS:
         raise ValidationError(f"--jobs must be in 1..{MAX_JOBS}, got {args.jobs}")
     all_triples = getattr(args, "all_triples", False)  # verify-main only
@@ -319,7 +324,7 @@ def _ideal_command(args):
     if all_triples:
         elements = enumerate_id(args.d)
         jobs = [
-            (args.d, a.entries, b.entries, g.entries, args.max_degree)
+            (a, b, g, args.max_degree)
             for b in elements
             for a in elements
             if id_leq(a, b)
@@ -327,7 +332,7 @@ def _ideal_command(args):
             if id_leq(b, g)
         ]
     else:
-        jobs = [(args.d, alpha.entries, beta.entries, gamma.entries, args.max_degree)]
+        jobs = [(alpha, beta, gamma, args.max_degree)]
     if args.jobs > 1:
         with Pool(args.jobs) as pool:
             results = pool.map(_verify_triple, jobs)

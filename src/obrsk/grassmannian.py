@@ -305,10 +305,8 @@ def _minimal_bad_chains(bound, beta, sign):
     return tuple(minimal)
 
 
-@lru_cache(maxsize=1)
 def defining_chains(alpha, beta, gamma):
-    """The minimal bad chains of roots of the triple, as frozensets, together
-    with the set of roots of beta.
+    """The minimal bad chains of roots of the triple, as frozensets.
 
     A chain is bad exactly when its negative part is bad for alpha or its
     positive part is bad for gamma, so the minimal bad chains are sign pure
@@ -317,20 +315,19 @@ def defining_chains(alpha, beta, gamma):
     of its chains by two routes that must agree (_minimal_bad_chains), once
     per half, not once per triple.  A monomial lies in the chain ideal when
     its support contains a bad chain, hence when it contains a minimal one,
-    and these are the minimal generators of the chain ideal.  One entry is
-    kept: callers ask about the monomials of one triple in a row."""
+    and these are the minimal generators of the chain ideal."""
     _check_triple(alpha, beta, gamma)
-    bad = _minimal_bad_chains(alpha, beta, ChainSign.MINUS) + _minimal_bad_chains(gamma, beta, ChainSign.PLUS)
-    return bad, frozenset(roots_of(beta))
+    return _minimal_bad_chains(alpha, beta, ChainSign.MINUS) + _minimal_bad_chains(gamma, beta, ChainSign.PLUS)
 
 
 def is_quotient_monomial(u, alpha, beta, gamma):
     """True iff the support of u, an iterable of roots (repeats allowed),
     contains no bad chain of the triple."""
-    bad, roots = defining_chains(alpha, beta, gamma)
+    bad = defining_chains(alpha, beta, gamma)
     support = set(u)
-    if not support <= roots:
-        raise MixedSigns(f"{min(support - roots)} is not a root of the grid of {beta}")
+    stray = support.difference(roots_of(beta))
+    if stray:
+        raise MixedSigns(f"{min(stray)} is not a root of the grid of {beta}")
     return not any(chain <= support for chain in bad)
 
 

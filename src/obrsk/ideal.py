@@ -7,12 +7,15 @@ monomials of the ideal are exactly the root monomials covering a bad chain
 of the triple, and that the standard monomials (products of Pfaffians indexed
 by multichains through the interval) complement the ideal slice exactly.
 
-The term order, every f(theta) and every product of them over a multichain
-depend on beta alone, so they are derived from beta and shared by every
-triple with that beta.  The columns of a degree slice depend only on the
-number of variables and the degree, and are shared likewise.  Every
-f(theta), and every product of them, has integer coefficients; rationals
-appear only in elimination, where _rref normalises a pivot row.
+Each input of the check is derived once at its key, behind one memo, and
+shared by every triple that needs it.  The term order (term_order) and every
+f(theta) (pfaffian_generator) are kept per beta, and every product of them
+per (multichain, beta) (_standard_product); nothing takes a term order as a
+parameter.  A degree slice's monomials, column map and support bitmasks are
+kept per (number of variables, degree) (_slice_columns), and the columns of
+a monomial times every multiplier per (monomial, degree) (_shifted_columns).
+Every f(theta), and every product of them, has integer coefficients;
+rationals appear only in elimination, where _rref normalises a pivot row.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from math import comb
 from operator import add
 
 from .errors import ColumnNotInBeta, DimensionMismatch, OddSize, VerificationError
-from .grassmannian import Region, defining_chains, enumerate_id, id_leq, region_of
+from .grassmannian import Region, defining_chains, enumerate_id, hash_reflect, id_leq, region_of
 # perfbench/tracing.py patches ideal.is_quotient_monomial, so the name stays importable here
 from .grassmannian import is_quotient_monomial  # noqa: F401
 from .polynomials import SparsePoly, term_order
@@ -65,13 +68,12 @@ def patch_entry(beta, r, c):
     if reg is Region.DIAG:
         return PatchEntry(EntryKind.ZERO)
     if reg is Region.BELOW:
-        full = 2 * beta.d + 1
-        return PatchEntry(EntryKind.NEGVAR, (full - c, full - r))
+        return PatchEntry(EntryKind.NEGVAR, hash_reflect((r, c), beta.d))
     return PatchEntry(EntryKind.VAR, (r, c))
 
 
-def _entry_poly(order, r, c):
-    beta = order.beta
+def _entry_poly(beta, r, c):
+    order = term_order(beta)
     e = patch_entry(beta, r, c)
     if e.kind is EntryKind.UNIT:
         return SparsePoly.constant(order, 1)
@@ -109,9 +111,12 @@ def pfaffian(a):
     return rec(tuple(range(n)))
 
 
-def determinant(a, order):
+def determinant(a):
     """Leibniz determinant of a square matrix of polynomials (small sizes)."""
     n = len(a)
+    if n == 0:
+        raise DimensionMismatch("empty matrix: use the constant 1 directly")
+    order = a[0][0].order
     total = SparsePoly.zero(order)
     for perm in itertools.permutations(range(n)):
         sign = 1
@@ -135,7 +140,7 @@ def determinant(a, order):
     return total
 
 
-def pfaffian_matrix(theta, beta, order):
+def pfaffian_matrix(theta, beta):
     """The skew-symmetric matrix of the pair (theta, beta): rows theta - beta
     ascending, columns beta - theta ascending reversed, read off the patch."""
     rows = sorted(set(theta.entries) - set(beta.entries))
@@ -145,7 +150,7 @@ def pfaffian_matrix(theta, beta, order):
         raise DimensionMismatch(f"{len(rows)} rows vs {len(cols)} columns")
     if n % 2:
         raise OddSize(f"odd difference size {n} for theta, beta in I(d)")
-    a = [[_entry_poly(order, rows[i], cols[n - 1 - j]) for j in range(n)] for i in range(n)]
+    a = [[_entry_poly(beta, rows[i], cols[n - 1 - j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         if not a[i][i].is_zero:
             raise VerificationError(f"diagonal entry ({rows[i]}, {cols[n - 1 - i]}) not zero")
@@ -160,10 +165,9 @@ def pfaffian_generator(theta, beta):
     """The Pfaffian polynomial f(theta) attached to theta relative to beta,
     over term_order(beta).  Memoised: the cache holds at most |I(d)|^2
     entries per d, 256 at d = 5 and 16,384 at d = 8."""
-    order = term_order(beta)
     if theta.entries == beta.entries:
-        return SparsePoly.constant(order, 1)
-    return pfaffian(pfaffian_matrix(theta, beta, order))
+        return SparsePoly.constant(term_order(beta), 1)
+    return pfaffian(pfaffian_matrix(theta, beta))
 
 
 def beta_degree(theta, beta):
@@ -189,10 +193,9 @@ def slice_size(nvars, m):
     return comb(nvars + m - 1, m) if nvars else (1 if m == 0 else 0)
 
 
-@lru_cache(maxsize=None)
 def monomials_of_degree(nvars, m):
-    """All exponent tuples of total degree m.  Memoised: every beta of I(d)
-    has d(d-1)/2 roots, so there is one entry per degree and d."""
+    """All exponent tuples of total degree m, greatest first: within one
+    degree TermOrder.mono_key compares the tuples alone."""
     if nvars == 0:
         return ((),) if m == 0 else ()
     out = []
@@ -204,7 +207,8 @@ def monomials_of_degree(nvars, m):
             prev = cut
         exps.append(m + nvars - 2 - prev)
         out.append(tuple(exps))
-    return tuple(out)
+    # the combinations come in increasing order of their exponent tuples
+    return tuple(reversed(out))
 
 
 def _top_reduce(row, basis):
@@ -269,10 +273,10 @@ class DegreeSlice:
     rational elimination, against the monomial basis sorted greatest first
     (column 0 is the greatest monomial)."""
 
-    def __init__(self, gens, m, order):
-        self.order = order
+    def __init__(self, beta, gens, m):
+        self.nvars = term_order(beta).nvars
         self.m = m
-        self.monos, self.col = _slice_columns(order.nvars, m)
+        self.monos, self.col, _ = _slice_columns(self.nvars, m)
         rows = []
         for _, g in gens:
             if not g.is_zero and g.degree() <= m:
@@ -286,7 +290,7 @@ class DegreeSlice:
 
     @property
     def total(self):
-        return slice_size(self.order.nvars, self.m)
+        return slice_size(self.nvars, self.m)
 
     def initial_monomials(self):
         return {self.monos[j] for j in self.pivots}
@@ -304,32 +308,24 @@ class DegreeSlice:
 
 
 @lru_cache(maxsize=None)
-def _support_masks(nvars, m):
-    """The support of each monomial of monomials_of_degree(nvars, m), in the
-    same order, as a bitmask: bit i is set when variable i occurs.  Memoised
-    like monomials_of_degree."""
-    return tuple(sum(1 << i for i, e in enumerate(mono) if e) for mono in monomials_of_degree(nvars, m))
-
-
-@lru_cache(maxsize=None)
 def _slice_columns(nvars, m):
-    """The monomials of degree m sorted greatest first, and the map from
-    each to its column.  Within one degree TermOrder.mono_key compares the
-    exponent tuples alone, so one entry per (nvars, m) serves every beta
-    and every triple."""
-    monos = tuple(sorted(monomials_of_degree(nvars, m), reverse=True))
-    return monos, {mono: i for i, mono in enumerate(monos)}
+    """The monomials of degree m greatest first, the map from each to its
+    column, and each one's support as a bitmask (bit i set when variable i
+    occurs).  The order of the monomials is the same for every beta, so one
+    entry per (nvars, m) serves every beta and every triple."""
+    monos = monomials_of_degree(nvars, m)
+    masks = tuple(sum(1 << i for i, e in enumerate(mono) if e) for mono in monos)
+    return monos, {mono: i for i, mono in enumerate(monos)}, masks
 
 
 @lru_cache(maxsize=None)
 def _shifted_columns(mono, m):
-    """The column in the degree-m slice of mono times each multiplier of
-    monomials_of_degree(len(mono), m - deg(mono)), in that order.  Memoised
-    per (monomial, m): every Pfaffian with that term shares it, whatever its
-    beta."""
+    """The column in the degree-m slice of mono times each monomial of
+    degree m - deg(mono), greatest first.  Memoised per (monomial, m): every
+    Pfaffian with that term shares it, whatever its beta."""
     nvars = len(mono)
     col = _slice_columns(nvars, m)[1]
-    return tuple(col[tuple(map(add, mono, mult))] for mult in monomials_of_degree(nvars, m - sum(mono)))
+    return tuple(col[tuple(map(add, mono, mult))] for mult in _slice_columns(nvars, m - sum(mono))[0])
 
 
 def _generator_rows(g, m):
@@ -351,13 +347,9 @@ def chains_monomials_degree(alpha, beta, gamma, m):
     triple, become bitmasks over the variable indices of term_order(beta); a
     monomial is kept when its support mask covers one of them."""
     order = term_order(beta)
-    bad, _ = defining_chains(alpha, beta, gamma)
-    masks = [sum(1 << order.index[v] for v in chain) for chain in bad]
-    return {
-        mono
-        for mono, support in zip(monomials_of_degree(order.nvars, m), _support_masks(order.nvars, m))
-        if any(support & mask == mask for mask in masks)
-    }
+    masks = [sum(1 << order.index[v] for v in chain) for chain in defining_chains(alpha, beta, gamma)]
+    monos, _, supports = _slice_columns(order.nvars, m)
+    return {mono for mono, support in zip(monos, supports) if any(support & mask == mask for mask in masks)}
 
 
 def _multichain_levels(alpha, beta, gamma):
@@ -399,19 +391,11 @@ def _standard_product(thetas, beta):
     """The product of f(theta) over the multichain thetas: its prefix's
     product times f of its last theta.  Memoised per (multichain, beta), so
     every triple of a beta shares the products of their common multichains;
-    standard_products asks for the prefix, of lower degree, first, so the
+    verify_main_theorem asks for the prefix, of lower degree, first, so the
     recursion is one call deep."""
     if not thetas:
         return SparsePoly.constant(term_order(beta), 1)
     return _standard_product(thetas[:-1], beta) * pfaffian_generator(thetas[-1], beta)
-
-
-def standard_products(alpha, beta, gamma):
-    """Yields, for m = 0, 1, 2, ... without end, the degree-m standard
-    monomials and their products of f(theta), taken from the memo of
-    _standard_product keyed by (multichain, beta)."""
-    for level in _multichain_levels(alpha, beta, gamma):
-        yield level, [_standard_product(thetas, beta) for thetas in level]
 
 
 def standard_poly(thetas, beta):
@@ -457,15 +441,15 @@ def verify_main_theorem(alpha, beta, gamma, max_degree):
     """Check, for each degree up to max_degree, that the initial monomials of
     the Pfaffian ideal are exactly the chain monomials, and that the standard
     monomials span a complement of the ideal slice."""
-    order = term_order(beta)
     gens = generators(alpha, beta, gamma)
     report = VerifyReport(alpha, beta, gamma)
-    standard = itertools.islice(standard_products(alpha, beta, gamma), 1, None)
-    for m, (std, std_polys) in zip(range(1, max_degree + 1), standard):
-        slice_m = DegreeSlice(gens, m, order)
+    levels = itertools.islice(_multichain_levels(alpha, beta, gamma), 1, None)
+    for m, std in zip(range(1, max_degree + 1), levels):
+        slice_m = DegreeSlice(beta, gens, m)
         initial = slice_m.initial_monomials()
         chains = chains_monomials_degree(alpha, beta, gamma, m)
         counts = len(std) == slice_m.total - slice_m.dim and len(initial) == slice_m.dim
+        std_polys = [_standard_product(thetas, beta) for thetas in std]
         independent = slice_m.rank_with(std_polys) == slice_m.dim + len(std)
         report.degrees.append(
             DegreeReport(
@@ -484,10 +468,9 @@ def verify_main_theorem(alpha, beta, gamma, max_degree):
 
 def hilbert_counts(alpha, beta, gamma, max_degree):
     """Quotient dimensions by degree: (total, ideal dim, quotient dim)."""
-    order = term_order(beta)
     gens = generators(alpha, beta, gamma)
     out = []
     for m in range(max_degree + 1):
-        slice_m = DegreeSlice(gens, m, order)
+        slice_m = DegreeSlice(beta, gens, m)
         out.append((m, slice_m.total, slice_m.dim, slice_m.total - slice_m.dim))
     return out

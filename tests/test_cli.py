@@ -12,6 +12,7 @@ from obrsk.cli import (
     EXIT_INVALID,
     EXIT_OK,
     MAX_D,
+    MAX_DEGREE,
     MAX_JOBS,
     MAX_SLICE_MONOMIALS,
     bitableau_from_json,
@@ -281,6 +282,15 @@ def test_ideal_verify_main_all_triples(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_main_jobs_prints_what_one_process_prints(capsys):
+    argv = ["verify-main", "--d", "3", "--all-triples", "--max-degree", "3"]
+    assert ideal_main(argv + ["--jobs", "1"]) == EXIT_OK
+    serial = capsys.readouterr().out
+    assert ideal_main(argv + ["--jobs", "2"]) == EXIT_OK
+    assert capsys.readouterr().out == serial
+    assert serial.strip().endswith("PASS: 20 triple(s) checked")
+
+
 def test_ideal_requires_ordered_triple(capsys):
     code = ideal_main(
         ["verify-main", "--d", "2", "--alpha", "3,4", "--beta", "1,2", "--gamma", "3,4"]
@@ -328,6 +338,28 @@ def test_ideal_rejects_max_degree_above_the_slice_cap(capsys, monkeypatch, argv)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--max-degree" in captured.err and str(MAX_SLICE_MONOMIALS) in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-main", "--d", "1", "--all-triples"],
+        ["verify-main", "--d", "2", "--all-triples"],
+        ["hilbert", "--d", "1", "--alpha", "1", "--beta", "1", "--gamma", "1"],
+        ["hilbert", "--d", "2", "--alpha", "1,2", "--beta", "3,4", "--gamma", "3,4"],
+    ],
+)
+def test_ideal_rejects_max_degree_above_the_degree_cap(capsys, monkeypatch, argv):
+    # beta has at most one root here, so no slice exceeds
+    # MAX_SLICE_MONOMIALS; were the check missing, no slice may be built
+    def no_slice(*args, **kwargs):
+        raise AssertionError("a degree slice was built")
+
+    monkeypatch.setattr(ideal, "DegreeSlice", no_slice)
+    assert ideal_main(argv + ["--max-degree", str(MAX_DEGREE + 1)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-degree" in captured.err and str(MAX_DEGREE) in captured.err
 
 
 @pytest.mark.parametrize("jobs", [0, -1, MAX_JOBS + 1])

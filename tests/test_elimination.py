@@ -126,14 +126,13 @@ def test_initial_monomials_match_sympy_d4(triple):
     for m in (1, 2, 3):
         dense, monos = dense_slice(gens, m, order)
         pivots = sympy_matrix(dense, len(monos)).rref()[1] if dense else ()
-        assert DegreeSlice(gens, m, order).initial_monomials() == {monos[j] for j in pivots}
+        assert DegreeSlice(beta, gens, m).initial_monomials() == {monos[j] for j in pivots}
 
 
 def test_rank_with_leaves_the_slice_unchanged():
     alpha, beta, gamma = (ide(t, 4) for t in D4_TRIPLES[3])
-    order = term_order(beta)
     gens = generators(alpha, beta, gamma)
-    s = DegreeSlice(gens, 2, order)
+    s = DegreeSlice(beta, gens, 2)
     std = [standard_poly(thetas, beta) for thetas in standard_monomials(alpha, beta, gamma, 2)]
     dim, rows, row_ids = s.dim, [list(r) for r in s.rows], [id(r) for r in s.rows]
     assert std and s.dim
@@ -142,6 +141,7 @@ def test_rank_with_leaves_the_slice_unchanged():
     assert s.dim == dim and s.rows == rows and [id(r) for r in s.rows] == row_ids
     # a multiple of a generator lies in the slice and adds nothing
     g = min((g for _, g in gens if not g.is_zero), key=SparsePoly.degree)
+    order = term_order(beta)
     x = SparsePoly.variable(order, order.variables[0])
     while g.degree() < 2:
         g = g * x

@@ -1,10 +1,7 @@
-import importlib
 import itertools
-import pkgutil
 
 import pytest
 
-import obrsk
 import obrsk.grassmannian as grassmannian
 import obrsk.ideal as ideal
 from obrsk.errors import ColumnNotInBeta, DimensionMismatch, OddSize
@@ -24,7 +21,6 @@ from obrsk.ideal import (
     pfaffian_matrix,
     standard_monomials,
     standard_poly,
-    standard_products,
     verify_main_theorem,
 )
 from obrsk.polynomials import SparsePoly, TermOrder, term_order
@@ -101,22 +97,20 @@ def test_pfaffian_generator_d4_degree_two():
 def test_pfaffian_squared_is_determinant():
     # classical certificate Pf(A)^2 = det(A), checked exactly
     for beta in enumerate_id(3):
-        order = TermOrder(beta)
         for theta in enumerate_id(3):
             if theta.entries == beta.entries:
                 continue
-            a = pfaffian_matrix(theta, beta, order)
+            a = pfaffian_matrix(theta, beta)
             pf = pfaffian(a)
-            assert (pf * pf - determinant(a, order)).is_zero, (theta.entries, beta.entries)
+            assert (pf * pf - determinant(a)).is_zero, (theta.entries, beta.entries)
 
 
 def test_pfaffian_squared_is_determinant_d4():
     beta = ide((2, 4, 6, 8), 4)
-    order = TermOrder(beta)
     theta = ide((1, 2, 3, 4), 4)
-    a = pfaffian_matrix(theta, beta, order)
+    a = pfaffian_matrix(theta, beta)
     pf = pfaffian(a)
-    assert (pf * pf - determinant(a, order)).is_zero
+    assert (pf * pf - determinant(a)).is_zero
 
 
 def test_pfaffian_rejects_odd_size():
@@ -124,6 +118,9 @@ def test_pfaffian_rejects_odd_size():
     order = TermOrder(beta)
     with pytest.raises(OddSize):
         pfaffian([[SparsePoly.zero(order)]])
+    # the order comes from the entries, so an empty matrix has none
+    with pytest.raises(DimensionMismatch):
+        determinant([])
 
 
 def test_generators_are_homogeneous_of_beta_degree():
@@ -147,18 +144,22 @@ def test_generators_selection():
 def test_monomials_of_degree():
     from math import comb
 
-    for nvars, m in ((1, 3), (3, 2), (4, 0), (0, 0), (0, 2)):
+    # mono_key reads the exponent tuple alone, so any beta's order serves
+    mono_key = term_order(ide((3, 4), 2)).mono_key
+    for nvars, m in ((1, 3), (3, 2), (3, 4), (4, 0), (0, 0), (0, 2)):
         monos = monomials_of_degree(nvars, m)
         expected = comb(nvars + m - 1, m) if nvars else (1 if m == 0 else 0)
         assert len(monos) == len(set(monos)) == expected
         assert all(sum(mono) == m for mono in monos)
+        # greatest first
+        assert list(monos) == sorted(monos, key=mono_key, reverse=True)
 
 
 def test_initial_equals_chains_d2_point():
     beta = ide((3, 4), 2)
     gens = generators(beta, beta, beta)
     for m in (1, 2, 3):
-        assert DegreeSlice(gens, m, term_order(beta)).initial_monomials() == chains_monomials_degree(
+        assert DegreeSlice(beta, gens, m).initial_monomials() == chains_monomials_degree(
             beta, beta, beta, m
         )
 
@@ -212,8 +213,9 @@ def test_prefix_products_equal_standard_poly_d4():
     triples = [(a, g) for a in elements if id_leq(a, beta) for g in elements if id_leq(beta, g)]
     assert len(triples) == 14
     for alpha, gamma in triples:
-        for m, (level, products) in zip(range(5), standard_products(alpha, beta, gamma)):
+        for m, level in enumerate(itertools.islice(ideal._multichain_levels(alpha, beta, gamma), 5)):
             assert level == standard_monomials(alpha, beta, gamma, m)
+            products = [ideal._standard_product(thetas, beta) for thetas in level]
             assert products == [standard_poly(thetas, beta) for thetas in level]
 
 
@@ -228,7 +230,8 @@ def test_pfaffians_and_their_products_have_integer_coefficients():
     triples = [(a, b, g) for b in elements for a in elements if id_leq(a, b) for g in elements if id_leq(b, g)]
     assert len(triples) == 112
     for alpha, beta, gamma in triples:
-        for _, products in itertools.islice(standard_products(alpha, beta, gamma), 4):
+        for level in itertools.islice(ideal._multichain_levels(alpha, beta, gamma), 4):
+            products = [ideal._standard_product(thetas, beta) for thetas in level]
             assert all(type(c) is int for p in products for _, c in p.terms)
 
 
@@ -251,21 +254,7 @@ def test_verify_main_theorem_d3_interval():
     assert report.passed
 
 
-def package_caches():
-    """Every lru_cache on the modules of the package."""
-    caches = set()
-    for info in pkgutil.iter_modules(obrsk.__path__):
-        module = importlib.import_module(f"obrsk.{info.name}")
-        caches.update(v for v in vars(module).values() if callable(getattr(v, "cache_clear", None)))
-    return caches
-
-
-def clear_package_caches():
-    for cache in package_caches():
-        cache.cache_clear()
-
-
-def test_package_caches_include_the_shared_memos():
+def test_package_caches_include_the_shared_memos(package_caches):
     assert {
         term_order,
         pfaffian_generator,
@@ -273,10 +262,10 @@ def test_package_caches_include_the_shared_memos():
         ideal._slice_columns,
         ideal._shifted_columns,
         grassmannian._minimal_bad_chains,
-    } <= package_caches()
+    } <= package_caches
 
 
-def test_reports_do_not_depend_on_which_triple_of_a_beta_runs_first():
+def test_reports_do_not_depend_on_which_triple_of_a_beta_runs_first(package_caches):
     # the term order, the Pfaffians and their products are cached per beta,
     # the minimal bad chains per half of the triple and the slice columns
     # per degree; all are shared by other triples.  The triples of two betas
@@ -291,7 +280,8 @@ def test_reports_do_not_depend_on_which_triple_of_a_beta_runs_first():
     triples = [t for pair in itertools.zip_longest(first, second) for t in pair if t is not None]
 
     def reports(order):
-        clear_package_caches()
+        for cache in package_caches:
+            cache.cache_clear()
         return {t: verify_main_theorem(*t, 3) for t in order}
 
     forward = reports(triples)
@@ -324,16 +314,16 @@ def test_generator_rows_equal_products_by_monomials_d4():
                     assert row == sorted((col[mono], c) for mono, c in product.terms), (beta, theta, m, mult)
 
 
-def test_slice_columns_are_one_entry_per_degree_after_all_d4_triples():
-    clear_package_caches()
+def test_slice_columns_are_one_entry_per_degree_after_all_d4_triples(package_caches):
     elements = enumerate_id(4)
     triples = [(a, b, g) for b in elements for a in elements if id_leq(a, b) for g in elements if id_leq(b, g)]
     assert len(triples) == 112
     assert all(verify_main_theorem(a, b, g, 3).passed for a, b, g in triples)
-    # every beta of I(4) has 6 roots, and the check builds degrees 1..3
+    # every beta of I(4) has 6 roots, and the check builds degrees 1..3,
+    # whose generators take multipliers of degrees 0..2
     assert {len(grassmannian.roots_of(b)) for b in elements} == {6}
     info = ideal._slice_columns.cache_info()
-    assert (info.currsize, info.misses) == (3, 3)
+    assert (info.currsize, info.misses) == (4, 4)
 
 
 def test_hilbert_counts_point_case():
@@ -353,7 +343,7 @@ def test_hilbert_counts_full_interval_d2():
 def test_degree_slice_shape():
     beta = ide((1, 2, 3), 3)
     gens = generators(beta, beta, beta)
-    s = DegreeSlice(gens, 2, term_order(beta))
+    s = DegreeSlice(beta, gens, 2)
     assert s.total == len(s.monos)
     assert s.dim <= s.total
     assert len(s.initial_monomials()) == s.dim
