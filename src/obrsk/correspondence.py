@@ -27,7 +27,7 @@ from .arrays import (
     L_involution,
 )
 from .errors import BoundViolation, EmptyBitableau, InvalidPair, NotNegative, PathShapeMismatch
-from .multisets import is_chain
+from .multisets import enumerate_extended_chains
 from .tableaux import (
     EMPTY_BITABLEAU,
     NotchedBitableau,
@@ -247,12 +247,8 @@ def dual_chain_pairs(u1, u2):
     t = full.width
     cols1 = full.pi1.columns()  # (b, a), in canonical order
     cols2 = full.pi2.columns()  # (c, d)
-    support = sorted(set(u1))
     out = []
-    for mask in range(1, 1 << len(support)):
-        c1 = [support[i] for i in range(len(support)) if mask >> i & 1]
-        if not is_chain(c1):
-            continue
+    for c1 in enumerate_extended_chains(u1):
         # the first pi1 column holding each point, in canonical order
         first = sorted(cols1.index((b, a)) for a, b in c1)
         cand = SkewPair.from_columns([cols1[i] for i in first], [cols2[t - 1 - i] for i in reversed(first)])

@@ -19,7 +19,7 @@ import itertools
 
 from .arrays import SkewPair, TwoRowArray, column_duality_pairs, dual_column_violations, validate_skew_pair
 from .errors import ValidationError
-from .multisets import Cmp, FormalDiff, diff_compare, duality_conflict
+from .multisets import FormalDiff, diff_leq, duality_conflict
 from .tableaux import (
     NotchedBitableau,
     NotchedTableau,
@@ -139,7 +139,7 @@ def _bitableaux(max_entry, max_boxes, signs):
             if duality_conflict(new_pairs) is not None:
                 continue
             diff = FormalDiff(prows[i], qrow)
-            if i and diff_compare(last_diff, diff) not in (Cmp.LESS, Cmp.EQUAL):
+            if i and not diff_leq(last_diff, diff):
                 continue
             yield from complete(prows, qrows + (qrow,), diff, new_pairs)
 

@@ -14,7 +14,9 @@ A triple alpha <= beta <= gamma declares some chains of roots bad: those
 whose negative part maps to a w with alpha not <= w, or whose positive part
 maps to a w with w not <= gamma.  A chain is thus bad exactly when one of its
 two sign-pure parts is, and a negative chain's badness depends on the half
-(alpha, beta) alone, a positive chain's on (beta, gamma) alone.
+(alpha, beta) alone, a positive chain's on (beta, gamma) alone.  Each sign's
+chains of a beta are imaged and valued once, w and the image's bound operand
+together (_signed_chains, at most 2 |I(d)| tables per d).
 defining_chains decides each sign-pure chain of roots once per half, not once
 per triple, checks each decision against the boundedness of the chain's image
 by T (negative half) or W (positive half), and keeps the minimal bad chains;
@@ -40,7 +42,7 @@ from .errors import (
     SignAssertionFailure,
     VerificationError,
 )
-from .multisets import Cmp, diff_compare, is_chain, plane_diff, plane_multiset
+from .multisets import diff_leq, enumerate_extended_chains, is_chain, plane_diff, plane_multiset
 from .tableaux import down_of, is_signed_plane_set, up_of
 
 
@@ -127,26 +129,6 @@ def roots_of(v):
     return tuple(sorted(out))
 
 
-def enumerate_extended_chains(support):
-    """All nonempty chains inside a set of grid points.
-
-    A chain is strictly increasing in rows and strictly decreasing in columns.
-    """
-    pts = sorted(set(support), key=lambda p: (p[0], -p[1]))
-    chains = []
-
-    def extend(prefix, start):
-        for i in range(start, len(pts)):
-            r, c = pts[i]
-            if prefix and not (r > prefix[-1][0] and c < prefix[-1][1]):
-                continue
-            chains.append(tuple(prefix + [pts[i]]))
-            extend(prefix + [pts[i]], i + 1)
-
-    extend([], 0)
-    return chains
-
-
 class ChainSign(Enum):
     MINUS = "minus"
     PLUS = "plus"
@@ -186,47 +168,43 @@ def chain_image(chain, d):
     """The bitableau image of the canonical skew pair of (C, C^#).
 
     Memoised: chain is a tuple of roots sorted by position, so there is one
-    entry per chain of roots of I(d), however many triples ask for it."""
+    entry per chain of roots of I(d), however many betas ask for it."""
     u1, u2 = chain_pair(chain, d)
     return obrsk(psi_inv(u1, u2))
 
 
 @lru_cache(maxsize=None)
-def _image_operand(chain, d, sign):
-    """The counting-order operand of the up set (sign MINUS) or the down set
-    (sign PLUS) of the chain's image.  Memoised like chain_image."""
-    image = chain_image(chain, d)
-    return plane_diff(up_of(image) if sign is ChainSign.MINUS else down_of(image))
-
-
-@lru_cache(maxsize=None)
-def _w_of_chain_cached(chain, beta, sign):
-    bit = chain_image(chain, beta.d)
-    pairs = up_of(bit) if sign is ChainSign.MINUS else down_of(bit)
-    firsts = [x for x, _ in pairs]
-    seconds = [y for _, y in pairs]
-    entries = set(beta.entries)
-    for y in seconds:
-        if y not in entries:
-            raise VerificationError(f"second coordinate {y} not in beta = {beta.entries}")
-        entries.remove(y)
-    entries.update(firsts)
-    w = IdElement(tuple(sorted(entries)), beta.d)
-    if sign is ChainSign.MINUS and not id_leq(w, beta):
-        raise SignAssertionFailure(f"w = {w.entries} not <= beta = {beta.entries}")
-    if sign is ChainSign.PLUS and not id_leq(beta, w):
-        raise SignAssertionFailure(f"w = {w.entries} not >= beta = {beta.entries}")
-    return w
+def _signed_chains(beta, sign):
+    """Each chain of roots of beta of one sign, as enumerate_extended_chains
+    yields it, mapped to (w, operand).  The up set (MINUS) or down set (PLUS)
+    of the chain image gives pairs (x, y); w is beta with the seconds taken
+    out and the firsts put in, and must be <= beta (MINUS) or >= beta (PLUS);
+    operand is the pairs' counting-order operand.  Memoised per (beta, sign)."""
+    minus = sign is ChainSign.MINUS
+    table = {}
+    for chain in enumerate_extended_chains(split_chain(roots_of(beta), beta)[0 if minus else 1]):
+        image = chain_image(chain, beta.d)
+        pairs = up_of(image) if minus else down_of(image)
+        entries = set(beta.entries)
+        for _, y in pairs:
+            if y not in entries:
+                raise VerificationError(f"second coordinate {y} not in beta = {beta.entries}")
+            entries.remove(y)
+        entries.update(x for x, _ in pairs)
+        w = IdElement(tuple(sorted(entries)), beta.d)
+        if not (id_leq(w, beta) if minus else id_leq(beta, w)):
+            raise SignAssertionFailure(f"w = {w.entries} not {'<=' if minus else '>='} beta = {beta.entries}")
+        table[chain] = (w, plane_diff(pairs))
+    return table
 
 
 def w_of_chain(chain, beta, sign):
-    """The element of I(d) attached to a sign-pure chain on the grid of beta.
-
-    For a negative chain the up set of the chain image is used, for a
-    positive one the down set; the second coordinates are removed from beta
-    and the first coordinates put in.
-    """
-    return _w_of_chain_cached(tuple(sorted(chain)), beta, sign)
+    """The element of I(d) attached to a chain of roots of beta of the sign,
+    its points in any order (_signed_chains); MixedSigns for anything else."""
+    entry = _signed_chains(beta, sign).get(tuple(sorted(chain)))
+    if entry is None:
+        raise MixedSigns(f"{list(chain)} is not a {sign.value} chain of roots of {beta}")
+    return entry[0]
 
 
 def _half_bound(bound, beta, sign):
@@ -287,11 +265,9 @@ def _minimal_bad_chains(bound, beta, sign):
     limit = plane_diff(_half_bound(bound, beta, sign))
     alpha, gamma = (bound, beta) if minus else (beta, bound)
     bad = []
-    for chain in enumerate_extended_chains(split_chain(roots_of(beta), beta)[0 if minus else 1]):
+    for chain, (_, operand) in _signed_chains(beta, sign).items():
         in_set = chain_in_chains_set(chain, alpha, beta, gamma)
-        image = _image_operand(chain, beta.d, sign)
-        within = diff_compare(limit, image) if minus else diff_compare(image, limit)
-        if in_set == (within in (Cmp.LESS, Cmp.EQUAL)):
+        if in_set == (diff_leq(limit, operand) if minus else diff_leq(operand, limit)):
             raise VerificationError(
                 f"chain-membership routes disagree on {list(chain)} for the {sign.value} half "
                 f"({bound.entries}, {beta.entries})"

@@ -82,14 +82,32 @@ def proj2(points):
     return nat_multiset(y for _, y in points)
 
 
+def _precedes(p, q):
+    """p may come just before q in a chain: x strictly less, y strictly greater."""
+    return p[0] < q[0] and p[1] > q[1]
+
+
 def is_chain(points):
     """True iff the plane multiset is strictly increasing in x and strictly
     decreasing in y when sorted; repeated x (or y) values disqualify it."""
     pts = sorted(points)
-    for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
-        if not (x1 < x2 and y1 > y2):
-            return False
-    return True
+    return all(map(_precedes, pts, pts[1:]))
+
+
+def enumerate_extended_chains(support):
+    """All nonempty chains, as is_chain defines them, inside a set of plane
+    points; each is a tuple in increasing x."""
+    pts = sorted(set(support), key=lambda p: (p[0], -p[1]))
+    chains = []
+
+    def extend(prefix, start):
+        for i in range(start, len(pts)):
+            if not prefix or _precedes(prefix[-1], pts[i]):
+                chains.append(prefix + (pts[i],))
+                extend(chains[-1], i + 1)
+
+    extend((), 0)
+    return chains
 
 
 def duality_conflict(pairs):
@@ -129,8 +147,9 @@ class FormalDiff:
 EMPTY_DIFF = FormalDiff((), ())
 
 
-def diff_compare(d1, d2):
-    """Compare two formal differences in the counting order.
+def diff_leq(d1, d2):
+    """D1 <= D2 in the counting order: the count of d1 is at least that of d2
+    at every z >= 1.
 
     The z terms cancel in count1(z) - count2(z), so the difference of the
     counts changes only where z is an entry of either operand.  Comparing at
@@ -138,13 +157,12 @@ def diff_compare(d1, d2):
     difference is 0, and from the greatest entry on it is the difference of
     the tail offsets.
     """
-    le = ge = True  # le: d1 <= d2 so far (counts of d1 dominate)
-    for z in sorted({*d1.plus, *d1.minus, *d2.plus, *d2.minus}):
-        c1, c2 = d1.count(z), d2.count(z)
-        if c1 < c2:
-            le = False
-        elif c1 > c2:
-            ge = False
+    return all(d1.count(z) >= d2.count(z) for z in {*d1.plus, *d1.minus, *d2.plus, *d2.minus})
+
+
+def diff_compare(d1, d2):
+    """Compare two formal differences in the counting order."""
+    le, ge = diff_leq(d1, d2), diff_leq(d2, d1)
     if le and ge:
         return Cmp.EQUAL
     if le:

@@ -14,11 +14,10 @@ from enum import Enum
 
 from .errors import BadBounds, NotSemistandard, NotSkewSymmetric, ShapeMismatch
 from .multisets import (
-    Cmp,
     FormalDiff,
-    diff_compare,
+    diff_leq,
     duality_conflict,
-    plane_compare,
+    plane_diff,
     plane_multiset,
     proj1,
     proj2,
@@ -103,10 +102,7 @@ def validate_semistandard(b):
     if not (validate_row_strict(b.P) and validate_row_strict(b.Q)):
         return False
     diffs = row_diffs(b)
-    for d1, d2 in zip(diffs, diffs[1:]):
-        if diff_compare(d1, d2) not in (Cmp.LESS, Cmp.EQUAL):
-            return False
-    return True
+    return all(map(diff_leq, diffs, diffs[1:]))
 
 
 def row_duality_pairs(prow, qrow):
@@ -246,4 +242,4 @@ def bitableau_bounded_by(b, t, w):
     if cls.kind is SignKind.VANISHING:
         raise NotSkewSymmetric("boundedness is only defined on nonvanishing bitableaux")
     up, down = up_of(cls.negative_part), down_of(cls.positive_part)
-    return plane_compare(t, up) in (Cmp.LESS, Cmp.EQUAL) and plane_compare(down, w) in (Cmp.LESS, Cmp.EQUAL)
+    return diff_leq(plane_diff(t), plane_diff(up)) and diff_leq(plane_diff(down), plane_diff(w))

@@ -149,6 +149,56 @@ def test_w_of_chain_d3_positive():
     assert id_leq(beta, w)
 
 
+def reference_w_of_chain(chain, beta, sign):
+    # the rule itself: the seconds of the up set (negative chain) or the down
+    # set (positive chain) of the chain image leave beta, the firsts come in
+    image = chain_image(chain, beta.d)
+    pairs = up_of(image) if sign is ChainSign.MINUS else down_of(image)
+    entries = set(beta.entries) - {y for _, y in pairs} | {x for x, _ in pairs}
+    return ide(entries, beta.d)
+
+
+def test_w_of_chain_matches_reference_on_every_chain_d4():
+    for d in (1, 2, 3, 4):
+        for beta in enumerate_id(d):
+            for sign, part in zip(ChainSign, split_chain(roots_of(beta), beta)):
+                for chain in enumerate_extended_chains(part):
+                    w = w_of_chain(chain, beta, sign)
+                    assert w == reference_w_of_chain(chain, beta, sign), (beta, sign, chain)
+                    # any order of the points names the same chain
+                    assert w_of_chain(chain[::-1], beta, sign) == w
+
+
+def test_w_of_chain_rejects_what_is_not_a_chain_of_its_sign():
+    beta = ide((1, 3, 4, 6, 9), 5)
+    neg, pos = split_chain(roots_of(beta), beta)
+    assert neg and pos
+    for chain, sign in (
+        ((), ChainSign.MINUS),  # empty
+        ((), ChainSign.PLUS),
+        ((neg[0], neg[0]), ChainSign.MINUS),  # a repeated point is not a chain
+        (((2, 3), (2, 4)), ChainSign.MINUS),  # same row
+        ((pos[0],), ChainSign.MINUS),  # a chain of the other sign
+        ((neg[0],), ChainSign.PLUS),
+        (((5, 6),), ChainSign.PLUS),  # a diagonal point is not a root
+    ):
+        with pytest.raises(MixedSigns):
+            w_of_chain(chain, beta, sign)
+
+
+def test_signed_chains_are_one_table_per_beta_and_sign_after_all_d4_triples(package_caches):
+    triples = list(ordered_triples(4))
+    assert len(triples) == 112
+    for alpha, beta, gamma in triples:
+        defining_chains(alpha, beta, gamma)
+    # 8 betas, two signs each; the 72 chains of their tables are 48 distinct
+    # chains of roots, each imaged once
+    assert grassmannian._signed_chains.cache_info().currsize == 16
+    assert chain_image.cache_info().misses == 48
+    tables = [grassmannian._signed_chains(b, s) for b in enumerate_id(4) for s in ChainSign]
+    assert (sum(map(len, tables)), len(set().union(*tables))) == (72, 48)
+
+
 def test_t_w_bounds():
     d = 3
     alpha, beta, gamma = ide((1, 2, 3), 3), ide((1, 4, 5), 3), ide((3, 5, 6), 3)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,8 @@ from obrsk.multisets import (
     FormalDiff,
     count_le,
     diff_compare,
+    diff_leq,
+    enumerate_extended_chains,
     is_chain,
     multiset_minus,
     nat_multiset,
@@ -118,6 +122,14 @@ def test_is_chain():
     assert not is_chain(((1, 3), (1, 3)))
 
 
+def test_enumerate_extended_chains_are_the_subsets_that_are_chains():
+    points = ((1, 6), (1, 4), (2, 5), (2, 3), (3, 6), (4, 3), (4, 1), (5, 2))
+    chains = enumerate_extended_chains(points + points[:2])  # repeats are ignored
+    subsets = [c for k in range(1, len(points) + 1) for c in itertools.combinations(sorted(points), k) if is_chain(c)]
+    assert len(chains) == len(set(chains))
+    assert sorted(chains) == sorted(subsets)
+
+
 small_multisets = st.lists(st.integers(min_value=1, max_value=12), max_size=6).map(nat_multiset)
 small_sets = st.lists(
     st.integers(min_value=1, max_value=12), max_size=6, unique=True
@@ -154,6 +166,7 @@ def reference_diff_compare(d1, d2):
 def test_diff_compare_equals_the_definition(p1, m1, p2, m2):
     d1, d2 = FormalDiff(p1, m1), FormalDiff(p2, m2)
     assert diff_compare(d1, d2) is reference_diff_compare(d1, d2)
+    assert diff_leq(d1, d2) == (reference_diff_compare(d1, d2) in (Cmp.LESS, Cmp.EQUAL))
 
 
 def test_diff_compare_at_huge_entries():

@@ -1,9 +1,12 @@
-"""Every function, class, method and property of the package has a user.
+"""Every function, class, method and property of the package has a user,
+and every name a module of the package imports is used in that module.
 
 A name defined in src/obrsk must appear somewhere besides its definition: as
 a name in the code of src, tests, demos or perfbench, or as a string equal
 to it (the benchmark tracer patches functions by name).  Docstrings and
-comments that mention a name do not count as uses.
+comments that mention a name do not count as uses.  An imported name must
+appear in its module outside the import statements; __init__.py re-exports
+what it imports, and an import marked "# noqa" is kept on purpose.
 """
 
 import ast
@@ -29,11 +32,13 @@ def defined_names(tree):
                     yield item.name
 
 
-def name_uses(source):
+def name_uses(source, skipped_lines=frozenset()):
     """How often each identifier occurs as a NAME token or as a whole string
-    literal in the source."""
+    literal in the source, outside the skipped lines."""
     uses = Counter()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.start[0] in skipped_lines:
+            continue
         if tok.type == tokenize.NAME:
             uses[tok.string] += 1
         elif tok.type == tokenize.STRING:
@@ -59,3 +64,35 @@ def test_every_defined_name_is_used_somewhere_else():
                 definitions[name] += 1
     dead = sorted(name for name, n in definitions.items() if uses[name] <= n)
     assert dead == [], f"defined in src/obrsk but used nowhere: {dead}"
+
+
+def imported_names(tree, lines):
+    """(name, line) for each name an import binds, except __future__
+    features and imports whose line is marked "# noqa"."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa" not in lines[alias.lineno - 1]:
+                    yield (alias.asname or alias.name).split(".")[0], alias.lineno
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        tree = ast.parse(source)
+        import_lines = {
+            line
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for line in range(node.lineno, node.end_lineno + 1)
+        }
+        uses = name_uses(source, import_lines)
+        for name, line in imported_names(tree, source.splitlines()):
+            if not uses[name]:
+                unused.append(f"{path.name}:{line} {name}")
+    assert unused == [], f"imported in src/obrsk but never used there: {unused}"
