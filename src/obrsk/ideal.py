@@ -8,12 +8,14 @@ of the triple, and that the standard monomials (products of Pfaffians indexed
 by multichains through the interval) complement the ideal slice exactly.
 
 Each input of the check is derived once at its key, behind one memo, and
-shared by every triple that needs it.  The term order (term_order) and every
-f(theta) (pfaffian_generator) are kept per beta, and every product of them
-per (multichain, beta) (_standard_product); nothing takes a term order as a
-parameter.  A degree slice's monomials, column map and support bitmasks are
-kept per (number of variables, degree) (_slice_columns), and the columns of
-a monomial times every multiplier per (monomial, degree) (_shifted_columns).
+shared by every triple that needs it.  The term order (term_order) and the
+patch, checked for skew-symmetry once (_skew_patch), are kept per beta,
+every f(theta) per (theta, beta) (pfaffian_generator), and every product of
+them per (multichain, beta) (_standard_product); nothing takes a term order
+as a parameter.  A degree slice's monomials, column map and support bitmasks
+are kept per (number of variables, degree) (_slice_columns), and the columns
+of a monomial times every multiplier per (monomial, degree)
+(_shifted_columns).
 Every f(theta), and every product of them, has integer coefficients;
 rationals appear only in elimination, where _rref normalises a pivot row.
 """
@@ -83,32 +85,53 @@ def _entry_poly(beta, r, c):
     return SparsePoly.variable(order, e.root, sign)
 
 
+@lru_cache(maxsize=None)
+def _skew_patch(beta):
+    """Every entry (r, c) of the patch of beta with r outside beta and c in
+    beta, as its polynomial: the entries every Pfaffian matrix of beta reads.
+
+    Checked once on build: entry(r, c) = -entry(c*, r*), the reflection
+    hash_reflect.  An antidiagonal position (r, r*) is its own reflection,
+    so there the check asks for a zero entry.  Every matrix pfaffian_matrix
+    reads is then skew-symmetric with a zero diagonal.  Memoised: one entry
+    per beta, at most |I(d)| = 2^(d-1) per d."""
+    patch = {(r, c): _entry_poly(beta, r, c) for r in beta.complement for c in beta.entries}
+    for (r, c), entry in patch.items():
+        mirror = hash_reflect((r, c), beta.d)
+        if not (entry + patch[mirror]).is_zero:
+            raise VerificationError(f"patch of beta = {beta.entries} not skew-symmetric at {(r, c)} and {mirror}")
+    return patch
+
+
 def pfaffian(a):
-    """Combinatorial Pfaffian of a skew-symmetric matrix of polynomials,
-    expanded along the first row."""
+    """Combinatorial Pfaffian of a skew-symmetric matrix of polynomials: the
+    signed sum over perfect matchings, expanded along the first row.  Each
+    partial product is a list of (exponent tuple, coefficient) pairs, and
+    the finished products are added into one dict."""
     n = len(a)
     if n == 0:
         raise OddSize("empty matrix: use the constant 1 directly")
     order = a[0][0].order
     if n % 2:
         raise OddSize(f"Pfaffian of odd size {n}")
+    total = {}
 
-    def rec(indices):
+    def expand(indices, partial):
         if not indices:
-            return SparsePoly.constant(order, 1)
-        i0 = indices[0]
-        total = SparsePoly.zero(order)
+            for mono, c in partial:
+                total[mono] = total.get(mono, 0) + c
+            return
+        row = a[indices[0]]
         for pos in range(1, len(indices)):
-            j = indices[pos]
-            entry = a[i0][j]
-            if entry.is_zero:
+            terms = row[indices[pos]].terms
+            if not terms:
                 continue
-            rest = indices[1:pos] + indices[pos + 1:]
             sign = 1 if pos % 2 else -1
-            total = total + sign * (entry * rec(rest))
-        return total
+            product = [(tuple(map(add, m1, m2)), sign * c1 * c2) for m1, c1 in partial for m2, c2 in terms]
+            expand(indices[1:pos] + indices[pos + 1:], product)
 
-    return rec(tuple(range(n)))
+    expand(tuple(range(n)), [((0,) * order.nvars, 1)])
+    return SparsePoly.from_dict(order, total)
 
 
 def determinant(a):
@@ -142,7 +165,8 @@ def determinant(a):
 
 def pfaffian_matrix(theta, beta):
     """The skew-symmetric matrix of the pair (theta, beta): rows theta - beta
-    ascending, columns beta - theta ascending reversed, read off the patch."""
+    ascending, columns beta - theta ascending reversed, read off the checked
+    patch of beta (_skew_patch)."""
     rows = sorted(set(theta.entries) - set(beta.entries))
     cols = sorted(set(beta.entries) - set(theta.entries))
     n = len(rows)
@@ -150,14 +174,8 @@ def pfaffian_matrix(theta, beta):
         raise DimensionMismatch(f"{len(rows)} rows vs {len(cols)} columns")
     if n % 2:
         raise OddSize(f"odd difference size {n} for theta, beta in I(d)")
-    a = [[_entry_poly(beta, rows[i], cols[n - 1 - j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if not a[i][i].is_zero:
-            raise VerificationError(f"diagonal entry ({rows[i]}, {cols[n - 1 - i]}) not zero")
-        for j in range(i + 1, n):
-            if not (a[i][j] + a[j][i]).is_zero:
-                raise VerificationError(f"matrix not skew-symmetric at ({i}, {j})")
-    return a
+    patch = _skew_patch(beta)
+    return [[patch[rows[i], cols[n - 1 - j]] for j in range(n)] for i in range(n)]
 
 
 @lru_cache(maxsize=None)

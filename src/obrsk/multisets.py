@@ -151,13 +151,13 @@ def diff_leq(d1, d2):
     """D1 <= D2 in the counting order: the count of d1 is at least that of d2
     at every z >= 1.
 
-    The z terms cancel in count1(z) - count2(z), so the difference of the
-    counts changes only where z is an entry of either operand.  Comparing at
-    the distinct entries therefore settles every z: below the least entry the
-    difference is 0, and from the greatest entry on it is the difference of
-    the tail offsets.
+    The z terms cancel in count1(z) - count2(z), which rises at the entries
+    of d1.plus and d2.minus and falls only at the entries of d1.minus and
+    d2.plus.  Below every entry it is 0, so if it is ever negative, the
+    first z where it is negative is one where it falls, an entry of d1.minus
+    or d2.plus; comparing the counts at those entries settles every z.
     """
-    return all(d1.count(z) >= d2.count(z) for z in {*d1.plus, *d1.minus, *d2.plus, *d2.minus})
+    return all(d1.count(z) >= d2.count(z) for z in {*d1.minus, *d2.plus})
 
 
 def diff_compare(d1, d2):

@@ -13,8 +13,11 @@ Variables are the roots of the grid of beta.  The order on variables:
 For a negative root mu and positive root nu with row(mu) < row(nu) and
 column(nu) < column(mu), none of 1-6 applies; then nu > mu exactly when
 row(nu) < column(mu), i.e. when the point (row(nu), column(mu)) lies outside
-the positive quadrant.  Totality and transitivity are verified exhaustively
-when the order is built.
+the positive quadrant.  When the order is built, the variables are sorted by
+it and every pair of them is checked against its place in that list: a
+relation that agrees with the positions of a list on every pair is a strict
+total order, so this certifies totality, antisymmetry and transitivity in
+one pass over the pairs.
 
 Monomials are exponent tuples over the variables sorted greatest first, and
 monomials are compared by total degree, then lexicographically variable by
@@ -31,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from itertools import permutations
+from itertools import combinations
+from operator import add
 
 from .errors import ContextMismatch, VerificationError
 from .grassmannian import roots_of
@@ -50,7 +54,7 @@ class TermOrder:
         self.variables = tuple(sorted(roots, key=greatest_first))
         self.index = {v: i for i, v in enumerate(self.variables)}
         self.nvars = len(self.variables)
-        self._verify_total_order(roots)
+        self._verify_total_order()
 
     def var_greater(self, mu, nu):
         """Strict comparison of two distinct roots."""
@@ -85,17 +89,13 @@ class TermOrder:
             return r1 < c2
         return not self.var_greater(nu, mu)
 
-    def _verify_total_order(self, roots):
-        n = len(roots)
-        for i in range(n):
-            for j in range(i + 1, n):
-                g1 = self.var_greater(roots[i], roots[j])
-                g2 = self.var_greater(roots[j], roots[i])
-                if g1 == g2:
-                    raise VerificationError(f"order not total/antisymmetric on {roots[i]}, {roots[j]}")
-        for x, y, z in permutations(roots, 3):
-            if self.var_greater(x, y) and self.var_greater(y, z) and not self.var_greater(x, z):
-                raise VerificationError(f"order not transitive on {x}, {y}, {z}")
+    def _verify_total_order(self):
+        """Each pair of variables, greater first in the sorted list, must
+        compare that way round and not the other: then var_greater is a
+        strict total order on the roots, whatever it did inside the sort."""
+        for mu, nu in combinations(self.variables, 2):
+            if not self.var_greater(mu, nu) or self.var_greater(nu, mu):
+                raise VerificationError(f"order of beta = {self.beta.entries} not a strict total order on {mu}, {nu}")
 
     # -- monomials -----------------------------------------------------------
 
@@ -175,9 +175,12 @@ class SparsePoly:
 
     @classmethod
     def variable(cls, order, root, coeff=1):
+        coeff = _exact(coeff)
+        if coeff == 0:
+            return cls.zero(order)
         mono = [0] * order.nvars
         mono[order.index[root]] = 1
-        return cls.from_dict(order, {tuple(mono): coeff})
+        return cls(order, ((tuple(mono), coeff),))
 
     @property
     def is_zero(self):
@@ -222,7 +225,7 @@ class SparsePoly:
         d = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
-                m = tuple(x + y for x, y in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 d[m] = d.get(m, 0) + c1 * c2
         return SparsePoly.from_dict(self.order, d)
 

@@ -4,11 +4,12 @@ import pytest
 
 import obrsk.grassmannian as grassmannian
 import obrsk.ideal as ideal
-from obrsk.errors import ColumnNotInBeta, DimensionMismatch, OddSize
+from obrsk.errors import ColumnNotInBeta, DimensionMismatch, OddSize, VerificationError
 from obrsk.grassmannian import IdElement, enumerate_id, id_leq, is_quotient_monomial
 from obrsk.ideal import (
     DegreeSlice,
     EntryKind,
+    PatchEntry,
     beta_degree,
     chains_monomials_degree,
     determinant,
@@ -121,6 +122,57 @@ def test_pfaffian_rejects_odd_size():
     # the order comes from the entries, so an empty matrix has none
     with pytest.raises(DimensionMismatch):
         determinant([])
+
+
+def _reference_pfaffian_generator(theta, beta):
+    """f(theta) by the first-row recursion through SparsePoly sums, over
+    entries built afresh by _entry_poly and checked for skew-symmetry
+    here: an independent route to the patch memo and the single-dict
+    expansion of pfaffian."""
+    order = term_order(beta)
+    if theta.entries == beta.entries:
+        return SparsePoly.constant(order, 1)
+    rows = sorted(set(theta.entries) - set(beta.entries))
+    cols = sorted(set(beta.entries) - set(theta.entries))[::-1]
+    a = [[ideal._entry_poly(beta, r, c) for c in cols] for r in rows]
+    n = len(a)
+    for i in range(n):
+        for j in range(n):
+            assert (a[i][j] + a[j][i]).is_zero, (theta, beta, i, j)
+
+    def rec(indices):
+        if not indices:
+            return SparsePoly.constant(order, 1)
+        total = SparsePoly.zero(order)
+        for pos in range(1, len(indices)):
+            rest = indices[1:pos] + indices[pos + 1:]
+            sign = 1 if pos % 2 else -1
+            total = total + sign * (a[indices[0]][indices[pos]] * rec(rest))
+        return total
+
+    return rec(tuple(range(n)))
+
+
+def test_pfaffian_generator_matches_the_first_row_recursion_through_d5():
+    for d in (1, 2, 3, 4, 5):
+        for beta in enumerate_id(d):
+            for theta in enumerate_id(d):
+                f = pfaffian_generator(theta, beta)
+                assert f == _reference_pfaffian_generator(theta, beta), (theta, beta)
+
+
+def test_patch_with_a_wrong_sign_is_rejected(package_caches, monkeypatch):
+    # a VAR where the patch has a NEGVAR breaks entry(r, c) = -entry(c*, r*)
+    original = ideal.patch_entry
+
+    def wrong_sign(beta, r, c):
+        e = original(beta, r, c)
+        return PatchEntry(EntryKind.VAR, e.root) if e.kind is EntryKind.NEGVAR else e
+
+    monkeypatch.setattr(ideal, "patch_entry", wrong_sign)
+    beta = ide((1, 3, 4, 6, 9), 5)
+    with pytest.raises(VerificationError, match=r"\(1, 3, 4, 6, 9\)"):
+        pfaffian_generator(ide((1, 2, 3, 4, 5), 5), beta)
 
 
 def test_generators_are_homogeneous_of_beta_degree():
@@ -258,6 +310,7 @@ def test_package_caches_include_the_shared_memos(package_caches):
     assert {
         term_order,
         pfaffian_generator,
+        ideal._skew_patch,
         ideal._standard_product,
         ideal._slice_columns,
         ideal._shifted_columns,
@@ -324,6 +377,19 @@ def test_slice_columns_are_one_entry_per_degree_after_all_d4_triples(package_cac
     assert {len(grassmannian.roots_of(b)) for b in elements} == {6}
     info = ideal._slice_columns.cache_info()
     assert (info.currsize, info.misses) == (4, 4)
+
+
+def test_patch_is_one_entry_per_beta_after_all_d4_triples(package_caches):
+    elements = enumerate_id(4)
+    triples = [(a, b, g) for b in elements for a in elements if id_leq(a, b) for g in elements if id_leq(b, g)]
+    assert len(triples) == 112
+    assert all(verify_main_theorem(a, b, g, 3).passed for a, b, g in triples)
+    # each of the 8 betas has its patch built and checked once, and each
+    # f(theta) is still built once per (theta, beta) from it
+    assert len(elements) == 8
+    info = ideal._skew_patch.cache_info()
+    assert (info.currsize, info.misses) == (8, 8)
+    assert pfaffian_generator.cache_info().misses == 56
 
 
 def test_hilbert_counts_point_case():

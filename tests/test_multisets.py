@@ -169,6 +169,15 @@ def test_diff_compare_equals_the_definition(p1, m1, p2, m2):
     assert diff_leq(d1, d2) == (reference_diff_compare(d1, d2) in (Cmp.LESS, Cmp.EQUAL))
 
 
+@given(small_multisets, small_sets, small_multisets, small_sets)
+def test_diff_leq_equals_the_count_at_every_z(p1, m1, p2, m2):
+    # every z from 1 to one past the greatest entry, where the counts have
+    # become linear with the tail offsets
+    d1, d2 = FormalDiff(p1, m1), FormalDiff(p2, m2)
+    zmax = max((*p1, *m1, *p2, *m2), default=0)
+    assert diff_leq(d1, d2) == all(d1.count(z) >= d2.count(z) for z in range(1, zmax + 2))
+
+
 def test_diff_compare_at_huge_entries():
     # walking every z up to 10^12 would take days
     big = 10**12

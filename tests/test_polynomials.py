@@ -15,7 +15,8 @@ def o5():
 
 
 def test_term_order_builds_for_all_beta_through_d5():
-    # construction runs an exhaustive totality/transitivity check
+    # construction checks every pair of the sorted variables against its
+    # place in the list, which certifies a strict total order
     for d in (2, 3, 4, 5):
         for beta in enumerate_id(d):
             order = TermOrder(beta)
@@ -123,3 +124,34 @@ def test_broken_order_is_rejected():
             TermOrder(beta)
     finally:
         TermOrder.var_greater = original
+
+
+def _order_with_pair_comparison(beta, monkeypatch, compare):
+    """Build beta's order with var_greater replaced on the pair of its
+    greatest and least variables by compare(mu, nu)."""
+    original = TermOrder.var_greater
+    reference = TermOrder(beta).variables
+    pair = {reference[0], reference[-1]}
+
+    def patched(self, mu, nu):
+        if {mu, nu} == pair:
+            return compare(mu, nu)
+        return original(self, mu, nu)
+
+    monkeypatch.setattr(TermOrder, "var_greater", patched)
+    return TermOrder(beta)
+
+
+def test_order_with_a_flipped_pair_is_rejected(monkeypatch):
+    # flipping the greatest and the least variable makes a cycle through
+    # every other variable, which no sorted list can agree with pairwise
+    beta = IdElement((1, 3, 4, 6, 9), 5)
+    least = TermOrder(beta).variables[-1]
+    with pytest.raises(VerificationError):
+        _order_with_pair_comparison(beta, monkeypatch, lambda mu, nu: mu == least)
+
+
+def test_order_greater_both_ways_on_a_pair_is_rejected(monkeypatch):
+    beta = IdElement((1, 3, 4, 6, 9), 5)
+    with pytest.raises(VerificationError):
+        _order_with_pair_comparison(beta, monkeypatch, lambda mu, nu: True)
