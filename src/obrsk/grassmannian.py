@@ -16,7 +16,10 @@ maps to a w with w not <= gamma.  A chain is thus bad exactly when one of its
 two sign-pure parts is, and a negative chain's badness depends on the half
 (alpha, beta) alone, a positive chain's on (beta, gamma) alone.  Each sign's
 chains of a beta are imaged and valued once, w and the image's bound operand
-together (_signed_chains, at most 2 |I(d)| tables per d).
+together (_signed_chains, at most 2 |I(d)| tables per d).  Each chain's image
+is one bounded insertion step from the memoised image of its parent chain,
+the chain without its last point (negative) or first point (positive)
+(chain_image).
 defining_chains decides each sign-pure chain of roots once per half, not once
 per triple, checks each decision against the boundedness of the chain's image
 by T (negative half) or W (positive half), and keeps the minimal bad chains;
@@ -32,18 +35,22 @@ from enum import Enum
 from functools import lru_cache
 from operator import le
 
-from .arrays import psi_inv
-from .correspondence import obrsk
+from .arrays import psi_inv, validate_skew_pair
+from .correspondence import forward_step
+# perfbench/tracing.py patches grassmannian.obrsk, so the name stays importable here
+from .correspondence import obrsk  # noqa: F401
 from .errors import (
     BoundsNotComparable,
     EmptyChain,
+    InvalidPair,
     MixedSigns,
     NotInId,
     SignAssertionFailure,
+    VanishingColumn,
     VerificationError,
 )
 from .multisets import diff_leq, enumerate_extended_chains, is_chain, plane_diff, plane_multiset
-from .tableaux import down_of, is_signed_plane_set, up_of
+from .tableaux import EMPTY_BITABLEAU, down_of, iota, is_signed_plane_set, up_of
 
 
 @dataclass(frozen=True)
@@ -165,12 +172,32 @@ def chain_pair(chain, d):
 
 @lru_cache(maxsize=None)
 def chain_image(chain, d):
-    """The bitableau image of the canonical skew pair of (C, C^#).
+    """The bitableau image of the canonical skew pair of (C, C^#), as
+    obrsk(psi_inv(*chain_pair(chain, d))) defines it.
 
+    obrsk consumes a negative chain's points in increasing row order, one
+    forward step each, so its image is one step from that of the chain
+    without its last point.  A positive chain goes through L, which reverses
+    that order, and through iota, so its image is one step, taken between two
+    iotas, from that of the chain without its first point.  The pair is
+    validated as obrsk validates it, and each iota checks its argument.
     Memoised: chain is a tuple of roots sorted by position, so there is one
-    entry per chain of roots of I(d), however many betas ask for it."""
-    u1, u2 = chain_pair(chain, d)
-    return obrsk(psi_inv(u1, u2))
+    entry per chain of roots of I(d), however many betas or longer chains
+    ask for it."""
+    violations = validate_skew_pair(psi_inv(*chain_pair(chain, d)))
+    if violations:
+        raise InvalidPair("; ".join(violations))
+    if any(r == c for r, c in chain):
+        raise VanishingColumn("a column with equal entries has no sign")
+    points = tuple(sorted(chain))
+    full = 2 * d + 1
+    if points[0][0] < points[0][1]:
+        (r, c), rest = points[-1], points[:-1]
+        parent = chain_image(rest, d) if rest else EMPTY_BITABLEAU
+        return forward_step(parent, r, c, full - r, full - c)
+    (r, c), rest = points[0], points[1:]
+    parent = iota(chain_image(rest, d)) if rest else EMPTY_BITABLEAU
+    return iota(forward_step(parent, c, r, full - c, full - r))
 
 
 @lru_cache(maxsize=None)

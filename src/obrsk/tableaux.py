@@ -9,7 +9,7 @@ its position relative to the empty difference () - () (all of N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import BadBounds, NotSemistandard, NotSkewSymmetric, ShapeMismatch
@@ -27,13 +27,13 @@ from .multisets import (
 @dataclass(frozen=True)
 class NotchedTableau:
     rows: tuple
+    # the row lengths, derived from rows once; not part of equality or hash
+    shape: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-
-    @property
-    def shape(self):
-        return tuple(len(r) for r in self.rows)
+        rows = tuple(map(tuple, self.rows))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "shape", tuple(map(len, rows)))
 
     @property
     def n_boxes(self):
@@ -155,6 +155,31 @@ def row_sign(prow, qrow):
     return 0
 
 
+def sign_split(b):
+    """(kind, n_neg) of a skew-symmetric bitableau: its SignKind as
+    classify_sign defines it, and the number of negative rows on top (0
+    unless the kind is NEGATIVE or NONVANISHING)."""
+    if not validate_skew_symmetric(b):
+        raise NotSkewSymmetric("sign classification needs a skew-symmetric bitableau")
+    if b.is_empty:
+        return SignKind.NONVANISHING, 0
+    signs = []
+    for prow, qrow in zip(b.P.rows, b.Q.rows):
+        s = row_sign(prow, qrow)
+        if s == 0:
+            return SignKind.VANISHING, 0
+        signs.append(s)
+    if any(s2 < s1 for s1, s2 in zip(signs, signs[1:])):
+        # cannot happen for semistandard input, but classify it honestly
+        return SignKind.VANISHING, 0
+    n_neg = signs.count(-1)
+    if n_neg == len(signs):
+        return SignKind.NEGATIVE, n_neg
+    if n_neg == 0:
+        return SignKind.POSITIVE, n_neg
+    return SignKind.NONVANISHING, n_neg
+
+
 def classify_sign(b):
     """Classify a skew-symmetric bitableau by the signs of its rows.
 
@@ -163,33 +188,17 @@ def classify_sign(b):
     blocks; any row without a sign gives VANISHING.  The empty bitableau
     counts as NONVANISHING with two empty parts.
     """
-    if not validate_skew_symmetric(b):
-        raise NotSkewSymmetric("sign classification needs a skew-symmetric bitableau")
-    if b.is_empty:
-        return SignClassification(SignKind.NONVANISHING, EMPTY_BITABLEAU, EMPTY_BITABLEAU)
-    signs = []
-    for prow, qrow in zip(b.P.rows, b.Q.rows):
-        s = row_sign(prow, qrow)
-        if s == 0:
-            return SignClassification(SignKind.VANISHING, None, None)
-        signs.append(s)
-    if any(s2 < s1 for s1, s2 in zip(signs, signs[1:])):
-        # cannot happen for semistandard input, but classify it honestly
-        return SignClassification(SignKind.VANISHING, None, None)
-    n_neg = signs.count(-1)
+    kind, n_neg = sign_split(b)
+    if kind is SignKind.VANISHING:
+        return SignClassification(kind, None, None)
     neg = NotchedBitableau(NotchedTableau(b.P.rows[:n_neg]), NotchedTableau(b.Q.rows[:n_neg]))
     pos = NotchedBitableau(NotchedTableau(b.P.rows[n_neg:]), NotchedTableau(b.Q.rows[n_neg:]))
-    if n_neg == len(signs):
-        return SignClassification(SignKind.NEGATIVE, neg, pos)
-    if n_neg == 0:
-        return SignClassification(SignKind.POSITIVE, neg, pos)
-    return SignClassification(SignKind.NONVANISHING, neg, pos)
+    return SignClassification(kind, neg, pos)
 
 
 def iota(b):
     """The sign-reversing involution: swap P and Q and reverse the row order."""
-    cls = classify_sign(b)
-    if cls.kind is SignKind.VANISHING:
+    if sign_split(b)[0] is SignKind.VANISHING:
         raise NotSkewSymmetric("iota is only defined on nonvanishing bitableaux")
     return NotchedBitableau(
         NotchedTableau(b.Q.rows[::-1]),

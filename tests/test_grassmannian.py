@@ -3,7 +3,18 @@ import itertools
 import pytest
 
 import obrsk.grassmannian as grassmannian
-from obrsk.errors import BoundsNotComparable, MixedSigns, NotInId, VerificationError
+from obrsk.arrays import psi_inv
+from obrsk.correspondence import obrsk, obrsk_negative_steps
+from obrsk.errors import (
+    BoundsNotComparable,
+    EmptyChain,
+    InvalidPair,
+    MixedSigns,
+    NotInId,
+    NotSemistandard,
+    VanishingColumn,
+    VerificationError,
+)
 from obrsk.grassmannian import (
     ChainSign,
     IdElement,
@@ -24,7 +35,7 @@ from obrsk.grassmannian import (
     w_of_chain,
 )
 from obrsk.multisets import FormalDiff, Cmp, diff_compare, plane_compare
-from obrsk.tableaux import down_of, up_of
+from obrsk.tableaux import NotchedBitableau, down_of, up_of
 
 
 def ide(entries, d):
@@ -134,6 +145,84 @@ def test_chain_image_d2():
     image = chain_image(((1, 3),), 2)
     assert image.P.rows == ((1, 2),)
     assert image.Q.rows == ((3, 4),)
+
+
+def chains_of_roots(d, sign=None):
+    """Every sign-pure chain of roots of I(d), each once, of the one sign if
+    given."""
+    chains = {}
+    for beta in enumerate_id(d):
+        for part_sign, part in zip(ChainSign, split_chain(roots_of(beta), beta)):
+            if sign in (None, part_sign):
+                chains.update(dict.fromkeys(enumerate_extended_chains(part)))
+    return list(chains)
+
+
+def test_chain_image_equals_obrsk_on_every_chain_of_roots_through_d6(package_caches):
+    # each image is built by one step from its parent's; obrsk on the
+    # canonical pair is the oracle
+    chains = [(chain, d) for d in range(1, 7) for chain in chains_of_roots(d)]
+    assert len(chains) == 858
+    for chain, d in chains:
+        assert chain_image(chain, d) == obrsk(psi_inv(*chain_pair(chain, d))), (chain, d)
+
+
+def test_negative_chain_images_are_the_steps_of_obrsk_through_d5(package_caches):
+    # obrsk consumes a negative chain's points in order, so its k-th
+    # intermediate bitableau is the image of the first k points
+    for d in range(1, 6):
+        for chain in chains_of_roots(d, ChainSign.MINUS):
+            steps = list(obrsk_negative_steps(psi_inv(*chain_pair(chain, d))))
+            assert steps == [chain_image(chain[:k], d) for k in range(1, len(chain) + 1)], (chain, d)
+
+
+def test_chain_images_take_one_forward_step_each_over_all_d4_triples(monkeypatch, package_caches):
+    steps = []
+    original = grassmannian.forward_step
+
+    def counted_step(*args):
+        steps.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(grassmannian, "forward_step", counted_step)
+    monkeypatch.setattr(grassmannian, "obrsk", lambda p: pytest.fail("chain_image called obrsk"))
+    for alpha, beta, gamma in ordered_triples(4):
+        defining_chains(alpha, beta, gamma)
+    assert len(steps) == 48
+    assert chain_image.cache_info().misses == 48
+
+
+@pytest.mark.parametrize(
+    "chain, d, error",
+    [
+        (((2, 2),), 2, VanishingColumn),  # no sign: a column with equal entries
+        (((1, 1), (2, 3)), 3, MixedSigns),
+        (((1, 6),), 3, InvalidPair),  # on the antidiagonal
+        (((5, 2),), 3, InvalidPair),
+        ((), 3, EmptyChain),
+    ],
+)
+def test_chain_image_raises_what_obrsk_raises(chain, d, error, package_caches):
+    with pytest.raises(error) as raised:
+        chain_image(chain, d)
+    if error in (VanishingColumn, InvalidPair):
+        with pytest.raises(error) as expected:
+            obrsk(psi_inv(*chain_pair(chain, d)))
+        assert str(raised.value) == str(expected.value)
+
+
+def test_chain_image_validates_the_pair(monkeypatch, package_caches):
+    monkeypatch.setattr(grassmannian, "validate_skew_pair", lambda p: ["a planted violation"])
+    with pytest.raises(InvalidPair, match="a planted violation"):
+        chain_image(((1, 3),), 2)
+
+
+def test_chain_image_checks_each_step_of_a_positive_chain(monkeypatch, package_caches):
+    # iota checks skew-symmetry, which needs a semistandard step result
+    broken = NotchedBitableau(((2, 1),), ((3, 4),))
+    monkeypatch.setattr(grassmannian, "forward_step", lambda *args: broken)
+    with pytest.raises(NotSemistandard):
+        chain_image(((4, 1),), 3)
 
 
 def test_w_of_chain_d2():

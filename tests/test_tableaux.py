@@ -1,7 +1,9 @@
 import itertools
+from collections import Counter
 
 import pytest
 
+from obrsk.enumeration import enumerate_even_bitableaux
 from obrsk.errors import BadBounds, NotSemistandard, NotSkewSymmetric, ShapeMismatch, ValidationError
 from obrsk.tableaux import (
     EMPTY_BITABLEAU,
@@ -11,6 +13,8 @@ from obrsk.tableaux import (
     bitableau_bounded_by,
     classify_sign,
     iota,
+    row_sign,
+    sign_split,
     up_down,
     validate_row_strict,
     validate_semistandard,
@@ -116,6 +120,53 @@ def test_iota_fixture(worked_bitableau):
     assert classify_sign(flipped).kind is SignKind.POSITIVE
     assert iota(flipped) == worked_bitableau
     assert flipped.P.rows == worked_bitableau.Q.rows[::-1]
+
+
+def reference_sign_kind(b):
+    # the kind read off the row signs one by one: a row without a sign, or a
+    # negative row below a positive one, vanishes
+    signs = [row_sign(p, q) for p, q in zip(b.P.rows, b.Q.rows)]
+    if 0 in signs or signs != sorted(signs):
+        return SignKind.VANISHING
+    if signs and set(signs) == {-1}:
+        return SignKind.NEGATIVE
+    if signs and set(signs) == {+1}:
+        return SignKind.POSITIVE
+    return SignKind.NONVANISHING
+
+
+def test_sign_split_and_iota_agree_with_the_row_signs_on_every_even_bitableau():
+    # iota reads the sign kind through sign_split, which classify_sign also
+    # uses; it raises on exactly the vanishing bitableaux, and classify_sign's
+    # parts stack back to the whole
+    bitableaux = enumerate_even_bitableaux(6, 4)
+    kinds = Counter()
+    for b in bitableaux:
+        kind, n_neg = sign_split(b)
+        cls = classify_sign(b)
+        assert kind is cls.kind is reference_sign_kind(b), b
+        kinds[kind] += 1
+        if kind is SignKind.VANISHING:
+            with pytest.raises(NotSkewSymmetric):
+                iota(b)
+            continue
+        assert len(cls.negative_part.P.rows) == n_neg
+        assert cls.negative_part.P.rows + cls.positive_part.P.rows == b.P.rows
+        assert cls.negative_part.Q.rows + cls.positive_part.Q.rows == b.Q.rows
+        assert iota(iota(b)) == b
+    assert len(bitableaux) == 767
+    assert kinds[SignKind.VANISHING] == 289
+    assert all(kinds[kind] for kind in SignKind)
+
+
+def test_tableau_shape_is_its_row_lengths_and_list_rows_equal_tuple_rows():
+    for b in enumerate_even_bitableaux(6, 4):
+        for t in (b.P, b.Q):
+            assert t.shape == tuple(map(len, t.rows))
+            from_lists = NotchedTableau([list(row) for row in t.rows])
+            assert from_lists == t and hash(from_lists) == hash(t)
+            assert repr(from_lists) == repr(t)
+    assert repr(NotchedTableau([[1, 2], [3]])) == "NotchedTableau(1 2; 3)"
 
 
 def test_up_down_fixture(worked_bitableau):
