@@ -25,8 +25,6 @@ from .tableaux import (
 )
 from .arrays import L_involution, SkewPair, TwoRowArray, psi, psi_inv, split_parts, validate_skew_pair
 from .correspondence import (
-    bounded_insert,
-    dual_insert,
     forward_step,
     obrsk,
     obrsk_inverse,

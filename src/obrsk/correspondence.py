@@ -8,14 +8,15 @@ prefix and the chain stops.  The mirror image of the bumping path is replayed
 on Q from the right with c.  Finally d is appended to the terminal row of P
 and b is prefixed to the terminal row of Q.
 
-Positions inside a row are recorded as forward positions (1-based from the
-left); on Q they are used backward (1-based from the right).
+P and Q are walked together, one row at a time: the entry at forward
+position i of a row of P (i-th from the left) matches the entry at backward
+position i of the same row of Q (i-th from the right), which has the same
+length.  forward_step and reverse_step are the one step each way.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 from .arrays import (
     SkewPair,
@@ -35,84 +36,35 @@ from .tableaux import (
     SignKind,
     classify_sign,
     iota,
+    sign_split,
     up_down,
 )
 
 
-@dataclass(frozen=True)
-class InsertionPath:
-    """Forward positions (row, position), one per visited row, top to bottom.
-    The last step is the row where the bumping chain terminated."""
-
-    steps: tuple
-
-    @property
-    def terminal_row(self):
-        return self.steps[-1][0]
-
-
-def bounded_insert(p, a, b):
-    """Insert a into P bounded by b.  Returns (new tableau, InsertionPath)."""
+def forward_step(bit, a, b, c, d):
+    """One step of the correspondence: insert a into P bounded by b, carrying
+    c through Q along the mirrored path, then append d to the terminal row of
+    P and put b in front of the terminal row of Q."""
     if a >= b:
         raise BoundViolation(f"entry {a} must be below its bound {b}")
-    rows = [list(r) for r in p.rows]
-    x = a
-    steps = []
-    r = 0
-    while True:
-        if r == len(rows):
-            rows.append([])
-        row = rows[r]
-        prefix = bisect.bisect_left(row, b)  # entries < b form a prefix
-        i = bisect.bisect_left(row, x)
-        if i < prefix:
-            steps.append((r + 1, i + 1))
-            x, row[i] = row[i], x
-            r += 1
-        else:
-            row.insert(prefix, x)
-            steps.append((r + 1, prefix + 1))
-            return NotchedTableau(rows), InsertionPath(tuple(steps))
-
-
-def dual_insert(q, c, path):
-    """Replay an insertion path on Q from the right with the entry c.
-
-    At each non-terminal step (r, j) the backward j-th entry of row r is
-    swapped out and carried downward; at the terminal step the carried entry
-    is inserted at the backward terminal position, shifting the entries to
-    its right one place.
-    """
-    rows = [list(r) for r in q.rows]
-    x = c
-    for r, j in path.steps[:-1]:
-        if r > len(rows) or j > len(rows[r - 1]):
-            raise PathShapeMismatch(f"step ({r}, {j}) does not fit shape {q.shape}")
-        row = rows[r - 1]
-        idx = len(row) - j
-        x, row[idx] = row[idx], x
-    r, j = path.steps[-1]
-    if r > len(rows) + 1:
-        raise PathShapeMismatch(f"terminal row {r} does not fit shape {q.shape}")
-    if r == len(rows) + 1:
-        rows.append([])
-    row = rows[r - 1]
-    if j > len(row) + 1:
-        raise PathShapeMismatch(f"terminal position {j} does not fit row of length {len(row)}")
-    row.insert(len(row) - j + 1, x)
-    return NotchedTableau(rows)
-
-
-def forward_step(bit, a, b, c, d):
-    """One step of the correspondence: insert (a, b) into P, mirror with c on
-    Q, then append d to the terminal row of P and prefix b to that row of Q."""
-    new_p, path = bounded_insert(bit.P, a, b)
-    new_q = dual_insert(bit.Q, c, path)
-    k = path.terminal_row
-    prows = [list(r) for r in new_p.rows]
-    qrows = [list(r) for r in new_q.rows]
-    prows[k - 1].append(d)
-    qrows[k - 1].insert(0, b)
+    prows = [list(r) for r in bit.P.rows]
+    qrows = [list(r) for r in bit.Q.rows]
+    x, y = a, c
+    for prow, qrow in zip(prows, qrows):
+        prefix = bisect.bisect_left(prow, b)  # entries < b form a prefix
+        i = bisect.bisect_left(prow, x)
+        if i >= prefix:
+            prow.insert(prefix, x)
+            prow.append(d)
+            qrow.insert(len(qrow) - prefix, y)
+            qrow.insert(0, b)
+            break
+        j = len(qrow) - 1 - i
+        x, prow[i] = prow[i], x
+        y, qrow[j] = qrow[j], y
+    else:
+        prows.append([x, d])
+        qrows.append([b, y])
     return NotchedBitableau(NotchedTableau(prows), NotchedTableau(qrows))
 
 
@@ -151,41 +103,31 @@ def reverse_step(bit):
     d = prows[s].pop()
     qrows[s].remove(b)
     # the newest box of row s holds the greatest entry below b; it rises
-    row = prows[s]
-    idx = bisect.bisect_left(row, b) - 1
-    if idx < 0:
+    prow, qrow = prows[s], qrows[s]
+    i = bisect.bisect_left(prow, b) - 1
+    if i < 0:
         raise PathShapeMismatch(f"row {s + 1} has no entry below the bound {b}")
-    x = row.pop(idx)
-    positions = [idx + 1]
+    x = prow.pop(i)
+    y = qrow.pop(len(qrow) - 1 - i)
     for r in range(s - 1, -1, -1):
-        row = prows[r]
-        i = bisect.bisect_right(row, x) - 1
-        if i < 0 or row[i] >= b:
+        prow, qrow = prows[r], qrows[r]
+        i = bisect.bisect_right(prow, x) - 1
+        if i < 0 or prow[i] >= b:
             raise PathShapeMismatch(f"no entry <= {x} below the bound {b} in row {r + 1}")
-        x, row[i] = row[i], x
-        positions.append(i + 1)
-    a = x
-    # mirror on Q, bottom-up: extract at the backward terminal position, then
-    # swap upward at the recorded backward positions
-    positions.reverse()  # now indexed top row first, like the forward path
-    row = qrows[s]
-    y = row.pop(len(row) - positions[-1])
-    for r in range(s - 1, -1, -1):
-        row = qrows[r]
-        idx = len(row) - positions[r]
-        y, row[idx] = row[idx], y
-    c = y
+        j = len(qrow) - 1 - i
+        x, prow[i] = prow[i], x
+        y, qrow[j] = qrow[j], y
     while prows and not prows[-1]:
         prows.pop()
         qrows.pop()
-    return NotchedBitableau(NotchedTableau(prows), NotchedTableau(qrows)), a, b, c, d
+    return NotchedBitableau(NotchedTableau(prows), NotchedTableau(qrows)), x, b, y, d
 
 
 def robrsk(bit):
     """Invert the correspondence on a negative skew-symmetric bitableau."""
-    cls = classify_sign(bit)
-    if not bit.is_empty and cls.kind is not SignKind.NEGATIVE:
-        raise NotNegative(f"bitableau is {cls.kind.value}, not negative")
+    kind = sign_split(bit)[0]
+    if not bit.is_empty and kind is not SignKind.NEGATIVE:
+        raise NotNegative(f"bitableau is {kind.value}, not negative")
     return _negative_preimage(bit)
 
 

@@ -158,6 +158,13 @@ def test_invert_vanishing_is_invalid(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_invert_outside_the_image_is_invalid(tmp_path, capsys):
+    # a negative skew-symmetric bitableau that no negative pair maps to
+    path = write_json(tmp_path, "bit.json", {"P": [[1, 2, 3, 4], [1, 3]], "Q": [[2, 3, 4, 5], [3, 5]]})
+    assert obrsk_main(["invert", "--input", str(path)]) == EXIT_INVALID
+    assert "no entry <= 1 below the bound 3 in row 1" in capsys.readouterr().err
+
+
 def test_og_chains(capsys):
     code, doc = run_json(capsys, og_main, ["chains", "--d", "2", "--beta", "3,4"])
     assert code == EXIT_OK

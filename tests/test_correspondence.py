@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from obrsk.arrays import SkewPair, TwoRowArray, psi, validate_skew_pair
 from obrsk.correspondence import (
-    bounded_insert,
-    dual_insert,
     forward_step,
     obrsk,
     obrsk_inverse,
@@ -22,7 +20,7 @@ from obrsk.enumeration import (
     enumerate_nonvanishing_bitableaux,
     enumerate_nonvanishing_pairs,
 )
-from obrsk.errors import BoundViolation, EmptyBitableau, NotNegative
+from obrsk.errors import BoundViolation, EmptyBitableau, NotNegative, PathShapeMismatch
 from obrsk.tableaux import (
     EMPTY_BITABLEAU,
     NotchedBitableau,
@@ -37,42 +35,40 @@ def bt(p_rows, q_rows):
     return NotchedBitableau(NotchedTableau(p_rows), NotchedTableau(q_rows))
 
 
-def test_bounded_insert_bump():
+def test_forward_step_bump():
     # inserting 3 bounded by 14 into (4, 12): 4 is the smallest entry >= 3
     # among those below the bound, so it is bumped into a new row
-    t, path = bounded_insert(NotchedTableau([[4, 12]]), 3, 14)
-    assert t.rows == ((3, 12), (4,))
-    assert path.steps == ((1, 1), (2, 1))
+    step = forward_step(bt([[4, 12]], [[20, 30]]), 3, 14, 31, 13)
+    assert step.P.rows == ((3, 12), (4, 13))
+    assert step.Q.rows == ((20, 31), (14, 30))
 
 
-def test_bounded_insert_respects_bound():
+def test_forward_step_respects_bound():
     # entries >= the bound are immovable: with bound 10, the 12 stays and the
     # new entry lands at the end of the prefix of entries below 10
-    t, path = bounded_insert(NotchedTableau([[3, 12]]), 7, 10)
-    assert t.rows == ((3, 7, 12),)
-    assert path.steps == ((1, 2),)
+    step = forward_step(bt([[3, 12]], [[20, 26]]), 7, 10, 24, 13)
+    assert step.P.rows == ((3, 7, 12, 13),)
+    assert step.Q.rows == ((10, 20, 24, 26),)
 
 
-def test_bounded_insert_cascade():
+def test_forward_step_cascade():
     # the bump travels downward row by row
-    t, path = bounded_insert(NotchedTableau([[3, 12], [3, 12]]), 3, 14)
-    assert t.rows == ((3, 12), (3, 12), (3,))
-    assert path.steps == ((1, 1), (2, 1), (3, 1))
+    step = forward_step(bt([[3, 12], [3, 12]], [[17, 25], [17, 25]]), 3, 14, 26, 15)
+    assert step.P.rows == ((3, 12), (3, 12), (3, 15))
+    assert step.Q.rows == ((17, 26), (17, 25), (14, 25))
 
 
-def test_bounded_insert_requires_entry_below_bound():
-    with pytest.raises(BoundViolation):
-        bounded_insert(NotchedTableau(()), 5, 5)
+def test_forward_step_requires_entry_below_bound():
+    with pytest.raises(BoundViolation, match="entry 5 must be below its bound 5"):
+        forward_step(EMPTY_BITABLEAU, 5, 5, 6, 1)
 
 
-def test_dual_insert_mirror():
-    # forward positions are replayed backward (from the right) on Q
-    q = dual_insert(
-        NotchedTableau([[17, 25]]),
-        26,
-        bounded_insert(NotchedTableau([[4, 12]]), 3, 14)[1],
-    )
-    assert q.rows == ((17, 26), (25,))
+def test_forward_step_mirrors_the_path_on_q():
+    # the bump at forward position 1 of P's row swaps c with the entry at
+    # backward position 1 of Q's row; b goes in front of the terminal row
+    step = forward_step(bt([[4, 12]], [[17, 25]]), 3, 14, 26, 15)
+    assert step.P.rows == ((3, 12), (4, 15))
+    assert step.Q.rows == ((17, 26), (14, 25))
 
 
 def test_forward_step_matches_fixture(worked_pair, worked_steps):
@@ -116,6 +112,37 @@ def test_reverse_step_fixture(worked_steps):
 def test_reverse_step_empty():
     with pytest.raises(EmptyBitableau):
         reverse_step(EMPTY_BITABLEAU)
+
+
+def test_reverse_step_undoes_every_forward_step_of_small_negative_pairs():
+    steps = 0
+    for p in enumerate_negative_pairs(7, 3):
+        t = p.width
+        bit = EMPTY_BITABLEAU
+        for i in range(t):
+            args = (bit, p.a[i], p.b[i], p.c[t - 1 - i], p.d[t - 1 - i])
+            bit = forward_step(*args)
+            assert reverse_step(bit) == args
+            steps += 1
+    assert steps == 3298
+
+
+def test_forward_step_redoes_every_reverse_step_of_small_negative_bitableaux():
+    bits = [b for b in enumerate_negative_bitableaux(6, 4) if not b.is_empty]
+    assert len(bits) == 157
+    for b in bits:
+        assert forward_step(*reverse_step(b)) == b
+
+
+def test_reverse_step_needs_an_entry_below_the_bound_in_the_terminal_row():
+    with pytest.raises(PathShapeMismatch, match="^row 1 has no entry below the bound 1$"):
+        reverse_step(bt([[5, 6]], [[1, 2]]))
+
+
+def test_obrsk_inverse_needs_an_entry_below_the_bound_in_every_row_above():
+    # a negative skew-symmetric bitableau that no negative pair maps to
+    with pytest.raises(PathShapeMismatch, match="^no entry <= 1 below the bound 3 in row 1$"):
+        obrsk_inverse(bt([[1, 2, 3, 4], [1, 3]], [[2, 3, 4, 5], [3, 5]]))
 
 
 def test_robrsk_fixture(worked_pair, worked_bitableau):
