@@ -16,13 +16,15 @@ maps to a w with w not <= gamma.  A chain is thus bad exactly when one of its
 two sign-pure parts is, and a negative chain's badness depends on the half
 (alpha, beta) alone, a positive chain's on (beta, gamma) alone.  Each sign's
 chains of a beta are imaged and valued once, w and the image's bound operand
-together (_signed_chains, at most 2 |I(d)| tables per d).  Each chain's image
-is one bounded insertion step from the memoised image of its parent chain,
-the chain without its last point (negative) or first point (positive)
-(chain_image).
+together (_signed_chains, at most 2 |I(d)| tables per d).  A negative chain's
+image is one bounded insertion step from the memoised image of its parent
+chain, the chain without its last point; a positive chain's image is iota of
+the image of its transpose, a negative chain, as obrsk takes a positive part
+through L (chain_image).
 defining_chains decides each sign-pure chain of roots once per half, not once
-per triple, checks each decision against the boundedness of the chain's image
-by T (negative half) or W (positive half), and keeps the minimal bad chains;
+per triple, by the w of its row, checks each decision against the
+boundedness of the chain's image by T (negative half) or W (positive half),
+on the operand of the same row, and keeps the minimal bad chains;
 a root monomial lies in the chain ideal exactly when its support contains
 one.  The halves are memoised, at most 2 |I(d)|^2 of them per d.
 """
@@ -177,27 +179,25 @@ def chain_image(chain, d):
 
     obrsk consumes a negative chain's points in increasing row order, one
     forward step each, so its image is one step from that of the chain
-    without its last point.  A positive chain goes through L, which reverses
-    that order, and through iota, so its image is one step, taken between two
-    iotas, from that of the chain without its first point.  The pair is
-    validated as obrsk validates it, and each iota checks its argument.
-    Memoised: chain is a tuple of roots sorted by position, so there is one
-    entry per chain of roots of I(d), however many betas or longer chains
-    ask for it."""
+    without its last point.  A positive chain goes through L and then iota,
+    as obrsk takes it: L of its pair is the pair of its transpose, a
+    negative chain (hash_reflect commutes with swapping the coordinates), so
+    its image is iota of that chain's image.  The pair is validated as obrsk
+    validates it, and iota checks its argument.  Memoised: chain is a tuple
+    of roots sorted by position, so there is one entry per chain asked for,
+    however many betas or longer chains ask for it."""
     violations = validate_skew_pair(psi_inv(*chain_pair(chain, d)))
     if violations:
         raise InvalidPair("; ".join(violations))
     if any(r == c for r, c in chain):
         raise VanishingColumn("a column with equal entries has no sign")
     points = tuple(sorted(chain))
+    if points[0][0] > points[0][1]:
+        return iota(chain_image(tuple(sorted((c, r) for r, c in points)), d))
+    (r, c), rest = points[-1], points[:-1]
+    parent = chain_image(rest, d) if rest else EMPTY_BITABLEAU
     full = 2 * d + 1
-    if points[0][0] < points[0][1]:
-        (r, c), rest = points[-1], points[:-1]
-        parent = chain_image(rest, d) if rest else EMPTY_BITABLEAU
-        return forward_step(parent, r, c, full - r, full - c)
-    (r, c), rest = points[0], points[1:]
-    parent = iota(chain_image(rest, d)) if rest else EMPTY_BITABLEAU
-    return iota(forward_step(parent, c, r, full - c, full - r))
+    return forward_step(parent, r, c, full - r, full - c)
 
 
 @lru_cache(maxsize=None)
@@ -282,18 +282,18 @@ def _minimal_bad_chains(bound, beta, sign):
     one sign, as frozensets: the negative half of a triple (bound alpha) or
     its positive half (bound gamma).
 
-    Every chain of the sign is decided by both routes: chain_in_chains_set,
-    with beta standing in for the bound of the other sign, which a sign-pure
-    chain never reads; and boundedness of the chain's image, T <= up for a
-    negative chain and down <= W for a positive one.  The two must agree.
+    Every chain of the sign is decided by both routes, each read off the
+    chain's row of _signed_chains: the rule of chain_in_chains_set on its w,
+    alpha not <= w for a negative chain and w not <= gamma for a positive
+    one; and boundedness of the chain's image, T <= up for a negative chain
+    and down <= W for a positive one, on its operand.  The two must agree.
     Memoised: a half is decided once, however many triples share it, so the
     cache holds at most 2 |I(d)|^2 entries per d."""
     minus = sign is ChainSign.MINUS
     limit = plane_diff(_half_bound(bound, beta, sign))
-    alpha, gamma = (bound, beta) if minus else (beta, bound)
     bad = []
-    for chain, (_, operand) in _signed_chains(beta, sign).items():
-        in_set = chain_in_chains_set(chain, alpha, beta, gamma)
+    for chain, (w, operand) in _signed_chains(beta, sign).items():
+        in_set = not (id_leq(bound, w) if minus else id_leq(w, bound))
         if in_set == (diff_leq(limit, operand) if minus else diff_leq(operand, limit)):
             raise VerificationError(
                 f"chain-membership routes disagree on {list(chain)} for the {sign.value} half "

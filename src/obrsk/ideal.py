@@ -9,13 +9,13 @@ by multichains through the interval) complement the ideal slice exactly.
 
 Each input of the check is derived once at its key, behind one memo, and
 shared by every triple that needs it.  The term order (term_order) and the
-patch, checked for skew-symmetry once (_skew_patch), are kept per beta,
-every f(theta) per (theta, beta) (pfaffian_generator), and every product of
-them per (multichain, beta) (_standard_product); nothing takes a term order
-as a parameter.  A degree slice's monomials, column map and support bitmasks
-are kept per (number of variables, degree) (_slice_columns), and the columns
-of a monomial times every multiplier per (monomial, degree)
-(_shifted_columns).
+patch, each entry its polynomial (patch_entry), checked for skew-symmetry
+once (_skew_patch), are kept per beta, every f(theta) per (theta, beta)
+(pfaffian_generator), and every product of them per (multichain, beta)
+(_standard_product); nothing takes a term order as a parameter.  A degree
+slice's monomials, column map and support bitmasks are kept per (number of
+variables, degree) (_slice_columns), and the columns of a monomial times
+every multiplier per (monomial, degree) (_shifted_columns).
 Every f(theta), and every product of them, has integer coefficients;
 rationals appear only in elimination, where _rref normalises a pivot row.
 """
@@ -26,63 +26,39 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import add
 
-from .errors import ColumnNotInBeta, DimensionMismatch, OddSize, VerificationError
-from .grassmannian import Region, defining_chains, enumerate_id, hash_reflect, id_leq, region_of
+from .errors import ColumnNotInBeta, DimensionMismatch, OddSize, ValidationError, VerificationError
+from .grassmannian import Region, _check_triple, defining_chains, enumerate_id, hash_reflect, id_leq, region_of
 # perfbench/tracing.py patches ideal.is_quotient_monomial, so the name stays importable here
 from .grassmannian import is_quotient_monomial  # noqa: F401
 from .polynomials import SparsePoly, term_order
 
 
-class EntryKind(Enum):
-    UNIT = "unit"
-    OFFUNIT = "offunit"
-    ZERO = "zero"
-    VAR = "var"
-    NEGVAR = "negvar"
-
-
-@dataclass(frozen=True)
-class PatchEntry:
-    kind: EntryKind
-    root: tuple | None = None  # the variable, for VAR / NEGVAR
-
-
 def patch_entry(beta, r, c):
-    """Entry (r, c) of the patch matrix of beta.
+    """Entry (r, c) of the patch matrix of beta, as a polynomial over
+    term_order(beta).
 
     Rows indexed by 1..2d; columns only by beta.  Rows inside beta carry the
-    identity; a row r outside beta carries the variable X(r, c) left of the
-    antidiagonal, 0 on it, and minus the reflected variable below it.
+    identity, 1 or 0; a row r outside beta carries the variable X(r, c) left
+    of the antidiagonal, 0 on it, and minus the reflected variable below it.
     """
     if c not in beta.entries:
         raise ColumnNotInBeta(f"column {c} is not in beta = {beta.entries}")
     if not (1 <= r <= 2 * beta.d):
         raise DimensionMismatch(f"row {r} outside 1..{2 * beta.d}")
+    order = term_order(beta)
     if r in beta.entries:
-        return PatchEntry(EntryKind.UNIT if r == c else EntryKind.OFFUNIT)
+        return SparsePoly.constant(order, int(r == c))
     reg = region_of(beta, r, c)
     if reg is Region.DIAG:
-        return PatchEntry(EntryKind.ZERO)
-    if reg is Region.BELOW:
-        return PatchEntry(EntryKind.NEGVAR, hash_reflect((r, c), beta.d))
-    return PatchEntry(EntryKind.VAR, (r, c))
-
-
-def _entry_poly(beta, r, c):
-    order = term_order(beta)
-    e = patch_entry(beta, r, c)
-    if e.kind is EntryKind.UNIT:
-        return SparsePoly.constant(order, 1)
-    if e.kind in (EntryKind.OFFUNIT, EntryKind.ZERO):
         return SparsePoly.zero(order)
-    sign = 1 if e.kind is EntryKind.VAR else -1
-    return SparsePoly.variable(order, e.root, sign)
+    if reg is Region.BELOW:
+        return SparsePoly.variable(order, hash_reflect((r, c), beta.d), -1)
+    return SparsePoly.variable(order, (r, c))
 
 
 @lru_cache(maxsize=None)
@@ -95,7 +71,7 @@ def _skew_patch(beta):
     so there the check asks for a zero entry.  Every matrix pfaffian_matrix
     reads is then skew-symmetric with a zero diagonal.  Memoised: one entry
     per beta, at most |I(d)| = 2^(d-1) per d."""
-    patch = {(r, c): _entry_poly(beta, r, c) for r in beta.complement for c in beta.entries}
+    patch = {(r, c): patch_entry(beta, r, c) for r in beta.complement for c in beta.entries}
     for (r, c), entry in patch.items():
         mirror = hash_reflect((r, c), beta.d)
         if not (entry + patch[mirror]).is_zero:
@@ -195,7 +171,10 @@ def beta_degree(theta, beta):
 
 def generators(alpha, beta, gamma):
     """The Pfaffians f(theta) over theta in I(d) with alpha not <= theta or
-    theta not <= gamma; returned as (theta, polynomial) pairs."""
+    theta not <= gamma; returned as (theta, polynomial) pairs.  The triple
+    must satisfy alpha <= beta <= gamma (BoundsNotComparable otherwise):
+    out of order, f(beta) = 1 would join the generators."""
+    _check_triple(alpha, beta, gamma)
     out = []
     for theta in enumerate_id(beta.d):
         if not (id_leq(alpha, theta) and id_leq(theta, gamma)):
@@ -458,7 +437,10 @@ class VerifyReport:
 def verify_main_theorem(alpha, beta, gamma, max_degree):
     """Check, for each degree up to max_degree, that the initial monomials of
     the Pfaffian ideal are exactly the chain monomials, and that the standard
-    monomials span a complement of the ideal slice."""
+    monomials span a complement of the ideal slice.  max_degree must be at
+    least 1: a check of no degree would pass while saying nothing."""
+    if max_degree < 1:
+        raise ValidationError(f"the main check needs max_degree >= 1, got {max_degree}")
     gens = generators(alpha, beta, gamma)
     report = VerifyReport(alpha, beta, gamma)
     levels = itertools.islice(_multichain_levels(alpha, beta, gamma), 1, None)
@@ -485,7 +467,10 @@ def verify_main_theorem(alpha, beta, gamma, max_degree):
 
 
 def hilbert_counts(alpha, beta, gamma, max_degree):
-    """Quotient dimensions by degree: (total, ideal dim, quotient dim)."""
+    """Quotient dimensions by degree: (total, ideal dim, quotient dim), for
+    degrees 0..max_degree; max_degree must be at least 0."""
+    if max_degree < 0:
+        raise ValidationError(f"hilbert counts need max_degree >= 0, got {max_degree}")
     gens = generators(alpha, beta, gamma)
     out = []
     for m in range(max_degree + 1):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import obrsk.grassmannian as grassmannian
-from obrsk.arrays import psi_inv
+from obrsk.arrays import L_involution, psi_inv
 from obrsk.correspondence import obrsk, obrsk_negative_steps
 from obrsk.errors import (
     BoundsNotComparable,
@@ -35,7 +35,7 @@ from obrsk.grassmannian import (
     w_of_chain,
 )
 from obrsk.multisets import FormalDiff, Cmp, diff_compare, plane_compare
-from obrsk.tableaux import NotchedBitableau, down_of, up_of
+from obrsk.tableaux import NotchedBitableau, down_of, iota, up_of
 
 
 def ide(entries, d):
@@ -176,19 +176,38 @@ def test_negative_chain_images_are_the_steps_of_obrsk_through_d5(package_caches)
             assert steps == [chain_image(chain[:k], d) for k in range(1, len(chain) + 1)], (chain, d)
 
 
+def test_positive_chain_images_go_through_L_through_d6(package_caches):
+    # L of a positive chain's pair is its transpose's pair, as hash_reflect
+    # commutes with swapping the coordinates, so the image is iota of the
+    # transpose's image, the rule obrsk applies to a positive part
+    chains = [(chain, d) for d in range(1, 7) for chain in chains_of_roots(d, ChainSign.PLUS)]
+    assert chains
+    for chain, d in chains:
+        transpose = tuple(sorted((c, r) for r, c in chain))
+        assert psi_inv(*chain_pair(transpose, d)) == L_involution(psi_inv(*chain_pair(chain, d))), (chain, d)
+        assert chain_image(chain, d) == iota(chain_image(transpose, d)), (chain, d)
+
+
 def test_chain_images_take_one_forward_step_each_over_all_d4_triples(monkeypatch, package_caches):
-    steps = []
-    original = grassmannian.forward_step
+    # a forward step per negative chain, an iota per positive one
+    steps, iotas = [], []
+    original_step, original_iota = grassmannian.forward_step, grassmannian.iota
 
     def counted_step(*args):
         steps.append(args)
-        return original(*args)
+        return original_step(*args)
+
+    def counted_iota(bit):
+        iotas.append(bit)
+        return original_iota(bit)
 
     monkeypatch.setattr(grassmannian, "forward_step", counted_step)
+    monkeypatch.setattr(grassmannian, "iota", counted_iota)
     monkeypatch.setattr(grassmannian, "obrsk", lambda p: pytest.fail("chain_image called obrsk"))
     for alpha, beta, gamma in ordered_triples(4):
         defining_chains(alpha, beta, gamma)
-    assert len(steps) == 48
+    assert len(steps) == 24
+    assert len(iotas) == 24
     assert chain_image.cache_info().misses == 48
 
 
@@ -369,15 +388,31 @@ def test_defining_chains_d2():
 
 
 def test_defining_chains_routes_disagree(monkeypatch, package_caches):
-    # flip the chain-membership route: every chain of roots now disagrees
-    # with the boundedness route
-    original = grassmannian.chain_in_chains_set
-    monkeypatch.setattr(grassmannian, "chain_in_chains_set", lambda *args: not original(*args))
+    # flip the boundedness route: every chain of roots now disagrees with
+    # the chain-membership route
+    original = grassmannian.diff_leq
+    monkeypatch.setattr(grassmannian, "diff_leq", lambda *args: not original(*args))
     alpha, beta, gamma = ide((1, 2, 3), 3), ide((1, 4, 5), 3), ide((3, 5, 6), 3)
     with pytest.raises(VerificationError, match="disagree"):
         defining_chains(alpha, beta, gamma)
     with pytest.raises(VerificationError):
         is_quotient_monomial((), alpha, beta, gamma)
+
+
+def test_defining_chains_routes_disagree_when_w_is_wrong(monkeypatch, package_caches):
+    # rows whose w is beta itself: the chain-membership route reads every
+    # chain as good, while in the point case every chain is bad
+    original = grassmannian._signed_chains
+
+    def wrong_w(beta, sign):
+        return {chain: (beta, operand) for chain, (_, operand) in original(beta, sign).items()}
+
+    beta = ide((1, 4, 5), 3)
+    assert defining_chains(beta, beta, beta)
+    grassmannian._minimal_bad_chains.cache_clear()
+    monkeypatch.setattr(grassmannian, "_signed_chains", wrong_w)
+    with pytest.raises(VerificationError, match="disagree"):
+        defining_chains(beta, beta, beta)
 
 
 def test_is_quotient_monomial_rejects_non_roots():

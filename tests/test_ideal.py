@@ -4,12 +4,17 @@ import pytest
 
 import obrsk.grassmannian as grassmannian
 import obrsk.ideal as ideal
-from obrsk.errors import ColumnNotInBeta, DimensionMismatch, OddSize, VerificationError
-from obrsk.grassmannian import IdElement, enumerate_id, id_leq, is_quotient_monomial
+from obrsk.errors import (
+    BoundsNotComparable,
+    ColumnNotInBeta,
+    DimensionMismatch,
+    OddSize,
+    ValidationError,
+    VerificationError,
+)
+from obrsk.grassmannian import IdElement, Region, enumerate_id, id_leq, is_quotient_monomial, region_of
 from obrsk.ideal import (
     DegreeSlice,
-    EntryKind,
-    PatchEntry,
     beta_degree,
     chains_monomials_degree,
     determinant,
@@ -50,19 +55,18 @@ _PATCH_5 = {
 
 def test_patch_matrix_d5():
     beta = ide((1, 3, 4, 6, 9), 5)
+    order = term_order(beta)
     for r, row in _PATCH_5.items():
         for c, expected in zip(beta.entries, row):
-            e = patch_entry(beta, r, c)
             if expected == "1":
-                assert e.kind is EntryKind.UNIT, (r, c)
-            elif expected == ".":
-                assert e.kind is EntryKind.OFFUNIT, (r, c)
-            elif expected == "0":
-                assert e.kind is EntryKind.ZERO, (r, c)
+                poly = SparsePoly.constant(order, 1)
+            elif expected in (".", "0"):
+                poly = SparsePoly.zero(order)
             elif expected[0] == "-":
-                assert e.kind is EntryKind.NEGVAR and e.root == expected[1:], (r, c)
+                poly = SparsePoly.variable(order, expected[1:], -1)
             else:
-                assert e.kind is EntryKind.VAR and e.root == expected, (r, c)
+                poly = SparsePoly.variable(order, expected)
+            assert patch_entry(beta, r, c) == poly, (r, c)
 
 
 def test_patch_entry_rejects_bad_indices():
@@ -126,7 +130,7 @@ def test_pfaffian_rejects_odd_size():
 
 def _reference_pfaffian_generator(theta, beta):
     """f(theta) by the first-row recursion through SparsePoly sums, over
-    entries built afresh by _entry_poly and checked for skew-symmetry
+    entries built afresh by patch_entry and checked for skew-symmetry
     here: an independent route to the patch memo and the single-dict
     expansion of pfaffian."""
     order = term_order(beta)
@@ -134,7 +138,7 @@ def _reference_pfaffian_generator(theta, beta):
         return SparsePoly.constant(order, 1)
     rows = sorted(set(theta.entries) - set(beta.entries))
     cols = sorted(set(beta.entries) - set(theta.entries))[::-1]
-    a = [[ideal._entry_poly(beta, r, c) for c in cols] for r in rows]
+    a = [[patch_entry(beta, r, c) for c in cols] for r in rows]
     n = len(a)
     for i in range(n):
         for j in range(n):
@@ -162,12 +166,13 @@ def test_pfaffian_generator_matches_the_first_row_recursion_through_d5():
 
 
 def test_patch_with_a_wrong_sign_is_rejected(package_caches, monkeypatch):
-    # a VAR where the patch has a NEGVAR breaks entry(r, c) = -entry(c*, r*)
+    # +X where the patch has -X, below the antidiagonal, breaks
+    # entry(r, c) = -entry(c*, r*)
     original = ideal.patch_entry
 
     def wrong_sign(beta, r, c):
         e = original(beta, r, c)
-        return PatchEntry(EntryKind.VAR, e.root) if e.kind is EntryKind.NEGVAR else e
+        return -e if region_of(beta, r, c) is Region.BELOW else e
 
     monkeypatch.setattr(ideal, "patch_entry", wrong_sign)
     beta = ide((1, 3, 4, 6, 9), 5)
@@ -191,6 +196,15 @@ def test_generators_selection():
     assert [theta.entries for theta, _ in gens] == [(1, 2)]
     # the full interval at d=2 excludes nothing
     assert generators(ide((1, 2), 2), ide((1, 2), 2), ide((3, 4), 2)) == []
+
+
+def test_generators_refuse_a_triple_out_of_order():
+    # (1,2,3) <= (1,4,5) <= (2,4,6); reversed, f(beta) = 1 would join the
+    # generators and every degree of the quotient would read 0
+    alpha, beta, gamma = ide((1, 2, 3), 3), ide((1, 4, 5), 3), ide((2, 4, 6), 3)
+    assert generators(alpha, beta, gamma)
+    with pytest.raises(BoundsNotComparable):
+        generators(gamma, beta, alpha)
 
 
 def test_monomials_of_degree():
@@ -404,6 +418,26 @@ def test_hilbert_counts_full_interval_d2():
     counts = hilbert_counts(alpha, beta, beta, 3)
     # no generators: the quotient is the full polynomial ring in one variable
     assert [quot for _, _, _, quot in counts] == [1, 1, 1, 1]
+
+
+def test_hilbert_counts_refuse_a_triple_out_of_order():
+    alpha, beta, gamma = ide((1, 2, 3), 3), ide((1, 4, 5), 3), ide((2, 4, 6), 3)
+    assert hilbert_counts(alpha, beta, gamma, 2)[0] == (0, 1, 0, 1)
+    with pytest.raises(BoundsNotComparable):
+        hilbert_counts(gamma, beta, alpha, 2)
+
+
+def test_a_check_of_no_degree_is_refused():
+    # the library's floors are the CLI's: a main check of no degree would
+    # pass vacuously, and hilbert counts start at degree 0
+    beta = ide((3, 4), 2)
+    for max_degree in (0, -1):
+        with pytest.raises(ValidationError, match="max_degree >= 1"):
+            verify_main_theorem(beta, beta, beta, max_degree)
+    with pytest.raises(ValidationError, match="max_degree >= 0"):
+        hilbert_counts(beta, beta, beta, -1)
+    assert [r.m for r in verify_main_theorem(beta, beta, beta, 1).degrees] == [1]
+    assert hilbert_counts(beta, beta, beta, 0) == [(0, 1, 0, 1)]
 
 
 def test_degree_slice_shape():

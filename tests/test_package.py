@@ -6,3 +6,23 @@ import obrsk
 def test_all_names_the_public_functions_and_classes_only():
     assert "term_order" in obrsk.__all__
     assert [name for name in obrsk.__all__ if isinstance(getattr(obrsk, name), ModuleType)] == []
+
+
+def test_package_holds_one_memo_per_key(package_caches):
+    # each key of derived state has one memo; a new lru_cache must update
+    # this pin on purpose
+    names = sorted(f"{cache.__module__}.{cache.__qualname__}" for cache in package_caches)
+    assert names == [
+        "obrsk.grassmannian._minimal_bad_chains",
+        "obrsk.grassmannian._signed_chains",
+        "obrsk.grassmannian.chain_image",
+        "obrsk.grassmannian.enumerate_id",
+        "obrsk.grassmannian.roots_of",
+        "obrsk.ideal._shifted_columns",
+        "obrsk.ideal._skew_patch",
+        "obrsk.ideal._slice_columns",
+        "obrsk.ideal._standard_product",
+        "obrsk.ideal.pfaffian_generator",
+        "obrsk.polynomials.term_order",
+    ]
+    assert len(package_caches) == 11
