@@ -10,12 +10,11 @@ degree.
 
 from types import ModuleType as _ModuleType
 
-from .multisets import Cmp, FormalDiff, count_le, diff_compare, is_chain, multiset_minus, plane_compare
+from .multisets import FormalDiff, count_le, is_chain
 from .tableaux import (
     NotchedBitableau,
     NotchedTableau,
     SignKind,
-    bitableau_bounded_by,
     classify_sign,
     iota,
     up_down,
@@ -24,20 +23,11 @@ from .tableaux import (
     validate_skew_symmetric,
 )
 from .arrays import L_involution, SkewPair, TwoRowArray, psi, psi_inv, split_parts, validate_skew_pair
-from .correspondence import (
-    forward_step,
-    obrsk,
-    obrsk_inverse,
-    obrsk_negative,
-    obrsk_negative_steps,
-    reverse_step,
-    robrsk,
-)
+from .correspondence import forward_step, obrsk, obrsk_inverse, obrsk_negative_steps, reverse_step, robrsk
 from .grassmannian import (
     ChainSign,
     IdElement,
     Region,
-    chain_in_chains_set,
     chain_pair,
     defining_chains,
     enumerate_extended_chains,
@@ -48,7 +38,6 @@ from .grassmannian import (
     region_of,
     roots_of,
     split_chain,
-    t_w_bounds,
     w_of_chain,
 )
 from .polynomials import SparsePoly, TermOrder, term_order

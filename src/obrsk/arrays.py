@@ -96,9 +96,6 @@ class SkewPair:
         return self.pi2.bottom
 
 
-EMPTY_PAIR = SkewPair(TwoRowArray((), ()), TwoRowArray((), ()))
-
-
 def _is_lexicographic(arr):
     cols = list(zip(arr.top, arr.bottom))
     return all(x >= y for x, y in zip(cols, cols[1:]))
@@ -155,16 +152,8 @@ def validate_skew_pair(p):
     return violations
 
 
-def is_valid_pair(p):
-    return not validate_skew_pair(p)
-
-
 def is_negative_pair(p):
-    return all(x < y for x, y in zip(p.a, p.b)) and is_valid_pair(p)
-
-
-def is_positive_pair(p):
-    return all(x > y for x, y in zip(p.a, p.b)) and is_valid_pair(p)
+    return all(x < y for x, y in zip(p.a, p.b)) and not validate_skew_pair(p)
 
 
 def psi(p):

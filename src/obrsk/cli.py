@@ -303,8 +303,6 @@ def _ideal_command(args):
         alpha = _parse_id(args.alpha, args.d)
         beta = _parse_id(args.beta, args.d)
         gamma = _parse_id(args.gamma, args.d)
-        if not (id_leq(alpha, beta) and id_leq(beta, gamma)):
-            raise ValidationError("need alpha <= beta <= gamma")
     if args.command == "generators":
         for theta, poly in generators(alpha, beta, gamma):
             print(f"f({theta}) = {poly}")

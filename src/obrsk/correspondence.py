@@ -18,27 +18,9 @@ from __future__ import annotations
 
 import bisect
 
-from .arrays import (
-    SkewPair,
-    is_negative_pair,
-    psi,
-    psi_inv,
-    split_parts,
-    validate_skew_pair,
-    L_involution,
-)
+from .arrays import SkewPair, psi, psi_inv, split_parts, validate_skew_pair, L_involution
 from .errors import BoundViolation, EmptyBitableau, InvalidPair, NotNegative, PathShapeMismatch
-from .multisets import enumerate_extended_chains
-from .tableaux import (
-    EMPTY_BITABLEAU,
-    NotchedBitableau,
-    NotchedTableau,
-    SignKind,
-    classify_sign,
-    iota,
-    sign_split,
-    up_down,
-)
+from .tableaux import EMPTY_BITABLEAU, NotchedBitableau, NotchedTableau, SignKind, classify_sign, iota, sign_split
 
 
 def forward_step(bit, a, b, c, d):
@@ -68,15 +50,8 @@ def forward_step(bit, a, b, c, d):
     return NotchedBitableau(NotchedTableau(prows), NotchedTableau(qrows))
 
 
-def obrsk_negative(p):
-    """Apply the correspondence to a negative skew pair."""
-    if not is_negative_pair(p):
-        raise NotNegative(f"not a negative skew pair: {validate_skew_pair(p) or 'has a non-negative column'}")
-    return _negative_image(p)
-
-
 def _negative_image(p):
-    """obrsk_negative without the check that p is negative."""
+    """The correspondence on a negative skew pair, which is not checked."""
     bit = EMPTY_BITABLEAU
     for bit in obrsk_negative_steps(p):
         pass
@@ -84,7 +59,8 @@ def _negative_image(p):
 
 
 def obrsk_negative_steps(p):
-    """Yield the intermediate bitableaux of obrsk_negative, one per column."""
+    """Yield the intermediate bitableaux of the correspondence on a negative
+    pair, one per column."""
     t = p.width
     bit = EMPTY_BITABLEAU
     for i in range(t):
@@ -171,46 +147,4 @@ def obrsk_inverse(bit):
     pos_pair = L_involution(_negative_preimage(iota(cls.positive_part)))
     (neg1, neg2), (pos1, pos2) = psi(neg_pair), psi(pos_pair)
     return psi_inv(neg1 + pos1, neg2 + pos2)
-
-
-# -- boundedness of pairs ----------------------------------------------------
-
-
-def dual_chain_pairs(u1, u2):
-    """All dual pairs of chains inside the pair of plane multisets (U1, U2).
-
-    A chain C1 in the underlying set of U1 determines its partner: the i-th
-    column of the canonical array of C1 matches the first identical column of
-    the canonical array of U1, and the dual column of U2 (mirror index) is
-    placed at the mirror position of the partner array.  The pair qualifies
-    when the two arrays form a valid skew pair.
-    """
-    full = psi_inv(u1, u2)
-    t = full.width
-    cols1 = full.pi1.columns()  # (b, a), in canonical order
-    cols2 = full.pi2.columns()  # (c, d)
-    out = []
-    for c1 in enumerate_extended_chains(u1):
-        # the first pi1 column holding each point, in canonical order
-        first = sorted(cols1.index((b, a)) for a, b in c1)
-        cand = SkewPair.from_columns([cols1[i] for i in first], [cols2[t - 1 - i] for i in reversed(first)])
-        if not validate_skew_pair(cand):
-            out.append(cand)
-    return out
-
-
-def pair_up_down_sets(u1, u2):
-    """For each dual pair of chains in (U1, U2): the up set of the image of
-    its negative part and the down set of the image of its positive part.
-    The image stacks the negative block on the positive one, so these are
-    the up and down sets of the whole image."""
-    ups, downs = [], []
-    for cand in dual_chain_pairs(u1, u2):
-        neg, pos = split_parts(cand)
-        up, down = up_down(obrsk(cand))
-        if neg.width:
-            ups.append(up)
-        if pos.width:
-            downs.append(down)
-    return ups, downs
 

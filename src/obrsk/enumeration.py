@@ -1,4 +1,4 @@
-"""Exhaustive enumeration of small pairs, bitableaux and bound sets.
+"""Exhaustive enumeration of small pairs and bitableaux.
 
 These drive the property suites: enumerate every valid object with entries
 up to a cap, then check bijectivity, involutions and boundedness exhaustively.
@@ -18,16 +18,8 @@ from __future__ import annotations
 import itertools
 
 from .arrays import SkewPair, TwoRowArray, column_duality_pairs, dual_column_violations, validate_skew_pair
-from .errors import ValidationError
 from .multisets import FormalDiff, diff_leq, duality_conflict
-from .tableaux import (
-    NotchedBitableau,
-    NotchedTableau,
-    is_signed_plane_set,
-    row_duality_pairs,
-    row_sign,
-    validate_skew_symmetric,
-)
+from .tableaux import NotchedBitableau, NotchedTableau, row_duality_pairs, row_sign, validate_skew_symmetric
 
 
 def enumerate_skew_pairs(max_entry, max_width, pi1_column):
@@ -148,38 +140,14 @@ def _bitableaux(max_entry, max_boxes, signs):
             yield from complete(prows, (), None, [])
 
 
-def enumerate_even_bitableaux(max_entry, max_boxes):
-    """All skew-symmetric bitableaux with even rows, <= max_boxes boxes and
-    entries <= max_entry."""
-    return list(_bitableaux(max_entry, max_boxes, {-1, 0, +1}))
-
-
 def enumerate_negative_bitableaux(max_entry, max_boxes):
-    """The negative ones among them: every row negative."""
+    """The negative skew-symmetric bitableaux with even rows, <= max_boxes
+    boxes and entries <= max_entry: every row negative."""
     return list(_bitableaux(max_entry, max_boxes, {-1}))
 
 
 def enumerate_nonvanishing_bitableaux(max_entry, max_boxes):
-    """The nonvanishing ones: every row has a sign.  Semistandard order puts
-    the negative rows above the positive ones."""
+    """The nonvanishing ones, likewise: every row has a sign.  Semistandard
+    order puts the negative rows above the positive ones."""
     return list(_bitableaux(max_entry, max_boxes, {-1, +1}))
 
-
-def enumerate_bound_sets(max_entry, max_points, sign):
-    """All negative (sign=-1) or positive (sign=+1) plane sets with at most
-    max_points points, entries <= max_entry and duplicate free projections.
-    Includes the empty set."""
-    if sign not in (-1, +1):
-        raise ValidationError(f"sign must be -1 or +1, got {sign!r}")
-    points = [
-        (x, y)
-        for x in range(1, max_entry + 1)
-        for y in range(1, max_entry + 1)
-        if is_signed_plane_set([(x, y)], sign)
-    ]
-    out = [()]
-    for k in range(1, max_points + 1):
-        for combo in itertools.combinations(points, k):
-            if is_signed_plane_set(combo, sign):
-                out.append(tuple(sorted(combo)))
-    return out

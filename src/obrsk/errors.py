@@ -20,10 +20,6 @@ class VerificationError(ObrskError, AssertionError):
 
 # -- multisets ---------------------------------------------------------------
 
-class ContainmentViolation(ValidationError):
-    """Multiset difference requested where the subtrahend is not contained."""
-
-
 class MinusNotSet(ValidationError):
     """The minus part of a formal difference has a repeated element."""
 
@@ -40,10 +36,6 @@ class NotSemistandard(ValidationError):
 
 class NotSkewSymmetric(ValidationError):
     pass
-
-
-class BadBounds(ValidationError):
-    """A bound pair (T, W) is not a (negative, positive) pair of plane sets."""
 
 
 class EmptyBitableau(ValidationError):
@@ -93,7 +85,7 @@ class EmptyChain(ValidationError):
 
 
 class BoundsNotComparable(ValidationError):
-    """t_w_bounds needs alpha <= beta <= gamma."""
+    """A triple is not alpha <= beta <= gamma in one I(d)."""
 
 
 class SignAssertionFailure(VerificationError):

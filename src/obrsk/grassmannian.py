@@ -52,7 +52,7 @@ from .errors import (
     VerificationError,
 )
 from .multisets import diff_leq, enumerate_extended_chains, is_chain, plane_diff, plane_multiset
-from .tableaux import EMPTY_BITABLEAU, down_of, iota, is_signed_plane_set, up_of
+from .tableaux import EMPTY_BITABLEAU, iota, is_signed_plane_set, up_down
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ def _signed_chains(beta, sign):
     table = {}
     for chain in enumerate_extended_chains(split_chain(roots_of(beta), beta)[0 if minus else 1]):
         image = chain_image(chain, beta.d)
-        pairs = up_of(image) if minus else down_of(image)
+        pairs = up_down(image)[0 if minus else 1]
         entries = set(beta.entries)
         for _, y in pairs:
             if y not in entries:
@@ -248,32 +248,15 @@ def _half_bound(bound, beta, sign):
 
 
 def _check_triple(alpha, beta, gamma):
+    """Refuse a triple that is not alpha <= beta <= gamma in one I(d).
+    id_leq compares entries pairwise and stops at the shorter list, so
+    elements of different d are refused first."""
+    if not alpha.d == beta.d == gamma.d:
+        raise BoundsNotComparable(f"alpha, beta and gamma must share d, got d = {alpha.d}, {beta.d}, {gamma.d}")
     if not (id_leq(alpha, beta) and id_leq(beta, gamma)):
         raise BoundsNotComparable(
             f"need alpha <= beta <= gamma, got {alpha.entries}, {beta.entries}, {gamma.entries}"
         )
-
-
-def t_w_bounds(alpha, beta, gamma):
-    """The bound pair (T, W) of the triple alpha <= beta <= gamma.
-
-    T pairs the i-th smallest element of alpha - beta with the i-th smallest
-    of beta - alpha (a negative plane set); W does the same with gamma and is
-    positive.
-    """
-    _check_triple(alpha, beta, gamma)
-    return _half_bound(alpha, beta, ChainSign.MINUS), _half_bound(gamma, beta, ChainSign.PLUS)
-
-
-def chain_in_chains_set(chain, alpha, beta, gamma):
-    """Membership of a chain in the defining set of the chain ideal: the
-    negative part fails alpha <= w, or the positive part fails w <= gamma."""
-    neg, pos = split_chain(chain, beta)
-    if neg and not id_leq(alpha, w_of_chain(neg, beta, ChainSign.MINUS)):
-        return True
-    if pos and not id_leq(w_of_chain(pos, beta, ChainSign.PLUS), gamma):
-        return True
-    return False
 
 
 @lru_cache(maxsize=None)
@@ -283,9 +266,9 @@ def _minimal_bad_chains(bound, beta, sign):
     its positive half (bound gamma).
 
     Every chain of the sign is decided by both routes, each read off the
-    chain's row of _signed_chains: the rule of chain_in_chains_set on its w,
-    alpha not <= w for a negative chain and w not <= gamma for a positive
-    one; and boundedness of the chain's image, T <= up for a negative chain
+    chain's row of _signed_chains: the defining rule on its w, alpha not <= w
+    for a negative chain and w not <= gamma for a positive one; and
+    boundedness of the chain's image, T <= up for a negative chain
     and down <= W for a positive one, on its operand.  The two must agree.
     Memoised: a half is decided once, however many triples share it, so the
     cache holds at most 2 |I(d)|^2 entries per d."""
@@ -333,23 +316,3 @@ def is_quotient_monomial(u, alpha, beta, gamma):
         raise MixedSigns(f"{min(stray)} is not a root of the grid of {beta}")
     return not any(chain <= support for chain in bad)
 
-
-__all__ = [
-    "ChainSign",
-    "IdElement",
-    "Region",
-    "chain_image",
-    "chain_in_chains_set",
-    "chain_pair",
-    "defining_chains",
-    "enumerate_extended_chains",
-    "enumerate_id",
-    "hash_reflect",
-    "id_leq",
-    "is_quotient_monomial",
-    "region_of",
-    "roots_of",
-    "split_chain",
-    "t_w_bounds",
-    "w_of_chain",
-]

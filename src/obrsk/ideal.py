@@ -110,35 +110,6 @@ def pfaffian(a):
     return SparsePoly.from_dict(order, total)
 
 
-def determinant(a):
-    """Leibniz determinant of a square matrix of polynomials (small sizes)."""
-    n = len(a)
-    if n == 0:
-        raise DimensionMismatch("empty matrix: use the constant 1 directly")
-    order = a[0][0].order
-    total = SparsePoly.zero(order)
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for i in range(n):
-            if seen[i]:
-                continue
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        prod = SparsePoly.constant(order, sign)
-        for i in range(n):
-            prod = prod * a[i][perm[i]]
-            if prod.is_zero:
-                break
-        total = total + prod
-    return total
-
-
 def pfaffian_matrix(theta, beta):
     """The skew-symmetric matrix of the pair (theta, beta): rows theta - beta
     ascending, columns beta - theta ascending reversed, read off the checked
@@ -448,7 +419,8 @@ def verify_main_theorem(alpha, beta, gamma, max_degree):
         slice_m = DegreeSlice(beta, gens, m)
         initial = slice_m.initial_monomials()
         chains = chains_monomials_degree(alpha, beta, gamma, m)
-        counts = len(std) == slice_m.total - slice_m.dim and len(initial) == slice_m.dim
+        # the pivot columns are distinct, so len(initial) == dim always holds
+        counts = len(std) == slice_m.total - slice_m.dim
         std_polys = [_standard_product(thetas, beta) for thetas in std]
         independent = slice_m.rank_with(std_polys) == slice_m.dim + len(std)
         report.degrees.append(

@@ -20,16 +20,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from enum import Enum
 
-from .errors import ContainmentViolation, MinusNotSet, ValidationError
-
-
-class Cmp(Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
+from .errors import MinusNotSet, ValidationError
 
 
 def nat_multiset(entries):
@@ -61,17 +53,6 @@ def plane_multiset(points):
 def count_le(entries, z):
     """Number of entries <= z in a sorted tuple."""
     return bisect.bisect_right(entries, z)
-
-
-def multiset_minus(a, b):
-    """Honest multiset difference a \\ b; every element of b must occur in a."""
-    remaining = list(a)
-    for x in b:
-        try:
-            remaining.remove(x)
-        except ValueError:
-            raise ContainmentViolation(f"{x!r} occurs more often in subtrahend than in {a!r}")
-    return tuple(sorted(remaining))
 
 
 def proj1(points):
@@ -138,14 +119,6 @@ class FormalDiff:
         """Counting function |plus^{<=z}| + z - |minus^{<=z}|."""
         return count_le(self.plus, z) + z - count_le(self.minus, z)
 
-    @property
-    def tail_offset(self):
-        """count(z) - z for z beyond every entry; determines the stabilized tail."""
-        return len(self.plus) - len(self.minus)
-
-
-EMPTY_DIFF = FormalDiff((), ())
-
 
 def diff_leq(d1, d2):
     """D1 <= D2 in the counting order: the count of d1 is at least that of d2
@@ -160,27 +133,8 @@ def diff_leq(d1, d2):
     return all(d1.count(z) >= d2.count(z) for z in {*d1.minus, *d2.plus})
 
 
-def diff_compare(d1, d2):
-    """Compare two formal differences in the counting order."""
-    le, ge = diff_leq(d1, d2), diff_leq(d2, d1)
-    if le and ge:
-        return Cmp.EQUAL
-    if le:
-        return Cmp.LESS
-    if ge:
-        return Cmp.GREATER
-    return Cmp.INCOMPARABLE
-
-
 def plane_diff(points):
     """The formal difference proj1 - proj2 by which a plane multiset is
     compared; raises MinusNotSet when the second projection has a repeat."""
     return FormalDiff(proj1(points), proj2(points))
 
-
-def plane_compare(s, t):
-    """Compare plane multisets by proj1 - proj2 in the counting order.
-
-    Raises MinusNotSet when either second projection has a repeat.
-    """
-    return diff_compare(plane_diff(s), plane_diff(t))

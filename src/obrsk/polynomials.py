@@ -39,7 +39,6 @@ from operator import add
 
 from .errors import ContextMismatch, VerificationError
 from .grassmannian import roots_of
-from .multisets import Cmp
 
 
 class TermOrder:
@@ -102,19 +101,6 @@ class TermOrder:
     def mono_key(self, mono):
         """Sort key: bigger key means greater monomial."""
         return (sum(mono), mono)
-
-    def mono_compare(self, m1, m2):
-        k1, k2 = self.mono_key(m1), self.mono_key(m2)
-        if k1 == k2:
-            return Cmp.EQUAL
-        return Cmp.GREATER if k1 > k2 else Cmp.LESS
-
-    def mono_of_vars(self, points):
-        """Exponent tuple of a multiset of roots."""
-        exps = [0] * self.nvars
-        for p in points:
-            exps[self.index[p]] += 1
-        return tuple(exps)
 
     def format_mono(self, mono):
         parts = []
@@ -186,18 +172,9 @@ class SparsePoly:
     def is_zero(self):
         return not self.terms
 
-    def leading_monomial(self):
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no leading monomial")
-        return self.terms[0][0]
-
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
         return max((sum(m) for m, _ in self.terms), default=-1)
-
-    def is_homogeneous(self):
-        degs = {sum(m) for m, _ in self.terms}
-        return len(degs) <= 1
 
     def _check(self, other):
         if self.order is not other.order:

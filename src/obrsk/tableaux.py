@@ -12,16 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import BadBounds, NotSemistandard, NotSkewSymmetric, ShapeMismatch
-from .multisets import (
-    FormalDiff,
-    diff_leq,
-    duality_conflict,
-    plane_diff,
-    plane_multiset,
-    proj1,
-    proj2,
-)
+from .errors import NotSemistandard, NotSkewSymmetric, ShapeMismatch
+from .multisets import FormalDiff, diff_leq, duality_conflict, plane_multiset, proj1, proj2
 
 
 @dataclass(frozen=True)
@@ -216,14 +208,6 @@ def up_down(b):
     return up, down
 
 
-def up_of(b):
-    return up_down(b)[0]
-
-
-def down_of(b):
-    return up_down(b)[1]
-
-
 def is_signed_plane_set(points, sign):
     """Every point strictly below the diagonal (x < y) for sign -1, strictly
     above it (x > y) for sign +1, and both projections duplicate free."""
@@ -233,22 +217,3 @@ def is_signed_plane_set(points, sign):
         and len(set(proj2(points))) == len(points)
     )
 
-
-def bitableau_bounded_by(b, t, w):
-    """True iff T <= up(negative part) and down(positive part) <= W.
-
-    T must be a negative plane set and W a positive one, both with duplicate
-    free projections.  Empty parts are compared literally; a negative T is
-    automatically <= the empty up, and the empty down is <= any positive W.
-    """
-    t = plane_multiset(t)
-    w = plane_multiset(w)
-    if not is_signed_plane_set(t, -1):
-        raise BadBounds(f"T = {t} is not a negative plane set")
-    if not is_signed_plane_set(w, +1):
-        raise BadBounds(f"W = {w} is not a positive plane set")
-    cls = classify_sign(b)
-    if cls.kind is SignKind.VANISHING:
-        raise NotSkewSymmetric("boundedness is only defined on nonvanishing bitableaux")
-    up, down = up_of(cls.negative_part), down_of(cls.positive_part)
-    return diff_leq(plane_diff(t), plane_diff(up)) and diff_leq(plane_diff(down), plane_diff(w))

@@ -1,0 +1,143 @@
+"""Reference definitions the tests check the package against.
+
+Each function here states a definition from the paper the plain way, one
+object at a time, with no memo and no shortcut.  The package does not ship
+them: it computes the same answers by its own routes, and the tests compare
+the two.
+"""
+
+import itertools
+
+import obrsk.enumeration as enumeration
+from obrsk.arrays import SkewPair, psi_inv, split_parts, validate_skew_pair
+from obrsk.correspondence import obrsk
+from obrsk.errors import DimensionMismatch, NotSkewSymmetric, ValidationError
+from obrsk.grassmannian import ChainSign, id_leq, split_chain, w_of_chain
+from obrsk.multisets import diff_leq, enumerate_extended_chains, plane_diff, plane_multiset
+from obrsk.polynomials import SparsePoly
+from obrsk.tableaux import SignKind, classify_sign, is_signed_plane_set, up_down
+
+
+def determinant(a):
+    """Leibniz determinant of a square matrix of polynomials (small sizes)."""
+    n = len(a)
+    if n == 0:
+        raise DimensionMismatch("empty matrix: use the constant 1 directly")
+    order = a[0][0].order
+    total = SparsePoly.zero(order)
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        seen = [False] * n
+        for i in range(n):
+            if seen[i]:
+                continue
+            j, length = i, 0
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                length += 1
+            if length % 2 == 0:
+                sign = -sign
+        prod = SparsePoly.constant(order, sign)
+        for i in range(n):
+            prod = prod * a[i][perm[i]]
+            if prod.is_zero:
+                break
+        total = total + prod
+    return total
+
+
+def chain_in_chains_set(chain, alpha, beta, gamma):
+    """Membership of a chain in the defining set of the chain ideal: the
+    negative part fails alpha <= w, or the positive part fails w <= gamma."""
+    neg, pos = split_chain(chain, beta)
+    if neg and not id_leq(alpha, w_of_chain(neg, beta, ChainSign.MINUS)):
+        return True
+    if pos and not id_leq(w_of_chain(pos, beta, ChainSign.PLUS), gamma):
+        return True
+    return False
+
+
+def dual_chain_pairs(u1, u2):
+    """All dual pairs of chains inside the pair of plane multisets (U1, U2).
+
+    A chain C1 in the underlying set of U1 determines its partner: the i-th
+    column of the canonical array of C1 matches the first identical column of
+    the canonical array of U1, and the dual column of U2 (mirror index) is
+    placed at the mirror position of the partner array.  The pair qualifies
+    when the two arrays form a valid skew pair.
+    """
+    full = psi_inv(u1, u2)
+    t = full.width
+    cols1 = full.pi1.columns()  # (b, a), in canonical order
+    cols2 = full.pi2.columns()  # (c, d)
+    out = []
+    for c1 in enumerate_extended_chains(u1):
+        # the first pi1 column holding each point, in canonical order
+        first = sorted(cols1.index((b, a)) for a, b in c1)
+        cand = SkewPair.from_columns([cols1[i] for i in first], [cols2[t - 1 - i] for i in reversed(first)])
+        if not validate_skew_pair(cand):
+            out.append(cand)
+    return out
+
+
+def pair_up_down_sets(u1, u2):
+    """For each dual pair of chains in (U1, U2): the up set of the image of
+    its negative part and the down set of the image of its positive part.
+    The image stacks the negative block on the positive one, so these are
+    the up and down sets of the whole image."""
+    ups, downs = [], []
+    for cand in dual_chain_pairs(u1, u2):
+        neg, pos = split_parts(cand)
+        up, down = up_down(obrsk(cand))
+        if neg.width:
+            ups.append(up)
+        if pos.width:
+            downs.append(down)
+    return ups, downs
+
+
+def bitableau_bounded_by(b, t, w):
+    """True iff T <= up(negative part) and down(positive part) <= W.
+
+    T must be a negative plane set and W a positive one, both with duplicate
+    free projections.  Empty parts are compared literally; a negative T is
+    automatically <= the empty up, and the empty down is <= any positive W.
+    """
+    t = plane_multiset(t)
+    w = plane_multiset(w)
+    if not is_signed_plane_set(t, -1):
+        raise ValidationError(f"T = {t} is not a negative plane set")
+    if not is_signed_plane_set(w, +1):
+        raise ValidationError(f"W = {w} is not a positive plane set")
+    cls = classify_sign(b)
+    if cls.kind is SignKind.VANISHING:
+        raise NotSkewSymmetric("boundedness is only defined on nonvanishing bitableaux")
+    up, down = up_down(cls.negative_part)[0], up_down(cls.positive_part)[1]
+    return diff_leq(plane_diff(t), plane_diff(up)) and diff_leq(plane_diff(down), plane_diff(w))
+
+
+def enumerate_even_bitableaux(max_entry, max_boxes):
+    """All skew-symmetric bitableaux with even rows, <= max_boxes boxes and
+    entries <= max_entry, whatever the signs of their rows."""
+    return list(enumeration._bitableaux(max_entry, max_boxes, {-1, 0, +1}))
+
+
+def enumerate_bound_sets(max_entry, max_points, sign):
+    """All negative (sign=-1) or positive (sign=+1) plane sets with at most
+    max_points points, entries <= max_entry and duplicate free projections.
+    Includes the empty set."""
+    if sign not in (-1, +1):
+        raise ValidationError(f"sign must be -1 or +1, got {sign!r}")
+    points = [
+        (x, y)
+        for x in range(1, max_entry + 1)
+        for y in range(1, max_entry + 1)
+        if is_signed_plane_set([(x, y)], sign)
+    ]
+    out = [()]
+    for k in range(1, max_points + 1):
+        for combo in itertools.combinations(points, k):
+            if is_signed_plane_set(combo, sign):
+                out.append(tuple(sorted(combo)))
+    return out

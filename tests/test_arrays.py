@@ -1,12 +1,10 @@
 import pytest
 
 from obrsk.arrays import (
-    EMPTY_PAIR,
     L_involution,
     SkewPair,
     TwoRowArray,
     is_negative_pair,
-    is_positive_pair,
     psi,
     psi_inv,
     split_parts,
@@ -80,7 +78,8 @@ def test_psi_roundtrip_small():
 
 def test_L_fixture(worked_pair):
     flipped = L_involution(worked_pair)
-    assert is_positive_pair(flipped)
+    assert validate_skew_pair(flipped) == []
+    assert split_parts(flipped)[0].width == 0  # every column positive
     assert flipped.pi1.top == (7, 4, 4, 3, 3)
     assert flipped.pi1.bottom == (10, 17, 9, 17, 14)
     assert L_involution(flipped) == worked_pair
@@ -91,7 +90,8 @@ def test_L_is_involution_and_sign_swapping():
     images = set()
     for p in negatives:
         q = L_involution(p)
-        assert is_positive_pair(q), p
+        assert validate_skew_pair(q) == [], p
+        assert split_parts(q)[0].width == 0, p  # every column positive
         assert L_involution(q) == p
         images.add(q)
     assert len(images) == len(negatives)
@@ -100,7 +100,7 @@ def test_L_is_involution_and_sign_swapping():
 def test_split_parts_fixture(worked_pair):
     neg, pos = split_parts(worked_pair)
     assert neg == worked_pair
-    assert pos == EMPTY_PAIR
+    assert pos.width == 0
 
 
 def test_split_parts_mixed():

@@ -299,11 +299,13 @@ def test_verify_main_jobs_prints_what_one_process_prints(capsys):
 
 
 def test_ideal_requires_ordered_triple(capsys):
-    code = ideal_main(
-        ["verify-main", "--d", "2", "--alpha", "3,4", "--beta", "1,2", "--gamma", "3,4"]
-    )
-    assert code == EXIT_INVALID
-    capsys.readouterr()
+    # the library refuses the triple, and the CLI maps that refusal to exit 2
+    triple = ["--d", "2", "--alpha", "3,4", "--beta", "1,2", "--gamma", "3,4"]
+    for command in (["verify-main"], ["generators"], ["hilbert"], ["verify-main", "--jobs", "2"]):
+        assert ideal_main(command + triple) == EXIT_INVALID, command
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        assert "error: need alpha <= beta <= gamma" in captured.err, command
 
 
 @pytest.mark.parametrize(

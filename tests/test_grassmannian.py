@@ -20,7 +20,6 @@ from obrsk.grassmannian import (
     IdElement,
     Region,
     chain_image,
-    chain_in_chains_set,
     chain_pair,
     defining_chains,
     enumerate_extended_chains,
@@ -31,11 +30,11 @@ from obrsk.grassmannian import (
     region_of,
     roots_of,
     split_chain,
-    t_w_bounds,
     w_of_chain,
 )
-from obrsk.multisets import FormalDiff, Cmp, diff_compare, plane_compare
-from obrsk.tableaux import NotchedBitableau, down_of, iota, up_of
+from obrsk.multisets import FormalDiff, diff_leq
+from obrsk.tableaux import NotchedBitableau, iota, up_down
+from oracles import bitableau_bounded_by, chain_in_chains_set
 
 
 def ide(entries, d):
@@ -84,7 +83,7 @@ def test_order_matches_counting_order_on_differences():
             for v, w in itertools.product(enumerate_id(d), repeat=2):
                 dv = FormalDiff(tuple(set(v.entries) - bset), tuple(bset - set(v.entries)))
                 dw = FormalDiff(tuple(set(w.entries) - bset), tuple(bset - set(w.entries)))
-                assert id_leq(v, w) == (diff_compare(dv, dw) in (Cmp.LESS, Cmp.EQUAL))
+                assert id_leq(v, w) == diff_leq(dv, dw)
 
 
 def test_region_of_matches_patch_matrix():
@@ -261,7 +260,7 @@ def reference_w_of_chain(chain, beta, sign):
     # the rule itself: the seconds of the up set (negative chain) or the down
     # set (positive chain) of the chain image leave beta, the firsts come in
     image = chain_image(chain, beta.d)
-    pairs = up_of(image) if sign is ChainSign.MINUS else down_of(image)
+    pairs = up_down(image)[0 if sign is ChainSign.MINUS else 1]
     entries = set(beta.entries) - {y for _, y in pairs} | {x for x, _ in pairs}
     return ide(entries, beta.d)
 
@@ -308,13 +307,12 @@ def test_signed_chains_are_one_table_per_beta_and_sign_after_all_d4_triples(pack
 
 
 def test_t_w_bounds():
-    d = 3
+    # T of the half (alpha, beta) and W of the half (beta, gamma)
     alpha, beta, gamma = ide((1, 2, 3), 3), ide((1, 4, 5), 3), ide((3, 5, 6), 3)
-    t, w = t_w_bounds(alpha, beta, gamma)
-    assert t == ((2, 4), (3, 5))
-    assert w == ((3, 1), (6, 4))
+    assert grassmannian._half_bound(alpha, beta, ChainSign.MINUS) == ((2, 4), (3, 5))
+    assert grassmannian._half_bound(gamma, beta, ChainSign.PLUS) == ((3, 1), (6, 4))
     with pytest.raises(BoundsNotComparable):
-        t_w_bounds(beta, alpha, gamma)
+        defining_chains(beta, alpha, gamma)
 
 
 def test_chain_in_chains_set_d2():
@@ -453,17 +451,14 @@ def test_defining_chains_generate_the_chain_ideal_d4():
 
 def reference_defining_chains(alpha, beta, gamma):
     # one triple at a time: every sign-pure chain of roots decided by the
-    # membership route and by boundedness against (T, W), which must agree;
-    # the minimal bad chains kept
-    t, w = t_w_bounds(alpha, beta, gamma)
+    # membership route and by boundedness of its image by (T, W), which must
+    # agree; the minimal bad chains kept
+    t = grassmannian._half_bound(alpha, beta, ChainSign.MINUS)
+    w = grassmannian._half_bound(gamma, beta, ChainSign.PLUS)
     bad = []
-    for negative, part in zip((True, False), split_chain(roots_of(beta), beta)):
+    for part in split_chain(roots_of(beta), beta):
         for chain in enumerate_extended_chains(part):
-            image = chain_image(chain, beta.d)
-            if negative:
-                within = plane_compare(t, up_of(image)) in (Cmp.LESS, Cmp.EQUAL)
-            else:
-                within = plane_compare(down_of(image), w) in (Cmp.LESS, Cmp.EQUAL)
+            within = bitableau_bounded_by(chain_image(chain, beta.d), t, w)
             in_set = chain_in_chains_set(chain, alpha, beta, gamma)
             assert in_set != within, (chain, alpha, beta, gamma)
             if in_set:

@@ -12,12 +12,19 @@ from obrsk.errors import (
     ValidationError,
     VerificationError,
 )
-from obrsk.grassmannian import IdElement, Region, enumerate_id, id_leq, is_quotient_monomial, region_of
+from obrsk.grassmannian import (
+    IdElement,
+    Region,
+    defining_chains,
+    enumerate_id,
+    id_leq,
+    is_quotient_monomial,
+    region_of,
+)
 from obrsk.ideal import (
     DegreeSlice,
     beta_degree,
     chains_monomials_degree,
-    determinant,
     generators,
     hilbert_counts,
     monomials_of_degree,
@@ -30,6 +37,7 @@ from obrsk.ideal import (
     verify_main_theorem,
 )
 from obrsk.polynomials import SparsePoly, TermOrder, term_order
+from oracles import determinant
 
 
 def ide(entries, d):
@@ -96,7 +104,7 @@ def test_pfaffian_generator_d4_degree_two():
     assert str(f) == "X5,2"
     theta = ide((1, 3, 5, 7), 4)
     g = pfaffian_generator(theta, beta)
-    assert g.is_homogeneous() and g.degree() == 2 == beta_degree(theta, beta)
+    assert {sum(mono) for mono, _ in g.terms} == {2} == {beta_degree(theta, beta)}
 
 
 def test_pfaffian_squared_is_determinant():
@@ -185,9 +193,7 @@ def test_generators_are_homogeneous_of_beta_degree():
         for beta in enumerate_id(d):
             for theta in enumerate_id(d):
                 f = pfaffian_generator(theta, beta)
-                assert f.is_homogeneous()
-                if not f.is_zero:
-                    assert f.degree() == beta_degree(theta, beta)
+                assert {sum(mono) for mono, _ in f.terms} <= {beta_degree(theta, beta)}
 
 
 def test_generators_selection():
@@ -425,6 +431,21 @@ def test_hilbert_counts_refuse_a_triple_out_of_order():
     assert hilbert_counts(alpha, beta, gamma, 2)[0] == (0, 1, 0, 1)
     with pytest.raises(BoundsNotComparable):
         hilbert_counts(gamma, beta, alpha, 2)
+
+
+def test_a_triple_that_mixes_values_of_d_is_refused():
+    # id_leq stops at the shorter entry list, so each of alpha and beta
+    # compares <= the other, although no I(d) holds them both
+    alpha, beta, gamma = ide((1, 2, 3), 3), ide((1, 2, 3, 4), 4), ide((5, 6, 7, 8), 4)
+    assert id_leq(alpha, beta) and id_leq(beta, alpha) and id_leq(beta, gamma)
+    for check in (
+        lambda: generators(alpha, beta, gamma),
+        lambda: defining_chains(alpha, beta, gamma),
+        lambda: verify_main_theorem(alpha, beta, gamma, 2),
+        lambda: hilbert_counts(alpha, beta, gamma, 2),
+    ):
+        with pytest.raises(BoundsNotComparable, match="must share d"):
+            check()
 
 
 def test_a_check_of_no_degree_is_refused():

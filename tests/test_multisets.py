@@ -3,21 +3,26 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from obrsk.errors import ContainmentViolation, MinusNotSet, ValidationError
+from obrsk.errors import MinusNotSet, ValidationError
 from obrsk.multisets import (
-    Cmp,
-    EMPTY_DIFF,
     FormalDiff,
     count_le,
-    diff_compare,
     diff_leq,
     enumerate_extended_chains,
     is_chain,
-    multiset_minus,
     nat_multiset,
-    plane_compare,
+    plane_diff,
     plane_multiset,
 )
+
+EMPTY_DIFF = FormalDiff((), ())
+
+
+def order(d1, d2):
+    """(d1 <= d2, d2 <= d1) in the counting order: (True, False) when d1 is
+    the smaller, (True, True) when the two are equal, (False, False) when
+    they are incomparable."""
+    return diff_leq(d1, d2), diff_leq(d2, d1)
 
 
 def test_count_le():
@@ -29,13 +34,6 @@ def test_count_le():
     assert count_le((), 7) == 0
 
 
-def test_multiset_minus():
-    assert multiset_minus((1, 2, 2, 5), (2, 5)) == (1, 2)
-    assert multiset_minus((3,), ()) == (3,)
-    with pytest.raises(ContainmentViolation):
-        multiset_minus((1, 2), (2, 2))
-
-
 def test_minus_part_must_be_a_set():
     with pytest.raises(MinusNotSet):
         FormalDiff((1,), (2, 2))
@@ -43,37 +41,36 @@ def test_minus_part_must_be_a_set():
 
 def test_empty_diff_counts_like_n():
     assert EMPTY_DIFF.count(7) == 7
-    assert diff_compare(EMPTY_DIFF, EMPTY_DIFF) is Cmp.EQUAL
+    assert order(EMPTY_DIFF, EMPTY_DIFF) == (True, True)
 
 
 def test_fixture_bottom_row_is_below_empty():
     # the bottom row of the worked example: {4,15} - {14,25} against N
     d = FormalDiff((4, 15), (14, 25))
-    assert diff_compare(d, EMPTY_DIFF) is Cmp.LESS
-    assert diff_compare(EMPTY_DIFF, d) is Cmp.GREATER
+    assert order(d, EMPTY_DIFF) == (True, False)
 
 
 def test_diff_compare_distinguishes_minus_parts():
     d1 = FormalDiff((3, 12), (17, 26))
     d2 = FormalDiff((3, 12), (17, 25))
     # removing 26 from N leaves the smaller element 25 in place
-    assert diff_compare(d1, d2) is Cmp.LESS
+    assert order(d1, d2) == (True, False)
 
 
 def test_diff_compare_incomparable():
     d1 = FormalDiff((1,), (2,))
     d2 = FormalDiff((2,), (1,))
     # d1 has the smaller plus entry but also removes the smaller complement
-    assert diff_compare(d1, FormalDiff((), ())) is Cmp.LESS
-    assert diff_compare(FormalDiff((1, 4), ()), FormalDiff((2, 3), ())) is Cmp.INCOMPARABLE
+    assert order(d1, EMPTY_DIFF) == (True, False)
+    assert order(FormalDiff((1, 4), ()), FormalDiff((2, 3), ())) == (False, False)
 
 
 def test_plane_compare():
-    assert plane_compare(((1, 4),), ((2, 3),)) is Cmp.LESS
-    assert plane_compare(((2, 3),), ((1, 4),)) is Cmp.GREATER
-    assert plane_compare(((1, 4),), ((1, 4),)) is Cmp.EQUAL
+    # plane multisets compare by proj1 - proj2 in the counting order
+    assert order(plane_diff(((1, 4),)), plane_diff(((2, 3),))) == (True, False)
+    assert order(plane_diff(((1, 4),)), plane_diff(((1, 4),))) == (True, True)
     with pytest.raises(MinusNotSet):
-        plane_compare(((1, 4), (2, 4)), ())
+        plane_diff(((1, 4), (2, 4)))
 
 
 def test_plane_multiset_sorts_pairs():
@@ -138,35 +135,36 @@ small_sets = st.lists(
 
 @given(small_multisets, small_sets)
 def test_diff_compare_reflexive(plus, minus):
-    assert diff_compare(FormalDiff(plus, minus), FormalDiff(plus, minus)) is Cmp.EQUAL
+    assert diff_leq(FormalDiff(plus, minus), FormalDiff(plus, minus))
 
 
 @given(small_multisets, small_sets, small_multisets, small_sets)
 def test_diff_compare_antisymmetric(p1, m1, p2, m2):
+    # each below the other exactly when the two count alike at every z
     d1, d2 = FormalDiff(p1, m1), FormalDiff(p2, m2)
-    forward, backward = diff_compare(d1, d2), diff_compare(d2, d1)
-    flipped = {Cmp.LESS: Cmp.GREATER, Cmp.GREATER: Cmp.LESS}
-    assert backward is flipped.get(forward, forward)
+    zmax = max((*p1, *m1, *p2, *m2), default=0)
+    same = all(d1.count(z) == d2.count(z) for z in range(1, zmax + 2))
+    assert (diff_leq(d1, d2) and diff_leq(d2, d1)) == same
 
 
-def reference_diff_compare(d1, d2):
-    """The counting order straight from its definition: every z up to the
-    greatest entry, then the tails."""
+def tail_offset(d):
+    """count(z) - z for z beyond every entry of d."""
+    return len(d.plus) - len(d.minus)
+
+
+def reference_order(d1, d2):
+    """The counting order both ways straight from its definition: every z up
+    to the greatest entry, then the tails."""
     zmax = max((*d1.plus, *d1.minus, *d2.plus, *d2.minus), default=0)
     counts = [(d1.count(z), d2.count(z)) for z in range(1, zmax + 1)]
-    counts.append((d1.tail_offset, d2.tail_offset))
-    le = all(c1 >= c2 for c1, c2 in counts)
-    ge = all(c1 <= c2 for c1, c2 in counts)
-    return {(True, True): Cmp.EQUAL, (True, False): Cmp.LESS, (False, True): Cmp.GREATER}.get(
-        (le, ge), Cmp.INCOMPARABLE
-    )
+    counts.append((tail_offset(d1), tail_offset(d2)))
+    return all(c1 >= c2 for c1, c2 in counts), all(c1 <= c2 for c1, c2 in counts)
 
 
 @given(small_multisets, small_sets, small_multisets, small_sets)
 def test_diff_compare_equals_the_definition(p1, m1, p2, m2):
     d1, d2 = FormalDiff(p1, m1), FormalDiff(p2, m2)
-    assert diff_compare(d1, d2) is reference_diff_compare(d1, d2)
-    assert diff_leq(d1, d2) == (reference_diff_compare(d1, d2) in (Cmp.LESS, Cmp.EQUAL))
+    assert order(d1, d2) == reference_order(d1, d2)
 
 
 @given(small_multisets, small_sets, small_multisets, small_sets)
@@ -181,16 +179,9 @@ def test_diff_leq_equals_the_count_at_every_z(p1, m1, p2, m2):
 def test_diff_compare_at_huge_entries():
     # walking every z up to 10^12 would take days
     big = 10**12
-    assert diff_compare(FormalDiff((1, big), (big + 1,)), FormalDiff((big,), ())) is Cmp.LESS
-    assert diff_compare(FormalDiff((big,), ()), FormalDiff((1, big), (big + 1,))) is Cmp.GREATER
-    assert diff_compare(FormalDiff((2, big), ()), FormalDiff((1, big + 1), ())) is Cmp.INCOMPARABLE
-    assert diff_compare(FormalDiff((big,), (big,)), EMPTY_DIFF) is Cmp.EQUAL
-
-
-@given(small_multisets, small_multisets)
-def test_multiset_minus_roundtrip(a, b):
-    joined = nat_multiset(a + b)
-    assert multiset_minus(joined, b) == a
+    assert order(FormalDiff((1, big), (big + 1,)), FormalDiff((big,), ())) == (True, False)
+    assert order(FormalDiff((2, big), ()), FormalDiff((1, big + 1), ())) == (False, False)
+    assert order(FormalDiff((big,), (big,)), EMPTY_DIFF) == (True, True)
 
 
 @given(small_multisets, small_sets)
@@ -198,4 +189,4 @@ def test_counting_function_eventually_linear(plus, minus):
     d = FormalDiff(plus, minus)
     zmax = max((*plus, *minus), default=0)
     for z in (zmax + 1, zmax + 5):
-        assert d.count(z) == z + d.tail_offset
+        assert d.count(z) == z + tail_offset(d)

@@ -1,12 +1,16 @@
-"""Every function, class, method and property of the package has a user,
-and every name a module of the package imports is used in that module.
+"""Every function, class, method and property of the package has a user
+outside the tests, and every name a module of the package imports is used in
+that module.
 
 A name defined in src/obrsk must appear somewhere besides its definition: as
-a name in the code of src, tests, demos or perfbench, or as a string equal
-to it (the benchmark tracer patches functions by name).  Docstrings and
-comments that mention a name do not count as uses.  An imported name must
-appear in its module outside the import statements; __init__.py re-exports
-what it imports, and an import marked "# noqa" is kept on purpose.
+a name in the code of src, demos or perfbench, or as a string equal to it
+(the benchmark tracer patches functions by name).  The re-exports of
+__init__.py, any __all__ and the tests do not count: a name that only they
+reach is API the library does not run, and a definition the tests need as a
+reference belongs in tests/oracles.py.  Docstrings and comments that mention
+a name do not count either.  An imported name must appear in its module
+outside the import statements; __init__.py re-exports what it imports, and
+an import marked "# noqa" is kept on purpose.
 """
 
 import ast
@@ -17,7 +21,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "obrsk"
-SEARCHED = ("src", "tests", "demos", "perfbench")
+SEARCHED = ("src", "demos", "perfbench")
 
 
 def defined_names(tree):
@@ -51,11 +55,29 @@ def name_uses(source, skipped_lines=frozenset()):
     return uses
 
 
+def lines_of(tree, kind):
+    """The line numbers spanned by every node of the tree that kind accepts."""
+    return {line for node in ast.walk(tree) if kind(node) for line in range(node.lineno, node.end_lineno + 1)}
+
+
+def is_import(node):
+    return isinstance(node, (ast.Import, ast.ImportFrom))
+
+
+def is_all_assignment(node):
+    return isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
 def test_every_defined_name_is_used_somewhere_else():
     uses = Counter()
     for top in SEARCHED:
         for path in sorted((ROOT / top).rglob("*.py")):
-            uses.update(name_uses(path.read_text()))
+            source = path.read_text()
+            tree = ast.parse(source)
+            skipped = lines_of(tree, is_all_assignment)
+            if path == PACKAGE / "__init__.py":
+                skipped |= lines_of(tree, is_import)
+            uses.update(name_uses(source, skipped))
     definitions = Counter()
     for path in sorted(PACKAGE.glob("*.py")):
         for name in defined_names(ast.parse(path.read_text())):
@@ -63,7 +85,7 @@ def test_every_defined_name_is_used_somewhere_else():
             if not (name.startswith("__") and name.endswith("__")):
                 definitions[name] += 1
     dead = sorted(name for name, n in definitions.items() if uses[name] <= n)
-    assert dead == [], f"defined in src/obrsk but used nowhere: {dead}"
+    assert dead == [], f"defined in src/obrsk but used nowhere outside the tests: {dead}"
 
 
 def imported_names(tree, lines):
@@ -72,7 +94,7 @@ def imported_names(tree, lines):
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
+        if is_import(node):
             for alias in node.names:
                 if "# noqa" not in lines[alias.lineno - 1]:
                     yield (alias.asname or alias.name).split(".")[0], alias.lineno
@@ -85,13 +107,7 @@ def test_every_imported_name_is_used_in_its_module():
             continue
         source = path.read_text()
         tree = ast.parse(source)
-        import_lines = {
-            line
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Import, ast.ImportFrom))
-            for line in range(node.lineno, node.end_lineno + 1)
-        }
-        uses = name_uses(source, import_lines)
+        uses = name_uses(source, lines_of(tree, is_import))
         for name, line in imported_names(tree, source.splitlines()):
             if not uses[name]:
                 unused.append(f"{path.name}:{line} {name}")
