@@ -46,11 +46,11 @@ MAX_D = 8
 # The largest degree slice accepted, in monomials: --max-degree m asks for
 # slice_size(len(roots_of(beta)), m) of them.  One x86-64 core with
 # Python 3.11 checks the d = 5 triple 1,2,3,4,5 <= 1,2,3,4,5 <= 2,3,4,6,10 up
-# to m = 9, whose last slice has 48,620 monomials, in 2.1 s at a peak of
-# 98 MiB; time and memory grow a little faster than the slice.  The products
+# to m = 9, whose last slice has 48,620 monomials, in 1.5 s at a peak of
+# 59 MiB; time and memory grow a little faster than the slice.  The products
 # of Pfaffians (per beta) and the slice columns (per degree) are memoised
 # for every later triple, so --all-triples holds more than one triple's
-# worth: its peak is 29 MiB at d = 5, m <= 4 and 41 MiB at d = 6, m <= 3,
+# worth: its peak is 28 MiB at d = 5, m <= 4 and 41 MiB at d = 6, m <= 3,
 # against 20 and 26 MiB when every triple rebuilt them.
 MAX_SLICE_MONOMIALS = 50_000
 
@@ -297,7 +297,11 @@ def _ideal_command(args):
     if args.command == "verify-main" and not 1 <= args.jobs <= MAX_JOBS:
         raise ValidationError(f"--jobs must be in 1..{MAX_JOBS}, got {args.jobs}")
     all_triples = getattr(args, "all_triples", False)  # verify-main only
-    if not all_triples:
+    if all_triples:
+        named = [f"--{name}" for name in ("alpha", "beta", "gamma") if getattr(args, name) is not None]
+        if named:
+            raise ValidationError(f"--all-triples checks every triple, so it takes no {', '.join(named)}")
+    else:
         if not (args.alpha and args.beta and args.gamma):
             raise ValidationError("--alpha, --beta and --gamma are required without --all-triples")
         alpha = _parse_id(args.alpha, args.d)
@@ -331,8 +335,10 @@ def _ideal_command(args):
         ]
     else:
         jobs = [(alpha, beta, gamma, args.max_degree)]
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
+    # one job runs in this process, and no worker starts without a job
+    processes = min(args.jobs, len(jobs))
+    if processes > 1:
+        with Pool(processes) as pool:
             results = pool.map(_verify_triple, jobs)
     else:
         results = [_verify_triple(job) for job in jobs]

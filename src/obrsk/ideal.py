@@ -18,6 +18,12 @@ variables, degree) (_slice_columns), and the columns of a monomial times
 every multiplier per (monomial, degree) (_shifted_columns).
 Every f(theta), and every product of them, has integer coefficients;
 rationals appear only in elimination, where _rref normalises a pivot row.
+
+A slice eliminates only the rows of generators with more than one term.  A
+one-term generator, such as each f(theta) with |beta - theta| = 2, is plus
+or minus one variable: its rows would each hold one entry, so DegreeSlice
+clears their columns from every other row instead of building them, and
+counts the cleared columns among its pivots.
 """
 
 from __future__ import annotations
@@ -239,18 +245,34 @@ def _rref(rows):
 class DegreeSlice:
     """The degree-m piece of the ideal in echelon form by sparse exact
     rational elimination, against the monomial basis sorted greatest first
-    (column 0 is the greatest monomial)."""
+    (column 0 is the greatest monomial).
+
+    A generator of one term c*x^a spans exactly the degree-m monomials that
+    x^a divides, so its rows are never built: their columns, the union of
+    _shifted_columns(a, m) over such generators, are kept as cleared.  A
+    single-entry pivot row reduces any other row by deleting that entry, so
+    every other generator's rows lose their entries in cleared columns, rows
+    left empty are dropped, and only the rest go to _rref.  The pivots are
+    the cleared columns and _rref's pivots together, the same set full
+    elimination finds; rank_with clears the extra rows the same way."""
 
     def __init__(self, beta, gens, m):
         self.nvars = term_order(beta).nvars
         self.m = m
         self.monos, self.col, _ = _slice_columns(self.nvars, m)
-        rows = []
-        for _, g in gens:
-            if not g.is_zero and g.degree() <= m:
-                rows.extend(_generator_rows(g, m))
-        self.rows = rows
-        self.pivots = _rref(self.rows)
+        gens = [g for _, g in gens if not g.is_zero and g.degree() <= m]
+        self.cleared = set()
+        for g in gens:
+            if len(g.terms) == 1:
+                self.cleared.update(_shifted_columns(g.terms[0][0], m))
+        self.rows = self._clear(row for g in gens if len(g.terms) > 1 for row in _generator_rows(g, m))
+        self.pivots = sorted(self.cleared.union(_rref(self.rows)))
+
+    def _clear(self, rows):
+        """The rows without their entries in cleared columns, those left
+        empty dropped."""
+        rows = ([(c, x) for c, x in row if c not in self.cleared] for row in rows)
+        return [row for row in rows if row]
 
     @property
     def dim(self):
@@ -272,7 +294,7 @@ class DegreeSlice:
 
     def rank_with(self, polys):
         """Rank of the slice extended by the given degree-m polynomials."""
-        return len(_rref(list(self.rows) + [self.vector_of(p) for p in polys]))
+        return len(self.cleared) + len(_rref(self.rows + self._clear(map(self.vector_of, polys))))
 
 
 @lru_cache(maxsize=None)

@@ -13,8 +13,9 @@ from obrsk.arrays import SkewPair, psi_inv, split_parts, validate_skew_pair
 from obrsk.correspondence import obrsk
 from obrsk.errors import DimensionMismatch, NotSkewSymmetric, ValidationError
 from obrsk.grassmannian import ChainSign, id_leq, split_chain, w_of_chain
+from obrsk.ideal import _rref, monomials_of_degree
 from obrsk.multisets import diff_leq, enumerate_extended_chains, plane_diff, plane_multiset
-from obrsk.polynomials import SparsePoly
+from obrsk.polynomials import SparsePoly, term_order
 from obrsk.tableaux import SignKind, classify_sign, is_signed_plane_set, up_down
 
 
@@ -141,3 +142,27 @@ def enumerate_bound_sets(max_entry, max_points, sign):
             if is_signed_plane_set(combo, sign):
                 out.append(tuple(sorted(combo)))
     return out
+
+
+class FullSlice:
+    """The degree-m slice of the ideal the plain way: every generator times
+    every monomial of the missing degree is one row, one-term generators
+    included, and all of them go to _rref.  Columns are the degree-m
+    monomials greatest first, as in DegreeSlice."""
+
+    def __init__(self, beta, gens, m):
+        nvars = term_order(beta).nvars
+        self.col = {mono: j for j, mono in enumerate(monomials_of_degree(nvars, m))}
+        self.rows = [
+            self.vector_of(g * SparsePoly.from_dict(g.order, {mult: 1}))
+            for _, g in gens
+            if not g.is_zero and g.degree() <= m
+            for mult in monomials_of_degree(nvars, m - g.degree())
+        ]
+        self.pivots = _rref(self.rows)
+
+    def vector_of(self, poly):
+        return sorted((self.col[mono], c) for mono, c in poly.terms)
+
+    def rank_with(self, polys):
+        return len(_rref(list(self.rows) + [self.vector_of(p) for p in polys]))

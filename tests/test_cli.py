@@ -298,6 +298,46 @@ def test_verify_main_jobs_prints_what_one_process_prints(capsys):
     assert serial.strip().endswith("PASS: 20 triple(s) checked")
 
 
+def no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+def test_verify_main_runs_one_triple_in_process(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "Pool", no_pool)
+    argv = ["verify-main", "--d", "3", "--alpha", "1,2,3", "--beta", "1,4,5", "--gamma", "3,5,6", "--max-degree", "3"]
+    assert ideal_main(argv + ["--jobs", "1"]) == EXIT_OK
+    serial = capsys.readouterr().out
+    assert ideal_main(argv + ["--jobs", "2"]) == EXIT_OK
+    assert capsys.readouterr().out == serial
+    assert serial.strip().endswith("PASS: 1 triple(s) checked")
+    # an out-of-order triple is refused in this process too
+    triple = ["--d", "2", "--alpha", "3,4", "--beta", "1,2", "--gamma", "3,4"]
+    assert ideal_main(["verify-main", "--jobs", "2"] + triple) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: need alpha <= beta <= gamma" in captured.err
+
+
+@pytest.mark.parametrize(
+    "options, named",
+    [
+        (["--alpha", "9,9", "--beta", "x"], "--alpha, --beta"),
+        (["--gamma", "3,4"], "--gamma"),
+        (["--alpha", "1,2", "--beta", "3,4", "--gamma", "3,4"], "--alpha, --beta, --gamma"),
+    ],
+)
+def test_verify_main_refuses_all_triples_with_a_triple(capsys, monkeypatch, options, named):
+    # the triple options would otherwise be ignored without a word
+    def no_check(*args, **kwargs):
+        raise AssertionError("a triple was checked")
+
+    monkeypatch.setattr(cli, "verify_main_theorem", no_check)
+    assert ideal_main(["verify-main", "--d", "2", "--all-triples", *options]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--all-triples" in captured.err and named in captured.err
+
+
 def test_ideal_requires_ordered_triple(capsys):
     # the library refuses the triple, and the CLI maps that refusal to exit 2
     triple = ["--d", "2", "--alpha", "3,4", "--beta", "1,2", "--gamma", "3,4"]
@@ -374,9 +414,6 @@ def test_ideal_rejects_max_degree_above_the_degree_cap(capsys, monkeypatch, argv
 @pytest.mark.parametrize("jobs", [0, -1, MAX_JOBS + 1])
 def test_verify_main_rejects_jobs_outside_range(capsys, monkeypatch, jobs):
     # were the check missing, no pool of processes may start from this test
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
     monkeypatch.setattr(cli, "Pool", no_pool)
     assert ideal_main(["verify-main", "--d", "2", "--all-triples", "--jobs", str(jobs)]) == EXIT_INVALID
     captured = capsys.readouterr()

@@ -8,12 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from obrsk.grassmannian import IdElement, id_leq  # noqa: E402
+from obrsk.grassmannian import IdElement, enumerate_id, id_leq  # noqa: E402
 from obrsk.ideal import (  # noqa: E402
     DegreeSlice,
     _rref,
+    beta_degree,
     generators,
     monomials_of_degree,
+    pfaffian_generator,
     standard_monomials,
     standard_poly,
 )
@@ -147,3 +149,34 @@ def test_rank_with_leaves_the_slice_unchanged():
         g = g * x
     assert s.rank_with([g]) == dim
 
+
+@pytest.mark.parametrize("extra", ["degree two", "coefficient -3", "constant", "zero", "all"])
+def test_one_term_generators_among_pfaffians_match_sympy(extra):
+    # the five Pfaffians of degree two of beta = 1,2,3,4,5 have three terms
+    # each; next to them the one-term generators have their columns cleared
+    beta = ide((1, 2, 3, 4, 5), 5)
+    order = term_order(beta)
+    pfaffians = [pfaffian_generator(t, beta) for t in enumerate_id(5) if beta_degree(t, beta) == 2]
+    assert len(pfaffians) == 5 and all(len(g.terms) == 3 for g in pfaffians)
+    x = [SparsePoly.variable(order, v) for v in order.variables]
+    hand = {
+        "degree two": x[0] * x[3],
+        "coefficient -3": SparsePoly.variable(order, order.variables[1], -3),
+        "constant": SparsePoly.constant(order, 2),
+        "zero": SparsePoly.zero(order),
+    }
+    gens = [(None, g) for g in pfaffians + (list(hand.values()) if extra == "all" else [hand[extra]])]
+    for m in (2, 3):
+        dense, monos = dense_slice(gens, m, order)
+        s = DegreeSlice(beta, gens, m)
+        assert s.initial_monomials() == {monos[j] for j in sympy_matrix(dense, len(monos)).rref()[1]}
+        # degree-m polynomials with terms in cleared columns and outside them,
+        # one of them in the ideal
+        lift = x[2] if m == 3 else SparsePoly.constant(order, 1)
+        polys = [(x[0] + x[9]) * x[9] * lift, (x[1] - x[4]) * x[9] * lift, pfaffians[0] * lift, x[8] * x[9] * lift]
+        rows = [[Fraction(0)] * len(monos) for _ in polys]
+        col = {mono: j for j, mono in enumerate(monos)}
+        for row, p in zip(rows, polys):
+            for mono, coeff in p.terms:
+                row[col[mono]] = Fraction(coeff)
+        assert s.rank_with(polys) == len(sympy_matrix(dense + rows, len(monos)).rref()[1])
