@@ -46,8 +46,8 @@ MAX_D = 8
 # The largest degree slice accepted, in monomials: --max-degree m asks for
 # slice_size(len(roots_of(beta)), m) of them.  One x86-64 core with
 # Python 3.11 checks the d = 5 triple 1,2,3,4,5 <= 1,2,3,4,5 <= 2,3,4,6,10 up
-# to m = 9, whose last slice has 48,620 monomials, in 1.5 s at a peak of
-# 59 MiB; time and memory grow a little faster than the slice.  The products
+# to m = 9, whose last slice has 48,620 monomials, in 1.1 s at a peak of
+# 58 MiB; time and memory grow a little faster than the slice.  The products
 # of Pfaffians (per beta) and the slice columns (per degree) are memoised
 # for every later triple, so --all-triples holds more than one triple's
 # worth: its peak is 28 MiB at d = 5, m <= 4 and 41 MiB at d = 6, m <= 3,

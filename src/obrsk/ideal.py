@@ -13,9 +13,9 @@ patch, each entry its polynomial (patch_entry), checked for skew-symmetry
 once (_skew_patch), are kept per beta, every f(theta) per (theta, beta)
 (pfaffian_generator), and every product of them per (multichain, beta)
 (_standard_product); nothing takes a term order as a parameter.  A degree
-slice's monomials, column map and support bitmasks are kept per (number of
-variables, degree) (_slice_columns), and the columns of a monomial times
-every multiplier per (monomial, degree) (_shifted_columns).
+slice's monomials and column map are kept per (number of variables, degree)
+(_slice_columns), and the columns of a monomial times every multiplier per
+(monomial, degree) (_shifted_columns).
 Every f(theta), and every product of them, has integer coefficients;
 rationals appear only in elimination, where _rref normalises a pivot row.
 
@@ -24,6 +24,11 @@ one-term generator, such as each f(theta) with |beta - theta| = 2, is plus
 or minus one variable: its rows would each hold one entry, so DegreeSlice
 clears their columns from every other row instead of building them, and
 counts the cleared columns among its pivots.
+
+The chain prediction rests on the same rule.  The chain ideal is squarefree,
+generated by the products of the roots of each minimal bad chain, so its
+degree-m piece is the shifted columns of those chain monomials, one union
+over the chains; no monomial of the slice is tested on its own.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import add
+from operator import add, sub
 
 from .errors import ColumnNotInBeta, DimensionMismatch, OddSize, ValidationError, VerificationError
 from .grassmannian import Region, _check_triple, defining_chains, enumerate_id, hash_reflect, id_leq, region_of
@@ -163,26 +168,21 @@ def generators(alpha, beta, gamma):
 
 
 def slice_size(nvars, m):
-    """The number of monomials of degree m in nvars variables."""
-    return comb(nvars + m - 1, m) if nvars else (1 if m == 0 else 0)
+    """The number of monomials of degree m in nvars variables; 0 when m is
+    negative."""
+    return comb(nvars + m - 1, m) if nvars and m >= 0 else int(m == 0)
 
 
 def monomials_of_degree(nvars, m):
     """All exponent tuples of total degree m, greatest first: within one
-    degree TermOrder.mono_key compares the tuples alone."""
-    if nvars == 0:
-        return ((),) if m == 0 else ()
-    out = []
-    for cuts in itertools.combinations(range(m + nvars - 1), nvars - 1):
-        prev = -1
-        exps = []
-        for cut in cuts:
-            exps.append(cut - prev - 1)
-            prev = cut
-        exps.append(m + nvars - 2 - prev)
-        out.append(tuple(exps))
-    # the combinations come in increasing order of their exponent tuples
-    return tuple(reversed(out))
+    degree TermOrder.mono_key compares the tuples alone.  Empty when m is
+    negative."""
+    if nvars == 0 or m < 0:
+        return ((),) if (nvars, m) == (0, 0) else ()
+    # exponent i is s_i - s_(i-1) over partial sums 0 = s_0 <= ... <= s_nvars = m;
+    # the inner sums come in increasing order, hence so do the tuples
+    sums = itertools.combinations_with_replacement(range(m + 1), nvars - 1)
+    return tuple(reversed([tuple(map(sub, (*s, m), (0, *s))) for s in sums]))
 
 
 def _top_reduce(row, basis):
@@ -259,7 +259,7 @@ class DegreeSlice:
     def __init__(self, beta, gens, m):
         self.nvars = term_order(beta).nvars
         self.m = m
-        self.monos, self.col, _ = _slice_columns(self.nvars, m)
+        self.monos, self.col = _slice_columns(self.nvars, m)
         gens = [g for _, g in gens if not g.is_zero and g.degree() <= m]
         self.cleared = set()
         for g in gens:
@@ -299,23 +299,22 @@ class DegreeSlice:
 
 @lru_cache(maxsize=None)
 def _slice_columns(nvars, m):
-    """The monomials of degree m greatest first, the map from each to its
-    column, and each one's support as a bitmask (bit i set when variable i
-    occurs).  The order of the monomials is the same for every beta, so one
+    """The monomials of degree m greatest first and the map from each to its
+    column.  The order of the monomials is the same for every beta, so one
     entry per (nvars, m) serves every beta and every triple."""
     monos = monomials_of_degree(nvars, m)
-    masks = tuple(sum(1 << i for i, e in enumerate(mono) if e) for mono in monos)
-    return monos, {mono: i for i, mono in enumerate(monos)}, masks
+    return monos, {mono: i for i, mono in enumerate(monos)}
 
 
 @lru_cache(maxsize=None)
 def _shifted_columns(mono, m):
     """The column in the degree-m slice of mono times each monomial of
     degree m - deg(mono), greatest first.  Memoised per (monomial, m): every
-    Pfaffian with that term shares it, whatever its beta."""
-    nvars = len(mono)
-    col = _slice_columns(nvars, m)[1]
-    return tuple(col[tuple(map(add, mono, mult))] for mult in _slice_columns(nvars, m - sum(mono))[0])
+    Pfaffian with that term, and every chain with that product of roots,
+    shares it, whatever its beta."""
+    _, col = _slice_columns(len(mono), m)
+    mults, _ = _slice_columns(len(mono), m - sum(mono))
+    return tuple(col[tuple(map(add, mono, mult))] for mult in mults)
 
 
 def _generator_rows(g, m):
@@ -333,13 +332,18 @@ def chains_monomials_degree(alpha, beta, gamma, m):
     """Degree-m root monomials whose support contains a bad chain of the
     triple; the combinatorial prediction for the initial monomials.
 
-    The minimal bad chains of defining_chains, decided once per half of the
-    triple, become bitmasks over the variable indices of term_order(beta); a
-    monomial is kept when its support mask covers one of them."""
+    Such a support contains a minimal bad chain of defining_chains, decided
+    once per half of the triple, so these are the multiples of degree m of
+    the chain monomials, each chain's roots to the first power over
+    term_order(beta): the union of their shifted columns.  A chain of more
+    than m roots has no multiple of degree m and is skipped."""
     order = term_order(beta)
-    masks = [sum(1 << order.index[v] for v in chain) for chain in defining_chains(alpha, beta, gamma)]
-    monos, _, supports = _slice_columns(order.nvars, m)
-    return {mono for mono, support in zip(monos, supports) if any(support & mask == mask for mask in masks)}
+    cols = set()
+    for chain in defining_chains(alpha, beta, gamma):
+        if len(chain) <= m:
+            cols.update(_shifted_columns(tuple([1 if v in chain else 0 for v in order.variables]), m))
+    monos, _ = _slice_columns(order.nvars, m)
+    return {monos[j] for j in cols}
 
 
 def _multichain_levels(alpha, beta, gamma):

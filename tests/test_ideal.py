@@ -32,6 +32,7 @@ from obrsk.ideal import (
     pfaffian,
     pfaffian_generator,
     pfaffian_matrix,
+    slice_size,
     standard_monomials,
     standard_poly,
     verify_main_theorem,
@@ -241,10 +242,33 @@ def test_initial_equals_chains_d2_point():
         )
 
 
+def test_negative_degree_is_an_empty_slice(package_caches):
+    for nvars in range(4):
+        for m in (-1, -2):
+            assert monomials_of_degree(nvars, m) == ()
+            assert slice_size(nvars, m) == 0
+    # x^2 has no multiple of degree 1, nor x*y one of degree 1 or 0
+    assert ideal._shifted_columns((2,), 1) == ()
+    assert ideal._shifted_columns((1, 1), 1) == ideal._shifted_columns((1, 1), 0) == ()
+
+
+def test_shifted_columns_are_the_multiples_of_a_monomial(package_caches):
+    # the reference compares exponents one by one: mono divides t when no
+    # exponent of mono exceeds the one of t
+    for nvars in range(5):
+        for m in range(5):
+            slice_monos = monomials_of_degree(nvars, m)
+            for k in range(m + 1):
+                for mono in monomials_of_degree(nvars, k):
+                    multiples = [j for j, t in enumerate(slice_monos) if all(a <= b for a, b in zip(mono, t))]
+                    assert list(ideal._shifted_columns(mono, m)) == multiples, (mono, m)
+
+
 def test_chains_monomials_degree_matches_per_monomial_reference():
     # the reference tests each monomial's support on its own, as a list of
-    # roots, through the package's single-support predicate
-    for d in (1, 2, 3, 4):
+    # roots, through the package's single-support predicate: every triple of
+    # d <= 4 at m <= 4 and of d = 5 at m <= 3
+    for d, max_degree in ((1, 4), (2, 4), (3, 4), (4, 4), (5, 3)):
         elements = enumerate_id(d)
         for beta in elements:
             variables = term_order(beta).variables
@@ -254,7 +278,7 @@ def test_chains_monomials_degree_matches_per_monomial_reference():
                 for gamma in elements:
                     if not id_leq(beta, gamma):
                         continue
-                    for m in range(5):
+                    for m in range(max_degree + 1):
                         reference = {
                             mono
                             for mono in monomials_of_degree(len(variables), m)
