@@ -366,13 +366,13 @@ def fixture_main(argv=None):
     return EXIT_OK if ok else EXIT_FAILED
 
 
-def main(argv=None):  # pragma: no cover - convenience dispatcher
+def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv:
+    mains = {"obrsk": obrsk_main, "og": og_main, "ideal": ideal_main, "fixture": fixture_main}
+    if not argv or argv[0] not in mains:
         print("usage: obrsk|og|ideal|fixture ...", file=sys.stderr)
         return EXIT_INVALID
-    prog, rest = argv[0], argv[1:]
-    return {"obrsk": obrsk_main, "og": og_main, "ideal": ideal_main, "fixture": fixture_main}[prog](rest)
+    return mains[argv[0]](argv[1:])
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -61,7 +61,12 @@ class IdElement:
     d: int
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+        entries = tuple(self.entries)
+        # a float or a bool equals and hashes like its int, so the element
+        # would share, and poison, the memos keyed by the int element
+        if type(self.d) is not int or any(type(x) is not int for x in entries):
+            raise NotInId(f"IdElement takes plain ints, got entries {entries!r} and d = {self.d!r}")
+        object.__setattr__(self, "entries", tuple(sorted(entries)))
         e, d = self.entries, self.d
         if len(e) != d or len(set(e)) != d:
             raise NotInId(f"{e} is not a d-subset for d = {d}")

@@ -31,9 +31,6 @@ class NotchedTableau:
     def n_boxes(self):
         return sum(self.shape)
 
-    def entries(self):
-        return [e for row in self.rows for e in row]
-
     def __repr__(self):
         if not self.rows:
             return "NotchedTableau(())"

@@ -48,6 +48,63 @@ def determinant(a):
     return total
 
 
+def var_greater(mu, nu):
+    """The term order on two roots as the paper states it, case by case:
+
+      1. on a common row, the positive root is greater;
+      2. two positive roots on a common row: the larger column is greater;
+      3. a positive root with strictly smaller row beats everything it has
+         not already been compared to by 1-2;
+      4. on a common column, the negative root is greater;
+      5. two negative roots on a common column: the larger row is greater;
+      6. a negative root with strictly smaller column beats everything left.
+
+    For a negative root mu and positive root nu with row(mu) < row(nu) and
+    column(nu) < column(mu), none of 1-6 applies; then nu > mu exactly when
+    row(nu) < column(mu), i.e. when the point (row(nu), column(mu)) lies
+    outside the positive quadrant."""
+    if mu == nu:
+        return False
+    r1, c1 = mu
+    r2, c2 = nu
+    mu_pos = r1 > c1
+    nu_pos = r2 > c2
+    if mu_pos and nu_pos:
+        if r1 != r2:
+            return r1 < r2
+        return c1 > c2
+    if not mu_pos and not nu_pos:
+        if c1 != c2:
+            return c1 < c2
+        return r1 > r2
+    if mu_pos:
+        if r1 == r2:
+            return True
+        if c1 == c2:
+            return False
+        if r1 < r2:
+            return True
+        if c2 < c1:
+            return False
+        # row(mu) > row(nu) and col(mu) < col(nu): the leftover case.
+        # The tie-break point (r1, c2) is tested against the positive
+        # quadrant r > c, not just the positive roots; points on or below
+        # the antidiagonal with r > c still count.  Testing roots only
+        # creates cycles, e.g. X23 > X51 > X81 > X23 for (1,3,4,6,9).
+        return r1 < c2
+    return not var_greater(nu, mu)
+
+
+def order_disagreements(variables, greater=var_greater):
+    """The pairs of variables, earlier first, that greater does not put
+    strictly that way round.  Empty exactly when greater agrees with the
+    positions of the list on every pair, which makes greater a strict total
+    order on the variables and the list that order, greatest first."""
+    return [
+        (mu, nu) for mu, nu in itertools.combinations(variables, 2) if not greater(mu, nu) or greater(nu, mu)
+    ]
+
+
 def chain_in_chains_set(chain, alpha, beta, gamma):
     """Membership of a chain in the defining set of the chain ideal: the
     negative part fails alpha <= w, or the positive part fails w <= gamma."""

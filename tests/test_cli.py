@@ -7,8 +7,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from obrsk import cli, ideal
+from obrsk import cli, fixture, ideal
 from obrsk.cli import (
+    EXIT_FAILED,
     EXIT_INVALID,
     EXIT_OK,
     MAX_D,
@@ -24,8 +25,17 @@ from obrsk.cli import (
     pair_from_json,
     pair_to_json,
 )
+from obrsk.errors import VerificationError
 from obrsk.fixture import FIXTURE_BITABLEAU, FIXTURE_PAIR
-from obrsk.grassmannian import enumerate_id, roots_of
+from obrsk.grassmannian import (
+    ChainSign,
+    IdElement,
+    enumerate_extended_chains,
+    enumerate_id,
+    roots_of,
+    split_chain,
+    w_of_chain,
+)
 
 
 def run_json(capsys, main, argv):
@@ -67,6 +77,22 @@ def test_apply_trace(tmp_path, capsys):
     assert doc["trace"][0]["P^(1)"] == [[4, 12]]
     assert doc["trace"][0]["Q^(1)"] == [[17, 25]]
     assert doc["trace"][4]["P^(5)"] == doc["P"]
+
+
+def test_apply_trace_refuses_a_pair_with_a_positive_column(tmp_path, capsys):
+    path = write_json(tmp_path, "pair.json", {"pi1": {"b": [2], "a": [3]}, "pi2": {"c": [3], "d": [4]}})
+    assert obrsk_main(["apply", "--trace", "--input", path]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "only available for negative pairs" in captured.err
+
+
+@pytest.mark.parametrize("input_args", [["--input", "-"], []])
+def test_apply_reads_the_pair_from_stdin(capsys, monkeypatch, input_args):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(pair_to_json(FIXTURE_PAIR))))
+    code, doc = run_json(capsys, obrsk_main, ["apply", *input_args])
+    assert code == EXIT_OK
+    assert doc == bitableau_to_json(FIXTURE_BITABLEAU)
 
 
 def test_invert_fixture(tmp_path, capsys):
@@ -171,6 +197,26 @@ def test_og_chains(capsys):
     assert doc["beta"] == [3, 4]
     assert doc["roots"] == [[1, 3]]
     assert doc["chains"] == [{"points": [[1, 3]], "w_minus": [1, 2]}]
+
+
+@pytest.mark.parametrize("d, beta", [(3, "1,2,3"), (4, "2,4,6,8")])
+def test_og_chains_lists_every_chain_with_the_w_of_each_part(capsys, d, beta):
+    # 1,2,3 has positive roots only; 2,4,6,8 has chains of both signs
+    code, doc = run_json(capsys, og_main, ["chains", "--d", str(d), "--beta", beta])
+    assert code == EXIT_OK
+    v = IdElement(tuple(map(int, beta.split(","))), d)
+    assert [tuple(map(tuple, c["points"])) for c in doc["chains"]] == list(enumerate_extended_chains(roots_of(v)))
+    for entry in doc["chains"]:
+        neg, pos = split_chain(tuple(map(tuple, entry["points"])), v)
+        expected = {}
+        if neg:
+            expected["w_minus"] = list(w_of_chain(neg, v, ChainSign.MINUS).entries)
+        if pos:
+            expected["w_plus"] = list(w_of_chain(pos, v, ChainSign.PLUS).entries)
+        assert {k: w for k, w in entry.items() if k != "points"} == expected
+    assert any("w_plus" in entry for entry in doc["chains"])
+    if d == 4:
+        assert any("w_plus" in entry and "w_minus" in entry for entry in doc["chains"])
 
 
 def test_og_wchain(capsys):
@@ -338,6 +384,46 @@ def test_verify_main_refuses_all_triples_with_a_triple(capsys, monkeypatch, opti
     assert "--all-triples" in captured.err and named in captured.err
 
 
+@pytest.mark.parametrize("command", ["generators", "hilbert", "verify-main"])
+@pytest.mark.parametrize("missing", ["--alpha", "--beta", "--gamma"])
+def test_ideal_requires_the_whole_triple(capsys, command, missing):
+    triple = {"--alpha": "1,2", "--beta": "3,4", "--gamma": "3,4"}
+    del triple[missing]
+    argv = [command, "--d", "2", *(x for option in triple.items() for x in option)]
+    assert ideal_main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--alpha, --beta and --gamma are required" in captured.err
+
+
+def test_verify_main_exits_3_when_a_degree_fails(capsys, monkeypatch):
+    original = ideal.chains_monomials_degree
+
+    def one_chain_monomial_short(alpha, beta, gamma, m):
+        chains = set(original(alpha, beta, gamma, m))
+        if chains:
+            chains.remove(min(chains))
+        return chains
+
+    monkeypatch.setattr(ideal, "chains_monomials_degree", one_chain_monomial_short)
+    argv = ["verify-main", "--d", "3", "--alpha", "1,2,3", "--beta", "1,2,3", "--gamma", "2,4,6"]
+    assert ideal_main(argv) == EXIT_FAILED
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL triple 1,2,3 <= 1,2,3 <= 2,4,6\n  degree 1: FAIL (total 3, initial 1, chains 0,")
+    assert out.strip().endswith("FAIL: 1 triple(s) checked")
+
+
+def test_verification_error_in_a_command_exits_3(capsys, monkeypatch):
+    def failing_generators(alpha, beta, gamma):
+        raise VerificationError("patch is not skew-symmetric")
+
+    monkeypatch.setattr(cli, "generators", failing_generators)
+    assert ideal_main(["generators", "--d", "2", "--alpha", "1,2", "--beta", "3,4", "--gamma", "3,4"]) == EXIT_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verification failure: patch is not skew-symmetric\n"
+
+
 def test_ideal_requires_ordered_triple(capsys):
     # the library refuses the triple, and the CLI maps that refusal to exit 2
     triple = ["--d", "2", "--alpha", "3,4", "--beta", "1,2", "--gamma", "3,4"]
@@ -444,6 +530,24 @@ def test_fixture_replay(capsys):
     assert "PASS" in out
     assert fixture_main(["replay", "--quiet"]) == EXIT_OK
     capsys.readouterr()
+
+
+def test_fixture_replay_exits_3_on_a_mismatch(capsys, monkeypatch):
+    steps = list(fixture.FIXTURE_STEPS)
+    steps[1] = steps[0]
+    monkeypatch.setattr(fixture, "FIXTURE_STEPS", tuple(steps))
+    assert fixture_main(["replay", "--quiet"]) == EXIT_FAILED
+    out = capsys.readouterr().out
+    assert "step 2: MISMATCH" in out
+    assert out.strip().endswith("FAIL: worked example mismatch")
+
+
+@pytest.mark.parametrize("argv", [["foo"], []])
+def test_dispatcher_refuses_an_unknown_or_missing_program(capsys, argv):
+    assert cli.main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage: obrsk|og|ideal|fixture ...\n"
 
 
 @pytest.mark.parametrize(

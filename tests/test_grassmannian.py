@@ -32,6 +32,7 @@ from obrsk.grassmannian import (
     split_chain,
     w_of_chain,
 )
+from obrsk.ideal import verify_main_theorem
 from obrsk.multisets import FormalDiff, diff_leq
 from obrsk.tableaux import NotchedBitableau, iota, up_down
 from oracles import bitableau_bounded_by, chain_in_chains_set
@@ -50,6 +51,22 @@ def test_id_membership():
         ide((1, 3), 2)  # odd number of entries above d
     with pytest.raises(NotInId):
         ide((2, 2), 2)
+
+
+@pytest.mark.parametrize("entries, d", [((3.0, 4), 2), ((True,), 1), (("1", "2"), 2), ((3, 4), 2.0)])
+def test_id_refuses_what_is_not_a_plain_int(entries, d):
+    with pytest.raises(NotInId):
+        IdElement(entries, d)
+
+
+def test_a_float_element_cannot_poison_the_memos(package_caches):
+    # IdElement((3.0, 4), 2) would equal and hash like IdElement((3, 4), 2),
+    # so its roots, (1, 3.0), would be memoised for the int element
+    with pytest.raises(NotInId):
+        roots_of(IdElement((3.0, 4), 2))
+    v = IdElement((3, 4), 2)
+    assert [type(x) for p in roots_of(v) for x in p] == [int, int]
+    assert verify_main_theorem(v, v, v, 3).passed
 
 
 def test_enumerate_id_small():

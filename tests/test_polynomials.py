@@ -3,9 +3,10 @@ import itertools
 import pytest
 from fractions import Fraction
 
-from obrsk.errors import ContextMismatch, VerificationError
+from obrsk.errors import ContextMismatch
 from obrsk.grassmannian import IdElement, enumerate_id
-from obrsk.polynomials import SparsePoly, TermOrder
+from obrsk.polynomials import SparsePoly, TermOrder, term_order
+from oracles import order_disagreements, var_greater
 
 
 @pytest.fixture(scope="module")
@@ -14,12 +15,22 @@ def o5():
 
 
 def test_term_order_builds_for_all_beta_through_d5():
-    # construction checks every pair of the sorted variables against its
-    # place in the list, which certifies a strict total order
     for d in (2, 3, 4, 5):
         for beta in enumerate_id(d):
             order = TermOrder(beta)
             assert order.nvars == len(order.variables)
+
+
+def test_term_order_agrees_with_the_paper_rules_through_d8():
+    # the key sort against the case rules on every pair: each earlier
+    # variable is greater than each later one and never the reverse
+    pairs = 0
+    for d in range(1, 9):
+        for beta in enumerate_id(d):
+            variables = term_order(beta).variables
+            assert not order_disagreements(variables), beta
+            pairs += len(variables) * (len(variables) - 1) // 2
+    assert pairs == 66_036
 
 
 def test_variables_are_the_roots(o5):
@@ -31,20 +42,20 @@ def test_variables_are_the_roots(o5):
     }
 
 
-def test_var_greater_rules(o5):
-    assert o5.var_greater((2, 1), (2, 3))  # positive beats negative on a row
-    assert o5.var_greater((2, 4), (2, 6))  # negatives: smaller column wins
-    assert o5.var_greater((5, 4), (5, 3))  # positives on a row: larger column
-    assert o5.var_greater((2, 1), (5, 1))  # positive with smaller row beats all
-    assert o5.var_greater((5, 1), (2, 6))  # tie-break: 5 < 6
-    assert o5.var_greater((2, 3), (5, 1))  # tie-break: 5 > 3
-    assert o5.var_greater((2, 3), (8, 1))  # tie-break: 8 > 3
+def test_var_greater_rules():
+    assert var_greater((2, 1), (2, 3))  # positive beats negative on a row
+    assert var_greater((2, 4), (2, 6))  # negatives: smaller column wins
+    assert var_greater((5, 4), (5, 3))  # positives on a row: larger column
+    assert var_greater((2, 1), (5, 1))  # positive with smaller row beats all
+    assert var_greater((5, 1), (2, 6))  # tie-break: 5 < 6
+    assert var_greater((2, 3), (5, 1))  # tie-break: 5 > 3
+    assert var_greater((2, 3), (8, 1))  # tie-break: 8 > 3
 
 
 def test_var_greater_is_strict_and_total(o5):
     for mu, nu in itertools.combinations(o5.variables, 2):
-        assert o5.var_greater(mu, nu) != o5.var_greater(nu, mu)
-        assert not o5.var_greater(mu, mu)
+        assert var_greater(mu, nu) != var_greater(nu, mu)
+        assert not var_greater(mu, mu)
 
 
 def monomial(order, *roots):
@@ -123,44 +134,32 @@ def test_context_mismatch(o5):
         SparsePoly.variable(o5, (2, 1)) + SparsePoly.variable(other, (2, 1))
 
 
-def test_broken_order_is_rejected():
-    # sanity check that the construction-time verifier actually fires
-    beta = IdElement((1, 3, 4, 6, 9), 5)
-    original = TermOrder.var_greater
-    try:
-        TermOrder.var_greater = lambda self, mu, nu: mu != nu
-        with pytest.raises(VerificationError):
-            TermOrder(beta)
-    finally:
-        TermOrder.var_greater = original
+def test_broken_order_is_rejected(o5):
+    # sanity check that the pairwise agreement check actually fires
+    assert order_disagreements(o5.variables, lambda mu, nu: mu != nu)
 
 
-def _order_with_pair_comparison(beta, monkeypatch, compare):
-    """Build beta's order with var_greater replaced on the pair of its
-    greatest and least variables by compare(mu, nu)."""
-    original = TermOrder.var_greater
-    reference = TermOrder(beta).variables
-    pair = {reference[0], reference[-1]}
+def _with_pair_comparison(variables, compare):
+    """var_greater with the pair of the greatest and the least variable
+    compared by compare(mu, nu) instead."""
+    pair = {variables[0], variables[-1]}
 
-    def patched(self, mu, nu):
+    def greater(mu, nu):
         if {mu, nu} == pair:
             return compare(mu, nu)
-        return original(self, mu, nu)
+        return var_greater(mu, nu)
 
-    monkeypatch.setattr(TermOrder, "var_greater", patched)
-    return TermOrder(beta)
+    return greater
 
 
-def test_order_with_a_flipped_pair_is_rejected(monkeypatch):
+def test_order_with_a_flipped_pair_is_rejected(o5):
     # flipping the greatest and the least variable makes a cycle through
     # every other variable, which no sorted list can agree with pairwise
-    beta = IdElement((1, 3, 4, 6, 9), 5)
-    least = TermOrder(beta).variables[-1]
-    with pytest.raises(VerificationError):
-        _order_with_pair_comparison(beta, monkeypatch, lambda mu, nu: mu == least)
+    least = o5.variables[-1]
+    greater = _with_pair_comparison(o5.variables, lambda mu, nu: mu == least)
+    assert order_disagreements(o5.variables, greater) == [(o5.variables[0], least)]
 
 
-def test_order_greater_both_ways_on_a_pair_is_rejected(monkeypatch):
-    beta = IdElement((1, 3, 4, 6, 9), 5)
-    with pytest.raises(VerificationError):
-        _order_with_pair_comparison(beta, monkeypatch, lambda mu, nu: True)
+def test_order_greater_both_ways_on_a_pair_is_rejected(o5):
+    greater = _with_pair_comparison(o5.variables, lambda mu, nu: True)
+    assert order_disagreements(o5.variables, greater) == [(o5.variables[0], o5.variables[-1])]
