@@ -45,7 +45,6 @@ from .ideal import (
     generators,
     hilbert_counts,
     chains_monomials_degree,
-    patch_entry,
     pfaffian_generator,
     standard_monomials,
     verify_main_theorem,

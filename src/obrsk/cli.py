@@ -43,15 +43,16 @@ EXIT_FAILED = 3
 # 183,040 triples at d = 8, and each further d multiplies both by 7 to 8.
 MAX_D = 8
 
-# The largest degree slice accepted, in monomials: --max-degree m asks for
-# slice_size(len(roots_of(beta)), m) of them.  One x86-64 core with
-# Python 3.11 checks the d = 5 triple 1,2,3,4,5 <= 1,2,3,4,5 <= 2,3,4,6,10 up
-# to m = 9, whose last slice has 48,620 monomials, in 1.1 s at a peak of
-# 58 MiB; time and memory grow a little faster than the slice.  The products
-# of Pfaffians (per beta) and the slice columns (per degree) are memoised
-# for every later triple, so --all-triples holds more than one triple's
-# worth: its peak is 28 MiB at d = 5, m <= 4 and 41 MiB at d = 6, m <= 3,
-# against 20 and 26 MiB when every triple rebuilt them.
+# The largest degree slice accepted, in monomials: every beta has d(d-1)/2
+# roots, so --max-degree m asks for slice_size(d(d-1)/2, m) of them.  One
+# x86-64 core with Python 3.11 checks the d = 5 triple 1,2,3,4,5 <=
+# 1,2,3,4,5 <= 2,3,4,6,10 up to m = 9, whose last slice has 48,620
+# monomials, in 1.1 s at a peak of 58 MiB; time and memory grow a little
+# faster than the slice.  The products of Pfaffians (per beta) and the slice
+# columns (per degree) are memoised for every later triple, so --all-triples
+# holds more than one triple's worth: its peak is 28 MiB at d = 5, m <= 4
+# and 41 MiB at d = 6, m <= 3, against 20 and 26 MiB when every triple
+# rebuilt them.
 MAX_SLICE_MONOMIALS = 50_000
 
 # The largest --max-degree accepted.  Where beta has one root or none every
@@ -312,8 +313,7 @@ def _ideal_command(args):
             print(f"f({theta}) = {poly}")
         return EXIT_OK
     # refuse before any slice is built
-    betas = enumerate_id(args.d) if all_triples else [beta]
-    largest = max(slice_size(len(roots_of(b)), args.max_degree) for b in betas)
+    largest = slice_size(args.d * (args.d - 1) // 2, args.max_degree)
     if largest > MAX_SLICE_MONOMIALS:
         raise ValidationError(
             f"--max-degree {args.max_degree} needs a slice of {largest} monomials, more than {MAX_SLICE_MONOMIALS}"
@@ -360,7 +360,10 @@ def fixture_main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
     p_replay = sub.add_parser("replay", help="recompute every recorded intermediate")
     p_replay.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
+    return _exit_code(_fixture_command, parser.parse_args(argv))
+
+
+def _fixture_command(args):
     ok = fixture.replay(verbose=not args.quiet)
     print("PASS: worked example reproduced exactly" if ok else "FAIL: worked example mismatch")
     return EXIT_OK if ok else EXIT_FAILED

@@ -94,10 +94,6 @@ class SignAssertionFailure(VerificationError):
 
 # -- ideal -------------------------------------------------------------------
 
-class ColumnNotInBeta(ValidationError):
-    pass
-
-
 class OddSize(ValidationError):
     """A Pfaffian was requested for an odd-sized matrix."""
 

@@ -78,11 +78,6 @@ class IdElement:
         if sum(1 for x in e if x > d) % 2:
             raise NotInId(f"{e} has an odd number of entries above {d}")
 
-    @property
-    def complement(self):
-        mine = set(self.entries)
-        return tuple(x for x in range(1, 2 * self.d + 1) if x not in mine)
-
     def __str__(self):
         return ",".join(str(x) for x in self.entries)
 
@@ -133,14 +128,11 @@ def hash_reflect(point, d):
 
 @lru_cache(maxsize=None)
 def roots_of(v):
-    """All roots of the grid of v, sorted by (row, column).  Memoised: one
-    entry per element of I(d)."""
-    out = []
-    for r in v.complement:
-        for c in v.entries:
-            if region_of(v, r, c) in (Region.ROOT_NEG, Region.ROOT_POS):
-                out.append((r, c))
-    return tuple(sorted(out))
+    """All roots of the grid of v, sorted by (row, column): the positions
+    (x*, y) with x > y in v, x* = 2d+1-x, so d(d-1)/2 of them.  Memoised:
+    one entry per element of I(d)."""
+    full = 2 * v.d + 1
+    return tuple(sorted((full - x, y) for y, x in itertools.combinations(v.entries, 2)))
 
 
 class ChainSign(Enum):

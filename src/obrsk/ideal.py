@@ -7,12 +7,17 @@ monomials of the ideal are exactly the root monomials covering a bad chain
 of the triple, and that the standard monomials (products of Pfaffians indexed
 by multichains through the interval) complement the ideal slice exactly.
 
+The patch of beta is one skew-symmetric d x d matrix on beta (_skew_patch):
+for x > y in beta, entry (x, y) is the variable of the root (x*, y), where
+x* = 2d+1-x, and entry (y, x) its negative; the diagonal is zero.  It is
+skew by construction.  Each f(theta) is the Pfaffian of its principal
+submatrix on beta - theta (pfaffian_matrix).
+
 Each input of the check is derived once at its key, behind one memo, and
 shared by every triple that needs it.  The term order (term_order) and the
-patch, each entry its polynomial (patch_entry), checked for skew-symmetry
-once (_skew_patch), are kept per beta, every f(theta) per (theta, beta)
+patch (_skew_patch) are kept per beta, every f(theta) per (theta, beta)
 (pfaffian_generator), and every product of them per (multichain, beta)
-(_standard_product); nothing takes a term order as a parameter.  A degree
+(standard_poly); nothing takes a term order as a parameter.  A degree
 slice's monomials and column map are kept per (number of variables, degree)
 (_slice_columns), and the columns of a monomial times every multiplier per
 (monomial, degree) (_shifted_columns).
@@ -42,51 +47,28 @@ from functools import lru_cache
 from math import comb
 from operator import add, sub
 
-from .errors import ColumnNotInBeta, DimensionMismatch, OddSize, ValidationError, VerificationError
-from .grassmannian import Region, _check_triple, defining_chains, enumerate_id, hash_reflect, id_leq, region_of
+from .errors import DimensionMismatch, OddSize, ValidationError
+from .grassmannian import _check_triple, defining_chains, enumerate_id, id_leq
 # perfbench/tracing.py patches ideal.is_quotient_monomial, so the name stays importable here
 from .grassmannian import is_quotient_monomial  # noqa: F401
 from .polynomials import SparsePoly, term_order
 
 
-def patch_entry(beta, r, c):
-    """Entry (r, c) of the patch matrix of beta, as a polynomial over
-    term_order(beta).
-
-    Rows indexed by 1..2d; columns only by beta.  Rows inside beta carry the
-    identity, 1 or 0; a row r outside beta carries the variable X(r, c) left
-    of the antidiagonal, 0 on it, and minus the reflected variable below it.
-    """
-    if c not in beta.entries:
-        raise ColumnNotInBeta(f"column {c} is not in beta = {beta.entries}")
-    if not (1 <= r <= 2 * beta.d):
-        raise DimensionMismatch(f"row {r} outside 1..{2 * beta.d}")
-    order = term_order(beta)
-    if r in beta.entries:
-        return SparsePoly.constant(order, int(r == c))
-    reg = region_of(beta, r, c)
-    if reg is Region.DIAG:
-        return SparsePoly.zero(order)
-    if reg is Region.BELOW:
-        return SparsePoly.variable(order, hash_reflect((r, c), beta.d), -1)
-    return SparsePoly.variable(order, (r, c))
-
-
 @lru_cache(maxsize=None)
 def _skew_patch(beta):
-    """Every entry (r, c) of the patch of beta with r outside beta and c in
-    beta, as its polynomial: the entries every Pfaffian matrix of beta reads.
-
-    Checked once on build: entry(r, c) = -entry(c*, r*), the reflection
-    hash_reflect.  An antidiagonal position (r, r*) is its own reflection,
-    so there the check asks for a zero entry.  Every matrix pfaffian_matrix
-    reads is then skew-symmetric with a zero diagonal.  Memoised: one entry
-    per beta, at most |I(d)| = 2^(d-1) per d."""
-    patch = {(r, c): patch_entry(beta, r, c) for r in beta.complement for c in beta.entries}
-    for (r, c), entry in patch.items():
-        mirror = hash_reflect((r, c), beta.d)
-        if not (entry + patch[mirror]).is_zero:
-            raise VerificationError(f"patch of beta = {beta.entries} not skew-symmetric at {(r, c)} and {mirror}")
+    """The patch of beta as one d x d matrix keyed by pairs (x, y) of beta:
+    entry (x, y) is the patch entry at row x* = 2d+1-x, outside beta, and
+    column y.  For x > y, (x*, y) is a root and the entry its variable
+    X(x*, y); entry (y, x) is its negative and the diagonal is zero, so the
+    matrix is skew-symmetric by construction.  Memoised: one entry per
+    beta, at most |I(d)| = 2^(d-1) per d."""
+    order = term_order(beta)
+    full = 2 * beta.d + 1
+    patch = {(x, x): SparsePoly.zero(order) for x in beta.entries}
+    for y, x in itertools.combinations(beta.entries, 2):  # y < x
+        root = SparsePoly.variable(order, (full - x, y))
+        patch[x, y] = root
+        patch[y, x] = -root
     return patch
 
 
@@ -122,18 +104,19 @@ def pfaffian(a):
 
 
 def pfaffian_matrix(theta, beta):
-    """The skew-symmetric matrix of the pair (theta, beta): rows theta - beta
-    ascending, columns beta - theta ascending reversed, read off the checked
-    patch of beta (_skew_patch)."""
-    rows = sorted(set(theta.entries) - set(beta.entries))
-    cols = sorted(set(beta.entries) - set(theta.entries))
-    n = len(rows)
-    if n != len(cols):
-        raise DimensionMismatch(f"{len(rows)} rows vs {len(cols)} columns")
+    """The skew-symmetric matrix of the pair (theta, beta): the principal
+    submatrix of the patch of beta (_skew_patch) on beta - theta, greatest
+    first.  Its rows are the patch rows theta - beta = {x* : x in beta -
+    theta}, ascending."""
+    keys = sorted(set(beta.entries) - set(theta.entries), reverse=True)
+    rows = len(set(theta.entries) - set(beta.entries))
+    n = len(keys)
+    if rows != n:
+        raise DimensionMismatch(f"{rows} rows vs {n} columns")
     if n % 2:
         raise OddSize(f"odd difference size {n} for theta, beta in I(d)")
     patch = _skew_patch(beta)
-    return [[patch[rows[i], cols[n - 1 - j]] for j in range(n)] for i in range(n)]
+    return [[patch[x, y] for y in keys] for x in keys]
 
 
 @lru_cache(maxsize=None)
@@ -376,28 +359,25 @@ def _multichain_levels(alpha, beta, gamma):
 def standard_monomials(alpha, beta, gamma, m):
     """Multichains theta_1 <= ... <= theta_r through the interval: every
     theta_i comparable to and distinct from beta, alpha <= theta_1,
-    theta_r <= gamma, with beta-degrees summing to m."""
+    theta_r <= gamma, with beta-degrees summing to m; none when m is
+    negative.  The triple must satisfy alpha <= beta <= gamma
+    (BoundsNotComparable otherwise)."""
+    _check_triple(alpha, beta, gamma)
+    if m < 0:
+        return []
     return next(itertools.islice(_multichain_levels(alpha, beta, gamma), m, None))
 
 
 @lru_cache(maxsize=None)
-def _standard_product(thetas, beta):
-    """The product of f(theta) over the multichain thetas: its prefix's
-    product times f of its last theta.  Memoised per (multichain, beta), so
-    every triple of a beta shares the products of their common multichains;
-    verify_main_theorem asks for the prefix, of lower degree, first, so the
-    recursion is one call deep."""
+def standard_poly(thetas, beta):
+    """The product of f(theta) over the multichain thetas, a tuple: its
+    prefix's product times f of its last theta.  Memoised per (multichain,
+    beta), so every triple of a beta shares the products of their common
+    multichains; verify_main_theorem asks for the prefix, of lower degree,
+    first, so the recursion is one call deep."""
     if not thetas:
         return SparsePoly.constant(term_order(beta), 1)
-    return _standard_product(thetas[:-1], beta) * pfaffian_generator(thetas[-1], beta)
-
-
-def standard_poly(thetas, beta):
-    """The product of f(theta) over a multichain."""
-    prod = SparsePoly.constant(term_order(beta), 1)
-    for theta in thetas:
-        prod = prod * pfaffian_generator(theta, beta)
-    return prod
+    return standard_poly(thetas[:-1], beta) * pfaffian_generator(thetas[-1], beta)
 
 
 # -- the main check ----------------------------------------------------------
@@ -447,7 +427,7 @@ def verify_main_theorem(alpha, beta, gamma, max_degree):
         chains = chains_monomials_degree(alpha, beta, gamma, m)
         # the pivot columns are distinct, so len(initial) == dim always holds
         counts = len(std) == slice_m.total - slice_m.dim
-        std_polys = [_standard_product(thetas, beta) for thetas in std]
+        std_polys = [standard_poly(thetas, beta) for thetas in std]
         independent = slice_m.rank_with(std_polys) == slice_m.dim + len(std)
         report.degrees.append(
             DegreeReport(

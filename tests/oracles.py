@@ -12,8 +12,8 @@ import obrsk.enumeration as enumeration
 from obrsk.arrays import SkewPair, psi_inv, split_parts, validate_skew_pair
 from obrsk.correspondence import obrsk
 from obrsk.errors import DimensionMismatch, NotSkewSymmetric, ValidationError
-from obrsk.grassmannian import ChainSign, id_leq, split_chain, w_of_chain
-from obrsk.ideal import _rref, monomials_of_degree
+from obrsk.grassmannian import ChainSign, Region, hash_reflect, id_leq, region_of, split_chain, w_of_chain
+from obrsk.ideal import _rref, monomials_of_degree, pfaffian_generator
 from obrsk.multisets import diff_leq, enumerate_extended_chains, plane_diff, plane_multiset
 from obrsk.polynomials import SparsePoly, term_order
 from obrsk.tableaux import SignKind, classify_sign, is_signed_plane_set, up_down
@@ -46,6 +46,47 @@ def determinant(a):
                 break
         total = total + prod
     return total
+
+
+def patch_entry(beta, r, c):
+    """Entry (r, c) of the paper's 2d x d patch matrix of beta, as a
+    polynomial over term_order(beta).
+
+    Rows indexed by 1..2d; columns only by beta.  Rows inside beta carry the
+    identity, 1 or 0; a row r outside beta carries the variable X(r, c) left
+    of the antidiagonal, 0 on it, and minus the reflected variable below it.
+    """
+    if c not in beta.entries:
+        raise ValidationError(f"column {c} is not in beta = {beta.entries}")
+    if not (1 <= r <= 2 * beta.d):
+        raise DimensionMismatch(f"row {r} outside 1..{2 * beta.d}")
+    order = term_order(beta)
+    if r in beta.entries:
+        return SparsePoly.constant(order, int(r == c))
+    reg = region_of(beta, r, c)
+    if reg is Region.DIAG:
+        return SparsePoly.zero(order)
+    if reg is Region.BELOW:
+        return SparsePoly.variable(order, hash_reflect((r, c), beta.d), -1)
+    return SparsePoly.variable(order, (r, c))
+
+
+def patch_disagreements(beta, matrix):
+    """The pairs (x, y) of beta, in order, where matrix, keyed by such pairs,
+    differs from the patch entry at row x* = 2d+1-x and column y.  Empty
+    exactly when matrix is the patch rule read on the rows outside beta."""
+    full = 2 * beta.d + 1
+    return [
+        (x, y) for x in beta.entries for y in beta.entries if matrix[x, y] != patch_entry(beta, full - x, y)
+    ]
+
+
+def pfaffian_product(thetas, beta):
+    """The product of f(theta) over a multichain, one factor at a time."""
+    prod = SparsePoly.constant(term_order(beta), 1)
+    for theta in thetas:
+        prod = prod * pfaffian_generator(theta, beta)
+    return prod
 
 
 def var_greater(mu, nu):

@@ -36,6 +36,7 @@ from obrsk.grassmannian import (
     split_chain,
     w_of_chain,
 )
+from obrsk.tableaux import iota
 
 
 def run_json(capsys, main, argv):
@@ -415,13 +416,13 @@ def test_verify_main_exits_3_when_a_degree_fails(capsys, monkeypatch):
 
 def test_verification_error_in_a_command_exits_3(capsys, monkeypatch):
     def failing_generators(alpha, beta, gamma):
-        raise VerificationError("patch is not skew-symmetric")
+        raise VerificationError("chain-membership routes disagree")
 
     monkeypatch.setattr(cli, "generators", failing_generators)
     assert ideal_main(["generators", "--d", "2", "--alpha", "1,2", "--beta", "3,4", "--gamma", "3,4"]) == EXIT_FAILED
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "verification failure: patch is not skew-symmetric\n"
+    assert captured.err == "verification failure: chain-membership routes disagree\n"
 
 
 def test_ideal_requires_ordered_triple(capsys):
@@ -540,6 +541,16 @@ def test_fixture_replay_exits_3_on_a_mismatch(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "step 2: MISMATCH" in out
     assert out.strip().endswith("FAIL: worked example mismatch")
+
+
+def test_fixture_replay_exits_2_when_the_inverse_map_refuses_its_input(capsys, monkeypatch):
+    # iota of the frozen image is positive, so the inverse map refuses it;
+    # replay goes through the one CLI error path, not a traceback
+    monkeypatch.setattr(fixture, "FIXTURE_BITABLEAU", iota(FIXTURE_BITABLEAU))
+    assert cli.main(["fixture", "replay", "--quiet"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bitableau is positive, not negative\n"
 
 
 @pytest.mark.parametrize("argv", [["foo"], []])

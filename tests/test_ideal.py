@@ -4,23 +4,8 @@ import pytest
 
 import obrsk.grassmannian as grassmannian
 import obrsk.ideal as ideal
-from obrsk.errors import (
-    BoundsNotComparable,
-    ColumnNotInBeta,
-    DimensionMismatch,
-    OddSize,
-    ValidationError,
-    VerificationError,
-)
-from obrsk.grassmannian import (
-    IdElement,
-    Region,
-    defining_chains,
-    enumerate_id,
-    id_leq,
-    is_quotient_monomial,
-    region_of,
-)
+from obrsk.errors import BoundsNotComparable, DimensionMismatch, OddSize, ValidationError
+from obrsk.grassmannian import IdElement, defining_chains, enumerate_id, id_leq, is_quotient_monomial
 from obrsk.ideal import (
     DegreeSlice,
     beta_degree,
@@ -28,7 +13,6 @@ from obrsk.ideal import (
     generators,
     hilbert_counts,
     monomials_of_degree,
-    patch_entry,
     pfaffian,
     pfaffian_generator,
     pfaffian_matrix,
@@ -38,7 +22,7 @@ from obrsk.ideal import (
     verify_main_theorem,
 )
 from obrsk.polynomials import SparsePoly, TermOrder, term_order
-from oracles import FullSlice, determinant
+from oracles import FullSlice, determinant, patch_disagreements, patch_entry, pfaffian_product
 
 
 def ide(entries, d):
@@ -68,8 +52,10 @@ _PATCH_5 = {
 
 
 def test_patch_matrix_d5():
+    # the paper's rule, and the skew d x d patch at (x, y) read at row x*
     beta = ide((1, 3, 4, 6, 9), 5)
     order = term_order(beta)
+    patch = ideal._skew_patch(beta)
     for r, row in _PATCH_5.items():
         for c, expected in zip(beta.entries, row):
             if expected == "1":
@@ -81,14 +67,26 @@ def test_patch_matrix_d5():
             else:
                 poly = SparsePoly.variable(order, expected)
             assert patch_entry(beta, r, c) == poly, (r, c)
+            if r not in beta.entries:
+                assert patch[11 - r, c] == poly, (r, c)
 
 
-def test_patch_entry_rejects_bad_indices():
-    beta = ide((3, 4), 2)
-    with pytest.raises(ColumnNotInBeta):
-        patch_entry(beta, 1, 2)
-    with pytest.raises(DimensionMismatch):
-        patch_entry(beta, 5, 3)
+def test_skew_patch_is_the_patch_rule_and_roots_are_its_pairs_through_d8(package_caches):
+    # every beta the command line accepts: the d x d patch is the paper's
+    # 2d x d rule on the rows outside beta, skew with a zero diagonal, and
+    # the roots are the positions (x*, y) with x > y in beta
+    for d in range(1, 9):
+        full = 2 * d + 1
+        for beta in enumerate_id(d):
+            patch = ideal._skew_patch(beta)
+            assert sorted(patch) == sorted(itertools.product(beta.entries, repeat=2))
+            assert patch_disagreements(beta, patch) == [], beta
+            for x, y in patch:
+                assert (patch[x, y] + patch[y, x]).is_zero, (beta, x, y)
+            assert all(patch[x, x].is_zero for x in beta.entries)
+            pairs = sorted((full - x, y) for x in beta.entries for y in beta.entries if x > y)
+            assert list(grassmannian.roots_of(beta)) == pairs
+            assert len(pairs) == d * (d - 1) // 2
 
 
 def test_pfaffian_generator_d2():
@@ -144,9 +142,9 @@ def test_pfaffian_rejects_odd_size():
 
 def _reference_pfaffian_generator(theta, beta):
     """f(theta) by the first-row recursion through SparsePoly sums, over
-    entries built afresh by patch_entry and checked for skew-symmetry
-    here: an independent route to the patch memo and the single-dict
-    expansion of pfaffian."""
+    entries of the paper's 2d x d patch (oracles.patch_entry), checked for
+    skew-symmetry here: an independent route to the skew patch and the
+    single-dict expansion of pfaffian."""
     order = term_order(beta)
     if theta.entries == beta.entries:
         return SparsePoly.constant(order, 1)
@@ -179,19 +177,13 @@ def test_pfaffian_generator_matches_the_first_row_recursion_through_d5():
                 assert f == _reference_pfaffian_generator(theta, beta), (theta, beta)
 
 
-def test_patch_with_a_wrong_sign_is_rejected(package_caches, monkeypatch):
-    # +X where the patch has -X, below the antidiagonal, breaks
-    # entry(r, c) = -entry(c*, r*)
-    original = ideal.patch_entry
-
-    def wrong_sign(beta, r, c):
-        e = original(beta, r, c)
-        return -e if region_of(beta, r, c) is Region.BELOW else e
-
-    monkeypatch.setattr(ideal, "patch_entry", wrong_sign)
+def test_patch_with_a_wrong_sign_is_rejected():
+    # +X where the patch has -X, above the diagonal of the d x d patch,
+    # breaks the paper's rule at that position alone
     beta = ide((1, 3, 4, 6, 9), 5)
-    with pytest.raises(VerificationError, match=r"\(1, 3, 4, 6, 9\)"):
-        pfaffian_generator(ide((1, 2, 3, 4, 5), 5), beta)
+    patch = dict(ideal._skew_patch(beta))
+    patch[3, 6] = -patch[3, 6]
+    assert patch_disagreements(beta, patch) == [(3, 6)]
 
 
 def test_generators_are_homogeneous_of_beta_degree():
@@ -250,6 +242,9 @@ def test_negative_degree_is_an_empty_slice(package_caches):
     # x^2 has no multiple of degree 1, nor x*y one of degree 1 or 0
     assert ideal._shifted_columns((2,), 1) == ()
     assert ideal._shifted_columns((1, 1), 1) == ideal._shifted_columns((1, 1), 0) == ()
+    # nor is any multichain
+    alpha, beta = ide((1, 2), 2), ide((3, 4), 2)
+    assert standard_monomials(alpha, beta, beta, -1) == standard_monomials(alpha, beta, beta, -2) == []
 
 
 def test_shifted_columns_are_the_multiples_of_a_monomial(package_caches):
@@ -308,6 +303,14 @@ def test_standard_monomials_deep_degree():
     assert len(standard_monomials(beta, beta, gamma, 5000)) == 1
 
 
+def test_standard_monomials_refuse_a_triple_out_of_order():
+    # in order, the d = 4 triple has multichains; reversed, it had none
+    alpha, beta, gamma = ide((1, 2, 3, 4), 4), ide((1, 2, 5, 6), 4), ide((5, 6, 7, 8), 4)
+    assert standard_monomials(alpha, beta, gamma, 2)
+    with pytest.raises(BoundsNotComparable, match="need alpha <= beta <= gamma"):
+        standard_monomials(gamma, beta, alpha, 2)
+
+
 def test_prefix_products_equal_standard_poly_d4():
     beta = ide((1, 2, 5, 6), 4)
     elements = enumerate_id(4)
@@ -316,8 +319,8 @@ def test_prefix_products_equal_standard_poly_d4():
     for alpha, gamma in triples:
         for m, level in enumerate(itertools.islice(ideal._multichain_levels(alpha, beta, gamma), 5)):
             assert level == standard_monomials(alpha, beta, gamma, m)
-            products = [ideal._standard_product(thetas, beta) for thetas in level]
-            assert products == [standard_poly(thetas, beta) for thetas in level]
+            products = [standard_poly(thetas, beta) for thetas in level]
+            assert products == [pfaffian_product(thetas, beta) for thetas in level]
 
 
 def test_pfaffians_and_their_products_have_integer_coefficients():
@@ -332,7 +335,7 @@ def test_pfaffians_and_their_products_have_integer_coefficients():
     assert len(triples) == 112
     for alpha, beta, gamma in triples:
         for level in itertools.islice(ideal._multichain_levels(alpha, beta, gamma), 4):
-            products = [ideal._standard_product(thetas, beta) for thetas in level]
+            products = [standard_poly(thetas, beta) for thetas in level]
             assert all(type(c) is int for p in products for _, c in p.terms)
 
 
@@ -360,7 +363,7 @@ def test_package_caches_include_the_shared_memos(package_caches):
         term_order,
         pfaffian_generator,
         ideal._skew_patch,
-        ideal._standard_product,
+        standard_poly,
         ideal._slice_columns,
         ideal._shifted_columns,
         grassmannian._minimal_bad_chains,
@@ -433,8 +436,8 @@ def test_patch_is_one_entry_per_beta_after_all_d4_triples(package_caches):
     triples = [(a, b, g) for b in elements for a in elements if id_leq(a, b) for g in elements if id_leq(b, g)]
     assert len(triples) == 112
     assert all(verify_main_theorem(a, b, g, 3).passed for a, b, g in triples)
-    # each of the 8 betas has its patch built and checked once, and each
-    # f(theta) is still built once per (theta, beta) from it
+    # each of the 8 betas has its patch built once, and each f(theta) is
+    # still built once per (theta, beta) from it
     assert len(elements) == 8
     info = ideal._skew_patch.cache_info()
     assert (info.currsize, info.misses) == (8, 8)
@@ -472,6 +475,7 @@ def test_a_triple_that_mixes_values_of_d_is_refused():
         lambda: defining_chains(alpha, beta, gamma),
         lambda: verify_main_theorem(alpha, beta, gamma, 2),
         lambda: hilbert_counts(alpha, beta, gamma, 2),
+        lambda: standard_monomials(alpha, beta, gamma, 2),
     ):
         with pytest.raises(BoundsNotComparable, match="must share d"):
             check()

@@ -21,8 +21,8 @@ def test_package_holds_one_memo_per_key(package_caches):
         "obrsk.ideal._shifted_columns",
         "obrsk.ideal._skew_patch",
         "obrsk.ideal._slice_columns",
-        "obrsk.ideal._standard_product",
         "obrsk.ideal.pfaffian_generator",
+        "obrsk.ideal.standard_poly",
         "obrsk.polynomials.term_order",
     ]
     assert len(package_caches) == 11
