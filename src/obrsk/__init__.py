@@ -10,7 +10,7 @@ degree.
 
 from types import ModuleType as _ModuleType
 
-from .multisets import FormalDiff, count_le, is_chain
+from .multisets import FormalDiff, count_le
 from .tableaux import (
     NotchedBitableau,
     NotchedTableau,
@@ -28,7 +28,6 @@ from .grassmannian import (
     ChainSign,
     IdElement,
     Region,
-    chain_pair,
     defining_chains,
     enumerate_extended_chains,
     enumerate_id,

@@ -80,10 +80,6 @@ class MixedSigns(ValidationError):
     """A chain mixes positive and negative grid points where one sign is required."""
 
 
-class EmptyChain(ValidationError):
-    pass
-
-
 class BoundsNotComparable(ValidationError):
     """A triple is not alpha <= beta <= gamma in one I(d)."""
 

@@ -20,7 +20,10 @@ together (_signed_chains, at most 2 |I(d)| tables per d).  A negative chain's
 image is one bounded insertion step from the memoised image of its parent
 chain, the chain without its last point; a positive chain's image is iota of
 the image of its transpose, a negative chain, as obrsk takes a positive part
-through L (chain_image).
+through L (chain_image).  chain_image builds no skew pair and checks none:
+its chains come from enumerate_extended_chains on the roots of one sign, and
+tests/test_grassmannian.py certifies that the pair (C, C^#) of every such
+chain with d <= 8 is a valid skew pair.
 defining_chains decides each sign-pure chain of roots once per half, not once
 per triple, by the w of its row, checks each decision against the
 boundedness of the chain's image by T (negative half) or W (positive half),
@@ -37,21 +40,11 @@ from enum import Enum
 from functools import lru_cache
 from operator import le
 
-from .arrays import psi_inv, validate_skew_pair
 from .correspondence import forward_step
 # perfbench/tracing.py patches grassmannian.obrsk, so the name stays importable here
 from .correspondence import obrsk  # noqa: F401
-from .errors import (
-    BoundsNotComparable,
-    EmptyChain,
-    InvalidPair,
-    MixedSigns,
-    NotInId,
-    SignAssertionFailure,
-    VanishingColumn,
-    VerificationError,
-)
-from .multisets import diff_leq, enumerate_extended_chains, is_chain, plane_diff, plane_multiset
+from .errors import BoundsNotComparable, MixedSigns, NotInId, SignAssertionFailure, VerificationError
+from .multisets import diff_leq, enumerate_extended_chains, plane_diff, plane_multiset
 from .tableaux import EMPTY_BITABLEAU, iota, is_signed_plane_set, up_down
 
 
@@ -155,46 +148,31 @@ def split_chain(chain, v):
     return tuple(neg), tuple(pos)
 
 
-def chain_pair(chain, d):
-    """The pair of plane multisets (C, C^#) built from a sign-pure chain."""
-    if not chain:
-        raise EmptyChain("a chain pair needs at least one point")
-    if not is_chain(chain):
-        raise MixedSigns(f"{chain} is not a chain")
-    signs = {r < c for r, c in chain}
-    if len(signs) != 1:
-        raise MixedSigns(f"{chain} mixes positive and negative points")
-    u1 = plane_multiset(chain)
-    u2 = plane_multiset(hash_reflect(p, d) for p in chain)
-    return u1, u2
-
-
 @lru_cache(maxsize=None)
 def chain_image(chain, d):
-    """The bitableau image of the canonical skew pair of (C, C^#), as
-    obrsk(psi_inv(*chain_pair(chain, d))) defines it.
+    """The bitableau image of a chain of roots C, obrsk of the canonical skew
+    pair of (C, C^#), where C^# reflects each point of C by hash_reflect.
+
+    chain must be a nonempty chain of roots of one sign, sorted by position,
+    as _signed_chains supplies it; nothing here checks that.  The tests
+    certify that the pair of every such chain with d <= 8 is a valid skew
+    pair, and that this image equals obrsk's for every one with d <= 7.
 
     obrsk consumes a negative chain's points in increasing row order, one
     forward step each, so its image is one step from that of the chain
     without its last point.  A positive chain goes through L and then iota,
     as obrsk takes it: L of its pair is the pair of its transpose, a
     negative chain (hash_reflect commutes with swapping the coordinates), so
-    its image is iota of that chain's image.  The pair is validated as obrsk
-    validates it, and iota checks its argument.  Memoised: chain is a tuple
-    of roots sorted by position, so there is one entry per chain asked for,
-    however many betas or longer chains ask for it."""
-    violations = validate_skew_pair(psi_inv(*chain_pair(chain, d)))
-    if violations:
-        raise InvalidPair("; ".join(violations))
-    if any(r == c for r, c in chain):
-        raise VanishingColumn("a column with equal entries has no sign")
-    points = tuple(sorted(chain))
-    if points[0][0] > points[0][1]:
-        return iota(chain_image(tuple(sorted((c, r) for r, c in points)), d))
-    (r, c), rest = points[-1], points[:-1]
+    its image is iota of that chain's image, and iota checks its argument.
+    Memoised: one entry per chain asked for, however many betas or longer
+    chains ask for it."""
+    (r, c), rest = chain[-1], chain[:-1]
+    if r > c:
+        # the transpose of a chain sorted by position, reversed, is sorted
+        return iota(chain_image(tuple((y, x) for x, y in reversed(chain)), d))
     parent = chain_image(rest, d) if rest else EMPTY_BITABLEAU
-    full = 2 * d + 1
-    return forward_step(parent, r, c, full - r, full - c)
+    c_star, r_star = hash_reflect((r, c), d)
+    return forward_step(parent, r, c, r_star, c_star)
 
 
 @lru_cache(maxsize=None)

@@ -68,16 +68,10 @@ def _precedes(p, q):
     return p[0] < q[0] and p[1] > q[1]
 
 
-def is_chain(points):
-    """True iff the plane multiset is strictly increasing in x and strictly
-    decreasing in y when sorted; repeated x (or y) values disqualify it."""
-    pts = sorted(points)
-    return all(map(_precedes, pts, pts[1:]))
-
-
 def enumerate_extended_chains(support):
-    """All nonempty chains, as is_chain defines them, inside a set of plane
-    points; each is a tuple in increasing x."""
+    """All nonempty chains inside a set of plane points: the subsets strictly
+    increasing in x and strictly decreasing in y, so no two points share an
+    x or a y; each is a tuple in increasing x."""
     pts = sorted(set(support), key=lambda p: (p[0], -p[1]))
     chains = []
 

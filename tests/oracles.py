@@ -11,7 +11,7 @@ import itertools
 import obrsk.enumeration as enumeration
 from obrsk.arrays import SkewPair, psi_inv, split_parts, validate_skew_pair
 from obrsk.correspondence import obrsk
-from obrsk.errors import DimensionMismatch, NotSkewSymmetric, ValidationError
+from obrsk.errors import DimensionMismatch, MixedSigns, NotSkewSymmetric, ValidationError
 from obrsk.grassmannian import ChainSign, Region, hash_reflect, id_leq, region_of, split_chain, w_of_chain
 from obrsk.ideal import _rref, monomials_of_degree, pfaffian_generator
 from obrsk.multisets import diff_leq, enumerate_extended_chains, plane_diff, plane_multiset
@@ -144,6 +144,21 @@ def order_disagreements(variables, greater=var_greater):
     return [
         (mu, nu) for mu, nu in itertools.combinations(variables, 2) if not greater(mu, nu) or greater(nu, mu)
     ]
+
+
+def is_chain(points):
+    """True iff the plane multiset is strictly increasing in x and strictly
+    decreasing in y when sorted; repeated x (or y) values disqualify it."""
+    pts = sorted(points)
+    return all(p[0] < q[0] and p[1] > q[1] for p, q in zip(pts, pts[1:]))
+
+
+def chain_pair(chain, d):
+    """The pair of plane multisets (C, C^#) the paper builds from a nonempty
+    sign-pure chain C: C^# reflects each point by hash_reflect."""
+    if not chain or not is_chain(chain) or len({r < c for r, c in chain}) != 1:
+        raise MixedSigns(f"{chain} is not a nonempty chain of one sign")
+    return plane_multiset(chain), plane_multiset(hash_reflect(p, d) for p in chain)
 
 
 def chain_in_chains_set(chain, alpha, beta, gamma):

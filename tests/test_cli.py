@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +40,8 @@ from obrsk.grassmannian import (
     w_of_chain,
 )
 from obrsk.tableaux import iota
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_json(capsys, main, argv):
@@ -414,6 +419,57 @@ def test_verify_main_exits_3_when_a_degree_fails(capsys, monkeypatch):
     assert out.strip().endswith("FAIL: 1 triple(s) checked")
 
 
+VERDICT_TRIPLE = tuple(IdElement(e, 3) for e in ((1, 2, 3), (1, 4, 5), (2, 4, 6)))
+
+
+def verdicts_and_cli_statuses(capsys):
+    """On VERDICT_TRIPLE up to degree 3: the verdicts (initial_matches_chains,
+    counts_match, standard_independent) of each degree of the main check,
+    then the exit code of ideal verify-main and the status of each degree
+    line it prints."""
+    report = ideal.verify_main_theorem(*VERDICT_TRIPLE, 3)
+    verdicts = [(r.initial_matches_chains, r.counts_match, r.standard_independent) for r in report.degrees]
+    options = (x for name, v in zip(("--alpha", "--beta", "--gamma"), VERDICT_TRIPLE) for x in (name, str(v)))
+    code = ideal_main(["verify-main", "--d", "3", *options, "--max-degree", "3"])
+    statuses = re.findall(r"^  degree \d+: (\w+)", capsys.readouterr().out, re.M)
+    return verdicts, code, statuses
+
+
+def test_main_check_fails_on_a_missing_standard_monomial(capsys, monkeypatch, package_caches):
+    # one degree-2 multichain short: the counts no longer add up, while the
+    # rest stay independent of the ideal and the initial ideal is untouched
+    original = ideal._multichain_levels
+
+    def one_short(alpha, beta, gamma):
+        for m, level in enumerate(original(alpha, beta, gamma)):
+            yield level[1:] if m == 2 else level
+
+    monkeypatch.setattr(ideal, "_multichain_levels", one_short)
+    assert verdicts_and_cli_statuses(capsys) == (
+        [(True, True, True), (True, False, True), (True, True, True)],
+        EXIT_FAILED,
+        ["ok", "FAIL", "ok"],
+    )
+
+
+def test_main_check_fails_on_dependent_standard_products(capsys, monkeypatch, package_caches):
+    # the second degree-2 product made 3 times the first: the counts still
+    # add up, but the products are dependent, and so are the degree-3
+    # products built on it
+    original = ideal.standard_poly
+    low, high = VERDICT_TRIPLE[0], VERDICT_TRIPLE[2]
+
+    def dependent(thetas, beta):
+        return 3 * original((low, low), beta) if thetas == (low, high) else original(thetas, beta)
+
+    monkeypatch.setattr(ideal, "standard_poly", dependent)
+    assert verdicts_and_cli_statuses(capsys) == (
+        [(True, True, True), (True, True, False), (True, True, False)],
+        EXIT_FAILED,
+        ["ok", "FAIL", "FAIL"],
+    )
+
+
 def test_verification_error_in_a_command_exits_3(capsys, monkeypatch):
     def failing_generators(alpha, beta, gamma):
         raise VerificationError("chain-membership routes disagree")
@@ -571,8 +627,10 @@ def test_dispatcher_refuses_an_unknown_or_missing_program(capsys, argv):
     ],
 )
 def test_installed_scripts_smoke(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "obrsk.cli", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "obrsk.cli", *argv], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
     assert "usage" in proc.stdout.lower()

@@ -9,11 +9,11 @@ from obrsk.multisets import (
     count_le,
     diff_leq,
     enumerate_extended_chains,
-    is_chain,
     nat_multiset,
     plane_diff,
     plane_multiset,
 )
+from oracles import is_chain
 
 EMPTY_DIFF = FormalDiff((), ())
 
