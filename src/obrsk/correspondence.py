@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 
-from .arrays import SkewPair, psi, psi_inv, split_parts, validate_skew_pair, L_involution
+from .arrays import SkewPair, psi_inv, split_parts, validate_skew_pair, L_involution
 from .errors import BoundViolation, EmptyBitableau, InvalidPair, NotNegative, PathShapeMismatch
 from .tableaux import EMPTY_BITABLEAU, NotchedBitableau, NotchedTableau, SignKind, classify_sign, iota, sign_split
 
@@ -104,11 +104,13 @@ def robrsk(bit):
     kind = sign_split(bit)[0]
     if not bit.is_empty and kind is not SignKind.NEGATIVE:
         raise NotNegative(f"bitableau is {kind.value}, not negative")
-    return _negative_preimage(bit)
+    return SkewPair.from_columns(*_preimage_columns(bit))
 
 
-def _negative_preimage(bit):
-    """robrsk without the check that bit is negative."""
+def _preimage_columns(bit):
+    """The columns of the pair that a negative bitableau comes from, by
+    reverse steps and without a check that bit is negative: the pi1 columns
+    (b, a) and the pi2 columns (c, d), each in its array's order."""
     cols1 = []  # (b, a), collected last column first
     cols2 = []  # (c, d), collected first column first
     while not bit.is_empty:
@@ -116,7 +118,7 @@ def _negative_preimage(bit):
         cols1.append((b, a))
         cols2.append((c, d))
     cols1.reverse()
-    return SkewPair.from_columns(cols1, cols2)
+    return cols1, cols2
 
 
 def obrsk(p):
@@ -139,12 +141,26 @@ def obrsk(p):
 
 
 def obrsk_inverse(bit):
-    """Invert the correspondence on a nonvanishing skew-symmetric bitableau."""
+    """Invert the correspondence on a nonvanishing skew-symmetric bitableau.
+
+    classify_sign is the one validation.  The negative block is inverted as
+    robrsk inverts it; the positive block as obrsk images it, through iota
+    and L.  Both preimages are taken as psi's points, and one psi_inv
+    rebuilds the pair from their union.  iota's own check of the positive
+    block is implied: a block of rows of a skew-symmetric bitableau is
+    skew-symmetric, and classify_sign has found every row of it positive.
+    psi's check of the entries is implied too, as validate_semistandard has
+    found every entry an int >= 1.
+    """
     cls = classify_sign(bit)
     if cls.kind is SignKind.VANISHING:
         raise NotNegative("only nonvanishing bitableaux are in the image")
-    neg_pair = _negative_preimage(cls.negative_part)
-    pos_pair = L_involution(_negative_preimage(iota(cls.positive_part)))
-    (neg1, neg2), (pos1, pos2) = psi(neg_pair), psi(pos_pair)
-    return psi_inv(neg1 + pos1, neg2 + pos2)
-
+    pos = cls.positive_part
+    neg1, neg2 = _preimage_columns(cls.negative_part)
+    # iota of the positive block, built without its check
+    flipped = NotchedBitableau(NotchedTableau(pos.Q.rows[::-1]), NotchedTableau(pos.P.rows[::-1]))
+    pos1, pos2 = _preimage_columns(flipped)
+    # psi reads a pi1 column (b, a) as the point (a, b) and a pi2 column
+    # (c, d) as (d, c); L swaps the coordinates of every point, so each
+    # positive column, read as it stands, is already its point
+    return psi_inv([(a, b) for b, a in neg1] + pos1, [(d, c) for c, d in neg2] + pos2)

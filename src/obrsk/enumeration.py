@@ -3,18 +3,22 @@
 These drive the property suites: enumerate every valid object with entries
 up to a cap, then check bijectivity, involutions and boundedness exhaustively.
 
-The enumeration is constructive.  It builds only candidates that already meet
-the conditions it can decide one column or one row at a time, in the order a
-plain generate-and-filter over sorted column (or row) tuples would visit them,
-and runs the full validator on every object it builds before returning it.
-Those conditions are the validators' own: dual_column_violations and
+The enumeration is constructive.  It builds an object one column pair (a pi1
+column with its dual pi2 column) or one row pair (a P row with its Q row) at
+a time, and extends a prefix only while it meets the conditions that can be
+decided so far; every prefix is itself an object of a smaller width or
+shape.  It runs the full validator on every object it builds, and a final
+sort of each width's or shape's objects restores the order in which a plain
+generate-and-filter over sorted column (or row) tuples would visit them.
+The conditions are the validators' own: dual_column_violations and
 column_duality_pairs for a column and its dual, row_sign and
-row_duality_pairs for a row pair.  A kind of bitableau is chosen by the row
-signs it allows.
+row_duality_pairs for a row pair, duality_conflict over the pairs so far.
+A kind of bitableau is chosen by the row signs it allows.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 from .arrays import SkewPair, TwoRowArray, column_duality_pairs, dual_column_violations, validate_skew_pair
@@ -24,48 +28,52 @@ from .tableaux import NotchedBitableau, NotchedTableau, row_duality_pairs, row_s
 
 def enumerate_skew_pairs(max_entry, max_width, pi1_column):
     """All valid skew pairs of width 1..max_width with entries <= max_entry
-    whose pi1 columns (b, a) all satisfy pi1_column.
+    whose pi1 columns (b, a) all satisfy pi1_column, in generate-and-filter
+    order: by width, then by the pi1 columns (b, a) and the pi2 columns
+    (d, c), each sequence compared from its greatest.
 
-    Column orders are canonical by construction: the pi1 columns (b, a) and
-    the pi2 columns (d, c) are weakly decreasing tuples, visited from the
-    greatest.  Each pi2 column is drawn only from those that fit its dual
-    pi1 column, and kept only while the duality map (v) over the columns so
-    far has no conflict.  validate_skew_pair is the final check on every
-    pair built.
+    A pair is built one column pair at a time: pi1 column i together with
+    pi2 column t-1-i, its dual.  So the pi1 columns come greatest first and
+    their duals least first, which keeps pi1 and the transpose of pi2
+    lexicographic.  A dual is drawn only from the pi2 columns that fit its
+    pi1 column, and a column pair is added only while the duality map (v)
+    over the columns so far has no conflict.  validate_skew_pair is the
+    final check on every pair built, and a sort of each width's pairs
+    restores the order.
     """
     values = range(max_entry, 0, -1)
     columns = [(x, y) for x in values for y in values]  # greatest first
     pi1_columns = [col for col in columns if pi1_column(col)]
-    # pi2 columns, as (d, c), that may sit opposite each pi1 column (the
-    # positions 0, 0 only label messages, and only their absence counts)
-    fitting = {
-        col1: [(d, c) for d, c in columns if not dual_column_violations(col1, (c, d), 0, 0)]
-        for col1 in pi1_columns
-    }
+    # the pi2 columns, as (d, c) least first, that may sit opposite each pi1
+    # column, and the duality pairs of each such column pair (the positions
+    # 0, 0 only label messages, and only their absence counts)
+    fitting = []
+    for col1 in pi1_columns:
+        duals = [(d, c) for d, c in reversed(columns) if not dual_column_violations(col1, (c, d), 0, 0)]
+        fitting.append((duals, [column_duality_pairs(col1, (c, d)) for d, c in duals]))
+    by_width = [[] for _ in range(max_width + 1)]
 
-    def complete(cols1, pi1, cols2, pairs):
-        # pi2 column j is dual to pi1 column t-1-j
-        j = len(cols2)
-        if j == len(cols1):
-            pi2 = TwoRowArray(tuple(c for _, c in cols2), tuple(d for d, _ in cols2))
-            p = SkewPair(pi1, pi2)
-            if not validate_skew_pair(p):
-                yield p
-            return
-        b, a = cols1[-1 - j]
-        for d, c in fitting[b, a]:
-            if j and (d, c) > cols2[-1]:
-                continue
-            new_pairs = pairs + column_duality_pairs((b, a), (c, d))
-            if duality_conflict(new_pairs) is None:
-                yield from complete(cols1, pi1, cols2 + [(d, c)], new_pairs)
+    def extend(cols1, cols2, start, pairs):
+        for i in range(start, len(pi1_columns)):
+            duals, dual_pairs = fitting[i]
+            for j in range(bisect.bisect_left(duals, cols2[-1]) if cols2 else 0, len(duals)):
+                new_pairs = pairs + dual_pairs[j]
+                if duality_conflict(new_pairs) is not None:
+                    continue
+                new1, new2 = cols1 + [pi1_columns[i]], cols2 + [duals[j]]
+                p = SkewPair(
+                    TwoRowArray(tuple(b for b, _ in new1), tuple(a for _, a in new1)),
+                    TwoRowArray(tuple(c for _, c in reversed(new2)), tuple(d for d, _ in reversed(new2))),
+                )
+                if not validate_skew_pair(p):
+                    by_width[len(new1)].append(p)
+                if len(new1) < max_width:
+                    extend(new1, new2, i, new_pairs)
 
-    out = []
-    for t in range(1, max_width + 1):
-        for cols1 in itertools.combinations_with_replacement(pi1_columns, t):
-            pi1 = TwoRowArray(tuple(b for b, _ in cols1), tuple(a for _, a in cols1))
-            out.extend(complete(cols1, pi1, [], []))
-    return out
+    extend([], [], 0, [])
+    for pairs in by_width:
+        pairs.sort(key=lambda p: (tuple(zip(p.b, p.a)), tuple(zip(p.d, p.c))), reverse=True)
+    return [p for pairs in by_width for p in pairs]
 
 
 def enumerate_negative_pairs(max_entry, max_width):
@@ -90,64 +98,64 @@ def even_shapes(max_boxes):
 
 
 def _row_pairs(max_entry, k, signs):
-    """P row -> the Q rows that can sit beside it, in lexicographic order:
-    both strictly increasing with entries <= max_entry, row_sign in signs
-    and the in-row duality map consistent.  P rows with no such Q row are
-    left out."""
+    """The (P row, Q row) pairs of length k that can sit in one row: both
+    strictly increasing with entries <= max_entry, row_sign in signs and
+    the in-row duality map consistent.  Each comes with its
+    row_duality_pairs and its FormalDiff."""
     rows = list(itertools.combinations(range(1, max_entry + 1), k))
-    table = {}
+    table = []
     for prow in rows:
-        fits = []
         for qrow in rows:
-            if row_sign(prow, qrow) in signs and duality_conflict(row_duality_pairs(prow, qrow)) is None:
-                fits.append(qrow)
-        if fits:
-            table[prow] = fits
+            if row_sign(prow, qrow) not in signs:
+                continue
+            pairs = row_duality_pairs(prow, qrow)
+            if duality_conflict(pairs) is None:
+                table.append((prow, qrow, pairs, FormalDiff(prow, qrow)))
     return table
 
 
 def _bitableaux(max_entry, max_boxes, signs):
     """Skew-symmetric bitableaux with even rows, <= max_boxes boxes, entries
-    <= max_entry and every row_sign in signs, in the order of a product over
-    all P rows and then all Q rows of each shape.
+    <= max_entry and every row_sign in signs, in generate-and-filter order:
+    by shape as even_shapes lists them, then by the P rows and the Q rows.
 
-    P rows come from those with some fitting Q row.  Each Q row is drawn from
-    the rows that fit its P row, and kept only while the duality map over all
-    rows so far has no conflict and the row differences stay weakly
+    A bitableau is built one row pair at a time, top row first, from the
+    row pairs that fit.  A row pair is added only while the duality map over
+    all rows so far has no conflict and the row differences stay weakly
     increasing.  validate_skew_symmetric is the final check on every
-    bitableau built.
+    bitableau built, and a sort of each shape's bitableaux restores the
+    order.
     """
     tables = {k: _row_pairs(max_entry, k, signs) for k in range(2, max_boxes + 1, 2)}
+    by_shape = {shape: [] for shape in even_shapes(max_boxes)}
 
-    def complete(prows, qrows, last_diff, pairs):
-        i = len(qrows)
-        if i == len(prows):
-            b = NotchedBitableau(NotchedTableau(prows), NotchedTableau(qrows))
-            if validate_skew_symmetric(b):
-                yield b
-            return
-        for qrow in tables[len(prows[i])][prows[i]]:
-            new_pairs = pairs + row_duality_pairs(prows[i], qrow)
-            if duality_conflict(new_pairs) is not None:
-                continue
-            diff = FormalDiff(prows[i], qrow)
-            if i and not diff_leq(last_diff, diff):
-                continue
-            yield from complete(prows, qrows + (qrow,), diff, new_pairs)
+    def extend(prows, qrows, last_diff, pairs, room):
+        for k in range(2, room + 1, 2):
+            for prow, qrow, row_pairs, diff in tables[k]:
+                new_pairs = pairs + row_pairs
+                if duality_conflict(new_pairs) is not None:
+                    continue
+                if last_diff is not None and not diff_leq(last_diff, diff):
+                    continue
+                new_p, new_q = prows + (prow,), qrows + (qrow,)
+                b = NotchedBitableau(NotchedTableau(new_p), NotchedTableau(new_q))
+                if validate_skew_symmetric(b):
+                    by_shape[b.shape].append(b)
+                extend(new_p, new_q, diff, new_pairs, room - k)
 
-    for shape in even_shapes(max_boxes):
-        for prows in itertools.product(*(tables[k] for k in shape)):
-            yield from complete(prows, (), None, [])
+    extend((), (), None, [], max_boxes)
+    for found in by_shape.values():
+        found.sort(key=lambda b: (b.P.rows, b.Q.rows))
+    return [b for found in by_shape.values() for b in found]
 
 
 def enumerate_negative_bitableaux(max_entry, max_boxes):
     """The negative skew-symmetric bitableaux with even rows, <= max_boxes
     boxes and entries <= max_entry: every row negative."""
-    return list(_bitableaux(max_entry, max_boxes, {-1}))
+    return _bitableaux(max_entry, max_boxes, {-1})
 
 
 def enumerate_nonvanishing_bitableaux(max_entry, max_boxes):
     """The nonvanishing ones, likewise: every row has a sign.  Semistandard
     order puts the negative rows above the positive ones."""
-    return list(_bitableaux(max_entry, max_boxes, {-1, +1}))
-
+    return _bitableaux(max_entry, max_boxes, {-1, +1})

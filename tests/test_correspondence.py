@@ -20,7 +20,14 @@ from obrsk.enumeration import (
     enumerate_nonvanishing_bitableaux,
     enumerate_nonvanishing_pairs,
 )
-from obrsk.errors import BoundViolation, EmptyBitableau, NotNegative, PathShapeMismatch
+from obrsk.errors import (
+    BoundViolation,
+    EmptyBitableau,
+    NotNegative,
+    NotSemistandard,
+    NotSkewSymmetric,
+    PathShapeMismatch,
+)
 from obrsk.tableaux import (
     EMPTY_BITABLEAU,
     NotchedBitableau,
@@ -150,6 +157,23 @@ def test_robrsk_rejects_positive(worked_bitableau):
         robrsk(iota(worked_bitableau))
 
 
+@pytest.mark.parametrize("inverse", [robrsk, obrsk_inverse])
+@pytest.mark.parametrize(
+    "p_rows, q_rows, error",
+    [
+        ([[1, 2]], [[4, 3]], NotSemistandard),
+        ([[1, 2, 3]], [[4, 5, 6]], NotSkewSymmetric),
+        ([[3, 4]], [[3, 4]], NotNegative),
+        ([[1, 2], [3, 4]], [[5, 6], [3, 4]], NotNegative),
+    ],
+)
+def test_inverse_maps_refuse_bitableaux_outside_their_domain(inverse, p_rows, q_rows, error):
+    # not semistandard, not skew-symmetric, and skew-symmetric with a row
+    # that has no sign (alone, or below a negative row)
+    with pytest.raises(error):
+        inverse(bt(p_rows, q_rows))
+
+
 def test_obrsk_general_restricts_to_negative(worked_pair, worked_bitableau):
     assert obrsk(worked_pair) == worked_bitableau
 
@@ -229,6 +253,34 @@ def test_nonvanishing_bijection_exhaustive_entries_7():
     assert images == set(bitableaux)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30, f"nonvanishing bijection at entries <= 7 took {elapsed:.2f}s"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the codomain holds bitableaux that no pair reaches, "
+    "such as P = (1 2 3 4; 1 3), Q = (2 3 4 5; 3 5)",
+)
+@pytest.mark.parametrize(
+    "enumerate_pairs, enumerate_bitableaux, inverse",
+    [
+        (enumerate_negative_pairs, enumerate_negative_bitableaux, robrsk),
+        (enumerate_nonvanishing_pairs, enumerate_nonvanishing_bitableaux, obrsk_inverse),
+    ],
+    ids=["negative", "nonvanishing"],
+)
+def test_bijection_exhaustive_width_3(enumerate_pairs, enumerate_bitableaux, inverse):
+    # entries <= 5, width <= 3: 94 negative pairs against 95 bitableaux and
+    # 372 nonvanishing pairs against 374
+    pairs = enumerate_pairs(5, 3)
+    bitableaux = enumerate_bitableaux(5, 6)
+    images = set()
+    for p in pairs:
+        image = obrsk(p)
+        assert inverse(image) == p
+        images.add(image)
+    assert len(pairs) == len(bitableaux)
+    assert images == set(bitableaux)
 
 
 @st.composite

@@ -2,7 +2,8 @@
 
 The reference below builds every candidate in sorted column (or row) order
 and keeps those the validators accept.  The enumerators must return the same
-lists, element for element and in order, while building few candidates.
+lists, element for element and in order, while building few candidates and
+checking the duality map few times.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import pytest
 import obrsk.enumeration as enumeration
 from obrsk.arrays import SkewPair, TwoRowArray, validate_skew_pair
 from obrsk.errors import NotSemistandard, ValidationError
+from obrsk.multisets import duality_conflict
 from obrsk.tableaux import (
     NotchedBitableau,
     NotchedTableau,
@@ -110,6 +112,10 @@ def test_three_row_shapes_are_covered():
         ("enumerate_nonvanishing_pairs", (6, 2)),
         ("enumerate_negative_bitableaux", (6, 4)),
         ("enumerate_nonvanishing_bitableaux", (6, 4)),
+        ("enumerate_negative_pairs", (6, 3)),
+        ("enumerate_nonvanishing_pairs", (6, 3)),
+        ("enumerate_negative_bitableaux", (6, 6)),
+        ("enumerate_nonvanishing_bitableaux", (6, 6)),
     ],
 )
 def test_enumerators_build_few_candidates(monkeypatch, name, args):
@@ -130,6 +136,33 @@ def test_enumerators_build_few_candidates(monkeypatch, name, args):
     kept = getattr(enumeration, name)(*args)
     assert kept
     assert built <= 10 * len(kept), f"{built} candidates built for {len(kept)} kept"
+
+
+@pytest.mark.parametrize(
+    "name, args, per_kept",
+    [
+        ("enumerate_negative_pairs", (6, 3), 12),
+        ("enumerate_nonvanishing_pairs", (6, 3), 12),
+        ("enumerate_negative_bitableaux", (6, 6), 45),
+        ("enumerate_nonvanishing_bitableaux", (6, 6), 45),
+    ],
+)
+def test_enumerators_check_the_duality_map_few_times(monkeypatch, name, args, per_kept):
+    # a search that tries each column pair or row pair once per prefix makes
+    # 4.5 to 29 checks per kept object here; one that takes every pi1 column
+    # tuple or every P row tuple first and searches its partners under it
+    # makes 36 to 122
+    checks = 0
+
+    def counting(pairs):
+        nonlocal checks
+        checks += 1
+        return duality_conflict(pairs)
+
+    monkeypatch.setattr(enumeration, "duality_conflict", counting)
+    kept = getattr(enumeration, name)(*args)
+    assert kept
+    assert checks <= per_kept * len(kept), f"{checks} duality-map checks for {len(kept)} kept"
 
 
 @pytest.mark.parametrize("sign", [0, 5, -2, 2, "+1", None])
