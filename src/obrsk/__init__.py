@@ -27,14 +27,12 @@ from .correspondence import forward_step, obrsk, obrsk_inverse, obrsk_negative_s
 from .grassmannian import (
     ChainSign,
     IdElement,
-    Region,
     defining_chains,
     enumerate_extended_chains,
     enumerate_id,
     hash_reflect,
     id_leq,
     is_quotient_monomial,
-    region_of,
     roots_of,
     split_chain,
     w_of_chain,

@@ -5,10 +5,13 @@ pair {k, 2d+1-k} and an even number of entries above d; it is ordered
 entrywise on sorted entry lists.
 
 Fixing beta in I(d), the grid consists of the positions (r, c) with r outside
-beta and c inside beta.  Writing x* = 2d+1-x, a grid position is on the
-diagonal when r = c*, below it when r > c*, and otherwise it is a root:
-positive when r > c and negative when r < c.  The reflection
-(r, c) -> (c*, r*) exchanges roots and below-diagonal positions.
+beta and c inside beta.  Writing x* = 2d+1-x, its roots are the positions
+(x*, y) with x > y in beta (roots_of, the one rule; split_chain refuses any
+other point): positive when r > c and negative when r < c.  The other grid
+positions lie on the diagonal (r = c*) or below it (r > c*); the paper's
+five-way rule is tests/oracles.region_of, which the tests check against
+roots_of for every beta with d <= 8.  The reflection (r, c) -> (c*, r*)
+exchanges roots and below-diagonal positions.
 
 A triple alpha <= beta <= gamma declares some chains of roots bad: those
 whose negative part maps to a w with alpha not <= w, or whose positive part
@@ -18,12 +21,15 @@ two sign-pure parts is, and a negative chain's badness depends on the half
 chains of a beta are imaged and valued once, w and the image's bound operand
 together (_signed_chains, at most 2 |I(d)| tables per d).  A negative chain's
 image is one bounded insertion step from the memoised image of its parent
-chain, the chain without its last point; a positive chain's image is iota of
-the image of its transpose, a negative chain, as obrsk takes a positive part
-through L (chain_image).  chain_image builds no skew pair and checks none:
-its chains come from enumerate_extended_chains on the roots of one sign, and
-tests/test_grassmannian.py certifies that the pair (C, C^#) of every such
-chain with d <= 8 is a valid skew pair.
+chain, the chain without its last point (chain_image).  chain_image images
+negative chains only: obrsk takes a positive part through L and then iota,
+so a positive chain's pairs are read off the image of its transpose, a
+negative chain, with each pair swapped (_signed_chains).  chain_image builds
+no skew pair and checks none: it is handed the negative chains of roots of
+a beta and the transposes of its positive ones, sorted by position, and
+tests/test_grassmannian.py certifies that the pair (C, C^#) of every chain
+of roots with d <= 8 is a valid skew pair and, with d <= 7, that the pairs
+each row reads equal those of obrsk's image.
 defining_chains decides each sign-pure chain of roots once per half, not once
 per triple, by the w of its row, checks each decision against the
 boundedness of the chain's image by T (negative half) or W (positive half),
@@ -45,7 +51,7 @@ from .correspondence import forward_step
 from .correspondence import obrsk  # noqa: F401
 from .errors import BoundsNotComparable, MixedSigns, NotInId, SignAssertionFailure, VerificationError
 from .multisets import diff_leq, enumerate_extended_chains, plane_diff, plane_multiset
-from .tableaux import EMPTY_BITABLEAU, iota, is_signed_plane_set, up_down
+from .tableaux import EMPTY_BITABLEAU, up_down
 
 
 @dataclass(frozen=True)
@@ -90,27 +96,6 @@ def id_leq(v, w):
     return all(map(le, v.entries, w.entries))
 
 
-class Region(Enum):
-    NOT_GRID = "not-grid"
-    DIAG = "diag"
-    BELOW = "below"
-    ROOT_NEG = "root-negative"
-    ROOT_POS = "root-positive"
-
-
-def region_of(v, r, c):
-    """Classify the position (r, c) relative to the grid of v."""
-    full = 2 * v.d + 1
-    if r in v.entries or c not in v.entries or not (1 <= r <= 2 * v.d):
-        return Region.NOT_GRID
-    c_star = full - c
-    if r == c_star:
-        return Region.DIAG
-    if r > c_star:
-        return Region.BELOW
-    return Region.ROOT_POS if r > c else Region.ROOT_NEG
-
-
 def hash_reflect(point, d):
     """The reflection (r, c) -> (c*, r*); an involution exchanging roots and
     below-diagonal positions."""
@@ -134,42 +119,36 @@ class ChainSign(Enum):
 
 
 def split_chain(chain, v):
-    """Partition a chain, or any sequence, of roots into its negative and
-    positive parts."""
+    """Partition a chain, or any sequence, of roots of the grid of v into its
+    negative (r < c) and positive (r > c) parts; MixedSigns on a point that
+    is not a root (roots_of is the one rule)."""
+    roots = roots_of(v)
     neg, pos = [], []
     for p in chain:
-        reg = region_of(v, *p)
-        if reg is Region.ROOT_NEG:
-            neg.append(p)
-        elif reg is Region.ROOT_POS:
-            pos.append(p)
-        else:
+        if tuple(p) not in roots:
             raise MixedSigns(f"{p} is not a root of the grid of {v}")
+        (neg if p[0] < p[1] else pos).append(p)
     return tuple(neg), tuple(pos)
 
 
 @lru_cache(maxsize=None)
 def chain_image(chain, d):
-    """The bitableau image of a chain of roots C, obrsk of the canonical skew
-    pair of (C, C^#), where C^# reflects each point of C by hash_reflect.
+    """The bitableau image of a negative chain of roots C, obrsk of the
+    canonical skew pair of (C, C^#), where C^# reflects each point of C by
+    hash_reflect.
 
-    chain must be a nonempty chain of roots of one sign, sorted by position,
-    as _signed_chains supplies it; nothing here checks that.  The tests
-    certify that the pair of every such chain with d <= 8 is a valid skew
-    pair, and that this image equals obrsk's for every one with d <= 7.
+    chain must be a nonempty chain of negative points (r < c), sorted by
+    position, as _signed_chains supplies it: a negative chain of roots or
+    the transpose of a positive one; nothing here checks that.  The tests
+    certify that the pair of every chain of roots with d <= 8 is a valid
+    skew pair, and that this image equals obrsk's for every negative one
+    with d <= 7.
 
     obrsk consumes a negative chain's points in increasing row order, one
     forward step each, so its image is one step from that of the chain
-    without its last point.  A positive chain goes through L and then iota,
-    as obrsk takes it: L of its pair is the pair of its transpose, a
-    negative chain (hash_reflect commutes with swapping the coordinates), so
-    its image is iota of that chain's image, and iota checks its argument.
-    Memoised: one entry per chain asked for, however many betas or longer
-    chains ask for it."""
+    without its last point.  Memoised: one entry per chain asked for,
+    however many betas or longer chains ask for it."""
     (r, c), rest = chain[-1], chain[:-1]
-    if r > c:
-        # the transpose of a chain sorted by position, reversed, is sorted
-        return iota(chain_image(tuple((y, x) for x, y in reversed(chain)), d))
     parent = chain_image(rest, d) if rest else EMPTY_BITABLEAU
     c_star, r_star = hash_reflect((r, c), d)
     return forward_step(parent, r, c, r_star, c_star)
@@ -181,12 +160,22 @@ def _signed_chains(beta, sign):
     yields it, mapped to (w, operand).  The up set (MINUS) or down set (PLUS)
     of the chain image gives pairs (x, y); w is beta with the seconds taken
     out and the firsts put in, and must be <= beta (MINUS) or >= beta (PLUS);
-    operand is the pairs' counting-order operand.  Memoised per (beta, sign)."""
+    operand is the pairs' counting-order operand.
+
+    obrsk takes a positive chain C through L and then iota.  L of its pair
+    is the pair of its transpose, the negative chain C^T (hash_reflect
+    commutes with swapping the coordinates), so its image is iota of
+    chain_image(C^T), and the down set of that is the up set of
+    chain_image(C^T) with each pair swapped; iota itself is never built.
+    The tests certify these pairs against obrsk's down set for every
+    positive chain of roots with d <= 7.  Memoised per (beta, sign)."""
     minus = sign is ChainSign.MINUS
     table = {}
     for chain in enumerate_extended_chains(split_chain(roots_of(beta), beta)[0 if minus else 1]):
-        image = chain_image(chain, beta.d)
-        pairs = up_down(image)[0 if minus else 1]
+        # the transpose of a chain sorted by position, reversed, is sorted
+        imaged = chain if minus else tuple((y, x) for x, y in reversed(chain))
+        up = up_down(chain_image(imaged, beta.d))[0]
+        pairs = up if minus else plane_multiset((y, x) for x, y in up)
         entries = set(beta.entries)
         for _, y in pairs:
             if y not in entries:
@@ -209,17 +198,14 @@ def w_of_chain(chain, beta, sign):
     return entry[0]
 
 
-def _half_bound(bound, beta, sign):
-    """T (sign MINUS, bound alpha) or W (sign PLUS, bound gamma): the i-th
-    smallest element of bound - beta paired with the i-th smallest of
-    beta - bound.  T must be a negative plane set and W a positive one."""
+def _half_bound(bound, beta):
+    """T (bound alpha) or W (bound gamma): the i-th smallest element of
+    bound - beta paired with the i-th smallest of beta - bound.  Since
+    alpha <= beta <= gamma (_check_triple refuses anything else), T is a
+    negative plane set and W a positive one; the tests certify this for
+    every half with d <= 8."""
     vset, bset = set(bound.entries), set(beta.entries)
-    points = plane_multiset(zip(sorted(vset - bset), sorted(bset - vset)))
-    if sign is ChainSign.MINUS and not is_signed_plane_set(points, -1):
-        raise SignAssertionFailure(f"T = {points} is not negative")
-    if sign is ChainSign.PLUS and not is_signed_plane_set(points, +1):
-        raise SignAssertionFailure(f"W = {points} is not positive")
-    return points
+    return plane_multiset(zip(sorted(vset - bset), sorted(bset - vset)))
 
 
 def _check_triple(alpha, beta, gamma):
@@ -248,7 +234,7 @@ def _minimal_bad_chains(bound, beta, sign):
     Memoised: a half is decided once, however many triples share it, so the
     cache holds at most 2 |I(d)|^2 entries per d."""
     minus = sign is ChainSign.MINUS
-    limit = plane_diff(_half_bound(bound, beta, sign))
+    limit = plane_diff(_half_bound(bound, beta))
     bad = []
     for chain, (w, operand) in _signed_chains(beta, sign).items():
         in_set = not (id_leq(bound, w) if minus else id_leq(w, bound))

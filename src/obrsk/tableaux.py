@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import NotSemistandard, NotSkewSymmetric, ShapeMismatch
-from .multisets import FormalDiff, diff_leq, duality_conflict, plane_multiset, proj1, proj2
+from .multisets import FormalDiff, diff_leq, duality_conflict, plane_multiset
 
 
 @dataclass(frozen=True)
@@ -147,19 +147,21 @@ def row_sign(prow, qrow):
 def sign_split(b):
     """(kind, n_neg) of a skew-symmetric bitableau: its SignKind as
     classify_sign defines it, and the number of negative rows on top (0
-    unless the kind is NEGATIVE or NONVANISHING)."""
+    unless the kind is NEGATIVE or NONVANISHING).
+
+    The negative rows are always on top.  A negative row has
+    |P_i<=z| >= |Q_i<=z| at every z, so P_i - Q_i <= () - () in the counting
+    order, and a positive row has P_i - Q_i >= () - ().  A semistandard
+    bitableau's row differences weakly increase downwards, so a positive
+    row above a negative one would put both differences between () - ()
+    and itself: equal to it, so P_i = Q_i, and such a row has no sign (an
+    empty row reads as negative, never positive)."""
     if not validate_skew_symmetric(b):
         raise NotSkewSymmetric("sign classification needs a skew-symmetric bitableau")
     if b.is_empty:
         return SignKind.NONVANISHING, 0
-    signs = []
-    for prow, qrow in zip(b.P.rows, b.Q.rows):
-        s = row_sign(prow, qrow)
-        if s == 0:
-            return SignKind.VANISHING, 0
-        signs.append(s)
-    if any(s2 < s1 for s1, s2 in zip(signs, signs[1:])):
-        # cannot happen for semistandard input, but classify it honestly
+    signs = [row_sign(prow, qrow) for prow, qrow in zip(b.P.rows, b.Q.rows)]
+    if 0 in signs:
         return SignKind.VANISHING, 0
     n_neg = signs.count(-1)
     if n_neg == len(signs):
@@ -203,14 +205,3 @@ def up_down(b):
     up = plane_multiset(zip(sorted(b.P.rows[0]), sorted(b.Q.rows[0])))
     down = plane_multiset(zip(sorted(b.P.rows[-1]), sorted(b.Q.rows[-1])))
     return up, down
-
-
-def is_signed_plane_set(points, sign):
-    """Every point strictly below the diagonal (x < y) for sign -1, strictly
-    above it (x > y) for sign +1, and both projections duplicate free."""
-    return (
-        all(sign * (x - y) > 0 for x, y in points)
-        and len(set(proj1(points))) == len(points)
-        and len(set(proj2(points))) == len(points)
-    )
-

@@ -1,0 +1,191 @@
+"""A committed mutation suite: one-place text changes to the package, each of
+which a named tier-1 test must catch.
+
+Run it from the root of a checkout (it takes a minute or two):
+
+    python3 tests/mutants.py              # every mutant
+    python3 tests/mutants.py NAME ...     # the named mutants only
+
+Each mutant is applied to a copy of src, tests and pyproject.toml in a
+temporary directory, never to the checkout, and `pytest -x -q` runs the
+mutant's killing test there.  First the killing tests run on the unchanged
+copy, which they must pass; then each mutant runs, and a table gives its
+name, its result (killed, survived, or error when pytest could not run the
+test) and its time.  The exit code is 0 exactly when every mutant is killed.
+
+pytest does not collect this file.  tests/test_mutants.py checks that each
+anchor occurs exactly once in its file and that each killing test exists, so
+the list cannot silently rot when the code it mutates changes.  A mutant that
+survives is answered with a test that kills it, not by deleting the mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to the root of the checkout
+    anchor: str  # text that occurs exactly once in the file
+    replacement: str
+    killer: str  # pytest node id of the test expected to kill it
+
+
+MUTANTS = (
+    # the three verdicts of the main check
+    Mutant(
+        "counts always match",
+        "src/obrsk/ideal.py",
+        "counts = len(std) == slice_m.total - slice_m.dim",
+        "counts = True",
+        "tests/test_cli.py::test_main_check_fails_on_a_missing_standard_monomial",
+    ),
+    Mutant(
+        "standard products always independent",
+        "src/obrsk/ideal.py",
+        "independent = slice_m.rank_with(std_polys) == slice_m.dim + len(std)",
+        "independent = True",
+        "tests/test_cli.py::test_main_check_fails_on_dependent_standard_products",
+    ),
+    Mutant(
+        "initial ideal always matches the chains",
+        "src/obrsk/ideal.py",
+        "initial_matches_chains=initial == chains,",
+        "initial_matches_chains=True,",
+        "tests/test_cli.py::test_verify_main_exits_3_when_a_degree_fails",
+    ),
+    # the chain side and the degree slices
+    Mutant(
+        "minimality filter dropped",
+        "src/obrsk/grassmannian.py",
+        "if not any(kept <= chain for kept in minimal):",
+        "if True:",
+        "tests/test_grassmannian.py::test_defining_chains_are_sign_pure_and_minimal",
+    ),
+    Mutant(
+        "rank_with ignores the standard rows",
+        "src/obrsk/ideal.py",
+        "_rref(self.rows + self._clear(map(self.vector_of, polys)))",
+        "_rref(self.rows)",
+        "tests/test_acceptance.py::test_criterion_5_main_theorem",
+    ),
+    Mutant(
+        "one-term generators not cleared",
+        "src/obrsk/ideal.py",
+        "self.cleared.update(_shifted_columns(g.terms[0][0], m))",
+        "pass",
+        "tests/test_acceptance.py::test_criterion_5_main_theorem",
+    ),
+    # what the chain side takes from its inputs, and the certificates for it
+    Mutant(
+        "sign split flipped",
+        "src/obrsk/grassmannian.py",
+        "(neg if p[0] < p[1] else pos).append(p)",
+        "(neg if p[0] > p[1] else pos).append(p)",
+        "tests/test_grassmannian.py::test_roots_are_the_root_positions_of_the_paper_grid_through_d8",
+    ),
+    Mutant(
+        "positive pairs not swapped",
+        "src/obrsk/grassmannian.py",
+        "pairs = up if minus else plane_multiset((y, x) for x, y in up)",
+        "pairs = up",
+        "tests/test_grassmannian.py::test_positive_chain_pairs_are_the_down_sets_of_obrsk_through_d7",
+    ),
+    Mutant(
+        "transpose not reversed",
+        "src/obrsk/grassmannian.py",
+        "tuple((y, x) for x, y in reversed(chain))",
+        "tuple((y, x) for x, y in chain)",
+        "tests/test_grassmannian.py::test_positive_chain_pairs_are_the_down_sets_of_obrsk_through_d7",
+    ),
+    Mutant(
+        "half bound pairs the other way round",
+        "src/obrsk/grassmannian.py",
+        "zip(sorted(vset - bset), sorted(bset - vset))",
+        "zip(sorted(bset - vset), sorted(vset - bset))",
+        "tests/test_grassmannian.py::test_half_bounds_through_d8_are_signed_plane_sets",
+    ),
+)
+
+
+def run_pytest(tree, killer):
+    """pytest's exit code for `pytest -x -q killer` in the tree, and the
+    seconds it took."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", killer],
+        cwd=tree,
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    return proc.returncode, time.perf_counter() - start
+
+
+def copy_tree(target):
+    for part in COPIED:
+        source = ROOT / part
+        if source.is_dir():
+            shutil.copytree(source, target / part, ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(source, target / part)
+
+
+def run_mutant(mutant):
+    """(result, seconds) for one mutant, in a fresh copy of the tree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        copy_tree(tree)
+        path = tree / mutant.file
+        text = path.read_text()
+        if text.count(mutant.anchor) != 1:
+            return "error: anchor not found once", 0.0
+        path.write_text(text.replace(mutant.anchor, mutant.replacement))
+        code, seconds = run_pytest(tree, mutant.killer)
+    # pytest exits 1 when a test failed and 0 when all passed; anything
+    # else means the test did not run
+    return {0: "survived", 1: "killed"}.get(code, f"error: pytest exit {code}"), seconds
+
+
+def main(argv=None):
+    names = sys.argv[1:] if argv is None else argv
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        copy_tree(tree)
+        for killer in dict.fromkeys(m.killer for m in chosen):
+            code, _ = run_pytest(tree, killer)
+            if code != 0:
+                print(f"{killer} fails on the unchanged tree (pytest exit {code})", file=sys.stderr)
+                return 2
+    width = max(len(m.name) for m in chosen)
+    print(f"{'mutant':<{width}}  {'result':<8}  {'seconds':>7}  killing test")
+    total, survivors = 0.0, 0
+    for mutant in chosen:
+        result, seconds = run_mutant(mutant)
+        total += seconds
+        survivors += result != "killed"
+        print(f"{mutant.name:<{width}}  {result:<8}  {seconds:7.1f}  {mutant.killer}", flush=True)
+    print(f"{len(chosen) - survivors} of {len(chosen)} killed in {total:.1f} s of pytest")
+    return 0 if survivors == 0 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,16 +7,17 @@ the two.
 """
 
 import itertools
+from enum import Enum
 
 import obrsk.enumeration as enumeration
 from obrsk.arrays import SkewPair, psi_inv, split_parts, validate_skew_pair
 from obrsk.correspondence import obrsk
 from obrsk.errors import DimensionMismatch, MixedSigns, NotSkewSymmetric, ValidationError
-from obrsk.grassmannian import ChainSign, Region, hash_reflect, id_leq, region_of, split_chain, w_of_chain
+from obrsk.grassmannian import ChainSign, hash_reflect, id_leq, split_chain, w_of_chain
 from obrsk.ideal import _rref, monomials_of_degree, pfaffian_generator
-from obrsk.multisets import diff_leq, enumerate_extended_chains, plane_diff, plane_multiset
+from obrsk.multisets import diff_leq, enumerate_extended_chains, plane_diff, plane_multiset, proj1, proj2
 from obrsk.polynomials import SparsePoly, term_order
-from obrsk.tableaux import SignKind, classify_sign, is_signed_plane_set, up_down
+from obrsk.tableaux import SignKind, classify_sign, up_down
 
 
 def determinant(a):
@@ -46,6 +47,40 @@ def determinant(a):
                 break
         total = total + prod
     return total
+
+
+class Region(Enum):
+    NOT_GRID = "not-grid"
+    DIAG = "diag"
+    BELOW = "below"
+    ROOT_NEG = "root-negative"
+    ROOT_POS = "root-positive"
+
+
+def region_of(v, r, c):
+    """The paper's grid rule: classify the position (r, c) relative to the
+    grid of v.  A grid position has r outside v and c inside it; writing
+    c* = 2d+1-c, it is on the diagonal when r = c*, below it when r > c*,
+    and otherwise a root, positive when r > c and negative when r < c."""
+    full = 2 * v.d + 1
+    if r in v.entries or c not in v.entries or not (1 <= r <= 2 * v.d):
+        return Region.NOT_GRID
+    c_star = full - c
+    if r == c_star:
+        return Region.DIAG
+    if r > c_star:
+        return Region.BELOW
+    return Region.ROOT_POS if r > c else Region.ROOT_NEG
+
+
+def is_signed_plane_set(points, sign):
+    """Every point strictly below the diagonal (x < y) for sign -1, strictly
+    above it (x > y) for sign +1, and both projections duplicate free."""
+    return (
+        all(sign * (x - y) > 0 for x, y in points)
+        and len(set(proj1(points))) == len(points)
+        and len(set(proj2(points))) == len(points)
+    )
 
 
 def patch_entry(beta, r, c):

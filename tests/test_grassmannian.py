@@ -9,13 +9,11 @@ from obrsk.errors import (
     BoundsNotComparable,
     MixedSigns,
     NotInId,
-    NotSemistandard,
     VerificationError,
 )
 from obrsk.grassmannian import (
     ChainSign,
     IdElement,
-    Region,
     chain_image,
     defining_chains,
     enumerate_extended_chains,
@@ -23,15 +21,21 @@ from obrsk.grassmannian import (
     hash_reflect,
     id_leq,
     is_quotient_monomial,
-    region_of,
     roots_of,
     split_chain,
     w_of_chain,
 )
 from obrsk.ideal import verify_main_theorem
-from obrsk.multisets import FormalDiff, diff_leq
-from obrsk.tableaux import NotchedBitableau, iota, up_down
-from oracles import bitableau_bounded_by, chain_in_chains_set, chain_pair
+from obrsk.multisets import FormalDiff, diff_leq, plane_diff
+from obrsk.tableaux import iota, up_down
+from oracles import (
+    Region,
+    bitableau_bounded_by,
+    chain_in_chains_set,
+    chain_pair,
+    is_signed_plane_set,
+    region_of,
+)
 
 
 def ide(entries, d):
@@ -110,6 +114,29 @@ def test_region_of_matches_patch_matrix():
     assert region_of(v, 2, 2) is Region.NOT_GRID  # column outside v
 
 
+def test_roots_are_the_root_positions_of_the_paper_grid_through_d8():
+    # roots_of is the package's one root rule and split_chain refuses every
+    # other point; the paper's five-way rule must say ROOT_NEG or ROOT_POS on
+    # exactly those positions, and split_chain must file each root by its sign
+    positions = 0
+    for d in range(1, 9):
+        for beta in enumerate_id(d):
+            roots = set(roots_of(beta))
+            for r, c in itertools.product(range(1, 2 * d + 1), repeat=2):
+                positions += 1
+                region = region_of(beta, r, c)
+                if (r, c) not in roots:
+                    assert region not in (Region.ROOT_NEG, Region.ROOT_POS), (beta, r, c)
+                    with pytest.raises(MixedSigns):
+                        split_chain(((r, c),), beta)
+                    continue
+                assert region is (Region.ROOT_NEG if r < c else Region.ROOT_POS), (beta, r, c)
+                assert split_chain(((r, c),), beta) == ((((r, c),), ()) if r < c else ((), ((r, c),)))
+                # a point given as a list is a root too, and is handed back as given
+                assert split_chain(([r, c],), beta) == ((([r, c],), ()) if r < c else ((), ([r, c],)))
+    assert positions == 52212
+
+
 def test_roots_d2():
     assert roots_of(ide((3, 4), 2)) == ((1, 3),)
     assert roots_of(ide((1, 2), 2)) == ((3, 1),)
@@ -170,13 +197,25 @@ def chains_of_roots(d, sign=None):
     return list(chains)
 
 
+def transpose(chain):
+    """The chain with the coordinates of each point swapped, sorted."""
+    return tuple(sorted((c, r) for r, c in chain))
+
+
+def image_of(chain, d):
+    # chain_image images negative chains; obrsk takes a positive chain
+    # through L, whose pair is its transpose's, and then iota
+    return chain_image(chain, d) if chain[0][0] < chain[0][1] else iota(chain_image(transpose(chain), d))
+
+
 def test_chain_image_equals_obrsk_on_every_chain_of_roots_through_d6(package_caches):
-    # each image is built by one step from its parent's; obrsk on the
-    # canonical pair is the oracle
+    # each negative image is built by one step from its parent's, and a
+    # positive chain's is iota of its transpose's; obrsk on the canonical
+    # pair is the oracle
     chains = [(chain, d) for d in range(1, 7) for chain in chains_of_roots(d)]
     assert len(chains) == 858
     for chain, d in chains:
-        assert chain_image(chain, d) == obrsk(psi_inv(*chain_pair(chain, d))), (chain, d)
+        assert image_of(chain, d) == obrsk(psi_inv(*chain_pair(chain, d))), (chain, d)
 
 
 def test_chain_image_equals_obrsk_on_every_chain_of_roots_of_d7(package_caches):
@@ -184,7 +223,23 @@ def test_chain_image_equals_obrsk_on_every_chain_of_roots_of_d7(package_caches):
     chains = chains_of_roots(7)
     assert len(chains) == 2214
     for chain in chains:
-        assert chain_image(chain, 7) == obrsk(psi_inv(*chain_pair(chain, 7))), chain
+        assert image_of(chain, 7) == obrsk(psi_inv(*chain_pair(chain, 7))), chain
+
+
+def test_positive_chain_pairs_are_the_down_sets_of_obrsk_through_d7(package_caches):
+    # _signed_chains reads a positive chain's pairs off the up set of its
+    # transpose's image, each pair swapped, and never builds iota; each row
+    # must be what the down set of obrsk's image gives: w by the row rule,
+    # and the pairs' counting-order operand
+    rows = 0
+    for d in range(1, 8):
+        for beta in enumerate_id(d):
+            for chain, row in grassmannian._signed_chains(beta, ChainSign.PLUS).items():
+                pairs = up_down(obrsk(psi_inv(*chain_pair(chain, d))))[1]
+                entries = set(beta.entries) - {y for _, y in pairs} | {x for x, _ in pairs}
+                assert row == (ide(entries, d), plane_diff(pairs)), (beta, chain)
+                rows += 1
+    assert rows == 4374
 
 
 def test_every_chain_of_roots_through_d8_has_a_valid_skew_pair():
@@ -211,44 +266,31 @@ def test_negative_chain_images_are_the_steps_of_obrsk_through_d5(package_caches)
 def test_positive_chain_images_go_through_L_through_d6(package_caches):
     # L of a positive chain's pair is its transpose's pair, as hash_reflect
     # commutes with swapping the coordinates, so the image is iota of the
-    # transpose's image, the rule obrsk applies to a positive part
+    # transpose's image, the rule obrsk applies to a positive part and
+    # image_of follows (checked against obrsk above)
     chains = [(chain, d) for d in range(1, 7) for chain in chains_of_roots(d, ChainSign.PLUS)]
     assert chains
     for chain, d in chains:
-        transpose = tuple(sorted((c, r) for r, c in chain))
-        assert psi_inv(*chain_pair(transpose, d)) == L_involution(psi_inv(*chain_pair(chain, d))), (chain, d)
-        assert chain_image(chain, d) == iota(chain_image(transpose, d)), (chain, d)
+        assert psi_inv(*chain_pair(transpose(chain), d)) == L_involution(psi_inv(*chain_pair(chain, d))), (chain, d)
 
 
 def test_chain_images_take_one_forward_step_each_over_all_d4_triples(monkeypatch, package_caches):
-    # a forward step per negative chain, an iota per positive one
-    steps, iotas = [], []
-    original_step, original_iota = grassmannian.forward_step, grassmannian.iota
+    # a forward step per negative chain and nothing else: a positive chain's
+    # pairs come from its transpose's image, a negative chain's
+    steps = []
+    original_step = grassmannian.forward_step
 
     def counted_step(*args):
         steps.append(args)
         return original_step(*args)
 
-    def counted_iota(bit):
-        iotas.append(bit)
-        return original_iota(bit)
-
     monkeypatch.setattr(grassmannian, "forward_step", counted_step)
-    monkeypatch.setattr(grassmannian, "iota", counted_iota)
     monkeypatch.setattr(grassmannian, "obrsk", lambda p: pytest.fail("chain_image called obrsk"))
     for alpha, beta, gamma in ordered_triples(4):
         defining_chains(alpha, beta, gamma)
+    assert not hasattr(grassmannian, "iota")
     assert len(steps) == 24
-    assert len(iotas) == 24
-    assert chain_image.cache_info().misses == 48
-
-
-def test_chain_image_checks_each_step_of_a_positive_chain(monkeypatch, package_caches):
-    # iota checks skew-symmetry, which needs a semistandard step result
-    broken = NotchedBitableau(((2, 1),), ((3, 4),))
-    monkeypatch.setattr(grassmannian, "forward_step", lambda *args: broken)
-    with pytest.raises(NotSemistandard):
-        chain_image(((4, 1),), 3)
+    assert chain_image.cache_info().misses == 24
 
 
 def test_w_of_chain_d2():
@@ -267,8 +309,7 @@ def test_w_of_chain_d3_positive():
 def reference_w_of_chain(chain, beta, sign):
     # the rule itself: the seconds of the up set (negative chain) or the down
     # set (positive chain) of the chain image leave beta, the firsts come in
-    image = chain_image(chain, beta.d)
-    pairs = up_down(image)[0 if sign is ChainSign.MINUS else 1]
+    pairs = up_down(image_of(chain, beta.d))[0 if sign is ChainSign.MINUS else 1]
     entries = set(beta.entries) - {y for _, y in pairs} | {x for x, _ in pairs}
     return ide(entries, beta.d)
 
@@ -307,9 +348,10 @@ def test_signed_chains_are_one_table_per_beta_and_sign_after_all_d4_triples(pack
     for alpha, beta, gamma in triples:
         defining_chains(alpha, beta, gamma)
     # 8 betas, two signs each; the 72 chains of their tables are 48 distinct
-    # chains of roots, each imaged once
+    # chains of roots, and the 24 negative ones, which are also the
+    # transposes of the 24 positive ones, are each imaged once
     assert grassmannian._signed_chains.cache_info().currsize == 16
-    assert chain_image.cache_info().misses == 48
+    assert chain_image.cache_info().misses == 24
     tables = [grassmannian._signed_chains(b, s) for b in enumerate_id(4) for s in ChainSign]
     assert (sum(map(len, tables)), len(set().union(*tables))) == (72, 48)
 
@@ -317,10 +359,25 @@ def test_signed_chains_are_one_table_per_beta_and_sign_after_all_d4_triples(pack
 def test_t_w_bounds():
     # T of the half (alpha, beta) and W of the half (beta, gamma)
     alpha, beta, gamma = ide((1, 2, 3), 3), ide((1, 4, 5), 3), ide((3, 5, 6), 3)
-    assert grassmannian._half_bound(alpha, beta, ChainSign.MINUS) == ((2, 4), (3, 5))
-    assert grassmannian._half_bound(gamma, beta, ChainSign.PLUS) == ((3, 1), (6, 4))
+    assert grassmannian._half_bound(alpha, beta) == ((2, 4), (3, 5))
+    assert grassmannian._half_bound(gamma, beta) == ((3, 1), (6, 4))
     with pytest.raises(BoundsNotComparable):
         defining_chains(beta, alpha, gamma)
+
+
+def test_half_bounds_through_d8_are_signed_plane_sets():
+    # _half_bound checks nothing: alpha <= beta makes T negative and
+    # beta <= gamma makes W positive, for every half with d <= 8
+    halves = [
+        (bound, beta, sign)
+        for d in range(1, 9)
+        for beta, bound in itertools.product(enumerate_id(d), repeat=2)
+        for sign, leq in ((-1, id_leq(bound, beta)), (+1, id_leq(beta, bound)))
+        if leq
+    ]
+    assert len(halves) == 17576
+    wrong = [half for half in halves if not is_signed_plane_set(grassmannian._half_bound(*half[:2]), half[2])]
+    assert wrong == []
 
 
 def test_chain_in_chains_set_d2():
@@ -461,12 +518,12 @@ def reference_defining_chains(alpha, beta, gamma):
     # one triple at a time: every sign-pure chain of roots decided by the
     # membership route and by boundedness of its image by (T, W), which must
     # agree; the minimal bad chains kept
-    t = grassmannian._half_bound(alpha, beta, ChainSign.MINUS)
-    w = grassmannian._half_bound(gamma, beta, ChainSign.PLUS)
+    t = grassmannian._half_bound(alpha, beta)
+    w = grassmannian._half_bound(gamma, beta)
     bad = []
     for part in split_chain(roots_of(beta), beta):
         for chain in enumerate_extended_chains(part):
-            within = bitableau_bounded_by(chain_image(chain, beta.d), t, w)
+            within = bitableau_bounded_by(image_of(chain, beta.d), t, w)
             in_set = chain_in_chains_set(chain, alpha, beta, gamma)
             assert in_set != within, (chain, alpha, beta, gamma)
             if in_set:

@@ -137,10 +137,14 @@ def reference_sign_kind(b):
 def test_sign_split_and_iota_agree_with_the_row_signs_on_every_even_bitableau():
     # iota reads the sign kind through sign_split, which classify_sign also
     # uses; it raises on exactly the vanishing bitableaux, and classify_sign's
-    # parts stack back to the whole
+    # parts stack back to the whole.  No bitableau has a positive row above a
+    # negative one (sign_split's docstring says why), so sign_split does not
+    # look for one
     bitableaux = enumerate_even_bitableaux(6, 4)
     kinds = Counter()
     for b in bitableaux:
+        signs = [row_sign(p, q) for p, q in zip(b.P.rows, b.Q.rows)]
+        assert not any(s1 > 0 > s2 for s1, s2 in itertools.combinations(signs, 2)), b
         kind, n_neg = sign_split(b)
         cls = classify_sign(b)
         assert kind is cls.kind is reference_sign_kind(b), b
