@@ -187,23 +187,18 @@ def split_parts(p):
 
     Columns of pi1 with a_i < b_i go to the negative part together with their
     dual pi2 columns (index t+1-i), order preserved; the rest, with a_i > b_i,
-    form the positive part.  A column with a_i == b_i has no sign.
+    form the positive part.  A column with a_i == b_i has no sign.  Each
+    array's columns are read once and filtered by sign.
     """
-    t = p.width
-    if any(p.a[i] == p.b[i] for i in range(t)):
+    cols1, cols2 = p.pi1.columns(), p.pi2.columns()
+    if any(a == b for b, a in cols1):
         raise VanishingColumn("a column with equal entries has no sign")
-    if any(p.d[i] == p.c[i] for i in range(t)):
+    if any(d == c for c, d in cols2):
         raise VanishingColumn("a dual column with equal entries has no sign")
-    neg1 = [i for i in range(t) if p.a[i] < p.b[i]]
-    pos1 = [i for i in range(t) if p.a[i] > p.b[i]]
-    neg2 = [j for j in range(t) if p.d[j] < p.c[j]]
-    pos2 = [j for j in range(t) if p.d[j] > p.c[j]]
+    neg1 = [(b, a) for b, a in cols1 if a < b]
+    neg2 = [(c, d) for c, d in cols2 if d < c]
     if len(neg1) != len(neg2):
         raise InvalidPair("negative columns of pi1 and pi2 do not match up")
-
-    cols1, cols2 = p.pi1.columns(), p.pi2.columns()
-
-    def take(indices1, indices2):
-        return SkewPair.from_columns([cols1[i] for i in indices1], [cols2[j] for j in indices2])
-
-    return take(neg1, neg2), take(pos1, pos2)
+    pos1 = [(b, a) for b, a in cols1 if a > b]
+    pos2 = [(c, d) for c, d in cols2 if d > c]
+    return SkewPair.from_columns(neg1, neg2), SkewPair.from_columns(pos1, pos2)

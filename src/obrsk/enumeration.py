@@ -11,9 +11,15 @@ shape.  It runs the full validator on every object it builds, and a final
 sort of each width's or shape's objects restores the order in which a plain
 generate-and-filter over sorted column (or row) tuples would visit them.
 The conditions are the validators' own: dual_column_violations and
-column_duality_pairs for a column and its dual, row_sign and
-row_duality_pairs for a row pair, duality_conflict over the pairs so far.
-A kind of bitableau is chosen by the row signs it allows.
+column_duality_pairs for a column and its dual, row_sign, row_duality_pairs
+and rows_leq for a row pair, duality_conflict over the pairs so far.  A kind
+of bitableau is chosen by the row signs it allows.
+
+The bitableau search checks the duality map by bitmask.  The map is
+consistent exactly when every two of its (value, dual value) pairs are, so
+duality_conflict is asked once about each two points while the tables are
+built, and a row pair then fits a prefix when none of its points is in the
+OR of the prefix's conflict masks.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ import bisect
 import itertools
 
 from .arrays import SkewPair, TwoRowArray, column_duality_pairs, dual_column_violations, validate_skew_pair
-from .multisets import FormalDiff, diff_leq, duality_conflict
-from .tableaux import NotchedBitableau, NotchedTableau, row_duality_pairs, row_sign, validate_skew_symmetric
+from .multisets import duality_conflict
+from .tableaux import NotchedBitableau, NotchedTableau, row_duality_pairs, row_sign, rows_leq, validate_skew_symmetric
 
 
 def enumerate_skew_pairs(max_entry, max_width, pi1_column):
@@ -97,11 +103,11 @@ def even_shapes(max_boxes):
     return shapes
 
 
-def _row_pairs(max_entry, k, signs):
+def _row_pairs(max_entry, k, signs, bits, conflicts):
     """The (P row, Q row) pairs of length k that can sit in one row: both
     strictly increasing with entries <= max_entry, row_sign in signs and
-    the in-row duality map consistent.  Each comes with its
-    row_duality_pairs and its FormalDiff."""
+    the in-row duality map consistent.  Each comes with the OR of its
+    row_duality_pairs' bits and the OR of their conflict masks."""
     rows = list(itertools.combinations(range(1, max_entry + 1), k))
     table = []
     for prow in rows:
@@ -110,7 +116,11 @@ def _row_pairs(max_entry, k, signs):
                 continue
             pairs = row_duality_pairs(prow, qrow)
             if duality_conflict(pairs) is None:
-                table.append((prow, qrow, pairs, FormalDiff(prow, qrow)))
+                points = row_conflicts = 0
+                for point in pairs:
+                    points |= bits[point]
+                    row_conflicts |= conflicts[point]
+                table.append(((prow, qrow), points, row_conflicts))
     return table
 
 
@@ -122,28 +132,45 @@ def _bitableaux(max_entry, max_boxes, signs):
     A bitableau is built one row pair at a time, top row first, from the
     row pairs that fit.  A row pair is added only while the duality map over
     all rows so far has no conflict and the row differences stay weakly
-    increasing.  validate_skew_symmetric is the final check on every
-    bitableau built, and a sort of each shape's bitableaux restores the
-    order.
+    increasing (rows_leq on the row above).  validate_skew_symmetric is the
+    final check on every bitableau built, and a sort of each shape's
+    bitableaux restores the order.
+
+    The duality map is checked by bitmask.  Each point (value, dual value)
+    with both entries <= max_entry has one bit, and a conflict mask of the
+    points it conflicts with, found by duality_conflict on the two points.
+    A well-defined strictly decreasing map is a condition on every two of
+    its pairs (duality_conflict reports a conflict between neighbours in
+    sorted order, and a map with none between neighbours has none at all),
+    and each row pair of the table is consistent in itself.  So a row pair
+    fits a consistent prefix exactly when none of its points is in the OR
+    of the prefix's conflict masks, and duality_conflict runs only while
+    the tables are built.
     """
-    tables = {k: _row_pairs(max_entry, k, signs) for k in range(2, max_boxes + 1, 2)}
+    points = [(v, d) for v in range(1, max_entry + 1) for d in range(1, max_entry + 1)]
+    bits = {point: 1 << i for i, point in enumerate(points)}
+    conflicts = dict.fromkeys(points, 0)
+    for p, q in itertools.combinations(points, 2):
+        if duality_conflict([p, q]) is not None:
+            conflicts[p] |= bits[q]
+            conflicts[q] |= bits[p]
+    tables = {k: _row_pairs(max_entry, k, signs, bits, conflicts) for k in range(2, max_boxes + 1, 2)}
     by_shape = {shape: [] for shape in even_shapes(max_boxes)}
 
-    def extend(prows, qrows, last_diff, pairs, room):
+    def extend(prows, qrows, last, prefix_conflicts, room):
         for k in range(2, room + 1, 2):
-            for prow, qrow, row_pairs, diff in tables[k]:
-                new_pairs = pairs + row_pairs
-                if duality_conflict(new_pairs) is not None:
+            for row, row_points, row_conflicts in tables[k]:
+                if row_points & prefix_conflicts:
                     continue
-                if last_diff is not None and not diff_leq(last_diff, diff):
+                if last is not None and not rows_leq(last, row):
                     continue
-                new_p, new_q = prows + (prow,), qrows + (qrow,)
+                new_p, new_q = prows + (row[0],), qrows + (row[1],)
                 b = NotchedBitableau(NotchedTableau(new_p), NotchedTableau(new_q))
                 if validate_skew_symmetric(b):
                     by_shape[b.shape].append(b)
-                extend(new_p, new_q, diff, new_pairs, room - k)
+                extend(new_p, new_q, row, prefix_conflicts | row_conflicts, room - k)
 
-    extend((), (), None, [], max_boxes)
+    extend((), (), None, 0, max_boxes)
     for found in by_shape.values():
         found.sort(key=lambda b: (b.P.rows, b.Q.rows))
     return [b for found in by_shape.values() for b in found]

@@ -9,11 +9,13 @@ its position relative to the empty difference () - () (all of N).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import gt, lt
 
 from .errors import NotSemistandard, NotSkewSymmetric, ShapeMismatch
-from .multisets import FormalDiff, diff_leq, duality_conflict, plane_multiset
+from .multisets import duality_conflict, nat_multiset, plane_multiset
 
 
 @dataclass(frozen=True)
@@ -78,20 +80,37 @@ class NotchedBitableau:
 EMPTY_BITABLEAU = NotchedBitableau(EMPTY_TABLEAU, EMPTY_TABLEAU)
 
 
-def row_diffs(b):
-    """The formal differences P_i - Q_i, one per row.
+def rows_leq(upper, lower):
+    """P1 - Q1 <= P2 - Q2 in the counting order, for the row pairs
+    upper = (P1, Q1) and lower = (P2, Q2) of strictly increasing rows.
 
-    Q rows must be duplicate free, which row-strictness guarantees.
+    The rows are compared as they stand, with no FormalDiff built: the z
+    terms of the two counts cancel, and by the rule diff_leq documents the
+    counts need comparing only at the entries of Q1 and P2.
     """
-    return [FormalDiff(p, q) for p, q in zip(b.P.rows, b.Q.rows)]
+    p1, q1 = upper
+    p2, q2 = lower
+    for z in {*q1, *p2}:
+        if bisect_right(p1, z) - bisect_right(q1, z) < bisect_right(p2, z) - bisect_right(q2, z):
+            return False
+    return True
 
 
 def validate_semistandard(b):
-    """Both sides row-strict and the row differences weakly increasing."""
+    """Both sides row-strict and the row differences P_i - Q_i weakly
+    increasing in the counting order.
+
+    Once both sides are row-strict, every entry must be an int >= 1 (a bool,
+    a float, 0 or a negative entry raises ValidationError, as nat_multiset
+    refuses it), and each two consecutive rows are compared by rows_leq.
+    """
     if not (validate_row_strict(b.P) and validate_row_strict(b.Q)):
         return False
-    diffs = row_diffs(b)
-    return all(map(diff_leq, diffs, diffs[1:]))
+    rows = list(zip(b.P.rows, b.Q.rows))
+    for prow, qrow in rows:
+        nat_multiset(prow)
+        nat_multiset(qrow)
+    return all(map(rows_leq, rows, rows[1:]))
 
 
 def row_duality_pairs(prow, qrow):
@@ -131,15 +150,19 @@ def row_sign(prow, qrow):
     row is negative (-1) when every pair has p < q, positive (+1) when every
     pair has p > q, and has no sign (0) otherwise.
 
+    Both rows must be strictly increasing, so that their i-th entries are
+    their i-th smallest and they are zipped as they stand.  Every caller
+    passes such rows: the bitableau search passes combinations, and
+    sign_split passes the rows of a validated bitableau.
+
     Entrywise domination is strictly stronger than comparing P_i - Q_i to the
     empty difference in the counting order, and it is the notion under which
     the correspondence is a bijection: a row like (1,2,3,5) against (1,3,4,5)
     is below the empty difference in counts, yet no pair of arrays maps to it.
     """
-    ps, qs = sorted(prow), sorted(qrow)
-    if all(p < q for p, q in zip(ps, qs)):
+    if all(map(lt, prow, qrow)):
         return -1
-    if all(p > q for p, q in zip(ps, qs)):
+    if all(map(gt, prow, qrow)):
         return +1
     return 0
 

@@ -117,6 +117,49 @@ MUTANTS = (
         "zip(sorted(bset - vset), sorted(vset - bset))",
         "tests/test_grassmannian.py::test_half_bounds_through_d8_are_signed_plane_sets",
     ),
+    # the correspondence and the checks of its codomain
+    Mutant(
+        "prefix conflict mask not carried",
+        "src/obrsk/enumeration.py",
+        "prefix_conflicts | row_conflicts",
+        "row_conflicts",
+        "tests/test_enumeration.py::test_bitableau_search_builds_only_what_it_keeps",
+    ),
+    Mutant(
+        "rows compared where their difference rises",
+        "src/obrsk/tableaux.py",
+        "{*q1, *p2}",
+        "{*q2, *p1}",
+        "tests/test_tableaux.py::test_semistandard_equals_the_row_differences_on_every_two_row_bitableau",
+    ),
+    Mutant(
+        "row signs swapped",
+        "src/obrsk/tableaux.py",
+        "if all(map(lt, prow, qrow)):\n        return -1\n    if all(map(gt, prow, qrow)):",
+        "if all(map(gt, prow, qrow)):\n        return -1\n    if all(map(lt, prow, qrow)):",
+        "tests/test_tableaux.py::test_row_sign_equals_the_sorted_entries_definition",
+    ),
+    Mutant(
+        "vanishing dual column let through",
+        "src/obrsk/arrays.py",
+        'if any(d == c for c, d in cols2):\n        raise VanishingColumn("a dual column with equal entries has no sign")\n    ',
+        "",
+        "tests/test_arrays.py::test_split_parts_vanishing_dual_column",
+    ),
+    Mutant(
+        "forward step bumps past an equal entry",
+        "src/obrsk/correspondence.py",
+        "i = bisect.bisect_left(prow, x)",
+        "i = bisect.bisect_right(prow, x)",
+        "tests/test_correspondence.py::test_forward_step_redoes_every_reverse_step_of_small_negative_bitableaux",
+    ),
+    Mutant(
+        "reverse step starts in the top row that holds the bound",
+        "src/obrsk/correspondence.py",
+        "s = max(i for i, row in enumerate(qrows) if b in row)",
+        "s = min(i for i, row in enumerate(qrows) if b in row)",
+        "tests/test_correspondence.py::test_reverse_step_undoes_every_forward_step_of_small_negative_pairs",
+    ),
 )
 
 

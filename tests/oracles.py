@@ -15,7 +15,7 @@ from obrsk.correspondence import obrsk
 from obrsk.errors import DimensionMismatch, MixedSigns, NotSkewSymmetric, ValidationError
 from obrsk.grassmannian import ChainSign, hash_reflect, id_leq, split_chain, w_of_chain
 from obrsk.ideal import _rref, monomials_of_degree, pfaffian_generator
-from obrsk.multisets import diff_leq, enumerate_extended_chains, plane_diff, plane_multiset, proj1, proj2
+from obrsk.multisets import FormalDiff, diff_leq, enumerate_extended_chains, plane_diff, plane_multiset, proj1, proj2
 from obrsk.polynomials import SparsePoly, term_order
 from obrsk.tableaux import SignKind, classify_sign, up_down
 
@@ -264,6 +264,25 @@ def bitableau_bounded_by(b, t, w):
         raise NotSkewSymmetric("boundedness is only defined on nonvanishing bitableaux")
     up, down = up_down(cls.negative_part)[0], up_down(cls.positive_part)[1]
     return diff_leq(plane_diff(t), plane_diff(up)) and diff_leq(plane_diff(down), plane_diff(w))
+
+
+def sorted_row_sign(prow, qrow):
+    """The sign of a row by its definition: pair the i-th smallest entries
+    of the P row and the Q row; -1 when every pair has p < q, +1 when every
+    pair has p > q, 0 otherwise."""
+    pairs = list(zip(sorted(prow), sorted(qrow)))
+    if all(p < q for p, q in pairs):
+        return -1
+    if all(p > q for p, q in pairs):
+        return +1
+    return 0
+
+
+def row_diffs_weakly_increase(b):
+    """Semistandardness by its definition for a row-strict bitableau: the
+    formal differences P_i - Q_i weakly increase in the counting order."""
+    diffs = [FormalDiff(p, q) for p, q in zip(b.P.rows, b.Q.rows)]
+    return all(diff_leq(d1, d2) for d1, d2 in zip(diffs, diffs[1:]))
 
 
 def enumerate_even_bitableaux(max_entry, max_boxes):

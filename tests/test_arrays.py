@@ -11,7 +11,7 @@ from obrsk.arrays import (
     validate_skew_pair,
 )
 from obrsk.enumeration import enumerate_negative_pairs, enumerate_nonvanishing_pairs
-from obrsk.errors import LengthMismatch, VanishingColumn
+from obrsk.errors import InvalidPair, LengthMismatch, VanishingColumn
 
 
 def test_width_mismatch():
@@ -113,5 +113,14 @@ def test_split_parts_mixed():
 
 
 def test_split_parts_vanishing_column():
-    with pytest.raises(VanishingColumn):
+    with pytest.raises(VanishingColumn, match="a column"):
         split_parts(SkewPair(TwoRowArray((2,), (2,)), TwoRowArray((5,), (5,))))
+
+
+def test_split_parts_vanishing_dual_column():
+    # pi1's column is negative and pi2's has no sign: the sign counts would
+    # not match either, but the vanishing column is named first
+    with pytest.raises(VanishingColumn, match="a dual column"):
+        split_parts(SkewPair(TwoRowArray((2,), (1,)), TwoRowArray((5,), (5,))))
+    with pytest.raises(InvalidPair):
+        split_parts(SkewPair(TwoRowArray((2,), (1,)), TwoRowArray((5,), (6,))))

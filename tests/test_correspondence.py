@@ -27,6 +27,7 @@ from obrsk.errors import (
     NotSemistandard,
     NotSkewSymmetric,
     PathShapeMismatch,
+    ValidationError,
 )
 from obrsk.tableaux import (
     EMPTY_BITABLEAU,
@@ -172,6 +173,27 @@ def test_inverse_maps_refuse_bitableaux_outside_their_domain(inverse, p_rows, q_
     # that has no sign (alone, or below a negative row)
     with pytest.raises(error):
         inverse(bt(p_rows, q_rows))
+
+
+CODOMAIN_CHECKS = [validate_skew_symmetric, classify_sign, robrsk, obrsk_inverse]
+
+
+@pytest.mark.parametrize("check", CODOMAIN_CHECKS)
+@pytest.mark.parametrize("entry", [1.5, True, 0, -1])
+@pytest.mark.parametrize("side", ["P", "Q"])
+def test_codomain_checks_refuse_an_entry_that_is_not_a_positive_int(check, entry, side):
+    # the rows stay strictly increasing, so only the entry itself is wrong
+    bad, good = [[entry, 5], [6, 7]], [[2, 3], [4, 8]]
+    with pytest.raises(ValidationError):
+        check(bt(bad, good) if side == "P" else bt(good, bad))
+
+
+@pytest.mark.parametrize("check", CODOMAIN_CHECKS)
+@pytest.mark.parametrize("side", ["P", "Q"])
+def test_codomain_checks_refuse_a_row_that_is_not_strict(check, side):
+    bad, good = [[2, 2]], [[3, 4]]
+    with pytest.raises(NotSemistandard):
+        check(bt(bad, good) if side == "P" else bt(good, bad))
 
 
 def test_obrsk_general_restricts_to_negative(worked_pair, worked_bitableau):

@@ -7,6 +7,8 @@ checking the duality map few times.
 """
 
 import itertools
+import math
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -138,20 +140,36 @@ def test_enumerators_build_few_candidates(monkeypatch, name, args):
     assert built <= 10 * len(kept), f"{built} candidates built for {len(kept)} kept"
 
 
+def twelve_per_kept(args, kept):
+    return 12 * kept
+
+
+def bitableau_tables(args, kept):
+    # one check per two points (value, dual value) with entries <= max_entry
+    # and one per row pair of each even length's table, whatever is kept
+    max_entry, max_boxes = args
+    rows = sum(math.comb(max_entry, k) ** 2 for k in range(2, max_boxes + 1, 2))
+    return math.comb(max_entry**2, 2) + rows
+
+
 @pytest.mark.parametrize(
-    "name, args, per_kept",
+    "name, args, bound",
     [
-        ("enumerate_negative_pairs", (6, 3), 12),
-        ("enumerate_nonvanishing_pairs", (6, 3), 12),
-        ("enumerate_negative_bitableaux", (6, 6), 45),
-        ("enumerate_nonvanishing_bitableaux", (6, 6), 45),
+        ("enumerate_negative_pairs", (6, 3), twelve_per_kept),
+        ("enumerate_nonvanishing_pairs", (6, 3), twelve_per_kept),
+        ("enumerate_negative_bitableaux", (6, 6), bitableau_tables),
+        ("enumerate_nonvanishing_bitableaux", (6, 6), bitableau_tables),
+        ("enumerate_negative_bitableaux", (7, 6), bitableau_tables),
+        ("enumerate_nonvanishing_bitableaux", (7, 6), bitableau_tables),
     ],
 )
-def test_enumerators_check_the_duality_map_few_times(monkeypatch, name, args, per_kept):
-    # a search that tries each column pair or row pair once per prefix makes
-    # 4.5 to 29 checks per kept object here; one that takes every pi1 column
-    # tuple or every P row tuple first and searches its partners under it
-    # makes 36 to 122
+def test_enumerators_check_the_duality_map_few_times(monkeypatch, name, args, bound):
+    # a pair search that tries each column pair once per prefix makes 4.5 to
+    # 6.6 checks per kept pair here; one that takes every pi1 column tuple
+    # first and searches its partners under it makes 36 to 122.  The
+    # bitableau search checks the map only while it builds its tables and
+    # then prunes every prefix by bitmask, so its checks do not grow with
+    # the number of prefixes
     checks = 0
 
     def counting(pairs):
@@ -162,7 +180,24 @@ def test_enumerators_check_the_duality_map_few_times(monkeypatch, name, args, pe
     monkeypatch.setattr(enumeration, "duality_conflict", counting)
     kept = getattr(enumeration, name)(*args)
     assert kept
-    assert checks <= per_kept * len(kept), f"{checks} duality-map checks for {len(kept)} kept"
+    assert checks <= bound(args, len(kept)), f"{checks} duality-map checks for {len(kept)} kept"
+
+
+@pytest.mark.parametrize("name", ["enumerate_negative_bitableaux", "enumerate_nonvanishing_bitableaux"])
+@pytest.mark.parametrize("args", [(6, 6), (7, 6)])
+def test_bitableau_search_builds_only_what_it_keeps(monkeypatch, name, args):
+    # both prunes are exact: a row pair that conflicts with any row of the
+    # prefix, or whose difference is below the row above, is never built
+    built = []
+
+    def recording(*a):
+        built.append(NotchedBitableau(*a))
+        return built[-1]
+
+    monkeypatch.setattr(enumeration, "NotchedBitableau", recording)
+    kept = getattr(enumeration, name)(*args)
+    assert kept
+    assert Counter(built) == Counter(kept)
 
 
 @pytest.mark.parametrize("sign", [0, 5, -2, 2, "+1", None])

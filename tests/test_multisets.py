@@ -8,6 +8,7 @@ from obrsk.multisets import (
     FormalDiff,
     count_le,
     diff_leq,
+    duality_conflict,
     enumerate_extended_chains,
     nat_multiset,
     plane_diff,
@@ -109,6 +110,30 @@ def test_formal_diff_refuses_bool_entries():
         FormalDiff((True,), ())
     with pytest.raises(ValidationError):
         FormalDiff((1,), (True,))
+
+
+entries = st.integers(min_value=1, max_value=12)
+
+
+@st.composite
+def duality_pairs(draw):
+    """(value, dual value) pairs with entries <= 12: points of one strictly
+    decreasing map, some of them repeated, with up to two arbitrary pairs
+    mixed in, so that both verdicts are common."""
+    values = sorted(draw(st.sets(entries, max_size=8)))
+    duals = sorted(draw(st.lists(entries, min_size=len(values), max_size=len(values), unique=True)), reverse=True)
+    points = list(zip(values, duals))
+    repeats = draw(st.lists(st.sampled_from(points), max_size=2)) if points else []
+    extra = draw(st.lists(st.tuples(entries, entries), max_size=2))
+    return draw(st.permutations(points + repeats + extra))
+
+
+@given(duality_pairs())
+def test_duality_map_is_consistent_exactly_when_every_two_pairs_are(pairs):
+    # the lemma behind the bitableau search's bitmask prune: a well-defined
+    # strictly decreasing map is a condition on every two of its pairs
+    pairwise = all(duality_conflict([p, q]) is None for p, q in itertools.combinations(pairs, 2))
+    assert (duality_conflict(pairs) is None) == pairwise
 
 
 def test_is_chain():

@@ -18,7 +18,7 @@ from obrsk.tableaux import (
     validate_semistandard,
     validate_skew_symmetric,
 )
-from oracles import bitableau_bounded_by, enumerate_even_bitableaux
+from oracles import bitableau_bounded_by, enumerate_even_bitableaux, row_diffs_weakly_increase, sorted_row_sign
 
 
 def bt(p_rows, q_rows):
@@ -50,6 +50,37 @@ def test_semistandard_row_order_matters():
     swapped = bt([[3, 4], [1, 2]], [[5, 6], [5, 6]])
     assert validate_semistandard(good)
     assert not validate_semistandard(swapped)
+
+
+def strict_rows(max_entry, max_length):
+    return [row for k in range(1, max_length + 1) for row in itertools.combinations(range(1, max_entry + 1), k)]
+
+
+def test_semistandard_equals_the_row_differences_on_every_two_row_bitableau():
+    # every two-row bitableau of strictly increasing rows of length <= 2
+    # with entries <= 5: rows_leq reads the counting order off the rows as
+    # they stand, and must agree with the formal differences everywhere
+    rows = strict_rows(5, 2)
+    row_pairs = [(p, q) for p in rows for q in rows if len(p) == len(q)]
+    verdicts = Counter()
+    for (p1, q1), (p2, q2) in itertools.product(row_pairs, repeat=2):
+        b = bt([p1, p2], [q1, q2])
+        semistandard = validate_semistandard(b)
+        assert semistandard == row_diffs_weakly_increase(b), b
+        verdicts[semistandard] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_row_sign_equals_the_sorted_entries_definition():
+    rows = strict_rows(7, 4)
+    signs = Counter()
+    for prow in rows:
+        for qrow in rows:
+            if len(prow) == len(qrow):
+                sign = row_sign(prow, qrow)
+                assert sign == sorted_row_sign(prow, qrow), (prow, qrow)
+                signs[sign] += 1
+    assert signs[-1] == signs[+1] and signs[0]
 
 
 def test_skew_symmetric_fixture(worked_bitableau):
