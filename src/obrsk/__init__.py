@@ -1,7 +1,7 @@
 """Bounded RSK on notched bitableaux and Pfaffian initial ideals.
 
-Exact (integer / rational) combinatorics: finite multisets on N and N^2 with
-the counting order on formal differences, notched skew-symmetric bitableaux,
+Exact (integer / rational) combinatorics: finite multisets on N and N^2, the
+counting order on rows of bitableaux, notched skew-symmetric bitableaux,
 two-row arrays, the bounded RSK correspondence and its inverse, chain
 combinatorics on the grid attached to a fixed d-subset beta, and the Pfaffian
 generators whose leading terms are certified against chain monomials degree by
@@ -10,14 +10,12 @@ degree.
 
 from types import ModuleType as _ModuleType
 
-from .multisets import FormalDiff, count_le
 from .tableaux import (
     NotchedBitableau,
     NotchedTableau,
     SignKind,
     classify_sign,
     iota,
-    up_down,
     validate_row_strict,
     validate_semistandard,
     validate_skew_symmetric,

@@ -18,12 +18,6 @@ class VerificationError(ObrskError, AssertionError):
     """An internal cross-check that should always hold has failed."""
 
 
-# -- multisets ---------------------------------------------------------------
-
-class MinusNotSet(ValidationError):
-    """The minus part of a formal difference has a repeated element."""
-
-
 # -- tableaux ----------------------------------------------------------------
 
 class ShapeMismatch(ValidationError):

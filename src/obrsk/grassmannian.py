@@ -17,25 +17,28 @@ A triple alpha <= beta <= gamma declares some chains of roots bad: those
 whose negative part maps to a w with alpha not <= w, or whose positive part
 maps to a w with w not <= gamma.  A chain is thus bad exactly when one of its
 two sign-pure parts is, and a negative chain's badness depends on the half
-(alpha, beta) alone, a positive chain's on (beta, gamma) alone.  Each sign's
-chains of a beta are imaged and valued once, w and the image's bound operand
-together (_signed_chains, at most 2 |I(d)| tables per d).  A negative chain's
-image is one bounded insertion step from the memoised image of its parent
-chain, the chain without its last point (chain_image).  chain_image images
-negative chains only: obrsk takes a positive part through L and then iota,
-so a positive chain's pairs are read off the image of its transpose, a
-negative chain, with each pair swapped (_signed_chains).  chain_image builds
-no skew pair and checks none: it is handed the negative chains of roots of
-a beta and the transposes of its positive ones, sorted by position, and
+(alpha, beta) alone, a positive chain's on (beta, gamma) alone.
+
+Only negative chains are imaged and valued.  The longest Weyl element of
+type D, mirror on I(d) and phi on roots, swaps the two halves: phi takes the
+positive chains of beta onto the negative chains of mirror(beta), mirror
+reverses the order, and the w of a positive chain C is mirror of the w of
+phi(C).  So each beta has one table, of its negative chains with the w and
+the top rows of each chain's image (_signed_chains, at most |I(d)| tables
+per d), and a positive half is phi of a negative half of the mirrored pair
+(_minimal_bad_chains).  A negative chain's image is one bounded insertion
+step from the memoised image of its parent chain, the chain without its
+last point (chain_image).  chain_image builds no skew pair and checks none:
 tests/test_grassmannian.py certifies that the pair (C, C^#) of every chain
-of roots with d <= 8 is a valid skew pair and, with d <= 7, that the pairs
-each row reads equal those of obrsk's image.
-defining_chains decides each sign-pure chain of roots once per half, not once
-per triple, by the w of its row, checks each decision against the
-boundedness of the chain's image by T (negative half) or W (positive half),
-on the operand of the same row, and keeps the minimal bad chains;
-a root monomial lies in the chain ideal exactly when its support contains
-one.  The halves are memoised, at most 2 |I(d)|^2 of them per d.
+of roots with d <= 8 is a valid skew pair, that the image equals obrsk's
+with d <= 7, and that the mirror gives every positive w and every positive
+half as the direct positive rule does with d <= 7.
+defining_chains decides each negative chain once per half, not once per
+triple, by the w of its row, checks each decision against the boundedness
+of the chain's image by T in the one counting order (tableaux.rows_leq),
+and keeps the minimal bad chains; a root monomial lies in the chain ideal
+exactly when its support contains one.  The halves are memoised, at most
+2 |I(d)|^2 of them per d.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ from .correspondence import forward_step
 # perfbench/tracing.py patches grassmannian.obrsk, so the name stays importable here
 from .correspondence import obrsk  # noqa: F401
 from .errors import BoundsNotComparable, MixedSigns, NotInId, SignAssertionFailure, VerificationError
-from .multisets import diff_leq, enumerate_extended_chains, plane_diff, plane_multiset
-from .tableaux import EMPTY_BITABLEAU, up_down
+from .multisets import enumerate_extended_chains
+from .tableaux import EMPTY_BITABLEAU, rows_leq
 
 
 @dataclass(frozen=True)
@@ -137,9 +140,8 @@ def chain_image(chain, d):
     canonical skew pair of (C, C^#), where C^# reflects each point of C by
     hash_reflect.
 
-    chain must be a nonempty chain of negative points (r < c), sorted by
-    position, as _signed_chains supplies it: a negative chain of roots or
-    the transpose of a positive one; nothing here checks that.  The tests
+    chain must be a nonempty negative chain of roots, sorted by position, as
+    _signed_chains supplies it; nothing here checks that.  The tests
     certify that the pair of every chain of roots with d <= 8 is a valid
     skew pair, and that this image equals obrsk's for every negative one
     with d <= 7.
@@ -154,58 +156,83 @@ def chain_image(chain, d):
     return forward_step(parent, r, c, r_star, c_star)
 
 
-@lru_cache(maxsize=None)
-def _signed_chains(beta, sign):
-    """Each chain of roots of beta of one sign, as enumerate_extended_chains
-    yields it, mapped to (w, operand).  The up set (MINUS) or down set (PLUS)
-    of the chain image gives pairs (x, y); w is beta with the seconds taken
-    out and the firsts put in, and must be <= beta (MINUS) or >= beta (PLUS);
-    operand is the pairs' counting-order operand.
+def _middle_swap(x, d):
+    """x with d and d+1 exchanged when d is odd, and otherwise x itself."""
+    return 2 * d + 1 - x if d % 2 and x in (d, d + 1) else x
 
-    obrsk takes a positive chain C through L and then iota.  L of its pair
-    is the pair of its transpose, the negative chain C^T (hash_reflect
-    commutes with swapping the coordinates), so its image is iota of
-    chain_image(C^T), and the down set of that is the up set of
-    chain_image(C^T) with each pair swapped; iota itself is never built.
-    The tests certify these pairs against obrsk's down set for every
-    positive chain of roots with d <= 7.  Memoised per (beta, sign)."""
-    minus = sign is ChainSign.MINUS
+
+def mirror(v):
+    """mu, the longest Weyl element w0 of type D acting on I(d): each entry x
+    goes to 2d+1-x, and when d is odd, d and d+1 are then swapped, which
+    keeps the number of entries above d even.  The tests certify that it is
+    an order-reversing involution of I(d) for every d <= 6."""
+    full = 2 * v.d + 1
+    return IdElement(tuple(_middle_swap(full - x, v.d) for x in v.entries), v.d)
+
+
+def phi(point, d):
+    """The root map of the mirror: (r, c) -> (c, r), with d and d+1 swapped
+    in each coordinate when d is odd.  An involution taking the roots of
+    beta onto those of mirror(beta), negative onto positive, and chains onto
+    chains; the tests certify it on the roots of every beta with d <= 8."""
+    r, c = point
+    return _middle_swap(c, d), _middle_swap(r, d)
+
+
+@lru_cache(maxsize=None)
+def _signed_chains(beta):
+    """Each negative chain of roots of beta, as enumerate_extended_chains
+    yields it, mapped to (w, (p, q)), where p and q are the top rows of P
+    and Q of its image.  The up set of the image pairs the i-th entries of
+    those two strictly increasing rows, so (p, q) is the up set as rows_leq
+    compares it, and w is beta with the entries of q taken out and those of
+    p put in; w must be <= beta.
+
+    Only negative chains have rows: a positive chain of beta is read through
+    the mirror, as the negative chain phi(C) of mirror(beta) (w_of_chain,
+    _minimal_bad_chains).  Memoised per beta."""
+    bset = set(beta.entries)
     table = {}
-    for chain in enumerate_extended_chains(split_chain(roots_of(beta), beta)[0 if minus else 1]):
-        # the transpose of a chain sorted by position, reversed, is sorted
-        imaged = chain if minus else tuple((y, x) for x, y in reversed(chain))
-        up = up_down(chain_image(imaged, beta.d))[0]
-        pairs = up if minus else plane_multiset((y, x) for x, y in up)
-        entries = set(beta.entries)
-        for _, y in pairs:
-            if y not in entries:
-                raise VerificationError(f"second coordinate {y} not in beta = {beta.entries}")
-            entries.remove(y)
-        entries.update(x for x, _ in pairs)
-        w = IdElement(tuple(sorted(entries)), beta.d)
-        if not (id_leq(w, beta) if minus else id_leq(beta, w)):
-            raise SignAssertionFailure(f"w = {w.entries} not {'<=' if minus else '>='} beta = {beta.entries}")
-        table[chain] = (w, plane_diff(pairs))
+    for chain in enumerate_extended_chains(split_chain(roots_of(beta), beta)[0]):
+        image = chain_image(chain, beta.d)
+        p, q = image.P.rows[0], image.Q.rows[0]
+        missing = set(q) - bset
+        if missing:
+            raise VerificationError(f"second coordinate {min(missing)} not in beta = {beta.entries}")
+        w = IdElement(tuple(bset.difference(q).union(p)), beta.d)
+        if not id_leq(w, beta):
+            raise SignAssertionFailure(f"w = {w.entries} not <= beta = {beta.entries}")
+        table[chain] = (w, (p, q))
     return table
 
 
 def w_of_chain(chain, beta, sign):
     """The element of I(d) attached to a chain of roots of beta of the sign,
-    its points in any order (_signed_chains); MixedSigns for anything else."""
-    entry = _signed_chains(beta, sign).get(tuple(sorted(chain)))
+    its points in any order; MixedSigns for anything else.  A negative chain
+    reads its row of _signed_chains.  A positive chain C is read through the
+    mirror: its w is mirror of the w of the negative chain phi(C) of
+    mirror(beta), which the tests certify against obrsk's down set for every
+    positive chain of roots with d <= 7."""
+    minus = sign is ChainSign.MINUS
+    entry = None
+    if minus:
+        entry = _signed_chains(beta).get(tuple(sorted(chain)))
+    elif set(chain) <= set(roots_of(beta)):
+        entry = _signed_chains(mirror(beta)).get(tuple(sorted(phi(p, beta.d) for p in chain)))
     if entry is None:
         raise MixedSigns(f"{list(chain)} is not a {sign.value} chain of roots of {beta}")
-    return entry[0]
+    return entry[0] if minus else mirror(entry[0])
 
 
-def _half_bound(bound, beta):
-    """T (bound alpha) or W (bound gamma): the i-th smallest element of
-    bound - beta paired with the i-th smallest of beta - bound.  Since
-    alpha <= beta <= gamma (_check_triple refuses anything else), T is a
-    negative plane set and W a positive one; the tests certify this for
-    every half with d <= 8."""
-    vset, bset = set(bound.entries), set(beta.entries)
-    return plane_multiset(zip(sorted(vset - bset), sorted(bset - vset)))
+def _half_bound(alpha, beta):
+    """T of the negative half (alpha, beta) as the row pair rows_leq
+    compares: the entries of alpha outside beta and those of beta outside
+    alpha, each sorted.  T pairs their i-th smallest entries, and alpha <=
+    beta (_check_triple refuses anything else) makes it a negative plane
+    set; the tests certify this for every half with d <= 8.  The positive
+    half's bound W is never built: that half is read through the mirror."""
+    aset, bset = set(alpha.entries), set(beta.entries)
+    return tuple(sorted(aset - bset)), tuple(sorted(bset - aset))
 
 
 def _check_triple(alpha, beta, gamma):
@@ -226,21 +253,25 @@ def _minimal_bad_chains(bound, beta, sign):
     one sign, as frozensets: the negative half of a triple (bound alpha) or
     its positive half (bound gamma).
 
-    Every chain of the sign is decided by both routes, each read off the
-    chain's row of _signed_chains: the defining rule on its w, alpha not <= w
-    for a negative chain and w not <= gamma for a positive one; and
-    boundedness of the chain's image, T <= up for a negative chain
-    and down <= W for a positive one, on its operand.  The two must agree.
-    Memoised: a half is decided once, however many triples share it, so the
-    cache holds at most 2 |I(d)|^2 entries per d."""
-    minus = sign is ChainSign.MINUS
-    limit = plane_diff(_half_bound(bound, beta))
+    Each negative chain is decided by two routes, each read off its row of
+    _signed_chains: the defining rule, alpha not <= w; and boundedness of
+    its image, T <= up in the counting order, by rows_leq on the row pairs
+    of T and of the up set.  The two must agree.  The positive half is the
+    mirror of a negative one: mirror reverses the order and w(C) is mirror
+    of w(phi(C)), so C is bad for gamma at beta exactly when phi(C) is bad
+    for mirror(gamma) at mirror(beta), and its minimal bad chains are phi of
+    that half's.  Memoised: a half is decided once, however many triples
+    share it, so the cache holds at most 2 |I(d)|^2 entries per d."""
+    if sign is ChainSign.PLUS:
+        mirrored = _minimal_bad_chains(mirror(bound), mirror(beta), ChainSign.MINUS)
+        return tuple(frozenset(phi(p, beta.d) for p in chain) for chain in mirrored)
+    limit = _half_bound(bound, beta)
     bad = []
-    for chain, (w, operand) in _signed_chains(beta, sign).items():
-        in_set = not (id_leq(bound, w) if minus else id_leq(w, bound))
-        if in_set == (diff_leq(limit, operand) if minus else diff_leq(operand, limit)):
+    for chain, (w, operand) in _signed_chains(beta).items():
+        in_set = not id_leq(bound, w)
+        if in_set == rows_leq(limit, operand):
             raise VerificationError(
-                f"chain-membership routes disagree on {list(chain)} for the {sign.value} half "
+                f"chain-membership routes disagree on {list(chain)} for the negative half "
                 f"({bound.entries}, {beta.entries})"
             )
         if in_set:

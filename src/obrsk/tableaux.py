@@ -3,8 +3,9 @@
 A notched tableau is a finite sequence of left-justified rows of positive
 integers; row lengths are unconstrained.  A bitableau is a pair (P, Q) of
 notched tableaux of the same shape.  Rows of P are compared to the matching
-rows of Q through the formal difference P_i - Q_i, and the sign of a row is
-its position relative to the empty difference () - () (all of N).
+rows of Q through the formal difference P_i - Q_i in the counting order
+(rows_leq), and the sign of a row is its position relative to the empty
+difference () - () (all of N).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from enum import Enum
 from operator import gt, lt
 
 from .errors import NotSemistandard, NotSkewSymmetric, ShapeMismatch
-from .multisets import duality_conflict, nat_multiset, plane_multiset
+from .multisets import duality_conflict, nat_multiset
 
 
 @dataclass(frozen=True)
@@ -82,11 +83,19 @@ EMPTY_BITABLEAU = NotchedBitableau(EMPTY_TABLEAU, EMPTY_TABLEAU)
 
 def rows_leq(upper, lower):
     """P1 - Q1 <= P2 - Q2 in the counting order, for the row pairs
-    upper = (P1, Q1) and lower = (P2, Q2) of strictly increasing rows.
+    upper = (P1, Q1) and lower = (P2, Q2) of strictly increasing rows; the
+    package's one statement of the order.
 
-    The rows are compared as they stand, with no FormalDiff built: the z
-    terms of the two counts cancel, and by the rule diff_leq documents the
-    counts need comparing only at the entries of Q1 and P2.
+    The formal difference P - Q stands for the multiset P together with
+    N minus the set Q; its count at z is |P^{<=z}| + z - |Q^{<=z}|, and
+    P1 - Q1 <= P2 - Q2 when the count of the first is at least that of the
+    second at every z >= 1 (larger counts low down mean smaller elements).
+    The z terms cancel in the difference of the two counts, which rises at
+    the entries of P1 and Q2 and falls only at those of Q1 and P2.  Below
+    every entry it is 0, so if it is ever negative, it first is at an entry
+    of Q1 or P2, and comparing the counts there settles every z.  The rows
+    are compared as they stand, by bisection; tests/oracles.diff_leq states
+    the order on formal differences, and the tests check the two agree.
     """
     p1, q1 = upper
     p2, q2 = lower
@@ -219,12 +228,3 @@ def iota(b):
         NotchedTableau(b.P.rows[::-1]),
     )
 
-
-def up_down(b):
-    """(up, down): pair the i-th smallest entries of the top rows of P and Q,
-    and likewise the bottom rows.  Empty bitableau gives two empty sets."""
-    if b.is_empty:
-        return (), ()
-    up = plane_multiset(zip(sorted(b.P.rows[0]), sorted(b.Q.rows[0])))
-    down = plane_multiset(zip(sorted(b.P.rows[-1]), sorted(b.Q.rows[-1])))
-    return up, down

@@ -97,24 +97,31 @@ MUTANTS = (
         "tests/test_grassmannian.py::test_roots_are_the_root_positions_of_the_paper_grid_through_d8",
     ),
     Mutant(
-        "positive pairs not swapped",
+        "phi without the middle swap at odd d",
         "src/obrsk/grassmannian.py",
-        "pairs = up if minus else plane_multiset((y, x) for x, y in up)",
-        "pairs = up",
-        "tests/test_grassmannian.py::test_positive_chain_pairs_are_the_down_sets_of_obrsk_through_d7",
+        "return _middle_swap(c, d), _middle_swap(r, d)",
+        "return c, r",
+        "tests/test_grassmannian.py::test_phi_maps_the_roots_of_beta_onto_those_of_its_mirror_through_d8",
     ),
     Mutant(
-        "transpose not reversed",
+        "phi without the transpose",
         "src/obrsk/grassmannian.py",
-        "tuple((y, x) for x, y in reversed(chain))",
-        "tuple((y, x) for x, y in chain)",
-        "tests/test_grassmannian.py::test_positive_chain_pairs_are_the_down_sets_of_obrsk_through_d7",
+        "return _middle_swap(c, d), _middle_swap(r, d)",
+        "return _middle_swap(r, d), _middle_swap(c, d)",
+        "tests/test_grassmannian.py::test_phi_maps_the_roots_of_beta_onto_those_of_its_mirror_through_d8",
     ),
     Mutant(
-        "half bound pairs the other way round",
+        "counting-order operands swapped",
         "src/obrsk/grassmannian.py",
-        "zip(sorted(vset - bset), sorted(bset - vset))",
-        "zip(sorted(bset - vset), sorted(vset - bset))",
+        "rows_leq(limit, operand)",
+        "rows_leq(operand, limit)",
+        "tests/test_grassmannian.py::test_quotient_routes_agree_d3",
+    ),
+    Mutant(
+        "half bound rows the other way round",
+        "src/obrsk/grassmannian.py",
+        "return tuple(sorted(aset - bset)), tuple(sorted(bset - aset))",
+        "return tuple(sorted(bset - aset)), tuple(sorted(aset - bset))",
         "tests/test_grassmannian.py::test_half_bounds_through_d8_are_signed_plane_sets",
     ),
     # the correspondence and the checks of its codomain

@@ -6,18 +6,97 @@ them: it computes the same answers by its own routes, and the tests compare
 the two.
 """
 
+import bisect
 import itertools
+from dataclasses import dataclass
 from enum import Enum
 
 import obrsk.enumeration as enumeration
 from obrsk.arrays import SkewPair, psi_inv, split_parts, validate_skew_pair
 from obrsk.correspondence import obrsk
 from obrsk.errors import DimensionMismatch, MixedSigns, NotSkewSymmetric, ValidationError
-from obrsk.grassmannian import ChainSign, hash_reflect, id_leq, split_chain, w_of_chain
+from obrsk.grassmannian import (
+    ChainSign,
+    IdElement,
+    chain_image,
+    hash_reflect,
+    id_leq,
+    roots_of,
+    split_chain,
+    w_of_chain,
+)
 from obrsk.ideal import _rref, monomials_of_degree, pfaffian_generator
-from obrsk.multisets import FormalDiff, diff_leq, enumerate_extended_chains, plane_diff, plane_multiset, proj1, proj2
+from obrsk.multisets import enumerate_extended_chains, nat_multiset, plane_multiset
 from obrsk.polynomials import SparsePoly, term_order
-from obrsk.tableaux import SignKind, classify_sign, up_down
+from obrsk.tableaux import SignKind, classify_sign, iota
+
+
+class MinusNotSet(ValidationError):
+    """The minus part of a formal difference has a repeated element."""
+
+
+def count_le(entries, z):
+    """Number of entries <= z in a sorted tuple."""
+    return bisect.bisect_right(entries, z)
+
+
+def proj1(points):
+    return nat_multiset(x for x, _ in points)
+
+
+def proj2(points):
+    return nat_multiset(y for _, y in points)
+
+
+@dataclass(frozen=True)
+class FormalDiff:
+    """The formal difference plus - minus, which stands for the multiset plus
+    together with N minus the set minus; minus must be a set.  Its counting
+    function at z is |plus^{<=z}| + z - |minus^{<=z}|, and the empty
+    difference () - () stands for all of N."""
+
+    plus: tuple
+    minus: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "plus", nat_multiset(self.plus))
+        object.__setattr__(self, "minus", nat_multiset(self.minus))
+        if len(set(self.minus)) != len(self.minus):
+            raise MinusNotSet(f"minus part {self.minus} has a repeated element")
+
+    def count(self, z):
+        """Counting function |plus^{<=z}| + z - |minus^{<=z}|."""
+        return count_le(self.plus, z) + z - count_le(self.minus, z)
+
+
+def diff_leq(d1, d2):
+    """D1 <= D2 in the counting order, the paper's definition: the count of
+    d1 is at least that of d2 at every z >= 1.  Larger counts low down mean
+    smaller elements, hence the direction flip.
+
+    The z terms cancel in count1(z) - count2(z), which rises at the entries
+    of d1.plus and d2.minus and falls only at the entries of d1.minus and
+    d2.plus.  Below every entry it is 0, so if it is ever negative, the
+    first z where it is negative is one where it falls, an entry of d1.minus
+    or d2.plus; comparing the counts at those entries settles every z.
+    """
+    return all(d1.count(z) >= d2.count(z) for z in {*d1.minus, *d2.plus})
+
+
+def plane_diff(points):
+    """The formal difference proj1 - proj2 by which a plane multiset is
+    compared; raises MinusNotSet when the second projection has a repeat."""
+    return FormalDiff(proj1(points), proj2(points))
+
+
+def up_down(b):
+    """(up, down): pair the i-th smallest entries of the top rows of P and Q,
+    and likewise the bottom rows.  Empty bitableau gives two empty sets."""
+    if b.is_empty:
+        return (), ()
+    up = plane_multiset(zip(sorted(b.P.rows[0]), sorted(b.Q.rows[0])))
+    down = plane_multiset(zip(sorted(b.P.rows[-1]), sorted(b.Q.rows[-1])))
+    return up, down
 
 
 def determinant(a):
@@ -264,6 +343,52 @@ def bitableau_bounded_by(b, t, w):
         raise NotSkewSymmetric("boundedness is only defined on nonvanishing bitableaux")
     up, down = up_down(cls.negative_part)[0], up_down(cls.positive_part)[1]
     return diff_leq(plane_diff(t), plane_diff(up)) and diff_leq(plane_diff(down), plane_diff(w))
+
+
+def half_bound(bound, beta):
+    """The paper's bound of a half as a plane set: T (bound alpha) or W
+    (bound gamma), the i-th smallest element of bound - beta paired with the
+    i-th smallest of beta - bound."""
+    vset, bset = set(bound.entries), set(beta.entries)
+    return plane_multiset(zip(sorted(vset - bset), sorted(bset - vset)))
+
+
+def transpose(chain):
+    """The chain with the coordinates of each point swapped, sorted."""
+    return tuple(sorted((c, r) for r, c in chain))
+
+
+def positive_chain_rows(beta):
+    """The direct positive rule, each positive chain C of roots of beta
+    mapped to (w, down).  obrsk takes C through L, whose pair is that of the
+    transpose of C, a negative chain, and then iota, so the image of C is
+    iota of the image of its transpose; down is that image's down set, and
+    w is beta with the second coordinates of down taken out and the first
+    ones put in, which must be >= beta."""
+    rows = {}
+    for chain in enumerate_extended_chains(split_chain(roots_of(beta), beta)[1]):
+        down = up_down(iota(chain_image(transpose(chain), beta.d)))[1]
+        w = IdElement(tuple(set(beta.entries) - set(proj2(down)) | set(proj1(down))), beta.d)
+        if not id_leq(beta, w):
+            raise ValidationError(f"w = {w.entries} not >= beta = {beta.entries}")
+        rows[chain] = (w, down)
+    return rows
+
+
+def positive_half(gamma, beta, rows):
+    """The minimal bad chains of the positive half (beta, gamma) by the
+    direct positive rule, as a set of frozensets, from rows =
+    positive_chain_rows(beta).  A chain is bad when its w is not <= gamma,
+    and exactly then its down set is not <= W in the counting order on
+    formal differences; the two must agree."""
+    limit = plane_diff(half_bound(gamma, beta))
+    bad = []
+    for chain, (w, down) in rows.items():
+        in_set = not id_leq(w, gamma)
+        assert in_set != diff_leq(plane_diff(down), limit), (chain, gamma, beta)
+        if in_set:
+            bad.append(frozenset(chain))
+    return {c for c in bad if not any(other < c for other in bad)}
 
 
 def sorted_row_sign(prow, qrow):

@@ -16,16 +16,22 @@ from obrsk.enumeration import enumerate_negative_bitableaux, enumerate_negative_
 from obrsk.fixture import replay
 from obrsk.grassmannian import IdElement, enumerate_id, id_leq, is_quotient_monomial, roots_of
 from obrsk.ideal import pfaffian, pfaffian_matrix
-from obrsk.multisets import diff_leq, plane_diff
 from obrsk.polynomials import TermOrder
 from obrsk.tableaux import (
     SignKind,
     classify_sign,
     iota,
-    up_down,
     validate_skew_symmetric,
 )
-from oracles import determinant, enumerate_bound_sets, order_disagreements, pair_up_down_sets
+from oracles import (
+    determinant,
+    diff_leq,
+    enumerate_bound_sets,
+    order_disagreements,
+    pair_up_down_sets,
+    plane_diff,
+    up_down,
+)
 
 
 def report(n, name, ok, elapsed):

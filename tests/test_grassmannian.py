@@ -21,20 +21,31 @@ from obrsk.grassmannian import (
     hash_reflect,
     id_leq,
     is_quotient_monomial,
+    mirror,
+    phi,
     roots_of,
     split_chain,
     w_of_chain,
 )
 from obrsk.ideal import verify_main_theorem
-from obrsk.multisets import FormalDiff, diff_leq, plane_diff
-from obrsk.tableaux import iota, up_down
+from obrsk.tableaux import iota, rows_leq
 from oracles import (
+    FormalDiff,
     Region,
     bitableau_bounded_by,
     chain_in_chains_set,
     chain_pair,
+    diff_leq,
+    half_bound,
     is_signed_plane_set,
+    plane_diff,
+    positive_chain_rows,
+    positive_half,
+    proj1,
+    proj2,
     region_of,
+    transpose,
+    up_down,
 )
 
 
@@ -197,11 +208,6 @@ def chains_of_roots(d, sign=None):
     return list(chains)
 
 
-def transpose(chain):
-    """The chain with the coordinates of each point swapped, sorted."""
-    return tuple(sorted((c, r) for r, c in chain))
-
-
 def image_of(chain, d):
     # chain_image images negative chains; obrsk takes a positive chain
     # through L, whose pair is its transpose's, and then iota
@@ -227,17 +233,16 @@ def test_chain_image_equals_obrsk_on_every_chain_of_roots_of_d7(package_caches):
 
 
 def test_positive_chain_pairs_are_the_down_sets_of_obrsk_through_d7(package_caches):
-    # _signed_chains reads a positive chain's pairs off the up set of its
-    # transpose's image, each pair swapped, and never builds iota; each row
-    # must be what the down set of obrsk's image gives: w by the row rule,
-    # and the pairs' counting-order operand
+    # w_of_chain reads a positive chain through the mirror, as mirror of the
+    # w of the negative chain phi(C) of mirror(beta); it must be what the
+    # down set of obrsk's image gives by the row rule
     rows = 0
     for d in range(1, 8):
         for beta in enumerate_id(d):
-            for chain, row in grassmannian._signed_chains(beta, ChainSign.PLUS).items():
+            for chain in enumerate_extended_chains(split_chain(roots_of(beta), beta)[1]):
                 pairs = up_down(obrsk(psi_inv(*chain_pair(chain, d))))[1]
                 entries = set(beta.entries) - {y for _, y in pairs} | {x for x, _ in pairs}
-                assert row == (ide(entries, d), plane_diff(pairs)), (beta, chain)
+                assert w_of_chain(chain, beta, ChainSign.PLUS) == ide(entries, d), (beta, chain)
                 rows += 1
     assert rows == 4374
 
@@ -275,8 +280,8 @@ def test_positive_chain_images_go_through_L_through_d6(package_caches):
 
 
 def test_chain_images_take_one_forward_step_each_over_all_d4_triples(monkeypatch, package_caches):
-    # a forward step per negative chain and nothing else: a positive chain's
-    # pairs come from its transpose's image, a negative chain's
+    # a forward step per negative chain and nothing else: a positive half is
+    # the mirror of a negative one, and no positive chain is imaged
     steps = []
     original_step = grassmannian.forward_step
 
@@ -337,47 +342,127 @@ def test_w_of_chain_rejects_what_is_not_a_chain_of_its_sign():
         ((pos[0],), ChainSign.MINUS),  # a chain of the other sign
         ((neg[0],), ChainSign.PLUS),
         (((5, 6),), ChainSign.PLUS),  # a diagonal point is not a root
+        ((pos[0] + (1,),), ChainSign.PLUS),  # points that are not pairs
+        ((pos[0][:1],), ChainSign.PLUS),
+        ((neg[0] + (1,),), ChainSign.MINUS),
     ):
         with pytest.raises(MixedSigns):
             w_of_chain(chain, beta, sign)
 
 
-def test_signed_chains_are_one_table_per_beta_and_sign_after_all_d4_triples(package_caches):
+def test_signed_chains_are_one_table_per_beta_after_all_d4_triples(package_caches):
     triples = list(ordered_triples(4))
     assert len(triples) == 112
     for alpha, beta, gamma in triples:
         defining_chains(alpha, beta, gamma)
-    # 8 betas, two signs each; the 72 chains of their tables are 48 distinct
-    # chains of roots, and the 24 negative ones, which are also the
-    # transposes of the 24 positive ones, are each imaged once
-    assert grassmannian._signed_chains.cache_info().currsize == 16
+    # 8 betas, one table of negative chains each, mirror(beta) being another
+    # beta of I(4); the 36 chains of their tables are the 24 distinct
+    # negative chains of roots, each imaged once
+    assert grassmannian._signed_chains.cache_info().currsize == 8
     assert chain_image.cache_info().misses == 24
-    tables = [grassmannian._signed_chains(b, s) for b in enumerate_id(4) for s in ChainSign]
-    assert (sum(map(len, tables)), len(set().union(*tables))) == (72, 48)
+    tables = [grassmannian._signed_chains(b) for b in enumerate_id(4)]
+    assert (sum(map(len, tables)), len(set().union(*tables))) == (36, 24)
 
 
 def test_t_w_bounds():
-    # T of the half (alpha, beta) and W of the half (beta, gamma)
+    # T of the half (alpha, beta), as the row pair the package compares, and
+    # W of the half (beta, gamma), which only the oracle builds
     alpha, beta, gamma = ide((1, 2, 3), 3), ide((1, 4, 5), 3), ide((3, 5, 6), 3)
-    assert grassmannian._half_bound(alpha, beta) == ((2, 4), (3, 5))
-    assert grassmannian._half_bound(gamma, beta) == ((3, 1), (6, 4))
+    assert grassmannian._half_bound(alpha, beta) == ((2, 3), (4, 5))
+    assert half_bound(alpha, beta) == ((2, 4), (3, 5))
+    assert half_bound(gamma, beta) == ((3, 1), (6, 4))
     with pytest.raises(BoundsNotComparable):
         defining_chains(beta, alpha, gamma)
 
 
 def test_half_bounds_through_d8_are_signed_plane_sets():
-    # _half_bound checks nothing: alpha <= beta makes T negative and
-    # beta <= gamma makes W positive, for every half with d <= 8
+    # _half_bound checks nothing: alpha <= beta makes T, its two rows paired
+    # by rank, a negative plane set, for every negative half with d <= 8;
+    # the oracle's W of every positive half is a positive one
     halves = [
-        (bound, beta, sign)
+        (bound, beta)
         for d in range(1, 9)
         for beta, bound in itertools.product(enumerate_id(d), repeat=2)
-        for sign, leq in ((-1, id_leq(bound, beta)), (+1, id_leq(beta, bound)))
-        if leq
+        if id_leq(bound, beta)
     ]
-    assert len(halves) == 17576
-    wrong = [half for half in halves if not is_signed_plane_set(grassmannian._half_bound(*half[:2]), half[2])]
+    assert len(halves) == 8788
+    wrong = [half for half in halves if not is_signed_plane_set(tuple(zip(*grassmannian._half_bound(*half))), -1)]
     assert wrong == []
+    wrong = [half for half in halves if not is_signed_plane_set(half_bound(mirror(half[0]), mirror(half[1])), +1)]
+    assert wrong == []
+
+
+def test_mirror_is_an_order_reversing_involution_through_d6():
+    pairs = 0
+    for d in range(1, 7):
+        elements = enumerate_id(d)
+        assert sorted(map(mirror, elements), key=lambda v: v.entries) == list(elements)
+        for v in elements:
+            assert mirror(mirror(v)) == v, v
+        for v, w in itertools.product(elements, repeat=2):
+            assert id_leq(v, w) == id_leq(mirror(w), mirror(v)), (v, w)
+            pairs += 1
+    assert pairs == 1365
+
+
+def test_phi_maps_the_roots_of_beta_onto_those_of_its_mirror_through_d8():
+    # negative roots onto positive ones and back, and chains onto chains
+    chains = 0
+    for d in range(1, 9):
+        for beta in enumerate_id(d):
+            neg, pos = split_chain(roots_of(beta), beta)
+            m_neg, m_pos = split_chain(roots_of(mirror(beta)), mirror(beta))
+            assert sorted(phi(p, d) for p in neg) == sorted(m_pos), beta
+            assert sorted(phi(p, d) for p in pos) == sorted(m_neg), beta
+            assert all(phi(phi(p, d), d) == p for p in roots_of(beta)), beta
+            mirrored = [frozenset(phi(p, d) for p in chain) for chain in enumerate_extended_chains(pos)]
+            assert set(mirrored) == set(map(frozenset, enumerate_extended_chains(m_neg))), beta
+            chains += len(mirrored)
+    assert chains == 19665
+
+
+def test_mirrored_positive_halves_equal_the_direct_positive_rule_through_d7(package_caches):
+    # _minimal_bad_chains reads a positive half as phi of the negative half
+    # of (mirror(gamma), mirror(beta)); the oracle decides each positive
+    # chain from obrsk's down set by w and by boundedness against W
+    halves = 0
+    for d in range(1, 8):
+        for beta in enumerate_id(d):
+            rows = positive_chain_rows(beta)
+            for gamma in enumerate_id(d):
+                if id_leq(beta, gamma):
+                    mirrored = grassmannian._minimal_bad_chains(gamma, beta, ChainSign.PLUS)
+                    assert len(set(mirrored)) == len(mirrored)
+                    assert set(mirrored) == positive_half(gamma, beta, rows), (gamma, beta)
+                    halves += 1
+    assert halves == 2353
+
+
+def test_rows_leq_decides_every_chain_as_the_formal_differences_do_through_d6(package_caches):
+    # the one counting order against the paper's, on formal differences, at
+    # every chain decision of every half: a negative chain's up set against
+    # T, and a positive chain's down set (direct rule) against W
+    decisions = 0
+    for d in range(1, 7):
+        for beta in enumerate_id(d):
+            negative = grassmannian._signed_chains(beta)
+            positive = positive_chain_rows(beta)
+            for bound in enumerate_id(d):
+                if id_leq(bound, beta):
+                    t = half_bound(bound, beta)
+                    for chain, (_, operand) in negative.items():
+                        up = up_down(chain_image(chain, d))[0]
+                        assert operand == (proj1(up), proj2(up)), (beta, chain)
+                        expected = diff_leq(plane_diff(t), plane_diff(up))
+                        assert rows_leq(grassmannian._half_bound(bound, beta), operand) == expected
+                        decisions += 1
+                if id_leq(beta, bound):
+                    w = half_bound(bound, beta)
+                    for chain, (_, down) in positive.items():
+                        expected = diff_leq(plane_diff(down), plane_diff(w))
+                        assert rows_leq((proj1(down), proj2(down)), (proj1(w), proj2(w))) == expected
+                        decisions += 1
+    assert decisions == 39856
 
 
 def test_chain_in_chains_set_d2():
@@ -453,8 +538,8 @@ def test_defining_chains_d2():
 def test_defining_chains_routes_disagree(monkeypatch, package_caches):
     # flip the boundedness route: every chain of roots now disagrees with
     # the chain-membership route
-    original = grassmannian.diff_leq
-    monkeypatch.setattr(grassmannian, "diff_leq", lambda *args: not original(*args))
+    original = grassmannian.rows_leq
+    monkeypatch.setattr(grassmannian, "rows_leq", lambda *args: not original(*args))
     alpha, beta, gamma = ide((1, 2, 3), 3), ide((1, 4, 5), 3), ide((3, 5, 6), 3)
     with pytest.raises(VerificationError, match="disagree"):
         defining_chains(alpha, beta, gamma)
@@ -467,8 +552,8 @@ def test_defining_chains_routes_disagree_when_w_is_wrong(monkeypatch, package_ca
     # chain as good, while in the point case every chain is bad
     original = grassmannian._signed_chains
 
-    def wrong_w(beta, sign):
-        return {chain: (beta, operand) for chain, (_, operand) in original(beta, sign).items()}
+    def wrong_w(beta):
+        return {chain: (beta, operand) for chain, (_, operand) in original(beta).items()}
 
     beta = ide((1, 4, 5), 3)
     assert defining_chains(beta, beta, beta)
@@ -518,8 +603,8 @@ def reference_defining_chains(alpha, beta, gamma):
     # one triple at a time: every sign-pure chain of roots decided by the
     # membership route and by boundedness of its image by (T, W), which must
     # agree; the minimal bad chains kept
-    t = grassmannian._half_bound(alpha, beta)
-    w = grassmannian._half_bound(gamma, beta)
+    t = half_bound(alpha, beta)
+    w = half_bound(gamma, beta)
     bad = []
     for part in split_chain(roots_of(beta), beta):
         for chain in enumerate_extended_chains(part):

@@ -3,18 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from obrsk.errors import MinusNotSet, ValidationError
-from obrsk.multisets import (
-    FormalDiff,
-    count_le,
-    diff_leq,
-    duality_conflict,
-    enumerate_extended_chains,
-    nat_multiset,
-    plane_diff,
-    plane_multiset,
-)
-from oracles import is_chain
+from obrsk.errors import ValidationError
+from obrsk.multisets import duality_conflict, enumerate_extended_chains, nat_multiset, plane_multiset
+from oracles import FormalDiff, MinusNotSet, count_le, diff_leq, is_chain, plane_diff
 
 EMPTY_DIFF = FormalDiff((), ())
 

@@ -13,12 +13,17 @@ from obrsk.tableaux import (
     iota,
     row_sign,
     sign_split,
-    up_down,
     validate_row_strict,
     validate_semistandard,
     validate_skew_symmetric,
 )
-from oracles import bitableau_bounded_by, enumerate_even_bitableaux, row_diffs_weakly_increase, sorted_row_sign
+from oracles import (
+    bitableau_bounded_by,
+    enumerate_even_bitableaux,
+    row_diffs_weakly_increase,
+    sorted_row_sign,
+    up_down,
+)
 
 
 def bt(p_rows, q_rows):
