@@ -15,12 +15,11 @@ from .tableaux import (
     NotchedTableau,
     SignKind,
     classify_sign,
-    iota,
     validate_row_strict,
     validate_semistandard,
     validate_skew_symmetric,
 )
-from .arrays import L_involution, SkewPair, TwoRowArray, psi, psi_inv, split_parts, validate_skew_pair
+from .arrays import SkewPair, TwoRowArray, psi_inv, validate_skew_pair
 from .correspondence import forward_step, obrsk, obrsk_inverse, obrsk_negative_steps, reverse_step, robrsk
 from .grassmannian import (
     ChainSign,

@@ -19,14 +19,20 @@ subject to six conditions:
         d_{t+1-i} < c_{t+1-i} and a_i > b_i forces d_{t+1-i} > c_{t+1-i}.
 
 The pair is negative when a_i < b_i for every i, positive when a_i > b_i.
+
+psi_inv rebuilds the canonical pair from the points of its columns, a
+pi1 column (b, a) read as (a, b) and a pi2 column (c, d) as (d, c).  The
+paper's psi (a pair to its points), its involution L and the split into
+negative and positive parts are stated in tests/oracles.py; the
+correspondence reads the columns of a pair directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidPair, LengthMismatch, VanishingColumn
-from .multisets import duality_conflict, plane_multiset
+from .errors import LengthMismatch
+from .multisets import duality_conflict
 
 
 @dataclass(frozen=True)
@@ -156,49 +162,13 @@ def is_negative_pair(p):
     return all(x < y for x, y in zip(p.a, p.b)) and not validate_skew_pair(p)
 
 
-def psi(p):
-    """Forget column order: pi1 columns become points (a_i, b_i), pi2 columns
-    points (d_i, c_i).  Returns the pair of plane multisets (U1, U2)."""
-    u1 = plane_multiset(zip(p.a, p.b))
-    u2 = plane_multiset(zip(p.d, p.c))
-    return u1, u2
-
-
 def psi_inv(u1, u2):
-    """Rebuild the canonical skew pair: pi1 columns (b, a) sorted by b then a
-    descending; pi2 columns (c, d) sorted by d then c descending."""
+    """Rebuild the canonical skew pair from its columns' points: pi1 columns
+    (b, a), read off the points (a, b) of u1, sorted by b then a descending;
+    pi2 columns (c, d), read off the points (d, c) of u2, sorted by d then c
+    descending."""
     if len(u1) != len(u2):
         raise LengthMismatch(f"|U1| = {len(u1)} != |U2| = {len(u2)}")
     cols1 = sorted(((b, a) for a, b in u1), key=lambda col: (-col[0], -col[1]))
     cols2 = sorted(((c, d) for d, c in u2), key=lambda col: (-col[1], -col[0]))
     return SkewPair.from_columns(cols1, cols2)
-
-
-def L_involution(p):
-    """Swap the rows of each array, then restore the canonical column orders
-    (pi1 lexicographic, transpose of pi2 lexicographic).  Exchanges negative
-    and positive pairs and is an involution."""
-    u1, u2 = psi(p)
-    return psi_inv(tuple((b, a) for a, b in u1), tuple((c, d) for d, c in u2))
-
-
-def split_parts(p):
-    """Split a valid pair into its negative and positive parts.
-
-    Columns of pi1 with a_i < b_i go to the negative part together with their
-    dual pi2 columns (index t+1-i), order preserved; the rest, with a_i > b_i,
-    form the positive part.  A column with a_i == b_i has no sign.  Each
-    array's columns are read once and filtered by sign.
-    """
-    cols1, cols2 = p.pi1.columns(), p.pi2.columns()
-    if any(a == b for b, a in cols1):
-        raise VanishingColumn("a column with equal entries has no sign")
-    if any(d == c for c, d in cols2):
-        raise VanishingColumn("a dual column with equal entries has no sign")
-    neg1 = [(b, a) for b, a in cols1 if a < b]
-    neg2 = [(c, d) for c, d in cols2 if d < c]
-    if len(neg1) != len(neg2):
-        raise InvalidPair("negative columns of pi1 and pi2 do not match up")
-    pos1 = [(b, a) for b, a in cols1 if a > b]
-    pos2 = [(c, d) for c, d in cols2 if d > c]
-    return SkewPair.from_columns(neg1, neg2), SkewPair.from_columns(pos1, pos2)

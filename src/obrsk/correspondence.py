@@ -12,15 +12,32 @@ P and Q are walked together, one row at a time: the entry at forward
 position i of a row of P (i-th from the left) matches the entry at backward
 position i of the same row of Q (i-th from the right), which has the same
 length.  forward_step and reverse_step are the one step each way.
+
+Both maps work on columns.  obrsk reads each pi1 column (b, a) with its dual
+pi2 column (c, d) as one step (a, b, c, d) and walks two blocks: the
+negative steps (a < b) in the pair's order, and the positive steps (a > b),
+taken with their (a, b) descending and each swapped to (b, a, d, c).  The
+image stacks the negative block on top of the positive block flipped, P and
+Q swapped and the rows reversed (_flip).  This is the paper's composition
+read column by column.  The paper splits the pair into its negative and
+positive parts and maps the positive part through L, which swaps the rows
+of each array and restores the canonical column orders (so pi1's columns
+come with the old (a, b) descending), and then through iota, which is the
+flip.  L keeps each column opposite its dual: the duality map is strictly
+decreasing, so pi1's columns in descending order put their duals in
+ascending order.  iota's check that its argument is nonvanishing holds by
+construction.  tests/oracles.py states split_parts, L and iota, and the
+tests check obrsk against their composition.  obrsk_inverse undoes each
+block by reverse steps and rebuilds the pair from its columns' points.
 """
 
 from __future__ import annotations
 
 import bisect
 
-from .arrays import SkewPair, psi_inv, split_parts, validate_skew_pair, L_involution
-from .errors import BoundViolation, EmptyBitableau, InvalidPair, NotNegative, PathShapeMismatch
-from .tableaux import EMPTY_BITABLEAU, NotchedBitableau, NotchedTableau, SignKind, classify_sign, iota, sign_split
+from .arrays import SkewPair, psi_inv, validate_skew_pair
+from .errors import BoundViolation, EmptyBitableau, InvalidPair, NotNegative, PathShapeMismatch, VanishingColumn
+from .tableaux import EMPTY_BITABLEAU, NotchedBitableau, NotchedTableau, SignKind, classify_sign
 
 
 def forward_step(bit, a, b, c, d):
@@ -50,22 +67,31 @@ def forward_step(bit, a, b, c, d):
     return NotchedBitableau(NotchedTableau(prows), NotchedTableau(qrows))
 
 
-def _negative_image(p):
-    """The correspondence on a negative skew pair, which is not checked."""
-    bit = EMPTY_BITABLEAU
-    for bit in obrsk_negative_steps(p):
-        pass
-    return bit
+def _walk(steps):
+    """The bitableaux that the forward steps (a, b, c, d) build one at a
+    time from the empty one, which comes first."""
+    bits = [EMPTY_BITABLEAU]
+    for a, b, c, d in steps:
+        bits.append(forward_step(bits[-1], a, b, c, d))
+    return bits
+
+
+def _column_steps(p):
+    """The step (a, b, c, d) of each pi1 column (b, a) and its dual pi2
+    column (c, d), in pi1's order."""
+    return list(zip(p.a, p.b, reversed(p.c), reversed(p.d)))
 
 
 def obrsk_negative_steps(p):
-    """Yield the intermediate bitableaux of the correspondence on a negative
-    pair, one per column."""
-    t = p.width
-    bit = EMPTY_BITABLEAU
-    for i in range(t):
-        bit = forward_step(bit, p.a[i], p.b[i], p.c[t - 1 - i], p.d[t - 1 - i])
-        yield bit
+    """The intermediate bitableaux of the correspondence on a negative pair,
+    one per column."""
+    return _walk(_column_steps(p))[1:]
+
+
+def _flip(bit):
+    """Swap P and Q and reverse the rows: the paper's iota, without its
+    check that bit is nonvanishing."""
+    return NotchedBitableau(NotchedTableau(bit.Q.rows[::-1]), NotchedTableau(bit.P.rows[::-1]))
 
 
 def reverse_step(bit):
@@ -101,7 +127,7 @@ def reverse_step(bit):
 
 def robrsk(bit):
     """Invert the correspondence on a negative skew-symmetric bitableau."""
-    kind = sign_split(bit)[0]
+    kind = classify_sign(bit).kind
     if not bit.is_empty and kind is not SignKind.NEGATIVE:
         raise NotNegative(f"bitableau is {kind.value}, not negative")
     return SkewPair.from_columns(*_preimage_columns(bit))
@@ -122,21 +148,26 @@ def _preimage_columns(bit):
 
 
 def obrsk(p):
-    """The correspondence on an arbitrary valid skew pair.
+    """The correspondence on an arbitrary valid skew pair, by columns (see
+    the module docstring).
 
-    The negative part maps directly; the positive part maps through the two
-    involutions (iota after the correspondence after L); the image stacks the
-    negative block on top of the positive block.
+    A column with a = b has no sign and is refused.  A dual column with
+    c = d needs no refusal of its own: by (vi) its column has a = b.
     """
     violations = validate_skew_pair(p)
     if violations:
         raise InvalidPair("; ".join(violations))
-    neg, pos = split_parts(p)
-    neg_bit = _negative_image(neg)
-    pos_bit = iota(_negative_image(L_involution(pos)))
+    steps = _column_steps(p)
+    if any(a == b for a, b, _, _ in steps):
+        raise VanishingColumn("a column with equal entries has no sign")
+    neg = _walk(step for step in steps if step[0] < step[1])[-1]
+    # a step's dual (c, d) follows from its (a, b), so sorting whole steps
+    # sorts by (a, b)
+    pos = _walk((b, a, d, c) for a, b, c, d in sorted(steps, reverse=True) if a > b)[-1]
+    flipped = _flip(pos)
     return NotchedBitableau(
-        NotchedTableau(neg_bit.P.rows + pos_bit.P.rows),
-        NotchedTableau(neg_bit.Q.rows + pos_bit.Q.rows),
+        NotchedTableau(neg.P.rows + flipped.P.rows),
+        NotchedTableau(neg.Q.rows + flipped.Q.rows),
     )
 
 
@@ -144,23 +175,19 @@ def obrsk_inverse(bit):
     """Invert the correspondence on a nonvanishing skew-symmetric bitableau.
 
     classify_sign is the one validation.  The negative block is inverted as
-    robrsk inverts it; the positive block as obrsk images it, through iota
-    and L.  Both preimages are taken as psi's points, and one psi_inv
-    rebuilds the pair from their union.  iota's own check of the positive
-    block is implied: a block of rows of a skew-symmetric bitableau is
-    skew-symmetric, and classify_sign has found every row of it positive.
-    psi's check of the entries is implied too, as validate_semistandard has
-    found every entry an int >= 1.
+    robrsk inverts it, and the positive block is flipped back and inverted
+    the same way.  Both preimages are taken as points, and one psi_inv
+    rebuilds the pair from their union, which puts the positive columns
+    back in pi1's order.  A block of rows of a skew-symmetric bitableau is
+    skew-symmetric, and classify_sign has found every row of the positive
+    block positive, so the flip needs no check.
     """
     cls = classify_sign(bit)
     if cls.kind is SignKind.VANISHING:
         raise NotNegative("only nonvanishing bitableaux are in the image")
-    pos = cls.positive_part
     neg1, neg2 = _preimage_columns(cls.negative_part)
-    # iota of the positive block, built without its check
-    flipped = NotchedBitableau(NotchedTableau(pos.Q.rows[::-1]), NotchedTableau(pos.P.rows[::-1]))
-    pos1, pos2 = _preimage_columns(flipped)
-    # psi reads a pi1 column (b, a) as the point (a, b) and a pi2 column
-    # (c, d) as (d, c); L swaps the coordinates of every point, so each
-    # positive column, read as it stands, is already its point
+    pos1, pos2 = _preimage_columns(_flip(cls.positive_part))
+    # a pi1 column (b, a) is the point (a, b) and a pi2 column (c, d) the
+    # point (d, c); a positive step was swapped, so each positive column,
+    # read as it stands, is already its point
     return psi_inv([(a, b) for b, a in neg1] + pos1, [(d, c) for c, d in neg2] + pos2)

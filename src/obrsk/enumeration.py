@@ -12,14 +12,16 @@ sort of each width's or shape's objects restores the order in which a plain
 generate-and-filter over sorted column (or row) tuples would visit them.
 The conditions are the validators' own: dual_column_violations and
 column_duality_pairs for a column and its dual, row_sign, row_duality_pairs
-and rows_leq for a row pair, duality_conflict over the pairs so far.  A kind
-of bitableau is chosen by the row signs it allows.
+and rows_leq for a row pair, and duality_conflict, through a table of
+bitmasks, over the pairs so far.  A kind of bitableau is chosen by the row
+signs it allows.
 
-The bitableau search checks the duality map by bitmask.  The map is
-consistent exactly when every two of its (value, dual value) pairs are, so
-duality_conflict is asked once about each two points while the tables are
-built, and a row pair then fits a prefix when none of its points is in the
-OR of the prefix's conflict masks.
+Both searches check the duality map by bitmask (_duality_masks).  The map
+is consistent exactly when every two of its (value, dual value) pairs are,
+so duality_conflict is asked once about each two points while the tables
+are built.  A column pair or row pair of a table is consistent in itself,
+and it fits a prefix when none of its points is in the OR of the prefix's
+conflict masks.
 """
 
 from __future__ import annotations
@@ -32,6 +34,38 @@ from .multisets import duality_conflict
 from .tableaux import NotchedBitableau, NotchedTableau, row_duality_pairs, row_sign, rows_leq, validate_skew_symmetric
 
 
+def _duality_masks(max_entry):
+    """A function from a list of (value, dual value) pairs with entries
+    <= max_entry to (the OR of their points' bits, the OR of their conflict
+    masks), or None when two of them conflict.
+
+    Each point has one bit, and a conflict mask of the points it conflicts
+    with, found by duality_conflict on the two points.  A well-defined
+    strictly decreasing map is a condition on every two of its pairs
+    (duality_conflict reports a conflict between neighbours in sorted order,
+    and a map with none between neighbours has none at all).  So a list of
+    pairs is consistent when none of its points is in the OR of its conflict
+    masks, and two consistent lists are consistent together when neither's
+    points meet the other's conflict masks.
+    """
+    points = [(v, d) for v in range(1, max_entry + 1) for d in range(1, max_entry + 1)]
+    bits = {point: 1 << i for i, point in enumerate(points)}
+    conflicts = dict.fromkeys(points, 0)
+    for p, q in itertools.combinations(points, 2):
+        if duality_conflict([p, q]) is not None:
+            conflicts[p] |= bits[q]
+            conflicts[q] |= bits[p]
+
+    def masks(pairs):
+        ored_points = ored_conflicts = 0
+        for point in pairs:
+            ored_points |= bits[point]
+            ored_conflicts |= conflicts[point]
+        return None if ored_points & ored_conflicts else (ored_points, ored_conflicts)
+
+    return masks
+
+
 def enumerate_skew_pairs(max_entry, max_width, pi1_column):
     """All valid skew pairs of width 1..max_width with entries <= max_entry
     whose pi1 columns (b, a) all satisfy pi1_column, in generate-and-filter
@@ -42,29 +76,37 @@ def enumerate_skew_pairs(max_entry, max_width, pi1_column):
     pi2 column t-1-i, its dual.  So the pi1 columns come greatest first and
     their duals least first, which keeps pi1 and the transpose of pi2
     lexicographic.  A dual is drawn only from the pi2 columns that fit its
-    pi1 column, and a column pair is added only while the duality map (v)
-    over the columns so far has no conflict.  validate_skew_pair is the
-    final check on every pair built, and a sort of each width's pairs
-    restores the order.
+    pi1 column and whose column pair's duality pairs are consistent among
+    themselves, and a column pair is added only while its points meet none
+    of the prefix's conflict masks.  validate_skew_pair is the final check
+    on every pair built, and a sort of each width's pairs restores the
+    order.
     """
     values = range(max_entry, 0, -1)
     columns = [(x, y) for x in values for y in values]  # greatest first
     pi1_columns = [col for col in columns if pi1_column(col)]
+    masks = _duality_masks(max_entry)
     # the pi2 columns, as (d, c) least first, that may sit opposite each pi1
-    # column, and the duality pairs of each such column pair (the positions
-    # 0, 0 only label messages, and only their absence counts)
+    # column, and the masks of each such column pair (the positions 0, 0
+    # only label messages, and only their absence counts)
     fitting = []
     for col1 in pi1_columns:
-        duals = [(d, c) for d, c in reversed(columns) if not dual_column_violations(col1, (c, d), 0, 0)]
-        fitting.append((duals, [column_duality_pairs(col1, (c, d)) for d, c in duals]))
+        duals, dual_masks = [], []
+        for d, c in reversed(columns):
+            if not dual_column_violations(col1, (c, d), 0, 0):
+                col_masks = masks(column_duality_pairs(col1, (c, d)))
+                if col_masks is not None:
+                    duals.append((d, c))
+                    dual_masks.append(col_masks)
+        fitting.append((duals, dual_masks))
     by_width = [[] for _ in range(max_width + 1)]
 
-    def extend(cols1, cols2, start, pairs):
+    def extend(cols1, cols2, start, prefix_conflicts):
         for i in range(start, len(pi1_columns)):
-            duals, dual_pairs = fitting[i]
+            duals, dual_masks = fitting[i]
             for j in range(bisect.bisect_left(duals, cols2[-1]) if cols2 else 0, len(duals)):
-                new_pairs = pairs + dual_pairs[j]
-                if duality_conflict(new_pairs) is not None:
+                col_points, col_conflicts = dual_masks[j]
+                if col_points & prefix_conflicts:
                     continue
                 new1, new2 = cols1 + [pi1_columns[i]], cols2 + [duals[j]]
                 p = SkewPair(
@@ -74,9 +116,9 @@ def enumerate_skew_pairs(max_entry, max_width, pi1_column):
                 if not validate_skew_pair(p):
                     by_width[len(new1)].append(p)
                 if len(new1) < max_width:
-                    extend(new1, new2, i, new_pairs)
+                    extend(new1, new2, i, prefix_conflicts | col_conflicts)
 
-    extend([], [], 0, [])
+    extend([], [], 0, 0)
     for pairs in by_width:
         pairs.sort(key=lambda p: (tuple(zip(p.b, p.a)), tuple(zip(p.d, p.c))), reverse=True)
     return [p for pairs in by_width for p in pairs]
@@ -103,24 +145,20 @@ def even_shapes(max_boxes):
     return shapes
 
 
-def _row_pairs(max_entry, k, signs, bits, conflicts):
+def _row_pairs(max_entry, k, signs, masks):
     """The (P row, Q row) pairs of length k that can sit in one row: both
     strictly increasing with entries <= max_entry, row_sign in signs and
-    the in-row duality map consistent.  Each comes with the OR of its
-    row_duality_pairs' bits and the OR of their conflict masks."""
+    the in-row duality map consistent.  Each comes with the masks of its
+    row_duality_pairs."""
     rows = list(itertools.combinations(range(1, max_entry + 1), k))
     table = []
     for prow in rows:
         for qrow in rows:
             if row_sign(prow, qrow) not in signs:
                 continue
-            pairs = row_duality_pairs(prow, qrow)
-            if duality_conflict(pairs) is None:
-                points = row_conflicts = 0
-                for point in pairs:
-                    points |= bits[point]
-                    row_conflicts |= conflicts[point]
-                table.append(((prow, qrow), points, row_conflicts))
+            row_masks = masks(row_duality_pairs(prow, qrow))
+            if row_masks is not None:
+                table.append(((prow, qrow), *row_masks))
     return table
 
 
@@ -130,31 +168,14 @@ def _bitableaux(max_entry, max_boxes, signs):
     by shape as even_shapes lists them, then by the P rows and the Q rows.
 
     A bitableau is built one row pair at a time, top row first, from the
-    row pairs that fit.  A row pair is added only while the duality map over
-    all rows so far has no conflict and the row differences stay weakly
-    increasing (rows_leq on the row above).  validate_skew_symmetric is the
-    final check on every bitableau built, and a sort of each shape's
+    row pairs that fit.  A row pair is added only while its points meet
+    none of the prefix's conflict masks and the row differences stay
+    weakly increasing (rows_leq on the row above).  validate_skew_symmetric
+    is the final check on every bitableau built, and a sort of each shape's
     bitableaux restores the order.
-
-    The duality map is checked by bitmask.  Each point (value, dual value)
-    with both entries <= max_entry has one bit, and a conflict mask of the
-    points it conflicts with, found by duality_conflict on the two points.
-    A well-defined strictly decreasing map is a condition on every two of
-    its pairs (duality_conflict reports a conflict between neighbours in
-    sorted order, and a map with none between neighbours has none at all),
-    and each row pair of the table is consistent in itself.  So a row pair
-    fits a consistent prefix exactly when none of its points is in the OR
-    of the prefix's conflict masks, and duality_conflict runs only while
-    the tables are built.
     """
-    points = [(v, d) for v in range(1, max_entry + 1) for d in range(1, max_entry + 1)]
-    bits = {point: 1 << i for i, point in enumerate(points)}
-    conflicts = dict.fromkeys(points, 0)
-    for p, q in itertools.combinations(points, 2):
-        if duality_conflict([p, q]) is not None:
-            conflicts[p] |= bits[q]
-            conflicts[q] |= bits[p]
-    tables = {k: _row_pairs(max_entry, k, signs, bits, conflicts) for k in range(2, max_boxes + 1, 2)}
+    masks = _duality_masks(max_entry)
+    tables = {k: _row_pairs(max_entry, k, signs, masks) for k in range(2, max_boxes + 1, 2)}
     by_shape = {shape: [] for shape in even_shapes(max_boxes)}
 
     def extend(prows, qrows, last, prefix_conflicts, room):

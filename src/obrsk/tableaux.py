@@ -162,7 +162,7 @@ def row_sign(prow, qrow):
     Both rows must be strictly increasing, so that their i-th entries are
     their i-th smallest and they are zipped as they stand.  Every caller
     passes such rows: the bitableau search passes combinations, and
-    sign_split passes the rows of a validated bitableau.
+    classify_sign passes the rows of a validated bitableau.
 
     Entrywise domination is strictly stronger than comparing P_i - Q_i to the
     empty difference in the counting order, and it is the notion under which
@@ -176,55 +176,37 @@ def row_sign(prow, qrow):
     return 0
 
 
-def sign_split(b):
-    """(kind, n_neg) of a skew-symmetric bitableau: its SignKind as
-    classify_sign defines it, and the number of negative rows on top (0
-    unless the kind is NEGATIVE or NONVANISHING).
-
-    The negative rows are always on top.  A negative row has
-    |P_i<=z| >= |Q_i<=z| at every z, so P_i - Q_i <= () - () in the counting
-    order, and a positive row has P_i - Q_i >= () - ().  A semistandard
-    bitableau's row differences weakly increase downwards, so a positive
-    row above a negative one would put both differences between () - ()
-    and itself: equal to it, so P_i = Q_i, and such a row has no sign (an
-    empty row reads as negative, never positive)."""
-    if not validate_skew_symmetric(b):
-        raise NotSkewSymmetric("sign classification needs a skew-symmetric bitableau")
-    if b.is_empty:
-        return SignKind.NONVANISHING, 0
-    signs = [row_sign(prow, qrow) for prow, qrow in zip(b.P.rows, b.Q.rows)]
-    if 0 in signs:
-        return SignKind.VANISHING, 0
-    n_neg = signs.count(-1)
-    if n_neg == len(signs):
-        return SignKind.NEGATIVE, n_neg
-    if n_neg == 0:
-        return SignKind.POSITIVE, n_neg
-    return SignKind.NONVANISHING, n_neg
-
-
 def classify_sign(b):
     """Classify a skew-symmetric bitableau by the signs of its rows.
 
-    All rows negative gives NEGATIVE, all positive POSITIVE; a clean split
-    (negative rows above positive ones) gives NONVANISHING with the two
-    blocks; any row without a sign gives VANISHING.  The empty bitableau
-    counts as NONVANISHING with two empty parts.
+    All rows negative gives NEGATIVE, all positive POSITIVE; negative rows
+    above positive ones give NONVANISHING with the two blocks; any row
+    without a sign gives VANISHING.  The empty bitableau counts as
+    NONVANISHING with two empty parts.
+
+    The negative rows are always on top, so the blocks are split at the
+    number of negative rows.  A negative row has |P_i<=z| >= |Q_i<=z| at
+    every z, so P_i - Q_i <= () - () in the counting order, and a positive
+    row has P_i - Q_i >= () - ().  A semistandard bitableau's row
+    differences weakly increase downwards, so a positive row above a
+    negative one would put both differences between () - () and itself:
+    equal to it, so P_i = Q_i, and such a row has no sign (an empty row
+    reads as negative, never positive).
     """
-    kind, n_neg = sign_split(b)
-    if kind is SignKind.VANISHING:
-        return SignClassification(kind, None, None)
+    if not validate_skew_symmetric(b):
+        raise NotSkewSymmetric("sign classification needs a skew-symmetric bitableau")
+    if b.is_empty:
+        return SignClassification(SignKind.NONVANISHING, EMPTY_BITABLEAU, EMPTY_BITABLEAU)
+    signs = [row_sign(prow, qrow) for prow, qrow in zip(b.P.rows, b.Q.rows)]
+    if 0 in signs:
+        return SignClassification(SignKind.VANISHING, None, None)
+    n_neg = signs.count(-1)
+    if n_neg == len(signs):
+        kind = SignKind.NEGATIVE
+    elif n_neg == 0:
+        kind = SignKind.POSITIVE
+    else:
+        kind = SignKind.NONVANISHING
     neg = NotchedBitableau(NotchedTableau(b.P.rows[:n_neg]), NotchedTableau(b.Q.rows[:n_neg]))
     pos = NotchedBitableau(NotchedTableau(b.P.rows[n_neg:]), NotchedTableau(b.Q.rows[n_neg:]))
     return SignClassification(kind, neg, pos)
-
-
-def iota(b):
-    """The sign-reversing involution: swap P and Q and reverse the row order."""
-    if sign_split(b)[0] is SignKind.VANISHING:
-        raise NotSkewSymmetric("iota is only defined on nonvanishing bitableaux")
-    return NotchedBitableau(
-        NotchedTableau(b.Q.rows[::-1]),
-        NotchedTableau(b.P.rows[::-1]),
-    )
-

@@ -147,11 +147,32 @@ MUTANTS = (
         "tests/test_tableaux.py::test_row_sign_equals_the_sorted_entries_definition",
     ),
     Mutant(
-        "vanishing dual column let through",
-        "src/obrsk/arrays.py",
-        'if any(d == c for c, d in cols2):\n        raise VanishingColumn("a dual column with equal entries has no sign")\n    ',
+        "pair-search prefix conflicts not carried",
+        "src/obrsk/enumeration.py",
+        "prefix_conflicts | col_conflicts",
+        "col_conflicts",
+        "tests/test_enumeration.py::test_pair_search_builds_only_what_it_keeps",
+    ),
+    Mutant(
+        "vanishing column let through",
+        "src/obrsk/correspondence.py",
+        'if any(a == b for a, b, _, _ in steps):\n        raise VanishingColumn("a column with equal entries has no sign")\n    ',
         "",
-        "tests/test_arrays.py::test_split_parts_vanishing_dual_column",
+        "tests/test_correspondence.py::test_obrsk_refuses_a_vanishing_column",
+    ),
+    Mutant(
+        "positive steps in pair order",
+        "src/obrsk/correspondence.py",
+        "sorted(steps, reverse=True)",
+        "steps",
+        "tests/test_correspondence.py::test_obrsk_is_the_paper_composition_on_every_small_nonvanishing_pair",
+    ),
+    Mutant(
+        "positive block not flipped",
+        "src/obrsk/correspondence.py",
+        "flipped = _flip(pos)",
+        "flipped = pos",
+        "tests/test_correspondence.py::test_obrsk_is_the_paper_composition_on_every_small_nonvanishing_pair",
     ),
     Mutant(
         "forward step bumps past an equal entry",

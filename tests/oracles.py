@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import obrsk.enumeration as enumeration
-from obrsk.arrays import SkewPair, psi_inv, split_parts, validate_skew_pair
-from obrsk.correspondence import obrsk
-from obrsk.errors import DimensionMismatch, MixedSigns, NotSkewSymmetric, ValidationError
+from obrsk.arrays import SkewPair, psi_inv, validate_skew_pair
+from obrsk.correspondence import forward_step, obrsk
+from obrsk.errors import DimensionMismatch, InvalidPair, MixedSigns, NotSkewSymmetric, ValidationError, VanishingColumn
 from obrsk.grassmannian import (
     ChainSign,
     IdElement,
@@ -26,9 +26,9 @@ from obrsk.grassmannian import (
     w_of_chain,
 )
 from obrsk.ideal import _rref, monomials_of_degree, pfaffian_generator
-from obrsk.multisets import enumerate_extended_chains, nat_multiset, plane_multiset
+from obrsk.multisets import enumerate_extended_chains, nat_multiset
 from obrsk.polynomials import SparsePoly, term_order
-from obrsk.tableaux import SignKind, classify_sign, iota
+from obrsk.tableaux import EMPTY_BITABLEAU, NotchedBitableau, NotchedTableau, SignKind, classify_sign
 
 
 class MinusNotSet(ValidationError):
@@ -38,6 +38,19 @@ class MinusNotSet(ValidationError):
 def count_le(entries, z):
     """Number of entries <= z in a sorted tuple."""
     return bisect.bisect_right(entries, z)
+
+
+def plane_multiset(points):
+    """Normalize an iterable of (x, y) pairs into a sorted tuple of tuples.
+
+    Every entry must be an int >= 1; a bool, a float or any other number is
+    refused, not converted."""
+    out = [(x, y) for x, y in points]
+    for x, y in out:
+        if type(x) is not int or type(y) is not int or x < 1 or y < 1:
+            raise ValidationError(f"plane multiset entries must be positive integers, got {(x, y)!r}")
+    out.sort()
+    return tuple(out)
 
 
 def proj1(points):
@@ -97,6 +110,75 @@ def up_down(b):
     up = plane_multiset(zip(sorted(b.P.rows[0]), sorted(b.Q.rows[0])))
     down = plane_multiset(zip(sorted(b.P.rows[-1]), sorted(b.Q.rows[-1])))
     return up, down
+
+
+def psi(p):
+    """Forget column order: pi1 columns become points (a_i, b_i), pi2 columns
+    points (d_i, c_i).  Returns the pair of plane multisets (U1, U2)."""
+    u1 = plane_multiset(zip(p.a, p.b))
+    u2 = plane_multiset(zip(p.d, p.c))
+    return u1, u2
+
+
+def L_involution(p):
+    """Swap the rows of each array, then restore the canonical column orders
+    (pi1 lexicographic, transpose of pi2 lexicographic).  Exchanges negative
+    and positive pairs and is an involution."""
+    u1, u2 = psi(p)
+    return psi_inv(tuple((b, a) for a, b in u1), tuple((c, d) for d, c in u2))
+
+
+def split_parts(p):
+    """Split a valid pair into its negative and positive parts.
+
+    Columns of pi1 with a_i < b_i go to the negative part together with their
+    dual pi2 columns (index t+1-i), order preserved; the rest, with a_i > b_i,
+    form the positive part.  A column or a dual column with equal entries
+    has no sign, and the negative columns of the two arrays must match up.
+    """
+    cols1, cols2 = p.pi1.columns(), p.pi2.columns()
+    if any(a == b for b, a in cols1):
+        raise VanishingColumn("a column with equal entries has no sign")
+    if any(d == c for c, d in cols2):
+        raise VanishingColumn("a dual column with equal entries has no sign")
+    neg1 = [(b, a) for b, a in cols1 if a < b]
+    neg2 = [(c, d) for c, d in cols2 if d < c]
+    if len(neg1) != len(neg2):
+        raise InvalidPair("negative columns of pi1 and pi2 do not match up")
+    pos1 = [(b, a) for b, a in cols1 if a > b]
+    pos2 = [(c, d) for c, d in cols2 if d > c]
+    return SkewPair.from_columns(neg1, neg2), SkewPair.from_columns(pos1, pos2)
+
+
+def iota(b):
+    """The sign-reversing involution on nonvanishing bitableaux: swap P and
+    Q and reverse the row order."""
+    if classify_sign(b).kind is SignKind.VANISHING:
+        raise NotSkewSymmetric("iota is only defined on nonvanishing bitableaux")
+    return NotchedBitableau(NotchedTableau(b.Q.rows[::-1]), NotchedTableau(b.P.rows[::-1]))
+
+
+def negative_image(p):
+    """The image of a negative pair: one forward step for each pi1 column i
+    with its dual pi2 column t-1-i, from the empty bitableau."""
+    t = p.width
+    bit = EMPTY_BITABLEAU
+    for i in range(t):
+        bit = forward_step(bit, p.a[i], p.b[i], p.c[t - 1 - i], p.d[t - 1 - i])
+    return bit
+
+
+def paper_obrsk(p):
+    """The correspondence composed as the paper composes it: split the pair,
+    map the negative part by forward steps, and the positive part through L,
+    forward steps and iota; stack the negative image on the positive one."""
+    neg, pos = split_parts(p)
+    neg_bit = negative_image(neg)
+    pos_bit = iota(negative_image(L_involution(pos)))
+    return NotchedBitableau(
+        NotchedTableau(neg_bit.P.rows + pos_bit.P.rows),
+        NotchedTableau(neg_bit.Q.rows + pos_bit.Q.rows),
+    )
 
 
 def determinant(a):

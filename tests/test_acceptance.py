@@ -9,7 +9,7 @@ import time
 from collections import Counter
 from functools import lru_cache
 
-from obrsk.arrays import L_involution, psi, psi_inv, split_parts
+from obrsk.arrays import psi_inv
 from obrsk.cli import ideal_main
 from obrsk.correspondence import obrsk, robrsk
 from obrsk.enumeration import enumerate_negative_bitableaux, enumerate_negative_pairs, enumerate_nonvanishing_pairs
@@ -20,16 +20,19 @@ from obrsk.polynomials import TermOrder
 from obrsk.tableaux import (
     SignKind,
     classify_sign,
-    iota,
     validate_skew_symmetric,
 )
 from oracles import (
+    L_involution,
     determinant,
     diff_leq,
     enumerate_bound_sets,
+    iota,
     order_disagreements,
     pair_up_down_sets,
     plane_diff,
+    psi,
+    split_parts,
     up_down,
 )
 

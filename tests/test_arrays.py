@@ -1,17 +1,9 @@
 import pytest
 
-from obrsk.arrays import (
-    L_involution,
-    SkewPair,
-    TwoRowArray,
-    is_negative_pair,
-    psi,
-    psi_inv,
-    split_parts,
-    validate_skew_pair,
-)
+from obrsk.arrays import SkewPair, TwoRowArray, is_negative_pair, psi_inv, validate_skew_pair
 from obrsk.enumeration import enumerate_negative_pairs, enumerate_nonvanishing_pairs
 from obrsk.errors import InvalidPair, LengthMismatch, VanishingColumn
+from oracles import L_involution, psi, split_parts
 
 
 def test_width_mismatch():

@@ -39,7 +39,7 @@ from obrsk.grassmannian import (
     split_chain,
     w_of_chain,
 )
-from obrsk.tableaux import iota
+from oracles import iota
 
 ROOT = Path(__file__).resolve().parent.parent
 

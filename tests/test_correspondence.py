@@ -4,8 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import obrsk.correspondence as correspondence
-from obrsk.arrays import SkewPair, TwoRowArray, psi, validate_skew_pair
+from obrsk.arrays import SkewPair, TwoRowArray, validate_skew_pair
 from obrsk.correspondence import (
     forward_step,
     obrsk,
@@ -23,11 +22,13 @@ from obrsk.enumeration import (
 from obrsk.errors import (
     BoundViolation,
     EmptyBitableau,
+    InvalidPair,
     NotNegative,
     NotSemistandard,
     NotSkewSymmetric,
     PathShapeMismatch,
     ValidationError,
+    VanishingColumn,
 )
 from obrsk.tableaux import (
     EMPTY_BITABLEAU,
@@ -37,6 +38,7 @@ from obrsk.tableaux import (
     classify_sign,
     validate_skew_symmetric,
 )
+from oracles import L_involution, iota, negative_image, paper_obrsk
 
 
 def bt(p_rows, q_rows):
@@ -94,8 +96,8 @@ def test_forward_step_matches_fixture(worked_pair, worked_steps):
 
 
 def test_obrsk_negative_fixture(worked_pair, worked_bitableau):
-    # the negative part's image, as obrsk takes it
-    assert correspondence._negative_image(worked_pair) == worked_bitableau
+    # the negative part's image, as the paper's composition takes it
+    assert negative_image(worked_pair) == worked_bitableau
 
 
 def test_obrsk_negative_steps_fixture(worked_pair, worked_steps):
@@ -152,8 +154,6 @@ def test_robrsk_fixture(worked_pair, worked_bitableau):
 
 
 def test_robrsk_rejects_positive(worked_bitableau):
-    from obrsk.tableaux import iota
-
     with pytest.raises(NotNegative):
         robrsk(iota(worked_bitableau))
 
@@ -201,10 +201,33 @@ def test_obrsk_general_restricts_to_negative(worked_pair, worked_bitableau):
 
 
 def test_obrsk_positive_pair(worked_pair, worked_bitableau):
-    from obrsk.arrays import L_involution
-    from obrsk.tableaux import iota
-
     assert obrsk(L_involution(worked_pair)) == iota(worked_bitableau)
+
+
+def test_obrsk_refuses_a_vanishing_column():
+    # valid, but a column with a = b has no sign
+    p = SkewPair(TwoRowArray((2,), (2,)), TwoRowArray((5,), (5,)))
+    assert validate_skew_pair(p) == []
+    with pytest.raises(VanishingColumn, match="a column with equal entries"):
+        obrsk(p)
+
+
+def test_obrsk_refuses_a_vanishing_dual_column_as_invalid():
+    # by (vi), a dual column with c = d stands opposite a column with a = b,
+    # so opposite a negative column it breaks (vi) and the pair is invalid
+    with pytest.raises(InvalidPair, match="column 1 negative but dual column 1 not"):
+        obrsk(SkewPair(TwoRowArray((2,), (1,)), TwoRowArray((5,), (5,))))
+
+
+def test_obrsk_is_the_paper_composition_on_every_small_nonvanishing_pair():
+    # the paper splits a pair into its parts, maps the positive part through
+    # L, forward steps and iota, and stacks the two images; obrsk walks the
+    # columns in two blocks instead, and must give the same bitableau
+    pairs = enumerate_nonvanishing_pairs(7, 3)
+    assert len(pairs) == 6833
+    assert sum(1 for p in pairs if len({a < b for a, b in zip(p.a, p.b)}) == 2) == 4271  # both signs
+    for p in pairs:
+        assert obrsk(p) == paper_obrsk(p), p
 
 
 def test_obrsk_single_positive_column():

@@ -140,36 +140,28 @@ def test_enumerators_build_few_candidates(monkeypatch, name, args):
     assert built <= 10 * len(kept), f"{built} candidates built for {len(kept)} kept"
 
 
-def twelve_per_kept(args, kept):
-    return 12 * kept
-
-
-def bitableau_tables(args, kept):
-    # one check per two points (value, dual value) with entries <= max_entry
-    # and one per row pair of each even length's table, whatever is kept
-    max_entry, max_boxes = args
-    rows = sum(math.comb(max_entry, k) ** 2 for k in range(2, max_boxes + 1, 2))
-    return math.comb(max_entry**2, 2) + rows
+def duality_table(args, kept):
+    # one check per two points (value, dual value) with entries <= max_entry,
+    # whatever is kept
+    return math.comb(args[0] ** 2, 2)
 
 
 @pytest.mark.parametrize(
     "name, args, bound",
     [
-        ("enumerate_negative_pairs", (6, 3), twelve_per_kept),
-        ("enumerate_nonvanishing_pairs", (6, 3), twelve_per_kept),
-        ("enumerate_negative_bitableaux", (6, 6), bitableau_tables),
-        ("enumerate_nonvanishing_bitableaux", (6, 6), bitableau_tables),
-        ("enumerate_negative_bitableaux", (7, 6), bitableau_tables),
-        ("enumerate_nonvanishing_bitableaux", (7, 6), bitableau_tables),
+        ("enumerate_negative_pairs", (6, 3), duality_table),
+        ("enumerate_nonvanishing_pairs", (6, 3), duality_table),
+        ("enumerate_negative_bitableaux", (6, 6), duality_table),
+        ("enumerate_nonvanishing_bitableaux", (6, 6), duality_table),
+        ("enumerate_negative_bitableaux", (7, 6), duality_table),
+        ("enumerate_nonvanishing_bitableaux", (7, 6), duality_table),
     ],
 )
 def test_enumerators_check_the_duality_map_few_times(monkeypatch, name, args, bound):
-    # a pair search that tries each column pair once per prefix makes 4.5 to
-    # 6.6 checks per kept pair here; one that takes every pi1 column tuple
-    # first and searches its partners under it makes 36 to 122.  The
-    # bitableau search checks the map only while it builds its tables and
-    # then prunes every prefix by bitmask, so its checks do not grow with
-    # the number of prefixes
+    # both searches check the map only while they build the table of point
+    # conflicts, and then prune every column pair, row pair and prefix by
+    # bitmask, so their checks do not grow with the number of prefixes or
+    # with the number kept
     checks = 0
 
     def counting(pairs):
@@ -181,6 +173,25 @@ def test_enumerators_check_the_duality_map_few_times(monkeypatch, name, args, bo
     kept = getattr(enumeration, name)(*args)
     assert kept
     assert checks <= bound(args, len(kept)), f"{checks} duality-map checks for {len(kept)} kept"
+
+
+@pytest.mark.parametrize("name", ["enumerate_negative_pairs", "enumerate_nonvanishing_pairs"])
+@pytest.mark.parametrize("args", [(6, 3), (7, 3)])
+def test_pair_search_builds_only_what_it_keeps(monkeypatch, name, args):
+    # every prune is exact: the column orders are kept by construction, a
+    # dual column that breaks (iii), (iv) or (vi) is never drawn, and a
+    # column pair that conflicts with itself or with any column pair of the
+    # prefix is never built
+    built = []
+
+    def recording(*a):
+        built.append(SkewPair(*a))
+        return built[-1]
+
+    monkeypatch.setattr(enumeration, "SkewPair", recording)
+    kept = getattr(enumeration, name)(*args)
+    assert kept
+    assert Counter(built) == Counter(kept)
 
 
 @pytest.mark.parametrize("name", ["enumerate_negative_bitableaux", "enumerate_nonvanishing_bitableaux"])

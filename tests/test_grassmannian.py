@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import obrsk.grassmannian as grassmannian
-from obrsk.arrays import L_involution, psi_inv, validate_skew_pair
+from obrsk.arrays import psi_inv, validate_skew_pair
 from obrsk.correspondence import obrsk, obrsk_negative_steps
 from obrsk.errors import (
     BoundsNotComparable,
@@ -28,15 +28,17 @@ from obrsk.grassmannian import (
     w_of_chain,
 )
 from obrsk.ideal import verify_main_theorem
-from obrsk.tableaux import iota, rows_leq
+from obrsk.tableaux import rows_leq
 from oracles import (
     FormalDiff,
+    L_involution,
     Region,
     bitableau_bounded_by,
     chain_in_chains_set,
     chain_pair,
     diff_leq,
     half_bound,
+    iota,
     is_signed_plane_set,
     plane_diff,
     positive_chain_rows,

@@ -10,9 +10,7 @@ from obrsk.tableaux import (
     NotchedTableau,
     SignKind,
     classify_sign,
-    iota,
     row_sign,
-    sign_split,
     validate_row_strict,
     validate_semistandard,
     validate_skew_symmetric,
@@ -20,6 +18,7 @@ from obrsk.tableaux import (
 from oracles import (
     bitableau_bounded_by,
     enumerate_even_bitableaux,
+    iota,
     row_diffs_weakly_increase,
     sorted_row_sign,
     up_down,
@@ -170,26 +169,26 @@ def reference_sign_kind(b):
     return SignKind.NONVANISHING
 
 
-def test_sign_split_and_iota_agree_with_the_row_signs_on_every_even_bitableau():
-    # iota reads the sign kind through sign_split, which classify_sign also
-    # uses; it raises on exactly the vanishing bitableaux, and classify_sign's
-    # parts stack back to the whole.  No bitableau has a positive row above a
-    # negative one (sign_split's docstring says why), so sign_split does not
+def test_classify_sign_and_iota_agree_with_the_row_signs_on_every_even_bitableau():
+    # the oracle iota reads the sign kind through classify_sign; it raises
+    # on exactly the vanishing bitableaux, and classify_sign's parts stack
+    # back to the whole.  No bitableau has a positive row above a negative
+    # one (classify_sign's docstring says why), so classify_sign does not
     # look for one
     bitableaux = enumerate_even_bitableaux(6, 4)
     kinds = Counter()
     for b in bitableaux:
         signs = [row_sign(p, q) for p, q in zip(b.P.rows, b.Q.rows)]
         assert not any(s1 > 0 > s2 for s1, s2 in itertools.combinations(signs, 2)), b
-        kind, n_neg = sign_split(b)
         cls = classify_sign(b)
-        assert kind is cls.kind is reference_sign_kind(b), b
+        kind = cls.kind
+        assert kind is reference_sign_kind(b), b
         kinds[kind] += 1
         if kind is SignKind.VANISHING:
             with pytest.raises(NotSkewSymmetric):
                 iota(b)
             continue
-        assert len(cls.negative_part.P.rows) == n_neg
+        assert len(cls.negative_part.P.rows) == signs.count(-1)
         assert cls.negative_part.P.rows + cls.positive_part.P.rows == b.P.rows
         assert cls.negative_part.Q.rows + cls.positive_part.Q.rows == b.Q.rows
         assert iota(iota(b)) == b
