@@ -84,10 +84,6 @@ class SignAssertionFailure(VerificationError):
 
 # -- ideal -------------------------------------------------------------------
 
-class OddSize(ValidationError):
-    """A Pfaffian was requested for an odd-sized matrix."""
-
-
 class DimensionMismatch(ValidationError):
     pass
 

@@ -7,20 +7,20 @@ monomials of the ideal are exactly the root monomials covering a bad chain
 of the triple, and that the standard monomials (products of Pfaffians indexed
 by multichains through the interval) complement the ideal slice exactly.
 
-The patch of beta is one skew-symmetric d x d matrix on beta (_skew_patch):
-for x > y in beta, entry (x, y) is the variable of the root (x*, y), where
-x* = 2d+1-x, and entry (y, x) its negative; the diagonal is zero.  It is
-skew by construction.  Each f(theta) is the Pfaffian of its principal
-submatrix on beta - theta (pfaffian_matrix).
+Each f(theta) is the Pfaffian of the skew-symmetric matrix on beta - theta
+whose entry (x, y), for x > y, is the variable of the root (x*, y), where
+x* = 2d+1-x.  It is built straight from the perfect matchings of beta -
+theta (pfaffian_generator): each matching is one term, a product of such
+variables with the sign of its crossings, and no two matchings give the
+same monomial.
 
 Each input of the check is derived once at its key, behind one memo, and
-shared by every triple that needs it.  The term order (term_order) and the
-patch (_skew_patch) are kept per beta, every f(theta) per (theta, beta)
-(pfaffian_generator), and every product of them per (multichain, beta)
-(standard_poly); nothing takes a term order as a parameter.  A degree
-slice's monomials and column map are kept per (number of variables, degree)
-(_slice_columns), and the columns of a monomial times every multiplier per
-(monomial, degree) (_shifted_columns).
+shared by every triple that needs it.  The term order (term_order) is kept
+per beta, every f(theta) per (theta, beta) (pfaffian_generator), and every
+product of them per (multichain, beta) (standard_poly); nothing takes a
+term order as a parameter.  A degree slice's monomials and column map are
+kept per (number of variables, degree) (_slice_columns), and the columns of
+a monomial times every multiplier per (monomial, degree) (_shifted_columns).
 Every f(theta), and every product of them, has integer coefficients;
 rationals appear only in elimination, where _rref normalises a pivot row.
 
@@ -47,7 +47,7 @@ from functools import lru_cache
 from math import comb
 from operator import add, sub
 
-from .errors import DimensionMismatch, OddSize, ValidationError
+from .errors import DimensionMismatch, ValidationError
 from .grassmannian import _check_triple, defining_chains, enumerate_id, id_leq
 # perfbench/tracing.py patches ideal.is_quotient_monomial, so the name stays importable here
 from .grassmannian import is_quotient_monomial  # noqa: F401
@@ -55,78 +55,36 @@ from .polynomials import SparsePoly, term_order
 
 
 @lru_cache(maxsize=None)
-def _skew_patch(beta):
-    """The patch of beta as one d x d matrix keyed by pairs (x, y) of beta:
-    entry (x, y) is the patch entry at row x* = 2d+1-x, outside beta, and
-    column y.  For x > y, (x*, y) is a root and the entry its variable
-    X(x*, y); entry (y, x) is its negative and the diagonal is zero, so the
-    matrix is skew-symmetric by construction.  Memoised: one entry per
-    beta, at most |I(d)| = 2^(d-1) per d."""
-    order = term_order(beta)
-    full = 2 * beta.d + 1
-    patch = {(x, x): SparsePoly.zero(order) for x in beta.entries}
-    for y, x in itertools.combinations(beta.entries, 2):  # y < x
-        root = SparsePoly.variable(order, (full - x, y))
-        patch[x, y] = root
-        patch[y, x] = -root
-    return patch
-
-
-def pfaffian(a):
-    """Combinatorial Pfaffian of a skew-symmetric matrix of polynomials: the
-    signed sum over perfect matchings, expanded along the first row.  Each
-    partial product is a list of (exponent tuple, coefficient) pairs, and
-    the finished products are added into one dict."""
-    n = len(a)
-    if n == 0:
-        raise OddSize("empty matrix: use the constant 1 directly")
-    order = a[0][0].order
-    if n % 2:
-        raise OddSize(f"Pfaffian of odd size {n}")
-    total = {}
-
-    def expand(indices, partial):
-        if not indices:
-            for mono, c in partial:
-                total[mono] = total.get(mono, 0) + c
-            return
-        row = a[indices[0]]
-        for pos in range(1, len(indices)):
-            terms = row[indices[pos]].terms
-            if not terms:
-                continue
-            sign = 1 if pos % 2 else -1
-            product = [(tuple(map(add, m1, m2)), sign * c1 * c2) for m1, c1 in partial for m2, c2 in terms]
-            expand(indices[1:pos] + indices[pos + 1:], product)
-
-    expand(tuple(range(n)), [((0,) * order.nvars, 1)])
-    return SparsePoly.from_dict(order, total)
-
-
-def pfaffian_matrix(theta, beta):
-    """The skew-symmetric matrix of the pair (theta, beta): the principal
-    submatrix of the patch of beta (_skew_patch) on beta - theta, greatest
-    first.  Its rows are the patch rows theta - beta = {x* : x in beta -
-    theta}, ascending."""
-    keys = sorted(set(beta.entries) - set(theta.entries), reverse=True)
-    rows = len(set(theta.entries) - set(beta.entries))
-    n = len(keys)
-    if rows != n:
-        raise DimensionMismatch(f"{rows} rows vs {n} columns")
-    if n % 2:
-        raise OddSize(f"odd difference size {n} for theta, beta in I(d)")
-    patch = _skew_patch(beta)
-    return [[patch[x, y] for y in keys] for x in keys]
-
-
-@lru_cache(maxsize=None)
 def pfaffian_generator(theta, beta):
     """The Pfaffian polynomial f(theta) attached to theta relative to beta,
-    over term_order(beta).  Memoised: the cache holds at most |I(d)|^2
-    entries per d, 256 at d = 5 and 16,384 at d = 8."""
-    if theta.entries == beta.entries:
-        return SparsePoly.constant(term_order(beta), 1)
-    return pfaffian(pfaffian_matrix(theta, beta))
+    over term_order(beta): the signed sum over the perfect matchings of
+    beta - theta, expanded along the first row with the keys greatest first.
+    Pairing the first key x with the key y at position pos contributes the
+    variable of the root (x*, y), x* = 2d+1-x, and the sign alternates with
+    pos.  No two matchings share a monomial, so each finished matching is
+    one term; theta = beta is the empty matching, the constant 1.  Memoised:
+    the cache holds at most |I(d)|^2 entries per d, 256 at d = 5 and 16,384
+    at d = 8."""
+    if theta.d != beta.d:
+        raise DimensionMismatch(f"theta in I({theta.d}) against beta in I({beta.d})")
+    order = term_order(beta)
+    index = order.index
+    full = 2 * beta.d + 1
+    total = {}
+
+    def expand(keys, sign, mono):
+        if not keys:
+            total[tuple(mono)] = sign
+            return
+        x = keys[0]
+        for pos in range(1, len(keys)):
+            i = index[full - x, keys[pos]]
+            mono[i] = 1
+            expand(keys[1:pos] + keys[pos + 1:], sign if pos % 2 else -sign, mono)
+            mono[i] = 0
+
+    expand(sorted(set(beta.entries) - set(theta.entries), reverse=True), 1, [0] * order.nvars)
+    return SparsePoly.from_dict(order, total)
 
 
 def beta_degree(theta, beta):

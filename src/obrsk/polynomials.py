@@ -112,15 +112,6 @@ class SparsePoly:
             return cls.zero(order)
         return cls(order, (((0,) * order.nvars, _exact(c)),))
 
-    @classmethod
-    def variable(cls, order, root, coeff=1):
-        coeff = _exact(coeff)
-        if coeff == 0:
-            return cls.zero(order)
-        mono = [0] * order.nvars
-        mono[order.index[root]] = 1
-        return cls(order, ((tuple(mono), coeff),))
-
     @property
     def is_zero(self):
         return not self.terms

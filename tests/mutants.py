@@ -66,6 +66,21 @@ MUTANTS = (
         "initial_matches_chains=True,",
         "tests/test_cli.py::test_verify_main_exits_3_when_a_degree_fails",
     ),
+    # the Pfaffian generators
+    Mutant(
+        "matching sign not alternated",
+        "src/obrsk/ideal.py",
+        "sign if pos % 2 else -sign",
+        "sign",
+        "tests/test_ideal.py::test_pfaffian_squared_is_determinant",
+    ),
+    Mutant(
+        "different d let through",
+        "src/obrsk/ideal.py",
+        'if theta.d != beta.d:\n        raise DimensionMismatch(f"theta in I({theta.d}) against beta in I({beta.d})")\n    ',
+        "",
+        "tests/test_ideal.py::test_pfaffian_rejects_odd_size",
+    ),
     # the chain side and the degree slices
     Mutant(
         "minimality filter dropped",

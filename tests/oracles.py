@@ -263,18 +263,24 @@ def patch_entry(beta, r, c):
     if reg is Region.DIAG:
         return SparsePoly.zero(order)
     if reg is Region.BELOW:
-        return SparsePoly.variable(order, hash_reflect((r, c), beta.d), -1)
-    return SparsePoly.variable(order, (r, c))
+        return variable(order, hash_reflect((r, c), beta.d), -1)
+    return variable(order, (r, c))
 
 
-def patch_disagreements(beta, matrix):
-    """The pairs (x, y) of beta, in order, where matrix, keyed by such pairs,
-    differs from the patch entry at row x* = 2d+1-x and column y.  Empty
-    exactly when matrix is the patch rule read on the rows outside beta."""
-    full = 2 * beta.d + 1
-    return [
-        (x, y) for x in beta.entries for y in beta.entries if matrix[x, y] != patch_entry(beta, full - x, y)
-    ]
+def variable(order, root, coeff=1):
+    """coeff times the variable of root, as a polynomial over order."""
+    mono = [0] * order.nvars
+    mono[order.index[root]] = 1
+    return SparsePoly.from_dict(order, {tuple(mono): coeff})
+
+
+def pfaffian_matrix(theta, beta):
+    """The skew matrix whose Pfaffian is f(theta), read off the paper's
+    2d x d patch: its rows theta - beta ascending, its columns beta - theta
+    greatest first, so row i is the reflection x* = 2d+1-x of column i."""
+    rows = sorted(set(theta.entries) - set(beta.entries))
+    cols = sorted(set(beta.entries) - set(theta.entries), reverse=True)
+    return [[patch_entry(beta, r, c) for c in cols] for r in rows]
 
 
 def pfaffian_product(thetas, beta):

@@ -20,6 +20,7 @@ from obrsk.ideal import (  # noqa: E402
     standard_poly,
 )
 from obrsk.polynomials import SparsePoly, term_order  # noqa: E402
+from oracles import variable  # noqa: E402
 
 
 def ide(entries, d):
@@ -144,7 +145,7 @@ def test_rank_with_leaves_the_slice_unchanged():
     # a multiple of a generator lies in the slice and adds nothing
     g = min((g for _, g in gens if not g.is_zero), key=SparsePoly.degree)
     order = term_order(beta)
-    x = SparsePoly.variable(order, order.variables[0])
+    x = variable(order, order.variables[0])
     while g.degree() < 2:
         g = g * x
     assert s.rank_with([g]) == dim
@@ -158,10 +159,10 @@ def test_one_term_generators_among_pfaffians_match_sympy(extra):
     order = term_order(beta)
     pfaffians = [pfaffian_generator(t, beta) for t in enumerate_id(5) if beta_degree(t, beta) == 2]
     assert len(pfaffians) == 5 and all(len(g.terms) == 3 for g in pfaffians)
-    x = [SparsePoly.variable(order, v) for v in order.variables]
+    x = [variable(order, v) for v in order.variables]
     hand = {
         "degree two": x[0] * x[3],
-        "coefficient -3": SparsePoly.variable(order, order.variables[1], -3),
+        "coefficient -3": variable(order, order.variables[1], -3),
         "constant": SparsePoly.constant(order, 2),
         "zero": SparsePoly.zero(order),
     }

@@ -4,8 +4,8 @@ import pytest
 
 import obrsk.grassmannian as grassmannian
 import obrsk.ideal as ideal
-from obrsk.errors import BoundsNotComparable, DimensionMismatch, OddSize, ValidationError
-from obrsk.grassmannian import IdElement, defining_chains, enumerate_id, id_leq, is_quotient_monomial
+from obrsk.errors import BoundsNotComparable, DimensionMismatch, ValidationError
+from obrsk.grassmannian import IdElement, defining_chains, enumerate_id, id_leq, is_quotient_monomial, mirror, phi
 from obrsk.ideal import (
     DegreeSlice,
     beta_degree,
@@ -13,16 +13,14 @@ from obrsk.ideal import (
     generators,
     hilbert_counts,
     monomials_of_degree,
-    pfaffian,
     pfaffian_generator,
-    pfaffian_matrix,
     slice_size,
     standard_monomials,
     standard_poly,
     verify_main_theorem,
 )
-from obrsk.polynomials import SparsePoly, TermOrder, term_order
-from oracles import FullSlice, determinant, patch_disagreements, patch_entry, pfaffian_product
+from obrsk.polynomials import SparsePoly, term_order
+from oracles import FullSlice, determinant, patch_entry, pfaffian_matrix, pfaffian_product, variable
 
 
 def ide(entries, d):
@@ -52,10 +50,9 @@ _PATCH_5 = {
 
 
 def test_patch_matrix_d5():
-    # the paper's rule, and the skew d x d patch at (x, y) read at row x*
+    # the paper's rule, entry by entry
     beta = ide((1, 3, 4, 6, 9), 5)
     order = term_order(beta)
-    patch = ideal._skew_patch(beta)
     for r, row in _PATCH_5.items():
         for c, expected in zip(beta.entries, row):
             if expected == "1":
@@ -63,30 +60,35 @@ def test_patch_matrix_d5():
             elif expected in (".", "0"):
                 poly = SparsePoly.zero(order)
             elif expected[0] == "-":
-                poly = SparsePoly.variable(order, expected[1:], -1)
+                poly = variable(order, expected[1:], -1)
             else:
-                poly = SparsePoly.variable(order, expected)
+                poly = variable(order, expected)
             assert patch_entry(beta, r, c) == poly, (r, c)
-            if r not in beta.entries:
-                assert patch[11 - r, c] == poly, (r, c)
 
 
-def test_skew_patch_is_the_patch_rule_and_roots_are_its_pairs_through_d8(package_caches):
-    # every beta the command line accepts: the d x d patch is the paper's
-    # 2d x d rule on the rows outside beta, skew with a zero diagonal, and
-    # the roots are the positions (x*, y) with x > y in beta
+def test_degree_one_generators_are_the_patch_entries_and_roots_are_their_pairs_through_d8(package_caches):
+    # every beta the command line accepts: each pair x > y of beta is
+    # beta - theta for exactly one theta, and f(theta) is the paper's 2d x d
+    # patch entry at (x*, y); these are all the entries the Pfaffians read.
+    # The roots are the same positions (x*, y).
+    generators_checked = 0
     for d in range(1, 9):
         full = 2 * d + 1
         for beta in enumerate_id(d):
-            patch = ideal._skew_patch(beta)
-            assert sorted(patch) == sorted(itertools.product(beta.entries, repeat=2))
-            assert patch_disagreements(beta, patch) == [], beta
-            for x, y in patch:
-                assert (patch[x, y] + patch[y, x]).is_zero, (beta, x, y)
-            assert all(patch[x, x].is_zero for x in beta.entries)
-            pairs = sorted((full - x, y) for x in beta.entries for y in beta.entries if x > y)
+            by_pair = {}
+            for theta in enumerate_id(d):
+                diff = tuple(sorted(set(beta.entries) - set(theta.entries), reverse=True))
+                if len(diff) == 2:
+                    assert diff not in by_pair, (beta, diff)
+                    by_pair[diff] = theta
+            pairs = sorted((full - x, y) for x, y in by_pair)
+            assert pairs == sorted((full - x, y) for x in beta.entries for y in beta.entries if x > y)
+            for (x, y), theta in by_pair.items():
+                assert pfaffian_generator(theta, beta) == patch_entry(beta, full - x, y), (beta, x, y)
+            generators_checked += len(by_pair)
             assert list(grassmannian.roots_of(beta)) == pairs
             assert len(pairs) == d * (d - 1) // 2
+    assert generators_checked == 5630
 
 
 def test_pfaffian_generator_d2():
@@ -112,29 +114,33 @@ def test_pfaffian_generator_d4_degree_two():
 
 
 def test_pfaffian_squared_is_determinant():
-    # classical certificate Pf(A)^2 = det(A), checked exactly
-    for beta in enumerate_id(3):
-        for theta in enumerate_id(3):
-            if theta.entries == beta.entries:
-                continue
-            a = pfaffian_matrix(theta, beta)
-            pf = pfaffian(a)
-            assert (pf * pf - determinant(a)).is_zero, (theta.entries, beta.entries)
+    # Pf(A)^2 = det(A), exactly, for every pair with d <= 6: the shipped
+    # f(theta) squared against the Leibniz determinant of the matrix read off
+    # the paper's patch rule, which the package does not build
+    pairs = 0
+    for d in range(1, 7):
+        for beta in enumerate_id(d):
+            for theta in enumerate_id(d):
+                if theta.entries == beta.entries:
+                    continue
+                pf = pfaffian_generator(theta, beta)
+                assert pf * pf == determinant(pfaffian_matrix(theta, beta)), (theta.entries, beta.entries)
+                pairs += 1
+    assert pairs == 1302
 
 
 def test_pfaffian_squared_is_determinant_d4():
     beta = ide((2, 4, 6, 8), 4)
     theta = ide((1, 2, 3, 4), 4)
-    a = pfaffian_matrix(theta, beta)
-    pf = pfaffian(a)
-    assert (pf * pf - determinant(a)).is_zero
+    pf = pfaffian_generator(theta, beta)
+    assert pf * pf == determinant(pfaffian_matrix(theta, beta))
 
 
 def test_pfaffian_rejects_odd_size():
-    beta = ide((3, 4), 2)
-    order = TermOrder(beta)
-    with pytest.raises(OddSize):
-        pfaffian([[SparsePoly.zero(order)]])
+    # beta - theta = {3} has no perfect matching: theta and beta lie in
+    # different I(d), which is the one refusal the generator needs
+    with pytest.raises(DimensionMismatch):
+        pfaffian_generator(ide((1, 2), 2), ide((1, 2, 3), 3))
     # the order comes from the entries, so an empty matrix has none
     with pytest.raises(DimensionMismatch):
         determinant([])
@@ -142,15 +148,11 @@ def test_pfaffian_rejects_odd_size():
 
 def _reference_pfaffian_generator(theta, beta):
     """f(theta) by the first-row recursion through SparsePoly sums, over
-    entries of the paper's 2d x d patch (oracles.patch_entry), checked for
-    skew-symmetry here: an independent route to the skew patch and the
-    single-dict expansion of pfaffian."""
+    entries of the paper's 2d x d patch (oracles.pfaffian_matrix), checked
+    for skew-symmetry here: an independent route to the matching expansion
+    of pfaffian_generator."""
     order = term_order(beta)
-    if theta.entries == beta.entries:
-        return SparsePoly.constant(order, 1)
-    rows = sorted(set(theta.entries) - set(beta.entries))
-    cols = sorted(set(beta.entries) - set(theta.entries))[::-1]
-    a = [[patch_entry(beta, r, c) for c in cols] for r in rows]
+    a = pfaffian_matrix(theta, beta)
     n = len(a)
     for i in range(n):
         for j in range(n):
@@ -177,13 +179,33 @@ def test_pfaffian_generator_matches_the_first_row_recursion_through_d5():
                 assert f == _reference_pfaffian_generator(theta, beta), (theta, beta)
 
 
-def test_patch_with_a_wrong_sign_is_rejected():
-    # +X where the patch has -X, above the diagonal of the d x d patch,
-    # breaks the paper's rule at that position alone
-    beta = ide((1, 3, 4, 6, 9), 5)
-    patch = dict(ideal._skew_patch(beta))
-    patch[3, 6] = -patch[3, 6]
-    assert patch_disagreements(beta, patch) == [(3, 6)]
+def _mirrored(f, beta):
+    """f with each variable X(r, c) replaced by that of phi(r, c), over the
+    term order of mirror(beta)."""
+    order = term_order(beta)
+    target = term_order(mirror(beta))
+    out = {}
+    for mono, c in f.terms:
+        image = [0] * target.nvars
+        for v, e in zip(order.variables, mono):
+            if e:
+                image[target.index[phi(v, beta.d)]] = e
+        out[tuple(image)] = c
+    return SparsePoly.from_dict(target, out)
+
+
+def test_pfaffians_of_mirrored_pairs_are_their_phi_images_up_to_one_sign_through_d7(package_caches):
+    # w0 of type D: f(mu theta, mu beta) = +-phi(f(theta, beta)), with one
+    # sign for the whole polynomial of each pair
+    pairs = 0
+    for d in range(1, 8):
+        for beta in enumerate_id(d):
+            for theta in enumerate_id(d):
+                image = _mirrored(pfaffian_generator(theta, beta), beta)
+                f = pfaffian_generator(mirror(theta), mirror(beta))
+                assert f == image or f == -image, (theta, beta)
+                pairs += 1
+    assert pairs == 5461
 
 
 def test_generators_are_homogeneous_of_beta_degree():
@@ -362,7 +384,6 @@ def test_package_caches_include_the_shared_memos(package_caches):
     assert {
         term_order,
         pfaffian_generator,
-        ideal._skew_patch,
         standard_poly,
         ideal._slice_columns,
         ideal._shifted_columns,
@@ -431,16 +452,13 @@ def test_slice_columns_are_one_entry_per_degree_after_all_d4_triples(package_cac
     assert (info.currsize, info.misses) == (4, 4)
 
 
-def test_patch_is_one_entry_per_beta_after_all_d4_triples(package_caches):
+def test_each_pfaffian_is_built_once_after_all_d4_triples(package_caches):
     elements = enumerate_id(4)
     triples = [(a, b, g) for b in elements for a in elements if id_leq(a, b) for g in elements if id_leq(b, g)]
     assert len(triples) == 112
     assert all(verify_main_theorem(a, b, g, 3).passed for a, b, g in triples)
-    # each of the 8 betas has its patch built once, and each f(theta) is
-    # still built once per (theta, beta) from it
+    # each f(theta) the triples need is built once per (theta, beta)
     assert len(elements) == 8
-    info = ideal._skew_patch.cache_info()
-    assert (info.currsize, info.misses) == (8, 8)
     assert pfaffian_generator.cache_info().misses == 56
 
 

@@ -19,10 +19,9 @@ def test_package_holds_one_memo_per_key(package_caches):
         "obrsk.grassmannian.enumerate_id",
         "obrsk.grassmannian.roots_of",
         "obrsk.ideal._shifted_columns",
-        "obrsk.ideal._skew_patch",
         "obrsk.ideal._slice_columns",
         "obrsk.ideal.pfaffian_generator",
         "obrsk.ideal.standard_poly",
         "obrsk.polynomials.term_order",
     ]
-    assert len(package_caches) == 11
+    assert len(package_caches) == 10

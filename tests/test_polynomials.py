@@ -6,7 +6,7 @@ from fractions import Fraction
 from obrsk.errors import ContextMismatch
 from obrsk.grassmannian import IdElement, enumerate_id
 from obrsk.polynomials import SparsePoly, TermOrder, term_order
-from oracles import order_disagreements, var_greater
+from oracles import order_disagreements, var_greater, variable
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ def monomial(order, *roots):
     """The exponent tuple of the product of the variables of the roots."""
     product = SparsePoly.constant(order, 1)
     for root in roots:
-        product = product * SparsePoly.variable(order, root)
+        product = product * variable(order, root)
     ((mono, _),) = product.terms
     return mono
 
@@ -84,8 +84,8 @@ def test_format_mono(o5):
 
 
 def test_poly_arithmetic(o5):
-    x = SparsePoly.variable(o5, (2, 1))
-    y = SparsePoly.variable(o5, (5, 3))
+    x = variable(o5, (2, 1))
+    y = variable(o5, (5, 3))
     p = (x + y) * (x - y)
     q = x * x - y * y
     assert (p - q).is_zero
@@ -98,13 +98,13 @@ def test_poly_arithmetic(o5):
 
 def test_coefficients_stay_exact(o5):
     # ints stay ints, so products of Pfaffians never build a Fraction
-    x = SparsePoly.variable(o5, (2, 1), -2)
+    x = variable(o5, (2, 1), -2)
     assert type(SparsePoly.constant(o5, 3).terms[0][1]) is int
     assert all(type(c) is int for _, c in (x * x - x * 3).terms)
     # a bool is stored as the plain int it stands for
     for p in (
         SparsePoly.constant(o5, True),
-        SparsePoly.variable(o5, (2, 1), True),
+        variable(o5, (2, 1), True),
         SparsePoly.from_dict(o5, {x.terms[0][0]: True}),
     ):
         ((_, c),) = p.terms
@@ -113,7 +113,7 @@ def test_coefficients_stay_exact(o5):
     mono = x.terms[0][0]
     for p, exact in (
         (SparsePoly.constant(o5, 0.5), Fraction(1, 2)),
-        (SparsePoly.variable(o5, (2, 1), 0.1), Fraction(0.1)),
+        (variable(o5, (2, 1), 0.1), Fraction(0.1)),
         (SparsePoly.from_dict(o5, {mono: 1.25}), Fraction(5, 4)),
     ):
         ((_, c),) = p.terms
@@ -121,8 +121,8 @@ def test_coefficients_stay_exact(o5):
 
 
 def test_poly_str(o5):
-    x = SparsePoly.variable(o5, (2, 1))
-    y = SparsePoly.variable(o5, (5, 3))
+    x = variable(o5, (2, 1))
+    y = variable(o5, (5, 3))
     assert str(x - y) == "X2,1 - X5,3"
     assert str(SparsePoly.zero(o5)) == "0"
     assert str(SparsePoly.constant(o5, -3)) == "-3"
@@ -131,7 +131,7 @@ def test_poly_str(o5):
 def test_context_mismatch(o5):
     other = TermOrder(IdElement((1, 3, 4, 6, 9), 5))
     with pytest.raises(ContextMismatch):
-        SparsePoly.variable(o5, (2, 1)) + SparsePoly.variable(other, (2, 1))
+        variable(o5, (2, 1)) + variable(other, (2, 1))
 
 
 def test_broken_order_is_rejected(o5):
