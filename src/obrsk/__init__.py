@@ -15,12 +15,12 @@ from .tableaux import (
     NotchedTableau,
     SignKind,
     classify_sign,
-    validate_row_strict,
+    sign_split,
     validate_semistandard,
     validate_skew_symmetric,
 )
 from .arrays import SkewPair, TwoRowArray, psi_inv, validate_skew_pair
-from .correspondence import forward_step, obrsk, obrsk_inverse, obrsk_negative_steps, reverse_step, robrsk
+from .correspondence import forward_step, obrsk, obrsk_inverse, obrsk_negative_steps, robrsk, undo_step
 from .grassmannian import (
     ChainSign,
     IdElement,

@@ -7,13 +7,18 @@ Four entry points share this module:
     ideal generators|hilbert|verify-main
     fixture replay          the frozen worked example
 
-Exit codes: 0 success, 2 invalid input, 3 a verification failed.
+Exit codes: 0 success, 2 invalid input, 3 a verification failed.  A
+command's output goes to stdout when it has finished; if the reader has
+closed the pipe by then, the exit code is still the command's own.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import sys
 from multiprocessing import Pool
 
@@ -131,19 +136,35 @@ def _check_d(d):
 def _exit_code(command, args):
     """Run command(args) and return its exit code; a ValidationError gives
     EXIT_INVALID and any other ObrskError EXIT_FAILED, with the message on
-    stderr."""
+    stderr.
+
+    The command prints into a buffer, which goes to stdout when it is done,
+    so its exit code stands even if the reader has closed the pipe by then
+    (`| head -1`): the rest of the output is dropped, with no traceback."""
+    out = io.StringIO()
     try:
-        for name, value in vars(args).items():
-            # argparse turns "--opt=--" into an empty list; no option takes one
-            if isinstance(value, list):
-                raise ValidationError(f"--{name.replace('_', '-')} needs a value, got {value!r}")
-        return command(args)
+        with contextlib.redirect_stdout(out):
+            for name, value in vars(args).items():
+                # argparse turns "--opt=--" into an empty list; no option takes one
+                if isinstance(value, list):
+                    raise ValidationError(f"--{name.replace('_', '-')} needs a value, got {value!r}")
+            code = command(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        code = EXIT_INVALID
     except ObrskError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+        code = EXIT_FAILED
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is still buffered, and the interpreter's flush at exit, go to
+        # os.devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 def _parse_id(text, d):

@@ -54,7 +54,7 @@ from .correspondence import forward_step
 from .correspondence import obrsk  # noqa: F401
 from .errors import BoundsNotComparable, MixedSigns, NotInId, SignAssertionFailure, VerificationError
 from .multisets import enumerate_extended_chains
-from .tableaux import EMPTY_BITABLEAU, rows_leq
+from .tableaux import EMPTY_BITABLEAU, NotchedBitableau, NotchedTableau, rows_leq
 
 
 @dataclass(frozen=True)
@@ -147,13 +147,15 @@ def chain_image(chain, d):
     with d <= 7.
 
     obrsk consumes a negative chain's points in increasing row order, one
-    forward step each, so its image is one step from that of the chain
-    without its last point.  Memoised: one entry per chain asked for,
-    however many betas or longer chains ask for it."""
+    forward step each, so its image is one step taken on a copy of the rows
+    of the chain without its last point.  Memoised: one entry per chain
+    asked for, however many betas or longer chains ask for it."""
     (r, c), rest = chain[-1], chain[:-1]
     parent = chain_image(rest, d) if rest else EMPTY_BITABLEAU
+    prows, qrows = list(map(list, parent.P.rows)), list(map(list, parent.Q.rows))
     c_star, r_star = hash_reflect((r, c), d)
-    return forward_step(parent, r, c, r_star, c_star)
+    forward_step(prows, qrows, r, c, r_star, c_star)
+    return NotchedBitableau(NotchedTableau(prows), NotchedTableau(qrows))
 
 
 def _middle_swap(x, d):

@@ -1,30 +1,14 @@
-"""Finite multisets on N and N^2, chains of plane points, and duality maps.
+"""Chains of plane points, and duality maps.
 
-A multiset of positive integers is kept as a sorted tuple.  A plane multiset
-is a sorted tuple of (x, y) pairs of positive integers; the package builds
-its chains of points directly, and tests/oracles.py states the paper's
-normalization of a plane multiset (plane_multiset).  The counting order
-on formal differences, by which the paper compares them, is
-tableaux.rows_leq; tests/oracles.py states it on formal differences, as the
-paper defines it, and the tests check the two against each other.
+The package builds its chains of points directly.  tests/oracles.py states
+the paper's multisets: a multiset of positive integers as a sorted tuple
+(nat_multiset) and the normalization of a plane multiset (plane_multiset).
+The counting order on formal differences, by which the paper compares them,
+is tableaux.rows_leq; tests/oracles.py states it on formal differences, as
+the paper defines it, and the tests check the two against each other.
 """
 
 from __future__ import annotations
-
-from .errors import ValidationError
-
-
-def nat_multiset(entries):
-    """Normalize an iterable of positive integers into a sorted tuple.
-
-    Every entry must be an int >= 1; a bool, a float or any other number is
-    refused, not converted."""
-    out = list(entries)
-    for e in out:
-        if type(e) is not int or e < 1:
-            raise ValidationError(f"multiset entries must be positive integers, got {e!r}")
-    out.sort()
-    return tuple(out)
 
 
 def _precedes(p, q):

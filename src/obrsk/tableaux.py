@@ -6,6 +6,12 @@ notched tableaux of the same shape.  Rows of P are compared to the matching
 rows of Q through the formal difference P_i - Q_i in the counting order
 (rows_leq), and the sign of a row is its position relative to the empty
 difference () - () (all of N).
+
+validate_semistandard checks each row in one pass, for strict increase and
+for plain int entries >= 1, before it compares consecutive rows.
+sign_split validates a skew-symmetric bitableau and returns its sign kind
+with its number of negative rows, which the inverse maps split the rows at;
+classify_sign builds the two blocks from it.
 """
 
 from __future__ import annotations
@@ -13,10 +19,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import gt, lt
+from operator import ge, gt, lt
 
-from .errors import NotSemistandard, NotSkewSymmetric, ShapeMismatch
-from .multisets import duality_conflict, nat_multiset
+from .errors import NotSemistandard, NotSkewSymmetric, ShapeMismatch, ValidationError
+from .multisets import duality_conflict
+
+_INT = frozenset((int,))
 
 
 @dataclass(frozen=True)
@@ -42,14 +50,6 @@ class NotchedTableau:
 
 
 EMPTY_TABLEAU = NotchedTableau(())
-
-
-def validate_row_strict(t):
-    """True iff every row of the tableau is strictly increasing."""
-    for row in t.rows:
-        if any(a >= b for a, b in zip(row, row[1:])):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -109,16 +109,25 @@ def validate_semistandard(b):
     """Both sides row-strict and the row differences P_i - Q_i weakly
     increasing in the counting order.
 
-    Once both sides are row-strict, every entry must be an int >= 1 (a bool,
-    a float, 0 or a negative entry raises ValidationError, as nat_multiset
-    refuses it), and each two consecutive rows are compared by rows_leq.
+    One pass over the rows of P, then those of Q, checks each row for strict
+    increase and its entries for plain ints >= 1.  A row that is not strict
+    gives False at once, before any entry is refused.  Once every row is
+    strict, the first refused entry in the order P_1, Q_1, P_2, Q_2, ...
+    (a bool, a float, 0 or a negative entry) raises ValidationError, and
+    each two consecutive rows are compared by rows_leq.
     """
-    if not (validate_row_strict(b.P) and validate_row_strict(b.Q)):
-        return False
-    rows = list(zip(b.P.rows, b.Q.rows))
-    for prow, qrow in rows:
-        nat_multiset(prow)
-        nat_multiset(qrow)
+    prows, qrows = b.P.rows, b.Q.rows
+    refused = False
+    for row in prows + qrows:
+        if any(map(ge, row, row[1:])):
+            return False
+        # a strictly increasing row of ints is >= 1 when its first entry is
+        if not (_INT.issuperset(map(type, row)) and (not row or row[0] >= 1)):
+            refused = True
+    if refused:
+        entry = next(e for prow, qrow in zip(prows, qrows) for e in prow + qrow if type(e) is not int or e < 1)
+        raise ValidationError(f"multiset entries must be positive integers, got {entry!r}")
+    rows = list(zip(prows, qrows))
     return all(map(rows_leq, rows, rows[1:]))
 
 
@@ -162,7 +171,7 @@ def row_sign(prow, qrow):
     Both rows must be strictly increasing, so that their i-th entries are
     their i-th smallest and they are zipped as they stand.  Every caller
     passes such rows: the bitableau search passes combinations, and
-    classify_sign passes the rows of a validated bitableau.
+    sign_split passes the rows of a validated bitableau.
 
     Entrywise domination is strictly stronger than comparing P_i - Q_i to the
     empty difference in the counting order, and it is the notion under which
@@ -176,37 +185,49 @@ def row_sign(prow, qrow):
     return 0
 
 
-def classify_sign(b):
-    """Classify a skew-symmetric bitableau by the signs of its rows.
+def sign_split(b):
+    """The sign kind of a skew-symmetric bitableau and its number of
+    negative rows, which are its top rows: (kind, n).
 
     All rows negative gives NEGATIVE, all positive POSITIVE; negative rows
-    above positive ones give NONVANISHING with the two blocks; any row
-    without a sign gives VANISHING.  The empty bitableau counts as
-    NONVANISHING with two empty parts.
+    above positive ones give NONVANISHING; any row without a sign gives
+    VANISHING.  The empty bitableau counts as NONVANISHING with n = 0.
 
-    The negative rows are always on top, so the blocks are split at the
-    number of negative rows.  A negative row has |P_i<=z| >= |Q_i<=z| at
-    every z, so P_i - Q_i <= () - () in the counting order, and a positive
-    row has P_i - Q_i >= () - ().  A semistandard bitableau's row
-    differences weakly increase downwards, so a positive row above a
-    negative one would put both differences between () - () and itself:
-    equal to it, so P_i = Q_i, and such a row has no sign (an empty row
-    reads as negative, never positive).
+    The negative rows are always on top, so n splits the rows into the two
+    blocks.  A negative row has |P_i<=z| >= |Q_i<=z| at every z, so
+    P_i - Q_i <= () - () in the counting order, and a positive row has
+    P_i - Q_i >= () - ().  A semistandard bitableau's row differences weakly
+    increase downwards, so a positive row above a negative one would put
+    both differences between () - () and itself: equal to it, so P_i = Q_i,
+    and such a row has no sign (an empty row reads as negative, never
+    positive).
     """
     if not validate_skew_symmetric(b):
         raise NotSkewSymmetric("sign classification needs a skew-symmetric bitableau")
     if b.is_empty:
-        return SignClassification(SignKind.NONVANISHING, EMPTY_BITABLEAU, EMPTY_BITABLEAU)
-    signs = [row_sign(prow, qrow) for prow, qrow in zip(b.P.rows, b.Q.rows)]
-    if 0 in signs:
-        return SignClassification(SignKind.VANISHING, None, None)
+        return SignKind.NONVANISHING, 0
+    signs = list(map(row_sign, b.P.rows, b.Q.rows))
     n_neg = signs.count(-1)
-    if n_neg == len(signs):
+    if 0 in signs:
+        kind = SignKind.VANISHING
+    elif n_neg == len(signs):
         kind = SignKind.NEGATIVE
     elif n_neg == 0:
         kind = SignKind.POSITIVE
     else:
         kind = SignKind.NONVANISHING
+    return kind, n_neg
+
+
+def classify_sign(b):
+    """The sign kind of a skew-symmetric bitableau (sign_split) with its
+    negative and positive blocks as bitableaux; a VANISHING one has no
+    blocks, and the empty one two empty blocks."""
+    kind, n_neg = sign_split(b)
+    if kind is SignKind.VANISHING:
+        return SignClassification(kind, None, None)
+    if b.is_empty:
+        return SignClassification(kind, EMPTY_BITABLEAU, EMPTY_BITABLEAU)
     neg = NotchedBitableau(NotchedTableau(b.P.rows[:n_neg]), NotchedTableau(b.Q.rows[:n_neg]))
     pos = NotchedBitableau(NotchedTableau(b.P.rows[n_neg:]), NotchedTableau(b.Q.rows[n_neg:]))
     return SignClassification(kind, neg, pos)

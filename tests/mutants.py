@@ -185,8 +185,8 @@ MUTANTS = (
     Mutant(
         "positive block not flipped",
         "src/obrsk/correspondence.py",
-        "flipped = _flip(pos)",
-        "flipped = pos",
+        "prows += reversed(pos_q)\n    qrows += reversed(pos_p)",
+        "prows += pos_p\n    qrows += pos_q",
         "tests/test_correspondence.py::test_obrsk_is_the_paper_composition_on_every_small_nonvanishing_pair",
     ),
     Mutant(
@@ -202,6 +202,20 @@ MUTANTS = (
         "s = max(i for i, row in enumerate(qrows) if b in row)",
         "s = min(i for i, row in enumerate(qrows) if b in row)",
         "tests/test_correspondence.py::test_reverse_step_undoes_every_forward_step_of_small_negative_pairs",
+    ),
+    Mutant(
+        "sign_split miscounts negative rows",
+        "src/obrsk/tableaux.py",
+        "n_neg = signs.count(-1)",
+        "n_neg = signs.count(-1) - 1",
+        "tests/test_tableaux.py::test_sign_split_counts_the_negative_rows_on_every_even_bitableau",
+    ),
+    Mutant(
+        "semistandard check lets 0 through",
+        "src/obrsk/tableaux.py",
+        "(not row or row[0] >= 1)",
+        "(not row or row[0] >= 0)",
+        "tests/test_correspondence.py::test_codomain_checks_refuse_an_entry_that_is_not_a_positive_int",
     ),
 )
 

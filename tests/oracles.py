@@ -13,8 +13,20 @@ from enum import Enum
 
 import obrsk.enumeration as enumeration
 from obrsk.arrays import SkewPair, psi_inv, validate_skew_pair
-from obrsk.correspondence import forward_step, obrsk
-from obrsk.errors import DimensionMismatch, InvalidPair, MixedSigns, NotSkewSymmetric, ValidationError, VanishingColumn
+from obrsk.correspondence import _column_steps, obrsk
+from obrsk.errors import (
+    BoundViolation,
+    DimensionMismatch,
+    EmptyBitableau,
+    InvalidPair,
+    MixedSigns,
+    NotNegative,
+    NotSemistandard,
+    NotSkewSymmetric,
+    PathShapeMismatch,
+    ValidationError,
+    VanishingColumn,
+)
 from obrsk.grassmannian import (
     ChainSign,
     IdElement,
@@ -26,9 +38,19 @@ from obrsk.grassmannian import (
     w_of_chain,
 )
 from obrsk.ideal import _rref, monomials_of_degree, pfaffian_generator
-from obrsk.multisets import enumerate_extended_chains, nat_multiset
+from obrsk.multisets import duality_conflict, enumerate_extended_chains
 from obrsk.polynomials import SparsePoly, term_order
-from obrsk.tableaux import EMPTY_BITABLEAU, NotchedBitableau, NotchedTableau, SignKind, classify_sign
+from obrsk.tableaux import (
+    EMPTY_BITABLEAU,
+    NotchedBitableau,
+    NotchedTableau,
+    SignClassification,
+    SignKind,
+    classify_sign,
+    row_duality_pairs,
+    row_sign,
+    rows_leq,
+)
 
 
 class MinusNotSet(ValidationError):
@@ -49,6 +71,19 @@ def plane_multiset(points):
     for x, y in out:
         if type(x) is not int or type(y) is not int or x < 1 or y < 1:
             raise ValidationError(f"plane multiset entries must be positive integers, got {(x, y)!r}")
+    out.sort()
+    return tuple(out)
+
+
+def nat_multiset(entries):
+    """Normalize an iterable of positive integers into a sorted tuple.
+
+    Every entry must be an int >= 1; a bool, a float or any other number is
+    refused, not converted."""
+    out = list(entries)
+    for e in out:
+        if type(e) is not int or e < 1:
+            raise ValidationError(f"multiset entries must be positive integers, got {e!r}")
     out.sort()
     return tuple(out)
 
@@ -164,7 +199,7 @@ def negative_image(p):
     t = p.width
     bit = EMPTY_BITABLEAU
     for i in range(t):
-        bit = forward_step(bit, p.a[i], p.b[i], p.c[t - 1 - i], p.d[t - 1 - i])
+        bit = frozen_forward_step(bit, p.a[i], p.b[i], p.c[t - 1 - i], p.d[t - 1 - i])
     return bit
 
 
@@ -179,6 +214,188 @@ def paper_obrsk(p):
         NotchedTableau(neg_bit.P.rows + pos_bit.P.rows),
         NotchedTableau(neg_bit.Q.rows + pos_bit.Q.rows),
     )
+
+
+# -- the correspondence one frozen bitableau per step ------------------------
+#
+# The routes the package took before it walked the correspondence on row
+# lists: every step, forward and back, takes a bitableau and freezes a new
+# one, the sign classification builds both blocks, and the semistandard check
+# runs each row through nat_multiset.  The tests check that the package gives
+# the same results, or raises the same exception class with the same
+# message, on every input they try.
+
+
+def frozen_forward_step(bit, a, b, c, d):
+    """One forward step on a bitableau: the insertion of the module
+    docstring of obrsk.correspondence, on copies of the rows."""
+    if a >= b:
+        raise BoundViolation(f"entry {a} must be below its bound {b}")
+    prows = [list(r) for r in bit.P.rows]
+    qrows = [list(r) for r in bit.Q.rows]
+    x, y = a, c
+    for prow, qrow in zip(prows, qrows):
+        prefix = bisect.bisect_left(prow, b)
+        i = bisect.bisect_left(prow, x)
+        if i >= prefix:
+            prow.insert(prefix, x)
+            prow.append(d)
+            qrow.insert(len(qrow) - prefix, y)
+            qrow.insert(0, b)
+            break
+        j = len(qrow) - 1 - i
+        x, prow[i] = prow[i], x
+        y, qrow[j] = qrow[j], y
+    else:
+        prows.append([x, d])
+        qrows.append([b, y])
+    return NotchedBitableau(NotchedTableau(prows), NotchedTableau(qrows))
+
+
+def reverse_step(bit):
+    """Undo one forward step.  Returns (smaller bitableau, a, b, c, d): b is
+    the least entry of Q, and the step ended in the last row that holds it."""
+    if bit.is_empty:
+        raise EmptyBitableau("nothing to reverse")
+    prows = [list(r) for r in bit.P.rows]
+    qrows = [list(r) for r in bit.Q.rows]
+    b = min(e for row in qrows for e in row)
+    s = max(i for i, row in enumerate(qrows) if b in row)
+    d = prows[s].pop()
+    qrows[s].remove(b)
+    prow, qrow = prows[s], qrows[s]
+    i = bisect.bisect_left(prow, b) - 1
+    if i < 0:
+        raise PathShapeMismatch(f"row {s + 1} has no entry below the bound {b}")
+    x = prow.pop(i)
+    y = qrow.pop(len(qrow) - 1 - i)
+    for r in range(s - 1, -1, -1):
+        prow, qrow = prows[r], qrows[r]
+        i = bisect.bisect_right(prow, x) - 1
+        if i < 0 or prow[i] >= b:
+            raise PathShapeMismatch(f"no entry <= {x} below the bound {b} in row {r + 1}")
+        j = len(qrow) - 1 - i
+        x, prow[i] = prow[i], x
+        y, qrow[j] = qrow[j], y
+    while prows and not prows[-1]:
+        prows.pop()
+        qrows.pop()
+    return NotchedBitableau(NotchedTableau(prows), NotchedTableau(qrows)), x, b, y, d
+
+
+def validate_row_strict(t):
+    """True iff every row of the tableau is strictly increasing."""
+    for row in t.rows:
+        if any(a >= b for a, b in zip(row, row[1:])):
+            return False
+    return True
+
+
+def stepwise_semistandard(b):
+    """validate_semistandard: P's rows strict, then Q's; then each row's
+    entries through nat_multiset; then rows_leq on consecutive rows."""
+    if not (validate_row_strict(b.P) and validate_row_strict(b.Q)):
+        return False
+    rows = list(zip(b.P.rows, b.Q.rows))
+    for prow, qrow in rows:
+        nat_multiset(prow)
+        nat_multiset(qrow)
+    return all(map(rows_leq, rows, rows[1:]))
+
+
+def stepwise_skew_symmetric(b):
+    """validate_skew_symmetric over stepwise_semistandard."""
+    if not stepwise_semistandard(b):
+        raise NotSemistandard("skew-symmetry is only defined for semistandard bitableaux")
+    if any(k % 2 for k in b.shape):
+        return False
+    pairs = [pair for prow, qrow in zip(b.P.rows, b.Q.rows) for pair in row_duality_pairs(prow, qrow)]
+    return duality_conflict(pairs) is None
+
+
+def stepwise_classify_sign(b):
+    """classify_sign, reading every row's sign and building both blocks."""
+    if not stepwise_skew_symmetric(b):
+        raise NotSkewSymmetric("sign classification needs a skew-symmetric bitableau")
+    if b.is_empty:
+        return SignClassification(SignKind.NONVANISHING, EMPTY_BITABLEAU, EMPTY_BITABLEAU)
+    signs = [row_sign(prow, qrow) for prow, qrow in zip(b.P.rows, b.Q.rows)]
+    if 0 in signs:
+        return SignClassification(SignKind.VANISHING, None, None)
+    n_neg = signs.count(-1)
+    if n_neg == len(signs):
+        kind = SignKind.NEGATIVE
+    elif n_neg == 0:
+        kind = SignKind.POSITIVE
+    else:
+        kind = SignKind.NONVANISHING
+    neg = NotchedBitableau(NotchedTableau(b.P.rows[:n_neg]), NotchedTableau(b.Q.rows[:n_neg]))
+    pos = NotchedBitableau(NotchedTableau(b.P.rows[n_neg:]), NotchedTableau(b.Q.rows[n_neg:]))
+    return SignClassification(kind, neg, pos)
+
+
+def _walk(steps):
+    bits = [EMPTY_BITABLEAU]
+    for a, b, c, d in steps:
+        bits.append(frozen_forward_step(bits[-1], a, b, c, d))
+    return bits
+
+
+def _flip(bit):
+    return NotchedBitableau(NotchedTableau(bit.Q.rows[::-1]), NotchedTableau(bit.P.rows[::-1]))
+
+
+def stepwise_negative_steps(p):
+    """obrsk_negative_steps, freezing each step."""
+    return _walk(_column_steps(p))[1:]
+
+
+def stepwise_obrsk(p):
+    """obrsk, walking each block by frozen steps and flipping the positive
+    image as a bitableau."""
+    violations = validate_skew_pair(p)
+    if violations:
+        raise InvalidPair("; ".join(violations))
+    steps = _column_steps(p)
+    if any(a == b for a, b, _, _ in steps):
+        raise VanishingColumn("a column with equal entries has no sign")
+    neg = _walk(step for step in steps if step[0] < step[1])[-1]
+    pos = _walk((b, a, d, c) for a, b, c, d in sorted(steps, reverse=True) if a > b)[-1]
+    flipped = _flip(pos)
+    return NotchedBitableau(
+        NotchedTableau(neg.P.rows + flipped.P.rows),
+        NotchedTableau(neg.Q.rows + flipped.Q.rows),
+    )
+
+
+def _stepwise_preimage_columns(bit):
+    cols1 = []
+    cols2 = []
+    while not bit.is_empty:
+        bit, a, b, c, d = reverse_step(bit)
+        cols1.append((b, a))
+        cols2.append((c, d))
+    cols1.reverse()
+    return cols1, cols2
+
+
+def stepwise_robrsk(bit):
+    """robrsk, by reverse steps on frozen bitableaux."""
+    kind = stepwise_classify_sign(bit).kind
+    if not bit.is_empty and kind is not SignKind.NEGATIVE:
+        raise NotNegative(f"bitableau is {kind.value}, not negative")
+    return SkewPair.from_columns(*_stepwise_preimage_columns(bit))
+
+
+def stepwise_obrsk_inverse(bit):
+    """obrsk_inverse, by reverse steps on the two blocks that
+    stepwise_classify_sign builds."""
+    cls = stepwise_classify_sign(bit)
+    if cls.kind is SignKind.VANISHING:
+        raise NotNegative("only nonvanishing bitableaux are in the image")
+    neg1, neg2 = _stepwise_preimage_columns(cls.negative_part)
+    pos1, pos2 = _stepwise_preimage_columns(_flip(cls.positive_part))
+    return psi_inv([(a, b) for b, a in neg1] + pos1, [(d, c) for c, d in neg2] + pos2)
 
 
 def determinant(a):

@@ -419,6 +419,33 @@ def test_verify_main_exits_3_when_a_degree_fails(capsys, monkeypatch):
     assert out.strip().endswith("FAIL: 1 triple(s) checked")
 
 
+@pytest.mark.parametrize("fails", [False, True], ids=["passing", "failing"])
+def test_a_closed_pipe_keeps_the_verdict_of_verify_main(monkeypatch, capsys, fails):
+    # stdout is a pipe whose reader has gone, so writing to it raises
+    # BrokenPipeError; the exit code is still the verdict, and what the
+    # stream still holds goes to os.devnull
+    if fails:
+        original = ideal.chains_monomials_degree
+
+        def one_chain_monomial_short(alpha, beta, gamma, m):
+            chains = set(original(alpha, beta, gamma, m))
+            chains.discard(min(chains, default=None))
+            return chains
+
+        monkeypatch.setattr(ideal, "chains_monomials_degree", one_chain_monomial_short)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    closed = open(write_end, "w")
+    monkeypatch.setattr(sys, "stdout", closed)
+    with pytest.raises(BrokenPipeError):
+        print("x", file=closed, flush=True)
+    argv = ["verify-main", "--d", "3", "--alpha", "1,2,3", "--beta", "1,2,3", "--gamma", "2,4,6"]
+    assert ideal_main(argv) == (EXIT_FAILED if fails else EXIT_OK)
+    assert capsys.readouterr().err == ""
+    print("dropped", file=closed)
+    closed.close()
+
+
 VERDICT_TRIPLE = tuple(IdElement(e, 3) for e in ((1, 2, 3), (1, 4, 5), (2, 4, 6)))
 
 

@@ -10,8 +10,8 @@ from obrsk.correspondence import (
     obrsk,
     obrsk_inverse,
     obrsk_negative_steps,
-    reverse_step,
     robrsk,
+    undo_step,
 )
 from obrsk.enumeration import (
     enumerate_negative_bitableaux,
@@ -36,63 +36,100 @@ from obrsk.tableaux import (
     NotchedTableau,
     SignKind,
     classify_sign,
+    validate_semistandard,
     validate_skew_symmetric,
 )
-from oracles import L_involution, iota, negative_image, paper_obrsk
+from oracles import (
+    L_involution,
+    enumerate_even_bitableaux,
+    frozen_forward_step,
+    iota,
+    negative_image,
+    paper_obrsk,
+    reverse_step,
+    stepwise_classify_sign,
+    stepwise_negative_steps,
+    stepwise_obrsk,
+    stepwise_obrsk_inverse,
+    stepwise_robrsk,
+    stepwise_semistandard,
+    stepwise_skew_symmetric,
+)
 
 
 def bt(p_rows, q_rows):
     return NotchedBitableau(NotchedTableau(p_rows), NotchedTableau(q_rows))
 
 
+def rows_of(bit):
+    return [list(r) for r in bit.P.rows], [list(r) for r in bit.Q.rows]
+
+
+def step(bit, a, b, c, d):
+    """The bitableau one forward step makes of bit."""
+    prows, qrows = rows_of(bit)
+    forward_step(prows, qrows, a, b, c, d)
+    return bt(prows, qrows)
+
+
+def undo(bit):
+    """(smaller bitableau, a, b, c, d): one step of bit undone."""
+    prows, qrows = rows_of(bit)
+    a, b, c, d = undo_step(prows, qrows)
+    return bt(prows, qrows), a, b, c, d
+
+
 def test_forward_step_bump():
     # inserting 3 bounded by 14 into (4, 12): 4 is the smallest entry >= 3
     # among those below the bound, so it is bumped into a new row
-    step = forward_step(bt([[4, 12]], [[20, 30]]), 3, 14, 31, 13)
-    assert step.P.rows == ((3, 12), (4, 13))
-    assert step.Q.rows == ((20, 31), (14, 30))
+    bit = step(bt([[4, 12]], [[20, 30]]), 3, 14, 31, 13)
+    assert bit.P.rows == ((3, 12), (4, 13))
+    assert bit.Q.rows == ((20, 31), (14, 30))
 
 
 def test_forward_step_respects_bound():
     # entries >= the bound are immovable: with bound 10, the 12 stays and the
     # new entry lands at the end of the prefix of entries below 10
-    step = forward_step(bt([[3, 12]], [[20, 26]]), 7, 10, 24, 13)
-    assert step.P.rows == ((3, 7, 12, 13),)
-    assert step.Q.rows == ((10, 20, 24, 26),)
+    bit = step(bt([[3, 12]], [[20, 26]]), 7, 10, 24, 13)
+    assert bit.P.rows == ((3, 7, 12, 13),)
+    assert bit.Q.rows == ((10, 20, 24, 26),)
 
 
 def test_forward_step_cascade():
     # the bump travels downward row by row
-    step = forward_step(bt([[3, 12], [3, 12]], [[17, 25], [17, 25]]), 3, 14, 26, 15)
-    assert step.P.rows == ((3, 12), (3, 12), (3, 15))
-    assert step.Q.rows == ((17, 26), (17, 25), (14, 25))
+    bit = step(bt([[3, 12], [3, 12]], [[17, 25], [17, 25]]), 3, 14, 26, 15)
+    assert bit.P.rows == ((3, 12), (3, 12), (3, 15))
+    assert bit.Q.rows == ((17, 26), (17, 25), (14, 25))
 
 
 def test_forward_step_requires_entry_below_bound():
+    prows, qrows = [], []
     with pytest.raises(BoundViolation, match="entry 5 must be below its bound 5"):
-        forward_step(EMPTY_BITABLEAU, 5, 5, 6, 1)
+        forward_step(prows, qrows, 5, 5, 6, 1)
+    assert prows == qrows == []
 
 
 def test_forward_step_mirrors_the_path_on_q():
     # the bump at forward position 1 of P's row swaps c with the entry at
     # backward position 1 of Q's row; b goes in front of the terminal row
-    step = forward_step(bt([[4, 12]], [[17, 25]]), 3, 14, 26, 15)
-    assert step.P.rows == ((3, 12), (4, 15))
-    assert step.Q.rows == ((17, 26), (14, 25))
+    bit = step(bt([[4, 12]], [[17, 25]]), 3, 14, 26, 15)
+    assert bit.P.rows == ((3, 12), (4, 15))
+    assert bit.Q.rows == ((17, 26), (14, 25))
 
 
 def test_forward_step_matches_fixture(worked_pair, worked_steps):
-    state = EMPTY_BITABLEAU
+    prows, qrows = [], []
     t = worked_pair.width
     for i in range(t):
-        state = forward_step(
-            state,
+        forward_step(
+            prows,
+            qrows,
             worked_pair.a[i],
             worked_pair.b[i],
             worked_pair.c[t - 1 - i],
             worked_pair.d[t - 1 - i],
         )
-        assert state == worked_steps[i], f"step {i + 1}"
+        assert bt(prows, qrows) == worked_steps[i], f"step {i + 1}"
 
 
 def test_obrsk_negative_fixture(worked_pair, worked_bitableau):
@@ -105,17 +142,19 @@ def test_obrsk_negative_steps_fixture(worked_pair, worked_steps):
 
 
 def test_reverse_step_fixture(worked_steps):
-    smaller, a, b, c, d = reverse_step(worked_steps[4])
+    smaller, a, b, c, d = undo(worked_steps[4])
     assert smaller == worked_steps[3]
     assert (a, b, c, d) == (4, 9, 25, 20)
-    smaller, a, b, c, d = reverse_step(worked_steps[2])
+    smaller, a, b, c, d = undo(worked_steps[2])
     assert smaller == worked_steps[1]
     assert (a, b, c, d) == (3, 14, 26, 15)
 
 
 def test_reverse_step_empty():
     with pytest.raises(EmptyBitableau):
-        reverse_step(EMPTY_BITABLEAU)
+        undo_step([], [])
+    with pytest.raises(EmptyBitableau):
+        undo_step([[]], [[]])
 
 
 def test_reverse_step_undoes_every_forward_step_of_small_negative_pairs():
@@ -125,8 +164,8 @@ def test_reverse_step_undoes_every_forward_step_of_small_negative_pairs():
         bit = EMPTY_BITABLEAU
         for i in range(t):
             args = (bit, p.a[i], p.b[i], p.c[t - 1 - i], p.d[t - 1 - i])
-            bit = forward_step(*args)
-            assert reverse_step(bit) == args
+            bit = step(*args)
+            assert undo(bit) == args
             steps += 1
     assert steps == 3298
 
@@ -135,12 +174,25 @@ def test_forward_step_redoes_every_reverse_step_of_small_negative_bitableaux():
     bits = [b for b in enumerate_negative_bitableaux(6, 4) if not b.is_empty]
     assert len(bits) == 157
     for b in bits:
-        assert forward_step(*reverse_step(b)) == b
+        assert step(*undo(b)) == b
+
+
+def test_the_steps_each_way_equal_the_frozen_steps_of_small_negative_pairs():
+    # forward_step and undo_step change row lists in place; the reference
+    # steps take a bitableau and freeze a new one
+    for p in enumerate_negative_pairs(6, 3):
+        t = p.width
+        bit = EMPTY_BITABLEAU
+        for i in range(t):
+            args = (bit, p.a[i], p.b[i], p.c[t - 1 - i], p.d[t - 1 - i])
+            bit = step(*args)
+            assert bit == frozen_forward_step(*args)
+            assert undo(bit) == reverse_step(bit) == args
 
 
 def test_reverse_step_needs_an_entry_below_the_bound_in_the_terminal_row():
     with pytest.raises(PathShapeMismatch, match="^row 1 has no entry below the bound 1$"):
-        reverse_step(bt([[5, 6]], [[1, 2]]))
+        undo_step([[5, 6]], [[1, 2]])
 
 
 def test_obrsk_inverse_needs_an_entry_below_the_bound_in_every_row_above():
@@ -182,9 +234,10 @@ CODOMAIN_CHECKS = [validate_skew_symmetric, classify_sign, robrsk, obrsk_inverse
 @pytest.mark.parametrize("entry", [1.5, True, 0, -1])
 @pytest.mark.parametrize("side", ["P", "Q"])
 def test_codomain_checks_refuse_an_entry_that_is_not_a_positive_int(check, entry, side):
-    # the rows stay strictly increasing, so only the entry itself is wrong
+    # the rows stay strictly increasing, so only the entry itself is wrong,
+    # and it is the entry that is refused, not the row order it sets up
     bad, good = [[entry, 5], [6, 7]], [[2, 3], [4, 8]]
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=f"^multiset entries must be positive integers, got {entry!r}$"):
         check(bt(bad, good) if side == "P" else bt(good, bad))
 
 
@@ -194,6 +247,87 @@ def test_codomain_checks_refuse_a_row_that_is_not_strict(check, side):
     bad, good = [[2, 2]], [[3, 4]]
     with pytest.raises(NotSemistandard):
         check(bt(bad, good) if side == "P" else bt(good, bad))
+
+
+def outcome(f, arg):
+    """f(arg), or the class and message of the exception it raises."""
+    try:
+        return "returned", f(arg)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+BITABLEAU_ROUTES = [
+    (validate_semistandard, stepwise_semistandard),
+    (validate_skew_symmetric, stepwise_skew_symmetric),
+    (classify_sign, stepwise_classify_sign),
+    (robrsk, stepwise_robrsk),
+    (obrsk_inverse, stepwise_obrsk_inverse),
+]
+ROUTE_IDS = ["semistandard", "skew_symmetric", "classify_sign", "robrsk", "obrsk_inverse"]
+
+
+def hand_made_bitableaux():
+    """Bitableaux outside the enumerations: README's refusals, entries that
+    are not positive ints on either side and in either row, non-strict rows
+    above and below a refused entry, odd rows and empty rows."""
+    bits = [
+        bt([[1, 2]], [[4, 3]]),
+        bt([[1, 2, 3]], [[4, 5, 6]]),
+        bt([[3, 4]], [[3, 4]]),
+        bt([[1, 2], [3, 4]], [[5, 6], [3, 4]]),
+        bt([[1, 2, 3, 4], [1, 3]], [[2, 3, 4, 5], [3, 5]]),
+        bt([[5, 6]], [[1, 2]]),
+        bt([()], [()]),
+        bt([(), ()], [(), ()]),
+        bt([[1, 2], ()], [[3, 4], ()]),
+        bt([(), [1, 2]], [(), [3, 4]]),
+    ]
+    for entry in (1.5, 2.0, True, False, 0, -1, float("nan")):
+        for bad, good in (([[entry, 5], [6, 7]], [[2, 3], [4, 8]]), ([[2, 3], [4, entry]], [[5, 6], [7, 8]])):
+            bits += [bt(bad, good), bt(good, bad)]
+        # a non-strict row above the refused entry, on the same side and on
+        # the other side, and a refused entry above the non-strict row
+        bits += [
+            bt([[2, 2], [entry, 9]], [[3, 4], [5, 6]]),
+            bt([[3, 4], [entry, 9]], [[2, 2], [5, 6]]),
+            bt([[entry, 9], [2, 2]], [[3, 4], [5, 6]]),
+            bt([[1, 9], [2, 3]], [[entry, 4], [5, 6]]),
+            bt([[entry]], [[entry]]),
+        ]
+    return bits
+
+
+@pytest.fixture(scope="module")
+def codomain_bitableaux():
+    return (
+        enumerate_even_bitableaux(6, 6)
+        + enumerate_negative_bitableaux(7, 6)
+        + enumerate_nonvanishing_bitableaux(7, 6)
+        + hand_made_bitableaux()
+    )
+
+
+@pytest.mark.parametrize("route, reference", BITABLEAU_ROUTES, ids=ROUTE_IDS)
+def test_bitableau_routes_equal_the_stepwise_routes(route, reference, codomain_bitableaux):
+    # the maps walk row lists, split the signs by a count and check each
+    # bitableau in one pass; the references freeze a bitableau per step,
+    # build both sign blocks and run every row through nat_multiset
+    assert len(codomain_bitableaux) == 3737 + 1333 + 6937 + 10 + 7 * 9
+    for b in codomain_bitableaux:
+        assert outcome(route, b) == outcome(reference, b), b
+
+
+@pytest.mark.parametrize("route, reference", [(obrsk, stepwise_obrsk), (obrsk_negative_steps, stepwise_negative_steps)])
+def test_pair_routes_equal_the_stepwise_routes(route, reference):
+    pairs = enumerate_negative_pairs(7, 3) + enumerate_nonvanishing_pairs(7, 3)
+    assert len(pairs) == 1281 + 6833
+    pairs += [
+        SkewPair(TwoRowArray((2,), (2,)), TwoRowArray((5,), (5,))),
+        SkewPair(TwoRowArray((2,), (1,)), TwoRowArray((5,), (5,))),
+    ]
+    for p in pairs:
+        assert outcome(route, p) == outcome(reference, p), p
 
 
 def test_obrsk_general_restricts_to_negative(worked_pair, worked_bitableau):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from obrsk.errors import ValidationError
-from obrsk.multisets import duality_conflict, enumerate_extended_chains, nat_multiset
-from oracles import FormalDiff, MinusNotSet, count_le, diff_leq, is_chain, plane_diff, plane_multiset
+from obrsk.multisets import duality_conflict, enumerate_extended_chains
+from oracles import FormalDiff, MinusNotSet, count_le, diff_leq, is_chain, nat_multiset, plane_diff, plane_multiset
 
 EMPTY_DIFF = FormalDiff((), ())
 

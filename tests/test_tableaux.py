@@ -11,7 +11,7 @@ from obrsk.tableaux import (
     SignKind,
     classify_sign,
     row_sign,
-    validate_row_strict,
+    sign_split,
     validate_semistandard,
     validate_skew_symmetric,
 )
@@ -35,9 +35,10 @@ def test_shape_mismatch_rejected():
 
 
 def test_row_strict():
-    assert validate_row_strict(NotchedTableau([[1, 3, 7], [2, 4]]))
-    assert not validate_row_strict(NotchedTableau([[1, 3, 3]]))
-    assert validate_row_strict(NotchedTableau(()))
+    assert validate_semistandard(bt([[1, 3, 7], [2, 4]], [[1, 3, 7], [2, 4]]))
+    assert not validate_semistandard(bt([[1, 3, 3]], [[1, 2, 4]]))
+    assert not validate_semistandard(bt([[1, 2, 4]], [[1, 3, 3]]))
+    assert validate_semistandard(bt((), ()))
 
 
 def test_semistandard_fixture(worked_bitableau):
@@ -173,7 +174,7 @@ def test_classify_sign_and_iota_agree_with_the_row_signs_on_every_even_bitableau
     # the oracle iota reads the sign kind through classify_sign; it raises
     # on exactly the vanishing bitableaux, and classify_sign's parts stack
     # back to the whole.  No bitableau has a positive row above a negative
-    # one (classify_sign's docstring says why), so classify_sign does not
+    # one (sign_split's docstring says why), so classify_sign does not
     # look for one
     bitableaux = enumerate_even_bitableaux(6, 4)
     kinds = Counter()
@@ -195,6 +196,18 @@ def test_classify_sign_and_iota_agree_with_the_row_signs_on_every_even_bitableau
     assert len(bitableaux) == 767
     assert kinds[SignKind.VANISHING] == 289
     assert all(kinds[kind] for kind in SignKind)
+
+
+def test_sign_split_counts_the_negative_rows_on_every_even_bitableau():
+    # the count splits the rows where the signs turn from -1 to +1
+    for b in enumerate_even_bitableaux(6, 4):
+        kind, n_neg = sign_split(b)
+        assert kind is reference_sign_kind(b), b
+        signs = [row_sign(p, q) for p, q in zip(b.P.rows, b.Q.rows)]
+        if b.is_empty:
+            assert n_neg == 0
+        elif kind is not SignKind.VANISHING:
+            assert signs == [-1] * n_neg + [+1] * (len(signs) - n_neg), b
 
 
 def test_tableau_shape_is_its_row_lengths_and_list_rows_equal_tuple_rows():
