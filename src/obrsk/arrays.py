@@ -158,10 +158,6 @@ def validate_skew_pair(p):
     return violations
 
 
-def is_negative_pair(p):
-    return all(x < y for x, y in zip(p.a, p.b)) and not validate_skew_pair(p)
-
-
 def psi_inv(u1, u2):
     """Rebuild the canonical skew pair from its columns' points: pi1 columns
     (b, a), read off the points (a, b) of u1, sorted by b then a descending;

@@ -22,7 +22,7 @@ import os
 import sys
 from multiprocessing import Pool
 
-from .arrays import SkewPair, TwoRowArray, is_negative_pair
+from .arrays import SkewPair, TwoRowArray
 from .correspondence import obrsk, obrsk_inverse, obrsk_negative_steps
 from .errors import ObrskError, ValidationError
 from .grassmannian import (
@@ -124,7 +124,9 @@ def _read_doc(path):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: bad JSON, bytes that are not UTF-8, an integer past the
+    # digit limit; RecursionError: nesting past the recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read input: {exc}")
 
 
@@ -205,7 +207,8 @@ def _obrsk_command(args):
         pair = pair_from_json(_read_doc(args.input))
         out = bitableau_to_json(obrsk(pair))
         if args.trace:
-            if not is_negative_pair(pair):
+            # obrsk has validated the pair; the empty pair counts as negative
+            if not all(a < b for a, b in zip(pair.a, pair.b)):
                 raise ValidationError("--trace is only available for negative pairs")
             trace = []
             for i, bit in enumerate(obrsk_negative_steps(pair), start=1):

@@ -7,14 +7,16 @@ The enumeration is constructive.  It builds an object one column pair (a pi1
 column with its dual pi2 column) or one row pair (a P row with its Q row) at
 a time, and extends a prefix only while it meets the conditions that can be
 decided so far; every prefix is itself an object of a smaller width or
-shape.  It runs the full validator on every object it builds, and a final
-sort of each width's or shape's objects restores the order in which a plain
-generate-and-filter over sorted column (or row) tuples would visit them.
-The conditions are the validators' own: dual_column_violations and
-column_duality_pairs for a column and its dual, row_sign, row_duality_pairs
-and rows_leq for a row pair, and duality_conflict, through a table of
-bitmasks, over the pairs so far.  A kind of bitableau is chosen by the row
-signs it allows.
+shape.  The conditions are the validators' own: dual_column_violations
+and column_duality_pairs for a column and its dual, row_sign,
+row_duality_pairs and rows_leq for a row pair, and duality_conflict, through
+a table of bitmasks, over the pairs so far; the column and row orders hold
+by construction.  So every condition of validate_skew_pair or
+validate_skew_symmetric is met as an object is built, and every object
+built is returned, with no second check (tests/test_enumeration.py
+certifies that each one passes its validator).  One sort restores the order
+in which a plain generate-and-filter over sorted column (or row) tuples
+would visit them.  A kind of bitableau is chosen by the row signs it allows.
 
 Both searches check the duality map by bitmask (_duality_masks).  The map
 is consistent exactly when every two of its (value, dual value) pairs are,
@@ -29,9 +31,9 @@ from __future__ import annotations
 import bisect
 import itertools
 
-from .arrays import SkewPair, TwoRowArray, column_duality_pairs, dual_column_violations, validate_skew_pair
+from .arrays import SkewPair, TwoRowArray, column_duality_pairs, dual_column_violations
 from .multisets import duality_conflict
-from .tableaux import NotchedBitableau, NotchedTableau, row_duality_pairs, row_sign, rows_leq, validate_skew_symmetric
+from .tableaux import NotchedBitableau, NotchedTableau, row_duality_pairs, row_sign, rows_leq
 
 
 def _duality_masks(max_entry):
@@ -78,9 +80,8 @@ def enumerate_skew_pairs(max_entry, max_width, pi1_column):
     lexicographic.  A dual is drawn only from the pi2 columns that fit its
     pi1 column and whose column pair's duality pairs are consistent among
     themselves, and a column pair is added only while its points meet none
-    of the prefix's conflict masks.  validate_skew_pair is the final check
-    on every pair built, and a sort of each width's pairs restores the
-    order.
+    of the prefix's conflict masks.  Every pair built is returned, and one
+    sort restores the order.
     """
     values = range(max_entry, 0, -1)
     columns = [(x, y) for x in values for y in values]  # greatest first
@@ -99,7 +100,7 @@ def enumerate_skew_pairs(max_entry, max_width, pi1_column):
                     duals.append((d, c))
                     dual_masks.append(col_masks)
         fitting.append((duals, dual_masks))
-    by_width = [[] for _ in range(max_width + 1)]
+    pairs = []
 
     def extend(cols1, cols2, start, prefix_conflicts):
         for i in range(start, len(pi1_columns)):
@@ -109,19 +110,19 @@ def enumerate_skew_pairs(max_entry, max_width, pi1_column):
                 if col_points & prefix_conflicts:
                     continue
                 new1, new2 = cols1 + [pi1_columns[i]], cols2 + [duals[j]]
-                p = SkewPair(
-                    TwoRowArray(tuple(b for b, _ in new1), tuple(a for _, a in new1)),
-                    TwoRowArray(tuple(c for _, c in reversed(new2)), tuple(d for d, _ in reversed(new2))),
+                pairs.append(
+                    SkewPair(
+                        TwoRowArray(tuple(b for b, _ in new1), tuple(a for _, a in new1)),
+                        TwoRowArray(tuple(c for _, c in reversed(new2)), tuple(d for d, _ in reversed(new2))),
+                    )
                 )
-                if not validate_skew_pair(p):
-                    by_width[len(new1)].append(p)
                 if len(new1) < max_width:
                     extend(new1, new2, i, prefix_conflicts | col_conflicts)
 
     extend([], [], 0, 0)
-    for pairs in by_width:
-        pairs.sort(key=lambda p: (tuple(zip(p.b, p.a)), tuple(zip(p.d, p.c))), reverse=True)
-    return [p for pairs in by_width for p in pairs]
+    # widths ascending; within a width, columns compared from the greatest
+    pairs.sort(key=lambda p: (-p.width, tuple(zip(p.b, p.a)), tuple(zip(p.d, p.c))), reverse=True)
+    return pairs
 
 
 def enumerate_negative_pairs(max_entry, max_width):
@@ -130,19 +131,6 @@ def enumerate_negative_pairs(max_entry, max_width):
 
 def enumerate_nonvanishing_pairs(max_entry, max_width):
     return enumerate_skew_pairs(max_entry, max_width, lambda col: col[1] != col[0])
-
-
-def even_shapes(max_boxes):
-    """All row-length sequences with even parts and at most max_boxes boxes."""
-    shapes = []
-
-    def extend(prefix, remaining):
-        for k in range(2, remaining + 1, 2):
-            shapes.append(tuple(prefix + [k]))
-            extend(prefix + [k], remaining - k)
-
-    extend([], max_boxes)
-    return shapes
 
 
 def _row_pairs(max_entry, k, signs, masks):
@@ -165,18 +153,18 @@ def _row_pairs(max_entry, k, signs, masks):
 def _bitableaux(max_entry, max_boxes, signs):
     """Skew-symmetric bitableaux with even rows, <= max_boxes boxes, entries
     <= max_entry and every row_sign in signs, in generate-and-filter order:
-    by shape as even_shapes lists them, then by the P rows and the Q rows.
+    by shape (a tuple of row lengths, so a shape comes before its
+    extensions), then by the P rows and the Q rows.
 
     A bitableau is built one row pair at a time, top row first, from the
     row pairs that fit.  A row pair is added only while its points meet
     none of the prefix's conflict masks and the row differences stay
-    weakly increasing (rows_leq on the row above).  validate_skew_symmetric
-    is the final check on every bitableau built, and a sort of each shape's
-    bitableaux restores the order.
+    weakly increasing (rows_leq on the row above).  Every bitableau built
+    is returned, and one sort restores the order.
     """
     masks = _duality_masks(max_entry)
     tables = {k: _row_pairs(max_entry, k, signs, masks) for k in range(2, max_boxes + 1, 2)}
-    by_shape = {shape: [] for shape in even_shapes(max_boxes)}
+    found = []
 
     def extend(prows, qrows, last, prefix_conflicts, room):
         for k in range(2, room + 1, 2):
@@ -186,15 +174,12 @@ def _bitableaux(max_entry, max_boxes, signs):
                 if last is not None and not rows_leq(last, row):
                     continue
                 new_p, new_q = prows + (row[0],), qrows + (row[1],)
-                b = NotchedBitableau(NotchedTableau(new_p), NotchedTableau(new_q))
-                if validate_skew_symmetric(b):
-                    by_shape[b.shape].append(b)
+                found.append(NotchedBitableau(NotchedTableau(new_p), NotchedTableau(new_q)))
                 extend(new_p, new_q, row, prefix_conflicts | row_conflicts, room - k)
 
     extend((), (), None, 0, max_boxes)
-    for found in by_shape.values():
-        found.sort(key=lambda b: (b.P.rows, b.Q.rows))
-    return [b for found in by_shape.values() for b in found]
+    found.sort(key=lambda b: (b.shape, b.P.rows, b.Q.rows))
+    return found
 
 
 def enumerate_negative_bitableaux(max_entry, max_boxes):

@@ -145,7 +145,14 @@ MUTANTS = (
         "src/obrsk/enumeration.py",
         "prefix_conflicts | row_conflicts",
         "row_conflicts",
-        "tests/test_enumeration.py::test_bitableau_search_builds_only_what_it_keeps",
+        "tests/test_enumeration.py::test_bitableau_search_returns_only_valid_bitableaux_of_its_kind",
+    ),
+    Mutant(
+        "row differences not compared",
+        "src/obrsk/enumeration.py",
+        "if last is not None and not rows_leq(last, row):",
+        "if False:",
+        "tests/test_enumeration.py::test_bitableau_search_returns_only_valid_bitableaux_of_its_kind",
     ),
     Mutant(
         "rows compared where their difference rises",
@@ -166,7 +173,14 @@ MUTANTS = (
         "src/obrsk/enumeration.py",
         "prefix_conflicts | col_conflicts",
         "col_conflicts",
-        "tests/test_enumeration.py::test_pair_search_builds_only_what_it_keeps",
+        "tests/test_enumeration.py::test_pair_search_returns_only_valid_pairs_of_its_kind",
+    ),
+    Mutant(
+        "dual column conditions not checked",
+        "src/obrsk/enumeration.py",
+        "if not dual_column_violations(col1, (c, d), 0, 0):",
+        "if True:",
+        "tests/test_enumeration.py::test_pair_search_returns_only_valid_pairs_of_its_kind",
     ),
     Mutant(
         "vanishing column let through",

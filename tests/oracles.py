@@ -163,6 +163,12 @@ def L_involution(p):
     return psi_inv(tuple((b, a) for a, b in u1), tuple((c, d) for d, c in u2))
 
 
+def is_negative_pair(p):
+    """A valid pair whose every column has a < b (so the empty pair is
+    negative); its positive part is empty."""
+    return not validate_skew_pair(p) and all(a < b for a, b in zip(p.a, p.b))
+
+
 def split_parts(p):
     """Split a valid pair into its negative and positive parts.
 
@@ -713,6 +719,20 @@ def row_diffs_weakly_increase(b):
     formal differences P_i - Q_i weakly increase in the counting order."""
     diffs = [FormalDiff(p, q) for p, q in zip(b.P.rows, b.Q.rows)]
     return all(diff_leq(d1, d2) for d1, d2 in zip(diffs, diffs[1:]))
+
+
+def even_shapes(max_boxes):
+    """All row-length sequences with even parts and at most max_boxes boxes,
+    each shape before its extensions."""
+    shapes = []
+
+    def extend(prefix, remaining):
+        for k in range(2, remaining + 1, 2):
+            shapes.append(tuple(prefix + [k]))
+            extend(prefix + [k], remaining - k)
+
+    extend([], max_boxes)
+    return shapes
 
 
 def enumerate_even_bitableaux(max_entry, max_boxes):

@@ -1,9 +1,9 @@
 import pytest
 
-from obrsk.arrays import SkewPair, TwoRowArray, is_negative_pair, psi_inv, validate_skew_pair
+from obrsk.arrays import SkewPair, TwoRowArray, psi_inv, validate_skew_pair
 from obrsk.enumeration import enumerate_negative_pairs, enumerate_nonvanishing_pairs
 from obrsk.errors import InvalidPair, LengthMismatch, VanishingColumn
-from oracles import L_involution, psi, split_parts
+from oracles import L_involution, is_negative_pair, psi, split_parts
 
 
 def test_width_mismatch():

@@ -117,6 +117,38 @@ def test_apply_invalid_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _refused_as_unreadable(capsys, argv):
+    assert obrsk_main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read input: ")
+
+
+@pytest.mark.parametrize("on_stdin", [False, True])
+def test_apply_refuses_json_nested_too_deep(tmp_path, capsys, monkeypatch, on_stdin):
+    text = "[" * 200_000
+    if on_stdin:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        _refused_as_unreadable(capsys, ["apply"])
+    else:
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        _refused_as_unreadable(capsys, ["apply", "--input", str(path)])
+
+
+def test_apply_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'\xff\xfe{"pi1": {}}')
+    _refused_as_unreadable(capsys, ["apply", "--input", str(path)])
+
+
+def test_apply_refuses_an_integer_too_long_to_convert(tmp_path, capsys):
+    doc = '{"pi1": {"b": [%s], "a": [1]}, "pi2": {"c": [3], "d": [2]}}' % ("9" * 5_000)
+    path = tmp_path / "long.json"
+    path.write_text(doc)
+    _refused_as_unreadable(capsys, ["apply", "--input", str(path)])
+
+
 @pytest.mark.parametrize(
     "command, doc",
     [

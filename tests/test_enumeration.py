@@ -3,12 +3,13 @@
 The reference below builds every candidate in sorted column (or row) order
 and keeps those the validators accept.  The enumerators must return the same
 lists, element for element and in order, while building few candidates and
-checking the duality map few times.
+checking the duality map few times.  The enumerators run no validator of
+their own, so at sizes beyond the reference's reach every object they
+return is certified against the validators here.
 """
 
 import itertools
 import math
-from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -24,7 +25,7 @@ from obrsk.tableaux import (
     classify_sign,
     validate_skew_symmetric,
 )
-from oracles import enumerate_bound_sets, enumerate_even_bitableaux
+from oracles import enumerate_bound_sets, enumerate_even_bitableaux, even_shapes, sorted_row_sign
 
 NONVANISHING_KINDS = {SignKind.NEGATIVE, SignKind.POSITIVE, SignKind.NONVANISHING}
 
@@ -53,19 +54,23 @@ REFERENCE_PAIRS = {
 }
 
 
+def _skew_symmetric(b):
+    try:
+        return validate_skew_symmetric(b)
+    except NotSemistandard:
+        return False
+
+
 @lru_cache(maxsize=None)
 def reference_even_bitableaux(max_entry, max_boxes):
     out = []
-    for shape in enumeration.even_shapes(max_boxes):
+    for shape in even_shapes(max_boxes):
         row_choices = [list(itertools.combinations(range(1, max_entry + 1), k)) for k in shape]
         for prows in itertools.product(*row_choices):
             for qrows in itertools.product(*row_choices):
                 b = NotchedBitableau(NotchedTableau(prows), NotchedTableau(qrows))
-                try:
-                    if validate_skew_symmetric(b):
-                        out.append(b)
-                except NotSemistandard:
-                    continue
+                if _skew_symmetric(b):
+                    out.append(b)
     return tuple(out)
 
 
@@ -175,40 +180,34 @@ def test_enumerators_check_the_duality_map_few_times(monkeypatch, name, args, bo
     assert checks <= bound(args, len(kept)), f"{checks} duality-map checks for {len(kept)} kept"
 
 
-@pytest.mark.parametrize("name", ["enumerate_negative_pairs", "enumerate_nonvanishing_pairs"])
-@pytest.mark.parametrize("args", [(6, 3), (7, 3)])
-def test_pair_search_builds_only_what_it_keeps(monkeypatch, name, args):
-    # every prune is exact: the column orders are kept by construction, a
-    # dual column that breaks (iii), (iv) or (vi) is never drawn, and a
-    # column pair that conflicts with itself or with any column pair of the
-    # prefix is never built
-    built = []
-
-    def recording(*a):
-        built.append(SkewPair(*a))
-        return built[-1]
-
-    monkeypatch.setattr(enumeration, "SkewPair", recording)
-    kept = getattr(enumeration, name)(*args)
-    assert kept
-    assert Counter(built) == Counter(kept)
+@pytest.mark.parametrize(
+    "name, column_sign",
+    [("enumerate_negative_pairs", {-1}), ("enumerate_nonvanishing_pairs", {-1, +1})],
+)
+def test_pair_search_returns_only_valid_pairs_of_its_kind(name, column_sign):
+    # the search checks no pair after it builds it: each one must pass the
+    # validator, have the requested column signs and come once
+    pairs = getattr(enumeration, name)(7, 3)
+    assert len(pairs) == len(set(pairs))
+    for p in pairs:
+        assert 1 <= p.width <= 3 and max(p.a + p.b + p.c + p.d) <= 7, p
+        assert validate_skew_pair(p) == [], p
+        assert {(a > b) - (a < b) for a, b in zip(p.a, p.b)} <= column_sign, p
 
 
-@pytest.mark.parametrize("name", ["enumerate_negative_bitableaux", "enumerate_nonvanishing_bitableaux"])
-@pytest.mark.parametrize("args", [(6, 6), (7, 6)])
-def test_bitableau_search_builds_only_what_it_keeps(monkeypatch, name, args):
-    # both prunes are exact: a row pair that conflicts with any row of the
-    # prefix, or whose difference is below the row above, is never built
-    built = []
-
-    def recording(*a):
-        built.append(NotchedBitableau(*a))
-        return built[-1]
-
-    monkeypatch.setattr(enumeration, "NotchedBitableau", recording)
-    kept = getattr(enumeration, name)(*args)
-    assert kept
-    assert Counter(built) == Counter(kept)
+@pytest.mark.parametrize(
+    "name, row_signs",
+    [("enumerate_negative_bitableaux", {-1}), ("enumerate_nonvanishing_bitableaux", {-1, +1})],
+)
+def test_bitableau_search_returns_only_valid_bitableaux_of_its_kind(name, row_signs):
+    # likewise: skew-symmetric with even rows, the requested row signs, each
+    # one once
+    found = getattr(enumeration, name)(7, 6)
+    assert len(found) == len(set(found))
+    for b in found:
+        assert 1 <= b.degree <= 6 and max(max(row) for row in b.P.rows + b.Q.rows) <= 7, b
+        assert _skew_symmetric(b), b
+        assert {sorted_row_sign(p, q) for p, q in zip(b.P.rows, b.Q.rows)} <= row_signs, b
 
 
 @pytest.mark.parametrize("sign", [0, 5, -2, 2, "+1", None])
