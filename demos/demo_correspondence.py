@@ -12,8 +12,8 @@ from obrsk.fixture import FIXTURE_PAIR
 
 def show(bit, label):
     print(f"{label}:")
-    width = max((len(row) for row in bit.P.rows), default=0) * 4
-    for prow, qrow in zip(bit.P.rows, bit.Q.rows):
+    width = max(bit.shape, default=0) * 4
+    for prow, qrow in zip(bit.P, bit.Q):
         left = " ".join(f"{x:3d}" for x in prow)
         right = " ".join(f"{x:3d}" for x in qrow)
         print(f"  {left:<{width}}  |  {right}")

@@ -2,24 +2,23 @@
 
 Exact (integer / rational) combinatorics: finite multisets on N and N^2, the
 counting order on rows of bitableaux, notched skew-symmetric bitableaux,
-two-row arrays, the bounded RSK correspondence and its inverse, chain
-combinatorics on the grid attached to a fixed d-subset beta, and the Pfaffian
-generators whose leading terms are certified against chain monomials degree by
-degree.
+skew pairs of two-row arrays, the bounded RSK correspondence and its
+inverse, chain combinatorics on the grid attached to a fixed d-subset beta,
+and the Pfaffian generators whose leading terms are certified against chain
+monomials degree by degree.
 """
 
 from types import ModuleType as _ModuleType
 
 from .tableaux import (
     NotchedBitableau,
-    NotchedTableau,
     SignKind,
     classify_sign,
     sign_split,
     validate_semistandard,
     validate_skew_symmetric,
 )
-from .arrays import SkewPair, TwoRowArray, psi_inv, validate_skew_pair
+from .arrays import SkewPair, psi_inv, validate_skew_pair
 from .correspondence import forward_step, obrsk, obrsk_inverse, obrsk_negative_steps, robrsk, undo_step
 from .grassmannian import (
     ChainSign,

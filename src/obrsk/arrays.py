@@ -1,11 +1,13 @@
-"""Two-row arrays and skew lexicographic pairs.
+"""Skew lexicographic pairs.
 
 A skew pair is a pair of two-row arrays of equal width t:
 
     pi1 = (b_1 ... b_t)        pi2 = (c_1 ... c_t)
           (a_1 ... a_t)              (d_1 ... d_t)
 
-subject to six conditions:
+SkewPair holds its four rows b, a, c, d as tuples, in that order, and
+refuses rows of different lengths.  The entries are plain ints >= 1, and the
+pair is subject to six conditions:
 
   (i)   pi1 is lexicographic: b weakly decreasing, ties broken by a weakly
         decreasing;
@@ -36,74 +38,45 @@ from .multisets import duality_conflict
 
 
 @dataclass(frozen=True)
-class TwoRowArray:
-    top: tuple
-    bottom: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "top", tuple(self.top))
-        object.__setattr__(self, "bottom", tuple(self.bottom))
-        if len(self.top) != len(self.bottom):
-            raise LengthMismatch(f"rows of length {len(self.top)} and {len(self.bottom)}")
-
-    @property
-    def width(self):
-        return len(self.top)
-
-    def columns(self):
-        return list(zip(self.top, self.bottom))
-
-
-@dataclass(frozen=True)
 class SkewPair:
-    pi1: TwoRowArray  # b over a
-    pi2: TwoRowArray  # c over d
+    """The four rows of a skew pair, pi1 = (b over a) and pi2 = (c over d),
+    each a tuple, all of one length: the width."""
+
+    b: tuple
+    a: tuple
+    c: tuple
+    d: tuple
 
     def __post_init__(self):
-        if not isinstance(self.pi1, TwoRowArray):
-            object.__setattr__(self, "pi1", TwoRowArray(*self.pi1))
-        if not isinstance(self.pi2, TwoRowArray):
-            object.__setattr__(self, "pi2", TwoRowArray(*self.pi2))
-        if self.pi1.width != self.pi2.width:
-            raise LengthMismatch(f"pi1 width {self.pi1.width} != pi2 width {self.pi2.width}")
+        rows = tuple(map(tuple, (self.b, self.a, self.c, self.d)))
+        for name, row in zip("bacd", rows):
+            object.__setattr__(self, name, row)
+        b, a, c, d = rows
+        for top, bottom in ((b, a), (c, d)):
+            if len(top) != len(bottom):
+                raise LengthMismatch(f"rows of length {len(top)} and {len(bottom)}")
+        if len(b) != len(c):
+            raise LengthMismatch(f"pi1 width {len(b)} != pi2 width {len(c)}")
 
     @classmethod
     def from_columns(cls, cols1, cols2):
         """The pair whose arrays have the given (top, bottom) columns, in
         order: (b, a) for pi1 and (c, d) for pi2."""
-
-        def array(cols):
-            return TwoRowArray(tuple(x for x, _ in cols), tuple(y for _, y in cols))
-
-        return cls(array(cols1), array(cols2))
+        b, a = zip(*cols1) if cols1 else ((), ())
+        c, d = zip(*cols2) if cols2 else ((), ())
+        return cls(b, a, c, d)
 
     @property
     def width(self):
-        return self.pi1.width
+        return len(self.b)
 
     @property
     def degree(self):
         return 2 * self.width
 
-    @property
-    def b(self):
-        return self.pi1.top
 
-    @property
-    def a(self):
-        return self.pi1.bottom
-
-    @property
-    def c(self):
-        return self.pi2.top
-
-    @property
-    def d(self):
-        return self.pi2.bottom
-
-
-def _is_lexicographic(arr):
-    cols = list(zip(arr.top, arr.bottom))
+def _is_lexicographic(top, bottom):
+    cols = list(zip(top, bottom))
     return all(x >= y for x, y in zip(cols, cols[1:]))
 
 
@@ -134,13 +107,24 @@ def column_duality_pairs(col1, col2):
 
 
 def validate_skew_pair(p):
-    """Return a list of human-readable violations; empty means valid."""
+    """Return a list of human-readable violations; empty means valid.
+
+    The conditions are stated on plain ints >= 1, so an entry that is not
+    one (a bool, a float, 0 or a negative entry) is a violation of its own,
+    and only such entries are then listed."""
+    violations = [
+        f"{name}_{i + 1} = {x!r} not a positive integer"
+        for name, row in zip("bacd", (p.b, p.a, p.c, p.d))
+        for i, x in enumerate(row)
+        if type(x) is not int or x < 1
+    ]
+    if violations:
+        return violations
     t = p.width
-    cols1, cols2 = p.pi1.columns(), p.pi2.columns()
-    violations = []
-    if not _is_lexicographic(p.pi1):
+    cols1, cols2 = list(zip(p.b, p.a)), list(zip(p.c, p.d))
+    if not _is_lexicographic(p.b, p.a):
         violations.append("pi1 is not lexicographic")
-    if not _is_lexicographic(TwoRowArray(p.d, p.c)):
+    if not _is_lexicographic(p.d, p.c):
         violations.append("transpose of pi2 is not lexicographic")
     pairs = []
     for i in range(t):

@@ -22,7 +22,7 @@ import os
 import sys
 from multiprocessing import Pool
 
-from .arrays import SkewPair, TwoRowArray
+from .arrays import SkewPair
 from .correspondence import obrsk, obrsk_inverse, obrsk_negative_steps
 from .errors import ObrskError, ValidationError
 from .grassmannian import (
@@ -36,7 +36,7 @@ from .grassmannian import (
     w_of_chain,
 )
 from .ideal import generators, hilbert_counts, slice_size, verify_main_theorem
-from .tableaux import NotchedBitableau, NotchedTableau
+from .tableaux import NotchedBitableau
 from . import fixture
 
 EXIT_OK = 0
@@ -97,23 +97,22 @@ def _positive_row(row):
 def pair_from_json(doc):
     try:
         return SkewPair(
-            TwoRowArray(_positive_row(doc["pi1"]["b"]), _positive_row(doc["pi1"]["a"])),
-            TwoRowArray(_positive_row(doc["pi2"]["c"]), _positive_row(doc["pi2"]["d"])),
+            _positive_row(doc["pi1"]["b"]),
+            _positive_row(doc["pi1"]["a"]),
+            _positive_row(doc["pi2"]["c"]),
+            _positive_row(doc["pi2"]["d"]),
         )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed pair document: {exc}")
 
 
 def bitableau_to_json(b):
-    return {"P": [list(r) for r in b.P.rows], "Q": [list(r) for r in b.Q.rows]}
+    return {"P": [list(r) for r in b.P], "Q": [list(r) for r in b.Q]}
 
 
 def bitableau_from_json(doc):
     try:
-        return NotchedBitableau(
-            NotchedTableau(tuple(_positive_row(r) for r in doc["P"])),
-            NotchedTableau(tuple(_positive_row(r) for r in doc["Q"])),
-        )
+        return NotchedBitableau([_positive_row(r) for r in doc["P"]], [_positive_row(r) for r in doc["Q"]])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed bitableau document: {exc}")
 
@@ -214,8 +213,8 @@ def _obrsk_command(args):
             for i, bit in enumerate(obrsk_negative_steps(pair), start=1):
                 trace.append(
                     {
-                        f"P^({i})": [list(r) for r in bit.P.rows],
-                        f"Q^({i})": [list(r) for r in bit.Q.rows],
+                        f"P^({i})": [list(r) for r in bit.P],
+                        f"Q^({i})": [list(r) for r in bit.Q],
                     }
                 )
             out["trace"] = trace

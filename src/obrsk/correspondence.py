@@ -12,8 +12,9 @@ P and Q are walked together, one row at a time: the entry at forward
 position i of a row of P (i-th from the left) matches the entry at backward
 position i of the same row of Q (i-th from the right), which has the same
 length.  The maps keep P and Q as two lists of rows while they walk and
-freeze one bitableau per map: forward_step and undo_step are the one step
-each way, an insertion and a removal in place on those lists.
+freeze one bitableau per map, NotchedBitableau taking the two lists as they
+stand: forward_step and undo_step are the one step each way, an insertion
+and a removal in place on those lists.
 tests/oracles.py keeps reverse_step, the removal on a frozen bitableau, as
 the reference, with the maps as they were stated one frozen bitableau per
 step.
@@ -44,7 +45,7 @@ import bisect
 
 from .arrays import SkewPair, psi_inv, validate_skew_pair
 from .errors import BoundViolation, EmptyBitableau, InvalidPair, NotNegative, PathShapeMismatch, VanishingColumn
-from .tableaux import NotchedBitableau, NotchedTableau, SignKind, sign_split
+from .tableaux import NotchedBitableau, SignKind, sign_split
 
 
 def forward_step(prows, qrows, a, b, c, d):
@@ -77,13 +78,9 @@ def _column_steps(p):
     return list(zip(p.a, p.b, reversed(p.c), reversed(p.d)))
 
 
-def _frozen(prows, qrows):
-    return NotchedBitableau(NotchedTableau(prows), NotchedTableau(qrows))
-
-
 def _thawed(bit):
     """The rows of P and of Q, as lists of lists that the maps may change."""
-    return list(map(list, bit.P.rows)), list(map(list, bit.Q.rows))
+    return list(map(list, bit.P)), list(map(list, bit.Q))
 
 
 def obrsk_negative_steps(p):
@@ -92,7 +89,7 @@ def obrsk_negative_steps(p):
     prows, qrows, bits = [], [], []
     for step in _column_steps(p):
         forward_step(prows, qrows, *step)
-        bits.append(_frozen(prows, qrows))
+        bits.append(NotchedBitableau(prows, qrows))
     return bits
 
 
@@ -177,7 +174,7 @@ def obrsk(p):
     # the positive block goes below, flipped: P and Q swapped, rows reversed
     prows += reversed(pos_q)
     qrows += reversed(pos_p)
-    return _frozen(prows, qrows)
+    return NotchedBitableau(prows, qrows)
 
 
 def obrsk_inverse(bit):

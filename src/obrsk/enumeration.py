@@ -31,9 +31,9 @@ from __future__ import annotations
 import bisect
 import itertools
 
-from .arrays import SkewPair, TwoRowArray, column_duality_pairs, dual_column_violations
+from .arrays import SkewPair, column_duality_pairs, dual_column_violations
 from .multisets import duality_conflict
-from .tableaux import NotchedBitableau, NotchedTableau, row_duality_pairs, row_sign, rows_leq
+from .tableaux import NotchedBitableau, row_duality_pairs, row_sign, rows_leq
 
 
 def _duality_masks(max_entry):
@@ -110,12 +110,9 @@ def enumerate_skew_pairs(max_entry, max_width, pi1_column):
                 if col_points & prefix_conflicts:
                     continue
                 new1, new2 = cols1 + [pi1_columns[i]], cols2 + [duals[j]]
-                pairs.append(
-                    SkewPair(
-                        TwoRowArray(tuple(b for b, _ in new1), tuple(a for _, a in new1)),
-                        TwoRowArray(tuple(c for _, c in reversed(new2)), tuple(d for d, _ in reversed(new2))),
-                    )
-                )
+                b, a = zip(*new1)
+                d, c = zip(*reversed(new2))
+                pairs.append(SkewPair(b, a, c, d))
                 if len(new1) < max_width:
                     extend(new1, new2, i, prefix_conflicts | col_conflicts)
 
@@ -174,11 +171,11 @@ def _bitableaux(max_entry, max_boxes, signs):
                 if last is not None and not rows_leq(last, row):
                     continue
                 new_p, new_q = prows + (row[0],), qrows + (row[1],)
-                found.append(NotchedBitableau(NotchedTableau(new_p), NotchedTableau(new_q)))
+                found.append(NotchedBitableau(new_p, new_q))
                 extend(new_p, new_q, row, prefix_conflicts | row_conflicts, room - k)
 
     extend((), (), None, 0, max_boxes)
-    found.sort(key=lambda b: (b.shape, b.P.rows, b.Q.rows))
+    found.sort(key=lambda b: (b.shape, b.P, b.Q))
     return found
 
 

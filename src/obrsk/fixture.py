@@ -8,32 +8,28 @@ also checks that the inverse map recovers the pair exactly.
 
 from __future__ import annotations
 
-from .arrays import SkewPair, TwoRowArray
+from .arrays import SkewPair
 from .correspondence import obrsk_negative_steps, robrsk
-from .tableaux import NotchedBitableau, NotchedTableau
+from .tableaux import NotchedBitableau
 
 FIXTURE_PAIR = SkewPair(
-    TwoRowArray((17, 17, 14, 10, 9), (4, 3, 3, 7, 4)),
-    TwoRowArray((25, 22, 26, 26, 25), (20, 19, 15, 12, 12)),
+    (17, 17, 14, 10, 9),
+    (4, 3, 3, 7, 4),
+    (25, 22, 26, 26, 25),
+    (20, 19, 15, 12, 12),
 )
 
 FIXTURE_STEPS = (
-    NotchedBitableau(NotchedTableau(((4, 12),)), NotchedTableau(((17, 25),))),
+    NotchedBitableau(((4, 12),), ((17, 25),)),
+    NotchedBitableau(((3, 12), (4, 12)), ((17, 26), (17, 25))),
+    NotchedBitableau(((3, 12), (3, 12), (4, 15)), ((17, 26), (17, 26), (14, 25))),
     NotchedBitableau(
-        NotchedTableau(((3, 12), (4, 12))),
-        NotchedTableau(((17, 26), (17, 25))),
+        ((3, 7, 12, 19), (3, 12), (4, 15)),
+        ((10, 17, 22, 26), (17, 26), (14, 25)),
     ),
     NotchedBitableau(
-        NotchedTableau(((3, 12), (3, 12), (4, 15))),
-        NotchedTableau(((17, 26), (17, 26), (14, 25))),
-    ),
-    NotchedBitableau(
-        NotchedTableau(((3, 7, 12, 19), (3, 12), (4, 15))),
-        NotchedTableau(((10, 17, 22, 26), (17, 26), (14, 25))),
-    ),
-    NotchedBitableau(
-        NotchedTableau(((3, 4, 12, 19), (3, 7, 12, 20), (4, 15))),
-        NotchedTableau(((10, 17, 25, 26), (9, 17, 22, 26), (14, 25))),
+        ((3, 4, 12, 19), (3, 7, 12, 20), (4, 15)),
+        ((10, 17, 25, 26), (9, 17, 22, 26), (14, 25)),
     ),
 )
 
@@ -51,11 +47,11 @@ def replay(verbose=False):
         if verbose or not match:
             status = "ok" if match else "MISMATCH"
             print(f"step {i}: {status}")
-            print(f"  P^({i}) = {list(bit.P.rows)}")
-            print(f"  Q^({i}) = {list(bit.Q.rows)}")
+            print(f"  P^({i}) = {list(bit.P)}")
+            print(f"  Q^({i}) = {list(bit.Q)}")
             if not match:
-                print(f"  expected P^({i}) = {list(expected.P.rows)}")
-                print(f"  expected Q^({i}) = {list(expected.Q.rows)}")
+                print(f"  expected P^({i}) = {list(expected.P)}")
+                print(f"  expected Q^({i}) = {list(expected.Q)}")
     back = robrsk(FIXTURE_BITABLEAU)
     match = back == FIXTURE_PAIR
     ok = ok and match

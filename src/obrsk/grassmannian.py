@@ -54,7 +54,7 @@ from .correspondence import forward_step
 from .correspondence import obrsk  # noqa: F401
 from .errors import BoundsNotComparable, MixedSigns, NotInId, SignAssertionFailure, VerificationError
 from .multisets import enumerate_extended_chains
-from .tableaux import EMPTY_BITABLEAU, NotchedBitableau, NotchedTableau, rows_leq
+from .tableaux import EMPTY_BITABLEAU, NotchedBitableau, rows_leq
 
 
 @dataclass(frozen=True)
@@ -152,10 +152,10 @@ def chain_image(chain, d):
     asked for, however many betas or longer chains ask for it."""
     (r, c), rest = chain[-1], chain[:-1]
     parent = chain_image(rest, d) if rest else EMPTY_BITABLEAU
-    prows, qrows = list(map(list, parent.P.rows)), list(map(list, parent.Q.rows))
+    prows, qrows = list(map(list, parent.P)), list(map(list, parent.Q))
     c_star, r_star = hash_reflect((r, c), d)
     forward_step(prows, qrows, r, c, r_star, c_star)
-    return NotchedBitableau(NotchedTableau(prows), NotchedTableau(qrows))
+    return NotchedBitableau(prows, qrows)
 
 
 def _middle_swap(x, d):
@@ -197,7 +197,7 @@ def _signed_chains(beta):
     table = {}
     for chain in enumerate_extended_chains(split_chain(roots_of(beta), beta)[0]):
         image = chain_image(chain, beta.d)
-        p, q = image.P.rows[0], image.Q.rows[0]
+        p, q = image.P[0], image.Q[0]
         missing = set(q) - bset
         if missing:
             raise VerificationError(f"second coordinate {min(missing)} not in beta = {beta.entries}")

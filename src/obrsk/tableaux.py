@@ -2,8 +2,9 @@
 
 A notched tableau is a finite sequence of left-justified rows of positive
 integers; row lengths are unconstrained.  A bitableau is a pair (P, Q) of
-notched tableaux of the same shape.  Rows of P are compared to the matching
-rows of Q through the formal difference P_i - Q_i in the counting order
+notched tableaux of the same shape; NotchedBitableau holds each as a tuple
+of row tuples and refuses a P and a Q of different shapes.  Rows of P are
+compared to the matching rows of Q through the formal difference P_i - Q_i in the counting order
 (rows_leq), and the sign of a row is its position relative to the empty
 difference () - () (all of N).
 
@@ -28,57 +29,33 @@ _INT = frozenset((int,))
 
 
 @dataclass(frozen=True)
-class NotchedTableau:
-    rows: tuple
-    # the row lengths, derived from rows once; not part of equality or hash
+class NotchedBitableau:
+    """The rows of P and of Q, each a tuple of row tuples, of one shape."""
+
+    P: tuple
+    Q: tuple
+    # the row lengths, derived from the rows once; not part of equality or hash
     shape: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        rows = tuple(map(tuple, self.rows))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "shape", tuple(map(len, rows)))
-
-    @property
-    def n_boxes(self):
-        return sum(self.shape)
-
-    def __repr__(self):
-        if not self.rows:
-            return "NotchedTableau(())"
-        body = "; ".join(" ".join(str(e) for e in row) for row in self.rows)
-        return f"NotchedTableau({body})"
-
-
-EMPTY_TABLEAU = NotchedTableau(())
-
-
-@dataclass(frozen=True)
-class NotchedBitableau:
-    P: NotchedTableau
-    Q: NotchedTableau
-
-    def __post_init__(self):
-        if not isinstance(self.P, NotchedTableau):
-            object.__setattr__(self, "P", NotchedTableau(self.P))
-        if not isinstance(self.Q, NotchedTableau):
-            object.__setattr__(self, "Q", NotchedTableau(self.Q))
-        if self.P.shape != self.Q.shape:
-            raise ShapeMismatch(f"shapes differ: {self.P.shape} vs {self.Q.shape}")
-
-    @property
-    def shape(self):
-        return self.P.shape
+        prows, qrows = tuple(map(tuple, self.P)), tuple(map(tuple, self.Q))
+        object.__setattr__(self, "P", prows)
+        object.__setattr__(self, "Q", qrows)
+        shape, q_shape = tuple(map(len, prows)), tuple(map(len, qrows))
+        if shape != q_shape:
+            raise ShapeMismatch(f"shapes differ: {shape} vs {q_shape}")
+        object.__setattr__(self, "shape", shape)
 
     @property
     def degree(self):
-        return self.P.n_boxes
+        return sum(self.shape)
 
     @property
     def is_empty(self):
         return self.degree == 0
 
 
-EMPTY_BITABLEAU = NotchedBitableau(EMPTY_TABLEAU, EMPTY_TABLEAU)
+EMPTY_BITABLEAU = NotchedBitableau((), ())
 
 
 def rows_leq(upper, lower):
@@ -116,7 +93,7 @@ def validate_semistandard(b):
     (a bool, a float, 0 or a negative entry) raises ValidationError, and
     each two consecutive rows are compared by rows_leq.
     """
-    prows, qrows = b.P.rows, b.Q.rows
+    prows, qrows = b.P, b.Q
     refused = False
     for row in prows + qrows:
         if any(map(ge, row, row[1:])):
@@ -145,7 +122,7 @@ def validate_skew_symmetric(b):
         raise NotSemistandard("skew-symmetry is only defined for semistandard bitableaux")
     if any(k % 2 for k in b.shape):
         return False
-    pairs = [pair for prow, qrow in zip(b.P.rows, b.Q.rows) for pair in row_duality_pairs(prow, qrow)]
+    pairs = [pair for prow, qrow in zip(b.P, b.Q) for pair in row_duality_pairs(prow, qrow)]
     return duality_conflict(pairs) is None
 
 
@@ -206,7 +183,7 @@ def sign_split(b):
         raise NotSkewSymmetric("sign classification needs a skew-symmetric bitableau")
     if b.is_empty:
         return SignKind.NONVANISHING, 0
-    signs = list(map(row_sign, b.P.rows, b.Q.rows))
+    signs = list(map(row_sign, b.P, b.Q))
     n_neg = signs.count(-1)
     if 0 in signs:
         kind = SignKind.VANISHING
@@ -228,6 +205,6 @@ def classify_sign(b):
         return SignClassification(kind, None, None)
     if b.is_empty:
         return SignClassification(kind, EMPTY_BITABLEAU, EMPTY_BITABLEAU)
-    neg = NotchedBitableau(NotchedTableau(b.P.rows[:n_neg]), NotchedTableau(b.Q.rows[:n_neg]))
-    pos = NotchedBitableau(NotchedTableau(b.P.rows[n_neg:]), NotchedTableau(b.Q.rows[n_neg:]))
+    neg = NotchedBitableau(b.P[:n_neg], b.Q[:n_neg])
+    pos = NotchedBitableau(b.P[n_neg:], b.Q[n_neg:])
     return SignClassification(kind, neg, pos)

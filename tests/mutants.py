@@ -231,6 +231,32 @@ MUTANTS = (
         "(not row or row[0] >= 0)",
         "tests/test_correspondence.py::test_codomain_checks_refuse_an_entry_that_is_not_a_positive_int",
     ),
+    # the domain's entry check and what the two constructors refuse
+    Mutant(
+        "pair entries not checked",
+        "src/obrsk/arrays.py",
+        "if type(x) is not int or x < 1",
+        "if False",
+        "tests/test_correspondence.py::test_domain_checks_refuse_an_entry_that_is_not_a_positive_int",
+    ),
+    Mutant(
+        "pair rows of unequal length let through",
+        "src/obrsk/arrays.py",
+        "for top, bottom in ((b, a), (c, d)):\n"
+        "            if len(top) != len(bottom):\n"
+        '                raise LengthMismatch(f"rows of length {len(top)} and {len(bottom)}")\n'
+        "        if len(b) != len(c):\n"
+        '            raise LengthMismatch(f"pi1 width {len(b)} != pi2 width {len(c)}")',
+        "pass",
+        "tests/test_arrays.py::test_width_mismatch",
+    ),
+    Mutant(
+        "bitableau shapes not compared",
+        "src/obrsk/tableaux.py",
+        'if shape != q_shape:\n            raise ShapeMismatch(f"shapes differ: {shape} vs {q_shape}")',
+        "pass",
+        "tests/test_tableaux.py::test_shape_mismatch_rejected",
+    ),
 )
 
 

@@ -43,7 +43,6 @@ from obrsk.polynomials import SparsePoly, term_order
 from obrsk.tableaux import (
     EMPTY_BITABLEAU,
     NotchedBitableau,
-    NotchedTableau,
     SignClassification,
     SignKind,
     classify_sign,
@@ -142,8 +141,8 @@ def up_down(b):
     and likewise the bottom rows.  Empty bitableau gives two empty sets."""
     if b.is_empty:
         return (), ()
-    up = plane_multiset(zip(sorted(b.P.rows[0]), sorted(b.Q.rows[0])))
-    down = plane_multiset(zip(sorted(b.P.rows[-1]), sorted(b.Q.rows[-1])))
+    up = plane_multiset(zip(sorted(b.P[0]), sorted(b.Q[0])))
+    down = plane_multiset(zip(sorted(b.P[-1]), sorted(b.Q[-1])))
     return up, down
 
 
@@ -177,7 +176,7 @@ def split_parts(p):
     form the positive part.  A column or a dual column with equal entries
     has no sign, and the negative columns of the two arrays must match up.
     """
-    cols1, cols2 = p.pi1.columns(), p.pi2.columns()
+    cols1, cols2 = list(zip(p.b, p.a)), list(zip(p.c, p.d))
     if any(a == b for b, a in cols1):
         raise VanishingColumn("a column with equal entries has no sign")
     if any(d == c for c, d in cols2):
@@ -196,7 +195,7 @@ def iota(b):
     Q and reverse the row order."""
     if classify_sign(b).kind is SignKind.VANISHING:
         raise NotSkewSymmetric("iota is only defined on nonvanishing bitableaux")
-    return NotchedBitableau(NotchedTableau(b.Q.rows[::-1]), NotchedTableau(b.P.rows[::-1]))
+    return NotchedBitableau(b.Q[::-1], b.P[::-1])
 
 
 def negative_image(p):
@@ -216,10 +215,7 @@ def paper_obrsk(p):
     neg, pos = split_parts(p)
     neg_bit = negative_image(neg)
     pos_bit = iota(negative_image(L_involution(pos)))
-    return NotchedBitableau(
-        NotchedTableau(neg_bit.P.rows + pos_bit.P.rows),
-        NotchedTableau(neg_bit.Q.rows + pos_bit.Q.rows),
-    )
+    return NotchedBitableau(neg_bit.P + pos_bit.P, neg_bit.Q + pos_bit.Q)
 
 
 # -- the correspondence one frozen bitableau per step ------------------------
@@ -237,8 +233,8 @@ def frozen_forward_step(bit, a, b, c, d):
     docstring of obrsk.correspondence, on copies of the rows."""
     if a >= b:
         raise BoundViolation(f"entry {a} must be below its bound {b}")
-    prows = [list(r) for r in bit.P.rows]
-    qrows = [list(r) for r in bit.Q.rows]
+    prows = [list(r) for r in bit.P]
+    qrows = [list(r) for r in bit.Q]
     x, y = a, c
     for prow, qrow in zip(prows, qrows):
         prefix = bisect.bisect_left(prow, b)
@@ -255,7 +251,7 @@ def frozen_forward_step(bit, a, b, c, d):
     else:
         prows.append([x, d])
         qrows.append([b, y])
-    return NotchedBitableau(NotchedTableau(prows), NotchedTableau(qrows))
+    return NotchedBitableau(prows, qrows)
 
 
 def reverse_step(bit):
@@ -263,8 +259,8 @@ def reverse_step(bit):
     the least entry of Q, and the step ended in the last row that holds it."""
     if bit.is_empty:
         raise EmptyBitableau("nothing to reverse")
-    prows = [list(r) for r in bit.P.rows]
-    qrows = [list(r) for r in bit.Q.rows]
+    prows = [list(r) for r in bit.P]
+    qrows = [list(r) for r in bit.Q]
     b = min(e for row in qrows for e in row)
     s = max(i for i, row in enumerate(qrows) if b in row)
     d = prows[s].pop()
@@ -286,12 +282,12 @@ def reverse_step(bit):
     while prows and not prows[-1]:
         prows.pop()
         qrows.pop()
-    return NotchedBitableau(NotchedTableau(prows), NotchedTableau(qrows)), x, b, y, d
+    return NotchedBitableau(prows, qrows), x, b, y, d
 
 
-def validate_row_strict(t):
-    """True iff every row of the tableau is strictly increasing."""
-    for row in t.rows:
+def validate_row_strict(rows):
+    """True iff every row is strictly increasing."""
+    for row in rows:
         if any(a >= b for a, b in zip(row, row[1:])):
             return False
     return True
@@ -302,7 +298,7 @@ def stepwise_semistandard(b):
     entries through nat_multiset; then rows_leq on consecutive rows."""
     if not (validate_row_strict(b.P) and validate_row_strict(b.Q)):
         return False
-    rows = list(zip(b.P.rows, b.Q.rows))
+    rows = list(zip(b.P, b.Q))
     for prow, qrow in rows:
         nat_multiset(prow)
         nat_multiset(qrow)
@@ -315,7 +311,7 @@ def stepwise_skew_symmetric(b):
         raise NotSemistandard("skew-symmetry is only defined for semistandard bitableaux")
     if any(k % 2 for k in b.shape):
         return False
-    pairs = [pair for prow, qrow in zip(b.P.rows, b.Q.rows) for pair in row_duality_pairs(prow, qrow)]
+    pairs = [pair for prow, qrow in zip(b.P, b.Q) for pair in row_duality_pairs(prow, qrow)]
     return duality_conflict(pairs) is None
 
 
@@ -325,7 +321,7 @@ def stepwise_classify_sign(b):
         raise NotSkewSymmetric("sign classification needs a skew-symmetric bitableau")
     if b.is_empty:
         return SignClassification(SignKind.NONVANISHING, EMPTY_BITABLEAU, EMPTY_BITABLEAU)
-    signs = [row_sign(prow, qrow) for prow, qrow in zip(b.P.rows, b.Q.rows)]
+    signs = [row_sign(prow, qrow) for prow, qrow in zip(b.P, b.Q)]
     if 0 in signs:
         return SignClassification(SignKind.VANISHING, None, None)
     n_neg = signs.count(-1)
@@ -335,8 +331,8 @@ def stepwise_classify_sign(b):
         kind = SignKind.POSITIVE
     else:
         kind = SignKind.NONVANISHING
-    neg = NotchedBitableau(NotchedTableau(b.P.rows[:n_neg]), NotchedTableau(b.Q.rows[:n_neg]))
-    pos = NotchedBitableau(NotchedTableau(b.P.rows[n_neg:]), NotchedTableau(b.Q.rows[n_neg:]))
+    neg = NotchedBitableau(b.P[:n_neg], b.Q[:n_neg])
+    pos = NotchedBitableau(b.P[n_neg:], b.Q[n_neg:])
     return SignClassification(kind, neg, pos)
 
 
@@ -348,7 +344,7 @@ def _walk(steps):
 
 
 def _flip(bit):
-    return NotchedBitableau(NotchedTableau(bit.Q.rows[::-1]), NotchedTableau(bit.P.rows[::-1]))
+    return NotchedBitableau(bit.Q[::-1], bit.P[::-1])
 
 
 def stepwise_negative_steps(p):
@@ -368,10 +364,7 @@ def stepwise_obrsk(p):
     neg = _walk(step for step in steps if step[0] < step[1])[-1]
     pos = _walk((b, a, d, c) for a, b, c, d in sorted(steps, reverse=True) if a > b)[-1]
     flipped = _flip(pos)
-    return NotchedBitableau(
-        NotchedTableau(neg.P.rows + flipped.P.rows),
-        NotchedTableau(neg.Q.rows + flipped.Q.rows),
-    )
+    return NotchedBitableau(neg.P + flipped.P, neg.Q + flipped.Q)
 
 
 def _stepwise_preimage_columns(bit):
@@ -608,8 +601,8 @@ def dual_chain_pairs(u1, u2):
     """
     full = psi_inv(u1, u2)
     t = full.width
-    cols1 = full.pi1.columns()  # (b, a), in canonical order
-    cols2 = full.pi2.columns()  # (c, d)
+    cols1 = list(zip(full.b, full.a))  # (b, a), in canonical order
+    cols2 = list(zip(full.c, full.d))  # (c, d)
     out = []
     for c1 in enumerate_extended_chains(u1):
         # the first pi1 column holding each point, in canonical order
@@ -717,7 +710,7 @@ def sorted_row_sign(prow, qrow):
 def row_diffs_weakly_increase(b):
     """Semistandardness by its definition for a row-strict bitableau: the
     formal differences P_i - Q_i weakly increase in the counting order."""
-    diffs = [FormalDiff(p, q) for p, q in zip(b.P.rows, b.Q.rows)]
+    diffs = [FormalDiff(p, q) for p, q in zip(b.P, b.Q)]
     return all(diff_leq(d1, d2) for d1, d2 in zip(diffs, diffs[1:]))
 
 

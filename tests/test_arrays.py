@@ -1,16 +1,22 @@
 import pytest
 
-from obrsk.arrays import SkewPair, TwoRowArray, psi_inv, validate_skew_pair
+from obrsk.arrays import SkewPair, psi_inv, validate_skew_pair
 from obrsk.enumeration import enumerate_negative_pairs, enumerate_nonvanishing_pairs
 from obrsk.errors import InvalidPair, LengthMismatch, VanishingColumn
 from oracles import L_involution, is_negative_pair, psi, split_parts
 
 
 def test_width_mismatch():
-    with pytest.raises(LengthMismatch):
-        TwoRowArray((1, 2), (3,))
-    with pytest.raises(LengthMismatch):
-        SkewPair(TwoRowArray((5,), (1,)), TwoRowArray((), ()))
+    # any one of the four rows of another length; the two rows of an array
+    # are compared first, then the widths of the arrays
+    for rows, message in [
+        (((1, 2), (3,), (4, 5), (6, 7)), "rows of length 2 and 1"),
+        (((5,), (1,), (), ()), "pi1 width 1 != pi2 width 0"),
+        (((1,), (2,), (3,), ()), "rows of length 1 and 0"),
+        (((1,), (2,), (3, 4), (5,)), "rows of length 2 and 1"),
+    ]:
+        with pytest.raises(LengthMismatch, match=f"^{message}$"):
+            SkewPair(*rows)
 
 
 def test_fixture_is_valid_negative(worked_pair):
@@ -21,16 +27,10 @@ def test_fixture_is_valid_negative(worked_pair):
 
 def test_fixture_perturbations_are_invalid(worked_pair):
     # a_1 raised to 13 breaks a_i < d_{t+1-i} at i = 1 (13 >= 12)
-    bad = SkewPair(
-        TwoRowArray(worked_pair.b, (13,) + worked_pair.a[1:]),
-        worked_pair.pi2,
-    )
+    bad = SkewPair(worked_pair.b, (13,) + worked_pair.a[1:], worked_pair.c, worked_pair.d)
     assert any("a_1" in v for v in validate_skew_pair(bad))
     # swapping the first two columns of pi1 breaks lexicographic order
-    bad = SkewPair(
-        TwoRowArray((17, 17, 14, 10, 9), (3, 4, 3, 7, 4)),
-        worked_pair.pi2,
-    )
+    bad = SkewPair((17, 17, 14, 10, 9), (3, 4, 3, 7, 4), worked_pair.c, worked_pair.d)
     assert any("lexicographic" in v for v in validate_skew_pair(bad))
 
 
@@ -52,7 +52,7 @@ def test_fixture_perturbations_are_invalid(worked_pair):
 def test_violation_messages_per_condition(worked_pair, row, i, value, messages):
     rows = {name: list(getattr(worked_pair, name)) for name in "abcd"}
     rows[row][i] = value
-    bad = SkewPair(TwoRowArray(rows["b"], rows["a"]), TwoRowArray(rows["c"], rows["d"]))
+    bad = SkewPair(rows["b"], rows["a"], rows["c"], rows["d"])
     assert set(validate_skew_pair(bad)) == messages
 
 
@@ -72,8 +72,8 @@ def test_L_fixture(worked_pair):
     flipped = L_involution(worked_pair)
     assert validate_skew_pair(flipped) == []
     assert split_parts(flipped)[0].width == 0  # every column positive
-    assert flipped.pi1.top == (7, 4, 4, 3, 3)
-    assert flipped.pi1.bottom == (10, 17, 9, 17, 14)
+    assert flipped.b == (7, 4, 4, 3, 3)
+    assert flipped.a == (10, 17, 9, 17, 14)
     assert L_involution(flipped) == worked_pair
 
 
@@ -97,22 +97,22 @@ def test_split_parts_fixture(worked_pair):
 
 def test_split_parts_mixed():
     # one negative and one positive column; duals pair up across the mirror
-    p = SkewPair(TwoRowArray((4, 1), (1, 4)), TwoRowArray((5, 6), (6, 5)))
+    p = SkewPair((4, 1), (1, 4), (5, 6), (6, 5))
     assert validate_skew_pair(p) == []
     neg, pos = split_parts(p)
-    assert neg == SkewPair(TwoRowArray((4,), (1,)), TwoRowArray((6,), (5,)))
-    assert pos == SkewPair(TwoRowArray((1,), (4,)), TwoRowArray((5,), (6,)))
+    assert neg == SkewPair((4,), (1,), (6,), (5,))
+    assert pos == SkewPair((1,), (4,), (5,), (6,))
 
 
 def test_split_parts_vanishing_column():
     with pytest.raises(VanishingColumn, match="a column"):
-        split_parts(SkewPair(TwoRowArray((2,), (2,)), TwoRowArray((5,), (5,))))
+        split_parts(SkewPair((2,), (2,), (5,), (5,)))
 
 
 def test_split_parts_vanishing_dual_column():
     # pi1's column is negative and pi2's has no sign: the sign counts would
     # not match either, but the vanishing column is named first
     with pytest.raises(VanishingColumn, match="a dual column"):
-        split_parts(SkewPair(TwoRowArray((2,), (1,)), TwoRowArray((5,), (5,))))
+        split_parts(SkewPair((2,), (1,), (5,), (5,)))
     with pytest.raises(InvalidPair):
-        split_parts(SkewPair(TwoRowArray((2,), (1,)), TwoRowArray((5,), (6,))))
+        split_parts(SkewPair((2,), (1,), (5,), (6,)))

@@ -71,8 +71,8 @@ def test_apply_fixture(tmp_path, capsys):
     path = write_json(tmp_path, "pair.json", pair_to_json(FIXTURE_PAIR))
     code, doc = run_json(capsys, obrsk_main, ["apply", "--input", path])
     assert code == EXIT_OK
-    assert doc["P"] == [list(r) for r in FIXTURE_BITABLEAU.P.rows]
-    assert doc["Q"] == [list(r) for r in FIXTURE_BITABLEAU.Q.rows]
+    assert doc["P"] == [list(r) for r in FIXTURE_BITABLEAU.P]
+    assert doc["Q"] == [list(r) for r in FIXTURE_BITABLEAU.Q]
 
 
 def test_apply_trace(tmp_path, capsys):

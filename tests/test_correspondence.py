@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from obrsk.arrays import SkewPair, TwoRowArray, validate_skew_pair
+from obrsk.arrays import SkewPair, validate_skew_pair
 from obrsk.correspondence import (
     forward_step,
     obrsk,
@@ -33,7 +33,6 @@ from obrsk.errors import (
 from obrsk.tableaux import (
     EMPTY_BITABLEAU,
     NotchedBitableau,
-    NotchedTableau,
     SignKind,
     classify_sign,
     validate_semistandard,
@@ -57,49 +56,45 @@ from oracles import (
 )
 
 
-def bt(p_rows, q_rows):
-    return NotchedBitableau(NotchedTableau(p_rows), NotchedTableau(q_rows))
-
-
 def rows_of(bit):
-    return [list(r) for r in bit.P.rows], [list(r) for r in bit.Q.rows]
+    return [list(r) for r in bit.P], [list(r) for r in bit.Q]
 
 
 def step(bit, a, b, c, d):
     """The bitableau one forward step makes of bit."""
     prows, qrows = rows_of(bit)
     forward_step(prows, qrows, a, b, c, d)
-    return bt(prows, qrows)
+    return NotchedBitableau(prows, qrows)
 
 
 def undo(bit):
     """(smaller bitableau, a, b, c, d): one step of bit undone."""
     prows, qrows = rows_of(bit)
     a, b, c, d = undo_step(prows, qrows)
-    return bt(prows, qrows), a, b, c, d
+    return NotchedBitableau(prows, qrows), a, b, c, d
 
 
 def test_forward_step_bump():
     # inserting 3 bounded by 14 into (4, 12): 4 is the smallest entry >= 3
     # among those below the bound, so it is bumped into a new row
-    bit = step(bt([[4, 12]], [[20, 30]]), 3, 14, 31, 13)
-    assert bit.P.rows == ((3, 12), (4, 13))
-    assert bit.Q.rows == ((20, 31), (14, 30))
+    bit = step(NotchedBitableau([[4, 12]], [[20, 30]]), 3, 14, 31, 13)
+    assert bit.P == ((3, 12), (4, 13))
+    assert bit.Q == ((20, 31), (14, 30))
 
 
 def test_forward_step_respects_bound():
     # entries >= the bound are immovable: with bound 10, the 12 stays and the
     # new entry lands at the end of the prefix of entries below 10
-    bit = step(bt([[3, 12]], [[20, 26]]), 7, 10, 24, 13)
-    assert bit.P.rows == ((3, 7, 12, 13),)
-    assert bit.Q.rows == ((10, 20, 24, 26),)
+    bit = step(NotchedBitableau([[3, 12]], [[20, 26]]), 7, 10, 24, 13)
+    assert bit.P == ((3, 7, 12, 13),)
+    assert bit.Q == ((10, 20, 24, 26),)
 
 
 def test_forward_step_cascade():
     # the bump travels downward row by row
-    bit = step(bt([[3, 12], [3, 12]], [[17, 25], [17, 25]]), 3, 14, 26, 15)
-    assert bit.P.rows == ((3, 12), (3, 12), (3, 15))
-    assert bit.Q.rows == ((17, 26), (17, 25), (14, 25))
+    bit = step(NotchedBitableau([[3, 12], [3, 12]], [[17, 25], [17, 25]]), 3, 14, 26, 15)
+    assert bit.P == ((3, 12), (3, 12), (3, 15))
+    assert bit.Q == ((17, 26), (17, 25), (14, 25))
 
 
 def test_forward_step_requires_entry_below_bound():
@@ -112,9 +107,9 @@ def test_forward_step_requires_entry_below_bound():
 def test_forward_step_mirrors_the_path_on_q():
     # the bump at forward position 1 of P's row swaps c with the entry at
     # backward position 1 of Q's row; b goes in front of the terminal row
-    bit = step(bt([[4, 12]], [[17, 25]]), 3, 14, 26, 15)
-    assert bit.P.rows == ((3, 12), (4, 15))
-    assert bit.Q.rows == ((17, 26), (14, 25))
+    bit = step(NotchedBitableau([[4, 12]], [[17, 25]]), 3, 14, 26, 15)
+    assert bit.P == ((3, 12), (4, 15))
+    assert bit.Q == ((17, 26), (14, 25))
 
 
 def test_forward_step_matches_fixture(worked_pair, worked_steps):
@@ -129,7 +124,7 @@ def test_forward_step_matches_fixture(worked_pair, worked_steps):
             worked_pair.c[t - 1 - i],
             worked_pair.d[t - 1 - i],
         )
-        assert bt(prows, qrows) == worked_steps[i], f"step {i + 1}"
+        assert NotchedBitableau(prows, qrows) == worked_steps[i], f"step {i + 1}"
 
 
 def test_obrsk_negative_fixture(worked_pair, worked_bitableau):
@@ -198,7 +193,7 @@ def test_reverse_step_needs_an_entry_below_the_bound_in_the_terminal_row():
 def test_obrsk_inverse_needs_an_entry_below_the_bound_in_every_row_above():
     # a negative skew-symmetric bitableau that no negative pair maps to
     with pytest.raises(PathShapeMismatch, match="^no entry <= 1 below the bound 3 in row 1$"):
-        obrsk_inverse(bt([[1, 2, 3, 4], [1, 3]], [[2, 3, 4, 5], [3, 5]]))
+        obrsk_inverse(NotchedBitableau([[1, 2, 3, 4], [1, 3]], [[2, 3, 4, 5], [3, 5]]))
 
 
 def test_robrsk_fixture(worked_pair, worked_bitableau):
@@ -224,7 +219,7 @@ def test_inverse_maps_refuse_bitableaux_outside_their_domain(inverse, p_rows, q_
     # not semistandard, not skew-symmetric, and skew-symmetric with a row
     # that has no sign (alone, or below a negative row)
     with pytest.raises(error):
-        inverse(bt(p_rows, q_rows))
+        inverse(NotchedBitableau(p_rows, q_rows))
 
 
 CODOMAIN_CHECKS = [validate_skew_symmetric, classify_sign, robrsk, obrsk_inverse]
@@ -238,7 +233,23 @@ def test_codomain_checks_refuse_an_entry_that_is_not_a_positive_int(check, entry
     # and it is the entry that is refused, not the row order it sets up
     bad, good = [[entry, 5], [6, 7]], [[2, 3], [4, 8]]
     with pytest.raises(ValidationError, match=f"^multiset entries must be positive integers, got {entry!r}$"):
-        check(bt(bad, good) if side == "P" else bt(good, bad))
+        check(NotchedBitableau(bad, good) if side == "P" else NotchedBitableau(good, bad))
+
+
+@pytest.mark.parametrize("entry", [0, -2, 2.0, True])
+@pytest.mark.parametrize("row", ["b", "a", "c", "d"])
+def test_domain_checks_refuse_an_entry_that_is_not_a_positive_int(entry, row):
+    # pi1 = (4 over 1), pi2 = (6 over 5) is valid; with the entry in place of
+    # one of its four, the entry alone is listed, so obrsk refuses the pair
+    # rather than map it to a bitableau that its inverse refuses
+    rows = {"b": (4,), "a": (1,), "c": (6,), "d": (5,)}
+    rows[row] = (entry,)
+    bad = SkewPair(**rows)
+    message = f"{row}_1 = {entry!r} not a positive integer"
+    assert validate_skew_pair(bad) == [message]
+    with pytest.raises(InvalidPair) as refused:
+        obrsk(bad)
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("check", CODOMAIN_CHECKS)
@@ -246,7 +257,7 @@ def test_codomain_checks_refuse_an_entry_that_is_not_a_positive_int(check, entry
 def test_codomain_checks_refuse_a_row_that_is_not_strict(check, side):
     bad, good = [[2, 2]], [[3, 4]]
     with pytest.raises(NotSemistandard):
-        check(bt(bad, good) if side == "P" else bt(good, bad))
+        check(NotchedBitableau(bad, good) if side == "P" else NotchedBitableau(good, bad))
 
 
 def outcome(f, arg):
@@ -272,28 +283,28 @@ def hand_made_bitableaux():
     are not positive ints on either side and in either row, non-strict rows
     above and below a refused entry, odd rows and empty rows."""
     bits = [
-        bt([[1, 2]], [[4, 3]]),
-        bt([[1, 2, 3]], [[4, 5, 6]]),
-        bt([[3, 4]], [[3, 4]]),
-        bt([[1, 2], [3, 4]], [[5, 6], [3, 4]]),
-        bt([[1, 2, 3, 4], [1, 3]], [[2, 3, 4, 5], [3, 5]]),
-        bt([[5, 6]], [[1, 2]]),
-        bt([()], [()]),
-        bt([(), ()], [(), ()]),
-        bt([[1, 2], ()], [[3, 4], ()]),
-        bt([(), [1, 2]], [(), [3, 4]]),
+        NotchedBitableau([[1, 2]], [[4, 3]]),
+        NotchedBitableau([[1, 2, 3]], [[4, 5, 6]]),
+        NotchedBitableau([[3, 4]], [[3, 4]]),
+        NotchedBitableau([[1, 2], [3, 4]], [[5, 6], [3, 4]]),
+        NotchedBitableau([[1, 2, 3, 4], [1, 3]], [[2, 3, 4, 5], [3, 5]]),
+        NotchedBitableau([[5, 6]], [[1, 2]]),
+        NotchedBitableau([()], [()]),
+        NotchedBitableau([(), ()], [(), ()]),
+        NotchedBitableau([[1, 2], ()], [[3, 4], ()]),
+        NotchedBitableau([(), [1, 2]], [(), [3, 4]]),
     ]
     for entry in (1.5, 2.0, True, False, 0, -1, float("nan")):
         for bad, good in (([[entry, 5], [6, 7]], [[2, 3], [4, 8]]), ([[2, 3], [4, entry]], [[5, 6], [7, 8]])):
-            bits += [bt(bad, good), bt(good, bad)]
+            bits += [NotchedBitableau(bad, good), NotchedBitableau(good, bad)]
         # a non-strict row above the refused entry, on the same side and on
         # the other side, and a refused entry above the non-strict row
         bits += [
-            bt([[2, 2], [entry, 9]], [[3, 4], [5, 6]]),
-            bt([[3, 4], [entry, 9]], [[2, 2], [5, 6]]),
-            bt([[entry, 9], [2, 2]], [[3, 4], [5, 6]]),
-            bt([[1, 9], [2, 3]], [[entry, 4], [5, 6]]),
-            bt([[entry]], [[entry]]),
+            NotchedBitableau([[2, 2], [entry, 9]], [[3, 4], [5, 6]]),
+            NotchedBitableau([[3, 4], [entry, 9]], [[2, 2], [5, 6]]),
+            NotchedBitableau([[entry, 9], [2, 2]], [[3, 4], [5, 6]]),
+            NotchedBitableau([[1, 9], [2, 3]], [[entry, 4], [5, 6]]),
+            NotchedBitableau([[entry]], [[entry]]),
         ]
     return bits
 
@@ -323,8 +334,8 @@ def test_pair_routes_equal_the_stepwise_routes(route, reference):
     pairs = enumerate_negative_pairs(7, 3) + enumerate_nonvanishing_pairs(7, 3)
     assert len(pairs) == 1281 + 6833
     pairs += [
-        SkewPair(TwoRowArray((2,), (2,)), TwoRowArray((5,), (5,))),
-        SkewPair(TwoRowArray((2,), (1,)), TwoRowArray((5,), (5,))),
+        SkewPair((2,), (2,), (5,), (5,)),
+        SkewPair((2,), (1,), (5,), (5,)),
     ]
     for p in pairs:
         assert outcome(route, p) == outcome(reference, p), p
@@ -340,7 +351,7 @@ def test_obrsk_positive_pair(worked_pair, worked_bitableau):
 
 def test_obrsk_refuses_a_vanishing_column():
     # valid, but a column with a = b has no sign
-    p = SkewPair(TwoRowArray((2,), (2,)), TwoRowArray((5,), (5,)))
+    p = SkewPair((2,), (2,), (5,), (5,))
     assert validate_skew_pair(p) == []
     with pytest.raises(VanishingColumn, match="a column with equal entries"):
         obrsk(p)
@@ -350,7 +361,7 @@ def test_obrsk_refuses_a_vanishing_dual_column_as_invalid():
     # by (vi), a dual column with c = d stands opposite a column with a = b,
     # so opposite a negative column it breaks (vi) and the pair is invalid
     with pytest.raises(InvalidPair, match="column 1 negative but dual column 1 not"):
-        obrsk(SkewPair(TwoRowArray((2,), (1,)), TwoRowArray((5,), (5,))))
+        obrsk(SkewPair((2,), (1,), (5,), (5,)))
 
 
 def test_obrsk_is_the_paper_composition_on_every_small_nonvanishing_pair():
@@ -365,7 +376,7 @@ def test_obrsk_is_the_paper_composition_on_every_small_nonvanishing_pair():
 
 
 def test_obrsk_single_positive_column():
-    p = SkewPair(TwoRowArray((1,), (4,)), TwoRowArray((3,), (6,)))
+    p = SkewPair((1,), (4,), (3,), (6,))
     image = obrsk(p)
     assert classify_sign(image).kind is SignKind.POSITIVE
     assert obrsk_inverse(image) == p

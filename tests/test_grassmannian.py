@@ -195,8 +195,8 @@ def test_chain_pair_d2():
 
 def test_chain_image_d2():
     image = chain_image(((1, 3),), 2)
-    assert image.P.rows == ((1, 2),)
-    assert image.Q.rows == ((3, 4),)
+    assert image.P == ((1, 2),)
+    assert image.Q == ((3, 4),)
 
 
 def chains_of_roots(d, sign=None):

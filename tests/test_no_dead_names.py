@@ -11,8 +11,8 @@ of the same name does not keep it alive, and neither does a member of the
 same name of another class.  A use reaches the class its receiver is known
 to be: the class of self (or cls) in a method, a class named directly or
 called, a local name bound once to such a receiver, or the class annotated
-on a field of a known receiver (so self.P.shape reaches NotchedTableau, not
-NotchedBitableau).  A receiver the test cannot place, and a string, reach
+on a field of a known receiver (so self.order.format_mono reaches TermOrder,
+the class annotated on SparsePoly.order).  A receiver the test cannot place, and a string, reach
 every class of their own module and of the package modules it imports from.
 The re-exports of __init__.py, any __all__ and the tests do not count: a
 name that only they reach is API the library does not run, and a definition
