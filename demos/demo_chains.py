@@ -8,7 +8,6 @@ Run:  python3 demos/demo_chains.py
 """
 
 from obrsk import (
-    ChainSign,
     IdElement,
     enumerate_extended_chains,
     enumerate_id,
@@ -26,10 +25,10 @@ def describe(beta):
         neg, pos = split_chain(chain, beta)
         parts = []
         if neg:
-            w = w_of_chain(neg, beta, ChainSign.MINUS)
+            w = w_of_chain(neg, beta)
             parts.append(f"w(C-) = {w.entries}")
         if pos:
-            w = w_of_chain(pos, beta, ChainSign.PLUS)
+            w = w_of_chain(pos, beta)
             parts.append(f"w(C+) = {w.entries}")
         print(f"  chain {list(chain)}: " + ", ".join(parts))
     print()

@@ -21,7 +21,6 @@ from .tableaux import (
 from .arrays import SkewPair, psi_inv, validate_skew_pair
 from .correspondence import forward_step, obrsk, obrsk_inverse, obrsk_negative_steps, robrsk, undo_step
 from .grassmannian import (
-    ChainSign,
     IdElement,
     defining_chains,
     enumerate_extended_chains,

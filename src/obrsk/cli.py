@@ -7,7 +7,8 @@ Four entry points share this module:
     ideal generators|hilbert|verify-main
     fixture replay          the frozen worked example
 
-Exit codes: 0 success, 2 invalid input, 3 a verification failed.  A
+Exit codes: 0 success, 2 invalid input, 3 a verification failed.  The
+library checks every input, so the JSON readers only find the rows.  A
 command's output goes to stdout when it has finished; if the reader has
 closed the pipe by then, the exit code is still the command's own.
 """
@@ -26,7 +27,6 @@ from .arrays import SkewPair
 from .correspondence import obrsk, obrsk_inverse, obrsk_negative_steps
 from .errors import ObrskError, ValidationError
 from .grassmannian import (
-    ChainSign,
     IdElement,
     enumerate_extended_chains,
     enumerate_id,
@@ -84,24 +84,9 @@ def pair_to_json(p):
     }
 
 
-def _positive_row(row):
-    """A JSON list of entries as a tuple; every entry must be an integer >= 1
-    (JSON true and false are not integers here)."""
-    row = tuple(row)
-    for x in row:
-        if isinstance(x, bool) or not isinstance(x, int) or x < 1:
-            raise ValidationError(f"entries must be positive integers, got {x!r}")
-    return row
-
-
 def pair_from_json(doc):
     try:
-        return SkewPair(
-            _positive_row(doc["pi1"]["b"]),
-            _positive_row(doc["pi1"]["a"]),
-            _positive_row(doc["pi2"]["c"]),
-            _positive_row(doc["pi2"]["d"]),
-        )
+        return SkewPair(doc["pi1"]["b"], doc["pi1"]["a"], doc["pi2"]["c"], doc["pi2"]["d"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed pair document: {exc}")
 
@@ -112,7 +97,7 @@ def bitableau_to_json(b):
 
 def bitableau_from_json(doc):
     try:
-        return NotchedBitableau([_positive_row(r) for r in doc["P"]], [_positive_row(r) for r in doc["Q"]])
+        return NotchedBitableau(doc["P"], doc["Q"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed bitableau document: {exc}")
 
@@ -206,9 +191,6 @@ def _obrsk_command(args):
         pair = pair_from_json(_read_doc(args.input))
         out = bitableau_to_json(obrsk(pair))
         if args.trace:
-            # obrsk has validated the pair; the empty pair counts as negative
-            if not all(a < b for a, b in zip(pair.a, pair.b)):
-                raise ValidationError("--trace is only available for negative pairs")
             trace = []
             for i, bit in enumerate(obrsk_negative_steps(pair), start=1):
                 trace.append(
@@ -238,7 +220,6 @@ def og_main(argv=None):
     p_w.add_argument("--d", type=int, required=True)
     p_w.add_argument("--beta", required=True)
     p_w.add_argument("--chain", required=True, help="points like '1,3 2,5'")
-    p_w.add_argument("--sign", choices=["minus", "plus"], required=True)
     return _exit_code(_og_command, parser.parse_args(argv))
 
 
@@ -256,19 +237,13 @@ def _og_command(args):
             neg, pos = split_chain(chain, beta)
             entry = {"points": [list(p) for p in chain]}
             if neg:
-                entry["w_minus"] = list(w_of_chain(neg, beta, ChainSign.MINUS).entries)
+                entry["w_minus"] = list(w_of_chain(neg, beta).entries)
             if pos:
-                entry["w_plus"] = list(w_of_chain(pos, beta, ChainSign.PLUS).entries)
+                entry["w_plus"] = list(w_of_chain(pos, beta).entries)
             doc["chains"].append(entry)
         print(json.dumps(doc, indent=2))
     else:
-        chain = _parse_chain(args.chain)
-        sign = ChainSign.MINUS if args.sign == "minus" else ChainSign.PLUS
-        neg, pos = split_chain(chain, beta)  # MixedSigns for a point that is not a root
-        wrong, kind = (pos, "positive") if sign is ChainSign.MINUS else (neg, "negative")
-        if wrong:
-            raise ValidationError(f"--sign {args.sign}, but {wrong[0]} is a {kind} root")
-        w = w_of_chain(chain, beta, sign)
+        w = w_of_chain(_parse_chain(args.chain), beta)
         print(",".join(str(x) for x in w.entries))
     return EXIT_OK
 

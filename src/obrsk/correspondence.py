@@ -74,7 +74,11 @@ def forward_step(prows, qrows, a, b, c, d):
 
 def _column_steps(p):
     """The step (a, b, c, d) of each pi1 column (b, a) and its dual pi2
-    column (c, d), in pi1's order."""
+    column (c, d), in pi1's order; InvalidPair unless p is a valid skew
+    pair."""
+    violations = validate_skew_pair(p)
+    if violations:
+        raise InvalidPair("; ".join(violations))
     return list(zip(p.a, p.b, reversed(p.c), reversed(p.d)))
 
 
@@ -85,9 +89,14 @@ def _thawed(bit):
 
 def obrsk_negative_steps(p):
     """The intermediate bitableaux of the correspondence on a negative pair,
-    one per column."""
+    one per column.  InvalidPair on a pair that is not valid, and NotNegative,
+    before any step, on one with a column that is not negative (a >= b); the
+    empty pair counts as negative."""
+    steps = _column_steps(p)
+    if not all(a < b for a, b, _, _ in steps):
+        raise NotNegative("the steps of the correspondence are only available for negative pairs")
     prows, qrows, bits = [], [], []
-    for step in _column_steps(p):
+    for step in steps:
         forward_step(prows, qrows, *step)
         bits.append(NotchedBitableau(prows, qrows))
     return bits
@@ -150,14 +159,11 @@ def _preimage_columns(prows, qrows):
 
 def obrsk(p):
     """The correspondence on an arbitrary valid skew pair, by columns (see
-    the module docstring).
+    the module docstring); InvalidPair on anything else.
 
     A column with a = b has no sign and is refused.  A dual column with
     c = d needs no refusal of its own: by (vi) its column has a = b.
     """
-    violations = validate_skew_pair(p)
-    if violations:
-        raise InvalidPair("; ".join(violations))
     steps = _column_steps(p)
     if any(a == b for a, b, _, _ in steps):
         raise VanishingColumn("a column with equal entries has no sign")

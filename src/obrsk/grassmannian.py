@@ -7,11 +7,12 @@ entrywise on sorted entry lists.
 Fixing beta in I(d), the grid consists of the positions (r, c) with r outside
 beta and c inside beta.  Writing x* = 2d+1-x, its roots are the positions
 (x*, y) with x > y in beta (roots_of, the one rule; split_chain refuses any
-other point): positive when r > c and negative when r < c.  The other grid
-positions lie on the diagonal (r = c*) or below it (r > c*); the paper's
-five-way rule is tests/oracles.region_of, which the tests check against
-roots_of for every beta with d <= 8.  The reflection (r, c) -> (c*, r*)
-exchanges roots and below-diagonal positions.
+other point): positive when r > c and negative when r < c.  A chain's sign
+is read off its points by split_chain, so w_of_chain takes none.  The
+other grid positions lie on the diagonal (r = c*) or below it (r > c*); the
+paper's five-way rule is tests/oracles.region_of, which the tests check
+against roots_of for every beta with d <= 8.  The reflection
+(r, c) -> (c*, r*) exchanges roots and below-diagonal positions.
 
 A triple alpha <= beta <= gamma declares some chains of roots bad: those
 whose negative part maps to a w with alpha not <= w, or whose positive part
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from operator import le
 
@@ -116,19 +116,21 @@ def roots_of(v):
     return tuple(sorted((full - x, y) for y, x in itertools.combinations(v.entries, 2)))
 
 
-class ChainSign(Enum):
-    MINUS = "minus"
-    PLUS = "plus"
+def _point(p):
+    """A point given as a list as the tuple roots_of holds; anything else as
+    given, so that what is not a pair is refused as no root."""
+    return tuple(p) if isinstance(p, list) else p
 
 
 def split_chain(chain, v):
     """Partition a chain, or any sequence, of roots of the grid of v into its
-    negative (r < c) and positive (r > c) parts; MixedSigns on a point that
-    is not a root (roots_of is the one rule)."""
+    negative (r < c) and positive (r > c) parts, each point as a tuple; the
+    package's one sign rule.  MixedSigns on a point that is not a root
+    (roots_of is the one rule)."""
     roots = roots_of(v)
     neg, pos = [], []
-    for p in chain:
-        if tuple(p) not in roots:
+    for p in map(_point, chain):
+        if p not in roots:
             raise MixedSigns(f"{p} is not a root of the grid of {v}")
         (neg if p[0] < p[1] else pos).append(p)
     return tuple(neg), tuple(pos)
@@ -208,22 +210,23 @@ def _signed_chains(beta):
     return table
 
 
-def w_of_chain(chain, beta, sign):
-    """The element of I(d) attached to a chain of roots of beta of the sign,
-    its points in any order; MixedSigns for anything else.  A negative chain
-    reads its row of _signed_chains.  A positive chain C is read through the
-    mirror: its w is mirror of the w of the negative chain phi(C) of
-    mirror(beta), which the tests certify against obrsk's down set for every
-    positive chain of roots with d <= 7."""
-    minus = sign is ChainSign.MINUS
+def w_of_chain(chain, beta):
+    """The element of I(d) attached to a sign-pure chain of roots of beta,
+    its points in any order; MixedSigns for anything else.  The sign is read
+    off the points (split_chain).  A negative chain reads its row of
+    _signed_chains.  A positive chain C is read through the mirror: its w is
+    mirror of the w of the negative chain phi(C) of mirror(beta), which the
+    tests certify against obrsk's down set for every positive chain of roots
+    with d <= 7."""
+    neg, pos = split_chain(chain, beta)
     entry = None
-    if minus:
-        entry = _signed_chains(beta).get(tuple(sorted(chain)))
-    elif set(chain) <= set(roots_of(beta)):
-        entry = _signed_chains(mirror(beta)).get(tuple(sorted(phi(p, beta.d) for p in chain)))
+    if not pos:
+        entry = _signed_chains(beta).get(tuple(sorted(neg)))
+    elif not neg:
+        entry = _signed_chains(mirror(beta)).get(tuple(sorted(phi(p, beta.d) for p in pos)))
     if entry is None:
-        raise MixedSigns(f"{list(chain)} is not a {sign.value} chain of roots of {beta}")
-    return entry[0] if minus else mirror(entry[0])
+        raise MixedSigns(f"{list(neg + pos)} is not a sign-pure chain of roots of {beta}")
+    return mirror(entry[0]) if pos else entry[0]
 
 
 def _half_bound(alpha, beta):
@@ -252,8 +255,9 @@ def _check_triple(alpha, beta, gamma):
 @lru_cache(maxsize=None)
 def _minimal_bad_chains(bound, beta, sign):
     """The inclusion-minimal bad chains among the chains of roots of beta of
-    one sign, as frozensets: the negative half of a triple (bound alpha) or
-    its positive half (bound gamma).
+    one sign, as frozensets: the negative half of a triple (sign -1, bound
+    alpha) or its positive half (sign +1, bound gamma), the signs of
+    tableaux.row_sign.
 
     Each negative chain is decided by two routes, each read off its row of
     _signed_chains: the defining rule, alpha not <= w; and boundedness of
@@ -264,8 +268,8 @@ def _minimal_bad_chains(bound, beta, sign):
     for mirror(gamma) at mirror(beta), and its minimal bad chains are phi of
     that half's.  Memoised: a half is decided once, however many triples
     share it, so the cache holds at most 2 |I(d)|^2 entries per d."""
-    if sign is ChainSign.PLUS:
-        mirrored = _minimal_bad_chains(mirror(bound), mirror(beta), ChainSign.MINUS)
+    if sign > 0:
+        mirrored = _minimal_bad_chains(mirror(bound), mirror(beta), -1)
         return tuple(frozenset(phi(p, beta.d) for p in chain) for chain in mirrored)
     limit = _half_bound(bound, beta)
     bad = []
@@ -297,14 +301,14 @@ def defining_chains(alpha, beta, gamma):
     its support contains a bad chain, hence when it contains a minimal one,
     and these are the minimal generators of the chain ideal."""
     _check_triple(alpha, beta, gamma)
-    return _minimal_bad_chains(alpha, beta, ChainSign.MINUS) + _minimal_bad_chains(gamma, beta, ChainSign.PLUS)
+    return _minimal_bad_chains(alpha, beta, -1) + _minimal_bad_chains(gamma, beta, +1)
 
 
 def is_quotient_monomial(u, alpha, beta, gamma):
     """True iff the support of u, an iterable of roots (repeats allowed),
     contains no bad chain of the triple."""
     bad = defining_chains(alpha, beta, gamma)
-    support = set(u)
+    support = set(map(_point, u))
     stray = support.difference(roots_of(beta))
     if stray:
         raise MixedSigns(f"{min(stray)} is not a root of the grid of {beta}")

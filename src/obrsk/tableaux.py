@@ -9,7 +9,8 @@ compared to the matching rows of Q through the formal difference P_i - Q_i in th
 difference () - () (all of N).
 
 validate_semistandard checks each row in one pass, for strict increase and
-for plain int entries >= 1, before it compares consecutive rows.
+for plain int entries >= 1, before it compares consecutive rows; it is the
+one entry check of a bitableau, the command line's included.
 sign_split validates a skew-symmetric bitableau and returns its sign kind
 with its number of negative rows, which the inverse maps split the rows at;
 classify_sign builds the two blocks from it.
@@ -88,16 +89,22 @@ def validate_semistandard(b):
 
     One pass over the rows of P, then those of Q, checks each row for strict
     increase and its entries for plain ints >= 1.  A row that is not strict
-    gives False at once, before any entry is refused.  Once every row is
-    strict, the first refused entry in the order P_1, Q_1, P_2, Q_2, ...
-    (a bool, a float, 0 or a negative entry) raises ValidationError, and
-    each two consecutive rows are compared by rows_leq.
+    gives False at once, before any entry is refused; a row whose entries do
+    not compare, such as an int and a str, is refused.  Once every row is
+    strict or refused, the first refused entry in the order P_1, Q_1, P_2,
+    Q_2, ... (a bool, a float, a str, 0 or a negative entry) raises
+    ValidationError, and each two consecutive rows are compared by rows_leq.
     """
     prows, qrows = b.P, b.Q
     refused = False
     for row in prows + qrows:
-        if any(map(ge, row, row[1:])):
-            return False
+        try:
+            if any(map(ge, row, row[1:])):
+                return False
+        except TypeError:
+            # entries of two types that do not compare: not all ints, so the
+            # check below refuses the row
+            pass
         # a strictly increasing row of ints is >= 1 when its first entry is
         if not (_INT.issuperset(map(type, row)) and (not row or row[0] >= 1)):
             refused = True

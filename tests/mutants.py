@@ -250,6 +250,36 @@ MUTANTS = (
         "pass",
         "tests/test_arrays.py::test_width_mismatch",
     ),
+    # each input checked once, in the library
+    Mutant(
+        "w_of_chain reads every chain as negative",
+        "src/obrsk/grassmannian.py",
+        "neg, pos = split_chain(chain, beta)",
+        "neg, pos = tuple(map(tuple, chain)), ()",
+        "tests/test_grassmannian.py::test_w_of_chain_d3_positive",
+    ),
+    Mutant(
+        "negative steps not validated",
+        "src/obrsk/correspondence.py",
+        "steps = _column_steps(p)\n"
+        "    if not all(a < b for a, b, _, _ in steps):\n"
+        '        raise NotNegative("the steps of the correspondence are only available for negative pairs")',
+        "steps = list(zip(p.a, p.b, reversed(p.c), reversed(p.d)))",
+        "tests/test_correspondence.py::test_negative_steps_refuse_an_invalid_pair_and_a_column_that_is_not_negative",
+    ),
+    Mutant(
+        "incomparable entries raise TypeError",
+        "src/obrsk/tableaux.py",
+        "try:\n"
+        "            if any(map(ge, row, row[1:])):\n"
+        "                return False\n"
+        "        except TypeError:\n"
+        "            # entries of two types that do not compare: not all ints, so the\n"
+        "            # check below refuses the row\n"
+        "            pass",
+        "if any(map(ge, row, row[1:])):\n            return False",
+        "tests/test_correspondence.py::test_codomain_checks_refuse_an_entry_that_is_not_a_positive_int",
+    ),
     Mutant(
         "bitableau shapes not compared",
         "src/obrsk/tableaux.py",

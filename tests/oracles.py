@@ -13,7 +13,7 @@ from enum import Enum
 
 import obrsk.enumeration as enumeration
 from obrsk.arrays import SkewPair, psi_inv, validate_skew_pair
-from obrsk.correspondence import _column_steps, obrsk
+from obrsk.correspondence import obrsk
 from obrsk.errors import (
     BoundViolation,
     DimensionMismatch,
@@ -28,7 +28,6 @@ from obrsk.errors import (
     VanishingColumn,
 )
 from obrsk.grassmannian import (
-    ChainSign,
     IdElement,
     chain_image,
     hash_reflect,
@@ -347,18 +346,27 @@ def _flip(bit):
     return NotchedBitableau(bit.Q[::-1], bit.P[::-1])
 
 
+def _valid_column_steps(p):
+    """The step (a, b, c, d) of each pi1 column (b, a) and its dual pi2
+    column (c, d), in pi1's order, of a valid skew pair."""
+    violations = validate_skew_pair(p)
+    if violations:
+        raise InvalidPair("; ".join(violations))
+    return list(zip(p.a, p.b, reversed(p.c), reversed(p.d)))
+
+
 def stepwise_negative_steps(p):
     """obrsk_negative_steps, freezing each step."""
-    return _walk(_column_steps(p))[1:]
+    steps = _valid_column_steps(p)
+    if any(a >= b for a, b, _, _ in steps):
+        raise NotNegative("the steps of the correspondence are only available for negative pairs")
+    return _walk(steps)[1:]
 
 
 def stepwise_obrsk(p):
     """obrsk, walking each block by frozen steps and flipping the positive
     image as a bitableau."""
-    violations = validate_skew_pair(p)
-    if violations:
-        raise InvalidPair("; ".join(violations))
-    steps = _column_steps(p)
+    steps = _valid_column_steps(p)
     if any(a == b for a, b, _, _ in steps):
         raise VanishingColumn("a column with equal entries has no sign")
     neg = _walk(step for step in steps if step[0] < step[1])[-1]
@@ -583,9 +591,9 @@ def chain_in_chains_set(chain, alpha, beta, gamma):
     """Membership of a chain in the defining set of the chain ideal: the
     negative part fails alpha <= w, or the positive part fails w <= gamma."""
     neg, pos = split_chain(chain, beta)
-    if neg and not id_leq(alpha, w_of_chain(neg, beta, ChainSign.MINUS)):
+    if neg and not id_leq(alpha, w_of_chain(neg, beta)):
         return True
-    if pos and not id_leq(w_of_chain(pos, beta, ChainSign.PLUS), gamma):
+    if pos and not id_leq(w_of_chain(pos, beta), gamma):
         return True
     return False
 

@@ -31,7 +31,6 @@ from obrsk.cli import (
 from obrsk.errors import VerificationError
 from obrsk.fixture import FIXTURE_BITABLEAU, FIXTURE_PAIR
 from obrsk.grassmannian import (
-    ChainSign,
     IdElement,
     enumerate_extended_chains,
     enumerate_id,
@@ -149,23 +148,29 @@ def test_apply_refuses_an_integer_too_long_to_convert(tmp_path, capsys):
     _refused_as_unreadable(capsys, ["apply", "--input", str(path)])
 
 
+ENTRY_REFUSALS = [
+    ("apply", {"pi1": {"b": [3], "a": [1]}, "pi2": {"c": [4.5], "d": [2]}}, "c_1 = 4.5 not a positive integer"),
+    ("apply", {"pi1": {"b": [3], "a": [4.5]}, "pi2": {"c": [4], "d": [2]}}, "a_1 = 4.5 not a positive integer"),
+    ("apply", {"pi1": {"b": [3], "a": [-3]}, "pi2": {"c": [4], "d": [2]}}, "a_1 = -3 not a positive integer"),
+    ("apply", {"pi1": {"b": [3], "a": [True]}, "pi2": {"c": [4], "d": [2]}}, "a_1 = True not a positive integer"),
+    ("apply", {"pi1": {"b": [3], "a": ["x"]}, "pi2": {"c": [4], "d": [2]}}, "a_1 = 'x' not a positive integer"),
+    ("invert", {"P": [[1, 2.5]], "Q": [[3, 4]]}, "multiset entries must be positive integers, got 2.5"),
+]
+
+
 @pytest.mark.parametrize(
-    "command, doc",
-    [
-        ("apply", {"pi1": {"b": [3], "a": [1]}, "pi2": {"c": [4.5], "d": [2]}}),
-        ("apply", {"pi1": {"b": [3], "a": [4.5]}, "pi2": {"c": [4], "d": [2]}}),
-        ("apply", {"pi1": {"b": [3], "a": [-3]}, "pi2": {"c": [4], "d": [2]}}),
-        ("apply", {"pi1": {"b": [3], "a": [True]}, "pi2": {"c": [4], "d": [2]}}),
-        ("apply", {"pi1": {"b": [3], "a": ["x"]}, "pi2": {"c": [4], "d": [2]}}),
-        ("invert", {"P": [[1, 2.5]], "Q": [[3, 4]]}),
-    ],
+    "command, doc, message",
+    ENTRY_REFUSALS,
+    ids=[f"{command}-doc{i}" for i, (command, _, _) in enumerate(ENTRY_REFUSALS)],
 )
-def test_rejects_entries_that_are_not_positive_integers(tmp_path, capsys, command, doc):
+def test_rejects_entries_that_are_not_positive_integers(tmp_path, capsys, command, doc, message):
+    # the library's own checks refuse the entry: validate_skew_pair for a
+    # pair, validate_semistandard for a bitableau
     path = write_json(tmp_path, "doc.json", doc)
     assert obrsk_main([command, "--input", path]) == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "positive integers" in captured.err
+    assert captured.err == f"error: {message}\n"
 
 
 json_scalars = st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=2)
@@ -245,12 +250,12 @@ def test_og_chains_lists_every_chain_with_the_w_of_each_part(capsys, d, beta):
     v = IdElement(tuple(map(int, beta.split(","))), d)
     assert [tuple(map(tuple, c["points"])) for c in doc["chains"]] == list(enumerate_extended_chains(roots_of(v)))
     for entry in doc["chains"]:
-        neg, pos = split_chain(tuple(map(tuple, entry["points"])), v)
+        neg, pos = split_chain(entry["points"], v)
         expected = {}
         if neg:
-            expected["w_minus"] = list(w_of_chain(neg, v, ChainSign.MINUS).entries)
+            expected["w_minus"] = list(w_of_chain(neg, v).entries)
         if pos:
-            expected["w_plus"] = list(w_of_chain(pos, v, ChainSign.PLUS).entries)
+            expected["w_plus"] = list(w_of_chain(pos, v).entries)
         assert {k: w for k, w in entry.items() if k != "points"} == expected
     assert any("w_plus" in entry for entry in doc["chains"])
     if d == 4:
@@ -258,13 +263,34 @@ def test_og_chains_lists_every_chain_with_the_w_of_each_part(capsys, d, beta):
 
 
 def test_og_wchain(capsys):
-    code = og_main(["wchain", "--d", "2", "--beta", "3,4", "--chain", "1,3", "--sign", "minus"])
+    code = og_main(["wchain", "--d", "2", "--beta", "3,4", "--chain", "1,3"])
     assert code == EXIT_OK
     assert capsys.readouterr().out.strip() == "1,2"
 
 
+def test_og_wchain_matches_og_chains(capsys):
+    # og wchain reads the sign off the points: every sign-pure part of every
+    # chain og chains lists gives the w listed for it, with d <= 4
+    parts = 0
+    for d in range(1, 5):
+        for beta in enumerate_id(d):
+            text = ",".join(map(str, beta.entries))
+            code, doc = run_json(capsys, og_main, ["chains", "--d", str(d), "--beta", text])
+            assert code == EXIT_OK
+            for entry in doc["chains"]:
+                for key, negative in (("w_minus", True), ("w_plus", False)):
+                    part = [f"{r},{c}" for r, c in entry["points"] if (r < c) == negative]
+                    assert bool(part) == (key in entry)
+                    if part:
+                        code = og_main(["wchain", "--d", str(d), "--beta", text, "--chain", " ".join(part)])
+                        assert code == EXIT_OK
+                        assert capsys.readouterr().out == ",".join(map(str, entry[key])) + "\n"
+                        parts += 1
+    assert parts == 156
+
+
 def test_og_wchain_positive(capsys):
-    code = og_main(["wchain", "--d", "3", "--beta", "1,2,3", "--chain", "4,1", "--sign", "plus"])
+    code = og_main(["wchain", "--d", "3", "--beta", "1,2,3", "--chain", "4,1"])
     assert code == EXIT_OK
     assert capsys.readouterr().out.strip() == "2,4,6"
 
@@ -272,10 +298,10 @@ def test_og_wchain_positive(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--d", "2", "--beta", "3,4", "--chain", "1,2", "--sign", "minus"], "not a root"),
-        (["--d", "2", "--beta", "3,4", "--chain", "9,9", "--sign", "minus"], "not a root"),
-        (["--d", "2", "--beta", "3,4", "--chain", "1,3", "--sign", "plus"], "negative root"),
-        (["--d", "3", "--beta", "1,2,3", "--chain", "4,1", "--sign", "minus"], "positive root"),
+        (["--d", "2", "--beta", "3,4", "--chain", "1,2"], "not a root"),
+        (["--d", "2", "--beta", "3,4", "--chain", "9,9"], "not a root"),
+        # 2,3 is a negative root and 5,1 a positive one
+        (["--d", "5", "--beta", "1,3,4,6,9", "--chain", "2,3 5,1"], "not a sign-pure chain"),
     ],
 )
 def test_og_wchain_rejects_chains_outside_the_sign(capsys, argv, message):
@@ -290,8 +316,8 @@ def test_og_wchain_rejects_chains_outside_the_sign(capsys, argv, message):
     [
         (obrsk_main, ["apply", "--input=--"], "--input"),
         (og_main, ["chains", "--d", "2", "--beta=--"], "--beta"),
-        (og_main, ["wchain", "--d", "2", "--beta", "3,4", "--chain=--", "--sign", "minus"], "--chain"),
-        (og_main, ["wchain", "--d", "2", "--beta", "3,4", "--chain", "1,3", "--sign=--"], "--sign"),
+        (og_main, ["wchain", "--d", "2", "--beta", "3,4", "--chain=--"], "--chain"),
+        (ideal_main, ["hilbert", "--d", "2", "--alpha", "3,4", "--beta", "3,4", "--gamma=--"], "--gamma"),
         (ideal_main, ["verify-main", "--d", "2", "--alpha=--", "--beta", "3,4", "--gamma", "3,4"], "--alpha"),
     ],
 )
@@ -312,8 +338,7 @@ def wchain_argv(draw):
     point = st.sampled_from(roots) | near if roots else near
     points = st.lists(point, max_size=4).map(lambda pts: " ".join(f"{r},{c}" for r, c in pts))
     chain = draw(points | st.text("0123456789,; -x", max_size=8))
-    sign = draw(st.sampled_from(["minus", "plus"]))
-    return ["wchain", "--d", str(d), "--beta", ",".join(map(str, beta.entries)), f"--chain={chain}", "--sign", sign]
+    return ["wchain", "--d", str(d), "--beta", ",".join(map(str, beta.entries)), f"--chain={chain}"]
 
 
 @settings(max_examples=300, deadline=None)

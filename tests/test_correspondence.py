@@ -1,9 +1,11 @@
+import re
 import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import obrsk.correspondence as correspondence
 from obrsk.arrays import SkewPair, validate_skew_pair
 from obrsk.correspondence import (
     forward_step,
@@ -225,14 +227,16 @@ def test_inverse_maps_refuse_bitableaux_outside_their_domain(inverse, p_rows, q_
 CODOMAIN_CHECKS = [validate_skew_symmetric, classify_sign, robrsk, obrsk_inverse]
 
 
-@pytest.mark.parametrize("check", CODOMAIN_CHECKS)
-@pytest.mark.parametrize("entry", [1.5, True, 0, -1])
+@pytest.mark.parametrize("check", CODOMAIN_CHECKS + [validate_semistandard])
+@pytest.mark.parametrize("entry", [1.5, True, 0, -1, "a", None, [3]])
 @pytest.mark.parametrize("side", ["P", "Q"])
 def test_codomain_checks_refuse_an_entry_that_is_not_a_positive_int(check, entry, side):
-    # the rows stay strictly increasing, so only the entry itself is wrong,
-    # and it is the entry that is refused, not the row order it sets up
+    # the rows stay strictly increasing where their entries compare, so
+    # only the entry itself is wrong, and it is the entry that is refused,
+    # not the row order it sets up; "a", None and [3] do not compare with 5
     bad, good = [[entry, 5], [6, 7]], [[2, 3], [4, 8]]
-    with pytest.raises(ValidationError, match=f"^multiset entries must be positive integers, got {entry!r}$"):
+    message = f"multiset entries must be positive integers, got {entry!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         check(NotchedBitableau(bad, good) if side == "P" else NotchedBitableau(good, bad))
 
 
@@ -339,6 +343,25 @@ def test_pair_routes_equal_the_stepwise_routes(route, reference):
     ]
     for p in pairs:
         assert outcome(route, p) == outcome(reference, p), p
+
+
+def test_negative_steps_refuse_an_invalid_pair_and_a_column_that_is_not_negative(monkeypatch):
+    # an invalid pair is refused as obrsk refuses it, not stepped into a
+    # bitableau that is not row-strict; a pair with a positive or vanishing
+    # column is refused before any step
+    invalid = SkewPair((4,), (1,), (3,), (2,))
+    with pytest.raises(InvalidPair) as refused:
+        obrsk_negative_steps(invalid)
+    assert str(refused.value) == "; ".join(validate_skew_pair(invalid))
+    assert len(validate_skew_pair(invalid)) == 2
+    mixed = [p for p in enumerate_nonvanishing_pairs(5, 2) if p.width == 2 and p.a[0] < p.b[0] and p.a[1] > p.b[1]]
+    assert mixed
+    steps = []
+    monkeypatch.setattr(correspondence, "forward_step", lambda *step: steps.append(step))
+    for p in [SkewPair((2,), (3,), (3,), (4,)), SkewPair((2,), (2,), (5,), (5,)), *mixed]:
+        with pytest.raises(NotNegative, match="^the steps of the correspondence are only available for negative pairs$"):
+            obrsk_negative_steps(p)
+    assert steps == []
 
 
 def test_obrsk_general_restricts_to_negative(worked_pair, worked_bitableau):

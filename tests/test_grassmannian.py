@@ -12,7 +12,6 @@ from obrsk.errors import (
     VerificationError,
 )
 from obrsk.grassmannian import (
-    ChainSign,
     IdElement,
     chain_image,
     defining_chains,
@@ -145,8 +144,8 @@ def test_roots_are_the_root_positions_of_the_paper_grid_through_d8():
                     continue
                 assert region is (Region.ROOT_NEG if r < c else Region.ROOT_POS), (beta, r, c)
                 assert split_chain(((r, c),), beta) == ((((r, c),), ()) if r < c else ((), ((r, c),)))
-                # a point given as a list is a root too, and is handed back as given
-                assert split_chain(([r, c],), beta) == ((([r, c],), ()) if r < c else ((), ([r, c],)))
+                # a point given as a list is a root too, and is handed back as a tuple
+                assert split_chain(([r, c],), beta) == split_chain(((r, c),), beta)
     assert positions == 52212
 
 
@@ -200,11 +199,11 @@ def test_chain_image_d2():
 
 
 def chains_of_roots(d, sign=None):
-    """Every sign-pure chain of roots of I(d), each once, of the one sign if
-    given."""
+    """Every sign-pure chain of roots of I(d), each once, of the one sign
+    (-1 or +1) if given."""
     chains = {}
     for beta in enumerate_id(d):
-        for part_sign, part in zip(ChainSign, split_chain(roots_of(beta), beta)):
+        for part_sign, part in zip((-1, +1), split_chain(roots_of(beta), beta)):
             if sign in (None, part_sign):
                 chains.update(dict.fromkeys(enumerate_extended_chains(part)))
     return list(chains)
@@ -244,7 +243,7 @@ def test_positive_chain_pairs_are_the_down_sets_of_obrsk_through_d7(package_cach
             for chain in enumerate_extended_chains(split_chain(roots_of(beta), beta)[1]):
                 pairs = up_down(obrsk(psi_inv(*chain_pair(chain, d))))[1]
                 entries = set(beta.entries) - {y for _, y in pairs} | {x for x, _ in pairs}
-                assert w_of_chain(chain, beta, ChainSign.PLUS) == ide(entries, d), (beta, chain)
+                assert w_of_chain(chain, beta) == ide(entries, d), (beta, chain)
                 rows += 1
     assert rows == 4374
 
@@ -265,7 +264,7 @@ def test_negative_chain_images_are_the_steps_of_obrsk_through_d5(package_caches)
     # obrsk consumes a negative chain's points in order, so its k-th
     # intermediate bitableau is the image of the first k points
     for d in range(1, 6):
-        for chain in chains_of_roots(d, ChainSign.MINUS):
+        for chain in chains_of_roots(d, -1):
             steps = list(obrsk_negative_steps(psi_inv(*chain_pair(chain, d))))
             assert steps == [chain_image(chain[:k], d) for k in range(1, len(chain) + 1)], (chain, d)
 
@@ -275,7 +274,7 @@ def test_positive_chain_images_go_through_L_through_d6(package_caches):
     # commutes with swapping the coordinates, so the image is iota of the
     # transpose's image, the rule obrsk applies to a positive part and
     # image_of follows (checked against obrsk above)
-    chains = [(chain, d) for d in range(1, 7) for chain in chains_of_roots(d, ChainSign.PLUS)]
+    chains = [(chain, d) for d in range(1, 7) for chain in chains_of_roots(d, +1)]
     assert chains
     for chain, d in chains:
         assert psi_inv(*chain_pair(transpose(chain), d)) == L_involution(psi_inv(*chain_pair(chain, d))), (chain, d)
@@ -302,21 +301,21 @@ def test_chain_images_take_one_forward_step_each_over_all_d4_triples(monkeypatch
 
 def test_w_of_chain_d2():
     beta = ide((3, 4), 2)
-    w = w_of_chain(((1, 3),), beta, ChainSign.MINUS)
+    w = w_of_chain(((1, 3),), beta)
     assert w.entries == (1, 2)
 
 
 def test_w_of_chain_d3_positive():
     beta = ide((1, 2, 3), 3)
-    w = w_of_chain(((4, 1),), beta, ChainSign.PLUS)
+    w = w_of_chain(((4, 1),), beta)
     assert w.entries == (2, 4, 6)
     assert id_leq(beta, w)
 
 
-def reference_w_of_chain(chain, beta, sign):
+def reference_w_of_chain(chain, beta):
     # the rule itself: the seconds of the up set (negative chain) or the down
     # set (positive chain) of the chain image leave beta, the firsts come in
-    pairs = up_down(image_of(chain, beta.d))[0 if sign is ChainSign.MINUS else 1]
+    pairs = up_down(image_of(chain, beta.d))[0 if chain[0][0] < chain[0][1] else 1]
     entries = set(beta.entries) - {y for _, y in pairs} | {x for x, _ in pairs}
     return ide(entries, beta.d)
 
@@ -324,32 +323,35 @@ def reference_w_of_chain(chain, beta, sign):
 def test_w_of_chain_matches_reference_on_every_chain_d4():
     for d in (1, 2, 3, 4):
         for beta in enumerate_id(d):
-            for sign, part in zip(ChainSign, split_chain(roots_of(beta), beta)):
+            for part in split_chain(roots_of(beta), beta):
                 for chain in enumerate_extended_chains(part):
-                    w = w_of_chain(chain, beta, sign)
-                    assert w == reference_w_of_chain(chain, beta, sign), (beta, sign, chain)
-                    # any order of the points names the same chain
-                    assert w_of_chain(chain[::-1], beta, sign) == w
+                    w = w_of_chain(chain, beta)
+                    assert w == reference_w_of_chain(chain, beta), (beta, chain)
+                    # any order of the points names the same chain, and a
+                    # point may be given as a list
+                    assert w_of_chain(chain[::-1], beta) == w
+                    assert w_of_chain([list(p) for p in chain], beta) == w
 
 
 def test_w_of_chain_rejects_what_is_not_a_chain_of_its_sign():
     beta = ide((1, 3, 4, 6, 9), 5)
     neg, pos = split_chain(roots_of(beta), beta)
     assert neg and pos
-    for chain, sign in (
-        ((), ChainSign.MINUS),  # empty
-        ((), ChainSign.PLUS),
-        ((neg[0], neg[0]), ChainSign.MINUS),  # a repeated point is not a chain
-        (((2, 3), (2, 4)), ChainSign.MINUS),  # same row
-        ((pos[0],), ChainSign.MINUS),  # a chain of the other sign
-        ((neg[0],), ChainSign.PLUS),
-        (((5, 6),), ChainSign.PLUS),  # a diagonal point is not a root
-        ((pos[0] + (1,),), ChainSign.PLUS),  # points that are not pairs
-        ((pos[0][:1],), ChainSign.PLUS),
-        ((neg[0] + (1,),), ChainSign.MINUS),
+    for chain in (
+        (),  # empty
+        (neg[0], neg[0]),  # a repeated point is not a chain
+        (pos[0], pos[0]),
+        ((2, 3), (2, 4)),  # same row
+        (neg[0], pos[0]),  # both signs
+        ((5, 6),),  # a diagonal point is not a root
+        (pos[0] + (1,),),  # points that are not pairs
+        (pos[0][:1],),
+        (5,),
+        ([5],),
+        (neg[0] + (1,),),
     ):
         with pytest.raises(MixedSigns):
-            w_of_chain(chain, beta, sign)
+            w_of_chain(chain, beta)
 
 
 def test_signed_chains_are_one_table_per_beta_after_all_d4_triples(package_caches):
@@ -433,7 +435,7 @@ def test_mirrored_positive_halves_equal_the_direct_positive_rule_through_d7(pack
             rows = positive_chain_rows(beta)
             for gamma in enumerate_id(d):
                 if id_leq(beta, gamma):
-                    mirrored = grassmannian._minimal_bad_chains(gamma, beta, ChainSign.PLUS)
+                    mirrored = grassmannian._minimal_bad_chains(gamma, beta, +1)
                     assert len(set(mirrored)) == len(mirrored)
                     assert set(mirrored) == positive_half(gamma, beta, rows), (gamma, beta)
                     halves += 1
@@ -480,6 +482,21 @@ def test_is_quotient_monomial_d2():
     assert is_quotient_monomial(((1, 3), (1, 3)), alpha, beta, gamma)
     assert is_quotient_monomial((), alpha, beta, gamma)
     assert not is_quotient_monomial(((1, 3),), beta, beta, gamma)
+
+
+def test_points_given_as_lists_are_read_as_tuples():
+    beta = ide((3, 4), 2)
+    alpha = ide((1, 2), 2)
+    assert split_chain([[1, 3]], beta) == (((1, 3),), ())
+    assert w_of_chain([[1, 3]], beta) == w_of_chain(((1, 3),), beta) == alpha
+    assert is_quotient_monomial([[1, 3], [1, 3]], alpha, beta, beta)
+    assert not is_quotient_monomial([[1, 3]], beta, beta, beta)
+    # a point that is not a pair at all is no root
+    for point in (5, [5], "13"):
+        with pytest.raises(MixedSigns, match="is not a root of the grid of 3,4"):
+            split_chain((point,), beta)
+        with pytest.raises(MixedSigns, match="is not a root of the grid of 3,4"):
+            is_quotient_monomial((point,), alpha, beta, beta)
 
 
 def test_quotient_routes_agree_d3():
