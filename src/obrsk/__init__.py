@@ -14,7 +14,6 @@ from .tableaux import (
     NotchedBitableau,
     SignKind,
     classify_sign,
-    sign_split,
     validate_semistandard,
     validate_skew_symmetric,
 )

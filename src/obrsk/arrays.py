@@ -6,8 +6,8 @@ A skew pair is a pair of two-row arrays of equal width t:
           (a_1 ... a_t)              (d_1 ... d_t)
 
 SkewPair holds its four rows b, a, c, d as tuples, in that order, and
-refuses rows of different lengths.  The entries are plain ints >= 1, and the
-pair is subject to six conditions:
+refuses a row that is not a sequence and rows of different lengths.  The
+entries are plain ints >= 1, and the pair is subject to six conditions:
 
   (i)   pi1 is lexicographic: b weakly decreasing, ties broken by a weakly
         decreasing;
@@ -31,6 +31,7 @@ correspondence reads the columns of a pair directly.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import LengthMismatch
@@ -48,10 +49,12 @@ class SkewPair:
     d: tuple
 
     def __post_init__(self):
-        rows = tuple(map(tuple, (self.b, self.a, self.c, self.d)))
-        for name, row in zip("bacd", rows):
-            object.__setattr__(self, name, row)
-        b, a, c, d = rows
+        for name in "bacd":
+            row = getattr(self, name)
+            if not isinstance(row, Iterable):
+                raise LengthMismatch(f"row {name} is not a sequence: {row!r}")
+            object.__setattr__(self, name, tuple(row))
+        b, a, c, d = self.b, self.a, self.c, self.d
         for top, bottom in ((b, a), (c, d)):
             if len(top) != len(bottom):
                 raise LengthMismatch(f"rows of length {len(top)} and {len(bottom)}")

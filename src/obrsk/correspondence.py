@@ -33,19 +33,20 @@ keeps each column opposite its dual: the duality map is strictly
 decreasing, so pi1's columns in descending order put their duals in
 ascending order.  iota's check that its argument is nonvanishing holds by
 construction.  tests/oracles.py states split_parts, L and iota, and the
-tests check obrsk against their composition.  obrsk_inverse splits the
-rows at the number of negative rows (tableaux.sign_split), undoes the
-negative block and the positive block flipped back, and rebuilds the pair
-from its columns' points.
+tests check obrsk against their composition.  The inverse maps read the
+number of negative rows off tableaux.classify_sign, undo the negative
+block and the positive block flipped back, and rebuild the pair from its
+columns' points; robrsk takes only a negative bitableau and walks as
+obrsk_inverse does.
 """
 
 from __future__ import annotations
 
 import bisect
 
-from .arrays import SkewPair, psi_inv, validate_skew_pair
+from .arrays import psi_inv, validate_skew_pair
 from .errors import BoundViolation, EmptyBitableau, InvalidPair, NotNegative, PathShapeMismatch, VanishingColumn
-from .tableaux import NotchedBitableau, SignKind, sign_split
+from .tableaux import NotchedBitableau, SignKind, classify_sign
 
 
 def forward_step(prows, qrows, a, b, c, d):
@@ -80,11 +81,6 @@ def _column_steps(p):
     if violations:
         raise InvalidPair("; ".join(violations))
     return list(zip(p.a, p.b, reversed(p.c), reversed(p.d)))
-
-
-def _thawed(bit):
-    """The rows of P and of Q, as lists of lists that the maps may change."""
-    return list(map(list, bit.P)), list(map(list, bit.Q))
 
 
 def obrsk_negative_steps(p):
@@ -135,25 +131,23 @@ def undo_step(prows, qrows):
 
 def robrsk(bit):
     """Invert the correspondence on a negative skew-symmetric bitableau."""
-    kind, _ = sign_split(bit)
-    if not bit.is_empty and kind is not SignKind.NEGATIVE:
-        raise NotNegative(f"bitableau is {kind.value}, not negative")
-    return SkewPair.from_columns(*_preimage_columns(*_thawed(bit)))
+    sign = classify_sign(bit)
+    if not bit.is_empty and sign.kind is not SignKind.NEGATIVE:
+        raise NotNegative(f"bitableau is {sign.kind.value}, not negative")
+    return _invert(bit, sign.negative_rows)
 
 
 def _preimage_columns(prows, qrows):
     """The columns of the pair that a negative block of rows comes from, by
     undoing its steps on the row lists, which it empties, and without a
     check that the block is negative: the pi1 columns (b, a) and the pi2
-    columns (c, d), each in its array's order."""
-    cols1 = []  # (b, a), collected last column first
-    cols2 = []  # (c, d), collected first column first
+    columns (c, d), in the order the steps are undone."""
+    cols1, cols2 = [], []
     # each step put two boxes into P
     for _ in range(sum(map(len, prows)) // 2):
         a, b, c, d = undo_step(prows, qrows)
         cols1.append((b, a))
         cols2.append((c, d))
-    cols1.reverse()
     return cols1, cols2
 
 
@@ -184,23 +178,26 @@ def obrsk(p):
 
 
 def obrsk_inverse(bit):
-    """Invert the correspondence on a nonvanishing skew-symmetric bitableau.
-
-    sign_split is the one validation, and its number of negative rows
-    splits the rows.  The negative block is inverted as robrsk inverts it,
-    and the positive block is flipped back and inverted the same way.  Both
-    preimages are taken as points, and one psi_inv rebuilds the pair from
-    their union, which puts the positive columns back in pi1's order.  A
-    block of rows of a skew-symmetric bitableau is skew-symmetric, and
-    sign_split has found every row of the positive block positive, so the
-    flip needs no check.
-    """
-    kind, n_neg = sign_split(bit)
-    if kind is SignKind.VANISHING:
+    """Invert the correspondence on a nonvanishing skew-symmetric bitableau."""
+    sign = classify_sign(bit)
+    if sign.kind is SignKind.VANISHING:
         raise NotNegative("only nonvanishing bitableaux are in the image")
-    prows, qrows = _thawed(bit)
-    neg1, neg2 = _preimage_columns(prows[:n_neg], qrows[:n_neg])
-    pos1, pos2 = _preimage_columns(qrows[n_neg:][::-1], prows[n_neg:][::-1])
+    return _invert(bit, sign.negative_rows)
+
+
+def _invert(bit, negative_rows):
+    """The pair a bitableau comes from whose top negative_rows rows are
+    negative and whose other rows are positive, which the caller has
+    checked.
+
+    The negative block is undone as it stands, and the positive block
+    flipped back (P and Q swapped, rows reversed).  Both preimages are taken
+    as points, and one psi_inv rebuilds the pair from their union, which
+    puts the columns in the canonical order.
+    """
+    prows, qrows = list(map(list, bit.P)), list(map(list, bit.Q))
+    neg1, neg2 = _preimage_columns(prows[:negative_rows], qrows[:negative_rows])
+    pos1, pos2 = _preimage_columns(qrows[negative_rows:][::-1], prows[negative_rows:][::-1])
     # a pi1 column (b, a) is the point (a, b) and a pi2 column (c, d) the
     # point (d, c); a positive step was swapped, so each positive column,
     # read as it stands, is already its point

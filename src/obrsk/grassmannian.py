@@ -308,9 +308,7 @@ def is_quotient_monomial(u, alpha, beta, gamma):
     """True iff the support of u, an iterable of roots (repeats allowed),
     contains no bad chain of the triple."""
     bad = defining_chains(alpha, beta, gamma)
-    support = set(map(_point, u))
-    stray = support.difference(roots_of(beta))
-    if stray:
-        raise MixedSigns(f"{min(stray)} is not a root of the grid of {beta}")
+    neg, pos = split_chain(u, beta)
+    support = {*neg, *pos}
     return not any(chain <= support for chain in bad)
 

@@ -3,30 +3,30 @@
 A notched tableau is a finite sequence of left-justified rows of positive
 integers; row lengths are unconstrained.  A bitableau is a pair (P, Q) of
 notched tableaux of the same shape; NotchedBitableau holds each as a tuple
-of row tuples and refuses a P and a Q of different shapes.  Rows of P are
-compared to the matching rows of Q through the formal difference P_i - Q_i in the counting order
+of row tuples and refuses a side or a row that is not a sequence and a P
+and a Q of different shapes.  Rows of P are compared to the matching rows
+of Q through the formal difference P_i - Q_i in the counting order
 (rows_leq), and the sign of a row is its position relative to the empty
 difference () - () (all of N).
 
-validate_semistandard checks each row in one pass, for strict increase and
-for plain int entries >= 1, before it compares consecutive rows; it is the
-one entry check of a bitableau, the command line's included.
-sign_split validates a skew-symmetric bitableau and returns its sign kind
-with its number of negative rows, which the inverse maps split the rows at;
-classify_sign builds the two blocks from it.
+validate_semistandard refuses an entry that is not a plain int >= 1 before
+it reads any row order, and is the one entry check of a bitableau, the
+command line's included.  classify_sign validates a skew-symmetric bitableau
+and returns its sign kind with its number of negative rows, which the
+inverse maps split the rows at; it is the one sign reading.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import ge, gt, lt
+from typing import NamedTuple
 
 from .errors import NotSemistandard, NotSkewSymmetric, ShapeMismatch, ValidationError
 from .multisets import duality_conflict
-
-_INT = frozenset((int,))
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class NotchedBitableau:
     shape: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        prows, qrows = tuple(map(tuple, self.P)), tuple(map(tuple, self.Q))
+        prows, qrows = _row_tuples(self.P, "P"), _row_tuples(self.Q, "Q")
         object.__setattr__(self, "P", prows)
         object.__setattr__(self, "Q", qrows)
         shape, q_shape = tuple(map(len, prows)), tuple(map(len, qrows))
@@ -54,6 +54,18 @@ class NotchedBitableau:
     @property
     def is_empty(self):
         return self.degree == 0
+
+
+def _row_tuples(rows, side):
+    """The rows of one side as a tuple of row tuples; ShapeMismatch on a
+    side, or a row of it, that is not a sequence."""
+    if not isinstance(rows, Iterable):
+        raise ShapeMismatch(f"{side} is not a sequence of rows: {rows!r}")
+    rows = tuple(rows)
+    for i, row in enumerate(rows, start=1):
+        if not isinstance(row, Iterable):
+            raise ShapeMismatch(f"row {i} of {side} is not a sequence: {row!r}")
+    return tuple(map(tuple, rows))
 
 
 EMPTY_BITABLEAU = NotchedBitableau((), ())
@@ -87,31 +99,19 @@ def validate_semistandard(b):
     """Both sides row-strict and the row differences P_i - Q_i weakly
     increasing in the counting order.
 
-    One pass over the rows of P, then those of Q, checks each row for strict
-    increase and its entries for plain ints >= 1.  A row that is not strict
-    gives False at once, before any entry is refused; a row whose entries do
-    not compare, such as an int and a str, is refused.  Once every row is
-    strict or refused, the first refused entry in the order P_1, Q_1, P_2,
-    Q_2, ... (a bool, a float, a str, 0 or a negative entry) raises
-    ValidationError, and each two consecutive rows are compared by rows_leq.
+    The first entry in the order P_1, Q_1, P_2, Q_2, ... that is not a plain
+    int >= 1 (a bool, a float, a str, 0 or a negative entry) raises
+    ValidationError, whatever the rows' order; then a row that is not
+    strictly increasing gives False, and each two consecutive rows are
+    compared by rows_leq.
     """
-    prows, qrows = b.P, b.Q
-    refused = False
-    for row in prows + qrows:
-        try:
-            if any(map(ge, row, row[1:])):
-                return False
-        except TypeError:
-            # entries of two types that do not compare: not all ints, so the
-            # check below refuses the row
-            pass
-        # a strictly increasing row of ints is >= 1 when its first entry is
-        if not (_INT.issuperset(map(type, row)) and (not row or row[0] >= 1)):
-            refused = True
-    if refused:
-        entry = next(e for prow, qrow in zip(prows, qrows) for e in prow + qrow if type(e) is not int or e < 1)
-        raise ValidationError(f"multiset entries must be positive integers, got {entry!r}")
-    rows = list(zip(prows, qrows))
+    rows = list(zip(b.P, b.Q))
+    for prow, qrow in rows:
+        for e in prow + qrow:
+            if type(e) is not int or e < 1:
+                raise ValidationError(f"multiset entries must be positive integers, got {e!r}")
+    if any(any(map(ge, row, row[1:])) for row in b.P + b.Q):
+        return False
     return all(map(rows_leq, rows, rows[1:]))
 
 
@@ -140,11 +140,12 @@ class SignKind(Enum):
     VANISHING = "vanishing"
 
 
-@dataclass(frozen=True)
-class SignClassification:
+class SignClassification(NamedTuple):
+    """The sign kind of a skew-symmetric bitableau and its number of
+    negative rows, which are its top rows."""
+
     kind: SignKind
-    negative_part: NotchedBitableau | None
-    positive_part: NotchedBitableau | None
+    negative_rows: int
 
 
 def row_sign(prow, qrow):
@@ -155,7 +156,7 @@ def row_sign(prow, qrow):
     Both rows must be strictly increasing, so that their i-th entries are
     their i-th smallest and they are zipped as they stand.  Every caller
     passes such rows: the bitableau search passes combinations, and
-    sign_split passes the rows of a validated bitableau.
+    classify_sign passes the rows of a validated bitableau.
 
     Entrywise domination is strictly stronger than comparing P_i - Q_i to the
     empty difference in the counting order, and it is the notion under which
@@ -169,17 +170,18 @@ def row_sign(prow, qrow):
     return 0
 
 
-def sign_split(b):
+def classify_sign(b):
     """The sign kind of a skew-symmetric bitableau and its number of
-    negative rows, which are its top rows: (kind, n).
+    negative rows, which are its top rows.
 
     All rows negative gives NEGATIVE, all positive POSITIVE; negative rows
     above positive ones give NONVANISHING; any row without a sign gives
-    VANISHING.  The empty bitableau counts as NONVANISHING with n = 0.
+    VANISHING.  The empty bitableau counts as NONVANISHING with no negative
+    rows.
 
-    The negative rows are always on top, so n splits the rows into the two
-    blocks.  A negative row has |P_i<=z| >= |Q_i<=z| at every z, so
-    P_i - Q_i <= () - () in the counting order, and a positive row has
+    The negative rows are always on top, so their number splits the rows
+    into the two blocks.  A negative row has |P_i<=z| >= |Q_i<=z| at every
+    z, so P_i - Q_i <= () - () in the counting order, and a positive row has
     P_i - Q_i >= () - ().  A semistandard bitableau's row differences weakly
     increase downwards, so a positive row above a negative one would put
     both differences between () - () and itself: equal to it, so P_i = Q_i,
@@ -189,7 +191,7 @@ def sign_split(b):
     if not validate_skew_symmetric(b):
         raise NotSkewSymmetric("sign classification needs a skew-symmetric bitableau")
     if b.is_empty:
-        return SignKind.NONVANISHING, 0
+        return SignClassification(SignKind.NONVANISHING, 0)
     signs = list(map(row_sign, b.P, b.Q))
     n_neg = signs.count(-1)
     if 0 in signs:
@@ -200,18 +202,4 @@ def sign_split(b):
         kind = SignKind.POSITIVE
     else:
         kind = SignKind.NONVANISHING
-    return kind, n_neg
-
-
-def classify_sign(b):
-    """The sign kind of a skew-symmetric bitableau (sign_split) with its
-    negative and positive blocks as bitableaux; a VANISHING one has no
-    blocks, and the empty one two empty blocks."""
-    kind, n_neg = sign_split(b)
-    if kind is SignKind.VANISHING:
-        return SignClassification(kind, None, None)
-    if b.is_empty:
-        return SignClassification(kind, EMPTY_BITABLEAU, EMPTY_BITABLEAU)
-    neg = NotchedBitableau(b.P[:n_neg], b.Q[:n_neg])
-    pos = NotchedBitableau(b.P[n_neg:], b.Q[n_neg:])
-    return SignClassification(kind, neg, pos)
+    return SignClassification(kind, n_neg)

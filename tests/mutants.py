@@ -218,7 +218,7 @@ MUTANTS = (
         "tests/test_correspondence.py::test_reverse_step_undoes_every_forward_step_of_small_negative_pairs",
     ),
     Mutant(
-        "sign_split miscounts negative rows",
+        "classify_sign miscounts negative rows",
         "src/obrsk/tableaux.py",
         "n_neg = signs.count(-1)",
         "n_neg = signs.count(-1) - 1",
@@ -227,9 +227,17 @@ MUTANTS = (
     Mutant(
         "semistandard check lets 0 through",
         "src/obrsk/tableaux.py",
-        "(not row or row[0] >= 1)",
-        "(not row or row[0] >= 0)",
+        "or e < 1",
+        "or e < 0",
         "tests/test_correspondence.py::test_codomain_checks_refuse_an_entry_that_is_not_a_positive_int",
+    ),
+    Mutant(
+        "robrsk lets a nonvanishing bitableau through",
+        "src/obrsk/correspondence.py",
+        "if not bit.is_empty and sign.kind is not SignKind.NEGATIVE:\n"
+        '        raise NotNegative(f"bitableau is {sign.kind.value}, not negative")',
+        "pass",
+        "tests/test_correspondence.py::test_robrsk_rejects_positive",
     ),
     # the domain's entry check and what the two constructors refuse
     Mutant(
@@ -268,16 +276,20 @@ MUTANTS = (
         "tests/test_correspondence.py::test_negative_steps_refuse_an_invalid_pair_and_a_column_that_is_not_negative",
     ),
     Mutant(
-        "incomparable entries raise TypeError",
+        "entries checked after row order",
         "src/obrsk/tableaux.py",
-        "try:\n"
-        "            if any(map(ge, row, row[1:])):\n"
-        "                return False\n"
-        "        except TypeError:\n"
-        "            # entries of two types that do not compare: not all ints, so the\n"
-        "            # check below refuses the row\n"
-        "            pass",
-        "if any(map(ge, row, row[1:])):\n            return False",
+        "    for prow, qrow in rows:\n"
+        "        for e in prow + qrow:\n"
+        "            if type(e) is not int or e < 1:\n"
+        '                raise ValidationError(f"multiset entries must be positive integers, got {e!r}")\n'
+        "    if any(any(map(ge, row, row[1:])) for row in b.P + b.Q):\n"
+        "        return False\n",
+        "    if any(any(map(ge, row, row[1:])) for row in b.P + b.Q):\n"
+        "        return False\n"
+        "    for prow, qrow in rows:\n"
+        "        for e in prow + qrow:\n"
+        "            if type(e) is not int or e < 1:\n"
+        '                raise ValidationError(f"multiset entries must be positive integers, got {e!r}")\n',
         "tests/test_correspondence.py::test_codomain_checks_refuse_an_entry_that_is_not_a_positive_int",
     ),
     Mutant(

@@ -293,14 +293,15 @@ def validate_row_strict(rows):
 
 
 def stepwise_semistandard(b):
-    """validate_semistandard: P's rows strict, then Q's; then each row's
-    entries through nat_multiset; then rows_leq on consecutive rows."""
-    if not (validate_row_strict(b.P) and validate_row_strict(b.Q)):
-        return False
+    """validate_semistandard: each row's entries through nat_multiset, P_1,
+    Q_1, P_2, Q_2, ...; then P's rows strict, then Q's; then rows_leq on
+    consecutive rows."""
     rows = list(zip(b.P, b.Q))
     for prow, qrow in rows:
         nat_multiset(prow)
         nat_multiset(qrow)
+    if not (validate_row_strict(b.P) and validate_row_strict(b.Q)):
+        return False
     return all(map(rows_leq, rows, rows[1:]))
 
 
@@ -314,15 +315,24 @@ def stepwise_skew_symmetric(b):
     return duality_conflict(pairs) is None
 
 
-def stepwise_classify_sign(b):
-    """classify_sign, reading every row's sign and building both blocks."""
+@dataclass(frozen=True)
+class SignBlocks:
+    kind: SignKind
+    negative_part: NotchedBitableau | None
+    positive_part: NotchedBitableau | None
+
+
+def sign_blocks(b):
+    """The sign kind of a skew-symmetric bitableau, read off every row's
+    sign, with its negative and positive blocks as bitableaux; a VANISHING
+    one has no blocks, and the empty one two empty blocks."""
     if not stepwise_skew_symmetric(b):
         raise NotSkewSymmetric("sign classification needs a skew-symmetric bitableau")
     if b.is_empty:
-        return SignClassification(SignKind.NONVANISHING, EMPTY_BITABLEAU, EMPTY_BITABLEAU)
+        return SignBlocks(SignKind.NONVANISHING, EMPTY_BITABLEAU, EMPTY_BITABLEAU)
     signs = [row_sign(prow, qrow) for prow, qrow in zip(b.P, b.Q)]
     if 0 in signs:
-        return SignClassification(SignKind.VANISHING, None, None)
+        return SignBlocks(SignKind.VANISHING, None, None)
     n_neg = signs.count(-1)
     if n_neg == len(signs):
         kind = SignKind.NEGATIVE
@@ -332,7 +342,15 @@ def stepwise_classify_sign(b):
         kind = SignKind.NONVANISHING
     neg = NotchedBitableau(b.P[:n_neg], b.Q[:n_neg])
     pos = NotchedBitableau(b.P[n_neg:], b.Q[n_neg:])
-    return SignClassification(kind, neg, pos)
+    return SignBlocks(kind, neg, pos)
+
+
+def stepwise_classify_sign(b):
+    """classify_sign: the kind of sign_blocks, and the negative rows
+    counted one by one (none in the empty bitableau)."""
+    kind = sign_blocks(b).kind
+    signs = [] if b.is_empty else [row_sign(prow, qrow) for prow, qrow in zip(b.P, b.Q)]
+    return SignClassification(kind, signs.count(-1))
 
 
 def _walk(steps):
@@ -388,16 +406,16 @@ def _stepwise_preimage_columns(bit):
 
 def stepwise_robrsk(bit):
     """robrsk, by reverse steps on frozen bitableaux."""
-    kind = stepwise_classify_sign(bit).kind
+    kind = sign_blocks(bit).kind
     if not bit.is_empty and kind is not SignKind.NEGATIVE:
         raise NotNegative(f"bitableau is {kind.value}, not negative")
     return SkewPair.from_columns(*_stepwise_preimage_columns(bit))
 
 
 def stepwise_obrsk_inverse(bit):
-    """obrsk_inverse, by reverse steps on the two blocks that
-    stepwise_classify_sign builds."""
-    cls = stepwise_classify_sign(bit)
+    """obrsk_inverse, by reverse steps on the two blocks that sign_blocks
+    builds."""
+    cls = sign_blocks(bit)
     if cls.kind is SignKind.VANISHING:
         raise NotNegative("only nonvanishing bitableaux are in the image")
     neg1, neg2 = _stepwise_preimage_columns(cls.negative_part)
@@ -650,7 +668,7 @@ def bitableau_bounded_by(b, t, w):
         raise ValidationError(f"T = {t} is not a negative plane set")
     if not is_signed_plane_set(w, +1):
         raise ValidationError(f"W = {w} is not a positive plane set")
-    cls = classify_sign(b)
+    cls = sign_blocks(b)
     if cls.kind is SignKind.VANISHING:
         raise NotSkewSymmetric("boundedness is only defined on nonvanishing bitableaux")
     up, down = up_down(cls.negative_part)[0], up_down(cls.positive_part)[1]

@@ -8,12 +8,16 @@ from oracles import L_involution, is_negative_pair, psi, split_parts
 
 def test_width_mismatch():
     # any one of the four rows of another length; the two rows of an array
-    # are compared first, then the widths of the arrays
+    # are compared first, then the widths of the arrays.  A row that is not
+    # a sequence is named
     for rows, message in [
         (((1, 2), (3,), (4, 5), (6, 7)), "rows of length 2 and 1"),
         (((5,), (1,), (), ()), "pi1 width 1 != pi2 width 0"),
         (((1,), (2,), (3,), ()), "rows of length 1 and 0"),
         (((1,), (2,), (3, 4), (5,)), "rows of length 2 and 1"),
+        ((1, 2, 3, 4), "row b is not a sequence: 1"),
+        (((1,), 2, (3,), (4,)), "row a is not a sequence: 2"),
+        (((1,), (2,), (3,), None), "row d is not a sequence: None"),
     ]:
         with pytest.raises(LengthMismatch, match=f"^{message}$"):
             SkewPair(*rows)

@@ -155,6 +155,13 @@ ENTRY_REFUSALS = [
     ("apply", {"pi1": {"b": [3], "a": [True]}, "pi2": {"c": [4], "d": [2]}}, "a_1 = True not a positive integer"),
     ("apply", {"pi1": {"b": [3], "a": ["x"]}, "pi2": {"c": [4], "d": [2]}}, "a_1 = 'x' not a positive integer"),
     ("invert", {"P": [[1, 2.5]], "Q": [[3, 4]]}, "multiset entries must be positive integers, got 2.5"),
+    # a row that is not a sequence, and a document that is not an object
+    ("apply", {"pi1": {"b": 1, "a": 2}, "pi2": {"c": 3, "d": 4}}, "row b is not a sequence: 1"),
+    ("apply", {"pi1": {"b": [3], "a": None}, "pi2": {"c": [4], "d": [2]}}, "row a is not a sequence: None"),
+    ("invert", {"P": [1], "Q": [2]}, "row 1 of P is not a sequence: 1"),
+    ("invert", {"P": 5, "Q": [[1]]}, "P is not a sequence of rows: 5"),
+    ("apply", [1, 2], "malformed pair document: list indices must be integers or slices, not str"),
+    ("invert", 7, "malformed bitableau document: 'int' object is not subscriptable"),
 ]
 
 
@@ -165,7 +172,9 @@ ENTRY_REFUSALS = [
 )
 def test_rejects_entries_that_are_not_positive_integers(tmp_path, capsys, command, doc, message):
     # the library's own checks refuse the entry: validate_skew_pair for a
-    # pair, validate_semistandard for a bitableau
+    # pair, validate_semistandard for a bitableau; the constructors refuse
+    # a row that is not a sequence, and the JSON readers a document that is
+    # not an object
     path = write_json(tmp_path, "doc.json", doc)
     assert obrsk_main([command, "--input", path]) == EXIT_INVALID
     captured = capsys.readouterr()

@@ -326,11 +326,32 @@ def codomain_bitableaux():
 @pytest.mark.parametrize("route, reference", BITABLEAU_ROUTES, ids=ROUTE_IDS)
 def test_bitableau_routes_equal_the_stepwise_routes(route, reference, codomain_bitableaux):
     # the maps walk row lists, split the signs by a count and check each
-    # bitableau in one pass; the references freeze a bitableau per step,
-    # build both sign blocks and run every row through nat_multiset
+    # bitableau's entries before its row order; the references freeze a
+    # bitableau per step, build both sign blocks and run every row through
+    # nat_multiset
     assert len(codomain_bitableaux) == 3737 + 1333 + 6937 + 10 + 7 * 9
     for b in codomain_bitableaux:
         assert outcome(route, b) == outcome(reference, b), b
+
+
+@pytest.mark.parametrize("check", CODOMAIN_CHECKS + [validate_semistandard])
+def test_an_entry_is_refused_before_the_row_order_is_read(check):
+    # the hand-made bitableaux with both a row that is not strictly
+    # increasing and an entry that is not an int >= 1: the first such entry,
+    # in the order P_1, Q_1, P_2, Q_2, ..., is refused, not the row
+    def refused(b):
+        return [e for prow, qrow in zip(b.P, b.Q) for e in prow + qrow if type(e) is not int or e < 1]
+
+    def not_strict(b):
+        return any(x >= y for row in b.P + b.Q for x, y in zip(row, row[1:]))
+
+    bits = [b for b in hand_made_bitableaux() if refused(b) and not_strict(b)]
+    assert len(bits) == 33
+    for b in bits:
+        with pytest.raises(ValidationError) as exc:
+            check(b)
+        assert type(exc.value) is ValidationError, b
+        assert str(exc.value) == f"multiset entries must be positive integers, got {refused(b)[0]!r}", b
 
 
 @pytest.mark.parametrize("route, reference", [(obrsk, stepwise_obrsk), (obrsk_negative_steps, stepwise_negative_steps)])

@@ -499,6 +499,21 @@ def test_points_given_as_lists_are_read_as_tuples():
             is_quotient_monomial((point,), alpha, beta, beta)
 
 
+def test_is_quotient_monomial_names_the_first_stray_point_as_given():
+    # stray points that do not compare with each other, or with a root,
+    # are refused one at a time in the order given, never sorted
+    beta = ide((3, 4), 2)
+    alpha = ide((1, 2), 2)
+    for u, first in [
+        ((5, (9, 9)), "5"),
+        (((9, 9), 5), r"\(9, 9\)"),
+        (((1, 3), "13", (1, 3)), "13"),
+        (((1, 3), None), "None"),
+    ]:
+        with pytest.raises(MixedSigns, match=f"^{first} is not a root of the grid of 3,4$"):
+            is_quotient_monomial(u, alpha, beta, beta)
+
+
 def test_quotient_routes_agree_d3():
     # defining_chains decides every chain of roots by both routes and raises
     # if they ever disagree

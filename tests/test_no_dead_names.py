@@ -1,18 +1,19 @@
-"""Every function, class, method and property of the package has a user
-outside the tests, and every name a module of the package imports is used in
-that module.
+"""Every function, class, method, property and annotated class field of the
+package has a user outside the tests, and every name a module of the
+package imports is used in that module.
 
 A function or class defined in src/obrsk must appear somewhere besides its
 definition: as a name in the code of src, demos or perfbench, or as a string
-equal to it (the benchmark tracer patches functions by name).  A method or
-property must appear as an attribute, right after a dot, or as such a string,
-and that use must be able to reach its class: a local variable or a function
-of the same name does not keep it alive, and neither does a member of the
-same name of another class.  A use reaches the class its receiver is known
-to be: the class of self (or cls) in a method, a class named directly or
-called, a local name bound once to such a receiver, or the class annotated
-on a field of a known receiver (so self.order.format_mono reaches TermOrder,
-the class annotated on SparsePoly.order).  A receiver the test cannot place, and a string, reach
+equal to it (the benchmark tracer patches functions by name).  A method,
+property or annotated field must appear as an attribute, right after a dot,
+or as such a string, and that use must be able to reach its class: a local
+variable or a function of the same name does not keep it alive, and neither
+does a member of the same name of another class.  A use reaches the class
+its receiver is known to be: the class of self (or cls) in a method, a
+class named directly or called, a local name bound once to such a
+receiver, or the class annotated on a field of a known receiver (so
+self.order.format_mono reaches TermOrder, the class annotated on
+SparsePoly.order).  A receiver the test cannot place, and a string, reach
 every class of their own module and of the package modules it imports from.
 The re-exports of __init__.py, any __all__ and the tests do not count: a
 name that only they reach is API the library does not run, and a definition
@@ -35,7 +36,8 @@ SEARCHED = ("src", "demos", "perfbench")
 
 def defined_names(tree):
     """(name, owner) for each module-level function and class, owner None,
-    and for each method and property of those classes, owner its class."""
+    and for each method, property and annotated field of those classes,
+    owner its class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, None
@@ -43,6 +45,8 @@ def defined_names(tree):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     yield item.name, node.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield item.target.id, node.name
 
 
 def name_uses(source, skipped_lines=frozenset()):
@@ -276,6 +280,15 @@ def test_a_method_is_used_only_where_its_class_can_be_reached():
     # a called B, and a string where b is imported
     searched.append(("more", "from obrsk.b import B\n\nB().width()\nPATCHED = 'shape'\n", frozenset()))
     assert dead_names(package, searched) == []
+
+
+def test_an_annotated_field_is_a_member_of_its_class():
+    # A's fields count as its members: kind is read through a receiver of
+    # class A, count is not read at all
+    package = {"a": "class A:\n    kind: int\n    count: int\n"}
+    user = "from obrsk.a import A\n\nA(1, 2).kind\n"
+    searched = [("a", package["a"], frozenset()), ("user", user, frozenset())]
+    assert dead_names(package, searched) == ["A.count"]
 
 
 def imported_names(tree, lines):

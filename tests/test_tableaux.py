@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -10,7 +11,6 @@ from obrsk.tableaux import (
     SignKind,
     classify_sign,
     row_sign,
-    sign_split,
     validate_semistandard,
     validate_skew_symmetric,
 )
@@ -27,6 +27,15 @@ from oracles import (
 def test_shape_mismatch_rejected():
     with pytest.raises(ShapeMismatch, match=r"^shapes differ: \(2,\) vs \(1,\)$"):
         NotchedBitableau([[1, 2]], [[3]])
+    # a side, or a row of it, that is not a sequence is named
+    for sides, message in [
+        (([1], [2]), "row 1 of P is not a sequence: 1"),
+        ((5, [[1]]), "P is not a sequence of rows: 5"),
+        (([[1]], [[2], 3.5]), "row 2 of Q is not a sequence: 3.5"),
+        (([[1]], None), "Q is not a sequence of rows: None"),
+    ]:
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+            NotchedBitableau(*sides)
 
 
 def test_row_strict():
@@ -124,7 +133,7 @@ def test_classify_fixture(worked_bitableau):
 def test_classify_empty():
     cls = classify_sign(EMPTY_BITABLEAU)
     assert cls.kind is SignKind.NONVANISHING
-    assert cls.negative_part.is_empty and cls.positive_part.is_empty
+    assert cls.negative_rows == 0
 
 
 def test_classify_rejects_vanishing_row():
@@ -167,10 +176,9 @@ def reference_sign_kind(b):
 
 def test_classify_sign_and_iota_agree_with_the_row_signs_on_every_even_bitableau():
     # the oracle iota reads the sign kind through classify_sign; it raises
-    # on exactly the vanishing bitableaux, and classify_sign's parts stack
-    # back to the whole.  No bitableau has a positive row above a negative
-    # one (sign_split's docstring says why), so classify_sign does not
-    # look for one
+    # on exactly the vanishing bitableaux.  No bitableau has a positive row
+    # above a negative one (classify_sign's docstring says why), so
+    # classify_sign does not look for one
     bitableaux = enumerate_even_bitableaux(6, 4)
     kinds = Counter()
     for b in bitableaux:
@@ -184,9 +192,7 @@ def test_classify_sign_and_iota_agree_with_the_row_signs_on_every_even_bitableau
             with pytest.raises(NotSkewSymmetric):
                 iota(b)
             continue
-        assert len(cls.negative_part.P) == signs.count(-1)
-        assert cls.negative_part.P + cls.positive_part.P == b.P
-        assert cls.negative_part.Q + cls.positive_part.Q == b.Q
+        assert cls.negative_rows == signs.count(-1)
         assert iota(iota(b)) == b
     assert len(bitableaux) == 767
     assert kinds[SignKind.VANISHING] == 289
@@ -196,7 +202,7 @@ def test_classify_sign_and_iota_agree_with_the_row_signs_on_every_even_bitableau
 def test_sign_split_counts_the_negative_rows_on_every_even_bitableau():
     # the count splits the rows where the signs turn from -1 to +1
     for b in enumerate_even_bitableaux(6, 4):
-        kind, n_neg = sign_split(b)
+        kind, n_neg = classify_sign(b)
         assert kind is reference_sign_kind(b), b
         signs = [row_sign(p, q) for p, q in zip(b.P, b.Q)]
         if b.is_empty:
