@@ -20,20 +20,20 @@ maps to a w with w not <= gamma.  A chain is thus bad exactly when one of its
 two sign-pure parts is, and a negative chain's badness depends on the half
 (alpha, beta) alone, a positive chain's on (beta, gamma) alone.
 
-Only negative chains are imaged and valued.  The longest Weyl element of
+Only negative chains have rows and values.  The longest Weyl element of
 type D, mirror on I(d) and phi on roots, swaps the two halves: phi takes the
 positive chains of beta onto the negative chains of mirror(beta), mirror
 reverses the order, and the w of a positive chain C is mirror of the w of
 phi(C).  So each beta has one table, of its negative chains with the w and
 the top rows of each chain's image (_signed_chains, at most |I(d)| tables
 per d), and a positive half is phi of a negative half of the mirrored pair
-(_minimal_bad_chains).  A negative chain's image is one bounded insertion
-step from the memoised image of its parent chain, the chain without its
-last point (chain_image).  chain_image builds no skew pair and checks none:
+(_minimal_bad_chains).  A table is one walk over the chains, each taking
+its top rows by one bounded insertion step on those of its parent chain,
+the chain without its last point; no image is built whole.
 tests/test_grassmannian.py certifies that the pair (C, C^#) of every chain
-of roots with d <= 8 is a valid skew pair, that the image equals obrsk's
-with d <= 7, and that the mirror gives every positive w and every positive
-half as the direct positive rule does with d <= 7.
+of roots with d <= 8 is a valid skew pair, that the top rows equal those
+of obrsk's image with d <= 7, and that the mirror gives every positive w
+and every positive half as the direct positive rule does with d <= 7.
 defining_chains decides each negative chain once per half, not once per
 triple, by the w of its row, checks each decision against the boundedness
 of the chain's image by T in the one counting order (tableaux.rows_leq),
@@ -54,7 +54,7 @@ from .correspondence import forward_step
 from .correspondence import obrsk  # noqa: F401
 from .errors import BoundsNotComparable, MixedSigns, NotInId, SignAssertionFailure, VerificationError
 from .multisets import enumerate_extended_chains
-from .tableaux import EMPTY_BITABLEAU, NotchedBitableau, rows_leq
+from .tableaux import rows_leq
 
 
 @dataclass(frozen=True)
@@ -131,33 +131,9 @@ def split_chain(chain, v):
     neg, pos = [], []
     for p in map(_point, chain):
         if p not in roots:
-            raise MixedSigns(f"{p} is not a root of the grid of {v}")
+            raise MixedSigns(f"{p!r} is not a root of the grid of {v}")
         (neg if p[0] < p[1] else pos).append(p)
     return tuple(neg), tuple(pos)
-
-
-@lru_cache(maxsize=None)
-def chain_image(chain, d):
-    """The bitableau image of a negative chain of roots C, obrsk of the
-    canonical skew pair of (C, C^#), where C^# reflects each point of C by
-    hash_reflect.
-
-    chain must be a nonempty negative chain of roots, sorted by position, as
-    _signed_chains supplies it; nothing here checks that.  The tests
-    certify that the pair of every chain of roots with d <= 8 is a valid
-    skew pair, and that this image equals obrsk's for every negative one
-    with d <= 7.
-
-    obrsk consumes a negative chain's points in increasing row order, one
-    forward step each, so its image is one step taken on a copy of the rows
-    of the chain without its last point.  Memoised: one entry per chain
-    asked for, however many betas or longer chains ask for it."""
-    (r, c), rest = chain[-1], chain[:-1]
-    parent = chain_image(rest, d) if rest else EMPTY_BITABLEAU
-    prows, qrows = list(map(list, parent.P)), list(map(list, parent.Q))
-    c_star, r_star = hash_reflect((r, c), d)
-    forward_step(prows, qrows, r, c, r_star, c_star)
-    return NotchedBitableau(prows, qrows)
 
 
 def _middle_swap(x, d):
@@ -187,19 +163,31 @@ def phi(point, d):
 def _signed_chains(beta):
     """Each negative chain of roots of beta, as enumerate_extended_chains
     yields it, mapped to (w, (p, q)), where p and q are the top rows of P
-    and Q of its image.  The up set of the image pairs the i-th entries of
-    those two strictly increasing rows, so (p, q) is the up set as rows_leq
-    compares it, and w is beta with the entries of q taken out and those of
-    p put in; w must be <= beta.
+    and Q of its image, obrsk of the canonical skew pair of (C, C^#), C^#
+    reflecting each point of C by hash_reflect.  The up set of the image
+    pairs the i-th entries of those two strictly increasing rows, so (p, q)
+    is the up set as rows_leq compares it, and w is beta with the entries
+    of q taken out and those of p put in; w must be <= beta.
+
+    obrsk consumes a negative chain's points in increasing row order, one
+    forward step each, and the iterator yields each chain just after its
+    parent, the chain without its last point, so one walk takes each
+    chain's top rows by one step on its parent's.  The top rows alone are
+    exact, as forward_step finishes changing row 0 before it reads row 1.
+    No skew pair is built or checked: the tests certify the pair of every
+    chain of roots with d <= 8, and these rows against obrsk's with d <= 7.
 
     Only negative chains have rows: a positive chain of beta is read through
     the mirror, as the negative chain phi(C) of mirror(beta) (w_of_chain,
     _minimal_bad_chains).  Memoised per beta."""
     bset = set(beta.entries)
-    table = {}
+    top, table = {(): ((), ())}, {}
     for chain in enumerate_extended_chains(split_chain(roots_of(beta), beta)[0]):
-        image = chain_image(chain, beta.d)
-        p, q = image.P[0], image.Q[0]
+        (r, c), (p, q) = chain[-1], top[chain[:-1]]
+        prows, qrows = [list(p)], [list(q)]
+        c_star, r_star = hash_reflect((r, c), beta.d)
+        forward_step(prows, qrows, r, c, r_star, c_star)
+        p, q = top[chain] = tuple(prows[0]), tuple(qrows[0])
         missing = set(q) - bset
         if missing:
             raise VerificationError(f"second coordinate {min(missing)} not in beta = {beta.entries}")

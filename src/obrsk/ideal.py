@@ -372,10 +372,11 @@ class VerifyReport:
 def verify_main_theorem(alpha, beta, gamma, max_degree):
     """Check, for each degree up to max_degree, that the initial monomials of
     the Pfaffian ideal are exactly the chain monomials, and that the standard
-    monomials span a complement of the ideal slice.  max_degree must be at
-    least 1: a check of no degree would pass while saying nothing."""
-    if max_degree < 1:
-        raise ValidationError(f"the main check needs max_degree >= 1, got {max_degree}")
+    monomials span a complement of the ideal slice.  max_degree must be a
+    plain int at least 1: a check of no degree would pass while saying
+    nothing."""
+    if type(max_degree) is not int or max_degree < 1:
+        raise ValidationError(f"the main check needs an int max_degree >= 1, got {max_degree!r}")
     gens = generators(alpha, beta, gamma)
     report = VerifyReport(alpha, beta, gamma)
     levels = itertools.islice(_multichain_levels(alpha, beta, gamma), 1, None)
@@ -404,9 +405,9 @@ def verify_main_theorem(alpha, beta, gamma, max_degree):
 
 def hilbert_counts(alpha, beta, gamma, max_degree):
     """Quotient dimensions by degree: (total, ideal dim, quotient dim), for
-    degrees 0..max_degree; max_degree must be at least 0."""
-    if max_degree < 0:
-        raise ValidationError(f"hilbert counts need max_degree >= 0, got {max_degree}")
+    degrees 0..max_degree; max_degree must be a plain int at least 0."""
+    if type(max_degree) is not int or max_degree < 0:
+        raise ValidationError(f"hilbert counts need an int max_degree >= 0, got {max_degree!r}")
     gens = generators(alpha, beta, gamma)
     out = []
     for m in range(max_degree + 1):

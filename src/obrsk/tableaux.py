@@ -68,9 +68,6 @@ def _row_tuples(rows, side):
     return tuple(map(tuple, rows))
 
 
-EMPTY_BITABLEAU = NotchedBitableau((), ())
-
-
 def rows_leq(upper, lower):
     """P1 - Q1 <= P2 - Q2 in the counting order, for the row pairs
     upper = (P1, Q1) and lower = (P2, Q2) of strictly increasing rows; the

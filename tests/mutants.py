@@ -126,6 +126,13 @@ MUTANTS = (
         "tests/test_grassmannian.py::test_phi_maps_the_roots_of_beta_onto_those_of_its_mirror_through_d8",
     ),
     Mutant(
+        "table steps from the empty rows",
+        "src/obrsk/grassmannian.py",
+        "top[chain[:-1]]",
+        "((), ())",
+        "tests/test_grassmannian.py::test_table_rows_are_the_top_rows_of_obrsk_through_d7",
+    ),
+    Mutant(
         "counting-order operands swapped",
         "src/obrsk/grassmannian.py",
         "rows_leq(limit, operand)",

@@ -29,7 +29,6 @@ from obrsk.errors import (
 )
 from obrsk.grassmannian import (
     IdElement,
-    chain_image,
     hash_reflect,
     id_leq,
     roots_of,
@@ -40,7 +39,6 @@ from obrsk.ideal import _rref, monomials_of_degree, pfaffian_generator
 from obrsk.multisets import duality_conflict, enumerate_extended_chains
 from obrsk.polynomials import SparsePoly, term_order
 from obrsk.tableaux import (
-    EMPTY_BITABLEAU,
     NotchedBitableau,
     SignClassification,
     SignKind,
@@ -201,7 +199,7 @@ def negative_image(p):
     """The image of a negative pair: one forward step for each pi1 column i
     with its dual pi2 column t-1-i, from the empty bitableau."""
     t = p.width
-    bit = EMPTY_BITABLEAU
+    bit = NotchedBitableau((), ())
     for i in range(t):
         bit = frozen_forward_step(bit, p.a[i], p.b[i], p.c[t - 1 - i], p.d[t - 1 - i])
     return bit
@@ -329,7 +327,7 @@ def sign_blocks(b):
     if not stepwise_skew_symmetric(b):
         raise NotSkewSymmetric("sign classification needs a skew-symmetric bitableau")
     if b.is_empty:
-        return SignBlocks(SignKind.NONVANISHING, EMPTY_BITABLEAU, EMPTY_BITABLEAU)
+        return SignBlocks(SignKind.NONVANISHING, NotchedBitableau((), ()), NotchedBitableau((), ()))
     signs = [row_sign(prow, qrow) for prow, qrow in zip(b.P, b.Q)]
     if 0 in signs:
         return SignBlocks(SignKind.VANISHING, None, None)
@@ -354,7 +352,7 @@ def stepwise_classify_sign(b):
 
 
 def _walk(steps):
-    bits = [EMPTY_BITABLEAU]
+    bits = [NotchedBitableau((), ())]
     for a, b, c, d in steps:
         bits.append(frozen_forward_step(bits[-1], a, b, c, d))
     return bits
@@ -690,14 +688,12 @@ def transpose(chain):
 
 def positive_chain_rows(beta):
     """The direct positive rule, each positive chain C of roots of beta
-    mapped to (w, down).  obrsk takes C through L, whose pair is that of the
-    transpose of C, a negative chain, and then iota, so the image of C is
-    iota of the image of its transpose; down is that image's down set, and
-    w is beta with the second coordinates of down taken out and the first
-    ones put in, which must be >= beta."""
+    mapped to (w, down): down is the down set of obrsk's image of the pair
+    (C, C^#), and w is beta with the second coordinates of down taken out
+    and the first ones put in, which must be >= beta."""
     rows = {}
     for chain in enumerate_extended_chains(split_chain(roots_of(beta), beta)[1]):
-        down = up_down(iota(chain_image(transpose(chain), beta.d)))[1]
+        down = up_down(obrsk(psi_inv(*chain_pair(chain, beta.d))))[1]
         w = IdElement(tuple(set(beta.entries) - set(proj2(down)) | set(proj1(down))), beta.d)
         if not id_leq(beta, w):
             raise ValidationError(f"w = {w.entries} not >= beta = {beta.entries}")

@@ -33,7 +33,6 @@ from obrsk.errors import (
     VanishingColumn,
 )
 from obrsk.tableaux import (
-    EMPTY_BITABLEAU,
     NotchedBitableau,
     SignKind,
     classify_sign,
@@ -158,7 +157,7 @@ def test_reverse_step_undoes_every_forward_step_of_small_negative_pairs():
     steps = 0
     for p in enumerate_negative_pairs(7, 3):
         t = p.width
-        bit = EMPTY_BITABLEAU
+        bit = NotchedBitableau((), ())
         for i in range(t):
             args = (bit, p.a[i], p.b[i], p.c[t - 1 - i], p.d[t - 1 - i])
             bit = step(*args)
@@ -179,7 +178,7 @@ def test_the_steps_each_way_equal_the_frozen_steps_of_small_negative_pairs():
     # steps take a bitableau and freeze a new one
     for p in enumerate_negative_pairs(6, 3):
         t = p.width
-        bit = EMPTY_BITABLEAU
+        bit = NotchedBitableau((), ())
         for i in range(t):
             args = (bit, p.a[i], p.b[i], p.c[t - 1 - i], p.d[t - 1 - i])
             bit = step(*args)

@@ -13,7 +13,6 @@ from obrsk.errors import (
 )
 from obrsk.grassmannian import (
     IdElement,
-    chain_image,
     defining_chains,
     enumerate_extended_chains,
     enumerate_id,
@@ -37,7 +36,6 @@ from oracles import (
     chain_pair,
     diff_leq,
     half_bound,
-    iota,
     is_signed_plane_set,
     plane_diff,
     positive_chain_rows,
@@ -192,10 +190,11 @@ def test_chain_pair_d2():
         chain_pair(((1, 3), (3, 1)), 2)  # not a chain (mixed, not monotone)
 
 
-def test_chain_image_d2():
-    image = chain_image(((1, 3),), 2)
-    assert image.P == ((1, 2),)
-    assert image.Q == ((3, 4),)
+def test_signed_chains_d2():
+    # the one root of beta = (3, 4) is negative; its image has the top rows
+    # P = (1, 2) and Q = (3, 4), so w is (3, 4) without 3, 4 and with 1, 2
+    table = grassmannian._signed_chains(ide((3, 4), 2))
+    assert table == {((1, 3),): (ide((1, 2), 2), ((1, 2), (3, 4)))}
 
 
 def chains_of_roots(d, sign=None):
@@ -210,27 +209,29 @@ def chains_of_roots(d, sign=None):
 
 
 def image_of(chain, d):
-    # chain_image images negative chains; obrsk takes a positive chain
-    # through L, whose pair is its transpose's, and then iota
-    return chain_image(chain, d) if chain[0][0] < chain[0][1] else iota(chain_image(transpose(chain), d))
+    # the oracle for a chain's image: obrsk on the canonical pair (C, C^#)
+    return obrsk(psi_inv(*chain_pair(chain, d)))
 
 
-def test_chain_image_equals_obrsk_on_every_chain_of_roots_through_d6(package_caches):
-    # each negative image is built by one step from its parent's, and a
-    # positive chain's is iota of its transpose's; obrsk on the canonical
-    # pair is the oracle
-    chains = [(chain, d) for d in range(1, 7) for chain in chains_of_roots(d)]
-    assert len(chains) == 858
-    for chain, d in chains:
-        assert image_of(chain, d) == obrsk(psi_inv(*chain_pair(chain, d))), (chain, d)
+def table_rows(ds):
+    """(beta, chain, (p, q)) for each row of the table of each beta of I(d),
+    for each d in ds."""
+    return [
+        (beta, chain, operand)
+        for d in ds
+        for beta in enumerate_id(d)
+        for chain, (_, operand) in grassmannian._signed_chains(beta).items()
+    ]
 
 
-def test_chain_image_equals_obrsk_on_every_chain_of_roots_of_d7(package_caches):
-    # with the d <= 6 test above, every chain of roots with d <= 7 (3,072)
-    chains = chains_of_roots(7)
-    assert len(chains) == 2214
-    for chain in chains:
-        assert image_of(chain, 7) == obrsk(psi_inv(*chain_pair(chain, 7))), chain
+def test_table_rows_are_the_top_rows_of_obrsk_through_d7(package_caches):
+    # each row is taken by one step on its parent's top rows alone; every
+    # negative chain of roots of every beta with d <= 7
+    rows = table_rows(range(1, 8))
+    assert len(rows) == 4374
+    for beta, chain, (p, q) in rows:
+        image = image_of(chain, beta.d)
+        assert (p, q) == (image.P[0], image.Q[0]), (beta, chain)
 
 
 def test_positive_chain_pairs_are_the_down_sets_of_obrsk_through_d7(package_caches):
@@ -249,10 +250,10 @@ def test_positive_chain_pairs_are_the_down_sets_of_obrsk_through_d7(package_cach
 
 
 def test_every_chain_of_roots_through_d8_has_a_valid_skew_pair():
-    # chain_image checks nothing of its chain; this certifies that every
-    # chain _signed_chains can hand it, each sign's chains of roots of a
-    # beta as enumerate_extended_chains yields them, is a nonempty sign-pure
-    # chain sorted by position whose pair (C, C^#) is a valid skew pair
+    # _signed_chains builds and checks no skew pair; this certifies that
+    # every chain it steps through, each sign's chains of roots of a beta as
+    # enumerate_extended_chains yields them, is a nonempty sign-pure chain
+    # sorted by position whose pair (C, C^#) is a valid skew pair
     chains = [(chain, d) for d in range(1, 9) for chain in chains_of_roots(d)]
     assert len(chains) == 11030
     assert all(chain == tuple(sorted(chain)) for chain, _ in chains)
@@ -260,29 +261,30 @@ def test_every_chain_of_roots_through_d8_has_a_valid_skew_pair():
     assert invalid == []
 
 
-def test_negative_chain_images_are_the_steps_of_obrsk_through_d5(package_caches):
-    # obrsk consumes a negative chain's points in order, so its k-th
-    # intermediate bitableau is the image of the first k points
-    for d in range(1, 6):
-        for chain in chains_of_roots(d, -1):
-            steps = list(obrsk_negative_steps(psi_inv(*chain_pair(chain, d))))
-            assert steps == [chain_image(chain[:k], d) for k in range(1, len(chain) + 1)], (chain, d)
+def test_table_rows_are_the_steps_of_obrsk_through_d5(package_caches):
+    # obrsk consumes a negative chain's points in order, so the top rows of
+    # its k-th intermediate bitableau are the row of the first k points
+    for beta, chain, _ in table_rows(range(1, 6)):
+        table = grassmannian._signed_chains(beta)
+        steps = obrsk_negative_steps(psi_inv(*chain_pair(chain, beta.d)))
+        rows = [table[chain[:k]][1] for k in range(1, len(chain) + 1)]
+        assert [(b.P[0], b.Q[0]) for b in steps] == rows, (beta, chain)
 
 
 def test_positive_chain_images_go_through_L_through_d6(package_caches):
     # L of a positive chain's pair is its transpose's pair, as hash_reflect
     # commutes with swapping the coordinates, so the image is iota of the
-    # transpose's image, the rule obrsk applies to a positive part and
-    # image_of follows (checked against obrsk above)
+    # transpose's image, the rule obrsk applies to a positive part
     chains = [(chain, d) for d in range(1, 7) for chain in chains_of_roots(d, +1)]
     assert chains
     for chain, d in chains:
         assert psi_inv(*chain_pair(transpose(chain), d)) == L_involution(psi_inv(*chain_pair(chain, d))), (chain, d)
 
 
-def test_chain_images_take_one_forward_step_each_over_all_d4_triples(monkeypatch, package_caches):
-    # a forward step per negative chain and nothing else: a positive half is
-    # the mirror of a negative one, and no positive chain is imaged
+def test_tables_take_one_forward_step_per_row_over_all_d4_triples(monkeypatch, package_caches):
+    # a forward step per row of each beta's table and nothing else: a
+    # positive half is the mirror of a negative one, and no chain is imaged
+    # by obrsk
     steps = []
     original_step = grassmannian.forward_step
 
@@ -291,12 +293,11 @@ def test_chain_images_take_one_forward_step_each_over_all_d4_triples(monkeypatch
         return original_step(*args)
 
     monkeypatch.setattr(grassmannian, "forward_step", counted_step)
-    monkeypatch.setattr(grassmannian, "obrsk", lambda p: pytest.fail("chain_image called obrsk"))
+    monkeypatch.setattr(grassmannian, "obrsk", lambda p: pytest.fail("a table called obrsk"))
     for alpha, beta, gamma in ordered_triples(4):
         defining_chains(alpha, beta, gamma)
     assert not hasattr(grassmannian, "iota")
-    assert len(steps) == 24
-    assert chain_image.cache_info().misses == 24
+    assert len(steps) == 36
 
 
 def test_w_of_chain_d2():
@@ -360,10 +361,9 @@ def test_signed_chains_are_one_table_per_beta_after_all_d4_triples(package_cache
     for alpha, beta, gamma in triples:
         defining_chains(alpha, beta, gamma)
     # 8 betas, one table of negative chains each, mirror(beta) being another
-    # beta of I(4); the 36 chains of their tables are the 24 distinct
-    # negative chains of roots, each imaged once
+    # beta of I(4); the 36 rows of their tables hold the 24 distinct
+    # negative chains of roots
     assert grassmannian._signed_chains.cache_info().currsize == 8
-    assert chain_image.cache_info().misses == 24
     tables = [grassmannian._signed_chains(b) for b in enumerate_id(4)]
     assert (sum(map(len, tables)), len(set().union(*tables))) == (36, 24)
 
@@ -451,13 +451,14 @@ def test_rows_leq_decides_every_chain_as_the_formal_differences_do_through_d6(pa
         for beta in enumerate_id(d):
             negative = grassmannian._signed_chains(beta)
             positive = positive_chain_rows(beta)
+            ups = {chain: up_down(image_of(chain, d))[0] for chain in negative}
+            for chain, (_, operand) in negative.items():
+                assert operand == (proj1(ups[chain]), proj2(ups[chain])), (beta, chain)
             for bound in enumerate_id(d):
                 if id_leq(bound, beta):
                     t = half_bound(bound, beta)
                     for chain, (_, operand) in negative.items():
-                        up = up_down(chain_image(chain, d))[0]
-                        assert operand == (proj1(up), proj2(up)), (beta, chain)
-                        expected = diff_leq(plane_diff(t), plane_diff(up))
+                        expected = diff_leq(plane_diff(t), plane_diff(ups[chain]))
                         assert rows_leq(grassmannian._half_bound(bound, beta), operand) == expected
                         decisions += 1
                 if id_leq(beta, bound):
@@ -507,7 +508,7 @@ def test_is_quotient_monomial_names_the_first_stray_point_as_given():
     for u, first in [
         ((5, (9, 9)), "5"),
         (((9, 9), 5), r"\(9, 9\)"),
-        (((1, 3), "13", (1, 3)), "13"),
+        (((1, 3), "13", (1, 3)), "'13'"),
         (((1, 3), None), "None"),
     ]:
         with pytest.raises(MixedSigns, match=f"^{first} is not a root of the grid of 3,4$"):

@@ -512,6 +512,17 @@ def test_a_check_of_no_degree_is_refused():
     assert hilbert_counts(beta, beta, beta, 0) == [(0, 1, 0, 1)]
 
 
+@pytest.mark.parametrize("max_degree", [2.0, "2", True, None])
+def test_a_degree_that_is_not_a_plain_int_is_refused(max_degree):
+    # a float or a string would fail inside range() with a raw TypeError,
+    # and True would run as degree 1; IdElement refuses such values too
+    beta = ide((3, 4), 2)
+    with pytest.raises(ValidationError, match=f"int max_degree >= 1, got {max_degree!r}$"):
+        verify_main_theorem(beta, beta, beta, max_degree)
+    with pytest.raises(ValidationError, match=f"int max_degree >= 0, got {max_degree!r}$"):
+        hilbert_counts(beta, beta, beta, max_degree)
+
+
 @pytest.mark.parametrize("d, max_degree, count", [(4, 3, 112), (5, 2, 672)])
 def test_degree_slice_equals_full_elimination(d, max_degree, count):
     # clearing the columns of one-term generators finds the pivots and ranks

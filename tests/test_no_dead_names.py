@@ -1,9 +1,10 @@
-"""Every function, class, method, property and annotated class field of the
-package has a user outside the tests, and every name a module of the
-package imports is used in that module.
+"""Every function, class, module-level constant, method, property and
+annotated class field of the package has a user outside the tests, and
+every name a module of the package imports is used in that module.
 
-A function or class defined in src/obrsk must appear somewhere besides its
-definition: as a name in the code of src, demos or perfbench, or as a string
+A function, class or module-level constant (a name assigned at the top of a
+module, __all__ aside) defined in src/obrsk must appear somewhere besides
+its definition: as a name in the code of src, demos or perfbench, or as a string
 equal to it (the benchmark tracer patches functions by name).  A method,
 property or annotated field must appear as an attribute, right after a dot,
 or as such a string, and that use must be able to reach its class: a local
@@ -35,12 +36,16 @@ SEARCHED = ("src", "demos", "perfbench")
 
 
 def defined_names(tree):
-    """(name, owner) for each module-level function and class, owner None,
-    and for each method, property and annotated field of those classes,
-    owner its class."""
+    """(name, owner) for each module-level function, class and constant,
+    owner None, and for each method, property and annotated field of those
+    classes, owner its class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, None
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id != "__all__":
+                    yield target.id, None
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -289,6 +294,15 @@ def test_an_annotated_field_is_a_member_of_its_class():
     user = "from obrsk.a import A\n\nA(1, 2).kind\n"
     searched = [("a", package["a"], frozenset()), ("user", user, frozenset())]
     assert dead_names(package, searched) == ["A.count"]
+
+
+def test_a_module_constant_is_a_name_of_its_module():
+    # a module-level assignment defines a name: LIMIT is read elsewhere,
+    # UNUSED is not, and __all__ is not a constant of the module
+    package = {"a": "LIMIT = 3\nUNUSED = 4\n__all__ = []\n"}
+    user = "from obrsk.a import LIMIT\n\nprint(LIMIT)\n"
+    searched = [("a", package["a"], frozenset()), ("user", user, frozenset())]
+    assert dead_names(package, searched) == ["UNUSED"]
 
 
 def imported_names(tree, lines):

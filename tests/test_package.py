@@ -15,7 +15,6 @@ def test_package_holds_one_memo_per_key(package_caches):
     assert names == [
         "obrsk.grassmannian._minimal_bad_chains",
         "obrsk.grassmannian._signed_chains",
-        "obrsk.grassmannian.chain_image",
         "obrsk.grassmannian.enumerate_id",
         "obrsk.grassmannian.roots_of",
         "obrsk.ideal._shifted_columns",
@@ -24,4 +23,4 @@ def test_package_holds_one_memo_per_key(package_caches):
         "obrsk.ideal.standard_poly",
         "obrsk.polynomials.term_order",
     ]
-    assert len(package_caches) == 10
+    assert len(package_caches) == 9

@@ -6,7 +6,6 @@ import pytest
 
 from obrsk.errors import NotSemistandard, NotSkewSymmetric, ShapeMismatch, ValidationError
 from obrsk.tableaux import (
-    EMPTY_BITABLEAU,
     NotchedBitableau,
     SignKind,
     classify_sign,
@@ -50,7 +49,7 @@ def test_semistandard_fixture(worked_bitableau):
 
 
 def test_semistandard_empty():
-    assert validate_semistandard(EMPTY_BITABLEAU)
+    assert validate_semistandard(NotchedBitableau((), ()))
 
 
 def test_semistandard_row_order_matters():
@@ -131,7 +130,7 @@ def test_classify_fixture(worked_bitableau):
 
 
 def test_classify_empty():
-    cls = classify_sign(EMPTY_BITABLEAU)
+    cls = classify_sign(NotchedBitableau((), ()))
     assert cls.kind is SignKind.NONVANISHING
     assert cls.negative_rows == 0
 
@@ -227,7 +226,7 @@ def test_up_down_fixture(worked_bitableau):
 
 
 def test_up_down_empty():
-    assert up_down(EMPTY_BITABLEAU) == ((), ())
+    assert up_down(NotchedBitableau((), ())) == ((), ())
 
 
 def test_bounded_by_fixture(worked_bitableau):
@@ -239,7 +238,7 @@ def test_bounded_by_fixture(worked_bitableau):
 
 
 def test_bounded_by_empty_parts():
-    assert bitableau_bounded_by(EMPTY_BITABLEAU, ((1, 2),), ((2, 1),))
+    assert bitableau_bounded_by(NotchedBitableau((), ()), ((1, 2),), ((2, 1),))
 
 
 def test_bounded_by_bad_bounds(worked_bitableau):
