@@ -2,7 +2,9 @@
 
 I(d) is the set of d-subsets of {1, ..., 2d} containing exactly one of each
 pair {k, 2d+1-k} and an even number of entries above d; it is ordered
-entrywise on sorted entry lists.
+entrywise on sorted entry lists.  One memo per d (_id_poset) holds I(d) in
+order, each element's position and each position's up set; enumerate_id
+reads it, and the ideal layer compares positions by their up sets.
 
 Fixing beta in I(d), the grid consists of the positions (r, c) with r outside
 beta and c inside beta.  Writing x* = 2d+1-x, its roots are the positions
@@ -85,13 +87,26 @@ class IdElement:
 
 
 @lru_cache(maxsize=None)
-def enumerate_id(d):
-    """All elements of I(d) in lexicographic order of their entry lists."""
+def _id_poset(d):
+    """I(d) as a poset on positions: its elements in lexicographic order of
+    their entry lists, the position of each element in that order, and the
+    up set of each position, the positions of the elements w with v <= w.
+    The ideal layer walks multichains as tuples of positions, so it tests
+    membership in a set of ints where it would compare entry lists.
+    Memoised per d; enumerate_id reads the elements from here."""
     out = []
     for picks in itertools.product(*([k, 2 * d + 1 - k] for k in range(1, d + 1))):
         if sum(1 for x in picks if x > d) % 2 == 0:
             out.append(IdElement(tuple(sorted(picks)), d))
-    return tuple(sorted(out, key=lambda v: v.entries))
+    elements = tuple(sorted(out, key=lambda v: v.entries))
+    position = {v: i for i, v in enumerate(elements)}
+    up = tuple(frozenset(j for j, w in enumerate(elements) if id_leq(v, w)) for v in elements)
+    return elements, position, up
+
+
+def enumerate_id(d):
+    """All elements of I(d) in lexicographic order of their entry lists."""
+    return _id_poset(d)[0]
 
 
 def id_leq(v, w):

@@ -24,6 +24,16 @@ a monomial times every multiplier per (monomial, degree) (_shifted_columns).
 Every f(theta), and every product of them, has integer coefficients;
 rationals appear only in elimination, where _rref normalises a pivot row.
 
+The degree loop of the main check works on columns and positions, not on
+polynomials and elements.  A multichain is a tuple of positions in
+enumerate_id(d), grown by lookups in the up sets of
+grassmannian._id_poset; standard_monomials alone turns positions back
+into elements.  A product of Pfaffians is built straight as its sparse row
+in the slice of its degree, its prefix's row times one Pfaffian, so
+rank_with takes rows and no product polynomial is sorted by the term
+order.  The chain monomials are taken once per triple, and each degree
+compares the pivot columns with their shifted columns (_chain_columns).
+
 A slice eliminates only the rows of generators with more than one term.  A
 one-term generator, such as each f(theta) with |beta - theta| = 2, is plus
 or minus one variable: its rows would each hold one entry, so DegreeSlice
@@ -48,7 +58,7 @@ from math import comb
 from operator import add, sub
 
 from .errors import DimensionMismatch, ValidationError
-from .grassmannian import _check_triple, defining_chains, enumerate_id, id_leq
+from .grassmannian import _check_triple, _id_poset, defining_chains, enumerate_id
 # perfbench/tracing.py patches ideal.is_quotient_monomial, so the name stays importable here
 from .grassmannian import is_quotient_monomial  # noqa: F401
 from .polynomials import SparsePoly, term_order
@@ -98,11 +108,13 @@ def generators(alpha, beta, gamma):
     must satisfy alpha <= beta <= gamma (BoundsNotComparable otherwise):
     out of order, f(beta) = 1 would join the generators."""
     _check_triple(alpha, beta, gamma)
-    out = []
-    for theta in enumerate_id(beta.d):
-        if not (id_leq(alpha, theta) and id_leq(theta, gamma)):
-            out.append((theta, pfaffian_generator(theta, beta)))
-    return out
+    elements, position, up = _id_poset(beta.d)
+    above_alpha, g = up[position[alpha]], position[gamma]
+    return [
+        (theta, pfaffian_generator(theta, beta))
+        for t, theta in enumerate(elements)
+        if t not in above_alpha or g not in up[t]
+    ]
 
 
 # -- exact linear algebra on degree slices -----------------------------------
@@ -200,7 +212,6 @@ class DegreeSlice:
     def __init__(self, beta, gens, m):
         self.nvars = term_order(beta).nvars
         self.m = m
-        self.monos, self.col = _slice_columns(self.nvars, m)
         gens = [g for _, g in gens if not g.is_zero and g.degree() <= m]
         self.cleared = set()
         for g in gens:
@@ -223,19 +234,10 @@ class DegreeSlice:
     def total(self):
         return slice_size(self.nvars, self.m)
 
-    def initial_monomials(self):
-        return {self.monos[j] for j in self.pivots}
-
-    def vector_of(self, poly):
-        """The sparse row of a degree-m polynomial."""
-        for mono, _ in poly.terms:
-            if sum(mono) != self.m:
-                raise DimensionMismatch(f"monomial of degree {sum(mono)} in a degree-{self.m} slice")
-        return sorted((self.col[mono], coeff) for mono, coeff in poly.terms)
-
-    def rank_with(self, polys):
-        """Rank of the slice extended by the given degree-m polynomials."""
-        return len(self.cleared) + len(_rref(self.rows + self._clear(map(self.vector_of, polys))))
+    def rank_with(self, rows):
+        """Rank of the slice extended by the given sparse rows of degree-m
+        polynomials, as standard_poly builds them."""
+        return len(self.cleared) + len(_rref(self.rows + self._clear(rows)))
 
 
 @lru_cache(maxsize=None)
@@ -269,36 +271,59 @@ def _generator_rows(g, m):
     return [list(zip(cols, coeffs)) for cols in zip(*shifted)]
 
 
+def _check_degree(m):
+    """Refuse a degree that is not a plain int: a float or a string would
+    fail further in with a raw error, and True would run as degree 1."""
+    if type(m) is not int:
+        raise ValidationError(f"a degree must be a plain int, got {m!r}")
+
+
+def _chain_exponents(alpha, beta, gamma):
+    """The chain monomials of the triple: the exponent tuple over
+    term_order(beta) of each minimal bad chain of defining_chains, its roots
+    to the first power.  A root monomial lies in the chain ideal exactly
+    when it is a multiple of one of them."""
+    variables = term_order(beta).variables
+    return [tuple([1 if v in chain else 0 for v in variables]) for chain in defining_chains(alpha, beta, gamma)]
+
+
+def _chain_columns(chain_monos, m):
+    """The columns of the degree-m slice that the chain ideal holds: the
+    union of the shifted columns of the chain monomials of
+    _chain_exponents.  A chain of more than m roots has no multiple of
+    degree m and is skipped."""
+    cols = set()
+    for mono in chain_monos:
+        if sum(mono) <= m:
+            cols.update(_shifted_columns(mono, m))
+    return cols
+
+
 def chains_monomials_degree(alpha, beta, gamma, m):
     """Degree-m root monomials whose support contains a bad chain of the
-    triple; the combinatorial prediction for the initial monomials.
-
-    Such a support contains a minimal bad chain of defining_chains, decided
-    once per half of the triple, so these are the multiples of degree m of
-    the chain monomials, each chain's roots to the first power over
-    term_order(beta): the union of their shifted columns.  A chain of more
-    than m roots has no multiple of degree m and is skipped."""
-    order = term_order(beta)
-    cols = set()
-    for chain in defining_chains(alpha, beta, gamma):
-        if len(chain) <= m:
-            cols.update(_shifted_columns(tuple([1 if v in chain else 0 for v in order.variables]), m))
-    monos, _ = _slice_columns(order.nvars, m)
-    return {monos[j] for j in cols}
+    triple; the combinatorial prediction for the initial monomials, none
+    when m is negative; m must be a plain int.  Such a support contains a
+    minimal bad chain, so these are the monomials of _chain_columns, the
+    rule the main check applies to columns."""
+    _check_degree(m)
+    monos, _ = _slice_columns(term_order(beta).nvars, m)
+    return {monos[j] for j in _chain_columns(_chain_exponents(alpha, beta, gamma), m)}
 
 
 def _multichain_levels(alpha, beta, gamma):
-    """Yields the lists of standard_monomials of degree 0, 1, 2, ... without
-    end.  A multichain of degree m is one of degree m - beta_degree(theta)
-    ending at or below theta, or the empty one with alpha <= theta, extended
-    by theta; so each degree is built from the last few, which are all that
-    is kept, and no recursion grows with m."""
+    """Yields the lists of multichains of degree 0, 1, 2, ... without end,
+    each multichain a tuple of positions in enumerate_id(d), as
+    standard_monomials lists them.  A multichain of degree m is one of
+    degree m - beta_degree(theta) ending at or below theta, or the empty one
+    with alpha <= theta, extended by theta; so each degree is built from the
+    last few, which are all that is kept, and no recursion grows with m.
+    Each comparison is a lookup in an up set of _id_poset."""
+    elements, position, up = _id_poset(beta.d)
+    a, b, g = position[alpha], position[beta], position[gamma]
     candidates = [
-        (theta, beta_degree(theta, beta))
-        for theta in enumerate_id(beta.d)
-        if theta.entries != beta.entries
-        and (id_leq(theta, beta) or id_leq(beta, theta))
-        and id_leq(theta, gamma)
+        (t, beta_degree(theta, beta))
+        for t, theta in enumerate(elements)
+        if t != b and (t in up[b] or b in up[t]) and g in up[t]
     ]
     level = [()]
     lower = deque(maxlen=max((deg for _, deg in candidates), default=1))
@@ -306,11 +331,11 @@ def _multichain_levels(alpha, beta, gamma):
         yield level
         lower.append(level)  # lower[-k]: the level k below the next one
         level = [
-            prefix + (theta,)
-            for theta, deg in candidates
+            prefix + (t,)
+            for t, deg in candidates
             if deg <= len(lower)
             for prefix in lower[-deg]
-            if id_leq(prefix[-1] if prefix else alpha, theta)
+            if t in up[prefix[-1] if prefix else a]
         ]
 
 
@@ -318,24 +343,42 @@ def standard_monomials(alpha, beta, gamma, m):
     """Multichains theta_1 <= ... <= theta_r through the interval: every
     theta_i comparable to and distinct from beta, alpha <= theta_1,
     theta_r <= gamma, with beta-degrees summing to m; none when m is
-    negative.  The triple must satisfy alpha <= beta <= gamma
-    (BoundsNotComparable otherwise)."""
+    negative, and m must be a plain int.  The triple must satisfy
+    alpha <= beta <= gamma (BoundsNotComparable otherwise)."""
+    _check_degree(m)
     _check_triple(alpha, beta, gamma)
     if m < 0:
         return []
-    return next(itertools.islice(_multichain_levels(alpha, beta, gamma), m, None))
+    elements = enumerate_id(beta.d)
+    level = next(itertools.islice(_multichain_levels(alpha, beta, gamma), m, None))
+    return [tuple(elements[t] for t in thetas) for thetas in level]
 
 
 @lru_cache(maxsize=None)
 def standard_poly(thetas, beta):
-    """The product of f(theta) over the multichain thetas, a tuple: its
-    prefix's product times f of its last theta.  Memoised per (multichain,
-    beta), so every triple of a beta shares the products of their common
-    multichains; verify_main_theorem asks for the prefix, of lower degree,
-    first, so the recursion is one call deep."""
+    """The product of f(theta) over the multichain thetas, a tuple of
+    positions in enumerate_id(beta.d), as its sparse row in the slice of its
+    degree m: a tuple of (column, coefficient) pairs, columns ascending,
+    coefficients nonzero ints; the empty multichain is the constant 1,
+    column 0 of the degree-0 slice.  The row is its prefix's row times f of the last theta:
+    a term t of f, of degree k, takes column j of the prefix, the j-th
+    monomial of degree m - k, to _shifted_columns(t, m)[j], the column of t
+    times that monomial.  Memoised per (multichain, beta), so every triple
+    of a beta shares the products of their common multichains;
+    verify_main_theorem asks for the prefix, of lower degree, first, so the
+    recursion is one call deep."""
     if not thetas:
-        return SparsePoly.constant(term_order(beta), 1)
-    return standard_poly(thetas[:-1], beta) * pfaffian_generator(thetas[-1], beta)
+        return ((0, 1),)
+    elements = enumerate_id(beta.d)
+    m = sum(beta_degree(elements[t], beta) for t in thetas)
+    prefix = standard_poly(thetas[:-1], beta)
+    acc = {}
+    for mono, c in pfaffian_generator(elements[thetas[-1]], beta).terms:
+        cols = _shifted_columns(mono, m)
+        for j, x in prefix:
+            col = cols[j]
+            acc[col] = acc.get(col, 0) + c * x
+    return tuple(sorted((col, x) for col, x in acc.items() if x))
 
 
 # -- the main check ----------------------------------------------------------
@@ -378,24 +421,24 @@ def verify_main_theorem(alpha, beta, gamma, max_degree):
     if type(max_degree) is not int or max_degree < 1:
         raise ValidationError(f"the main check needs an int max_degree >= 1, got {max_degree!r}")
     gens = generators(alpha, beta, gamma)
+    chain_monos = _chain_exponents(alpha, beta, gamma)
     report = VerifyReport(alpha, beta, gamma)
     levels = itertools.islice(_multichain_levels(alpha, beta, gamma), 1, None)
     for m, std in zip(range(1, max_degree + 1), levels):
         slice_m = DegreeSlice(beta, gens, m)
-        initial = slice_m.initial_monomials()
-        chains = chains_monomials_degree(alpha, beta, gamma, m)
-        # the pivot columns are distinct, so len(initial) == dim always holds
+        # the initial monomials are the pivots' monomials, one per column
+        chains = sorted(_chain_columns(chain_monos, m))
         counts = len(std) == slice_m.total - slice_m.dim
-        std_polys = [standard_poly(thetas, beta) for thetas in std]
-        independent = slice_m.rank_with(std_polys) == slice_m.dim + len(std)
+        std_rows = [standard_poly(thetas, beta) for thetas in std]
+        independent = slice_m.rank_with(std_rows) == slice_m.dim + len(std)
         report.degrees.append(
             DegreeReport(
                 m=m,
                 total=slice_m.total,
-                n_initial=len(initial),
+                n_initial=slice_m.dim,
                 n_chains=len(chains),
                 n_standard=len(std),
-                initial_matches_chains=initial == chains,
+                initial_matches_chains=slice_m.pivots == chains,
                 counts_match=counts,
                 standard_independent=independent,
             )

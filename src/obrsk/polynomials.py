@@ -106,12 +106,6 @@ class SparsePoly:
     def zero(cls, order):
         return cls(order, ())
 
-    @classmethod
-    def constant(cls, order, c):
-        if c == 0:
-            return cls.zero(order)
-        return cls(order, (((0,) * order.nvars, _exact(c)),))
-
     @property
     def is_zero(self):
         return not self.terms

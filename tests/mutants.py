@@ -55,14 +55,14 @@ MUTANTS = (
     Mutant(
         "standard products always independent",
         "src/obrsk/ideal.py",
-        "independent = slice_m.rank_with(std_polys) == slice_m.dim + len(std)",
+        "independent = slice_m.rank_with(std_rows) == slice_m.dim + len(std)",
         "independent = True",
         "tests/test_cli.py::test_main_check_fails_on_dependent_standard_products",
     ),
     Mutant(
         "initial ideal always matches the chains",
         "src/obrsk/ideal.py",
-        "initial_matches_chains=initial == chains,",
+        "initial_matches_chains=slice_m.pivots == chains,",
         "initial_matches_chains=True,",
         "tests/test_cli.py::test_verify_main_exits_3_when_a_degree_fails",
     ),
@@ -92,9 +92,30 @@ MUTANTS = (
     Mutant(
         "rank_with ignores the standard rows",
         "src/obrsk/ideal.py",
-        "_rref(self.rows + self._clear(map(self.vector_of, polys)))",
+        "_rref(self.rows + self._clear(rows))",
         "_rref(self.rows)",
         "tests/test_acceptance.py::test_criterion_5_main_theorem",
+    ),
+    Mutant(
+        "product row reads the wrong prefix column",
+        "src/obrsk/ideal.py",
+        "col = cols[j]",
+        "col = cols[j - 1]",
+        "tests/test_ideal.py::test_standard_poly_rows_are_the_products_of_their_pfaffians_through_d5",
+    ),
+    Mutant(
+        "one minimal chain dropped from the column prediction",
+        "src/obrsk/ideal.py",
+        "for mono in chain_monos:",
+        "for mono in chain_monos[1:]:",
+        "tests/test_ideal.py::test_chains_monomials_degree_matches_per_monomial_reference",
+    ),
+    Mutant(
+        "up sets built reversed",
+        "src/obrsk/grassmannian.py",
+        "if id_leq(v, w)) for v in elements)",
+        "if id_leq(w, v)) for v in elements)",
+        "tests/test_grassmannian.py::test_up_sets_are_id_leq_on_every_pair_through_d7",
     ),
     Mutant(
         "one-term generators not cleared",

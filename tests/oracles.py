@@ -29,6 +29,7 @@ from obrsk.errors import (
 )
 from obrsk.grassmannian import (
     IdElement,
+    enumerate_id,
     hash_reflect,
     id_leq,
     roots_of,
@@ -441,7 +442,7 @@ def determinant(a):
                 length += 1
             if length % 2 == 0:
                 sign = -sign
-        prod = SparsePoly.constant(order, sign)
+        prod = constant(order, sign)
         for i in range(n):
             prod = prod * a[i][perm[i]]
             if prod.is_zero:
@@ -498,13 +499,18 @@ def patch_entry(beta, r, c):
         raise DimensionMismatch(f"row {r} outside 1..{2 * beta.d}")
     order = term_order(beta)
     if r in beta.entries:
-        return SparsePoly.constant(order, int(r == c))
+        return constant(order, int(r == c))
     reg = region_of(beta, r, c)
     if reg is Region.DIAG:
         return SparsePoly.zero(order)
     if reg is Region.BELOW:
         return variable(order, hash_reflect((r, c), beta.d), -1)
     return variable(order, (r, c))
+
+
+def constant(order, c):
+    """The constant c as a polynomial over order; zero when c is 0."""
+    return SparsePoly.from_dict(order, {(0,) * order.nvars: c})
 
 
 def variable(order, root, coeff=1):
@@ -524,11 +530,58 @@ def pfaffian_matrix(theta, beta):
 
 
 def pfaffian_product(thetas, beta):
-    """The product of f(theta) over a multichain, one factor at a time."""
-    prod = SparsePoly.constant(term_order(beta), 1)
+    """The product of f(theta) over a multichain of elements of I(d), one
+    factor at a time, by SparsePoly multiplication."""
+    prod = constant(term_order(beta), 1)
     for theta in thetas:
         prod = prod * pfaffian_generator(theta, beta)
     return prod
+
+
+def multichains(alpha, beta, gamma, m):
+    """standard_monomials by its definition, through id_leq: the multichains
+    theta_1 <= ... <= theta_r of elements comparable to and distinct from
+    beta, alpha <= theta_1, theta_r <= gamma, half-sizes of beta - theta_i
+    summing to m.  Recursion on the last element: those ending in theta are
+    the ones of degree m - deg(theta) ending at or below theta, extended by
+    it, listed with theta ascending in enumerate_id(d) and then in the order
+    of their prefixes."""
+    degree = {
+        theta: len(set(beta.entries) - set(theta.entries)) // 2
+        for theta in enumerate_id(beta.d)
+        if theta != beta and (id_leq(theta, beta) or id_leq(beta, theta)) and id_leq(theta, gamma)
+    }
+
+    def ending_at_or_below(top, m):
+        if m == 0:
+            return [()]
+        return [
+            prefix + (theta,)
+            for theta, k in degree.items()
+            if k <= m and (top is None or id_leq(theta, top))
+            for prefix in ending_at_or_below(theta, m - k)
+            if prefix or id_leq(alpha, theta)
+        ]
+
+    return ending_at_or_below(None, m)
+
+
+def slice_columns(nvars, m):
+    """The column of each monomial of degree m in nvars variables, the
+    monomials greatest first."""
+    return {mono: j for j, mono in enumerate(monomials_of_degree(nvars, m))}
+
+
+def vector_of(poly, col):
+    """The sparse row of a polynomial over the columns col of its degree's
+    slice: each term's column with its coefficient, columns ascending."""
+    return sorted((col[mono], c) for mono, c in poly.terms)
+
+
+def initial_monomials(degree_slice):
+    """The monomials of a DegreeSlice's pivot columns."""
+    monos = monomials_of_degree(degree_slice.nvars, degree_slice.m)
+    return {monos[j] for j in degree_slice.pivots}
 
 
 def var_greater(mu, nu):
@@ -784,17 +837,15 @@ class FullSlice:
 
     def __init__(self, beta, gens, m):
         nvars = term_order(beta).nvars
-        self.col = {mono: j for j, mono in enumerate(monomials_of_degree(nvars, m))}
+        self.col = slice_columns(nvars, m)
         self.rows = [
-            self.vector_of(g * SparsePoly.from_dict(g.order, {mult: 1}))
+            vector_of(g * SparsePoly.from_dict(g.order, {mult: 1}), self.col)
             for _, g in gens
             if not g.is_zero and g.degree() <= m
             for mult in monomials_of_degree(nvars, m - g.degree())
         ]
         self.pivots = _rref(self.rows)
 
-    def vector_of(self, poly):
-        return sorted((self.col[mono], c) for mono, c in poly.terms)
-
     def rank_with(self, polys):
-        return len(_rref(list(self.rows) + [self.vector_of(p) for p in polys]))
+        """The rank of the slice extended by the given degree-m polynomials."""
+        return len(_rref(list(self.rows) + [vector_of(p, self.col) for p in polys]))

@@ -469,15 +469,15 @@ def test_ideal_requires_the_whole_triple(capsys, command, missing):
 
 
 def test_verify_main_exits_3_when_a_degree_fails(capsys, monkeypatch):
-    original = ideal.chains_monomials_degree
+    original = ideal._chain_columns
 
-    def one_chain_monomial_short(alpha, beta, gamma, m):
-        chains = set(original(alpha, beta, gamma, m))
-        if chains:
-            chains.remove(min(chains))
-        return chains
+    def one_chain_monomial_short(chain_monos, m):
+        cols = set(original(chain_monos, m))
+        if cols:
+            cols.remove(min(cols))
+        return cols
 
-    monkeypatch.setattr(ideal, "chains_monomials_degree", one_chain_monomial_short)
+    monkeypatch.setattr(ideal, "_chain_columns", one_chain_monomial_short)
     argv = ["verify-main", "--d", "3", "--alpha", "1,2,3", "--beta", "1,2,3", "--gamma", "2,4,6"]
     assert ideal_main(argv) == EXIT_FAILED
     out = capsys.readouterr().out
@@ -491,14 +491,14 @@ def test_a_closed_pipe_keeps_the_verdict_of_verify_main(monkeypatch, capsys, fai
     # BrokenPipeError; the exit code is still the verdict, and what the
     # stream still holds goes to os.devnull
     if fails:
-        original = ideal.chains_monomials_degree
+        original = ideal._chain_columns
 
-        def one_chain_monomial_short(alpha, beta, gamma, m):
-            chains = set(original(alpha, beta, gamma, m))
-            chains.discard(min(chains, default=None))
-            return chains
+        def one_chain_monomial_short(chain_monos, m):
+            cols = set(original(chain_monos, m))
+            cols.discard(min(cols, default=None))
+            return cols
 
-        monkeypatch.setattr(ideal, "chains_monomials_degree", one_chain_monomial_short)
+        monkeypatch.setattr(ideal, "_chain_columns", one_chain_monomial_short)
     read_end, write_end = os.pipe()
     os.close(read_end)
     closed = open(write_end, "w")
@@ -550,10 +550,13 @@ def test_main_check_fails_on_dependent_standard_products(capsys, monkeypatch, pa
     # add up, but the products are dependent, and so are the degree-3
     # products built on it
     original = ideal.standard_poly
-    low, high = VERDICT_TRIPLE[0], VERDICT_TRIPLE[2]
+    # the positions of the multichain's two elements in I(3)
+    low, high = (enumerate_id(3).index(v) for v in (VERDICT_TRIPLE[0], VERDICT_TRIPLE[2]))
 
     def dependent(thetas, beta):
-        return 3 * original((low, low), beta) if thetas == (low, high) else original(thetas, beta)
+        if thetas == (low, high):
+            return tuple((col, 3 * x) for col, x in original((low, low), beta))
+        return original(thetas, beta)
 
     monkeypatch.setattr(ideal, "standard_poly", dependent)
     assert verdicts_and_cli_statuses(capsys) == (

@@ -20,7 +20,7 @@ from obrsk.ideal import (  # noqa: E402
     standard_poly,
 )
 from obrsk.polynomials import SparsePoly, term_order  # noqa: E402
-from oracles import variable  # noqa: E402
+from oracles import constant, initial_monomials, slice_columns, variable, vector_of  # noqa: E402
 
 
 def ide(entries, d):
@@ -129,14 +129,16 @@ def test_initial_monomials_match_sympy_d4(triple):
     for m in (1, 2, 3):
         dense, monos = dense_slice(gens, m, order)
         pivots = sympy_matrix(dense, len(monos)).rref()[1] if dense else ()
-        assert DegreeSlice(beta, gens, m).initial_monomials() == {monos[j] for j in pivots}
+        assert initial_monomials(DegreeSlice(beta, gens, m)) == {monos[j] for j in pivots}
 
 
 def test_rank_with_leaves_the_slice_unchanged():
     alpha, beta, gamma = (ide(t, 4) for t in D4_TRIPLES[3])
     gens = generators(alpha, beta, gamma)
     s = DegreeSlice(beta, gens, 2)
-    std = [standard_poly(thetas, beta) for thetas in standard_monomials(alpha, beta, gamma, 2)]
+    position = {v: i for i, v in enumerate(enumerate_id(4))}
+    chains = standard_monomials(alpha, beta, gamma, 2)
+    std = [standard_poly(tuple(map(position.get, thetas)), beta) for thetas in chains]
     dim, rows, row_ids = s.dim, [list(r) for r in s.rows], [id(r) for r in s.rows]
     assert std and s.dim
     first = s.rank_with(std)
@@ -148,7 +150,7 @@ def test_rank_with_leaves_the_slice_unchanged():
     x = variable(order, order.variables[0])
     while g.degree() < 2:
         g = g * x
-    assert s.rank_with([g]) == dim
+    assert s.rank_with([vector_of(g, slice_columns(order.nvars, 2))]) == dim
 
 
 @pytest.mark.parametrize("extra", ["degree two", "coefficient -3", "constant", "zero", "all"])
@@ -163,21 +165,22 @@ def test_one_term_generators_among_pfaffians_match_sympy(extra):
     hand = {
         "degree two": x[0] * x[3],
         "coefficient -3": variable(order, order.variables[1], -3),
-        "constant": SparsePoly.constant(order, 2),
+        "constant": constant(order, 2),
         "zero": SparsePoly.zero(order),
     }
     gens = [(None, g) for g in pfaffians + (list(hand.values()) if extra == "all" else [hand[extra]])]
     for m in (2, 3):
         dense, monos = dense_slice(gens, m, order)
         s = DegreeSlice(beta, gens, m)
-        assert s.initial_monomials() == {monos[j] for j in sympy_matrix(dense, len(monos)).rref()[1]}
+        assert initial_monomials(s) == {monos[j] for j in sympy_matrix(dense, len(monos)).rref()[1]}
         # degree-m polynomials with terms in cleared columns and outside them,
         # one of them in the ideal
-        lift = x[2] if m == 3 else SparsePoly.constant(order, 1)
+        lift = x[2] if m == 3 else constant(order, 1)
         polys = [(x[0] + x[9]) * x[9] * lift, (x[1] - x[4]) * x[9] * lift, pfaffians[0] * lift, x[8] * x[9] * lift]
         rows = [[Fraction(0)] * len(monos) for _ in polys]
         col = {mono: j for j, mono in enumerate(monos)}
         for row, p in zip(rows, polys):
             for mono, coeff in p.terms:
                 row[col[mono]] = Fraction(coeff)
-        assert s.rank_with(polys) == len(sympy_matrix(dense + rows, len(monos)).rref()[1])
+        expected = len(sympy_matrix(dense + rows, len(monos)).rref()[1])
+        assert s.rank_with([vector_of(p, col) for p in polys]) == expected

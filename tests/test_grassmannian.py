@@ -86,6 +86,21 @@ def test_enumerate_id_small():
     assert len(enumerate_id(5)) == 16
 
 
+def test_up_sets_are_id_leq_on_every_pair_through_d7(package_caches):
+    # the ideal layer compares positions by their up sets; each must hold
+    # exactly the positions of the elements id_leq puts at or above it
+    pairs = 0
+    for d in range(1, 8):
+        elements, position, up = grassmannian._id_poset(d)
+        assert elements == enumerate_id(d)
+        assert [v.entries for v in elements] == sorted(v.entries for v in elements)
+        assert position == {v: i for i, v in enumerate(elements)}
+        for (i, v), (j, w) in itertools.product(enumerate(elements), repeat=2):
+            assert (j in up[i]) == id_leq(v, w), (v, w)
+            pairs += 1
+    assert pairs == 5461
+
+
 def test_id_leq():
     assert id_leq(ide((1, 2, 3), 3), ide((1, 4, 5), 3))
     assert not id_leq(ide((1, 4, 5), 3), ide((1, 2, 3), 3))

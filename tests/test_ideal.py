@@ -20,7 +20,19 @@ from obrsk.ideal import (
     verify_main_theorem,
 )
 from obrsk.polynomials import SparsePoly, term_order
-from oracles import FullSlice, determinant, patch_entry, pfaffian_matrix, pfaffian_product, variable
+from oracles import (
+    FullSlice,
+    constant,
+    determinant,
+    initial_monomials,
+    multichains,
+    patch_entry,
+    pfaffian_matrix,
+    pfaffian_product,
+    slice_columns,
+    variable,
+    vector_of,
+)
 
 
 def ide(entries, d):
@@ -56,7 +68,7 @@ def test_patch_matrix_d5():
     for r, row in _PATCH_5.items():
         for c, expected in zip(beta.entries, row):
             if expected == "1":
-                poly = SparsePoly.constant(order, 1)
+                poly = constant(order, 1)
             elif expected in (".", "0"):
                 poly = SparsePoly.zero(order)
             elif expected[0] == "-":
@@ -160,7 +172,7 @@ def _reference_pfaffian_generator(theta, beta):
 
     def rec(indices):
         if not indices:
-            return SparsePoly.constant(order, 1)
+            return constant(order, 1)
         total = SparsePoly.zero(order)
         for pos in range(1, len(indices)):
             rest = indices[1:pos] + indices[pos + 1:]
@@ -251,9 +263,7 @@ def test_initial_equals_chains_d2_point():
     beta = ide((3, 4), 2)
     gens = generators(beta, beta, beta)
     for m in (1, 2, 3):
-        assert DegreeSlice(beta, gens, m).initial_monomials() == chains_monomials_degree(
-            beta, beta, beta, m
-        )
+        assert initial_monomials(DegreeSlice(beta, gens, m)) == chains_monomials_degree(beta, beta, beta, m)
 
 
 def test_negative_degree_is_an_empty_slice(package_caches):
@@ -316,7 +326,9 @@ def test_standard_monomials_full_interval_d2():
     alpha, beta = ide((1, 2), 2), ide((3, 4), 2)
     chains = standard_monomials(alpha, beta, beta, 2)
     assert chains == [(alpha, alpha)]
-    assert standard_poly(chains[0], beta).degree() == 2
+    # f(alpha) is the one variable, so the product is its square: the one
+    # monomial of the degree-2 slice in one variable
+    assert standard_poly((0, 0), beta) == ((0, 1),)
 
 
 def test_standard_monomials_deep_degree():
@@ -340,9 +352,48 @@ def test_prefix_products_equal_standard_poly_d4():
     assert len(triples) == 14
     for alpha, gamma in triples:
         for m, level in enumerate(itertools.islice(ideal._multichain_levels(alpha, beta, gamma), 5)):
-            assert level == standard_monomials(alpha, beta, gamma, m)
+            chains = [tuple(elements[t] for t in thetas) for thetas in level]
+            assert chains == standard_monomials(alpha, beta, gamma, m)
+            col = slice_columns(term_order(beta).nvars, m)
             products = [standard_poly(thetas, beta) for thetas in level]
-            assert products == [pfaffian_product(thetas, beta) for thetas in level]
+            assert products == [tuple(vector_of(pfaffian_product(c, beta), col)) for c in chains]
+
+
+def _standard_poly_rows_checked(d, max_degree):
+    """Check every standard_poly row of every multichain of every triple of
+    I(d) up to max_degree against the product of its Pfaffians by SparsePoly
+    multiplication, mapped to columns by name; each (multichain, beta) once.
+    Returns how many were checked."""
+    elements = enumerate_id(d)
+    seen = set()
+    for alpha, beta, gamma in all_triples(d):
+        nvars = term_order(beta).nvars
+        levels = itertools.islice(ideal._multichain_levels(alpha, beta, gamma), max_degree + 1)
+        for m, level in enumerate(levels):
+            col = slice_columns(nvars, m)
+            for thetas in level:
+                if (thetas, beta) in seen:
+                    continue
+                seen.add((thetas, beta))
+                product = pfaffian_product([elements[t] for t in thetas], beta)
+                assert standard_poly(thetas, beta) == tuple(vector_of(product, col)), (thetas, beta)
+    return len(seen)
+
+
+def test_standard_poly_rows_are_the_products_of_their_pfaffians_through_d5(package_caches):
+    # every multichain of every triple with d <= 4 at m <= 4, and with d = 5
+    # at m <= 3
+    assert [_standard_poly_rows_checked(d, 4) for d in (1, 2, 3, 4)] == [1, 10, 140, 1680]
+    assert _standard_poly_rows_checked(5, 3) == 4576
+
+
+def test_standard_monomials_are_the_multichains_of_the_definition_through_d5():
+    # the package walks positions and up sets; the reference compares the
+    # elements by id_leq, recursing on the last one
+    for d in range(1, 6):
+        for alpha, beta, gamma in all_triples(d):
+            for m in range(5):
+                assert standard_monomials(alpha, beta, gamma, m) == multichains(alpha, beta, gamma, m)
 
 
 def test_pfaffians_and_their_products_have_integer_coefficients():
@@ -358,7 +409,7 @@ def test_pfaffians_and_their_products_have_integer_coefficients():
     for alpha, beta, gamma in triples:
         for level in itertools.islice(ideal._multichain_levels(alpha, beta, gamma), 4):
             products = [standard_poly(thetas, beta) for thetas in level]
-            assert all(type(c) is int for p in products for _, c in p.terms)
+            assert all(type(c) is int for row in products for _, c in row)
 
 
 def test_verify_main_theorem_d2():
@@ -523,6 +574,19 @@ def test_a_degree_that_is_not_a_plain_int_is_refused(max_degree):
         hilbert_counts(beta, beta, beta, max_degree)
 
 
+@pytest.mark.parametrize("m", [2.0, "2", True, None])
+def test_a_degree_of_the_chain_and_standard_monomials_that_is_not_a_plain_int_is_refused(m):
+    # 2.0 would fail inside islice with a raw ValueError, "2" in a
+    # comparison with a raw TypeError, and True would run as degree 1
+    alpha, beta = ide((1, 2), 2), ide((3, 4), 2)
+    for function in (standard_monomials, chains_monomials_degree):
+        with pytest.raises(ValidationError, match=f"a degree must be a plain int, got {m!r}$"):
+            function(alpha, beta, beta, m)
+    # a negative degree still has no monomial of either kind
+    assert standard_monomials(alpha, beta, beta, -1) == []
+    assert chains_monomials_degree(alpha, beta, beta, -1) == set()
+
+
 @pytest.mark.parametrize("d, max_degree, count", [(4, 3, 112), (5, 2, 672)])
 def test_degree_slice_equals_full_elimination(d, max_degree, count):
     # clearing the columns of one-term generators finds the pivots and ranks
@@ -534,8 +598,10 @@ def test_degree_slice_equals_full_elimination(d, max_degree, count):
         for m in range(1, max_degree + 1):
             s, full = DegreeSlice(beta, gens, m), FullSlice(beta, gens, m)
             assert (s.pivots, s.dim) == (full.pivots, len(full.pivots)), (alpha, beta, gamma, m)
-            std = [standard_poly(thetas, beta) for thetas in standard_monomials(alpha, beta, gamma, m)]
-            assert s.rank_with(std) == full.rank_with(std), (alpha, beta, gamma, m)
+            level = next(itertools.islice(ideal._multichain_levels(alpha, beta, gamma), m, None))
+            rows = [standard_poly(thetas, beta) for thetas in level]
+            products = [pfaffian_product(c, beta) for c in standard_monomials(alpha, beta, gamma, m)]
+            assert s.rank_with(rows) == full.rank_with(products), (alpha, beta, gamma, m)
 
 
 def test_elimination_gets_only_the_rows_of_multi_term_generators(monkeypatch):
@@ -564,6 +630,6 @@ def test_degree_slice_shape():
     beta = ide((1, 2, 3), 3)
     gens = generators(beta, beta, beta)
     s = DegreeSlice(beta, gens, 2)
-    assert s.total == len(s.monos)
+    assert s.total == len(monomials_of_degree(s.nvars, 2))
     assert s.dim <= s.total
-    assert len(s.initial_monomials()) == s.dim
+    assert len(initial_monomials(s)) == s.dim

@@ -13,9 +13,9 @@ def test_package_holds_one_memo_per_key(package_caches):
     # this pin on purpose
     names = sorted(f"{cache.__module__}.{cache.__qualname__}" for cache in package_caches)
     assert names == [
+        "obrsk.grassmannian._id_poset",
         "obrsk.grassmannian._minimal_bad_chains",
         "obrsk.grassmannian._signed_chains",
-        "obrsk.grassmannian.enumerate_id",
         "obrsk.grassmannian.roots_of",
         "obrsk.ideal._shifted_columns",
         "obrsk.ideal._slice_columns",

