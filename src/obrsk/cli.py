@@ -44,7 +44,7 @@ EXIT_INVALID = 2
 EXIT_FAILED = 3
 
 # The largest --d accepted.  I(d) has 2^(d-1) elements and listing the
-# triples for --all-triples takes time growing like 8^d: about 1 s for the
+# triples for --all-triples takes time growing like 8^d: about 0.3 s for the
 # 183,040 triples at d = 8, and each further d multiplies both by 7 to 8.
 MAX_D = 8
 
@@ -52,11 +52,11 @@ MAX_D = 8
 # roots, so --max-degree m asks for slice_size(d(d-1)/2, m) of them.  One
 # x86-64 core with Python 3.11 checks the d = 5 triple 1,2,3,4,5 <=
 # 1,2,3,4,5 <= 2,3,4,6,10 up to m = 9, whose last slice has 48,620
-# monomials, in 1.1 s at a peak of 58 MiB; time and memory grow a little
+# monomials, in 1.0 s at a peak of 52 MiB; time and memory grow a little
 # faster than the slice.  The products of Pfaffians (per beta) and the slice
 # columns (per degree) are memoised for every later triple, so --all-triples
-# holds more than one triple's worth: its peak is 28 MiB at d = 5, m <= 4
-# and 41 MiB at d = 6, m <= 3, against 20 and 26 MiB when every triple
+# holds more than one triple's worth: its peak is 24 MiB at d = 5, m <= 4
+# and 34 MiB at d = 6, m <= 3, against 19 and 21 MiB when every triple
 # rebuilt them.
 MAX_SLICE_MONOMIALS = 50_000
 
@@ -64,8 +64,8 @@ MAX_SLICE_MONOMIALS = 50_000
 # slice has at most one monomial, so MAX_SLICE_MONOMIALS never binds, but
 # the multichains and their products (kept per beta) still grow with the
 # degree.  On the core above, at m = 2,000, verify-main --d 2 --all-triples
-# takes 1.8 s at a peak of 52 MiB, and the d = 1 runs and hilbert 0.2 s at
-# 19 MiB; at m = 4,000 the d = 2 run takes 7.8 s at 149 MiB.
+# takes 0.7 s at a peak of 52 MiB, and the d = 1 runs and hilbert 0.2 s at
+# 18 to 19 MiB; at m = 4,000 the d = 2 run takes 1.3 s at 143 MiB.
 MAX_DEGREE = 2_000
 
 # The largest --jobs accepted: each worker is a full interpreter of about

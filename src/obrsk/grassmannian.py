@@ -3,8 +3,9 @@
 I(d) is the set of d-subsets of {1, ..., 2d} containing exactly one of each
 pair {k, 2d+1-k} and an even number of entries above d; it is ordered
 entrywise on sorted entry lists.  One memo per d (_id_poset) holds I(d) in
-order, each element's position and each position's up set; enumerate_id
-reads it, and the ideal layer compares positions by their up sets.
+order, the position of each sorted entry list, each position's up set and
+the mirror as a permutation of positions; enumerate_id reads it, and the
+chain tables and the ideal layer compare positions by their up sets.
 
 Fixing beta in I(d), the grid consists of the positions (r, c) with r outside
 beta and c inside beta.  Writing x* = 2d+1-x, its roots are the positions
@@ -26,22 +27,25 @@ Only negative chains have rows and values.  The longest Weyl element of
 type D, mirror on I(d) and phi on roots, swaps the two halves: phi takes the
 positive chains of beta onto the negative chains of mirror(beta), mirror
 reverses the order, and the w of a positive chain C is mirror of the w of
-phi(C).  So each beta has one table, of its negative chains with the w and
-the top rows of each chain's image (_signed_chains, at most |I(d)| tables
-per d), and a positive half is phi of a negative half of the mirrored pair
-(_minimal_bad_chains).  A table is one walk over the chains, each taking
+phi(C).  So each beta has one table, of its negative chains with the
+position of w in I(d) and the top rows of each chain's image
+(_signed_chains, at most |I(d)| tables per d), and a positive half is phi
+of a negative half of the mirrored pair (_minimal_bad_chains), reached
+through the mirror permutation of positions; no element of I(d) is built
+per chain or per half.  A table is one walk over the chains, each taking
 its top rows by one bounded insertion step on those of its parent chain,
 the chain without its last point; no image is built whole.
 tests/test_grassmannian.py certifies that the pair (C, C^#) of every chain
 of roots with d <= 8 is a valid skew pair, that the top rows equal those
-of obrsk's image with d <= 7, and that the mirror gives every positive w
-and every positive half as the direct positive rule does with d <= 7.
+of obrsk's image with d <= 7, that each position is the element its
+entries give with d <= 8, and that the mirror gives every positive w and
+every positive half as the direct positive rule does with d <= 7.
 defining_chains decides each negative chain once per half, not once per
-triple, by the w of its row, checks each decision against the boundedness
-of the chain's image by T in the one counting order (tableaux.rows_leq),
-and keeps the minimal bad chains; a root monomial lies in the chain ideal
-exactly when its support contains one.  The halves are memoised, at most
-2 |I(d)|^2 of them per d.
+triple, by whether its w lies in the up set of alpha, checks each decision
+against the boundedness of the chain's image by T in the one counting
+order (tableaux.rows_leq), and keeps the minimal bad chains; a root
+monomial lies in the chain ideal exactly when its support contains one.
+The halves are memoised, at most 2 |I(d)|^2 of them per d.
 """
 
 from __future__ import annotations
@@ -89,19 +93,23 @@ class IdElement:
 @lru_cache(maxsize=None)
 def _id_poset(d):
     """I(d) as a poset on positions: its elements in lexicographic order of
-    their entry lists, the position of each element in that order, and the
-    up set of each position, the positions of the elements w with v <= w.
-    The ideal layer walks multichains as tuples of positions, so it tests
-    membership in a set of ints where it would compare entry lists.
-    Memoised per d; enumerate_id reads the elements from here."""
+    their entry lists; the position in that order of each element's sorted
+    entry list, so a list derived from other entries is found, or found
+    missing, without building an element; the up set of each position, the
+    positions of the elements w with v <= w; and the mirror as a
+    permutation, the position of mirror(v) at the position of v.  The chain
+    tables and the ideal layer work on positions, so they test membership
+    in a set of ints where they would compare entry lists.  Memoised per d;
+    enumerate_id reads the elements from here."""
     out = []
     for picks in itertools.product(*([k, 2 * d + 1 - k] for k in range(1, d + 1))):
         if sum(1 for x in picks if x > d) % 2 == 0:
             out.append(IdElement(tuple(sorted(picks)), d))
     elements = tuple(sorted(out, key=lambda v: v.entries))
-    position = {v: i for i, v in enumerate(elements)}
+    position = {v.entries: i for i, v in enumerate(elements)}
     up = tuple(frozenset(j for j, w in enumerate(elements) if id_leq(v, w)) for v in elements)
-    return elements, position, up
+    mirrored = tuple(position[mirror(v).entries] for v in elements)
+    return elements, position, up, mirrored
 
 
 def enumerate_id(d):
@@ -182,7 +190,11 @@ def _signed_chains(beta):
     reflecting each point of C by hash_reflect.  The up set of the image
     pairs the i-th entries of those two strictly increasing rows, so (p, q)
     is the up set as rows_leq compares it, and w is beta with the entries
-    of q taken out and those of p put in; w must be <= beta.
+    of q taken out and those of p put in, held as its position in
+    enumerate_id(d): the position of its sorted entry list in _id_poset,
+    which must be there, and w must be <= beta, read off beta's position in
+    the up set of w.  No element of I(d) is built; the tests certify each
+    position against the element of those entries with d <= 8.
 
     obrsk consumes a negative chain's points in increasing row order, one
     forward step each, and the iterator yields each chain just after its
@@ -195,7 +207,8 @@ def _signed_chains(beta):
     Only negative chains have rows: a positive chain of beta is read through
     the mirror, as the negative chain phi(C) of mirror(beta) (w_of_chain,
     _minimal_bad_chains).  Memoised per beta."""
-    bset = set(beta.entries)
+    _, position, up, _ = _id_poset(beta.d)
+    b, bset = position[beta.entries], set(beta.entries)
     top, table = {(): ((), ())}, {}
     for chain in enumerate_extended_chains(split_chain(roots_of(beta), beta)[0]):
         (r, c), (p, q) = chain[-1], top[chain[:-1]]
@@ -206,9 +219,12 @@ def _signed_chains(beta):
         missing = set(q) - bset
         if missing:
             raise VerificationError(f"second coordinate {min(missing)} not in beta = {beta.entries}")
-        w = IdElement(tuple(bset.difference(q).union(p)), beta.d)
-        if not id_leq(w, beta):
-            raise SignAssertionFailure(f"w = {w.entries} not <= beta = {beta.entries}")
+        entries = tuple(sorted(bset.difference(q).union(p)))
+        w = position.get(entries)
+        if w is None:
+            raise VerificationError(f"w = {entries} of the chain {list(chain)} is not in I({beta.d})")
+        if b not in up[w]:
+            raise SignAssertionFailure(f"w = {entries} not <= beta = {beta.entries}")
         table[chain] = (w, (p, q))
     return table
 
@@ -216,20 +232,23 @@ def _signed_chains(beta):
 def w_of_chain(chain, beta):
     """The element of I(d) attached to a sign-pure chain of roots of beta,
     its points in any order; MixedSigns for anything else.  The sign is read
-    off the points (split_chain).  A negative chain reads its row of
-    _signed_chains.  A positive chain C is read through the mirror: its w is
-    mirror of the w of the negative chain phi(C) of mirror(beta), which the
-    tests certify against obrsk's down set for every positive chain of roots
-    with d <= 7."""
+    off the points (split_chain).  A negative chain reads the position of
+    its w in its row of _signed_chains.  A positive chain C is read through
+    the mirror: its w is mirror of the w of the negative chain phi(C) of
+    mirror(beta), which the tests certify against obrsk's down set for every
+    positive chain of roots with d <= 7.  The position is turned back into
+    its element of enumerate_id(d)."""
+    elements, position, _, mirrored = _id_poset(beta.d)
     neg, pos = split_chain(chain, beta)
     entry = None
     if not pos:
         entry = _signed_chains(beta).get(tuple(sorted(neg)))
     elif not neg:
-        entry = _signed_chains(mirror(beta)).get(tuple(sorted(phi(p, beta.d) for p in pos)))
+        mirror_beta = elements[mirrored[position[beta.entries]]]
+        entry = _signed_chains(mirror_beta).get(tuple(sorted(phi(p, beta.d) for p in pos)))
     if entry is None:
         raise MixedSigns(f"{list(neg + pos)} is not a sign-pure chain of roots of {beta}")
-    return mirror(entry[0]) if pos else entry[0]
+    return elements[mirrored[entry[0]] if pos else entry[0]]
 
 
 def _half_bound(alpha, beta):
@@ -263,21 +282,26 @@ def _minimal_bad_chains(bound, beta, sign):
     tableaux.row_sign.
 
     Each negative chain is decided by two routes, each read off its row of
-    _signed_chains: the defining rule, alpha not <= w; and boundedness of
-    its image, T <= up in the counting order, by rows_leq on the row pairs
-    of T and of the up set.  The two must agree.  The positive half is the
-    mirror of a negative one: mirror reverses the order and w(C) is mirror
-    of w(phi(C)), so C is bad for gamma at beta exactly when phi(C) is bad
-    for mirror(gamma) at mirror(beta), and its minimal bad chains are phi of
-    that half's.  Memoised: a half is decided once, however many triples
-    share it, so the cache holds at most 2 |I(d)|^2 entries per d."""
+    _signed_chains: the defining rule, alpha not <= w, that is, the position
+    of w outside the up set of alpha; and boundedness of its image, T <= up
+    in the counting order, by rows_leq on the row pairs of T and of the up
+    set.  The two must agree.  The positive half is the mirror of a negative
+    one: mirror reverses the order and w(C) is mirror of w(phi(C)), so C is
+    bad for gamma at beta exactly when phi(C) is bad for mirror(gamma) at
+    mirror(beta), and its minimal bad chains are phi of that half's; the
+    two mirrored elements are read off the mirror permutation of positions.
+    Memoised: a half is decided once, however many triples share it, so the
+    cache holds at most 2 |I(d)|^2 entries per d."""
+    elements, position, up, mirrored = _id_poset(beta.d)
     if sign > 0:
-        mirrored = _minimal_bad_chains(mirror(bound), mirror(beta), -1)
-        return tuple(frozenset(phi(p, beta.d) for p in chain) for chain in mirrored)
+        mirror_bound, mirror_beta = (elements[mirrored[position[v.entries]]] for v in (bound, beta))
+        half = _minimal_bad_chains(mirror_bound, mirror_beta, -1)
+        return tuple(frozenset(phi(p, beta.d) for p in chain) for chain in half)
+    above = up[position[bound.entries]]
     limit = _half_bound(bound, beta)
     bad = []
     for chain, (w, operand) in _signed_chains(beta).items():
-        in_set = not id_leq(bound, w)
+        in_set = w not in above
         if in_set == rows_leq(limit, operand):
             raise VerificationError(
                 f"chain-membership routes disagree on {list(chain)} for the negative half "

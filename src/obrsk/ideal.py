@@ -17,7 +17,7 @@ same monomial.
 Each input of the check is derived once at its key, behind one memo, and
 shared by every triple that needs it.  The term order (term_order) is kept
 per beta, every f(theta) per (theta, beta) (pfaffian_generator), and every
-product of them per (multichain, beta) (standard_poly); nothing takes a
+product of them per (multichain, beta, degree) (standard_poly); nothing takes a
 term order as a parameter.  A degree slice's monomials and column map are
 kept per (number of variables, degree) (_slice_columns), and the columns of
 a monomial times every multiplier per (monomial, degree) (_shifted_columns).
@@ -31,8 +31,10 @@ grassmannian._id_poset; standard_monomials alone turns positions back
 into elements.  A product of Pfaffians is built straight as its sparse row
 in the slice of its degree, its prefix's row times one Pfaffian, so
 rank_with takes rows and no product polynomial is sorted by the term
-order.  The chain monomials are taken once per triple, and each degree
-compares the pivot columns with their shifted columns (_chain_columns).
+order; the degree is the multichain's level, handed down, so no theta's
+degree is recomputed per product.  The chain monomials are taken once per
+triple, and each degree compares the pivot columns with their shifted
+columns (_chain_columns).
 
 A slice eliminates only the rows of generators with more than one term.  A
 one-term generator, such as each f(theta) with |beta - theta| = 2, is plus
@@ -57,7 +59,7 @@ from functools import lru_cache
 from math import comb
 from operator import add, sub
 
-from .errors import DimensionMismatch, ValidationError
+from .errors import DimensionMismatch, ValidationError, VerificationError
 from .grassmannian import _check_triple, _id_poset, defining_chains, enumerate_id
 # perfbench/tracing.py patches ideal.is_quotient_monomial, so the name stays importable here
 from .grassmannian import is_quotient_monomial  # noqa: F401
@@ -108,8 +110,8 @@ def generators(alpha, beta, gamma):
     must satisfy alpha <= beta <= gamma (BoundsNotComparable otherwise):
     out of order, f(beta) = 1 would join the generators."""
     _check_triple(alpha, beta, gamma)
-    elements, position, up = _id_poset(beta.d)
-    above_alpha, g = up[position[alpha]], position[gamma]
+    elements, position, up, _ = _id_poset(beta.d)
+    above_alpha, g = up[position[alpha.entries]], position[gamma.entries]
     return [
         (theta, pfaffian_generator(theta, beta))
         for t, theta in enumerate(elements)
@@ -318,8 +320,8 @@ def _multichain_levels(alpha, beta, gamma):
     with alpha <= theta, extended by theta; so each degree is built from the
     last few, which are all that is kept, and no recursion grows with m.
     Each comparison is a lookup in an up set of _id_poset."""
-    elements, position, up = _id_poset(beta.d)
-    a, b, g = position[alpha], position[beta], position[gamma]
+    elements, position, up, _ = _id_poset(beta.d)
+    a, b, g = (position[v.entries] for v in (alpha, beta, gamma))
     candidates = [
         (t, beta_degree(theta, beta))
         for t, theta in enumerate(elements)
@@ -355,25 +357,29 @@ def standard_monomials(alpha, beta, gamma, m):
 
 
 @lru_cache(maxsize=None)
-def standard_poly(thetas, beta):
+def standard_poly(thetas, beta, m):
     """The product of f(theta) over the multichain thetas, a tuple of
     positions in enumerate_id(beta.d), as its sparse row in the slice of its
-    degree m: a tuple of (column, coefficient) pairs, columns ascending,
-    coefficients nonzero ints; the empty multichain is the constant 1,
-    column 0 of the degree-0 slice.  The row is its prefix's row times f of the last theta:
-    a term t of f, of degree k, takes column j of the prefix, the j-th
+    degree m, which the caller knows from the multichain's level: a tuple of
+    (column, coefficient) pairs, columns ascending, coefficients nonzero
+    ints.  The row is its prefix's row times f of the last theta, and the
+    prefix has degree m less the degree of f, read off its first term: a
+    term t of f, of degree k, takes column j of the prefix, the j-th
     monomial of degree m - k, to _shifted_columns(t, m)[j], the column of t
-    times that monomial.  Memoised per (multichain, beta), so every triple
-    of a beta shares the products of their common multichains;
-    verify_main_theorem asks for the prefix, of lower degree, first, so the
-    recursion is one call deep."""
+    times that monomial.  The empty multichain is the constant 1, column 0
+    of the degree-0 slice, in degree 0 only: a wrong degree recurses down to
+    it and raises VerificationError there, so no row is memoised under it.
+    Memoised per (multichain, beta, m), so every triple of a beta shares the
+    products of their common multichains; verify_main_theorem asks for the
+    prefix, of lower degree, first, so the recursion is one call deep."""
     if not thetas:
+        if m != 0:
+            raise VerificationError(f"the empty multichain has degree 0, not {m}")
         return ((0, 1),)
-    elements = enumerate_id(beta.d)
-    m = sum(beta_degree(elements[t], beta) for t in thetas)
-    prefix = standard_poly(thetas[:-1], beta)
+    f = pfaffian_generator(enumerate_id(beta.d)[thetas[-1]], beta)
+    prefix = standard_poly(thetas[:-1], beta, m - sum(f.terms[0][0]))
     acc = {}
-    for mono, c in pfaffian_generator(elements[thetas[-1]], beta).terms:
+    for mono, c in f.terms:
         cols = _shifted_columns(mono, m)
         for j, x in prefix:
             col = cols[j]
@@ -429,7 +435,7 @@ def verify_main_theorem(alpha, beta, gamma, max_degree):
         # the initial monomials are the pivots' monomials, one per column
         chains = sorted(_chain_columns(chain_monos, m))
         counts = len(std) == slice_m.total - slice_m.dim
-        std_rows = [standard_poly(thetas, beta) for thetas in std]
+        std_rows = [standard_poly(thetas, beta, m) for thetas in std]
         independent = slice_m.rank_with(std_rows) == slice_m.dim + len(std)
         report.degrees.append(
             DegreeReport(

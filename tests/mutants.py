@@ -81,6 +81,20 @@ MUTANTS = (
         "",
         "tests/test_ideal.py::test_pfaffian_rejects_odd_size",
     ),
+    Mutant(
+        "Pfaffian variable X(y*, x) for X(x*, y)",
+        "src/obrsk/ideal.py",
+        "i = index[full - x, keys[pos]]",
+        "i = index[full - keys[pos], x]",
+        "tests/test_ideal.py::test_every_pfaffian_through_d7_has_the_torus_weight_of_beta_minus_theta",
+    ),
+    Mutant(
+        "term-order tie-break flipped",
+        "src/obrsk/polynomials.py",
+        "key=lambda v: (max(v), -min(v))",
+        "key=lambda v: (max(v), min(v))",
+        "tests/test_polynomials.py::test_term_order_agrees_with_the_paper_rules_through_d8",
+    ),
     # the chain side and the degree slices
     Mutant(
         "minimality filter dropped",
@@ -102,6 +116,27 @@ MUTANTS = (
         "col = cols[j]",
         "col = cols[j - 1]",
         "tests/test_ideal.py::test_standard_poly_rows_are_the_products_of_their_pfaffians_through_d5",
+    ),
+    Mutant(
+        "product prefix degree off by one",
+        "src/obrsk/ideal.py",
+        "m - sum(f.terms[0][0])",
+        "m - sum(f.terms[0][0]) - 1",
+        "tests/test_ideal.py::test_standard_poly_rows_are_the_products_of_their_pfaffians_through_d5",
+    ),
+    Mutant(
+        "empty multichain taken in any degree",
+        "src/obrsk/ideal.py",
+        "if m != 0:",
+        "if False:",
+        "tests/test_ideal.py::test_standard_poly_refuses_a_degree_off_by_one_through_d4",
+    ),
+    Mutant(
+        "negative degree slice not guarded",
+        "src/obrsk/ideal.py",
+        "if nvars and m >= 0 else",
+        "if nvars else",
+        "tests/test_ideal.py::test_negative_degree_is_an_empty_slice",
     ),
     Mutant(
         "one minimal chain dropped from the column prediction",
@@ -166,6 +201,13 @@ MUTANTS = (
         "return tuple(sorted(aset - bset)), tuple(sorted(bset - aset))",
         "return tuple(sorted(bset - aset)), tuple(sorted(aset - bset))",
         "tests/test_grassmannian.py::test_half_bounds_through_d8_are_signed_plane_sets",
+    ),
+    Mutant(
+        "half read against the up set of beta",
+        "src/obrsk/grassmannian.py",
+        "above = up[position[bound.entries]]",
+        "above = up[position[beta.entries]]",
+        "tests/test_grassmannian.py::test_defining_chains_generate_the_chain_ideal_d4",
     ),
     # the correspondence and the checks of its codomain
     Mutant(

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from obrsk import cli, fixture, ideal
+from obrsk import cli, fixture, grassmannian, ideal
 from obrsk.cli import (
     EXIT_FAILED,
     EXIT_INVALID,
@@ -320,6 +320,57 @@ def test_og_wchain_rejects_chains_outside_the_sign(capsys, argv, message):
     assert message in captured.err
 
 
+def bound_first_in_p(prows, qrows, a, b, c, d):
+    prows[0][0] = b
+
+
+def row_first_in_q(prows, qrows, a, b, c, d):
+    qrows[0][0] = a
+
+
+def top_rows_above_beta(prows, qrows, a, b, c, d):
+    prows[0][:], qrows[0][:] = [2, 6], [1, 5]
+
+
+@pytest.mark.parametrize(
+    "corrupt, argv, message",
+    [
+        # each entry list w is looked up in I(d); 1,3,4,5 has the pair 4 + 5 = 9
+        (
+            bound_first_in_p,
+            ["--d", "4", "--beta", "1,3,5,7", "--chain", "2,3"],
+            "w = (1, 3, 4, 5) of the chain [(2, 5)] is not in I(4)",
+        ),
+        # the row of a root lies outside beta, so Q's top row leaves it
+        (
+            row_first_in_q,
+            ["--d", "4", "--beta", "1,3,5,7", "--chain", "2,3"],
+            "second coordinate 2 not in beta = (1, 3, 5, 7)",
+        ),
+        # w = 1,4,5 - 1,5 + 2,6 lies in I(3) but above beta
+        (
+            top_rows_above_beta,
+            ["--d", "3", "--beta", "1,4,5", "--chain", "2,4"],
+            "w = (2, 4, 6) not <= beta = (1, 4, 5)",
+        ),
+    ],
+)
+def test_a_failed_chain_table_check_exits_3(capsys, monkeypatch, package_caches, corrupt, argv, message):
+    # the table's own checks on a corrupted insertion step are internal
+    # failures, not invalid input
+    original = grassmannian.forward_step
+
+    def corrupted(*args):
+        original(*args)
+        corrupt(*args)
+
+    monkeypatch.setattr(grassmannian, "forward_step", corrupted)
+    assert og_main(["wchain", *argv]) == EXIT_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"verification failure: {message}\n"
+
+
 @pytest.mark.parametrize(
     "main, argv, option",
     [
@@ -553,10 +604,10 @@ def test_main_check_fails_on_dependent_standard_products(capsys, monkeypatch, pa
     # the positions of the multichain's two elements in I(3)
     low, high = (enumerate_id(3).index(v) for v in (VERDICT_TRIPLE[0], VERDICT_TRIPLE[2]))
 
-    def dependent(thetas, beta):
+    def dependent(thetas, beta, m):
         if thetas == (low, high):
-            return tuple((col, 3 * x) for col, x in original((low, low), beta))
-        return original(thetas, beta)
+            return tuple((col, 3 * x) for col, x in original((low, low), beta, m))
+        return original(thetas, beta, m)
 
     monkeypatch.setattr(ideal, "standard_poly", dependent)
     assert verdicts_and_cli_statuses(capsys) == (

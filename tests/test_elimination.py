@@ -138,7 +138,7 @@ def test_rank_with_leaves_the_slice_unchanged():
     s = DegreeSlice(beta, gens, 2)
     position = {v: i for i, v in enumerate(enumerate_id(4))}
     chains = standard_monomials(alpha, beta, gamma, 2)
-    std = [standard_poly(tuple(map(position.get, thetas)), beta) for thetas in chains]
+    std = [standard_poly(tuple(map(position.get, thetas)), beta, 2) for thetas in chains]
     dim, rows, row_ids = s.dim, [list(r) for r in s.rows], [id(r) for r in s.rows]
     assert std and s.dim
     first = s.rank_with(std)

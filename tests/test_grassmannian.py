@@ -91,10 +91,10 @@ def test_up_sets_are_id_leq_on_every_pair_through_d7(package_caches):
     # exactly the positions of the elements id_leq puts at or above it
     pairs = 0
     for d in range(1, 8):
-        elements, position, up = grassmannian._id_poset(d)
+        elements, position, up, _ = grassmannian._id_poset(d)
         assert elements == enumerate_id(d)
         assert [v.entries for v in elements] == sorted(v.entries for v in elements)
-        assert position == {v: i for i, v in enumerate(elements)}
+        assert position == {v.entries: i for i, v in enumerate(elements)}
         for (i, v), (j, w) in itertools.product(enumerate(elements), repeat=2):
             assert (j in up[i]) == id_leq(v, w), (v, w)
             pairs += 1
@@ -207,9 +207,11 @@ def test_chain_pair_d2():
 
 def test_signed_chains_d2():
     # the one root of beta = (3, 4) is negative; its image has the top rows
-    # P = (1, 2) and Q = (3, 4), so w is (3, 4) without 3, 4 and with 1, 2
+    # P = (1, 2) and Q = (3, 4), so w is (3, 4) without 3, 4 and with 1, 2,
+    # held as its position in I(2)
     table = grassmannian._signed_chains(ide((3, 4), 2))
-    assert table == {((1, 3),): (ide((1, 2), 2), ((1, 2), (3, 4)))}
+    assert table == {((1, 3),): (0, ((1, 2), (3, 4)))}
+    assert enumerate_id(2)[0] == ide((1, 2), 2)
 
 
 def chains_of_roots(d, sign=None):
@@ -383,6 +385,43 @@ def test_signed_chains_are_one_table_per_beta_after_all_d4_triples(package_cache
     assert (sum(map(len, tables)), len(set().union(*tables))) == (36, 24)
 
 
+def test_table_positions_are_the_elements_of_beta_less_q_plus_p_through_d8(package_caches):
+    # _signed_chains looks each w up by its entry list and builds no
+    # element; here each is built and checked, and must sit at its position
+    rows = 0
+    for d in range(1, 9):
+        elements = enumerate_id(d)
+        for beta in elements:
+            for chain, (w, (p, q)) in grassmannian._signed_chains(beta).items():
+                element = IdElement(tuple(set(beta.entries) - set(q) | set(p)), d)
+                assert elements[w] == element and id_leq(element, beta), (beta, chain)
+                rows += 1
+    assert rows == 19_665
+
+
+def test_chain_tables_and_halves_build_no_element_over_all_d4_triples(monkeypatch, package_caches):
+    # I(4) is built once, by _id_poset; the tables and the halves of all
+    # 112 triples then build no element, as w and the mirrored halves are
+    # positions
+    triples = list(ordered_triples(4))
+    built = []
+    original = IdElement.__post_init__
+
+    def counted(self):
+        built.append(self.entries)
+        original(self)
+
+    monkeypatch.setattr(IdElement, "__post_init__", counted)
+    for alpha, beta, gamma in triples:
+        defining_chains(alpha, beta, gamma)
+    assert grassmannian._signed_chains.cache_info().currsize == 8
+    assert grassmannian._minimal_bad_chains.cache_info().currsize == 70
+    assert built == []
+    # the spy sees what is built
+    mirror(triples[0][0])
+    assert len(built) == 1
+
+
 def test_t_w_bounds():
     # T of the half (alpha, beta), as the row pair the package compares, and
     # W of the half (beta, gamma), which only the oracle builds
@@ -422,6 +461,17 @@ def test_mirror_is_an_order_reversing_involution_through_d6():
             assert id_leq(v, w) == id_leq(mirror(w), mirror(v)), (v, w)
             pairs += 1
     assert pairs == 1365
+
+
+def test_mirror_permutation_is_mirror_on_positions_through_d8(package_caches):
+    # the chain side mirrors positions; the permutation must be mirror on
+    # the elements, an involution, and must reverse the up sets
+    for d in range(1, 9):
+        elements, _, up, mirrored = grassmannian._id_poset(d)
+        assert [elements[j] for j in mirrored] == [mirror(v) for v in elements], d
+        assert [mirrored[j] for j in mirrored] == list(range(len(elements))), d
+        for i, j in enumerate(mirrored):
+            assert up[j] == {mirrored[k] for k in range(len(elements)) if i in up[k]}, (d, i)
 
 
 def test_phi_maps_the_roots_of_beta_onto_those_of_its_mirror_through_d8():
@@ -603,7 +653,8 @@ def test_defining_chains_routes_disagree_when_w_is_wrong(monkeypatch, package_ca
     original = grassmannian._signed_chains
 
     def wrong_w(beta):
-        return {chain: (beta, operand) for chain, (_, operand) in original(beta).items()}
+        b = enumerate_id(beta.d).index(beta)
+        return {chain: (b, operand) for chain, (_, operand) in original(beta).items()}
 
     beta = ide((1, 4, 5), 3)
     assert defining_chains(beta, beta, beta)

@@ -4,7 +4,7 @@ import pytest
 
 import obrsk.grassmannian as grassmannian
 import obrsk.ideal as ideal
-from obrsk.errors import BoundsNotComparable, DimensionMismatch, ValidationError
+from obrsk.errors import BoundsNotComparable, DimensionMismatch, ValidationError, VerificationError
 from obrsk.grassmannian import IdElement, defining_chains, enumerate_id, id_leq, is_quotient_monomial, mirror, phi
 from obrsk.ideal import (
     DegreeSlice,
@@ -228,6 +228,25 @@ def test_generators_are_homogeneous_of_beta_degree():
                 assert {sum(mono) for mono, _ in f.terms} <= {beta_degree(theta, beta)}
 
 
+def test_every_pfaffian_through_d7_has_the_torus_weight_of_beta_minus_theta(package_caches):
+    # X(x*, y) has the weight e_x + e_y on the keys of beta, and a term of
+    # f(theta) is a perfect matching of beta - theta: each key of beta -
+    # theta is an endpoint of exactly one of its variables, and no other
+    # key is one
+    pairs = 0
+    for d in range(2, 8):
+        full = 2 * d + 1
+        for beta in enumerate_id(d):
+            variables = term_order(beta).variables
+            for theta in enumerate_id(d):
+                keys = sorted(set(beta.entries) - set(theta.entries))
+                for mono, _ in pfaffian_generator(theta, beta).terms:
+                    ends = sorted(e for (r, c), k in zip(variables, mono) for e in (full - r, c) * k)
+                    assert ends == keys, (theta, beta, mono)
+                pairs += 1
+    assert pairs == 5460
+
+
 def test_generators_selection():
     alpha = beta = gamma = ide((3, 4), 2)
     gens = generators(alpha, beta, gamma)
@@ -328,7 +347,7 @@ def test_standard_monomials_full_interval_d2():
     assert chains == [(alpha, alpha)]
     # f(alpha) is the one variable, so the product is its square: the one
     # monomial of the degree-2 slice in one variable
-    assert standard_poly((0, 0), beta) == ((0, 1),)
+    assert standard_poly((0, 0), beta, 2) == ((0, 1),)
 
 
 def test_standard_monomials_deep_degree():
@@ -355,7 +374,7 @@ def test_prefix_products_equal_standard_poly_d4():
             chains = [tuple(elements[t] for t in thetas) for thetas in level]
             assert chains == standard_monomials(alpha, beta, gamma, m)
             col = slice_columns(term_order(beta).nvars, m)
-            products = [standard_poly(thetas, beta) for thetas in level]
+            products = [standard_poly(thetas, beta, m) for thetas in level]
             assert products == [tuple(vector_of(pfaffian_product(c, beta), col)) for c in chains]
 
 
@@ -376,7 +395,7 @@ def _standard_poly_rows_checked(d, max_degree):
                     continue
                 seen.add((thetas, beta))
                 product = pfaffian_product([elements[t] for t in thetas], beta)
-                assert standard_poly(thetas, beta) == tuple(vector_of(product, col)), (thetas, beta)
+                assert standard_poly(thetas, beta, m) == tuple(vector_of(product, col)), (thetas, beta)
     return len(seen)
 
 
@@ -385,6 +404,28 @@ def test_standard_poly_rows_are_the_products_of_their_pfaffians_through_d5(packa
     # at m <= 3
     assert [_standard_poly_rows_checked(d, 4) for d in (1, 2, 3, 4)] == [1, 10, 140, 1680]
     assert _standard_poly_rows_checked(5, 3) == 4576
+
+
+def test_standard_poly_refuses_a_degree_off_by_one_through_d4(monkeypatch, package_caches):
+    # a wrong degree recurses down to the empty multichain, which is the
+    # constant 1 in degree 0 only, so it raises even where the row of the
+    # right degree is memoised, and leaves no row behind; the degrees come
+    # from the levels, and no product reads the degree of a theta
+    products = [
+        (thetas, beta, m)
+        for d in range(1, 5)
+        for alpha, beta, gamma in all_triples(d)
+        for m, level in enumerate(itertools.islice(ideal._multichain_levels(alpha, beta, gamma), 4))
+        for thetas in level
+    ]
+    assert len(products) == 3199
+    monkeypatch.setattr(ideal, "beta_degree", lambda *args: pytest.fail("a product read beta_degree"))
+    for thetas, beta, m in products:
+        standard_poly(thetas, beta, m)
+        for wrong in (m - 1, m + 1):
+            with pytest.raises(VerificationError, match="the empty multichain has degree 0, not"):
+                standard_poly(thetas, beta, wrong)
+    assert standard_poly.cache_info().currsize == len({(thetas, beta) for thetas, beta, _ in products})
 
 
 def test_standard_monomials_are_the_multichains_of_the_definition_through_d5():
@@ -407,8 +448,8 @@ def test_pfaffians_and_their_products_have_integer_coefficients():
     triples = [(a, b, g) for b in elements for a in elements if id_leq(a, b) for g in elements if id_leq(b, g)]
     assert len(triples) == 112
     for alpha, beta, gamma in triples:
-        for level in itertools.islice(ideal._multichain_levels(alpha, beta, gamma), 4):
-            products = [standard_poly(thetas, beta) for thetas in level]
+        for m, level in enumerate(itertools.islice(ideal._multichain_levels(alpha, beta, gamma), 4)):
+            products = [standard_poly(thetas, beta, m) for thetas in level]
             assert all(type(c) is int for row in products for _, c in row)
 
 
@@ -599,7 +640,7 @@ def test_degree_slice_equals_full_elimination(d, max_degree, count):
             s, full = DegreeSlice(beta, gens, m), FullSlice(beta, gens, m)
             assert (s.pivots, s.dim) == (full.pivots, len(full.pivots)), (alpha, beta, gamma, m)
             level = next(itertools.islice(ideal._multichain_levels(alpha, beta, gamma), m, None))
-            rows = [standard_poly(thetas, beta) for thetas in level]
+            rows = [standard_poly(thetas, beta, m) for thetas in level]
             products = [pfaffian_product(c, beta) for c in standard_monomials(alpha, beta, gamma, m)]
             assert s.rank_with(rows) == full.rank_with(products), (alpha, beta, gamma, m)
 
