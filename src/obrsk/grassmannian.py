@@ -209,7 +209,7 @@ def _signed_chains(beta):
     _minimal_bad_chains).  Memoised per beta."""
     _, position, up, _ = _id_poset(beta.d)
     b, bset = position[beta.entries], set(beta.entries)
-    top, table = {(): ((), ())}, {}
+    top, table, where = {(): ((), ())}, {}, f"chain table of beta = {beta.entries}"
     for chain in enumerate_extended_chains(split_chain(roots_of(beta), beta)[0]):
         (r, c), (p, q) = chain[-1], top[chain[:-1]]
         prows, qrows = [list(p)], [list(q)]
@@ -218,13 +218,13 @@ def _signed_chains(beta):
         p, q = top[chain] = tuple(prows[0]), tuple(qrows[0])
         missing = set(q) - bset
         if missing:
-            raise VerificationError(f"second coordinate {min(missing)} not in beta = {beta.entries}")
+            raise VerificationError(f"{where}: second coordinate {min(missing)} not in beta")
         entries = tuple(sorted(bset.difference(q).union(p)))
         w = position.get(entries)
         if w is None:
-            raise VerificationError(f"w = {entries} of the chain {list(chain)} is not in I({beta.d})")
+            raise VerificationError(f"{where}: w = {entries} of the chain {list(chain)} is not in I({beta.d})")
         if b not in up[w]:
-            raise SignAssertionFailure(f"w = {entries} not <= beta = {beta.entries}")
+            raise SignAssertionFailure(f"{where}: w = {entries} not <= beta")
         table[chain] = (w, (p, q))
     return table
 

@@ -12,7 +12,8 @@ whose entry (x, y), for x > y, is the variable of the root (x*, y), where
 x* = 2d+1-x.  It is built straight from the perfect matchings of beta -
 theta (pfaffian_generator): each matching is one term, a product of such
 variables with the sign of its crossings, and no two matchings give the
-same monomial.
+same monomial.  So f(theta) is homogeneous of degree |beta - theta| / 2,
+which the one degree rule, SparsePoly.degree, reads off its leading term.
 
 Each input of the check is derived once at its key, behind one memo, and
 shared by every triple that needs it.  The term order (term_order) is kept
@@ -31,10 +32,9 @@ grassmannian._id_poset; standard_monomials alone turns positions back
 into elements.  A product of Pfaffians is built straight as its sparse row
 in the slice of its degree, its prefix's row times one Pfaffian, so
 rank_with takes rows and no product polynomial is sorted by the term
-order; the degree is the multichain's level, handed down, so no theta's
-degree is recomputed per product.  The chain monomials are taken once per
-triple, and each degree compares the pivot columns with their shifted
-columns (_chain_columns).
+order; the degree is the multichain's level, handed down.  The chain
+monomials are taken once per triple, and each degree compares the set of
+pivot columns with the set of their shifted columns (_chain_columns).
 
 A slice eliminates only the rows of generators with more than one term.  A
 one-term generator, such as each f(theta) with |beta - theta| = 2, is plus
@@ -97,11 +97,6 @@ def pfaffian_generator(theta, beta):
 
     expand(sorted(set(beta.entries) - set(theta.entries), reverse=True), 1, [0] * order.nvars)
     return SparsePoly.from_dict(order, total)
-
-
-def beta_degree(theta, beta):
-    """Half the size of beta - theta; the degree of f(theta)."""
-    return len(set(beta.entries) - set(theta.entries)) // 2
 
 
 def generators(alpha, beta, gamma):
@@ -208,8 +203,9 @@ class DegreeSlice:
     single-entry pivot row reduces any other row by deleting that entry, so
     every other generator's rows lose their entries in cleared columns, rows
     left empty are dropped, and only the rest go to _rref.  The pivots are
-    the cleared columns and _rref's pivots together, the same set full
-    elimination finds; rank_with clears the extra rows the same way."""
+    the set of the cleared columns and _rref's pivots, the set full
+    elimination finds; rank_with clears the extra rows the same way.  A
+    generator enters when its degree, its leading term's, is at most m."""
 
     def __init__(self, beta, gens, m):
         self.nvars = term_order(beta).nvars
@@ -220,7 +216,7 @@ class DegreeSlice:
             if len(g.terms) == 1:
                 self.cleared.update(_shifted_columns(g.terms[0][0], m))
         self.rows = self._clear(row for g in gens if len(g.terms) > 1 for row in _generator_rows(g, m))
-        self.pivots = sorted(self.cleared.union(_rref(self.rows)))
+        self.pivots = self.cleared.union(_rref(self.rows))
 
     def _clear(self, rows):
         """The rows without their entries in cleared columns, those left
@@ -316,14 +312,15 @@ def _multichain_levels(alpha, beta, gamma):
     """Yields the lists of multichains of degree 0, 1, 2, ... without end,
     each multichain a tuple of positions in enumerate_id(d), as
     standard_monomials lists them.  A multichain of degree m is one of
-    degree m - beta_degree(theta) ending at or below theta, or the empty one
-    with alpha <= theta, extended by theta; so each degree is built from the
-    last few, which are all that is kept, and no recursion grows with m.
-    Each comparison is a lookup in an up set of _id_poset."""
+    degree m - k ending at or below theta, or the empty one with
+    alpha <= theta, extended by theta, where k is the degree of f(theta),
+    its leading term's; so each degree is built from the last few, which are
+    all that is kept, and no recursion grows with m.  Each comparison is a
+    lookup in an up set of _id_poset."""
     elements, position, up, _ = _id_poset(beta.d)
     a, b, g = (position[v.entries] for v in (alpha, beta, gamma))
     candidates = [
-        (t, beta_degree(theta, beta))
+        (t, pfaffian_generator(theta, beta).degree())
         for t, theta in enumerate(elements)
         if t != b and (t in up[b] or b in up[t]) and g in up[t]
     ]
@@ -363,7 +360,7 @@ def standard_poly(thetas, beta, m):
     degree m, which the caller knows from the multichain's level: a tuple of
     (column, coefficient) pairs, columns ascending, coefficients nonzero
     ints.  The row is its prefix's row times f of the last theta, and the
-    prefix has degree m less the degree of f, read off its first term: a
+    prefix has degree m less the degree of f, its leading term's: a
     term t of f, of degree k, takes column j of the prefix, the j-th
     monomial of degree m - k, to _shifted_columns(t, m)[j], the column of t
     times that monomial.  The empty multichain is the constant 1, column 0
@@ -377,7 +374,7 @@ def standard_poly(thetas, beta, m):
             raise VerificationError(f"the empty multichain has degree 0, not {m}")
         return ((0, 1),)
     f = pfaffian_generator(enumerate_id(beta.d)[thetas[-1]], beta)
-    prefix = standard_poly(thetas[:-1], beta, m - sum(f.terms[0][0]))
+    prefix = standard_poly(thetas[:-1], beta, m - f.degree())
     acc = {}
     for mono, c in f.terms:
         cols = _shifted_columns(mono, m)
@@ -433,7 +430,7 @@ def verify_main_theorem(alpha, beta, gamma, max_degree):
     for m, std in zip(range(1, max_degree + 1), levels):
         slice_m = DegreeSlice(beta, gens, m)
         # the initial monomials are the pivots' monomials, one per column
-        chains = sorted(_chain_columns(chain_monos, m))
+        chains = _chain_columns(chain_monos, m)
         counts = len(std) == slice_m.total - slice_m.dim
         std_rows = [standard_poly(thetas, beta, m) for thetas in std]
         independent = slice_m.rank_with(std_rows) == slice_m.dim + len(std)

@@ -111,8 +111,9 @@ class SparsePoly:
         return not self.terms
 
     def degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(m) for m, _ in self.terms), default=-1)
+        """Total degree, its leading term's, as terms are kept greatest first
+        and monomials compare by degree first; -1 for the zero polynomial."""
+        return sum(self.terms[0][0]) if self.terms else -1
 
     def _check(self, other):
         if self.order is not other.order:

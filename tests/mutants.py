@@ -89,6 +89,14 @@ MUTANTS = (
         "tests/test_ideal.py::test_every_pfaffian_through_d7_has_the_torus_weight_of_beta_minus_theta",
     ),
     Mutant(
+        "lower-term sign flip",
+        "src/obrsk/ideal.py",
+        "    return SparsePoly.from_dict(order, total)",
+        "    f = SparsePoly.from_dict(order, total)\n"
+        "    return f if len(f.terms) < 2 else SparsePoly(order, f.terms[:-1] + ((f.terms[-1][0], -f.terms[-1][1]),))",
+        "tests/test_ideal.py::test_pfaffian_squared_is_determinant",
+    ),
+    Mutant(
         "term-order tie-break flipped",
         "src/obrsk/polynomials.py",
         "key=lambda v: (max(v), -min(v))",
@@ -120,9 +128,16 @@ MUTANTS = (
     Mutant(
         "product prefix degree off by one",
         "src/obrsk/ideal.py",
-        "m - sum(f.terms[0][0])",
-        "m - sum(f.terms[0][0]) - 1",
+        "m - f.degree()",
+        "m - f.degree() - 1",
         "tests/test_ideal.py::test_standard_poly_rows_are_the_products_of_their_pfaffians_through_d5",
+    ),
+    Mutant(
+        "degree read off the last term",
+        "src/obrsk/polynomials.py",
+        "sum(self.terms[0][0])",
+        "sum(self.terms[-1][0])",
+        "tests/test_polynomials.py::test_poly_arithmetic",
     ),
     Mutant(
         "empty multichain taken in any degree",

@@ -3,8 +3,9 @@
 perfbench/workloads.py calls the package through its public names and
 checks every item against a recorded answer; a change to the package's API
 or answers would otherwise show only when a benchmark run fails.  One
-certify_pairs pass also runs under the tracer, as a traced benchmark pass
-does.
+certify_pairs pass and one verify_d4 pass also run under the tracer, as a
+traced benchmark pass does, so a change to what the tracer wraps or reads
+shows here too.
 """
 
 import importlib.util
@@ -29,17 +30,32 @@ def test_one_pass_of_each_workload_has_no_failed_item(name, attempted):
     assert result.attempted == attempted
 
 
-def test_a_traced_certify_pass_has_no_failed_item():
+def traced_pass(name):
+    """One seed-1 pass of the workload under the tracer: its result and
+    the tracer's per-layer metrics."""
     workloads, tracing = load("workloads"), load("tracing")
-    workload = workloads.WORKLOADS["certify_pairs"](1)
+    workload = workloads.WORKLOADS[name](1)
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer)
         result = workload.run(lambda fn: tracer.wrap("item", fn))
     finally:
         tracer.restore()
+    return result, tracing.layer_metrics(tracer, 1.0)
+
+
+def test_a_traced_certify_pass_has_no_failed_item():
+    result, metrics = traced_pass("certify_pairs")
     assert result.failed == 0, result.errors
     assert result.attempted == 639
-    metrics = tracing.layer_metrics(tracer, 1.0)
     assert metrics["enumeration.candidates"] == metrics["enumeration.kept"] > 0
     assert metrics["correspondence.obrsk_calls"] > 0
+
+
+def test_a_traced_verify_d4_pass_has_no_failed_item():
+    # the tracer reads DegreeSlice's total and dim after each slice is
+    # built; the sums over the 112 triples at degrees 1 to 3 are fixed
+    result, metrics = traced_pass("verify_d4")
+    assert result.failed == 0, result.errors
+    assert result.attempted == 112
+    assert (metrics["ideal.slice_cols"], metrics["ideal.slice_rank"]) == (9296, 6388)

@@ -339,19 +339,19 @@ def top_rows_above_beta(prows, qrows, a, b, c, d):
         (
             bound_first_in_p,
             ["--d", "4", "--beta", "1,3,5,7", "--chain", "2,3"],
-            "w = (1, 3, 4, 5) of the chain [(2, 5)] is not in I(4)",
+            "chain table of beta = (1, 3, 5, 7): w = (1, 3, 4, 5) of the chain [(2, 5)] is not in I(4)",
         ),
         # the row of a root lies outside beta, so Q's top row leaves it
         (
             row_first_in_q,
             ["--d", "4", "--beta", "1,3,5,7", "--chain", "2,3"],
-            "second coordinate 2 not in beta = (1, 3, 5, 7)",
+            "chain table of beta = (1, 3, 5, 7): second coordinate 2 not in beta",
         ),
         # w = 1,4,5 - 1,5 + 2,6 lies in I(3) but above beta
         (
             top_rows_above_beta,
             ["--d", "3", "--beta", "1,4,5", "--chain", "2,4"],
-            "w = (2, 4, 6) not <= beta = (1, 4, 5)",
+            "chain table of beta = (1, 4, 5): w = (2, 4, 6) not <= beta",
         ),
     ],
 )

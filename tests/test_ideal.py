@@ -8,7 +8,6 @@ from obrsk.errors import BoundsNotComparable, DimensionMismatch, ValidationError
 from obrsk.grassmannian import IdElement, defining_chains, enumerate_id, id_leq, is_quotient_monomial, mirror, phi
 from obrsk.ideal import (
     DegreeSlice,
-    beta_degree,
     chains_monomials_degree,
     generators,
     hilbert_counts,
@@ -122,7 +121,7 @@ def test_pfaffian_generator_d4_degree_two():
     assert str(f) == "X5,2"
     theta = ide((1, 3, 5, 7), 4)
     g = pfaffian_generator(theta, beta)
-    assert {sum(mono) for mono, _ in g.terms} == {2} == {beta_degree(theta, beta)}
+    assert {sum(mono) for mono, _ in g.terms} == {2} == {g.degree()}
 
 
 def test_pfaffian_squared_is_determinant():
@@ -220,19 +219,12 @@ def test_pfaffians_of_mirrored_pairs_are_their_phi_images_up_to_one_sign_through
     assert pairs == 5461
 
 
-def test_generators_are_homogeneous_of_beta_degree():
-    for d in (2, 3):
-        for beta in enumerate_id(d):
-            for theta in enumerate_id(d):
-                f = pfaffian_generator(theta, beta)
-                assert {sum(mono) for mono, _ in f.terms} <= {beta_degree(theta, beta)}
-
-
 def test_every_pfaffian_through_d7_has_the_torus_weight_of_beta_minus_theta(package_caches):
     # X(x*, y) has the weight e_x + e_y on the keys of beta, and a term of
     # f(theta) is a perfect matching of beta - theta: each key of beta -
     # theta is an endpoint of exactly one of its variables, and no other
-    # key is one
+    # key is one; so f(theta) is homogeneous of degree |beta - theta| / 2,
+    # the degree its leading term gives
     pairs = 0
     for d in range(2, 8):
         full = 2 * d + 1
@@ -240,9 +232,11 @@ def test_every_pfaffian_through_d7_has_the_torus_weight_of_beta_minus_theta(pack
             variables = term_order(beta).variables
             for theta in enumerate_id(d):
                 keys = sorted(set(beta.entries) - set(theta.entries))
-                for mono, _ in pfaffian_generator(theta, beta).terms:
+                f = pfaffian_generator(theta, beta)
+                for mono, _ in f.terms:
                     ends = sorted(e for (r, c), k in zip(variables, mono) for e in (full - r, c) * k)
                     assert ends == keys, (theta, beta, mono)
+                assert f.degree() == len(keys) // 2, (theta, beta)
                 pairs += 1
     assert pairs == 5460
 
@@ -406,11 +400,10 @@ def test_standard_poly_rows_are_the_products_of_their_pfaffians_through_d5(packa
     assert _standard_poly_rows_checked(5, 3) == 4576
 
 
-def test_standard_poly_refuses_a_degree_off_by_one_through_d4(monkeypatch, package_caches):
+def test_standard_poly_refuses_a_degree_off_by_one_through_d4(package_caches):
     # a wrong degree recurses down to the empty multichain, which is the
     # constant 1 in degree 0 only, so it raises even where the row of the
-    # right degree is memoised, and leaves no row behind; the degrees come
-    # from the levels, and no product reads the degree of a theta
+    # right degree is memoised, and leaves no row behind
     products = [
         (thetas, beta, m)
         for d in range(1, 5)
@@ -419,7 +412,6 @@ def test_standard_poly_refuses_a_degree_off_by_one_through_d4(monkeypatch, packa
         for thetas in level
     ]
     assert len(products) == 3199
-    monkeypatch.setattr(ideal, "beta_degree", lambda *args: pytest.fail("a product read beta_degree"))
     for thetas, beta, m in products:
         standard_poly(thetas, beta, m)
         for wrong in (m - 1, m + 1):
@@ -638,7 +630,7 @@ def test_degree_slice_equals_full_elimination(d, max_degree, count):
         gens = generators(alpha, beta, gamma)
         for m in range(1, max_degree + 1):
             s, full = DegreeSlice(beta, gens, m), FullSlice(beta, gens, m)
-            assert (s.pivots, s.dim) == (full.pivots, len(full.pivots)), (alpha, beta, gamma, m)
+            assert (s.pivots, s.dim) == (set(full.pivots), len(full.pivots)), (alpha, beta, gamma, m)
             level = next(itertools.islice(ideal._multichain_levels(alpha, beta, gamma), m, None))
             rows = [standard_poly(thetas, beta, m) for thetas in level]
             products = [pfaffian_product(c, beta) for c in standard_monomials(alpha, beta, gamma, m)]

@@ -91,6 +91,9 @@ def test_poly_arithmetic(o5):
     assert (p - q).is_zero
     assert p.degree() == 2
     assert {sum(mono) for mono, _ in p.terms} == {2}
+    # the degree is the leading term's, the greatest, on a sum of two degrees too
+    assert (x * x + y).degree() == (y + x * x).degree() == 2
+    assert SparsePoly.zero(o5).degree() == -1
     assert p.terms[0][0] == monomial(o5, (2, 1), (2, 1))
     assert (p * 0).is_zero
     assert (Fraction(1, 2) * p + Fraction(1, 2) * p - p).is_zero
