@@ -1,11 +1,14 @@
 """Pfaffian generators, degreewise initial monomials, and the main check.
 
 Fix a triple alpha <= beta <= gamma in I(d).  The ideal is generated by the
-Pfaffians f(theta) over all theta in I(d) failing alpha <= theta or
-theta <= gamma.  The main check confirms, degree by degree, that the leading
-monomials of the ideal are exactly the root monomials covering a bad chain
-of the triple, and that the standard monomials (products of Pfaffians indexed
-by multichains through the interval) complement the ideal slice exactly.
+Pfaffians f(theta) over the theta in I(d) that a half of the triple leaves
+out, a list built per half (_half_generators): the negative half (alpha,
+beta) leaves out each theta with alpha not <= theta, the positive half
+(beta, gamma) each theta with theta not <= gamma, and generators joins the
+two.  The main check confirms, degree by degree, that the leading monomials
+of the ideal are exactly the root monomials covering a bad chain of the
+triple, and that the standard monomials (products of Pfaffians indexed by
+multichains through the interval) complement the ideal slice exactly.
 
 Each f(theta) is the Pfaffian of the skew-symmetric matrix on beta - theta
 whose entry (x, y), for x > y, is the variable of the root (x*, y), where
@@ -99,19 +102,27 @@ def pfaffian_generator(theta, beta):
     return SparsePoly.from_dict(order, total)
 
 
-def generators(alpha, beta, gamma):
-    """The Pfaffians f(theta) over theta in I(d) with alpha not <= theta or
-    theta not <= gamma; returned as (theta, polynomial) pairs.  The triple
-    must satisfy alpha <= beta <= gamma (BoundsNotComparable otherwise):
-    out of order, f(beta) = 1 would join the generators."""
-    _check_triple(alpha, beta, gamma)
+def _half_generators(bound, beta, sign):
+    """(position, f(theta)) for each theta, in enumerate_id order, that one
+    half leaves out: alpha not <= theta for the negative half (sign -1 of
+    tableaux.row_sign, bound alpha), theta not <= gamma for the positive
+    half (sign +1, bound gamma).  A chain of roots of the half is bad exactly
+    when its w is one of these theta.  Read off the up sets of _id_poset."""
     elements, position, up, _ = _id_poset(beta.d)
-    above_alpha, g = up[position[alpha.entries]], position[gamma.entries]
-    return [
-        (theta, pfaffian_generator(theta, beta))
-        for t, theta in enumerate(elements)
-        if t not in above_alpha or g not in up[t]
-    ]
+    b = position[bound.entries]
+    left_out = [t for t in range(len(elements)) if (b not in up[t] if sign > 0 else t not in up[b])]
+    return [(t, pfaffian_generator(elements[t], beta)) for t in left_out]
+
+
+def generators(alpha, beta, gamma):
+    """(theta, f(theta)) for each theta that either half of the triple leaves
+    out, once each in enumerate_id order: the join of the two halves.  The
+    triple must satisfy alpha <= beta <= gamma (BoundsNotComparable
+    otherwise): out of order, f(beta) = 1 would join the generators."""
+    _check_triple(alpha, beta, gamma)
+    elements = enumerate_id(beta.d)
+    joined = dict(_half_generators(alpha, beta, -1) + _half_generators(gamma, beta, +1))
+    return [(elements[t], joined[t]) for t in sorted(joined)]
 
 
 # -- exact linear algebra on degree slices -----------------------------------

@@ -168,6 +168,22 @@ MUTANTS = (
         "tests/test_grassmannian.py::test_up_sets_are_id_leq_on_every_pair_through_d7",
     ),
     Mutant(
+        "positive half leaves out what a negative half would",
+        "src/obrsk/ideal.py",
+        "(b not in up[t] if sign > 0 else t not in up[b])",
+        "(t not in up[b] if sign > 0 else t not in up[b])",
+        "tests/test_ideal.py::test_generators_are_the_join_of_the_halves_up_to_d6",
+    ),
+    Mutant(
+        "join lists a theta both halves leave out twice",
+        "src/obrsk/ideal.py",
+        "joined = dict(_half_generators(alpha, beta, -1) + _half_generators(gamma, beta, +1))\n"
+        "    return [(elements[t], joined[t]) for t in sorted(joined)]",
+        "joined = sorted(_half_generators(alpha, beta, -1) + _half_generators(gamma, beta, +1), key=lambda tf: tf[0])\n"
+        "    return [(elements[t], f) for t, f in joined]",
+        "tests/test_ideal.py::test_generators_are_the_join_of_the_halves_up_to_d6",
+    ),
+    Mutant(
         "one-term generators not cleared",
         "src/obrsk/ideal.py",
         "self.cleared.update(_shifted_columns(g.terms[0][0], m))",

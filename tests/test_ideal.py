@@ -249,6 +249,34 @@ def test_generators_selection():
     assert generators(ide((1, 2), 2), ide((1, 2), 2), ide((3, 4), 2)) == []
 
 
+def test_generators_are_the_join_of_the_halves_up_to_d6():
+    # certified by id_leq: each half lists exactly the theta its one-sided
+    # rule leaves out, and each triple exactly the theta with not
+    # (alpha <= theta <= gamma), in enumerate_id order, once each, with f(theta)
+    def with_f(thetas, beta):
+        return [(theta, pfaffian_generator(theta, beta)) for theta in thetas]
+
+    counts = []
+    for d in range(1, 7):
+        elements = enumerate_id(d)
+        for beta in elements:
+            for bound in elements:
+                halves = []
+                if id_leq(bound, beta):  # bound is the alpha of a negative half
+                    halves.append((-1, [theta for theta in elements if not id_leq(bound, theta)]))
+                if id_leq(beta, bound):  # bound is the gamma of a positive half
+                    halves.append((+1, [theta for theta in elements if not id_leq(theta, bound)]))
+                for sign, left_out in halves:
+                    listed = [(elements[t], f) for t, f in ideal._half_generators(bound, beta, sign)]
+                    assert listed == with_f(left_out, beta), (bound, beta, sign)
+        triples = all_triples(d)
+        for alpha, beta, gamma in triples:
+            left_out = [theta for theta in elements if not (id_leq(alpha, theta) and id_leq(theta, gamma))]
+            assert generators(alpha, beta, gamma) == with_f(left_out, beta), (alpha, beta, gamma)
+        counts.append(len(triples))
+    assert counts == [1, 4, 20, 112, 672, 4224]
+
+
 def test_generators_refuse_a_triple_out_of_order():
     # (1,2,3) <= (1,4,5) <= (2,4,6); reversed, f(beta) = 1 would join the
     # generators and every degree of the quotient would read 0
@@ -436,8 +464,7 @@ def test_pfaffians_and_their_products_have_integer_coefficients():
                 f = pfaffian_generator(theta, beta)
                 assert all(type(c) is int for _, c in f.terms), (theta.entries, beta.entries)
     # the main check's products on every d = 4 triple, degrees <= 3
-    elements = enumerate_id(4)
-    triples = [(a, b, g) for b in elements for a in elements if id_leq(a, b) for g in elements if id_leq(b, g)]
+    triples = all_triples(4)
     assert len(triples) == 112
     for alpha, beta, gamma in triples:
         for m, level in enumerate(itertools.islice(ideal._multichain_levels(alpha, beta, gamma), 4)):
@@ -526,7 +553,7 @@ def test_generator_rows_equal_products_by_monomials_d4():
 
 def test_slice_columns_are_one_entry_per_degree_after_all_d4_triples(package_caches):
     elements = enumerate_id(4)
-    triples = [(a, b, g) for b in elements for a in elements if id_leq(a, b) for g in elements if id_leq(b, g)]
+    triples = all_triples(4)
     assert len(triples) == 112
     assert all(verify_main_theorem(a, b, g, 3).passed for a, b, g in triples)
     # every beta of I(4) has 6 roots, and the check builds degrees 1..3,
@@ -538,7 +565,7 @@ def test_slice_columns_are_one_entry_per_degree_after_all_d4_triples(package_cac
 
 def test_each_pfaffian_is_built_once_after_all_d4_triples(package_caches):
     elements = enumerate_id(4)
-    triples = [(a, b, g) for b in elements for a in elements if id_leq(a, b) for g in elements if id_leq(b, g)]
+    triples = all_triples(4)
     assert len(triples) == 112
     assert all(verify_main_theorem(a, b, g, 3).passed for a, b, g in triples)
     # each f(theta) the triples need is built once per (theta, beta)
