@@ -48,23 +48,23 @@ EXIT_FAILED = 3
 MAX_D = 8
 
 # The largest degree slice accepted, in monomials: every beta has d(d-1)/2
-# roots, so --max-degree m asks for slice_size(d(d-1)/2, m) of them.  One
-# x86-64 core with Python 3.11 checks the d = 5 triple 1,2,3,4,5 <=
-# 1,2,3,4,5 <= 2,3,4,6,10 up to m = 9, whose last slice has 48,620
-# monomials, in 1.0 s at a peak of 52 MiB; time and memory grow a little
-# faster than the slice.  The products of Pfaffians (per beta) and the slice
-# columns (per degree) are memoised for every later triple, so --all-triples
-# holds more than one triple's worth: its peak is 24 MiB at d = 5, m <= 4
-# and 34 MiB at d = 6, m <= 3, against 19 and 21 MiB when every triple
-# rebuilt them.
+# roots, so --max-degree m asks for slice_size(d(d-1)/2, m) of them.  On a
+# 2-vCPU x86-64 host with Python 3.11.7 (one fresh interpreter per run, the
+# command's own time, the peak by getrusage), verify-main checks the d = 5
+# triple 1,2,3,4,5 <= 1,2,3,4,5 <= 2,3,4,6,10 up to m = 9, whose last slice
+# has 48,620 monomials, in 0.7 to 1.0 s at a peak of 54 MiB; time and memory
+# grow a little faster than the slice.  The products of Pfaffians (per beta)
+# and the slice columns (per degree) are memoised for every later triple, so
+# --all-triples holds more than one triple's worth: 0.6 s at a peak of 24 MiB
+# at d = 5, m <= 4, and 3.1 to 3.4 s at 33 MiB at d = 6, m <= 3.
 MAX_SLICE_MONOMIALS = 50_000
 
 # The largest --max-degree accepted.  Where beta has one root or none every
 # slice has at most one monomial, so MAX_SLICE_MONOMIALS never binds, but
 # the multichains and their products (kept per beta) still grow with the
-# degree.  On the core above, at m = 2,000, verify-main --d 2 --all-triples
-# takes 0.7 s at a peak of 52 MiB, and the d = 1 runs and hilbert 0.2 s at
-# 18 to 19 MiB; at m = 4,000 the d = 2 run takes 1.3 s at 143 MiB.
+# degree.  On the host above, at m = 2,000, verify-main --d 2 --all-triples
+# takes 0.23 s at a peak of 52 MiB, and verify-main --d 1 --all-triples and
+# hilbert at d = 2 0.02 s at 18 MiB.
 MAX_DEGREE = 2_000
 
 # The largest --jobs accepted: each worker is a full interpreter of about

@@ -31,8 +31,10 @@ rationals appear only in elimination, where _rref normalises a pivot row.
 The degree loop of the main check works on columns and positions, not on
 polynomials and elements.  A multichain is a tuple of positions in
 enumerate_id(d), grown by lookups in the up sets of
-grassmannian._id_poset; standard_monomials alone turns positions back
-into elements.  A product of Pfaffians is built straight as its sparse row
+grassmannian._id_poset, and a triple's multichains of degree 0 to
+max_degree are one table (_multichain_levels), each level built from the
+levels below it and read by degree; standard_monomials alone turns
+positions back into elements.  A product of Pfaffians is built straight as its sparse row
 in the slice of its degree, its prefix's row times one Pfaffian, so
 rank_with takes rows and no product polynomial is sorted by the term
 order; the degree is the multichain's level, handed down.  The chain
@@ -55,7 +57,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -221,7 +222,7 @@ class DegreeSlice:
     def __init__(self, beta, gens, m):
         self.nvars = term_order(beta).nvars
         self.m = m
-        gens = [g for _, g in gens if not g.is_zero and g.degree() <= m]
+        gens = [g for _, g in gens if g.degree() <= m]
         self.cleared = set()
         for g in gens:
             if len(g.terms) == 1:
@@ -319,15 +320,15 @@ def chains_monomials_degree(alpha, beta, gamma, m):
     return {monos[j] for j in _chain_columns(_chain_exponents(alpha, beta, gamma), m)}
 
 
-def _multichain_levels(alpha, beta, gamma):
-    """Yields the lists of multichains of degree 0, 1, 2, ... without end,
-    each multichain a tuple of positions in enumerate_id(d), as
-    standard_monomials lists them.  A multichain of degree m is one of
+def _multichain_levels(alpha, beta, gamma, max_degree):
+    """The multichains of degree 0 to max_degree as one table: levels[m]
+    lists those of degree m, each a tuple of positions in enumerate_id(d),
+    as standard_monomials lists them.  A multichain of degree m is one of
     degree m - k ending at or below theta, or the empty one with
-    alpha <= theta, extended by theta, where k is the degree of f(theta),
-    its leading term's; so each degree is built from the last few, which are
-    all that is kept, and no recursion grows with m.  Each comparison is a
-    lookup in an up set of _id_poset."""
+    alpha <= theta, extended by theta, where k >= 1 is the degree of
+    f(theta), its leading term's; so each level is built from the levels
+    below it, and no recursion grows with m.  Each comparison is a lookup in
+    an up set of _id_poset."""
     elements, position, up, _ = _id_poset(beta.d)
     a, b, g = (position[v.entries] for v in (alpha, beta, gamma))
     candidates = [
@@ -335,18 +336,16 @@ def _multichain_levels(alpha, beta, gamma):
         for t, theta in enumerate(elements)
         if t != b and (t in up[b] or b in up[t]) and g in up[t]
     ]
-    level = [()]
-    lower = deque(maxlen=max((deg for _, deg in candidates), default=1))
-    while True:
-        yield level
-        lower.append(level)  # lower[-k]: the level k below the next one
-        level = [
+    levels = [[()]]
+    for m in range(1, max_degree + 1):
+        levels.append([
             prefix + (t,)
             for t, deg in candidates
-            if deg <= len(lower)
-            for prefix in lower[-deg]
+            if deg <= m
+            for prefix in levels[m - deg]
             if t in up[prefix[-1] if prefix else a]
-        ]
+        ])
+    return levels
 
 
 def standard_monomials(alpha, beta, gamma, m):
@@ -360,8 +359,7 @@ def standard_monomials(alpha, beta, gamma, m):
     if m < 0:
         return []
     elements = enumerate_id(beta.d)
-    level = next(itertools.islice(_multichain_levels(alpha, beta, gamma), m, None))
-    return [tuple(elements[t] for t in thetas) for thetas in level]
+    return [tuple(elements[t] for t in thetas) for thetas in _multichain_levels(alpha, beta, gamma, m)[m]]
 
 
 @lru_cache(maxsize=None)
@@ -437,8 +435,9 @@ def verify_main_theorem(alpha, beta, gamma, max_degree):
     gens = generators(alpha, beta, gamma)
     chain_monos = _chain_exponents(alpha, beta, gamma)
     report = VerifyReport(alpha, beta, gamma)
-    levels = itertools.islice(_multichain_levels(alpha, beta, gamma), 1, None)
-    for m, std in zip(range(1, max_degree + 1), levels):
+    levels = _multichain_levels(alpha, beta, gamma, max_degree)
+    for m in range(1, max_degree + 1):
+        std = levels[m]
         slice_m = DegreeSlice(beta, gens, m)
         # the initial monomials are the pivots' monomials, one per column
         chains = _chain_columns(chain_monos, m)

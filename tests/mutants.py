@@ -147,6 +147,27 @@ MUTANTS = (
         "tests/test_ideal.py::test_standard_poly_refuses_a_degree_off_by_one_through_d4",
     ),
     Mutant(
+        "multichain prefix read from the level one below",
+        "src/obrsk/ideal.py",
+        "for prefix in levels[m - deg]",
+        "for prefix in levels[m - 1]",
+        "tests/test_ideal.py::test_standard_monomials_are_the_multichains_of_the_definition_through_d5",
+    ),
+    Mutant(
+        "first theta of a multichain bounded by beta",
+        "src/obrsk/ideal.py",
+        "if prefix else a]",
+        "if prefix else b]",
+        "tests/test_ideal.py::test_standard_monomials_are_the_multichains_of_the_definition_through_d5",
+    ),
+    Mutant(
+        "multichain level guard one degree loose",
+        "src/obrsk/ideal.py",
+        "if deg <= m\n",
+        "if deg <= m + 1\n",
+        "tests/test_ideal.py::test_standard_monomials_are_the_multichains_of_the_definition_through_d5",
+    ),
+    Mutant(
         "negative degree slice not guarded",
         "src/obrsk/ideal.py",
         "if nvars and m >= 0 else",

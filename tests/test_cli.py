@@ -584,9 +584,9 @@ def test_main_check_fails_on_a_missing_standard_monomial(capsys, monkeypatch, pa
     # rest stay independent of the ideal and the initial ideal is untouched
     original = ideal._multichain_levels
 
-    def one_short(alpha, beta, gamma):
-        for m, level in enumerate(original(alpha, beta, gamma)):
-            yield level[1:] if m == 2 else level
+    def one_short(alpha, beta, gamma, max_degree):
+        levels = original(alpha, beta, gamma, max_degree)
+        return [level[1:] if m == 2 else level for m, level in enumerate(levels)]
 
     monkeypatch.setattr(ideal, "_multichain_levels", one_short)
     assert verdicts_and_cli_statuses(capsys) == (
