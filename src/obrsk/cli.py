@@ -52,11 +52,11 @@ MAX_D = 8
 # 2-vCPU x86-64 host with Python 3.11.7 (one fresh interpreter per run, the
 # command's own time, the peak by getrusage), verify-main checks the d = 5
 # triple 1,2,3,4,5 <= 1,2,3,4,5 <= 2,3,4,6,10 up to m = 9, whose last slice
-# has 48,620 monomials, in 0.7 to 1.0 s at a peak of 54 MiB; time and memory
+# has 48,620 monomials, in 0.4 s at a peak of 49 MiB; time and memory
 # grow a little faster than the slice.  The products of Pfaffians (per beta)
 # and the slice columns (per degree) are memoised for every later triple, so
-# --all-triples holds more than one triple's worth: 0.6 s at a peak of 24 MiB
-# at d = 5, m <= 4, and 3.1 to 3.4 s at 33 MiB at d = 6, m <= 3.
+# --all-triples holds more than one triple's worth: 0.4 to 0.5 s at a peak of
+# 24 MiB at d = 5, m <= 4, and 2.4 to 2.5 s at 33 MiB at d = 6, m <= 3.
 MAX_SLICE_MONOMIALS = 50_000
 
 # The largest --max-degree accepted.  Where beta has one root or none every

@@ -51,7 +51,7 @@ The halves are memoised, at most 2 |I(d)|^2 of them per d.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import le
 
@@ -67,6 +67,10 @@ from .tableaux import rows_leq
 class IdElement:
     entries: tuple
     d: int
+    # the hash of (entries, d), taken once the entries are sorted; not part
+    # of equality, so every memo keyed by an element reads it without
+    # rehashing the entries
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         entries = tuple(self.entries)
@@ -75,6 +79,7 @@ class IdElement:
         if type(self.d) is not int or any(type(x) is not int for x in entries):
             raise NotInId(f"IdElement takes plain ints, got entries {entries!r} and d = {self.d!r}")
         object.__setattr__(self, "entries", tuple(sorted(entries)))
+        object.__setattr__(self, "_hash", hash((self.entries, self.d)))
         e, d = self.entries, self.d
         if len(e) != d or len(set(e)) != d:
             raise NotInId(f"{e} is not a d-subset for d = {d}")
@@ -85,6 +90,9 @@ class IdElement:
             raise NotInId(f"{e} contains a pair summing to {full}")
         if sum(1 for x in e if x > d) % 2:
             raise NotInId(f"{e} has an odd number of entries above {d}")
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         return ",".join(str(x) for x in self.entries)

@@ -13,18 +13,23 @@ multichains through the interval) complement the ideal slice exactly.
 Each f(theta) is the Pfaffian of the skew-symmetric matrix on beta - theta
 whose entry (x, y), for x > y, is the variable of the root (x*, y), where
 x* = 2d+1-x.  It is built straight from the perfect matchings of beta -
-theta (pfaffian_generator): each matching is one term, a product of such
+theta (_BetaTable.pfaffian): each matching is one term, a product of such
 variables with the sign of its crossings, and no two matchings give the
 same monomial.  So f(theta) is homogeneous of degree |beta - theta| / 2,
-which the one degree rule, SparsePoly.degree, reads off its leading term.
+which the one degree rule, SparsePoly.degree, reads off its leading term,
+and its terms are sorted once, by monomial alone.
 
 Each input of the check is derived once at its key, behind one memo, and
 shared by every triple that needs it.  The term order (term_order) is kept
-per beta, every f(theta) per (theta, beta) (pfaffian_generator), and every
-product of them per (multichain, beta, degree) (standard_poly); nothing takes a
-term order as a parameter.  A degree slice's monomials and column map are
-kept per (number of variables, degree) (_slice_columns), and the columns of
-a monomial times every multiplier per (monomial, degree) (_shifted_columns).
+per beta, and so is one table of what the ideal layer derives from beta
+(_beta_table): read by position in I(d), it holds each f(theta) with its
+degree, built on first use, and the sparse row of each product of them per
+(multichain, degree).  pfaffian_generator and standard_poly read it by
+element; the degree loop fetches it once per call and reads it by position,
+so no element is hashed per Pfaffian or per product.  Nothing takes a term
+order as a parameter.  A degree slice's monomials and column map are kept
+per (number of variables, degree) (_slice_columns), and the columns of a
+monomial times every multiplier per (monomial, degree) (_shifted_columns).
 Every f(theta), and every product of them, has integer coefficients;
 rationals appear only in elimination, where _rref normalises a pivot row.
 
@@ -45,7 +50,9 @@ A slice eliminates only the rows of generators with more than one term.  A
 one-term generator, such as each f(theta) with |beta - theta| = 2, is plus
 or minus one variable: its rows would each hold one entry, so DegreeSlice
 clears their columns from every other row instead of building them, and
-counts the cleared columns among its pivots.
+counts the cleared columns among its pivots.  A row that holds such a
+variable in its multiplier is cleared whole, and so is every term that
+holds one, so neither is built.
 
 The chain prediction rests on the same rule.  The chain ideal is squarefree,
 generated by the products of the roots of each minimal bad chain, so its
@@ -70,37 +77,103 @@ from .grassmannian import is_quotient_monomial  # noqa: F401
 from .polynomials import SparsePoly, term_order
 
 
+class _BetaTable:
+    """What the ideal layer derives from beta alone, read by position in
+    I(d): at the position of each theta, f(theta) and its degree, built on
+    first use (pfaffian); and the sparse row of each product of Pfaffians
+    per (multichain, degree) (row).  One table per beta (_beta_table)
+    serves every triple of that beta."""
+
+    def __init__(self, beta):
+        self.beta = beta
+        self.order = term_order(beta)
+        self.elements = enumerate_id(beta.d)
+        self.pfaffians = [None] * len(self.elements)
+        self.rows = {}
+
+    def pfaffian(self, t):
+        """(f(theta), its degree) for the theta at position t: the signed
+        sum over the perfect matchings of beta - theta, expanded along the
+        first row with the keys greatest first.  Pairing the first key x
+        with the key y at position pos contributes the variable of the root
+        (x*, y), x* = 2d+1-x, and the sign alternates with pos.  No two
+        matchings share a monomial and all have one degree, so each finished
+        matching is one term and the terms sort by monomial alone, greatest
+        first; theta = beta is the empty matching, the constant 1."""
+        entry = self.pfaffians[t]
+        if entry is not None:
+            return entry
+        beta, order = self.beta, self.order
+        index = order.index
+        full = 2 * beta.d + 1
+        terms = []
+
+        def expand(keys, sign, mono):
+            if not keys:
+                terms.append((tuple(mono), sign))
+                return
+            x = keys[0]
+            for pos in range(1, len(keys)):
+                i = index[full - x, keys[pos]]
+                mono[i] = 1
+                expand(keys[1:pos] + keys[pos + 1:], sign if pos % 2 else -sign, mono)
+                mono[i] = 0
+
+        expand(sorted(set(beta.entries) - set(self.elements[t].entries), reverse=True), 1, [0] * order.nvars)
+        terms.sort(reverse=True)
+        f = SparsePoly(order, tuple(terms))
+        entry = self.pfaffians[t] = (f, f.degree())
+        return entry
+
+    def row(self, thetas, m):
+        """The product of f(theta) over the multichain thetas, a tuple of
+        positions in I(d), as its sparse row in the slice of its degree m,
+        which the caller knows from the multichain's level: a tuple of
+        (column, coefficient) pairs, columns ascending, coefficients nonzero
+        ints.  The row is its prefix's row times f of the last theta, and
+        the prefix has degree m less the degree of f: a term t of f, of
+        degree k, takes column j of the prefix, the j-th monomial of degree
+        m - k, to _shifted_columns(t, m)[j], the column of t times that
+        monomial.  The empty multichain is the constant 1, column 0 of the
+        degree-0 slice, in degree 0 only: a wrong degree recurses down to it
+        and raises VerificationError there, so no row is kept under it.
+        Kept per (multichain, m), so every triple of the beta shares the
+        products of their common multichains; verify_main_theorem asks for
+        the prefix, of lower degree, first, so the recursion is one call
+        deep."""
+        if not thetas:
+            if m != 0:
+                raise VerificationError(f"the empty multichain has degree 0, not {m}")
+            return ((0, 1),)
+        key = (thetas, m)
+        row = self.rows.get(key)
+        if row is not None:
+            return row
+        f, k = self.pfaffian(thetas[-1])
+        prefix = self.row(thetas[:-1], m - k)
+        acc = {}
+        for mono, c in f.terms:
+            cols = _shifted_columns(mono, m)
+            for j, x in prefix:
+                col = cols[j]
+                acc[col] = acc.get(col, 0) + c * x
+        row = self.rows[key] = tuple(sorted((col, x) for col, x in acc.items() if x))
+        return row
+
+
 @lru_cache(maxsize=None)
+def _beta_table(beta):
+    """The one _BetaTable of beta; at most |I(d)| tables per d."""
+    return _BetaTable(beta)
+
+
 def pfaffian_generator(theta, beta):
     """The Pfaffian polynomial f(theta) attached to theta relative to beta,
     over term_order(beta): the signed sum over the perfect matchings of
-    beta - theta, expanded along the first row with the keys greatest first.
-    Pairing the first key x with the key y at position pos contributes the
-    variable of the root (x*, y), x* = 2d+1-x, and the sign alternates with
-    pos.  No two matchings share a monomial, so each finished matching is
-    one term; theta = beta is the empty matching, the constant 1.  Memoised:
-    the cache holds at most |I(d)|^2 entries per d, 256 at d = 5 and 16,384
-    at d = 8."""
+    beta - theta (_BetaTable.pfaffian), read from the table of beta."""
     if theta.d != beta.d:
         raise DimensionMismatch(f"theta in I({theta.d}) against beta in I({beta.d})")
-    order = term_order(beta)
-    index = order.index
-    full = 2 * beta.d + 1
-    total = {}
-
-    def expand(keys, sign, mono):
-        if not keys:
-            total[tuple(mono)] = sign
-            return
-        x = keys[0]
-        for pos in range(1, len(keys)):
-            i = index[full - x, keys[pos]]
-            mono[i] = 1
-            expand(keys[1:pos] + keys[pos + 1:], sign if pos % 2 else -sign, mono)
-            mono[i] = 0
-
-    expand(sorted(set(beta.entries) - set(theta.entries), reverse=True), 1, [0] * order.nvars)
-    return SparsePoly.from_dict(order, total)
+    return _beta_table(beta).pfaffian(_id_poset(beta.d)[1][theta.entries])[0]
 
 
 def _half_generators(bound, beta, sign):
@@ -112,7 +185,22 @@ def _half_generators(bound, beta, sign):
     elements, position, up, _ = _id_poset(beta.d)
     b = position[bound.entries]
     left_out = [t for t in range(len(elements)) if (b not in up[t] if sign > 0 else t not in up[b])]
-    return [(t, pfaffian_generator(elements[t], beta)) for t in left_out]
+    table = _beta_table(beta)
+    return [(t, table.pfaffian(t)[0]) for t in left_out]
+
+
+def _half_interval(bound, beta, sign):
+    """(position, degree of f(theta)) for each theta, in enumerate_id order,
+    that the multichains of one half run through: alpha <= theta < beta for
+    the negative half (sign -1, bound alpha), beta < theta <= gamma for the
+    positive half (sign +1, bound gamma).  Read off the up sets of
+    _id_poset, as _half_generators reads its thetas; the degrees from the
+    table of beta."""
+    elements, position, up, _ = _id_poset(beta.d)
+    b, c = position[beta.entries], position[bound.entries]
+    low, high = (b, c) if sign > 0 else (c, b)
+    table = _beta_table(beta)
+    return [(t, table.pfaffian(t)[1]) for t in range(len(elements)) if t != b and t in up[low] and high in up[t]]
 
 
 def generators(alpha, beta, gamma):
@@ -217,17 +305,43 @@ class DegreeSlice:
     left empty are dropped, and only the rest go to _rref.  The pivots are
     the set of the cleared columns and _rref's pivots, the set full
     elimination finds; rank_with clears the extra rows the same way.  A
-    generator enters when its degree, its leading term's, is at most m."""
+    generator enters when its degree, its leading term's, is at most m.
+
+    The one-term generators of degree 1 clear every multiple of their
+    variables, the dead variables.  A row g*u of another generator is
+    cleared whole when the multiplier u holds a dead variable, and
+    otherwise loses exactly the terms of g that hold one; so rows are built
+    only for the live multipliers, free of dead variables, from the live
+    terms of g, and a generator with no live term is skipped.  The same
+    rows reach _rref, in the same order, as when every row is built and
+    cleared."""
 
     def __init__(self, beta, gens, m):
         self.nvars = term_order(beta).nvars
         self.m = m
         gens = [g for _, g in gens if g.degree() <= m]
         self.cleared = set()
+        dead = []  # the one-term generators of degree 1, as exponent tuples
         for g in gens:
             if len(g.terms) == 1:
-                self.cleared.update(_shifted_columns(g.terms[0][0], m))
-        self.rows = self._clear(row for g in gens if len(g.terms) > 1 for row in _generator_rows(g, m))
+                mono = g.terms[0][0]
+                self.cleared.update(_shifted_columns(mono, m))
+                if sum(mono) == 1:
+                    dead.append(mono)
+        dead_vars = [x.index(1) for x in dead]
+        mults = {}  # the positions of the live multipliers in the slice of each degree
+        rows = []
+        for g in gens:
+            terms = [(mono, c) for mono, c in g.terms if not any(map(mono.__getitem__, dead_vars))]
+            if len(g.terms) > 1 and terms:
+                k = m - g.degree()
+                if k not in mults:
+                    # a multiplier holding a dead variable is a shifted column
+                    # of it; the multiplier of degree 0, 1, holds none
+                    held = set().union(*(_shifted_columns(x, k) for x in dead)) if k else ()
+                    mults[k] = [j for j in range(slice_size(self.nvars, k)) if j not in held]
+                rows += _generator_rows(terms, mults[k], m)
+        self.rows = self._clear(rows)
         self.pivots = self.cleared.union(_rref(self.rows))
 
     def _clear(self, rows):
@@ -246,7 +360,7 @@ class DegreeSlice:
 
     def rank_with(self, rows):
         """Rank of the slice extended by the given sparse rows of degree-m
-        polynomials, as standard_poly builds them."""
+        polynomials, as _BetaTable.row builds them."""
         return len(self.cleared) + len(_rref(self.rows + self._clear(rows)))
 
 
@@ -270,14 +384,15 @@ def _shifted_columns(mono, m):
     return tuple(col[tuple(map(add, mono, mult))] for mult in mults)
 
 
-def _generator_rows(g, m):
-    """The sparse rows of the homogeneous polynomial g in the degree-m
-    slice: row k is g times the k-th monomial of degree m - deg(g), read off
-    each term's shifted columns and zipped with the coefficients.
-    Multiplying by a monomial keeps the order of g's terms, so each row
-    comes out sorted by column."""
-    coeffs = [c for _, c in g.terms]
-    shifted = [_shifted_columns(mono, m) for mono, _ in g.terms]
+def _generator_rows(terms, mults, m):
+    """The sparse rows in the degree-m slice of the polynomial whose terms,
+    of one degree k and greatest first, are given: row i is it times the
+    monomial at position mults[i] of degree m - k, read off each term's
+    shifted columns and zipped with the coefficients.  Multiplying by a
+    monomial keeps the order of the terms, so each row comes out sorted by
+    column."""
+    coeffs = [c for _, c in terms]
+    shifted = [list(map(_shifted_columns(mono, m).__getitem__, mults)) for mono, _ in terms]
     return [list(zip(cols, coeffs)) for cols in zip(*shifted)]
 
 
@@ -327,15 +442,13 @@ def _multichain_levels(alpha, beta, gamma, max_degree):
     degree m - k ending at or below theta, or the empty one with
     alpha <= theta, extended by theta, where k >= 1 is the degree of
     f(theta), its leading term's; so each level is built from the levels
-    below it, and no recursion grows with m.  Each comparison is a lookup in
-    an up set of _id_poset."""
-    elements, position, up, _ = _id_poset(beta.d)
-    a, b, g = (position[v.entries] for v in (alpha, beta, gamma))
-    candidates = [
-        (t, pfaffian_generator(theta, beta).degree())
-        for t, theta in enumerate(elements)
-        if t != b and (t in up[b] or b in up[t]) and g in up[t]
-    ]
+    below it, and no recursion grows with m.  Each theta is one of the two
+    half intervals, joined in enumerate_id order: the lexicographic order
+    extends the entrywise one, so the negative half comes first.  Each
+    comparison is a lookup in an up set of _id_poset."""
+    _, position, up, _ = _id_poset(beta.d)
+    a = position[alpha.entries]
+    candidates = _half_interval(alpha, beta, -1) + _half_interval(gamma, beta, +1)
     levels = [[()]]
     for m in range(1, max_degree + 1):
         levels.append([
@@ -362,35 +475,13 @@ def standard_monomials(alpha, beta, gamma, m):
     return [tuple(elements[t] for t in thetas) for thetas in _multichain_levels(alpha, beta, gamma, m)[m]]
 
 
-@lru_cache(maxsize=None)
 def standard_poly(thetas, beta, m):
     """The product of f(theta) over the multichain thetas, a tuple of
     positions in enumerate_id(beta.d), as its sparse row in the slice of its
-    degree m, which the caller knows from the multichain's level: a tuple of
-    (column, coefficient) pairs, columns ascending, coefficients nonzero
-    ints.  The row is its prefix's row times f of the last theta, and the
-    prefix has degree m less the degree of f, its leading term's: a
-    term t of f, of degree k, takes column j of the prefix, the j-th
-    monomial of degree m - k, to _shifted_columns(t, m)[j], the column of t
-    times that monomial.  The empty multichain is the constant 1, column 0
-    of the degree-0 slice, in degree 0 only: a wrong degree recurses down to
-    it and raises VerificationError there, so no row is memoised under it.
-    Memoised per (multichain, beta, m), so every triple of a beta shares the
-    products of their common multichains; verify_main_theorem asks for the
-    prefix, of lower degree, first, so the recursion is one call deep."""
-    if not thetas:
-        if m != 0:
-            raise VerificationError(f"the empty multichain has degree 0, not {m}")
-        return ((0, 1),)
-    f = pfaffian_generator(enumerate_id(beta.d)[thetas[-1]], beta)
-    prefix = standard_poly(thetas[:-1], beta, m - f.degree())
-    acc = {}
-    for mono, c in f.terms:
-        cols = _shifted_columns(mono, m)
-        for j, x in prefix:
-            col = cols[j]
-            acc[col] = acc.get(col, 0) + c * x
-    return tuple(sorted((col, x) for col, x in acc.items() if x))
+    degree m (_BetaTable.row), read from the table of beta: a tuple of
+    (column, coefficient) pairs, columns ascending.  A wrong degree raises
+    VerificationError and keeps no row."""
+    return _beta_table(beta).row(thetas, m)
 
 
 # -- the main check ----------------------------------------------------------
@@ -436,13 +527,14 @@ def verify_main_theorem(alpha, beta, gamma, max_degree):
     chain_monos = _chain_exponents(alpha, beta, gamma)
     report = VerifyReport(alpha, beta, gamma)
     levels = _multichain_levels(alpha, beta, gamma, max_degree)
+    row = _beta_table(beta).row
     for m in range(1, max_degree + 1):
         std = levels[m]
         slice_m = DegreeSlice(beta, gens, m)
         # the initial monomials are the pivots' monomials, one per column
         chains = _chain_columns(chain_monos, m)
         counts = len(std) == slice_m.total - slice_m.dim
-        std_rows = [standard_poly(thetas, beta, m) for thetas in std]
+        std_rows = [row(thetas, m) for thetas in std]
         independent = slice_m.rank_with(std_rows) == slice_m.dim + len(std)
         report.degrees.append(
             DegreeReport(

@@ -91,9 +91,10 @@ MUTANTS = (
     Mutant(
         "lower-term sign flip",
         "src/obrsk/ideal.py",
-        "    return SparsePoly.from_dict(order, total)",
-        "    f = SparsePoly.from_dict(order, total)\n"
-        "    return f if len(f.terms) < 2 else SparsePoly(order, f.terms[:-1] + ((f.terms[-1][0], -f.terms[-1][1]),))",
+        "        f = SparsePoly(order, tuple(terms))",
+        "        if len(terms) > 1:\n"
+        "            terms[-1] = (terms[-1][0], -terms[-1][1])\n"
+        "        f = SparsePoly(order, tuple(terms))",
         "tests/test_ideal.py::test_pfaffian_squared_is_determinant",
     ),
     Mutant(
@@ -128,8 +129,8 @@ MUTANTS = (
     Mutant(
         "product prefix degree off by one",
         "src/obrsk/ideal.py",
-        "m - f.degree()",
-        "m - f.degree() - 1",
+        "self.row(thetas[:-1], m - k)",
+        "self.row(thetas[:-1], m - k - 1)",
         "tests/test_ideal.py::test_standard_poly_rows_are_the_products_of_their_pfaffians_through_d5",
     ),
     Mutant(
@@ -207,9 +208,39 @@ MUTANTS = (
     Mutant(
         "one-term generators not cleared",
         "src/obrsk/ideal.py",
-        "self.cleared.update(_shifted_columns(g.terms[0][0], m))",
+        "self.cleared.update(_shifted_columns(mono, m))",
         "pass",
         "tests/test_acceptance.py::test_criterion_5_main_theorem",
+    ),
+    # a mutant that also builds the dead rows is equivalent: _clear drops
+    # every such row, so the same rows reach _rref
+    Mutant(
+        "live-term filter inverted",
+        "src/obrsk/ideal.py",
+        "for mono, c in g.terms if not any(map(mono.__getitem__, dead_vars))]",
+        "for mono, c in g.terms if any(map(mono.__getitem__, dead_vars))]",
+        "tests/test_ideal.py::test_degree_slice_equals_full_elimination",
+    ),
+    Mutant(
+        "table row keyed without its degree",
+        "src/obrsk/ideal.py",
+        "key = (thetas, m)",
+        "key = thetas",
+        "tests/test_ideal.py::test_standard_poly_refuses_a_degree_off_by_one_through_d4",
+    ),
+    Mutant(
+        "half interval bounds swapped",
+        "src/obrsk/ideal.py",
+        "low, high = (b, c) if sign > 0 else (c, b)",
+        "low, high = (c, b) if sign > 0 else (b, c)",
+        "tests/test_ideal.py::test_half_intervals_are_the_thetas_between_the_bounds_up_to_d6",
+    ),
+    Mutant(
+        "element hash taken before the entries are sorted",
+        "src/obrsk/grassmannian.py",
+        'object.__setattr__(self, "_hash", hash((self.entries, self.d)))',
+        'object.__setattr__(self, "_hash", hash((entries, self.d)))',
+        "tests/test_grassmannian.py::test_equal_elements_hash_equal_however_they_are_built",
     ),
     # what the chain side takes from its inputs, and the certificates for it
     Mutant(

@@ -600,16 +600,16 @@ def test_main_check_fails_on_dependent_standard_products(capsys, monkeypatch, pa
     # the second degree-2 product made 3 times the first: the counts still
     # add up, but the products are dependent, and so are the degree-3
     # products built on it
-    original = ideal.standard_poly
+    original = ideal._BetaTable.row
     # the positions of the multichain's two elements in I(3)
     low, high = (enumerate_id(3).index(v) for v in (VERDICT_TRIPLE[0], VERDICT_TRIPLE[2]))
 
-    def dependent(thetas, beta, m):
+    def dependent(table, thetas, m):
         if thetas == (low, high):
-            return tuple((col, 3 * x) for col, x in original((low, low), beta, m))
-        return original(thetas, beta, m)
+            return tuple((col, 3 * x) for col, x in original(table, (low, low), m))
+        return original(table, thetas, m)
 
-    monkeypatch.setattr(ideal, "standard_poly", dependent)
+    monkeypatch.setattr(ideal._BetaTable, "row", dependent)
     assert verdicts_and_cli_statuses(capsys) == (
         [(True, True, True), (True, True, False), (True, True, False)],
         EXIT_FAILED,

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -77,6 +79,23 @@ def test_a_float_element_cannot_poison_the_memos(package_caches):
     v = IdElement((3, 4), 2)
     assert [type(x) for p in roots_of(v) for x in p] == [int, int]
     assert verify_main_theorem(v, v, v, 3).passed
+
+
+def test_equal_elements_hash_equal_however_they_are_built():
+    # the hash is taken once, after the entries are sorted, and is the hash
+    # of (entries, d) whichever way the element was made
+    for d in range(1, 6):
+        for v in enumerate_id(d):
+            built = (
+                IdElement(list(v.entries), d),
+                IdElement(tuple(reversed(v.entries)), d),
+                copy.copy(v),
+                pickle.loads(pickle.dumps(v)),
+            )
+            for w in built:
+                assert w == v and hash(w) == hash(v), (v, w)
+            assert hash(v) == hash((v.entries, v.d))
+            assert repr(v) == f"IdElement(entries={v.entries!r}, d={d})"
 
 
 def test_enumerate_id_small():

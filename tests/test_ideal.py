@@ -277,6 +277,29 @@ def test_generators_are_the_join_of_the_halves_up_to_d6():
     assert counts == [1, 4, 20, 112, 672, 4224]
 
 
+def test_half_intervals_are_the_thetas_between_the_bounds_up_to_d6():
+    # certified by id_leq: the negative half runs through alpha <= theta <
+    # beta, the positive one through beta < theta <= gamma, in enumerate_id
+    # order, each theta with the degree of f(theta), |beta - theta| / 2
+    counts = []
+    for d in range(1, 7):
+        elements = enumerate_id(d)
+        halves = 0
+        for beta in elements:
+            for bound in elements:
+                for sign, low, high in ((-1, bound, beta), (+1, beta, bound)):
+                    if not id_leq(low, high):
+                        continue
+                    inside = [t for t, theta in enumerate(elements) if theta != beta and id_leq(low, theta) and id_leq(theta, high)]
+                    degrees = [len(set(beta.entries) - set(elements[t].entries)) // 2 for t in inside]
+                    assert ideal._half_interval(bound, beta, sign) == list(zip(inside, degrees)), (bound, beta, sign)
+                    assert all(pfaffian_generator(elements[t], beta).degree() == k for t, k in zip(inside, degrees))
+                    halves += 1
+        counts.append(halves)
+    # each pair low <= high is one negative and one positive half
+    assert counts == [2, 6, 20, 70, 252, 924]
+
+
 def test_generators_refuse_a_triple_out_of_order():
     # (1,2,3) <= (1,4,5) <= (2,4,6); reversed, f(beta) = 1 would join the
     # generators and every degree of the quotient would read 0
@@ -430,7 +453,8 @@ def test_standard_poly_rows_are_the_products_of_their_pfaffians_through_d5(packa
 def test_standard_poly_refuses_a_degree_off_by_one_through_d4(package_caches):
     # a wrong degree recurses down to the empty multichain, which is the
     # constant 1 in degree 0 only, so it raises even where the row of the
-    # right degree is memoised, and leaves no row behind
+    # right degree is kept, and leaves no row behind: the tables hold one
+    # row per nonempty (multichain, beta), the empty multichain none
     products = [
         (thetas, beta, m)
         for d in range(1, 5)
@@ -444,7 +468,10 @@ def test_standard_poly_refuses_a_degree_off_by_one_through_d4(package_caches):
         for wrong in (m - 1, m + 1):
             with pytest.raises(VerificationError, match="the empty multichain has degree 0, not"):
                 standard_poly(thetas, beta, wrong)
-    assert standard_poly.cache_info().currsize == len({(thetas, beta) for thetas, beta, _ in products})
+    betas = {beta for _, beta, _ in products}
+    assert ideal._beta_table.cache_info().currsize == len(betas) == 1 + 2 + 4 + 8
+    kept = sum(len(ideal._beta_table(beta).rows) for beta in betas)
+    assert kept == len({(thetas, beta) for thetas, beta, _ in products if thetas})
 
 
 def test_standard_monomials_are_the_multichains_of_the_definition_through_d5():
@@ -499,8 +526,7 @@ def test_verify_main_theorem_d3_interval():
 def test_package_caches_include_the_shared_memos(package_caches):
     assert {
         term_order,
-        pfaffian_generator,
-        standard_poly,
+        ideal._beta_table,
         ideal._slice_columns,
         ideal._shifted_columns,
         grassmannian._minimal_bad_chains,
@@ -508,7 +534,7 @@ def test_package_caches_include_the_shared_memos(package_caches):
 
 
 def test_reports_do_not_depend_on_which_triple_of_a_beta_runs_first(package_caches):
-    # the term order, the Pfaffians and their products are cached per beta,
+    # the term order, the Pfaffians and their products are kept per beta,
     # the minimal bad chains per half of the triple and the slice columns
     # per degree; all are shared by other triples.  The triples of two betas
     # with the same number of variables run interleaved, so a memo keyed
@@ -549,11 +575,20 @@ def test_generator_rows_equal_products_by_monomials_d4():
                 if g.degree() > m:
                     continue
                 mults = monomials_of_degree(order.nvars, m - g.degree())
-                rows = ideal._generator_rows(g, m)
+                rows = ideal._generator_rows(g.terms, range(len(mults)), m)
                 assert len(rows) == len(mults)
                 for row, mult in zip(rows, mults):
                     product = g * SparsePoly.from_dict(order, {mult: 1})
                     assert row == sorted((col[mono], c) for mono, c in product.terms), (beta, theta, m, mult)
+                # some of the terms, times some of the multipliers in the
+                # order given, as a slice builds its live rows
+                part = SparsePoly(order, g.terms[::2])
+                picked = range(len(mults) - 1, -1, -2)
+                rows = ideal._generator_rows(part.terms, picked, m)
+                assert len(rows) == len(picked)
+                for row, j in zip(rows, picked):
+                    product = part * SparsePoly.from_dict(order, {mults[j]: 1})
+                    assert row == sorted((col[mono], c) for mono, c in product.terms), (beta, theta, m, j)
 
 
 def test_slice_columns_are_one_entry_per_degree_after_all_d4_triples(package_caches):
@@ -568,14 +603,28 @@ def test_slice_columns_are_one_entry_per_degree_after_all_d4_triples(package_cac
     assert (info.currsize, info.misses) == (4, 4)
 
 
-def test_each_pfaffian_is_built_once_after_all_d4_triples(package_caches):
+def test_each_pfaffian_is_built_once_after_all_d4_triples(package_caches, monkeypatch):
     elements = enumerate_id(4)
     triples = all_triples(4)
     assert len(triples) == 112
+    built = []
+    original = ideal._BetaTable.pfaffian
+
+    def counted(table, t):
+        if table.pfaffians[t] is None:
+            built.append((t, table.beta))
+        return original(table, t)
+
+    monkeypatch.setattr(ideal._BetaTable, "pfaffian", counted)
     assert all(verify_main_theorem(a, b, g, 3).passed for a, b, g in triples)
-    # each f(theta) the triples need is built once per (theta, beta)
+    # each f(theta) the triples need is built once per (theta, beta): every
+    # theta but beta itself, whose f is the constant 1, for each of 8 betas
     assert len(elements) == 8
-    assert pfaffian_generator.cache_info().misses == 56
+    assert len(built) == len(set(built)) == 56
+    assert ideal._beta_table.cache_info().misses == 8
+    tables = [ideal._beta_table(beta) for beta in elements]
+    assert sum(entry is not None for table in tables for entry in table.pfaffians) == 56
+    assert all(table.pfaffians[t] is None for t, table in enumerate(tables))
 
 
 def test_hilbert_counts_point_case():
@@ -689,6 +738,31 @@ def test_elimination_gets_only_the_rows_of_multi_term_generators(monkeypatch):
     built = sum(handed)
     assert all(verify_main_theorem(*t, 3).passed for t in triples)
     assert (built, sum(handed) - built) == (48, 3004)
+
+
+def test_slices_build_only_their_live_rows(monkeypatch):
+    # a row whose multiplier holds the variable of a one-term generator of
+    # degree 1 is cleared whole, and so is each term that holds one: the
+    # 112 checks of d = 4 at m <= 3 build 48 rows where all the rows of the
+    # multi-term generators number 462, and the 48 are the rows handed to
+    # _rref while building the slices
+    built = []
+    rows = ideal._generator_rows
+
+    def counting_rows(terms, mults, m):
+        out = rows(terms, mults, m)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(ideal, "_generator_rows", counting_rows)
+    everything = 0
+    for alpha, beta, gamma in all_triples(4):
+        gens = generators(alpha, beta, gamma)
+        for m in (1, 2, 3):
+            DegreeSlice(beta, gens, m)
+            everything += sum(slice_size(len(g.terms[0][0]), m - g.degree()) for _, g in gens
+                              if len(g.terms) > 1 and g.degree() <= m)
+    assert (sum(built), everything) == (48, 462)
 
 
 def test_degree_slice_shape():

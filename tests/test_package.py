@@ -17,10 +17,9 @@ def test_package_holds_one_memo_per_key(package_caches):
         "obrsk.grassmannian._minimal_bad_chains",
         "obrsk.grassmannian._signed_chains",
         "obrsk.grassmannian.roots_of",
+        "obrsk.ideal._beta_table",
         "obrsk.ideal._shifted_columns",
         "obrsk.ideal._slice_columns",
-        "obrsk.ideal.pfaffian_generator",
-        "obrsk.ideal.standard_poly",
         "obrsk.polynomials.term_order",
     ]
-    assert len(package_caches) == 9
+    assert len(package_caches) == 8
