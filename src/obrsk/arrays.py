@@ -31,7 +31,6 @@ correspondence reads the columns of a pair directly.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import LengthMismatch
@@ -51,9 +50,11 @@ class SkewPair:
     def __post_init__(self):
         for name in "bacd":
             row = getattr(self, name)
-            if not isinstance(row, Iterable):
-                raise LengthMismatch(f"row {name} is not a sequence: {row!r}")
-            object.__setattr__(self, name, tuple(row))
+            try:
+                converted = tuple(row)
+            except TypeError:
+                raise LengthMismatch(f"row {name} is not a sequence: {row!r}") from None
+            object.__setattr__(self, name, converted)
         b, a, c, d = self.b, self.a, self.c, self.d
         for top, bottom in ((b, a), (c, d)):
             if len(top) != len(bottom):

@@ -193,8 +193,11 @@ def _invert(bit, negative_rows):
     The negative block is undone as it stands, and the positive block
     flipped back (P and Q swapped, rows reversed).  Both preimages are taken
     as points, and one psi_inv rebuilds the pair from their union, which
-    puts the columns in the canonical order.
+    puts the columns in the canonical order.  No forward step leaves an
+    empty row, so a bitableau with one is refused: it has no preimage.
     """
+    if 0 in bit.shape:
+        raise PathShapeMismatch(f"row {bit.shape.index(0) + 1} is empty, and no step leaves an empty row")
     prows, qrows = list(map(list, bit.P)), list(map(list, bit.Q))
     neg1, neg2 = _preimage_columns(prows[:negative_rows], qrows[:negative_rows])
     pos1, pos2 = _preimage_columns(qrows[negative_rows:][::-1], prows[negative_rows:][::-1])

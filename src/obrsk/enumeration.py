@@ -20,22 +20,24 @@ would visit them.  A kind of bitableau is chosen by the row signs it allows.
 
 Both searches check the duality map by bitmask (_duality_masks).  The map
 is consistent exactly when every two of its (value, dual value) pairs are,
-so duality_conflict is asked once about each two points while the tables
-are built.  A column pair or row pair of a table is consistent in itself,
-and it fits a prefix when none of its points is in the OR of the prefix's
-conflict masks.
+so duality_conflict is asked once about each two points while the table
+for a max_entry is built, and the searches share that table.  A column
+pair or row pair of a table is consistent in itself, and it fits a prefix
+when none of its points is in the OR of the prefix's conflict masks.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+from functools import lru_cache
 
 from .arrays import SkewPair, column_duality_pairs, dual_column_violations
 from .multisets import duality_conflict
 from .tableaux import NotchedBitableau, row_duality_pairs, row_sign, rows_leq
 
 
+@lru_cache(maxsize=None)
 def _duality_masks(max_entry):
     """A function from a list of (value, dual value) pairs with entries
     <= max_entry to (the OR of their points' bits, the OR of their conflict
@@ -48,7 +50,7 @@ def _duality_masks(max_entry):
     and a map with none between neighbours has none at all).  So a list of
     pairs is consistent when none of its points is in the OR of its conflict
     masks, and two consistent lists are consistent together when neither's
-    points meet the other's conflict masks.
+    points meet the other's conflict masks.  Kept per max_entry.
     """
     points = [(v, d) for v in range(1, max_entry + 1) for d in range(1, max_entry + 1)]
     bits = {point: 1 << i for i, point in enumerate(points)}

@@ -13,13 +13,14 @@ validate_semistandard refuses an entry that is not a plain int >= 1 before
 it reads any row order, and is the one entry check of a bitableau, the
 command line's included.  classify_sign validates a skew-symmetric bitableau
 and returns its sign kind with its number of negative rows, which the
-inverse maps split the rows at; it is the one sign reading.
+inverse maps split the rows at; it is the one sign reading.  A bitableau
+keeps its skew-symmetry verdict once computed, so the maps and their
+callers validate each bitableau once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import ge, gt, lt
@@ -37,6 +38,9 @@ class NotchedBitableau:
     Q: tuple
     # the row lengths, derived from the rows once; not part of equality or hash
     shape: tuple = field(init=False, compare=False, repr=False)
+    # the verdict of validate_skew_symmetric, None until it is first asked;
+    # a refusal is raised afresh on every call and never kept
+    _skew_symmetric: bool | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         prows, qrows = _row_tuples(self.P, "P"), _row_tuples(self.Q, "Q")
@@ -59,13 +63,17 @@ class NotchedBitableau:
 def _row_tuples(rows, side):
     """The rows of one side as a tuple of row tuples; ShapeMismatch on a
     side, or a row of it, that is not a sequence."""
-    if not isinstance(rows, Iterable):
-        raise ShapeMismatch(f"{side} is not a sequence of rows: {rows!r}")
-    rows = tuple(rows)
+    try:
+        rows = tuple(rows)
+    except TypeError:
+        raise ShapeMismatch(f"{side} is not a sequence of rows: {rows!r}") from None
+    converted = []
     for i, row in enumerate(rows, start=1):
-        if not isinstance(row, Iterable):
-            raise ShapeMismatch(f"row {i} of {side} is not a sequence: {row!r}")
-    return tuple(map(tuple, rows))
+        try:
+            converted.append(tuple(row))
+        except TypeError:
+            raise ShapeMismatch(f"row {i} of {side} is not a sequence: {row!r}") from None
+    return tuple(converted)
 
 
 def rows_leq(upper, lower):
@@ -121,13 +129,19 @@ def row_duality_pairs(prow, qrow):
 
 def validate_skew_symmetric(b):
     """Semistandard, even row lengths, and value -> dual value is a
-    well-defined strictly decreasing map over all entries of both sides."""
-    if not validate_semistandard(b):
-        raise NotSemistandard("skew-symmetry is only defined for semistandard bitableaux")
-    if any(k % 2 for k in b.shape):
-        return False
-    pairs = [pair for prow, qrow in zip(b.P, b.Q) for pair in row_duality_pairs(prow, qrow)]
-    return duality_conflict(pairs) is None
+    well-defined strictly decreasing map over all entries of both sides.
+
+    The verdict is computed on the first call and kept on the bitableau;
+    a refusal keeps nothing, so it is raised again on every call."""
+    if b._skew_symmetric is None:
+        if not validate_semistandard(b):
+            raise NotSemistandard("skew-symmetry is only defined for semistandard bitableaux")
+        verdict = False
+        if not any(k % 2 for k in b.shape):
+            pairs = [pair for prow, qrow in zip(b.P, b.Q) for pair in row_duality_pairs(prow, qrow)]
+            verdict = duality_conflict(pairs) is None
+        object.__setattr__(b, "_skew_symmetric", verdict)
+    return b._skew_symmetric
 
 
 class SignKind(Enum):

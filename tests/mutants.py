@@ -446,6 +446,13 @@ MUTANTS = (
         "tests/test_correspondence.py::test_codomain_checks_refuse_an_entry_that_is_not_a_positive_int",
     ),
     Mutant(
+        "skew verdict kept on the class, not the instance",
+        "src/obrsk/tableaux.py",
+        'object.__setattr__(b, "_skew_symmetric", verdict)',
+        "type(b)._skew_symmetric = verdict",
+        "tests/test_correspondence.py::test_the_kept_verdict_equals_a_fresh_one_whichever_is_asked_first",
+    ),
+    Mutant(
         "bitableau shapes not compared",
         "src/obrsk/tableaux.py",
         'if shape != q_shape:\n            raise ShapeMismatch(f"shapes differ: {shape} vs {q_shape}")',

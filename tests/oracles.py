@@ -403,11 +403,20 @@ def _stepwise_preimage_columns(bit):
     return cols1, cols2
 
 
+def _refuse_empty_rows(bit):
+    """No forward step leaves an empty row, so no pair maps to a bitableau
+    with one: PathShapeMismatch, naming the first."""
+    for i, row in enumerate(bit.P, start=1):
+        if not row:
+            raise PathShapeMismatch(f"row {i} is empty, and no step leaves an empty row")
+
+
 def stepwise_robrsk(bit):
     """robrsk, by reverse steps on frozen bitableaux."""
     kind = sign_blocks(bit).kind
     if not bit.is_empty and kind is not SignKind.NEGATIVE:
         raise NotNegative(f"bitableau is {kind.value}, not negative")
+    _refuse_empty_rows(bit)
     return SkewPair.from_columns(*_stepwise_preimage_columns(bit))
 
 
@@ -417,6 +426,7 @@ def stepwise_obrsk_inverse(bit):
     cls = sign_blocks(bit)
     if cls.kind is SignKind.VANISHING:
         raise NotNegative("only nonvanishing bitableaux are in the image")
+    _refuse_empty_rows(bit)
     neg1, neg2 = _stepwise_preimage_columns(cls.negative_part)
     pos1, pos2 = _stepwise_preimage_columns(_flip(cls.positive_part))
     return psi_inv([(a, b) for b, a in neg1] + pos1, [(d, c) for c, d in neg2] + pos2)

@@ -52,6 +52,34 @@ def test_a_traced_certify_pass_has_no_failed_item():
     assert metrics["correspondence.obrsk_calls"] > 0
 
 
+def test_a_certify_item_checks_its_image_once(monkeypatch):
+    # obrsk, the inverse, classify_sign and validate_skew_symmetric all read
+    # the image's skew-symmetry verdict, which is computed once: one
+    # semistandard check per item, of the item's image
+    import obrsk.tableaux as tableaux
+
+    semistandard = tableaux.validate_semistandard
+    checked, per_item = [], []
+
+    def counting(b):
+        checked.append(b)
+        return semistandard(b)
+
+    def spy(item):
+        def counted(family, p):
+            checked.clear()
+            image, ok = item(family, p)
+            per_item.append(len(checked) == 1 and checked[0] is image)
+            return image, ok
+
+        return counted
+
+    monkeypatch.setattr(tableaux, "validate_semistandard", counting)
+    result = load("workloads").WORKLOADS["certify_pairs"](1).run(spy)
+    assert result.failed == 0, result.errors
+    assert len(per_item) == 635 and all(per_item)
+
+
 def test_a_traced_verify_d4_pass_has_no_failed_item():
     # the tracer reads DegreeSlice's total and dim after each slice is
     # built; the sums over the 112 triples at degrees 1 to 3 are fixed

@@ -243,6 +243,16 @@ def test_invert_outside_the_image_is_invalid(tmp_path, capsys):
     assert "no entry <= 1 below the bound 3 in row 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, row", [({"P": [[1, 2], []], "Q": [[3, 4], []]}, 2), ({"P": [[]], "Q": [[]]}, 1)])
+def test_invert_refuses_an_empty_row(tmp_path, capsys, doc, row):
+    # no forward step leaves an empty row, so no pair maps here
+    path = write_json(tmp_path, "bit.json", doc)
+    assert obrsk_main(["invert", "--input", path]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: row {row} is empty, and no step leaves an empty row\n"
+
+
 def test_og_chains(capsys):
     code, doc = run_json(capsys, og_main, ["chains", "--d", "2", "--beta", "3,4"])
     assert code == EXIT_OK

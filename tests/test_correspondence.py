@@ -333,6 +333,60 @@ def test_bitableau_routes_equal_the_stepwise_routes(route, reference, codomain_b
         assert outcome(route, b) == outcome(reference, b), b
 
 
+def test_the_kept_verdict_equals_a_fresh_one_whichever_is_asked_first(codomain_bitableaux):
+    # validate_skew_symmetric keeps its verdict on the bitableau and
+    # classify_sign reads it; on fresh copies, asked in either order, both
+    # agree with the references, which keep nothing, and a refusal comes
+    # again on the second call
+    for b in codomain_bitableaux:
+        want = [outcome(stepwise_skew_symmetric, b), outcome(stepwise_classify_sign, b)]
+        first, second = NotchedBitableau(b.P, b.Q), NotchedBitableau(b.P, b.Q)
+        assert [outcome(validate_skew_symmetric, first), outcome(classify_sign, first)] == want, b
+        assert [outcome(classify_sign, second), outcome(validate_skew_symmetric, second)] == want[::-1], b
+
+
+@pytest.mark.parametrize(
+    "rows, refusal",
+    [((([2, 1],), ([3, 4],)), NotSemistandard), ((([1, 2.5],), ([3, 4],)), ValidationError)],
+    ids=["not-semistandard", "float-entry"],
+)
+def test_a_refusal_is_raised_again_on_every_call(rows, refusal):
+    # a refusal leaves no verdict behind: every codomain check, asked twice
+    # and after the others, raises the same class with the same message
+    b = NotchedBitableau(*rows)
+    first = [outcome(check, b) for check in CODOMAIN_CHECKS]
+    assert {result[:2] for result in first} == {("raised", refusal)}
+    assert [outcome(check, b) for check in CODOMAIN_CHECKS] == first
+    assert [outcome(check, b) for check in reversed(CODOMAIN_CHECKS)] == first[::-1]
+
+
+@pytest.mark.parametrize("inverse, accepted", [(robrsk, 2927), (obrsk_inverse, 9829)], ids=["robrsk", "obrsk_inverse"])
+def test_every_bitableau_the_inverse_accepts_round_trips(inverse, accepted, codomain_bitableaux):
+    # the inverse maps are injective: whatever they do not refuse is the
+    # image of the pair they return.  No step leaves an empty row, so a
+    # bitableau with one is refused rather than mapped to a pair whose
+    # image has the row dropped
+    taken = 0
+    for b in codomain_bitableaux:
+        try:
+            p = inverse(b)
+        except ValidationError:
+            continue
+        taken += 1
+        assert obrsk(p) == b, b
+    assert taken == accepted
+
+
+@pytest.mark.parametrize("inverse", [robrsk, obrsk_inverse])
+@pytest.mark.parametrize(
+    "rows, row",
+    [(([()], [()]), 1), (([(), ()], [(), ()]), 1), (([[1, 2], ()], [[3, 4], ()]), 2)],
+)
+def test_inverse_refuses_a_bitableau_with_an_empty_row(inverse, rows, row):
+    with pytest.raises(PathShapeMismatch, match=f"^row {row} is empty, and no step leaves an empty row$"):
+        inverse(NotchedBitableau(*rows))
+
+
 @pytest.mark.parametrize("check", CODOMAIN_CHECKS + [validate_semistandard])
 def test_an_entry_is_refused_before_the_row_order_is_read(check):
     # the hand-made bitableaux with both a row that is not strictly

@@ -147,28 +147,26 @@ def test_enumerators_build_few_candidates(monkeypatch, name, args):
     assert len(set(kept)) == len(kept)
 
 
-def duality_table(args, kept):
-    # one check per two points (value, dual value) with entries <= max_entry,
-    # whatever is kept
-    return math.comb(args[0] ** 2, 2)
-
-
 @pytest.mark.parametrize(
-    "name, args, bound",
+    "name, args, table_checks",
     [
-        ("enumerate_negative_pairs", (6, 3), duality_table),
-        ("enumerate_nonvanishing_pairs", (6, 3), duality_table),
-        ("enumerate_negative_bitableaux", (6, 6), duality_table),
-        ("enumerate_nonvanishing_bitableaux", (6, 6), duality_table),
-        ("enumerate_negative_bitableaux", (7, 6), duality_table),
-        ("enumerate_nonvanishing_bitableaux", (7, 6), duality_table),
+        # one check per two points (value, dual value) with entries <= 6, or
+        # <= 7, whatever is kept
+        ("enumerate_negative_pairs", (6, 3), 630),
+        ("enumerate_nonvanishing_pairs", (6, 3), 630),
+        ("enumerate_negative_bitableaux", (6, 6), 630),
+        ("enumerate_nonvanishing_bitableaux", (6, 6), 630),
+        ("enumerate_negative_bitableaux", (7, 6), 1176),
+        ("enumerate_nonvanishing_bitableaux", (7, 6), 1176),
     ],
 )
-def test_enumerators_check_the_duality_map_few_times(monkeypatch, name, args, bound):
+def test_enumerators_check_the_duality_map_few_times(monkeypatch, name, args, table_checks):
     # both searches check the map only while they build the table of point
     # conflicts, and then prune every column pair, row pair and prefix by
     # bitmask, so their checks do not grow with the number of prefixes or
-    # with the number kept
+    # with the number kept.  The table is kept per max_entry: it is cleared
+    # first, as a warm one checks nothing, and a second search reuses it
+    assert table_checks == math.comb(args[0] ** 2, 2)
     checks = 0
 
     def counting(pairs):
@@ -177,9 +175,12 @@ def test_enumerators_check_the_duality_map_few_times(monkeypatch, name, args, bo
         return duality_conflict(pairs)
 
     monkeypatch.setattr(enumeration, "duality_conflict", counting)
+    enumeration._duality_masks.cache_clear()
     kept = getattr(enumeration, name)(*args)
     assert kept
-    assert checks <= bound(args, len(kept)), f"{checks} duality-map checks for {len(kept)} kept"
+    assert checks == table_checks, f"{checks} duality-map checks for {len(kept)} kept"
+    assert getattr(enumeration, name)(*args) == kept
+    assert checks == table_checks
 
 
 @pytest.mark.parametrize(

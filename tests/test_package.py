@@ -13,6 +13,7 @@ def test_package_holds_one_memo_per_key(package_caches):
     # this pin on purpose
     names = sorted(f"{cache.__module__}.{cache.__qualname__}" for cache in package_caches)
     assert names == [
+        "obrsk.enumeration._duality_masks",
         "obrsk.grassmannian._id_poset",
         "obrsk.grassmannian._minimal_bad_chains",
         "obrsk.grassmannian._signed_chains",
@@ -22,4 +23,4 @@ def test_package_holds_one_memo_per_key(package_caches):
         "obrsk.ideal._slice_columns",
         "obrsk.polynomials.term_order",
     ]
-    assert len(package_caches) == 8
+    assert len(package_caches) == 9

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import re
 from collections import Counter
 
@@ -107,6 +109,26 @@ def test_skew_symmetric_duality_failure():
 def test_skew_symmetric_rejects_non_semistandard():
     with pytest.raises(NotSemistandard):
         validate_skew_symmetric(NotchedBitableau([[2, 1]], [[3, 4]]))
+
+
+@pytest.mark.parametrize(
+    "rows, verdict",
+    [(([[1, 2]], [[3, 4]]), True), (([[1, 4]], [[2, 3]]), False), (([[1, 2, 3]], [[4, 5, 6]]), False)],
+)
+def test_the_kept_verdict_is_not_part_of_the_value(rows, verdict):
+    # a bitableau whose verdict has been asked equals, hashes and prints as
+    # one whose verdict has not, and so do their copies and pickled copies,
+    # which give the same verdict
+    checked, fresh = NotchedBitableau(*rows), NotchedBitableau(*rows)
+    assert validate_skew_symmetric(checked) is verdict
+    copies = [copy.copy(checked), pickle.loads(pickle.dumps(checked))]
+    copies += [copy.copy(fresh), pickle.loads(pickle.dumps(fresh))]
+    for b in [checked, *copies]:
+        assert b == fresh and hash(b) == hash(fresh) and repr(b) == repr(fresh)
+    assert len({checked, fresh, *copies}) == 1
+    assert repr(fresh) == f"NotchedBitableau(P={fresh.P!r}, Q={fresh.Q!r})"
+    for b in copies:
+        assert validate_skew_symmetric(b) is verdict
 
 
 def test_one_row_duality_exhaustive():
