@@ -2,13 +2,16 @@
 
 Fix a triple alpha <= beta <= gamma in I(d).  The ideal is generated by the
 Pfaffians f(theta) over the theta in I(d) that a half of the triple leaves
-out, a list built per half (_half_generators): the negative half (alpha,
-beta) leaves out each theta with alpha not <= theta, the positive half
-(beta, gamma) each theta with theta not <= gamma, and generators joins the
-two.  The main check confirms, degree by degree, that the leading monomials
-of the ideal are exactly the root monomials covering a bad chain of the
-triple, and that the standard monomials (products of Pfaffians indexed by
-multichains through the interval) complement the ideal slice exactly.
+out.  One scan per half (_half) lists the theta it leaves out and the theta
+its multichains run through: the negative half (alpha, beta) leaves out each
+theta with alpha not <= theta and runs through alpha <= theta < beta, the
+positive half (beta, gamma) leaves out each theta with theta not <= gamma
+and runs through beta < theta <= gamma.  generators and _multichain_levels
+each join the two halves.  The main check confirms, degree by degree, that
+the leading monomials of the ideal are exactly the root monomials covering a
+bad chain of the triple, and that the standard monomials (products of
+Pfaffians indexed by multichains through the interval) complement the ideal
+slice exactly.
 
 Each f(theta) is the Pfaffian of the skew-symmetric matrix on beta - theta
 whose entry (x, y), for x > y, is the variable of the root (x*, y), where
@@ -46,13 +49,12 @@ order; the degree is the multichain's level, handed down.  The chain
 monomials are taken once per triple, and each degree compares the set of
 pivot columns with the set of their shifted columns (_chain_columns).
 
-A slice eliminates only the rows of generators with more than one term.  A
-one-term generator, such as each f(theta) with |beta - theta| = 2, is plus
-or minus one variable: its rows would each hold one entry, so DegreeSlice
-clears their columns from every other row instead of building them, and
-counts the cleared columns among its pivots.  A row that holds such a
-variable in its multiplier is cleared whole, and so is every term that
-holds one, so neither is built.
+A slice has one special case, its dead variables.  Each f(theta) with
+|beta - theta| = 2 is plus or minus one variable, a dead variable, and
+spans every multiple of it; so DegreeSlice counts the columns of those
+multiples among its pivots and builds no row that holds a dead variable.
+Every other generator enters as its live terms times the live multipliers,
+and only those rows are eliminated.
 
 The chain prediction rests on the same rule.  The chain ideal is squarefree,
 generated by the products of the roots of each minimal bad chain, so its
@@ -176,31 +178,24 @@ def pfaffian_generator(theta, beta):
     return _beta_table(beta).pfaffian(_id_poset(beta.d)[1][theta.entries])[0]
 
 
-def _half_generators(bound, beta, sign):
-    """(position, f(theta)) for each theta, in enumerate_id order, that one
-    half leaves out: alpha not <= theta for the negative half (sign -1 of
-    tableaux.row_sign, bound alpha), theta not <= gamma for the positive
-    half (sign +1, bound gamma).  A chain of roots of the half is bad exactly
-    when its w is one of these theta.  Read off the up sets of _id_poset."""
-    elements, position, up, _ = _id_poset(beta.d)
-    b = position[bound.entries]
-    left_out = [t for t in range(len(elements)) if (b not in up[t] if sign > 0 else t not in up[b])]
-    table = _beta_table(beta)
-    return [(t, table.pfaffian(t)[0]) for t in left_out]
-
-
-def _half_interval(bound, beta, sign):
-    """(position, degree of f(theta)) for each theta, in enumerate_id order,
-    that the multichains of one half run through: alpha <= theta < beta for
-    the negative half (sign -1, bound alpha), beta < theta <= gamma for the
-    positive half (sign +1, bound gamma).  Read off the up sets of
-    _id_poset, as _half_generators reads its thetas; the degrees from the
-    table of beta."""
+def _half(bound, beta, sign):
+    """The positions, in enumerate_id order, of the theta that one half of
+    the triple leaves out and of the theta its multichains run through, from
+    one scan of the up sets of _id_poset.  The negative half (sign -1 of
+    tableaux.row_sign, bound alpha) leaves out each theta with alpha not <=
+    theta and runs through alpha <= theta < beta; the positive half (sign
+    +1, bound gamma) leaves out each theta with theta not <= gamma and runs
+    through beta < theta <= gamma.  A chain of roots of the half is bad
+    exactly when its w is left out."""
     elements, position, up, _ = _id_poset(beta.d)
     b, c = position[beta.entries], position[bound.entries]
-    low, high = (b, c) if sign > 0 else (c, b)
-    table = _beta_table(beta)
-    return [(t, table.pfaffian(t)[1]) for t in range(len(elements)) if t != b and t in up[low] and high in up[t]]
+    left_out, interval = [], []
+    for t in range(len(elements)):
+        if (c not in up[t] if sign > 0 else t not in up[c]):
+            left_out.append(t)
+        elif t != b and (t in up[b] if sign > 0 else b in up[t]):
+            interval.append(t)
+    return left_out, interval
 
 
 def generators(alpha, beta, gamma):
@@ -210,8 +205,9 @@ def generators(alpha, beta, gamma):
     otherwise): out of order, f(beta) = 1 would join the generators."""
     _check_triple(alpha, beta, gamma)
     elements = enumerate_id(beta.d)
-    joined = dict(_half_generators(alpha, beta, -1) + _half_generators(gamma, beta, +1))
-    return [(elements[t], joined[t]) for t in sorted(joined)]
+    pfaffian = _beta_table(beta).pfaffian
+    left_out = sorted({*_half(alpha, beta, -1)[0], *_half(gamma, beta, +1)[0]})
+    return [(elements[t], pfaffian(t)[0]) for t in left_out]
 
 
 # -- exact linear algebra on degree slices -----------------------------------
@@ -297,58 +293,37 @@ class DegreeSlice:
     rational elimination, against the monomial basis sorted greatest first
     (column 0 is the greatest monomial).
 
-    A generator of one term c*x^a spans exactly the degree-m monomials that
-    x^a divides, so its rows are never built: their columns, the union of
-    _shifted_columns(a, m) over such generators, are kept as cleared.  A
-    single-entry pivot row reduces any other row by deleting that entry, so
-    every other generator's rows lose their entries in cleared columns, rows
-    left empty are dropped, and only the rest go to _rref.  The pivots are
-    the set of the cleared columns and _rref's pivots, the set full
-    elimination finds; rank_with clears the extra rows the same way.  A
-    generator enters when its degree, its leading term's, is at most m.
-
-    The one-term generators of degree 1 clear every multiple of their
-    variables, the dead variables.  A row g*u of another generator is
-    cleared whole when the multiplier u holds a dead variable, and
-    otherwise loses exactly the terms of g that hold one; so rows are built
-    only for the live multipliers, free of dead variables, from the live
-    terms of g, and a generator with no live term is skipped.  The same
-    rows reach _rref, in the same order, as when every row is built and
-    cleared."""
+    The one special case is the dead variables: those of the one-term
+    generators of degree 1, each plus or minus one variable.  Such a
+    generator spans every degree-m multiple of its variable, so those
+    columns (_dead_columns) are kept as cleared and count among the pivots,
+    and no row holding a dead variable is built.  Every other generator
+    enters as its live terms, free of dead variables, times the live
+    multipliers of its degree, and a generator with no live term is skipped.
+    A live row holds no cleared column, so these rows go to _rref as built,
+    and the pivots are the set of the cleared columns and _rref's pivots,
+    the set full elimination finds.  A generator enters when its degree, its
+    leading term's, is at most m."""
 
     def __init__(self, beta, gens, m):
         self.nvars = term_order(beta).nvars
         self.m = m
         gens = [g for _, g in gens if g.degree() <= m]
-        self.cleared = set()
-        dead = []  # the one-term generators of degree 1, as exponent tuples
-        for g in gens:
-            if len(g.terms) == 1:
-                mono = g.terms[0][0]
-                self.cleared.update(_shifted_columns(mono, m))
-                if sum(mono) == 1:
-                    dead.append(mono)
+        dead = [g.terms[0][0] for g in gens if len(g.terms) == 1 and g.degree() == 1]
         dead_vars = [x.index(1) for x in dead]
+        self.cleared = _dead_columns(dead, m)
         mults = {}  # the positions of the live multipliers in the slice of each degree
         rows = []
         for g in gens:
             terms = [(mono, c) for mono, c in g.terms if not any(map(mono.__getitem__, dead_vars))]
-            if len(g.terms) > 1 and terms:
+            if terms:
                 k = m - g.degree()
                 if k not in mults:
-                    # a multiplier holding a dead variable is a shifted column
-                    # of it; the multiplier of degree 0, 1, holds none
-                    held = set().union(*(_shifted_columns(x, k) for x in dead)) if k else ()
+                    held = _dead_columns(dead, k)
                     mults[k] = [j for j in range(slice_size(self.nvars, k)) if j not in held]
                 rows += _generator_rows(terms, mults[k], m)
-        self.rows = self._clear(rows)
+        self.rows = rows
         self.pivots = self.cleared.union(_rref(self.rows))
-
-    def _clear(self, rows):
-        """The rows without their entries in cleared columns, those left
-        empty dropped."""
-        rows = ([(c, x) for c, x in row if c not in self.cleared] for row in rows)
-        return [row for row in rows if row]
 
     @property
     def dim(self):
@@ -360,8 +335,17 @@ class DegreeSlice:
 
     def rank_with(self, rows):
         """Rank of the slice extended by the given sparse rows of degree-m
-        polynomials, as _BetaTable.row builds them."""
-        return len(self.cleared) + len(_rref(self.rows + self._clear(rows)))
+        polynomials, as _BetaTable.row builds them: each row loses its
+        entries in cleared columns, and a row left empty is dropped."""
+        rows = ([(c, x) for c, x in row if c not in self.cleared] for row in rows)
+        return len(self.cleared) + len(_rref(self.rows + [row for row in rows if row]))
+
+
+def _dead_columns(dead, k):
+    """The columns of the degree-k slice that hold a dead variable, given as
+    the exponent tuples of degree 1 in dead: the union of their shifted
+    columns.  The slice of degree 0, the constant 1, holds none."""
+    return set().union(*(_shifted_columns(x, k) for x in dead)) if k else set()
 
 
 @lru_cache(maxsize=None)
@@ -443,12 +427,14 @@ def _multichain_levels(alpha, beta, gamma, max_degree):
     alpha <= theta, extended by theta, where k >= 1 is the degree of
     f(theta), its leading term's; so each level is built from the levels
     below it, and no recursion grows with m.  Each theta is one of the two
-    half intervals, joined in enumerate_id order: the lexicographic order
-    extends the entrywise one, so the negative half comes first.  Each
-    comparison is a lookup in an up set of _id_poset."""
+    half intervals of _half, joined in enumerate_id order: the lexicographic
+    order extends the entrywise one, so the negative half comes first.  Its
+    degree is read from the table of beta, and each comparison is a lookup
+    in an up set of _id_poset."""
     _, position, up, _ = _id_poset(beta.d)
     a = position[alpha.entries]
-    candidates = _half_interval(alpha, beta, -1) + _half_interval(gamma, beta, +1)
+    pfaffian = _beta_table(beta).pfaffian
+    candidates = [(t, pfaffian(t)[1]) for t in _half(alpha, beta, -1)[1] + _half(gamma, beta, +1)[1]]
     levels = [[()]]
     for m in range(1, max_degree + 1):
         levels.append([

@@ -115,7 +115,7 @@ MUTANTS = (
     Mutant(
         "rank_with ignores the standard rows",
         "src/obrsk/ideal.py",
-        "_rref(self.rows + self._clear(rows))",
+        "_rref(self.rows + [row for row in rows if row])",
         "_rref(self.rows)",
         "tests/test_acceptance.py::test_criterion_5_main_theorem",
     ),
@@ -192,28 +192,31 @@ MUTANTS = (
     Mutant(
         "positive half leaves out what a negative half would",
         "src/obrsk/ideal.py",
-        "(b not in up[t] if sign > 0 else t not in up[b])",
-        "(t not in up[b] if sign > 0 else t not in up[b])",
+        "(c not in up[t] if sign > 0 else t not in up[c])",
+        "(t not in up[c] if sign > 0 else t not in up[c])",
         "tests/test_ideal.py::test_generators_are_the_join_of_the_halves_up_to_d6",
     ),
     Mutant(
         "join lists a theta both halves leave out twice",
         "src/obrsk/ideal.py",
-        "joined = dict(_half_generators(alpha, beta, -1) + _half_generators(gamma, beta, +1))\n"
-        "    return [(elements[t], joined[t]) for t in sorted(joined)]",
-        "joined = sorted(_half_generators(alpha, beta, -1) + _half_generators(gamma, beta, +1), key=lambda tf: tf[0])\n"
-        "    return [(elements[t], f) for t, f in joined]",
+        "sorted({*_half(alpha, beta, -1)[0], *_half(gamma, beta, +1)[0]})",
+        "sorted([*_half(alpha, beta, -1)[0], *_half(gamma, beta, +1)[0]])",
         "tests/test_ideal.py::test_generators_are_the_join_of_the_halves_up_to_d6",
     ),
     Mutant(
         "one-term generators not cleared",
         "src/obrsk/ideal.py",
-        "self.cleared.update(_shifted_columns(mono, m))",
-        "pass",
+        "self.cleared = _dead_columns(dead, m)",
+        "self.cleared = set()",
         "tests/test_acceptance.py::test_criterion_5_main_theorem",
     ),
-    # a mutant that also builds the dead rows is equivalent: _clear drops
-    # every such row, so the same rows reach _rref
+    Mutant(
+        "multipliers holding a dead variable kept",
+        "src/obrsk/ideal.py",
+        "held = _dead_columns(dead, k)",
+        "held = set()",
+        "tests/test_ideal.py::test_slices_build_only_their_live_rows",
+    ),
     Mutant(
         "live-term filter inverted",
         "src/obrsk/ideal.py",
@@ -231,8 +234,8 @@ MUTANTS = (
     Mutant(
         "half interval bounds swapped",
         "src/obrsk/ideal.py",
-        "low, high = (b, c) if sign > 0 else (c, b)",
-        "low, high = (c, b) if sign > 0 else (b, c)",
+        "(t in up[b] if sign > 0 else b in up[t])",
+        "(b in up[t] if sign > 0 else t in up[b])",
         "tests/test_ideal.py::test_half_intervals_are_the_thetas_between_the_bounds_up_to_d6",
     ),
     Mutant(

@@ -155,7 +155,8 @@ def test_rank_with_leaves_the_slice_unchanged():
 @pytest.mark.parametrize("extra", ["degree two", "coefficient -3", "constant", "zero", "all"])
 def test_one_term_generators_among_pfaffians_match_sympy(extra):
     # the five Pfaffians of degree two of beta = 1,2,3,4,5 have three terms
-    # each; next to them the one-term generators have their columns cleared
+    # each; next to them come one-term generators: a dead variable, one of
+    # degree 1, has its columns cleared, and any other enters as rows
     beta = ide((1, 2, 3, 4, 5), 5)
     order = term_order(beta)
     pfaffians = [f for f in (pfaffian_generator(t, beta) for t in enumerate_id(5)) if f.degree() == 2]

@@ -267,8 +267,8 @@ def test_generators_are_the_join_of_the_halves_up_to_d6():
                 if id_leq(beta, bound):  # bound is the gamma of a positive half
                     halves.append((+1, [theta for theta in elements if not id_leq(theta, bound)]))
                 for sign, left_out in halves:
-                    listed = [(elements[t], f) for t, f in ideal._half_generators(bound, beta, sign)]
-                    assert listed == with_f(left_out, beta), (bound, beta, sign)
+                    listed = [elements[t] for t in ideal._half(bound, beta, sign)[0]]
+                    assert listed == left_out, (bound, beta, sign)
         triples = all_triples(d)
         for alpha, beta, gamma in triples:
             left_out = [theta for theta in elements if not (id_leq(alpha, theta) and id_leq(theta, gamma))]
@@ -292,12 +292,38 @@ def test_half_intervals_are_the_thetas_between_the_bounds_up_to_d6():
                         continue
                     inside = [t for t, theta in enumerate(elements) if theta != beta and id_leq(low, theta) and id_leq(theta, high)]
                     degrees = [len(set(beta.entries) - set(elements[t].entries)) // 2 for t in inside]
-                    assert ideal._half_interval(bound, beta, sign) == list(zip(inside, degrees)), (bound, beta, sign)
+                    assert ideal._half(bound, beta, sign)[1] == inside, (bound, beta, sign)
+                    assert [ideal._beta_table(beta).pfaffian(t)[1] for t in inside] == degrees, (bound, beta, sign)
                     assert all(pfaffian_generator(elements[t], beta).degree() == k for t, k in zip(inside, degrees))
                     halves += 1
         counts.append(halves)
     # each pair low <= high is one negative and one positive half
     assert counts == [2, 6, 20, 70, 252, 924]
+
+
+def test_one_term_pfaffians_through_d8_are_the_dead_variables_and_one(package_caches):
+    # DegreeSlice special-cases only the one-term generators of degree 1:
+    # every other one-term f(theta) is f(beta) = 1, which no half leaves out
+    # for a bound on its side of beta, so generators never returns it
+    pfaffians = one_term_d8 = 0
+    for d in range(1, 9):
+        elements, position, up, _ = grassmannian._id_poset(d)
+        for beta in elements:
+            b = position[beta.entries]
+            table = ideal._beta_table(beta)
+            for t, theta in enumerate(elements):
+                f, k = table.pfaffian(t)
+                pfaffians += 1
+                if len(f.terms) == 1:
+                    assert k == 1 or theta == beta, (theta, beta)
+                    one_term_d8 += d == 8
+            for bound in elements:
+                c = position[bound.entries]
+                # bound is the alpha of a negative half, the gamma of a positive one
+                for sign, on_its_side in ((-1, b in up[c]), (+1, c in up[b])):
+                    if on_its_side:
+                        assert b not in ideal._half(bound, beta, sign)[0], (bound, beta, sign)
+    assert (pfaffians, one_term_d8) == (21845, 3712)
 
 
 def test_generators_refuse_a_triple_out_of_order():
@@ -703,7 +729,7 @@ def test_a_degree_of_the_chain_and_standard_monomials_that_is_not_a_plain_int_is
 
 @pytest.mark.parametrize("d, max_degree, count", [(4, 3, 112), (5, 2, 672)])
 def test_degree_slice_equals_full_elimination(d, max_degree, count):
-    # clearing the columns of one-term generators finds the pivots and ranks
+    # clearing the columns of the dead variables finds the pivots and ranks
     # that eliminating every row of every generator finds
     triples = all_triples(d)
     assert len(triples) == count
@@ -719,7 +745,7 @@ def test_degree_slice_equals_full_elimination(d, max_degree, count):
 
 
 def test_elimination_gets_only_the_rows_of_multi_term_generators(monkeypatch):
-    # the rows of the one-term generators never reach _rref: eliminating
+    # the rows of the dead variables never reach _rref: eliminating
     # every row, the 112 checks of d = 4 at m <= 3 hand it 19,166 rows,
     # 9,870 of them while building the slices
     handed = []
@@ -741,8 +767,8 @@ def test_elimination_gets_only_the_rows_of_multi_term_generators(monkeypatch):
 
 
 def test_slices_build_only_their_live_rows(monkeypatch):
-    # a row whose multiplier holds the variable of a one-term generator of
-    # degree 1 is cleared whole, and so is each term that holds one: the
+    # no row whose multiplier holds a dead variable, the variable of a
+    # one-term generator of degree 1, is built, nor any term that holds one: the
     # 112 checks of d = 4 at m <= 3 build 48 rows where all the rows of the
     # multi-term generators number 462, and the 48 are the rows handed to
     # _rref while building the slices
