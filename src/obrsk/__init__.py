@@ -1,11 +1,11 @@
 """Bounded RSK on notched bitableaux and Pfaffian initial ideals.
 
-Exact (integer / rational) combinatorics: finite multisets on N and N^2, the
-counting order on rows of bitableaux, notched skew-symmetric bitableaux,
-skew pairs of two-row arrays, the bounded RSK correspondence and its
-inverse, chain combinatorics on the grid attached to a fixed d-subset beta,
-and the Pfaffian generators whose leading terms are certified against chain
-monomials degree by degree.
+Exact (integer / rational) combinatorics: chains of plane points and
+duality maps, the counting order on rows of bitableaux, notched
+skew-symmetric bitableaux, skew pairs of two-row arrays, the bounded RSK
+correspondence and its inverse, chain combinatorics on the grid attached to
+a fixed d-subset beta, and the Pfaffian generators whose leading terms are
+certified against chain monomials degree by degree.
 """
 
 from types import ModuleType as _ModuleType

@@ -29,12 +29,12 @@ positive chains of beta onto the negative chains of mirror(beta), mirror
 reverses the order, and the w of a positive chain C is mirror of the w of
 phi(C).  So each beta has one table, of its negative chains with the
 position of w in I(d) and the top rows of each chain's image
-(_signed_chains, at most |I(d)| tables per d), and a positive half is phi
-of a negative half of the mirrored pair (_minimal_bad_chains), reached
-through the mirror permutation of positions; no element of I(d) is built
-per chain or per half.  A table is one walk over the chains, each taking
-its top rows by one bounded insertion step on those of its parent chain,
-the chain without its last point; no image is built whole.
+(_signed_chains, at most |I(d)| tables per d), and a positive half is the
+negative half of the mirrored pair (_half), its positions mirrored and its
+chains mapped by phi; no element of I(d) is built per chain or per half.
+A table is one walk over the chains, each taking its top rows by one
+bounded insertion step on those of its parent chain, the chain without its
+last point; no image is built whole.
 tests/test_grassmannian.py certifies that the pair (C, C^#) of every chain
 of roots with d <= 8 is a valid skew pair, that the top rows equal those
 of obrsk's image with d <= 7, that each position is the element its
@@ -45,7 +45,9 @@ triple, by whether its w lies in the up set of alpha, checks each decision
 against the boundedness of the chain's image by T in the one counting
 order (tableaux.rows_leq), and keeps the minimal bad chains; a root
 monomial lies in the chain ideal exactly when its support contains one.
-The halves are memoised, at most 2 |I(d)|^2 of them per d.
+One memo, _half, holds each half: the theta it leaves out, those its
+multichains run through and its minimal bad chains, at most 2 |I(d)|^2
+halves per d.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import le
+from typing import NamedTuple
 
 from .correspondence import forward_step
 # perfbench/tracing.py patches grassmannian.obrsk, so the name stays importable here
@@ -214,7 +217,7 @@ def _signed_chains(beta):
 
     Only negative chains have rows: a positive chain of beta is read through
     the mirror, as the negative chain phi(C) of mirror(beta) (w_of_chain,
-    _minimal_bad_chains).  Memoised per beta."""
+    _half).  Memoised per beta."""
     _, position, up, _ = _id_poset(beta.d)
     b, bset = position[beta.entries], set(beta.entries)
     top, table, where = {(): ((), ())}, {}, f"chain table of beta = {beta.entries}"
@@ -282,30 +285,42 @@ def _check_triple(alpha, beta, gamma):
         )
 
 
-@lru_cache(maxsize=None)
-def _minimal_bad_chains(bound, beta, sign):
-    """The inclusion-minimal bad chains among the chains of roots of beta of
-    one sign, as frozensets: the negative half of a triple (sign -1, bound
-    alpha) or its positive half (sign +1, bound gamma), the signs of
-    tableaux.row_sign.
+class Half(NamedTuple):
+    """One half of a triple, as _half states it."""
 
-    Each negative chain is decided by two routes, each read off its row of
-    _signed_chains: the defining rule, alpha not <= w, that is, the position
-    of w outside the up set of alpha; and boundedness of its image, T <= up
-    in the counting order, by rows_leq on the row pairs of T and of the up
-    set.  The two must agree.  The positive half is the mirror of a negative
-    one: mirror reverses the order and w(C) is mirror of w(phi(C)), so C is
-    bad for gamma at beta exactly when phi(C) is bad for mirror(gamma) at
-    mirror(beta), and its minimal bad chains are phi of that half's; the
-    two mirrored elements are read off the mirror permutation of positions.
-    Memoised: a half is decided once, however many triples share it, so the
-    cache holds at most 2 |I(d)|^2 entries per d."""
+    left_out: tuple  # positions, in enumerate_id order, of the theta it leaves out
+    interval: tuple  # and of the theta its multichains run through
+    chains: tuple  # its minimal bad chains, as frozensets
+
+
+@lru_cache(maxsize=None)
+def _half(bound, beta, sign):
+    """The negative half of a triple (sign -1 of tableaux.row_sign, bound
+    alpha) or its positive half (sign +1, bound gamma).  The negative half
+    is read off the up sets of _id_poset: it leaves out each theta with
+    alpha not <= theta and runs through alpha <= theta < beta.  A chain of
+    roots is bad exactly when its w is left out: each negative chain is
+    decided by two routes, each read off its row of _signed_chains, the
+    position of w outside the up set of alpha and boundedness of its image,
+    T <= up by rows_leq on the row pairs of T and of the up set, and the
+    two must agree.  mirror reverses the order and w(C) is mirror of
+    w(phi(C)), so the positive half of (beta, gamma) is the negative half
+    of (mirror(gamma), mirror(beta)), its positions mirrored and its chains
+    mapped by phi.  Memoised: a half is decided once, however many triples
+    share it."""
     elements, position, up, mirrored = _id_poset(beta.d)
     if sign > 0:
         mirror_bound, mirror_beta = (elements[mirrored[position[v.entries]]] for v in (bound, beta))
-        half = _minimal_bad_chains(mirror_bound, mirror_beta, -1)
-        return tuple(frozenset(phi(p, beta.d) for p in chain) for chain in half)
+        left_out, interval, chains = _half(mirror_bound, mirror_beta, -1)
+        return Half(
+            tuple(sorted(mirrored[t] for t in left_out)),
+            tuple(sorted(mirrored[t] for t in interval)),
+            tuple(frozenset(phi(p, beta.d) for p in chain) for chain in chains),
+        )
+    b = position[beta.entries]
     above = up[position[bound.entries]]
+    left_out = tuple(t for t in range(len(elements)) if t not in above)
+    interval = tuple(t for t in range(len(elements)) if t in above and t != b and b in up[t])
     limit = _half_bound(bound, beta)
     bad = []
     for chain, (w, operand) in _signed_chains(beta).items():
@@ -321,7 +336,7 @@ def _minimal_bad_chains(bound, beta, sign):
     for chain in sorted(bad, key=len):
         if not any(kept <= chain for kept in minimal):
             minimal.append(chain)
-    return tuple(minimal)
+    return Half(left_out, interval, tuple(minimal))
 
 
 def defining_chains(alpha, beta, gamma):
@@ -331,12 +346,12 @@ def defining_chains(alpha, beta, gamma):
     positive part is bad for gamma, so the minimal bad chains are sign pure
     and are those of the two halves, (alpha, beta) and (beta, gamma), joined:
     a negative chain never contains a positive one.  Each half decides each
-    of its chains by two routes that must agree (_minimal_bad_chains), once
-    per half, not once per triple.  A monomial lies in the chain ideal when
-    its support contains a bad chain, hence when it contains a minimal one,
-    and these are the minimal generators of the chain ideal."""
+    of its chains by two routes that must agree (_half), once per half, not
+    once per triple.  A monomial lies in the chain ideal when its support
+    contains a bad chain, hence when it contains a minimal one, and these
+    are the minimal generators of the chain ideal."""
     _check_triple(alpha, beta, gamma)
-    return _minimal_bad_chains(alpha, beta, -1) + _minimal_bad_chains(gamma, beta, +1)
+    return _half(alpha, beta, -1).chains + _half(gamma, beta, +1).chains
 
 
 def is_quotient_monomial(u, alpha, beta, gamma):

@@ -2,16 +2,16 @@
 
 Fix a triple alpha <= beta <= gamma in I(d).  The ideal is generated by the
 Pfaffians f(theta) over the theta in I(d) that a half of the triple leaves
-out.  One scan per half (_half) lists the theta it leaves out and the theta
-its multichains run through: the negative half (alpha, beta) leaves out each
-theta with alpha not <= theta and runs through alpha <= theta < beta, the
-positive half (beta, gamma) leaves out each theta with theta not <= gamma
-and runs through beta < theta <= gamma.  generators and _multichain_levels
-each join the two halves.  The main check confirms, degree by degree, that
-the leading monomials of the ideal are exactly the root monomials covering a
-bad chain of the triple, and that the standard monomials (products of
-Pfaffians indexed by multichains through the interval) complement the ideal
-slice exactly.
+out.  One memo, grassmannian._half, holds each half's left-out theta, the
+theta its multichains run through and its minimal bad chains: the negative
+half (alpha, beta) leaves out each theta with alpha not <= theta and runs
+through alpha <= theta < beta, and the positive half (beta, gamma) is its
+mirror.  generators, _multichain_levels and defining_chains each join the
+two halves' fields, so each half is computed once.  The main check
+confirms, degree by degree, that the leading monomials of the ideal are
+exactly the root monomials covering a bad chain of the triple, and that the
+standard monomials (products of Pfaffians indexed by multichains through
+the interval) complement the ideal slice exactly.
 
 Each f(theta) is the Pfaffian of the skew-symmetric matrix on beta - theta
 whose entry (x, y), for x > y, is the variable of the root (x*, y), where
@@ -73,7 +73,7 @@ from math import comb
 from operator import add, sub
 
 from .errors import DimensionMismatch, ValidationError, VerificationError
-from .grassmannian import _check_triple, _id_poset, defining_chains, enumerate_id
+from .grassmannian import _check_triple, _half, _id_poset, defining_chains, enumerate_id
 # perfbench/tracing.py patches ideal.is_quotient_monomial, so the name stays importable here
 from .grassmannian import is_quotient_monomial  # noqa: F401
 from .polynomials import SparsePoly, term_order
@@ -178,26 +178,6 @@ def pfaffian_generator(theta, beta):
     return _beta_table(beta).pfaffian(_id_poset(beta.d)[1][theta.entries])[0]
 
 
-def _half(bound, beta, sign):
-    """The positions, in enumerate_id order, of the theta that one half of
-    the triple leaves out and of the theta its multichains run through, from
-    one scan of the up sets of _id_poset.  The negative half (sign -1 of
-    tableaux.row_sign, bound alpha) leaves out each theta with alpha not <=
-    theta and runs through alpha <= theta < beta; the positive half (sign
-    +1, bound gamma) leaves out each theta with theta not <= gamma and runs
-    through beta < theta <= gamma.  A chain of roots of the half is bad
-    exactly when its w is left out."""
-    elements, position, up, _ = _id_poset(beta.d)
-    b, c = position[beta.entries], position[bound.entries]
-    left_out, interval = [], []
-    for t in range(len(elements)):
-        if (c not in up[t] if sign > 0 else t not in up[c]):
-            left_out.append(t)
-        elif t != b and (t in up[b] if sign > 0 else b in up[t]):
-            interval.append(t)
-    return left_out, interval
-
-
 def generators(alpha, beta, gamma):
     """(theta, f(theta)) for each theta that either half of the triple leaves
     out, once each in enumerate_id order: the join of the two halves.  The
@@ -206,7 +186,7 @@ def generators(alpha, beta, gamma):
     _check_triple(alpha, beta, gamma)
     elements = enumerate_id(beta.d)
     pfaffian = _beta_table(beta).pfaffian
-    left_out = sorted({*_half(alpha, beta, -1)[0], *_half(gamma, beta, +1)[0]})
+    left_out = sorted({*_half(alpha, beta, -1).left_out, *_half(gamma, beta, +1).left_out})
     return [(elements[t], pfaffian(t)[0]) for t in left_out]
 
 
@@ -434,7 +414,7 @@ def _multichain_levels(alpha, beta, gamma, max_degree):
     _, position, up, _ = _id_poset(beta.d)
     a = position[alpha.entries]
     pfaffian = _beta_table(beta).pfaffian
-    candidates = [(t, pfaffian(t)[1]) for t in _half(alpha, beta, -1)[1] + _half(gamma, beta, +1)[1]]
+    candidates = [(t, pfaffian(t)[1]) for t in _half(alpha, beta, -1).interval + _half(gamma, beta, +1).interval]
     levels = [[()]]
     for m in range(1, max_degree + 1):
         levels.append([

@@ -190,17 +190,17 @@ MUTANTS = (
         "tests/test_grassmannian.py::test_up_sets_are_id_leq_on_every_pair_through_d7",
     ),
     Mutant(
-        "positive half leaves out what a negative half would",
-        "src/obrsk/ideal.py",
-        "(c not in up[t] if sign > 0 else t not in up[c])",
-        "(t not in up[c] if sign > 0 else t not in up[c])",
+        "positive half read without the mirror permutation",
+        "src/obrsk/grassmannian.py",
+        "tuple(sorted(mirrored[t] for t in left_out))",
+        "tuple(sorted(t for t in left_out))",
         "tests/test_ideal.py::test_generators_are_the_join_of_the_halves_up_to_d6",
     ),
     Mutant(
         "join lists a theta both halves leave out twice",
         "src/obrsk/ideal.py",
-        "sorted({*_half(alpha, beta, -1)[0], *_half(gamma, beta, +1)[0]})",
-        "sorted([*_half(alpha, beta, -1)[0], *_half(gamma, beta, +1)[0]])",
+        "sorted({*_half(alpha, beta, -1).left_out, *_half(gamma, beta, +1).left_out})",
+        "sorted([*_half(alpha, beta, -1).left_out, *_half(gamma, beta, +1).left_out])",
         "tests/test_ideal.py::test_generators_are_the_join_of_the_halves_up_to_d6",
     ),
     Mutant(
@@ -233,9 +233,9 @@ MUTANTS = (
     ),
     Mutant(
         "half interval bounds swapped",
-        "src/obrsk/ideal.py",
-        "(t in up[b] if sign > 0 else b in up[t])",
-        "(b in up[t] if sign > 0 else t in up[b])",
+        "src/obrsk/grassmannian.py",
+        "t in above and t != b and b in up[t]",
+        "t in above and t != b and t in up[b]",
         "tests/test_ideal.py::test_half_intervals_are_the_thetas_between_the_bounds_up_to_d6",
     ),
     Mutant(

@@ -6,6 +6,7 @@ import pytest
 
 import obrsk.grassmannian as grassmannian
 from obrsk.arrays import psi_inv, validate_skew_pair
+from obrsk.cli import EXIT_FAILED, ideal_main
 from obrsk.correspondence import obrsk, obrsk_negative_steps
 from obrsk.errors import (
     BoundsNotComparable,
@@ -27,7 +28,7 @@ from obrsk.grassmannian import (
     split_chain,
     w_of_chain,
 )
-from obrsk.ideal import verify_main_theorem
+from obrsk.ideal import generators, verify_main_theorem
 from obrsk.tableaux import rows_leq
 from oracles import (
     FormalDiff,
@@ -421,7 +422,8 @@ def test_table_positions_are_the_elements_of_beta_less_q_plus_p_through_d8(packa
 def test_chain_tables_and_halves_build_no_element_over_all_d4_triples(monkeypatch, package_caches):
     # I(4) is built once, by _id_poset; the tables and the halves of all
     # 112 triples then build no element, as w and the mirrored halves are
-    # positions
+    # positions.  The main check reads each of the 70 halves from its one
+    # memo: generators, the multichains and the chains share one scan.
     triples = list(ordered_triples(4))
     built = []
     original = IdElement.__post_init__
@@ -434,7 +436,11 @@ def test_chain_tables_and_halves_build_no_element_over_all_d4_triples(monkeypatc
     for alpha, beta, gamma in triples:
         defining_chains(alpha, beta, gamma)
     assert grassmannian._signed_chains.cache_info().currsize == 8
-    assert grassmannian._minimal_bad_chains.cache_info().currsize == 70
+    assert grassmannian._half.cache_info().currsize == 70
+    for alpha, beta, gamma in triples:
+        assert verify_main_theorem(alpha, beta, gamma, 3).passed
+    info = grassmannian._half.cache_info()
+    assert (info.misses, info.currsize) == (70, 70)
     assert built == []
     # the spy sees what is built
     mirror(triples[0][0])
@@ -510,7 +516,7 @@ def test_phi_maps_the_roots_of_beta_onto_those_of_its_mirror_through_d8():
 
 
 def test_mirrored_positive_halves_equal_the_direct_positive_rule_through_d7(package_caches):
-    # _minimal_bad_chains reads a positive half as phi of the negative half
+    # _half reads a positive half as phi of the negative half
     # of (mirror(gamma), mirror(beta)); the oracle decides each positive
     # chain from obrsk's down set by w and by boundedness against W
     halves = 0
@@ -519,7 +525,7 @@ def test_mirrored_positive_halves_equal_the_direct_positive_rule_through_d7(pack
             rows = positive_chain_rows(beta)
             for gamma in enumerate_id(d):
                 if id_leq(beta, gamma):
-                    mirrored = grassmannian._minimal_bad_chains(gamma, beta, +1)
+                    mirrored = grassmannian._half(gamma, beta, +1).chains
                     assert len(set(mirrored)) == len(mirrored)
                     assert set(mirrored) == positive_half(gamma, beta, rows), (gamma, beta)
                     halves += 1
@@ -664,6 +670,13 @@ def test_defining_chains_routes_disagree(monkeypatch, package_caches):
         defining_chains(alpha, beta, gamma)
     with pytest.raises(VerificationError):
         is_quotient_monomial((), alpha, beta, gamma)
+    # generators decides the halves' chains on first use, so the CLI
+    # commands that only list generators or count dimensions fail too
+    with pytest.raises(VerificationError, match="disagree"):
+        generators(alpha, beta, gamma)
+    triple = ["--d", "3", "--alpha", "1,2,3", "--beta", "1,4,5", "--gamma", "3,5,6"]
+    assert ideal_main(["generators", *triple]) == EXIT_FAILED
+    assert ideal_main(["hilbert", *triple]) == EXIT_FAILED
 
 
 def test_defining_chains_routes_disagree_when_w_is_wrong(monkeypatch, package_caches):
@@ -677,7 +690,7 @@ def test_defining_chains_routes_disagree_when_w_is_wrong(monkeypatch, package_ca
 
     beta = ide((1, 4, 5), 3)
     assert defining_chains(beta, beta, beta)
-    grassmannian._minimal_bad_chains.cache_clear()
+    grassmannian._half.cache_clear()
     monkeypatch.setattr(grassmannian, "_signed_chains", wrong_w)
     with pytest.raises(VerificationError, match="disagree"):
         defining_chains(beta, beta, beta)

@@ -267,8 +267,8 @@ def test_generators_are_the_join_of_the_halves_up_to_d6():
                 if id_leq(beta, bound):  # bound is the gamma of a positive half
                     halves.append((+1, [theta for theta in elements if not id_leq(theta, bound)]))
                 for sign, left_out in halves:
-                    listed = [elements[t] for t in ideal._half(bound, beta, sign)[0]]
-                    assert listed == left_out, (bound, beta, sign)
+                    listed = tuple(elements[t] for t in grassmannian._half(bound, beta, sign).left_out)
+                    assert listed == tuple(left_out), (bound, beta, sign)
         triples = all_triples(d)
         for alpha, beta, gamma in triples:
             left_out = [theta for theta in elements if not (id_leq(alpha, theta) and id_leq(theta, gamma))]
@@ -290,9 +290,9 @@ def test_half_intervals_are_the_thetas_between_the_bounds_up_to_d6():
                 for sign, low, high in ((-1, bound, beta), (+1, beta, bound)):
                     if not id_leq(low, high):
                         continue
-                    inside = [t for t, theta in enumerate(elements) if theta != beta and id_leq(low, theta) and id_leq(theta, high)]
+                    inside = tuple(t for t, theta in enumerate(elements) if theta != beta and id_leq(low, theta) and id_leq(theta, high))
                     degrees = [len(set(beta.entries) - set(elements[t].entries)) // 2 for t in inside]
-                    assert ideal._half(bound, beta, sign)[1] == inside, (bound, beta, sign)
+                    assert grassmannian._half(bound, beta, sign).interval == inside, (bound, beta, sign)
                     assert [ideal._beta_table(beta).pfaffian(t)[1] for t in inside] == degrees, (bound, beta, sign)
                     assert all(pfaffian_generator(elements[t], beta).degree() == k for t, k in zip(inside, degrees))
                     halves += 1
@@ -322,7 +322,7 @@ def test_one_term_pfaffians_through_d8_are_the_dead_variables_and_one(package_ca
                 # bound is the alpha of a negative half, the gamma of a positive one
                 for sign, on_its_side in ((-1, b in up[c]), (+1, c in up[b])):
                     if on_its_side:
-                        assert b not in ideal._half(bound, beta, sign)[0], (bound, beta, sign)
+                        assert b not in grassmannian._half(bound, beta, sign).left_out, (bound, beta, sign)
     assert (pfaffians, one_term_d8) == (21845, 3712)
 
 
@@ -555,7 +555,7 @@ def test_package_caches_include_the_shared_memos(package_caches):
         ideal._beta_table,
         ideal._slice_columns,
         ideal._shifted_columns,
-        grassmannian._minimal_bad_chains,
+        grassmannian._half,
     } <= package_caches
 
 

@@ -14,8 +14,8 @@ def test_package_holds_one_memo_per_key(package_caches):
     names = sorted(f"{cache.__module__}.{cache.__qualname__}" for cache in package_caches)
     assert names == [
         "obrsk.enumeration._duality_masks",
+        "obrsk.grassmannian._half",
         "obrsk.grassmannian._id_poset",
-        "obrsk.grassmannian._minimal_bad_chains",
         "obrsk.grassmannian._signed_chains",
         "obrsk.grassmannian.roots_of",
         "obrsk.ideal._beta_table",
