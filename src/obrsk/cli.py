@@ -242,8 +242,7 @@ def _og_command(args):
             doc["chains"].append(entry)
         print(json.dumps(doc, indent=2))
     else:
-        w = w_of_chain(_parse_chain(args.chain), beta)
-        print(",".join(str(x) for x in w.entries))
+        print(w_of_chain(_parse_chain(args.chain), beta))
     return EXIT_OK
 
 

@@ -47,19 +47,22 @@ in the slice of its degree, its prefix's row times one Pfaffian, so
 rank_with takes rows and no product polynomial is sorted by the term
 order; the degree is the multichain's level, handed down.  The chain
 monomials are taken once per triple, and each degree compares the set of
-pivot columns with the set of their shifted columns (_chain_columns).
+pivot columns with the set of their multiples (_multiples).
 
 A slice has one special case, its dead variables.  Each f(theta) with
 |beta - theta| = 2 is plus or minus one variable, a dead variable, and
 spans every multiple of it; so DegreeSlice counts the columns of those
-multiples among its pivots and builds no row that holds a dead variable.
+multiples (_multiples) among its pivots and builds no row that holds a
+dead variable.
 Every other generator enters as its live terms times the live multipliers,
 and only those rows are eliminated.
 
-The chain prediction rests on the same rule.  The chain ideal is squarefree,
-generated by the products of the roots of each minimal bad chain, so its
-degree-m piece is the shifted columns of those chain monomials, one union
-over the chains; no monomial of the slice is tested on its own.
+The chain prediction rests on the same rule, stated once: _multiples, the
+columns of a slice that are multiples of one of a set of monomials.  The
+chain ideal is squarefree, generated by the products of the roots of each
+minimal bad chain, so its degree-m piece is the multiples of those chain
+monomials, one union over the chains; no monomial of the slice is tested on
+its own.
 """
 
 from __future__ import annotations
@@ -276,7 +279,7 @@ class DegreeSlice:
     The one special case is the dead variables: those of the one-term
     generators of degree 1, each plus or minus one variable.  Such a
     generator spans every degree-m multiple of its variable, so those
-    columns (_dead_columns) are kept as cleared and count among the pivots,
+    columns (_multiples) are kept as cleared and count among the pivots,
     and no row holding a dead variable is built.  Every other generator
     enters as its live terms, free of dead variables, times the live
     multipliers of its degree, and a generator with no live term is skipped.
@@ -291,7 +294,7 @@ class DegreeSlice:
         gens = [g for _, g in gens if g.degree() <= m]
         dead = [g.terms[0][0] for g in gens if len(g.terms) == 1 and g.degree() == 1]
         dead_vars = [x.index(1) for x in dead]
-        self.cleared = _dead_columns(dead, m)
+        self.cleared = _multiples(dead, m)
         mults = {}  # the positions of the live multipliers in the slice of each degree
         rows = []
         for g in gens:
@@ -299,7 +302,7 @@ class DegreeSlice:
             if terms:
                 k = m - g.degree()
                 if k not in mults:
-                    held = _dead_columns(dead, k)
+                    held = _multiples(dead, k)
                     mults[k] = [j for j in range(slice_size(self.nvars, k)) if j not in held]
                 rows += _generator_rows(terms, mults[k], m)
         self.rows = rows
@@ -319,13 +322,6 @@ class DegreeSlice:
         entries in cleared columns, and a row left empty is dropped."""
         rows = ([(c, x) for c, x in row if c not in self.cleared] for row in rows)
         return len(self.cleared) + len(_rref(self.rows + [row for row in rows if row]))
-
-
-def _dead_columns(dead, k):
-    """The columns of the degree-k slice that hold a dead variable, given as
-    the exponent tuples of degree 1 in dead: the union of their shifted
-    columns.  The slice of degree 0, the constant 1, holds none."""
-    return set().union(*(_shifted_columns(x, k) for x in dead)) if k else set()
 
 
 @lru_cache(maxsize=None)
@@ -376,43 +372,39 @@ def _chain_exponents(alpha, beta, gamma):
     return [tuple([1 if v in chain else 0 for v in variables]) for chain in defining_chains(alpha, beta, gamma)]
 
 
-def _chain_columns(chain_monos, m):
-    """The columns of the degree-m slice that the chain ideal holds: the
-    union of the shifted columns of the chain monomials of
-    _chain_exponents.  A chain of more than m roots has no multiple of
-    degree m and is skipped."""
-    cols = set()
-    for mono in chain_monos:
-        if sum(mono) <= m:
-            cols.update(_shifted_columns(mono, m))
-    return cols
+def _multiples(monos, m):
+    """The columns of the degree-m slice that are multiples of one of the
+    exponent tuples monos: the union of their shifted columns.  A monomial
+    of degree above m has no multiple of degree m and is skipped.  The dead
+    columns of a slice and the chain prediction are both read here."""
+    return set().union(*(_shifted_columns(mono, m) for mono in monos if sum(mono) <= m))
 
 
 def chains_monomials_degree(alpha, beta, gamma, m):
     """Degree-m root monomials whose support contains a bad chain of the
     triple; the combinatorial prediction for the initial monomials, none
     when m is negative; m must be a plain int.  Such a support contains a
-    minimal bad chain, so these are the monomials of _chain_columns, the
-    rule the main check applies to columns."""
+    minimal bad chain, so these are the monomials of the columns of
+    _multiples, the rule the main check applies to columns."""
     _check_degree(m)
     monos, _ = _slice_columns(term_order(beta).nvars, m)
-    return {monos[j] for j in _chain_columns(_chain_exponents(alpha, beta, gamma), m)}
+    return {monos[j] for j in _multiples(_chain_exponents(alpha, beta, gamma), m)}
 
 
 def _multichain_levels(alpha, beta, gamma, max_degree):
     """The multichains of degree 0 to max_degree as one table: levels[m]
     lists those of degree m, each a tuple of positions in enumerate_id(d),
     as standard_monomials lists them.  A multichain of degree m is one of
-    degree m - k ending at or below theta, or the empty one with
-    alpha <= theta, extended by theta, where k >= 1 is the degree of
-    f(theta), its leading term's; so each level is built from the levels
-    below it, and no recursion grows with m.  Each theta is one of the two
-    half intervals of _half, joined in enumerate_id order: the lexicographic
-    order extends the entrywise one, so the negative half comes first.  Its
-    degree is read from the table of beta, and each comparison is a lookup
-    in an up set of _id_poset."""
-    _, position, up, _ = _id_poset(beta.d)
-    a = position[alpha.entries]
+    degree m - k ending at or below theta, or the empty one, extended by
+    theta, where k >= 1 is the degree of f(theta), its leading term's; so
+    each level is built from the levels below it, and no recursion grows
+    with m.  Each theta is one of the two half intervals of _half, joined in
+    enumerate_id order: the lexicographic order extends the entrywise one,
+    so the negative half comes first.  Both intervals lie at or above alpha,
+    so the first theta needs no comparison.  Its degree is read from the
+    table of beta, and each comparison is a lookup in an up set of
+    _id_poset."""
+    up = _id_poset(beta.d)[2]
     pfaffian = _beta_table(beta).pfaffian
     candidates = [(t, pfaffian(t)[1]) for t in _half(alpha, beta, -1).interval + _half(gamma, beta, +1).interval]
     levels = [[()]]
@@ -422,7 +414,7 @@ def _multichain_levels(alpha, beta, gamma, max_degree):
             for t, deg in candidates
             if deg <= m
             for prefix in levels[m - deg]
-            if t in up[prefix[-1] if prefix else a]
+            if not prefix or t in up[prefix[-1]]
         ])
     return levels
 
@@ -461,8 +453,11 @@ class DegreeReport:
     n_chains: int
     n_standard: int
     initial_matches_chains: bool
-    counts_match: bool
     standard_independent: bool
+
+    @property
+    def counts_match(self):
+        return self.n_standard == self.total - self.n_initial
 
     @property
     def passed(self):
@@ -498,8 +493,7 @@ def verify_main_theorem(alpha, beta, gamma, max_degree):
         std = levels[m]
         slice_m = DegreeSlice(beta, gens, m)
         # the initial monomials are the pivots' monomials, one per column
-        chains = _chain_columns(chain_monos, m)
-        counts = len(std) == slice_m.total - slice_m.dim
+        chains = _multiples(chain_monos, m)
         std_rows = [row(thetas, m) for thetas in std]
         independent = slice_m.rank_with(std_rows) == slice_m.dim + len(std)
         report.degrees.append(
@@ -510,7 +504,6 @@ def verify_main_theorem(alpha, beta, gamma, max_degree):
                 n_chains=len(chains),
                 n_standard=len(std),
                 initial_matches_chains=slice_m.pivots == chains,
-                counts_match=counts,
                 standard_independent=independent,
             )
         )

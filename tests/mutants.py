@@ -48,8 +48,8 @@ MUTANTS = (
     Mutant(
         "counts always match",
         "src/obrsk/ideal.py",
-        "counts = len(std) == slice_m.total - slice_m.dim",
-        "counts = True",
+        "return self.n_standard == self.total - self.n_initial",
+        "return True",
         "tests/test_cli.py::test_main_check_fails_on_a_missing_standard_monomial",
     ),
     Mutant(
@@ -155,10 +155,10 @@ MUTANTS = (
         "tests/test_ideal.py::test_standard_monomials_are_the_multichains_of_the_definition_through_d5",
     ),
     Mutant(
-        "first theta of a multichain bounded by beta",
+        "multichain grown without the up-set test",
         "src/obrsk/ideal.py",
-        "if prefix else a]",
-        "if prefix else b]",
+        "if not prefix or t in up[prefix[-1]]",
+        "if True",
         "tests/test_ideal.py::test_standard_monomials_are_the_multichains_of_the_definition_through_d5",
     ),
     Mutant(
@@ -178,8 +178,15 @@ MUTANTS = (
     Mutant(
         "one minimal chain dropped from the column prediction",
         "src/obrsk/ideal.py",
-        "for mono in chain_monos:",
-        "for mono in chain_monos[1:]:",
+        "chains = _multiples(chain_monos, m)",
+        "chains = _multiples(chain_monos[1:], m)",
+        "tests/test_acceptance.py::test_criterion_5_main_theorem",
+    ),
+    Mutant(
+        "one minimal chain dropped from the monomial prediction",
+        "src/obrsk/ideal.py",
+        "_multiples(_chain_exponents(alpha, beta, gamma), m)",
+        "_multiples(_chain_exponents(alpha, beta, gamma)[1:], m)",
         "tests/test_ideal.py::test_chains_monomials_degree_matches_per_monomial_reference",
     ),
     Mutant(
@@ -206,14 +213,14 @@ MUTANTS = (
     Mutant(
         "one-term generators not cleared",
         "src/obrsk/ideal.py",
-        "self.cleared = _dead_columns(dead, m)",
+        "self.cleared = _multiples(dead, m)",
         "self.cleared = set()",
         "tests/test_acceptance.py::test_criterion_5_main_theorem",
     ),
     Mutant(
         "multipliers holding a dead variable kept",
         "src/obrsk/ideal.py",
-        "held = _dead_columns(dead, k)",
+        "held = _multiples(dead, k)",
         "held = set()",
         "tests/test_ideal.py::test_slices_build_only_their_live_rows",
     ),

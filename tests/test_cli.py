@@ -529,16 +529,17 @@ def test_ideal_requires_the_whole_triple(capsys, command, missing):
     assert "--alpha, --beta and --gamma are required" in captured.err
 
 
+def one_chain_monomial_short(monkeypatch):
+    """Drop the first chain monomial of every triple, so the chain prediction
+    falls short while the slices, which clear their dead columns by the same
+    rule, are untouched.  The triple 1,2,3 <= 1,2,3 <= 2,4,6 has one chain
+    monomial, (0, 0, 1), so its prediction is empty."""
+    original = ideal._chain_exponents
+    monkeypatch.setattr(ideal, "_chain_exponents", lambda alpha, beta, gamma: original(alpha, beta, gamma)[1:])
+
+
 def test_verify_main_exits_3_when_a_degree_fails(capsys, monkeypatch):
-    original = ideal._chain_columns
-
-    def one_chain_monomial_short(chain_monos, m):
-        cols = set(original(chain_monos, m))
-        if cols:
-            cols.remove(min(cols))
-        return cols
-
-    monkeypatch.setattr(ideal, "_chain_columns", one_chain_monomial_short)
+    one_chain_monomial_short(monkeypatch)
     argv = ["verify-main", "--d", "3", "--alpha", "1,2,3", "--beta", "1,2,3", "--gamma", "2,4,6"]
     assert ideal_main(argv) == EXIT_FAILED
     out = capsys.readouterr().out
@@ -552,14 +553,7 @@ def test_a_closed_pipe_keeps_the_verdict_of_verify_main(monkeypatch, capsys, fai
     # BrokenPipeError; the exit code is still the verdict, and what the
     # stream still holds goes to os.devnull
     if fails:
-        original = ideal._chain_columns
-
-        def one_chain_monomial_short(chain_monos, m):
-            cols = set(original(chain_monos, m))
-            cols.discard(min(cols, default=None))
-            return cols
-
-        monkeypatch.setattr(ideal, "_chain_columns", one_chain_monomial_short)
+        one_chain_monomial_short(monkeypatch)
     read_end, write_end = os.pipe()
     os.close(read_end)
     closed = open(write_end, "w")

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -304,10 +305,16 @@ def test_half_intervals_are_the_thetas_between_the_bounds_up_to_d6():
 def test_one_term_pfaffians_through_d8_are_the_dead_variables_and_one(package_caches):
     # DegreeSlice special-cases only the one-term generators of degree 1:
     # every other one-term f(theta) is f(beta) = 1, which no half leaves out
-    # for a bound on its side of beta, so generators never returns it
+    # for a bound on its side of beta, so generators never returns it.
+    # Deciding those halves decides their chains too, so the same loop
+    # checks that minimal bad chains are short: none has more than
+    # max(1, d - 2) roots, and the longest of each negative half is
+    # distributed as the table below, one Counter per d (0: no bad chain)
     pfaffians = one_term_d8 = 0
+    longest = {}
     for d in range(1, 9):
         elements, position, up, _ = grassmannian._id_poset(d)
+        longest[d] = Counter()
         for beta in elements:
             b = position[beta.entries]
             table = ideal._beta_table(beta)
@@ -322,8 +329,23 @@ def test_one_term_pfaffians_through_d8_are_the_dead_variables_and_one(package_ca
                 # bound is the alpha of a negative half, the gamma of a positive one
                 for sign, on_its_side in ((-1, b in up[c]), (+1, c in up[b])):
                     if on_its_side:
-                        assert b not in grassmannian._half(bound, beta, sign).left_out, (bound, beta, sign)
+                        half = grassmannian._half(bound, beta, sign)
+                        assert b not in half.left_out, (bound, beta, sign)
+                        length = max(map(len, half.chains), default=0)
+                        assert length <= max(1, d - 2), (bound, beta, sign)
+                        if sign < 0:
+                            longest[d][length] += 1
     assert (pfaffians, one_term_d8) == (21845, 3712)
+    assert longest == {
+        1: {0: 1},
+        2: {0: 2, 1: 1},
+        3: {0: 4, 1: 6},
+        4: {0: 8, 1: 24, 2: 3},
+        5: {0: 16, 1: 83, 2: 24, 3: 3},
+        6: {0: 32, 1: 269, 2: 127, 3: 32, 4: 2},
+        7: {0: 64, 1: 844, 2: 568, 3: 211, 4: 26, 5: 3},
+        8: {0: 128, 1: 2602, 2: 2333, 3: 1121, 4: 206, 5: 43, 6: 2},
+    }
 
 
 def test_generators_refuse_a_triple_out_of_order():

@@ -9,8 +9,8 @@ def test_all_names_the_public_functions_and_classes_only():
 
 
 def test_package_holds_one_memo_per_key(package_caches):
-    # each key of derived state has one memo; a new lru_cache must update
-    # this pin on purpose
+    # the package's memos, by name: a new lru_cache must update this pin on
+    # purpose
     names = sorted(f"{cache.__module__}.{cache.__qualname__}" for cache in package_caches)
     assert names == [
         "obrsk.enumeration._duality_masks",
